@@ -27,7 +27,7 @@ from .crossings import (
 )
 from .errors import BudgetExhaustedError, ReebError
 from .gadget import (
-    arrangement_to_drawing,
+    _certified_drawing,
     ola_brute,
     ola_reduce,
     tri_hex_grid,
@@ -208,8 +208,7 @@ def _cmd_gadget_verify(args) -> int:
     g = jsonio.parse_ola_graph(_read(args.graph))
     best = ola_brute(g)
     inst = ola_reduce(g, best.cost)
-    drawing = arrangement_to_drawing(inst, best)
-    cert = count_crossings_geometric(drawing)
+    drawing, cert = _certified_drawing(inst, best)
     ok = cert.count <= inst.budget
     _emit_json(
         {

@@ -21,10 +21,11 @@ instead of guessing a count.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import geometry
@@ -149,19 +150,28 @@ class CrossingCertificate:
     pairs: tuple[CrossingPair, ...]
 
 
-def _scaled_polylines(d: Drawing) -> tuple[list[list[tuple[int, int]]], int, int]:
-    """Polylines with coordinates scaled to integers; returns (polylines, sx, sy)."""
-    polys = [d.polyline(i) for i in range(len(d.graph.edges))]
-    sx = sy = 1
-    for poly in polys:
-        for (px, py) in poly:
-            sx = sx * px.denominator // gcd(sx, px.denominator)
-            sy = sy * py.denominator // gcd(sy, py.denominator)
-    scaled = [
-        [(int(px * sx), int(py * sy)) for (px, py) in poly]
-        for poly in polys
-    ]
-    return scaled, sx, sy
+def _scaled_polylines(
+    d: Drawing,
+) -> tuple[list[list[tuple[int, int]]], dict[str, tuple[int, int]], int, int]:
+    """Polylines and vertex points with coordinates scaled to integers;
+    returns (polylines, vertex points, sx, sy).
+
+    The scales cover every vertex, isolated ones included, so each scaled
+    coordinate is exact.
+    """
+    bend_pts = [p for eb in d.bends for p in eb]
+    sx = lcm(*(x.denominator for x in d.x.values()), *(px.denominator for px, _ in bend_pts))
+    sy = lcm(*(h.denominator for h in d.graph.vertices.values()), *(py.denominator for _, py in bend_pts))
+
+    def scaled(p: Point) -> tuple[int, int]:
+        return (p[0].numerator * (sx // p[0].denominator), p[1].numerator * (sy // p[1].denominator))
+
+    vertex_pt = {v: scaled(d.point(v)) for v in d.graph.vertices}
+    polys = []
+    for i, eb in enumerate(d.bends):
+        lo, hi = d.graph.lower_upper(i)
+        polys.append([vertex_pt[lo], *map(scaled, eb), vertex_pt[hi]])
+    return polys, vertex_pt, sx, sy
 
 
 def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
@@ -171,27 +181,49 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
     twice.  Collinear overlaps, touches away from shared vertices, three
     segments through one interior point, and polylines through foreign
     vertices all raise :class:`DegeneracyError`.
+
+    Coordinates are scaled to integers once.  Every segment is strictly
+    y-monotone, so it meets at most one point per height: the foreign-vertex
+    check bisects a sorted list of the distinct vertex heights to those in the
+    segment's closed y-range and looks up the one point of the segment there.
+    It costs one lookup per (segment, vertex height in its range) instead of
+    one test per (edge, vertex, segment).  The pair sweep runs over segments
+    sorted by lower y; a segment meets only the later ones that start at or
+    below its upper y (found by bisection), their stored x-extents reject most
+    of those, and only the rest reach the exact intersection test.  The sweep
+    thus costs O(n log n + P) for n segments and P pairs whose y-ranges overlap.
     """
-    polys, sx, sy = _scaled_polylines(d)
-    vertex_pt = {v: (int(d.x[v] * sx), int(d.graph.vertices[v] * sy)) for v in d.graph.vertices}
+    polys, vertex_pt, sx, sy = _scaled_polylines(d)
 
     # A polyline must not pass through any vertex other than its endpoints.
+    # Report the first offender of the lowest edge, in ``graph.vertices`` order.
+    rank = {v: k for k, v in enumerate(d.graph.vertices)}
+    vertex_at = {p: v for v, p in vertex_pt.items()}
+    heights = sorted({p[1] for p in vertex_pt.values()})
     for ei, poly in enumerate(polys):
-        ends = set(d.graph.edges[ei])
-        for v, p in vertex_pt.items():
-            if v in ends:
-                continue
-            for a, b in zip(poly, poly[1:]):
-                if min(a[1], b[1]) <= p[1] <= max(a[1], b[1]) and geometry.on_segment(p, a, b):
-                    raise DegeneracyError(f"edge {ei} passes through vertex {v!r}")
+        ends = d.graph.edges[ei]
+        offenders = []
+        for (ax, ay), (bx, by) in zip(poly, poly[1:]):
+            dx, dy = bx - ax, by - ay
+            for y in heights[bisect_left(heights, ay):bisect_right(heights, by)]:
+                num = ax * dy + (y - ay) * dx
+                if num % dy == 0:
+                    v = vertex_at.get((num // dy, y))
+                    if v is not None and v not in ends:
+                        offenders.append(v)
+        if offenders:
+            v = min(offenders, key=rank.__getitem__)
+            raise DegeneracyError(f"edge {ei} passes through vertex {v!r}")
 
-    # Flatten to segments, remembering the owning edge; sweep by y interval.
+    # Flatten to segments with their x-extent, remembering the owning edge;
+    # polylines run upward, so a lies below b.  Sweep by y interval.
     segs = []
     for ei, poly in enumerate(polys):
         for a, b in zip(poly, poly[1:]):
-            lo, hi = (a, b) if a[1] <= b[1] else (b, a)
-            segs.append((lo[1], hi[1], lo, hi, ei))
-    segs.sort(key=lambda s: (s[0], s[1]))
+            x_lo, x_hi = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
+            segs.append((a[1], b[1], x_lo, x_hi, a, b, ei))
+    segs.sort(key=itemgetter(0, 1))
+    starts = [s[0] for s in segs]
 
     shared_cache: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
 
@@ -206,16 +238,10 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
 
     hits: list[CrossingPair] = []
     seen_points: dict[tuple, set[int]] = {}
-    n = len(segs)
-    for i in range(n):
-        y_lo_i, y_hi_i, a, b, ei = segs[i]
-        for j in range(i + 1, n):
-            y_lo_j, y_hi_j, c, dd, ej = segs[j]
-            if y_lo_j > y_hi_i:
-                break
-            if ei == ej:
-                continue
-            if max(a[0], b[0]) < min(c[0], dd[0]) or max(c[0], dd[0]) < min(a[0], b[0]):
+    for i, (_, y_hi_i, x_lo_i, x_hi_i, a, b, ei) in enumerate(segs):
+        for j in range(i + 1, bisect_right(starts, y_hi_i)):
+            _, _, x_lo_j, x_hi_j, c, dd, ej = segs[j]
+            if ei == ej or x_hi_i < x_lo_j or x_hi_j < x_lo_i:
                 continue
             kind, pt = geometry.classify_segments(a, b, c, dd)
             if kind == geometry.NONE:
@@ -546,8 +572,6 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     optimal ordering.  Raises :class:`BudgetExhaustedError` (carrying the best
     bound found) once more than ``budget`` placements have been explored.
     """
-    from bisect import bisect_right, insort
-
     if not is_connected(g):
         raise LayoutError("exact search requires a connected graph", code="disconnected")
     g2, smap = subdivide(g)

@@ -1,4 +1,4 @@
-"""Linear-arrangement hardness apparatus: hex grids, the reduction, and witnesses.
+r"""Linear-arrangement hardness apparatus: hex grids, the reduction, and witnesses.
 
 The reduction maps a linear-arrangement instance (plain graph G, budget k) to
 a Reeb graph H built from rigid triangular hexagonal grids:
@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .core import ReebGraph
-from .crossings import Drawing, count_crossings_geometric
+from .crossings import CrossingCertificate, Drawing, count_crossings_geometric
 from .errors import (
     BudgetExhaustedError,
     DegeneracyError,
@@ -428,7 +428,7 @@ def ola_reduce(g: OlaGraph, k: int) -> GadgetInstance:
 # Witness drawings and their inverse
 # ---------------------------------------------------------------------------
 
-def arrangement_to_drawing(inst: GadgetInstance, f: LinearArrangement) -> Drawing:
+def _certified_drawing(inst: GadgetInstance, f: LinearArrangement) -> tuple[Drawing, CrossingCertificate]:
     """Draw H with columns in arrangement order.
 
     Grid pairs face each other, strands run straight across the gap (extra
@@ -436,7 +436,8 @@ def arrangement_to_drawing(inst: GadgetInstance, f: LinearArrangement) -> Drawin
     the lanes between column boxes: down from its top chain, across the gap
     diagonally (crossing exactly the skipped columns' strand bundles), and up
     to its bottom chain.  The geometric crossing count is at most the budget
-    whenever the arrangement cost is within its own budget.
+    whenever the arrangement cost is within its own budget.  Returns the
+    drawing with its crossing certificate.
     """
     plan = inst.plan
     if set(f.ranks) != set(inst.source.vertices):
@@ -480,11 +481,15 @@ def arrangement_to_drawing(inst: GadgetInstance, f: LinearArrangement) -> Drawin
             )
         d = Drawing(graph=inst.graph, x=xs, bends=tuple(bends))
         try:
-            count_crossings_geometric(d)
+            return d, count_crossings_geometric(d)
         except DegeneracyError:
             continue
-        return d
     raise InternalInvariantError("gadget drawing stayed degenerate under all lane offsets")
+
+
+def arrangement_to_drawing(inst: GadgetInstance, f: LinearArrangement) -> Drawing:
+    """Draw H with columns in arrangement order (see :func:`_certified_drawing`)."""
+    return _certified_drawing(inst, f)[0]
 
 
 def extract_arrangement(d: Drawing, inst: GadgetInstance) -> tuple[LinearArrangement, LinearArrangement]:

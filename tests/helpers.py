@@ -10,8 +10,11 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 from reebdraw import (
+    CrossingCertificate,
+    DegeneracyError,
     Drawing,
     LevelOrdering,
     ReebGraph,
@@ -20,6 +23,8 @@ from reebdraw import (
     levels,
     subdivide,
 )
+from reebdraw import geometry
+from reebdraw.crossings import CrossingPair
 
 
 def rand_height(rng: random.Random, lo: int = -10, hi: int = 10) -> Fraction:
@@ -160,3 +165,95 @@ def random_ordering(g2: ReebGraph, rng: random.Random) -> LevelOrdering:
     for group in by_level:
         rng.shuffle(group)
     return LevelOrdering.from_lists(by_level)
+
+
+def _reference_scaled_polylines(d: Drawing) -> tuple[list[list[tuple[int, int]]], int, int]:
+    """Polylines with coordinates scaled to integers; returns (polylines, sx, sy)."""
+    polys = [d.polyline(i) for i in range(len(d.graph.edges))]
+    sx = sy = 1
+    for poly in polys:
+        for (px, py) in poly:
+            sx = sx * px.denominator // gcd(sx, px.denominator)
+            sy = sy * py.denominator // gcd(sy, py.denominator)
+    scaled = [
+        [(int(px * sx), int(py * sy)) for (px, py) in poly]
+        for poly in polys
+    ]
+    return scaled, sx, sy
+
+
+def reference_count_crossings_geometric(d: Drawing) -> CrossingCertificate:
+    """Oracle: the original all-pairs geometric counter, kept verbatim.
+
+    It tests every edge against every vertex for polylines through foreign
+    vertices, so it is slow, but its answers (certificate, or exception class,
+    code and message) are what ``count_crossings_geometric`` must reproduce.
+    """
+    polys, sx, sy = _reference_scaled_polylines(d)
+    vertex_pt = {v: (int(d.x[v] * sx), int(d.graph.vertices[v] * sy)) for v in d.graph.vertices}
+
+    # A polyline must not pass through any vertex other than its endpoints.
+    for ei, poly in enumerate(polys):
+        ends = set(d.graph.edges[ei])
+        for v, p in vertex_pt.items():
+            if v in ends:
+                continue
+            for a, b in zip(poly, poly[1:]):
+                if min(a[1], b[1]) <= p[1] <= max(a[1], b[1]) and geometry.on_segment(p, a, b):
+                    raise DegeneracyError(f"edge {ei} passes through vertex {v!r}")
+
+    # Flatten to segments, remembering the owning edge; sweep by y interval.
+    segs = []
+    for ei, poly in enumerate(polys):
+        for a, b in zip(poly, poly[1:]):
+            lo, hi = (a, b) if a[1] <= b[1] else (b, a)
+            segs.append((lo[1], hi[1], lo, hi, ei))
+    segs.sort(key=lambda s: (s[0], s[1]))
+
+    shared_cache: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
+
+    def shared_points(ei: int, ej: int) -> frozenset[tuple[int, int]]:
+        key = (ei, ej)
+        got = shared_cache.get(key)
+        if got is None:
+            common = set(d.graph.edges[ei]) & set(d.graph.edges[ej])
+            got = frozenset(vertex_pt[v] for v in common)
+            shared_cache[key] = got
+        return got
+
+    hits: list[CrossingPair] = []
+    seen_points: dict[tuple, set[int]] = {}
+    n = len(segs)
+    for i in range(n):
+        y_lo_i, y_hi_i, a, b, ei = segs[i]
+        for j in range(i + 1, n):
+            y_lo_j, y_hi_j, c, dd, ej = segs[j]
+            if y_lo_j > y_hi_i:
+                break
+            if ei == ej:
+                continue
+            if max(a[0], b[0]) < min(c[0], dd[0]) or max(c[0], dd[0]) < min(a[0], b[0]):
+                continue
+            kind, pt = geometry.classify_segments(a, b, c, dd)
+            if kind == geometry.NONE:
+                continue
+            if kind == geometry.OVERLAP:
+                raise DegeneracyError(f"edges {ei} and {ej} contain overlapping collinear segments")
+            if kind == geometry.TOUCH:
+                if pt in shared_points(*sorted((ei, ej))):
+                    continue
+                raise DegeneracyError(
+                    f"edges {ei} and {ej} touch at {pt} without crossing transversally"
+                )
+            # Proper crossing.  Track concurrency: three distinct segments
+            # through one interior point is degenerate.
+            witnesses = seen_points.setdefault(pt, set())
+            witnesses.add(i)
+            witnesses.add(j)
+            if len(witnesses) > 2:
+                raise DegeneracyError(f"three or more segments concurrent at {pt}")
+            e_lo, e_hi = sorted((ei, ej))
+            hits.append(CrossingPair(edges=(e_lo, e_hi), point=(Fraction(pt[0], sx), Fraction(pt[1], sy))))
+
+    hits.sort(key=lambda h: (h.edges, h.point))
+    return CrossingCertificate(count=len(hits), pairs=tuple(hits))

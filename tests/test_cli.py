@@ -127,6 +127,25 @@ def test_gadget_subcommands(ola_file, tmp_path, capsys):
     assert json.loads(out)["rows"] == 2
 
 
+def test_gadget_verify_counts_the_drawing_once(ola_file, tmp_path, capsys, monkeypatch):
+    import reebdraw.cli
+    import reebdraw.gadget
+
+    calls = []
+    counter = reebdraw.gadget.count_crossings_geometric
+
+    def counting(d):
+        calls.append(d)
+        return counter(d)
+
+    for module in (reebdraw.cli, reebdraw.gadget):
+        monkeypatch.setattr(module, "count_crossings_geometric", counting)
+    code, out, _ = run(capsys, "gadget", "verify", "--graph", ola_file)
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads(out)["crossings"] == counter(calls[0]).count
+
+
 def test_malformed_input_is_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from reebdraw import (
     BudgetExhaustedError,
     DegeneracyError,
     Drawing,
     LevelOrdering,
+    ReebError,
     ReebGraph,
     count_crossings_geometric,
     count_crossings_layered,
@@ -26,6 +29,7 @@ from helpers import (
     random_cycle_graph,
     random_ordering,
     random_path_graph,
+    reference_count_crossings_geometric,
 )
 
 
@@ -122,6 +126,113 @@ class TestGeometricCounter:
             g2, _ = subdivide(random_connected_graph(rng.randint(2, 7), rng))
             cert = count_crossings_geometric(realize_layered(g2, random_ordering(g2, rng)))
             assert cert.count == len(cert.pairs)
+
+
+def _outcome(counter, d):
+    """A counter's certificate, or the class, code and message of its refusal."""
+    try:
+        return counter(d)
+    except ReebError as exc:
+        return (type(exc), exc.code, str(exc))
+
+
+# Coordinates on a coarse half-integer grid, so that shared heights, vertices
+# on edges, bends on other edges and concurrent triples come up often.
+_HALF = st.integers(min_value=-4, max_value=4).map(lambda k: Fraction(k, 2))
+
+
+@st.composite
+def coarse_drawings(draw):
+    n = draw(st.integers(min_value=2, max_value=7))
+    names = [f"v{i}" for i in range(n)]
+    heights = {v: Fraction(draw(st.integers(min_value=0, max_value=6)), 2) for v in names}
+    pairs = [(a, b) for a in names for b in names if a < b and heights[a] != heights[b]]
+    assume(pairs)
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=7))
+    # Every vertex is an edge endpoint: the reference counter truncates the
+    # coordinates of isolated vertices (see test_isolated_vertex_on_edge).
+    used = {v for e in edges for v in e}
+    g = ReebGraph.build({v: h for v, h in heights.items() if v in used}, edges)
+    xs = {v: draw(_HALF) for v in g.vertices}
+    bends = []
+    for i in range(len(g.edges)):
+        lo, hi = g.lower_upper(i)
+        inner = [Fraction(k, 4) for k in range(int(4 * g.vertices[lo]) + 1, int(4 * g.vertices[hi]))]
+        ys = sorted(draw(st.lists(st.sampled_from(inner), max_size=2, unique=True))) if inner else []
+        bends.append(tuple((draw(_HALF), y) for y in ys))
+    try:
+        return Drawing(graph=g, x=xs, bends=tuple(bends))
+    except ReebError:
+        assume(False)
+
+
+class TestGeometricCounterOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(coarse_drawings())
+    def test_matches_reference_counter(self, d):
+        assert _outcome(count_crossings_geometric, d) == _outcome(reference_count_crossings_geometric, d)
+
+    def test_matches_reference_on_realized_orderings(self):
+        rng = random.Random(41)
+        for _ in range(20):
+            g2, _ = subdivide(random_connected_graph(rng.randint(2, 8), rng))
+            d = realize_layered(g2, random_ordering(g2, rng))
+            assert count_crossings_geometric(d) == reference_count_crossings_geometric(d)
+
+
+class TestForeignVertexIndex:
+    """The height index must see every vertex in a segment's closed y-range."""
+
+    @staticmethod
+    def bent_edge(extra):
+        # Edge a-b runs (0,0) -> (2,1) -> (2,3) -> (0,4): a diagonal, a vertical
+        # segment between two bends, and a diagonal back.
+        heights = {"a": 0, "b": 4, **{v: y for v, (_, y) in extra.items()}}
+        g = ReebGraph.build(heights, [("a", "b")])
+        xs = {"a": Fraction(0), "b": Fraction(0), **{v: Fraction(x) for v, (x, _) in extra.items()}}
+        bends = (((Fraction(2), Fraction(1)), (Fraction(2), Fraction(3))),)
+        return Drawing(graph=g, x=xs, bends=bends)
+
+    @pytest.mark.parametrize("y", [1, 2, 3], ids=["lower-bend", "inside", "upper-bend"])
+    def test_vertex_on_the_vertical_segment_is_reported(self, y):
+        # (2, 1) and (2, 3) are bends: each is an end of the vertical segment
+        # and of a diagonal.  (2, 2) is interior to the vertical segment.
+        d = self.bent_edge({"v": (2, y)})
+        with pytest.raises(DegeneracyError, match=r"^edge 0 passes through vertex 'v'$"):
+            count_crossings_geometric(d)
+
+    def test_vertices_at_segment_end_heights_off_the_edge_are_not_reported(self):
+        # Same heights as the edge's ends and bends, other x: no degeneracy.
+        extra = {"p": (5, 0), "q": (3, 1), "r": (Fraction(3, 2), 1), "s": (1, 3), "t": (-1, 4)}
+        assert count_crossings_geometric(self.bent_edge(extra)).count == 0
+
+    def test_first_vertex_in_graph_order_is_named(self):
+        # The straight edge a-b passes through v at (0, 1) and w at (0, 3);
+        # w comes first in graph order although v is lower on the edge.
+        g = ReebGraph.build({"a": 0, "b": 4, "w": 3, "v": 1}, [("a", "b")])
+        d = Drawing(graph=g, x={"a": Fraction(0), "b": Fraction(0), "w": Fraction(0), "v": Fraction(0)})
+        with pytest.raises(DegeneracyError) as exc:
+            count_crossings_geometric(d)
+        assert str(exc.value) == "edge 0 passes through vertex 'w'"
+        assert exc.value.code == "degenerate"
+        assert str(exc.value) == _outcome(reference_count_crossings_geometric, d)[2]
+
+    def test_lowest_edge_is_named(self):
+        # Edge 1 (c-d) passes through u, edge 2 (a-b) through v.
+        g = ReebGraph.build({"v": 1, "a": 0, "b": 2, "c": 0, "d": 2, "u": 1},
+                            [("v", "d"), ("c", "d"), ("a", "b")])
+        d = Drawing(graph=g, x={"v": Fraction(0), "a": Fraction(0), "b": Fraction(0),
+                                "c": Fraction(4), "d": Fraction(6), "u": Fraction(5)})
+        with pytest.raises(DegeneracyError, match=r"^edge 1 passes through vertex 'u'$"):
+            count_crossings_geometric(d)
+
+    def test_isolated_vertex_on_edge(self):
+        # v has no edge; its x denominator appears nowhere else, so the
+        # integer scale must include it for (1/2, 1) to be seen on a-b.
+        g = ReebGraph.build({"a": 0, "b": 2, "v": 1}, [("a", "b")])
+        d = Drawing(graph=g, x={"a": Fraction(0), "b": Fraction(1), "v": Fraction(1, 2)})
+        with pytest.raises(DegeneracyError, match=r"^edge 0 passes through vertex 'v'$"):
+            count_crossings_geometric(d)
 
 
 class TestLayeredCounter:

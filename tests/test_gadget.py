@@ -20,6 +20,7 @@ from reebdraw import (
     tri_hex_grid,
     validate,
 )
+from reebdraw.gadget import _certified_drawing
 
 TRIANGLE = OlaGraph(("a", "b", "c"), (("a", "b"), ("b", "c"), ("a", "c")))
 P3 = OlaGraph(("a", "b", "c"), (("a", "b"), ("b", "c")))
@@ -210,6 +211,13 @@ class TestArrangementDrawings:
         xs[inst.plan.top_connector["a"]] = xs[inst.plan.top_connector["b"]]
         with pytest.raises(DegeneracyError):
             extract_arrangement(Drawing(graph=d.graph, x=xs, bends=d.bends), inst)
+
+    def test_certified_drawing_carries_its_certificate(self):
+        best = ola_brute(TRIANGLE)
+        inst = ola_reduce(TRIANGLE, best.cost)
+        d, cert = _certified_drawing(inst, best)
+        assert d == arrangement_to_drawing(inst, best)
+        assert cert == count_crossings_geometric(d)
 
     def test_arrangement_mismatch_rejected(self):
         best = ola_brute(P3)
