@@ -51,7 +51,6 @@ from .gadget import (
 )
 from .layout import (
     CycleDecomposition,
-    Type2Subproblem,
     layout_auto,
     layout_bowtie,
     layout_caterpillar,
@@ -59,7 +58,6 @@ from .layout import (
     layout_cycle_unique_extrema,
     layout_heuristic,
     layout_path,
-    solve_type2,
     top_down_iteration_number,
 )
 from .stretch import (
@@ -95,7 +93,6 @@ __all__ = [
     "ShapeClass",
     "SubdivisionMap",
     "TriHexGrid",
-    "Type2Subproblem",
     "ValidationReport",
     "VertexInsertionOrder",
     "arrangement_to_drawing",
@@ -120,7 +117,6 @@ __all__ = [
     "per_level_order",
     "realize_layered",
     "render_svg",
-    "solve_type2",
     "stretch",
     "subdivide",
     "subdivide_drawing",

@@ -22,6 +22,7 @@ from . import jsonio
 from .core import classify_shape, validate
 from .crossings import (
     DEFAULT_SEARCH_BUDGET,
+    _realize_unsubdivided,
     count_crossings_geometric,
     exact_rgcn,
 )
@@ -116,11 +117,8 @@ _ALGORITHMS = {
 
 
 def _layout_exact(g, budget):
-    from .crossings import realize_layered
-    from .subdivide import unsubdivide_drawing
-
     res = exact_rgcn(g, budget)
-    return unsubdivide_drawing(realize_layered(res.graph, res.ordering), res.mapping)
+    return _realize_unsubdivided(res.mapping, res.ordering)
 
 
 def _cmd_layout(args) -> int:

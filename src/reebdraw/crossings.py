@@ -37,7 +37,7 @@ from .errors import (
     InternalInvariantError,
     LayoutError,
 )
-from .subdivide import SubdivisionMap, subdivide
+from .subdivide import SubdivisionMap, subdivide, unsubdivide_drawing
 
 Point = tuple[Fraction, Fraction]
 
@@ -420,21 +420,49 @@ def realize_layered(g2: ReebGraph, ordering: LevelOrdering) -> Drawing:
     raise InternalInvariantError("could not realize layered ordering without degeneracy")
 
 
-def barycenter_ordering(g2: ReebGraph, rounds: int = 10) -> LevelOrdering:
-    """Deterministic barycenter-sweep ordering of a leveled graph.
+def _realize_unsubdivided(mapping: SubdivisionMap, ordering: LevelOrdering) -> Drawing:
+    """Realize an ordering of ``mapping.subdivided`` (see :func:`realize_layered`)
+    and merge it back into a drawing of ``mapping.original``; the geometric
+    crossing count equals the ordering's layered count."""
+    return unsubdivide_drawing(realize_layered(mapping.subdivided, ordering), mapping)
 
-    Starting from id-sorted levels, each level is reordered by the mean
-    position of its lower neighbors (upward pass) then of its upper neighbors
-    (downward pass), ``rounds`` times, ties broken by vertex id.
-    """
-    lev = levels(g2)
-    orders: list[list[str]] = [sorted(vs) for vs in _split_levels(lev)]
-    down_nbrs: dict[str, list[str]] = {v: [] for v in g2.vertices}
-    up_nbrs: dict[str, list[str]] = {v: [] for v in g2.vertices}
+
+def _neighbors(g2: ReebGraph) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """Each vertex's lower and upper neighbors, one entry per edge."""
+    down: dict[str, list[str]] = {v: [] for v in g2.vertices}
+    up: dict[str, list[str]] = {v: [] for v in g2.vertices}
     for i in range(len(g2.edges)):
         lo, hi = g2.lower_upper(i)
-        down_nbrs[hi].append(lo)
-        up_nbrs[lo].append(hi)
+        down[hi].append(lo)
+        up[lo].append(hi)
+    return down, up
+
+
+def _pair_crossings(a: list[int], b: list[int]) -> tuple[int, int]:
+    """Crossings between two same-level vertices' edges into one neighboring
+    level, from the sorted neighbor positions of each: (with a's vertex on the
+    left, with b's vertex on the left).  Edges to a shared neighbor never cross."""
+    a_left = b_left = 0
+    for p in b:
+        a_left += len(a) - bisect_right(a, p)
+        b_left += bisect_left(a, p)
+    return a_left, b_left
+
+
+_BARYCENTER_SNAPSHOTS = (1, 2, 4, 10)
+
+
+def barycenter_ordering(g2: ReebGraph) -> tuple[LevelOrdering, ...]:
+    """Deterministic barycenter sweep of a leveled graph.
+
+    Starting from id-sorted levels, each round reorders every level by the
+    mean position of its lower neighbors (upward pass), then of its upper
+    neighbors (downward pass), ties broken by vertex id.  Returns the
+    orderings after rounds 1, 2, 4 and 10.
+    """
+    lev = levels(g2)
+    orders = lev.by_level()
+    down_nbrs, up_nbrs = _neighbors(g2)
 
     def sweep(level_order: list[str], nbrs: dict[str, list[str]], pos: dict[str, int]) -> list[str]:
         pos_self = {v: i for i, v in enumerate(level_order)}
@@ -447,14 +475,17 @@ def barycenter_ordering(g2: ReebGraph, rounds: int = 10) -> LevelOrdering:
 
         return sorted(level_order, key=key)
 
-    for _ in range(rounds):
+    snapshots = []
+    for rounds in range(1, _BARYCENTER_SNAPSHOTS[-1] + 1):
         for l in range(1, lev.count):
             below = {v: i for i, v in enumerate(orders[l - 1])}
             orders[l] = sweep(orders[l], down_nbrs, below)
         for l in range(lev.count - 2, -1, -1):
             above = {v: i for i, v in enumerate(orders[l + 1])}
             orders[l] = sweep(orders[l], up_nbrs, above)
-    return LevelOrdering.from_lists(orders)
+        if rounds in _BARYCENTER_SNAPSHOTS:
+            snapshots.append(LevelOrdering.from_lists(orders))
+    return tuple(snapshots)
 
 
 def _dfs_level_orders(g2: ReebGraph, lev: LevelAssignment) -> list[list[str]]:
@@ -482,13 +513,69 @@ def _dfs_level_orders(g2: ReebGraph, lev: LevelAssignment) -> list[list[str]]:
     return orders
 
 
-def _warm_start(g2: ReebGraph) -> int:
-    """Upper bound for the exact search: the best of barycenter sweeps and a
-    depth-first ordering, improved by one-vertex sifting until stable."""
+def _sift(orders: list[list[str]], down: dict[str, list[str]], up: dict[str, list[str]]) -> None:
+    """One-vertex sifting, in place, for at most eight passes or until no vertex moves.
+
+    Each pass visits the levels bottom-up, and each level's vertices in their
+    order at the start of the visit.  A vertex moves to the leftmost position
+    of least cost, and only if that is strictly cheaper than where it is.
+    Moves are priced as in Matuszewski, Schönfeld & Molitor (GD 1999): from
+    the level's crossing matrix ``c[u][w]``, the crossings in the two adjacent
+    strips between the edges of u and of w when u is left of w (Jünger &
+    Mutzel, JGAA 1997), pricing every position of one vertex costs O(W) in
+    all.  The matrix depends only on the neighboring levels, so it is rebuilt
+    when its level is visited.
+    """
+    for _ in range(8):
+        improved = False
+        for l, vs in enumerate(orders):
+            below = {v: i for i, v in enumerate(orders[l - 1])} if l > 0 else {}
+            above = {v: i for i, v in enumerate(orders[l + 1])} if l + 1 < len(orders) else {}
+            low = [sorted(below[x] for x in down[v]) for v in vs]
+            high = [sorted(above[x] for x in up[v]) for v in vs]
+            w = len(vs)
+            c = [[0] * w for _ in range(w)]
+            for i in range(w):
+                for j in range(i + 1, w):
+                    low_ij, low_ji = _pair_crossings(low[i], low[j])
+                    high_ij, high_ji = _pair_crossings(high[i], high[j])
+                    c[i][j] = low_ij + high_ij
+                    c[j][i] = low_ji + high_ji
+            cur = list(range(w))  # indices into vs, left to right
+            for i in range(w):
+                base = cur.index(i)
+                gain = [0] * w  # cost change when vertex i moves to position p
+                d = 0
+                for p in range(base - 1, -1, -1):
+                    d += c[i][cur[p]] - c[cur[p]][i]
+                    gain[p] = d
+                d = 0
+                for p in range(base + 1, w):
+                    d += c[cur[p]][i] - c[i][cur[p]]
+                    gain[p] = d
+                best = min(range(w), key=gain.__getitem__)
+                if gain[best] < 0:
+                    cur.insert(best, cur.pop(base))
+                    improved = True
+            orders[l] = [vs[i] for i in cur]
+        if not improved:
+            break
+
+
+def _warm_start(g2: ReebGraph) -> tuple[int, LevelOrdering]:
+    """The heuristic ordering of a leveled graph and its crossing count.
+
+    The candidates are, in order, the depth-first ordering and the barycenter
+    snapshots after rounds 1, 2, 4 and 10; the first two are improved by
+    sifting.  Returns the first candidate of least cost.  The exact search
+    takes the cost as its incumbent, and every heuristic drawing realizes the
+    ordering.
+    """
     lev = levels(g2)
     if lev.count == 0:
-        return 0
+        return 0, LevelOrdering(())
     strips = _strip_edges(g2, lev)
+    down, up = _neighbors(g2)
 
     def cost_of(orders: list[list[str]]) -> int:
         pos = {v: i for order in orders for i, v in enumerate(order)}
@@ -497,40 +584,18 @@ def _warm_start(g2: ReebGraph) -> int:
             for strip in strips
         )
 
-    def sift(orders: list[list[str]]) -> int:
-        for _ in range(8):
-            improved = False
-            for l in range(lev.count):
-                for v in list(orders[l]):
-                    base = orders[l].index(v)
-                    best_pos, best_cost = base, cost_of(orders)
-                    for p in range(len(orders[l])):
-                        if p == base:
-                            continue
-                        orders[l].remove(v)
-                        orders[l].insert(p, v)
-                        c = cost_of(orders)
-                        if c < best_cost:
-                            best_pos, best_cost = p, c
-                        orders[l].remove(v)
-                        orders[l].insert(base, v)
-                    if best_pos != base:
-                        orders[l].remove(v)
-                        orders[l].insert(best_pos, v)
-                        improved = True
-            if not improved:
-                break
-        return cost_of(orders)
-
     candidates = [_dfs_level_orders(g2, lev)]
-    for rounds in (1, 2, 4, 10):
-        candidates.append([list(o) for o in barycenter_ordering(g2, rounds).orders])
-    best = min(cost_of(orders) for orders in candidates)
-    for orders in candidates[:2]:
-        best = min(best, sift(orders))
-        if best == 0:
-            break
-    return best
+    candidates += [[list(o) for o in snapshot.orders] for snapshot in barycenter_ordering(g2)]
+    best_cost, best_orders = None, candidates[0]
+    for k, orders in enumerate(candidates):
+        if k < 2:
+            _sift(orders, down, up)
+        cost = cost_of(orders)
+        if best_cost is None or cost < best_cost:
+            best_cost, best_orders = cost, orders
+            if cost == 0:
+                break
+    return best_cost, LevelOrdering.from_lists(best_orders)
 
 
 @dataclass(frozen=True)
@@ -566,29 +631,26 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     a level vertices are placed left to right, paying the inversions each
     placement closes against the strip below.  Already-paid inversions plus
     unavoidable-crossing bounds for undecided strips prune against the
-    incumbent, which starts at the barycenter heuristic's cost.  Candidates
-    are tried in lexicographic id order and only strict improvements replace
-    the incumbent, so the returned witness is the lexicographically least
-    optimal ordering.  Raises :class:`BudgetExhaustedError` (carrying the best
-    bound found) once more than ``budget`` placements have been explored.
+    incumbent, which starts at the cost of the warm start's heuristic ordering
+    (the best of a depth-first and four barycenter orderings, after sifting).
+    Candidates are tried in lexicographic id order and only strict
+    improvements replace the incumbent, so the returned witness is the
+    lexicographically least optimal ordering.  Raises
+    :class:`BudgetExhaustedError` once more than ``budget`` placements have
+    been explored; it carries the warm start's cost as ``best`` and its
+    ordering, over the subdivided graph, as ``ordering``.
     """
     if not is_connected(g):
         raise LayoutError("exact search requires a connected graph", code="disconnected")
     g2, smap = subdivide(g)
     lev = levels(g2)
-    level_vertices = [sorted(vs) for vs in _split_levels(lev)]
+    level_vertices = lev.by_level()
     strips = _strip_edges(g2, lev)
 
     if lev.count == 0:
         return ExactResult(0, LevelOrdering(()), g2, smap, 0)
 
-    # Lower endpoints of each vertex's downward edges, per level.
-    down_ends: list[dict[str, list[str]]] = [
-        {v: [] for v in vs} for vs in level_vertices
-    ]
-    for l, strip in enumerate(strips):
-        for lo, hi in strip:
-            down_ends[l + 1][hi].append(lo)
+    down_ends, _ = _neighbors(g2)
 
     # future_lb[l]: crossings unavoidable in strips at or above level l.
     strip_lb = [
@@ -599,7 +661,7 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     for s in range(lev.count - 2, -1, -1):
         future_lb[s] = future_lb[s + 1] + strip_lb[s]
 
-    warm = _warm_start(g2)
+    warm, warm_ordering = _warm_start(g2)
 
     best_orders: list[tuple[tuple[str, ...], ...] | None] = [None]
     chosen: list[tuple[str, ...]] = []
@@ -619,9 +681,7 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
                 pj = low_positions[vs[j]]
                 if not pj:
                     continue
-                i_first = sum(len(pi) - bisect_right(pi, p) for p in pj)
-                j_first = sum(len(pj) - bisect_right(pj, p) for p in pi)
-                total += min(i_first, j_first)
+                total += min(_pair_crossings(pi, pj))
         return total
 
     # Iterative deepening: search for a completion of cost at most ``target``,
@@ -641,7 +701,7 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
         memo[state] = cost
         vs = level_vertices[level]
         below = {v: i for i, v in enumerate(chosen[level - 1])} if level > 0 else {}
-        low_positions = {v: sorted(below[lo] for lo in down_ends[level][v]) for v in vs}
+        low_positions = {v: sorted(below[lo] for lo in down_ends[v]) for v in vs}
         if cost + pair_bound(low_positions, vs) + future_lb[level] > target:
             return
         perm: list[str] = []
@@ -665,6 +725,7 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
                     raise BudgetExhaustedError(
                         f"exact search exceeded budget of {budget} states",
                         best=warm,
+                        ordering=warm_ordering,
                     )
                 # Edges placed earlier whose lower endpoint lies strictly
                 # right of a new edge's lower endpoint now cross it.
@@ -701,10 +762,3 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
         mapping=smap,
         states=states[0],
     )
-
-
-def _split_levels(lev: LevelAssignment) -> list[list[str]]:
-    out: list[list[str]] = [[] for _ in range(lev.count)]
-    for v, l in lev.level.items():
-        out[l].append(v)
-    return out

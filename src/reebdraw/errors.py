@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # import cycle: crossings raises these errors
+    from .crossings import LevelOrdering
+
 
 class ReebError(Exception):
     """Base class for all library errors; carries a stable machine-readable code."""
@@ -37,13 +42,19 @@ class LayoutError(ReebError):
 
 
 class BudgetExhaustedError(ReebError):
-    """A bounded search ran out of states; ``best`` holds the best bound seen so far."""
+    """A bounded search ran out of states; ``best`` holds the best bound seen so far.
+
+    When the exact crossing search runs out, ``ordering`` is the heuristic
+    ordering that attains ``best``, over the subdivided graph.
+    """
 
     code = "budget-exhausted"
 
-    def __init__(self, message: str, *, best: int | None = None):
+    def __init__(self, message: str, *, best: int | None = None,
+                 ordering: LevelOrdering | None = None):
         super().__init__(message, code="budget-exhausted")
         self.best = best
+        self.ordering = ordering
 
 
 class InternalInvariantError(ReebError):

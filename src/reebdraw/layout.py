@@ -15,9 +15,8 @@ offsets, and tie-breaks are all fixed functions of the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .core import (
     ReebGraph,
@@ -31,22 +30,19 @@ from .crossings import (
     DEFAULT_SEARCH_BUDGET,
     Drawing,
     LevelOrdering,
-    barycenter_ordering,
+    _realize_unsubdivided,
+    _warm_start,
     count_crossings_geometric,
     count_crossings_layered,
     exact_rgcn,
-    realize_layered,
 )
 from .errors import (
     BudgetExhaustedError,
     DegeneracyError,
-    GraphStructureError,
     InternalInvariantError,
     LayoutError,
 )
-from .subdivide import subdivide, unsubdivide_drawing
-
-Rect = tuple[Fraction, Fraction, Fraction, Fraction]
+from .subdivide import subdivide
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +322,7 @@ def layout_cycle(g: ReebGraph) -> Drawing:
         raise InternalInvariantError(
             f"cycle corridor ordering produced {layered} crossings, expected {dec.iteration_count - 1}"
         )
-    d = unsubdivide_drawing(realize_layered(g2, ordering), smap)
+    d = _realize_unsubdivided(smap, ordering)
     cert = count_crossings_geometric(d)
     if cert.count != dec.iteration_count - 1:
         raise InternalInvariantError(
@@ -358,142 +354,26 @@ def layout_cycle_unique_extrema(g: ReebGraph) -> Drawing:
 
 
 # ---------------------------------------------------------------------------
-# The two-crossing-paths subproblem
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Type2Subproblem:
-    """Two vertex-disjoint paths between opposite corners of a column pair.
-
-    ``path_r`` runs from the top-left corner to the bottom-right corner,
-    ``path_g`` from the bottom-left corner to the top-right corner; all
-    interior vertices lie strictly between the two corner heights.  Since the
-    paths must swap sides, one crossing is unavoidable; the solver places
-    exactly one, between the designated edge pair (the last edge of ``path_r``
-    and the first edge of ``path_g``), just above the bottom corners where
-    nothing else dips.
-    """
-
-    heights: dict[str, Fraction]
-    path_r: tuple[str, ...]
-    path_g: tuple[str, ...]
-    x_left: Fraction = Fraction(0)
-    x_right: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        object.__setattr__(self, "heights", {v: Fraction(h) for v, h in self.heights.items()})
-        object.__setattr__(self, "x_left", Fraction(self.x_left))
-        object.__setattr__(self, "x_right", Fraction(self.x_right))
-        r, gpath = self.path_r, self.path_g
-        if len(r) < 2 or len(gpath) < 2:
-            raise LayoutError("both paths need at least two vertices", code="bad-subproblem")
-        if set(r) & set(gpath):
-            raise LayoutError("the two paths must be vertex-disjoint", code="bad-subproblem")
-        if self.x_left >= self.x_right:
-            raise LayoutError("left column must be left of right column", code="bad-subproblem")
-        h = self.heights
-        top = h[r[0]]
-        bottom = h[r[-1]]
-        if h[gpath[-1]] != top or h[gpath[0]] != bottom or bottom >= top:
-            raise LayoutError("corner heights must pair up (two on top, two on bottom)",
-                              code="bad-subproblem")
-        for v in (*r[1:-1], *gpath[1:-1]):
-            if not (bottom < h[v] < top):
-                raise LayoutError(
-                    f"interior vertex {v!r} sits on an extreme level",
-                    code="interior-at-extreme",
-                )
-
-    @property
-    def top(self) -> Fraction:
-        return self.heights[self.path_r[0]]
-
-    @property
-    def bottom(self) -> Fraction:
-        return self.heights[self.path_r[-1]]
-
-    @property
-    def crossing_level(self) -> Fraction:
-        """A fresh height below every interior vertex where the crossing goes."""
-        interiors = [self.heights[v] for v in (*self.path_r[1:-1], *self.path_g[1:-1])]
-        return (self.bottom + (min(interiors) if interiors else self.top)) / 2
-
-    @property
-    def crossing_edges(self) -> tuple[tuple[str, str], tuple[str, str]]:
-        """The designated pair: last edge of path_r and first edge of path_g."""
-        return ((self.path_r[-2], self.path_r[-1]), (self.path_g[0], self.path_g[1]))
-
-    @property
-    def regions(self) -> dict[str, Rect]:
-        """Disjoint axis-aligned corridors holding the non-crossing path portions."""
-        mid = (self.x_left + self.x_right) / 2
-        ly = self.crossing_level
-        return {
-            "r-body": (self.x_left, ly, mid, self.top),
-            "g-body": (mid, ly, self.x_right, self.top),
-            "r-end": (self.x_right, self.bottom, self.x_right, self.bottom),
-            "g-end": (self.x_left, self.bottom, self.x_left, self.bottom),
-        }
-
-
-def solve_type2(p: Type2Subproblem) -> Drawing:
-    """Route the two paths with exactly one crossing between the designated edges.
-
-    Each path body is drawn column-by-column inside its half of the corridor;
-    the two edges to the bottom corners drop to a fresh height below all
-    interiors and swap sides there.
-    """
-    r, gpath = p.path_r, p.path_g
-    edges = [*zip(r, r[1:]), *zip(gpath, gpath[1:])]
-    graph = ReebGraph(dict(p.heights), tuple(edges))
-
-    span = p.x_right - p.x_left
-    m_r, m_g = len(r) - 2, len(gpath) - 2
-    xs: dict[str, Fraction] = {
-        r[0]: p.x_left,
-        r[-1]: p.x_right,
-        gpath[0]: p.x_left,
-        gpath[-1]: p.x_right,
-    }
-    for i, v in enumerate(r[1:-1], start=1):
-        xs[v] = p.x_left + span * Fraction(i, 2 * (m_r + 1))
-    for j, v in enumerate(gpath[1:-1], start=1):
-        xs[v] = p.x_right - span * Fraction(m_g + 1 - j, 2 * (m_g + 1))
-
-    delta = span / Fraction(8 * (max(m_r, m_g) + 1))
-    ly = p.crossing_level
-    bends: list[tuple[tuple[Fraction, Fraction], ...]] = [() for _ in edges]
-    bends[len(r) - 2] = ((xs[r[-2]] + delta, ly),)
-    bends[len(r) - 1] = ((xs[gpath[1]] - delta, ly),)
-
-    d = Drawing(graph=graph, x=xs, bends=tuple(bends))
-    cert = count_crossings_geometric(d)
-    designated = (len(r) - 2, len(r) - 1)
-    if cert.count != 1 or cert.pairs[0].edges != designated:
-        raise InternalInvariantError("two-path routing failed to cross exactly once")
-    return d
-
-
-# ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
 
-def layout_heuristic(g: ReebGraph, rounds: int = 10) -> Drawing:
-    """Barycenter-sweep layout for graphs beyond the exact search budget.
+def layout_heuristic(g: ReebGraph) -> Drawing:
+    """Heuristic layout for graphs beyond the exact search budget.
 
-    After leveling, each level is repeatedly reordered by the mean position of
-    its lower (upward pass) or upper (downward pass) neighbors, ten rounds,
-    ties broken by vertex id.
+    Draws the warm start's ordering of the subdivided graph: the best of a
+    depth-first and four barycenter orderings, after sifting, which is also
+    the exact search's incumbent.  Emits exactly that ordering's crossings.
     """
     g2, smap = subdivide(g)
-    ordering = barycenter_ordering(g2, rounds)
-    return unsubdivide_drawing(realize_layered(g2, ordering), smap)
+    _, ordering = _warm_start(g2)
+    return _realize_unsubdivided(smap, ordering)
 
 
 def layout_auto(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Drawing:
     """Dispatch on shape: path/caterpillar/cycle constructions, else exact search
-    (realized from its witness ordering), falling back to the barycenter
-    heuristic when the search budget runs out."""
+    (realized from its witness ordering).  When the search budget runs out,
+    draws the heuristic ordering the search held as its incumbent, so the
+    drawing has exactly the ``best`` crossings of the budget error."""
     shape = classify_shape(g)
     if shape == ShapeClass.PATH:
         return layout_path(g)
@@ -506,6 +386,6 @@ def layout_auto(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Dra
         return layout_cycle(g)
     try:
         res = exact_rgcn(g, budget)
-    except BudgetExhaustedError:
-        return layout_heuristic(g)
-    return unsubdivide_drawing(realize_layered(res.graph, res.ordering), res.mapping)
+    except BudgetExhaustedError as exc:
+        return _realize_unsubdivided(subdivide(g).mapping, exc.ordering)
+    return _realize_unsubdivided(res.mapping, res.ordering)

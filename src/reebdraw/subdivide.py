@@ -51,7 +51,7 @@ class Subdivision(NamedTuple):
     mapping: SubdivisionMap
 
 
-def subdivide(g: ReebGraph, *, require_connected: bool = True) -> Subdivision:
+def subdivide(g: ReebGraph) -> Subdivision:
     """Subdivide level-skipping edges; heights become integer level ranks.
 
     Every vertex of the output sits at its level rank, every output edge spans
@@ -59,7 +59,7 @@ def subdivide(g: ReebGraph, *, require_connected: bool = True) -> Subdivision:
     height renaming.  Idempotent on already-leveled graphs (no generated
     vertices).
     """
-    if require_connected and not is_connected(g):
+    if not is_connected(g):
         raise LayoutError("subdivision requires a connected graph", code="disconnected")
     lev = levels(g)
     heights2: dict[str, Fraction] = {v: Fraction(lev.level[v]) for v in g.vertices}

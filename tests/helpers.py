@@ -24,7 +24,7 @@ from reebdraw import (
     subdivide,
 )
 from reebdraw import geometry
-from reebdraw.crossings import CrossingPair
+from reebdraw.crossings import CrossingPair, _dfs_level_orders, _strip_crossings, _strip_edges
 
 
 def rand_height(rng: random.Random, lo: int = -10, hi: int = 10) -> Fraction:
@@ -257,3 +257,90 @@ def reference_count_crossings_geometric(d: Drawing) -> CrossingCertificate:
 
     hits.sort(key=lambda h: (h.edges, h.point))
     return CrossingCertificate(count=len(hits), pairs=tuple(hits))
+
+
+def _reference_barycenter_ordering(g2: ReebGraph, rounds: int = 10) -> LevelOrdering:
+    """The original barycenter sweep, kept verbatim except that the levels come
+    from ``LevelAssignment.by_level``: ``rounds`` rounds from id-sorted levels."""
+    lev = levels(g2)
+    orders: list[list[str]] = lev.by_level()
+    down_nbrs: dict[str, list[str]] = {v: [] for v in g2.vertices}
+    up_nbrs: dict[str, list[str]] = {v: [] for v in g2.vertices}
+    for i in range(len(g2.edges)):
+        lo, hi = g2.lower_upper(i)
+        down_nbrs[hi].append(lo)
+        up_nbrs[lo].append(hi)
+
+    def sweep(level_order: list[str], nbrs: dict[str, list[str]], pos: dict[str, int]) -> list[str]:
+        pos_self = {v: i for i, v in enumerate(level_order)}
+
+        def key(v: str):
+            ns = nbrs[v]
+            if not ns:
+                return (Fraction(pos_self[v]), v)
+            return (Fraction(sum(pos[w] for w in ns), len(ns)), v)
+
+        return sorted(level_order, key=key)
+
+    for _ in range(rounds):
+        for l in range(1, lev.count):
+            below = {v: i for i, v in enumerate(orders[l - 1])}
+            orders[l] = sweep(orders[l], down_nbrs, below)
+        for l in range(lev.count - 2, -1, -1):
+            above = {v: i for i, v in enumerate(orders[l + 1])}
+            orders[l] = sweep(orders[l], up_nbrs, above)
+    return LevelOrdering.from_lists(orders)
+
+
+def reference_warm_start(g2: ReebGraph) -> int:
+    """Oracle: the original warm-start cost, kept verbatim.
+
+    It sifts by recounting every crossing for every trial position, so it is
+    slow, but its cost is what ``crossings._warm_start`` must reproduce.
+    """
+    lev = levels(g2)
+    if lev.count == 0:
+        return 0
+    strips = _strip_edges(g2, lev)
+
+    def cost_of(orders: list[list[str]]) -> int:
+        pos = {v: i for order in orders for i, v in enumerate(order)}
+        return sum(
+            _strip_crossings((pos[lo], pos[hi]) for lo, hi in strip)
+            for strip in strips
+        )
+
+    def sift(orders: list[list[str]]) -> int:
+        for _ in range(8):
+            improved = False
+            for l in range(lev.count):
+                for v in list(orders[l]):
+                    base = orders[l].index(v)
+                    best_pos, best_cost = base, cost_of(orders)
+                    for p in range(len(orders[l])):
+                        if p == base:
+                            continue
+                        orders[l].remove(v)
+                        orders[l].insert(p, v)
+                        c = cost_of(orders)
+                        if c < best_cost:
+                            best_pos, best_cost = p, c
+                        orders[l].remove(v)
+                        orders[l].insert(base, v)
+                    if best_pos != base:
+                        orders[l].remove(v)
+                        orders[l].insert(best_pos, v)
+                        improved = True
+            if not improved:
+                break
+        return cost_of(orders)
+
+    candidates = [_dfs_level_orders(g2, lev)]
+    for rounds in (1, 2, 4, 10):
+        candidates.append([list(o) for o in _reference_barycenter_ordering(g2, rounds).orders])
+    best = min(cost_of(orders) for orders in candidates)
+    for orders in candidates[:2]:
+        best = min(best, sift(orders))
+        if best == 0:
+            break
+    return best

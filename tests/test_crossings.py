@@ -20,6 +20,7 @@ from reebdraw import (
     realize_layered,
     subdivide,
 )
+from reebdraw.crossings import _warm_start
 
 from helpers import (
     alternating_cycle,
@@ -30,6 +31,7 @@ from helpers import (
     random_ordering,
     random_path_graph,
     reference_count_crossings_geometric,
+    reference_warm_start,
 )
 
 
@@ -178,6 +180,29 @@ class TestGeometricCounterOracle:
             g2, _ = subdivide(random_connected_graph(rng.randint(2, 8), rng))
             d = realize_layered(g2, random_ordering(g2, rng))
             assert count_crossings_geometric(d) == reference_count_crossings_geometric(d)
+
+
+@st.composite
+def leveled_graphs(draw):
+    """Graphs whose edges all join consecutive levels, with parallel edges and
+    isolated vertices; ids are shuffled so id order and level order disagree."""
+    widths = draw(st.lists(st.integers(min_value=1, max_value=5), min_size=2, max_size=5))
+    n = sum(widths)
+    ids = iter(draw(st.permutations(range(n))))
+    names = [[f"v{next(ids)}" for _ in range(w)] for w in widths]
+    slots = [(a, b) for l in range(len(widths) - 1) for a in names[l] for b in names[l + 1]]
+    # As many edges as vertices or more, so that many graphs need crossings.
+    edges = draw(st.lists(st.sampled_from(slots), min_size=n, max_size=2 * n))
+    return ReebGraph.build({v: l for l, level in enumerate(names) for v in level}, edges)
+
+
+class TestWarmStart:
+    @settings(max_examples=300, deadline=None)
+    @given(leveled_graphs())
+    def test_matches_reference_and_returns_its_ordering(self, g2):
+        cost, ordering = _warm_start(g2)
+        assert cost == reference_warm_start(g2)
+        assert count_crossings_layered(g2, ordering) == cost
 
 
 class TestForeignVertexIndex:
@@ -375,6 +400,9 @@ class TestExactSearch:
             exact_rgcn(g, budget=2)
         assert exc.value.best is not None
         assert exc.value.best >= 3
+        # The carried ordering covers the subdivided graph's levels and attains the bound.
+        g2, _ = subdivide(g)
+        assert count_crossings_layered(g2, exc.value.ordering) == exc.value.best
 
     def test_deterministic_witness(self):
         rng = random.Random(17)
