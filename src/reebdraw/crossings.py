@@ -268,35 +268,6 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
     return CrossingCertificate(count=len(hits), pairs=tuple(hits))
 
 
-def _inversions(seq: Sequence[int]) -> int:
-    """Number of pairs i < j with seq[i] > seq[j] (strict), via merge counting."""
-    arr = list(seq)
-    if len(arr) < 2:
-        return 0
-    buf = arr[:]
-
-    def rec(lo: int, hi: int) -> int:
-        if hi - lo < 2:
-            return 0
-        mid = (lo + hi) // 2
-        inv = rec(lo, mid) + rec(mid, hi)
-        i, j, k = lo, mid, lo
-        while i < mid and j < hi:
-            if arr[i] <= arr[j]:
-                buf[k] = arr[i]
-                i += 1
-            else:
-                buf[k] = arr[j]
-                inv += mid - i
-                j += 1
-            k += 1
-        buf[k:hi] = arr[i:mid] if i < mid else arr[j:hi]
-        arr[lo:hi] = buf[lo:hi]
-        return inv
-
-    return rec(0, len(arr))
-
-
 def _strip_edges(g2: ReebGraph, lev: LevelAssignment) -> list[list[tuple[str, str]]]:
     """Edges grouped by strip; each as (lower vertex, upper vertex)."""
     strips: list[list[tuple[str, str]]] = [[] for _ in range(max(lev.count - 1, 0))]
@@ -307,9 +278,14 @@ def _strip_edges(g2: ReebGraph, lev: LevelAssignment) -> list[list[tuple[str, st
 
 
 def _strip_crossings(pairs: Iterable[tuple[int, int]]) -> int:
-    """Crossings among strip edges given (lower position, upper position) pairs."""
-    ordered = sorted(pairs)
-    return _inversions([hi for _, hi in ordered])
+    """Crossings among strip edges given (lower position, upper position)
+    pairs: the strict inversions of the upper positions in sorted order."""
+    seen: list[int] = []
+    total = 0
+    for _, hi in sorted(pairs):
+        total += len(seen) - bisect_right(seen, hi)
+        insort(seen, hi)
+    return total
 
 
 def _check_ordering(g2: ReebGraph, lev: LevelAssignment, ordering: LevelOrdering) -> None:
@@ -744,14 +720,22 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
                 used.remove(v)
                 perm.pop()
 
-        place(cost)
+        # ``place`` and ``fill_level`` refer to themselves: emptying their cells
+        # breaks the cycle, which would hold ``memo`` until the collector runs.
+        try:
+            place(cost)
+        finally:
+            del place
 
     minimum = None
-    for target in range(future_lb[0], warm + 1):
-        fill_level(0, 0, target, {})
-        if found[0]:
-            minimum = target
-            break
+    try:
+        for target in range(future_lb[0], warm + 1):
+            fill_level(0, 0, target, {})
+            if found[0]:
+                minimum = target
+                break
+    finally:
+        del fill_level
     if minimum is None or best_orders[0] is None:
         # Unreachable: the warm-start cost itself is always attainable.
         raise InternalInvariantError("exact search finished without a witness")

@@ -3,7 +3,8 @@
 Everything here works on pairs of exact numbers (``Fraction`` or ``int``);
 there are no epsilon tolerances anywhere.  Callers that need speed can scale
 their coordinates to integers first -- the predicates only use ring
-operations, so results are identical.
+operations, so results are identical.  ``crossings.count_crossings_geometric``
+(through ``crossings._scaled_polylines``) and ``stretch.stretch`` do.
 """
 
 from __future__ import annotations

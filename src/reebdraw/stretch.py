@@ -17,9 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
+from math import lcm
 
 from . import geometry
-from .crossings import Drawing, count_crossings_geometric, per_level_order
+from .crossings import Drawing, _scaled_polylines, count_crossings_geometric, per_level_order
 from .errors import DegeneracyError, GraphStructureError, InternalInvariantError
 
 
@@ -44,32 +46,33 @@ class VertexInsertionOrder:
     sequence: tuple[str, ...]
 
 
-def _x_at(poly, y: Fraction) -> Fraction:
-    """x coordinate of a strictly y-monotone polyline at height y."""
-    for a, b in zip(poly, poly[1:]):
-        if a[1] <= y <= b[1]:
-            if a[1] == b[1]:
-                return a[0]
-            return a[0] + (b[0] - a[0]) * (y - a[1]) / (b[1] - a[1])
-    raise InternalInvariantError(f"height {y} outside polyline span")
+def _x_at_half(poly, y2: int) -> tuple[int, int]:
+    """x of a strictly y-monotone integer polyline at height y2 / 2, as a
+    (numerator, positive denominator) pair; y2 / 2 lies inside its span."""
+    for (ax, ay), (bx, by) in zip(poly, poly[1:]):
+        if 2 * by >= y2:
+            dy = 2 * (by - ay)
+            return ax * dy + (bx - ax) * (y2 - 2 * ay), dy
+    raise InternalInvariantError(f"height {y2}/2 outside polyline span")
 
 
 def _edge_partial_order_unchecked(d: Drawing) -> EdgeLeftRightOrder:
-    n = len(d.graph.edges)
-    polys = [d.polyline(i) for i in range(n)]
+    polys, _, _, sy = _scaled_polylines(d)
+    n = len(polys)
     spans = [(poly[0][1], poly[-1][1]) for poly in polys]
     succs: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
+        lo_i, hi_i = spans[i]
         for j in range(i + 1, n):
-            lo = max(spans[i][0], spans[j][0])
-            hi = min(spans[i][1], spans[j][1])
+            lo = max(lo_i, spans[j][0])
+            hi = min(hi_i, spans[j][1])
             if lo >= hi:
                 continue
-            y = (lo + hi) / 2
-            xi, xj = _x_at(polys[i], y), _x_at(polys[j], y)
-            if xi == xj:
-                raise DegeneracyError(f"edges {i} and {j} coincide at height {y}")
-            if xi < xj:
+            # Compare xi = ni/di and xj = nj/dj at the midpoint (lo + hi) / 2.
+            (ni, di), (nj, dj) = _x_at_half(polys[i], lo + hi), _x_at_half(polys[j], lo + hi)
+            if ni * dj == nj * di:
+                raise DegeneracyError(f"edges {i} and {j} coincide at height {Fraction(lo + hi, 2 * sy)}")
+            if ni * dj < nj * di:
                 succs[i].append(j)
             else:
                 succs[j].append(i)
@@ -79,24 +82,10 @@ def _edge_partial_order_unchecked(d: Drawing) -> EdgeLeftRightOrder:
 
 
 def _check_acyclic(order: EdgeLeftRightOrder) -> None:
-    state = [0] * order.edge_count  # 0 unseen, 1 on stack, 2 done
-    for root in range(order.edge_count):
-        if state[root]:
-            continue
-        stack = [(root, iter(order.left_of[root]))]
-        state[root] = 1
-        while stack:
-            node, it = stack[-1]
-            nxt = next(it, None)
-            if nxt is None:
-                state[node] = 2
-                stack.pop()
-                continue
-            if state[nxt] == 1:
-                raise InternalInvariantError("left-right edge relation contains a cycle")
-            if state[nxt] == 0:
-                state[nxt] = 1
-                stack.append((nxt, iter(order.left_of[nxt])))
+    try:
+        TopologicalSorter(dict(enumerate(order.left_of))).prepare()
+    except CycleError:
+        raise InternalInvariantError("left-right edge relation contains a cycle") from None
 
 
 def edge_partial_order(d: Drawing) -> EdgeLeftRightOrder:
@@ -104,7 +93,10 @@ def edge_partial_order(d: Drawing) -> EdgeLeftRightOrder:
 
     For each pair of edges with overlapping open y intervals, exactly one
     direction is recorded, decided by exact x comparison at the midpoint of
-    the shared interval.
+    the shared interval.  The comparison runs on the integer-scaled
+    polylines: with doubled heights the midpoint is an integer, each x there
+    is a fraction with a positive denominator, and the two are compared by
+    cross-multiplication.
     """
     if count_crossings_geometric(d).count != 0:
         raise GraphStructureError("edge order is only defined for crossing-free drawings",
@@ -138,15 +130,15 @@ def _vertex_insertion_order_unchecked(d: Drawing, order: EdgeLeftRightOrder) -> 
 
     sequence.append(start)
     placed.add(start)
-    remaining = set(g.vertices) - placed
+    # Ranked once by the unique key (x, id): the first free vertex is the least.
+    remaining = [v for v in sorted(g.vertices, key=lambda v: (d.x[v], v)) if v != start]
     while remaining:
-        candidates = sorted((v for v in remaining if free(v)), key=lambda v: (d.x[v], v))
-        if not candidates:
+        k = next((k for k, v in enumerate(remaining) if free(v)), None)
+        if k is None:
             raise InternalInvariantError("no free vertex found; drawing is not crossing-free")
-        v = candidates[0]
+        v = remaining.pop(k)
         sequence.append(v)
         placed.add(v)
-        remaining.remove(v)
     return VertexInsertionOrder(tuple(sequence))
 
 
@@ -168,6 +160,15 @@ def stretch(d: Drawing) -> Drawing:
     everything placed so far and pushed further right (doubling the offset)
     until its new straight edges verifiably intersect nothing.  The output has
     zero crossings and the same per-level vertex order as the input.
+
+    Every placed x is an integer (0, then the last x plus a power of two), so
+    the heights are scaled once by the lcm of their denominators and every
+    test runs on exact integers.  Placed x grows along the insertion order, so
+    a new edge from u, whose box spans x(u) to the new x, can only meet the
+    segments drawn and the vertices placed from u's turn on; of those, only
+    the ones whose closed y-range meets the edge's reach the exact predicates.
+    Outside that box the predicates answer NONE / False, so every placement
+    is decided as by testing everything.
     """
     if count_crossings_geometric(d).count != 0:
         raise GraphStructureError("cannot stretch a drawing with crossings", code="has-crossings")
@@ -179,33 +180,38 @@ def stretch(d: Drawing) -> Drawing:
     order = _edge_partial_order_unchecked(d)
     insertion = _vertex_insertion_order_unchecked(d, order)
 
-    new_x: dict[str, Fraction] = {}
-    drawn: list[tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction], frozenset[str]]] = []
+    sy = lcm(*(h.denominator for h in g.vertices.values()))
+    y = {v: h.numerator * (sy // h.denominator) for v, h in g.vertices.items()}
+    point: dict[str, tuple[int, int]] = {}
+    placed: list[tuple[int, int]] = []  # points in insertion order, so x increases
+    drawn: list[tuple[tuple[int, int], tuple[int, int], int, int, frozenset[str]]] = []  # a, b, y range, ends
+    since: dict[str, tuple[int, int]] = {}  # v -> lengths of drawn and placed before v's turn
     incident = g.incident_edges()
 
     for v in insertion.sequence:
-        if not new_x:
-            new_x[v] = Fraction(0)
-            continue
         neighbors = sorted(
             {g.edges[e][0] if g.edges[e][1] == v else g.edges[e][1] for e in incident[v]}
-            & set(new_x)
+            & set(point)
         )
-        base = max(new_x.values())
-        offset = Fraction(1)
-        for _ in range(64):
-            x = base + offset
-            pv = (x, g.vertices[v])
-            if _placement_clean(g, d, new_x, drawn, v, pv, neighbors):
-                break
-            offset *= 2
-        else:
-            raise InternalInvariantError(f"could not place vertex {v!r} clear of obstacles")
-        new_x[v] = x
+        x = 0
+        if placed:
+            base = placed[-1][0]
+            offset = 1
+            for _ in range(64):
+                x = base + offset
+                if _placement_clean(neighbors, (x, y[v]), point, placed, drawn, since):
+                    break
+                offset *= 2
+            else:
+                raise InternalInvariantError(f"could not place vertex {v!r} clear of obstacles")
+        pv = point[v] = (x, y[v])
+        since[v] = (len(drawn), len(placed))
+        placed.append(pv)
         for u in neighbors:
-            drawn.append(((new_x[u], g.vertices[u]), pv, frozenset((u, v))))
+            pu = point[u]
+            drawn.append((pu, pv, min(pu[1], pv[1]), max(pu[1], pv[1]), frozenset((u, v))))
 
-    out = Drawing(graph=g, x=new_x)
+    out = Drawing(graph=g, x={v: p[0] for v, p in point.items()})
     if per_level_order(out) != per_level_order(d):
         raise InternalInvariantError("stretching changed a per-level vertex order")
     if count_crossings_geometric(out).count != 0:
@@ -213,28 +219,30 @@ def stretch(d: Drawing) -> Drawing:
     return out
 
 
-def _placement_clean(g, d, new_x, drawn, v, pv, neighbors) -> bool:
-    """True if v's new straight edges miss all drawn segments and vertices."""
-    new_segs = [((new_x[u], g.vertices[u]), pv, u) for u in neighbors]
-    for (a, b, u) in new_segs:
-        for (c, e, ends) in drawn:
-            kind, pt = geometry.classify_segments(a, b, c, e)
+def _placement_clean(neighbors, pv, point, placed, drawn, since) -> bool:
+    """True if v's new straight edges, to ``pv`` on integer coordinates, miss
+    all drawn segments and placed vertices."""
+    for u in neighbors:
+        a = point[u]
+        y_lo, y_hi = min(a[1], pv[1]), max(a[1], pv[1])
+        first_seg, first_vertex = since[u]
+        for (c, e, c_lo, c_hi, ends) in drawn[first_seg:]:
+            if c_hi < y_lo or y_hi < c_lo:
+                continue
+            kind, pt = geometry.classify_segments(a, pv, c, e)
             if kind == geometry.NONE:
                 continue
-            if kind == geometry.TOUCH and u in ends and pt == (new_x[u], g.vertices[u]):
+            if kind == geometry.TOUCH and u in ends and pt == a:
                 continue
             return False
-        for w, wx in new_x.items():
-            if w == u:
-                continue
-            if geometry.on_segment((wx, g.vertices[w]), a, b):
+        for pw in placed[first_vertex + 1:]:  # placed[first_vertex] is u
+            if y_lo <= pw[1] <= y_hi and geometry.on_segment(pw, a, pv):
                 return False
     # New edges pairwise share only v (collinear overlaps would slip past the
     # drawn-segment checks above).
-    for i in range(len(new_segs)):
-        for j in range(i + 1, len(new_segs)):
-            kind, pt = geometry.classify_segments(new_segs[i][0], new_segs[i][1],
-                                                  new_segs[j][0], new_segs[j][1])
+    for i in range(len(neighbors)):
+        for j in range(i + 1, len(neighbors)):
+            kind, pt = geometry.classify_segments(point[neighbors[i]], pv, point[neighbors[j]], pv)
             if kind == geometry.NONE or (kind == geometry.TOUCH and pt == pv):
                 continue
             return False

@@ -16,11 +16,16 @@ from reebdraw import (
     CrossingCertificate,
     DegeneracyError,
     Drawing,
+    EdgeLeftRightOrder,
+    GraphStructureError,
+    InternalInvariantError,
     LevelOrdering,
     ReebGraph,
+    VertexInsertionOrder,
     count_crossings_geometric,
     count_crossings_layered,
     levels,
+    per_level_order,
     subdivide,
 )
 from reebdraw import geometry
@@ -344,3 +349,177 @@ def reference_warm_start(g2: ReebGraph) -> int:
         if best == 0:
             break
     return best
+
+
+def _reference_x_at(poly, y: Fraction) -> Fraction:
+    """x coordinate of a strictly y-monotone polyline at height y."""
+    for a, b in zip(poly, poly[1:]):
+        if a[1] <= y <= b[1]:
+            if a[1] == b[1]:
+                return a[0]
+            return a[0] + (b[0] - a[0]) * (y - a[1]) / (b[1] - a[1])
+    raise InternalInvariantError(f"height {y} outside polyline span")
+
+
+def reference_edge_partial_order(d: Drawing) -> EdgeLeftRightOrder:
+    n = len(d.graph.edges)
+    polys = [d.polyline(i) for i in range(n)]
+    spans = [(poly[0][1], poly[-1][1]) for poly in polys]
+    succs: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            lo = max(spans[i][0], spans[j][0])
+            hi = min(spans[i][1], spans[j][1])
+            if lo >= hi:
+                continue
+            y = (lo + hi) / 2
+            xi, xj = _reference_x_at(polys[i], y), _reference_x_at(polys[j], y)
+            if xi == xj:
+                raise DegeneracyError(f"edges {i} and {j} coincide at height {y}")
+            if xi < xj:
+                succs[i].append(j)
+            else:
+                succs[j].append(i)
+    order = EdgeLeftRightOrder(n, tuple(tuple(s) for s in succs))
+    _reference_check_acyclic(order)
+    return order
+
+
+def _reference_check_acyclic(order: EdgeLeftRightOrder) -> None:
+    state = [0] * order.edge_count  # 0 unseen, 1 on stack, 2 done
+    for root in range(order.edge_count):
+        if state[root]:
+            continue
+        stack = [(root, iter(order.left_of[root]))]
+        state[root] = 1
+        while stack:
+            node, it = stack[-1]
+            nxt = next(it, None)
+            if nxt is None:
+                state[node] = 2
+                stack.pop()
+                continue
+            if state[nxt] == 1:
+                raise InternalInvariantError("left-right edge relation contains a cycle")
+            if state[nxt] == 0:
+                state[nxt] = 1
+                stack.append((nxt, iter(order.left_of[nxt])))
+
+
+def reference_vertex_insertion_order(d: Drawing, order: EdgeLeftRightOrder) -> VertexInsertionOrder:
+    g = d.graph
+    preds = order.predecessors()
+    incident = g.incident_edges()
+    placed: set[str] = set()
+    sequence: list[str] = []
+
+    start = min(g.vertices, key=lambda v: (d.x[v], g.vertices[v], v))
+
+    def free(v: str) -> bool:
+        # Edges incident to v itself are drawn in the same step as v, so they
+        # count as settled when checking v's obligations.
+        def settled(i: int) -> bool:
+            a, b = g.edges[i]
+            return (a in placed or a == v) and (b in placed or b == v)
+
+        for e in incident[v]:
+            other = g.edges[e][0] if g.edges[e][1] == v else g.edges[e][1]
+            if other not in placed:
+                continue
+            if any(not settled(p) for p in preds[e]):
+                return False
+        return True
+
+    sequence.append(start)
+    placed.add(start)
+    remaining = set(g.vertices) - placed
+    while remaining:
+        candidates = sorted((v for v in remaining if free(v)), key=lambda v: (d.x[v], v))
+        if not candidates:
+            raise InternalInvariantError("no free vertex found; drawing is not crossing-free")
+        v = candidates[0]
+        sequence.append(v)
+        placed.add(v)
+        remaining.remove(v)
+    return VertexInsertionOrder(tuple(sequence))
+
+
+def reference_stretch(d: Drawing) -> Drawing:
+    """Oracle: the original ``stretch``, kept verbatim with its three helpers.
+
+    It tests every new edge against every drawn segment and every placed
+    vertex on unscaled ``Fraction`` coordinates, so it is slow, but its
+    output (drawing, or exception class, code and message) is what
+    ``stretch`` must reproduce; likewise ``reference_edge_partial_order`` and
+    ``reference_vertex_insertion_order`` for the unchecked stages.
+    """
+    if count_crossings_geometric(d).count != 0:
+        raise GraphStructureError("cannot stretch a drawing with crossings", code="has-crossings")
+    g = d.graph
+    if len(set(g.edges)) != len(g.edges):
+        # Two straight segments between the same endpoints always coincide.
+        raise GraphStructureError("parallel edges cannot be drawn as straight segments",
+                                  code="parallel-edges")
+    order = reference_edge_partial_order(d)
+    insertion = reference_vertex_insertion_order(d, order)
+
+    new_x: dict[str, Fraction] = {}
+    drawn: list[tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction], frozenset[str]]] = []
+    incident = g.incident_edges()
+
+    for v in insertion.sequence:
+        if not new_x:
+            new_x[v] = Fraction(0)
+            continue
+        neighbors = sorted(
+            {g.edges[e][0] if g.edges[e][1] == v else g.edges[e][1] for e in incident[v]}
+            & set(new_x)
+        )
+        base = max(new_x.values())
+        offset = Fraction(1)
+        for _ in range(64):
+            x = base + offset
+            pv = (x, g.vertices[v])
+            if _reference_placement_clean(g, d, new_x, drawn, v, pv, neighbors):
+                break
+            offset *= 2
+        else:
+            raise InternalInvariantError(f"could not place vertex {v!r} clear of obstacles")
+        new_x[v] = x
+        for u in neighbors:
+            drawn.append(((new_x[u], g.vertices[u]), pv, frozenset((u, v))))
+
+    out = Drawing(graph=g, x=new_x)
+    if per_level_order(out) != per_level_order(d):
+        raise InternalInvariantError("stretching changed a per-level vertex order")
+    if count_crossings_geometric(out).count != 0:
+        raise InternalInvariantError("stretched drawing has crossings")
+    return out
+
+
+def _reference_placement_clean(g, d, new_x, drawn, v, pv, neighbors) -> bool:
+    """True if v's new straight edges miss all drawn segments and vertices."""
+    new_segs = [((new_x[u], g.vertices[u]), pv, u) for u in neighbors]
+    for (a, b, u) in new_segs:
+        for (c, e, ends) in drawn:
+            kind, pt = geometry.classify_segments(a, b, c, e)
+            if kind == geometry.NONE:
+                continue
+            if kind == geometry.TOUCH and u in ends and pt == (new_x[u], g.vertices[u]):
+                continue
+            return False
+        for w, wx in new_x.items():
+            if w == u:
+                continue
+            if geometry.on_segment((wx, g.vertices[w]), a, b):
+                return False
+    # New edges pairwise share only v (collinear overlaps would slip past the
+    # drawn-segment checks above).
+    for i in range(len(new_segs)):
+        for j in range(i + 1, len(new_segs)):
+            kind, pt = geometry.classify_segments(new_segs[i][0], new_segs[i][1],
+                                                  new_segs[j][0], new_segs[j][1])
+            if kind == geometry.NONE or (kind == geometry.TOUCH and pt == pv):
+                continue
+            return False
+    return True

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import inspect
 import random
 from fractions import Fraction
 
@@ -403,6 +405,39 @@ class TestExactSearch:
         # The carried ordering covers the subdivided graph's levels and attains the bound.
         g2, _ = subdivide(g)
         assert count_crossings_layered(g2, exc.value.ordering) == exc.value.best
+
+    @staticmethod
+    def crossings_garbage(run) -> list[str]:
+        """Functions of ``reebdraw.crossings`` that ``run`` leaves in reference
+        cycles.  The cyclic collector is off while ``run`` works, so whatever
+        reference counting cannot free stays until the final collection,
+        which saves it in ``gc.garbage``."""
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.garbage.clear()
+            try:
+                run()
+            except BudgetExhaustedError:
+                pass
+            gc.collect()
+            return [o.__qualname__ for o in gc.garbage
+                    if inspect.isfunction(o) and o.__module__ == "reebdraw.crossings"]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+
+    def test_search_leaves_no_reference_cycles(self):
+        solved = random_connected_graph(8, random.Random(93), extra=3)
+        assert self.crossings_garbage(lambda: exact_rgcn(solved)) == []
+        exhausted = random_connected_graph(12, random.Random(3), extra=4)
+        with pytest.raises(BudgetExhaustedError):
+            exact_rgcn(exhausted, budget=2000)
+        assert self.crossings_garbage(lambda: exact_rgcn(exhausted, budget=2000)) == []
 
     def test_deterministic_witness(self):
         rng = random.Random(17)

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from reebdraw import (
+    DegeneracyError,
     Drawing,
     GraphStructureError,
+    ReebError,
     ReebGraph,
+    geometry,
     count_crossings_geometric,
     edge_partial_order,
     layout_caterpillar,
@@ -17,8 +23,17 @@ from reebdraw import (
     stretch,
     vertex_insertion_order,
 )
+from reebdraw.jsonio import serialize_drawing
+from reebdraw.stretch import _edge_partial_order_unchecked, _vertex_insertion_order_unchecked
 
-from helpers import curved_copy, random_caterpillar_graph, random_path_graph
+from helpers import (
+    curved_copy,
+    random_caterpillar_graph,
+    random_path_graph,
+    reference_edge_partial_order,
+    reference_stretch,
+    reference_vertex_insertion_order,
+)
 
 
 def vertical_pair():
@@ -167,3 +182,139 @@ class TestStretch:
             for j in succs:
                 # comparable pairs keep their direction
                 assert i not in after.left_of[j]
+
+
+def _outcome(fn, *args):
+    """A result, or the class, code and message of the refusal."""
+    try:
+        return fn(*args)
+    except ReebError as exc:
+        return (type(exc), exc.code, str(exc))
+
+
+_T = tuple(Fraction(k, 12) for k in (3, 4, 6, 8, 9))
+
+
+@st.composite
+def curved_caterpillars(draw):
+    """Curved paths and caterpillars with heights, x values and bends on
+    thirds, quarters and sixths, so that both integer scales exceed 1.
+
+    Columns run spine vertex then its legs, so many drawings are crossing-free;
+    small shifts and bends also give crossings, touches and coinciding edges,
+    and one graph in six repeats an edge.
+    """
+    spine = draw(st.integers(min_value=2, max_value=6))
+    legs = draw(st.lists(st.integers(min_value=0, max_value=spine - 1), max_size=4))
+    cols = [[f"s{i}"] for i in range(spine)]
+    edges = [(f"s{i}", f"s{i + 1}") for i in range(spine - 1)]
+    for k, at in enumerate(legs):
+        cols[at].append(f"l{k}")
+        edges.append((f"s{at}", f"l{k}"))
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        edges.append(draw(st.sampled_from(edges)))
+    names = [v for col in cols for v in col]
+    heights = {v: Fraction(draw(st.integers(-4, 4)), draw(st.sampled_from((1, 2, 3)))) for v in names}
+    assume(all(heights[a] != heights[b] for a, b in edges))
+    g = ReebGraph.build(heights, edges)
+    unit = draw(st.sampled_from((Fraction(1), Fraction(1, 2), Fraction(2, 3))))
+    xs = {v: i * unit + Fraction(draw(st.integers(-1, 1)), 4) for i, v in enumerate(names)}
+    bends = []
+    for i in range(len(g.edges)):
+        lo, hi = g.lower_upper(i)
+        ts = sorted(draw(st.lists(st.sampled_from(_T), max_size=2, unique=True)))
+        bends.append(tuple(
+            (xs[lo] + (xs[hi] - xs[lo]) * t + Fraction(draw(st.integers(-2, 2)), draw(st.sampled_from((2, 3, 6)))),
+             heights[lo] + (heights[hi] - heights[lo]) * t)
+            for t in ts
+        ))
+    try:
+        return Drawing(graph=g, x=xs, bends=tuple(bends))
+    except ReebError:
+        assume(False)
+
+
+class TestStretchOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(curved_caterpillars())
+    def test_matches_reference(self, d):
+        out, ref = _outcome(stretch, d), _outcome(reference_stretch, d)
+        if isinstance(ref, Drawing):
+            assert isinstance(out, Drawing) and serialize_drawing(out) == serialize_drawing(ref)
+        else:
+            assert out == ref
+        order = _outcome(_edge_partial_order_unchecked, d)
+        assert order == _outcome(reference_edge_partial_order, d)
+        if not isinstance(order, tuple):
+            assert (_outcome(_vertex_insertion_order_unchecked, d, order)
+                    == _outcome(reference_vertex_insertion_order, d, order))
+
+
+def _record_calls(monkeypatch, name):
+    """Record the arguments of every call to ``geometry.<name>`` made directly
+    from ``reebdraw.stretch`` (not from the crossing counter, nor from inside
+    another predicate)."""
+    calls = []
+    fn = getattr(geometry, name)
+
+    def recorded(*args):
+        if sys._getframe(1).f_globals["__name__"] == "reebdraw.stretch":
+            calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(geometry, name, recorded)
+    return calls
+
+
+class TestStretchBoundaries:
+    def test_offset_doubles_past_an_overlap(self):
+        # u-w is straight; u-v bends at (2, 1).  The first candidate for v is
+        # x = 2, where u-v would run over u-w and through w; doubling the
+        # offset puts v at x = 3.
+        g = ReebGraph.build({"u": 0, "w": 1, "v": 2}, [("u", "w"), ("u", "v")])
+        d = Drawing(graph=g, x={"u": Fraction(0), "w": Fraction(1), "v": Fraction(3)},
+                    bends=((), ((Fraction(2), Fraction(1)),)))
+        out = stretch(d)
+        assert out.x == {"u": 0, "w": 1, "v": 3}
+        assert out == reference_stretch(d)
+
+    def test_segment_and_vertex_at_an_end_height_are_tested(self, monkeypatch):
+        # Inserted u, w, z, v.  New edge u-v spans y in [0, 1]; the drawn
+        # segment w-z spans [1, 3] and ends at z = (2, 1): the closed ranges
+        # meet at y = 1 only, and both z and w-z must still be tested.
+        g = ReebGraph.build({"u": 1, "w": 3, "z": 1, "v": 0}, [("u", "w"), ("w", "z"), ("u", "v")])
+        d = Drawing(graph=g, x={"u": Fraction(0), "w": Fraction(1), "z": Fraction(2), "v": Fraction(3)})
+        segment_calls = _record_calls(monkeypatch, "classify_segments")
+        vertex_calls = _record_calls(monkeypatch, "on_segment")
+        out = stretch(d)
+        assert out.x == {"u": 0, "w": 1, "z": 2, "v": 3}
+        assert ((0, 1), (3, 0), (1, 3), (2, 1)) in segment_calls
+        assert ((2, 1), (0, 1), (3, 0)) in vertex_calls
+
+    def test_coincidence_message_names_the_unscaled_height(self):
+        # Two straight a-b edges coincide; the midpoint of their span is
+        # (1/3 + 5/2) / 2 = 17/12, on unscaled coordinates.
+        g = ReebGraph.build({"a": Fraction(1, 3), "b": Fraction(5, 2)}, [("a", "b"), ("a", "b")])
+        d = Drawing(graph=g, x={"a": Fraction(1, 2), "b": Fraction(5, 3)})
+        with pytest.raises(DegeneracyError) as exc:
+            _edge_partial_order_unchecked(d)
+        assert str(exc.value) == "edges 0 and 1 coincide at height 17/12"
+        assert _outcome(reference_edge_partial_order, d) == (DegeneracyError, "degenerate", str(exc.value))
+
+
+class TestStretchWork:
+    # classify_segments / on_segment calls made by the all-pairs placement
+    # check on this input; the windowed check must make under a tenth of each.
+    ALL_PAIRS_SEGMENT_TESTS = 19733
+    ALL_PAIRS_VERTEX_TESTS = 19710
+
+    def test_placement_tests_only_nearby_segments_and_vertices(self, monkeypatch):
+        rng = random.Random(1)
+        g = random_caterpillar_graph(200, rng)
+        d = curved_copy(layout_caterpillar(g), rng)
+        segment_calls = _record_calls(monkeypatch, "classify_segments")
+        vertex_calls = _record_calls(monkeypatch, "on_segment")
+        out = stretch(d)
+        assert per_level_order(out) == per_level_order(d)
+        assert len(segment_calls) < self.ALL_PAIRS_SEGMENT_TESTS // 10
+        assert len(vertex_calls) < self.ALL_PAIRS_VERTEX_TESTS // 10
