@@ -24,8 +24,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import itemgetter
+from math import inf, lcm
+from operator import itemgetter, sub
 from typing import Iterable, Sequence
 
 from . import geometry
@@ -604,17 +604,34 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
 
     Subdivides the graph, then minimizes the layered count over all per-level
     permutations by depth-first search: levels are fixed bottom-up, and within
-    a level vertices are placed left to right, paying the inversions each
-    placement closes against the strip below.  Already-paid inversions plus
-    unavoidable-crossing bounds for undecided strips prune against the
-    incumbent, which starts at the cost of the warm start's heuristic ordering
-    (the best of a depth-first and four barycenter orderings, after sifting).
-    Candidates are tried in lexicographic id order and only strict
-    improvements replace the incumbent, so the returned witness is the
-    lexicographically least optimal ordering.  Raises
-    :class:`BudgetExhaustedError` once more than ``budget`` placements have
-    been explored; it carries the warm start's cost as ``best`` and its
-    ordering, over the subdivided graph, as ``ordering``.
+    a level vertices are placed left to right.  Iterative deepening searches
+    for a completion of cost at most a target, raising the target from the
+    strip lower bounds to the cost of the warm start's heuristic ordering (the
+    best of a depth-first and four barycenter orderings, after sifting).
+
+    Pruning follows the two-layer bound of Jünger & Mutzel (JGAA 1(1), 1997).
+    On entering a level, the crossing matrix ``c[u][w]`` counts the crossings
+    in the strip below when u is left of w, and the *floor* is the cost so
+    far plus, over every pair of the level, the cheaper of ``c[u][w]`` and
+    ``c[w][u]``, plus the unavoidable crossings of the strips above.  A pair
+    of vertices with one lower edge each never adds to it, so those pairs are
+    filled in only once the floor is within the target.  Placing u next fixes
+    it left of every unplaced w, which raises the floor by exactly u's
+    *regret*, the sum of ``max(0, c[u][w] - c[w][u])``; a candidate is
+    pruned when its raised floor exceeds the target, and once the level is
+    full the floor less the strips above is the cost paid.  A memo keeps, per
+    round, the least cost at which each (level, order of the level below) was
+    entered and passed the floor, and skips re-entries at no lower cost.
+    Mirroring every level keeps the count, so on the first level with two or
+    more vertices the first vertex must precede the last in id order.
+
+    Candidates are tried in id order and the first completion within the
+    target ends the round, so the witness is the lexicographically least
+    optimal ordering; it always passes the mirror cut, being no greater than
+    its mirror.  ``states`` counts the candidates tried.  Raises
+    :class:`BudgetExhaustedError` once more than ``budget`` have been tried;
+    it carries the warm start's cost as ``best`` and its ordering, over the
+    subdivided graph, as ``ordering``.
     """
     if not is_connected(g):
         raise LayoutError("exact search requires a connected graph", code="disconnected")
@@ -639,98 +656,126 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
 
     warm, warm_ordering = _warm_start(g2)
 
-    best_orders: list[tuple[tuple[str, ...], ...] | None] = [None]
-    chosen: list[tuple[str, ...]] = []
+    # Vertices are numbered level by level; ``pos[k]`` is vertex k's position
+    # in its level's current order, written as it is placed.  Per level, the
+    # vertices with several lower edges (by index in the level, with their
+    # lower neighbors' numbers), and the indices and lower neighbors of those
+    # with exactly one.
+    number = {v: k for k, v in enumerate(v for vs in level_vertices for v in vs)}
+    pos = [0] * len(number)
+    multi = [[(i, [number[x] for x in down_ends[v]]) for i, v in enumerate(vs) if len(down_ends[v]) > 1]
+             for vs in level_vertices]
+    one_index = [[i for i, v in enumerate(vs) if len(down_ends[v]) == 1] for vs in level_vertices]
+    one_below = [[number[down_ends[v][0]] for v in vs if len(down_ends[v]) == 1] for vs in level_vertices]
+    mirror_level = next((l for l, vs in enumerate(level_vertices) if len(vs) > 1), None)
+
+    # A level's order is coded as one int, its indices read as digits in base
+    # the level's width: ``chosen`` holds the codes of the levels placed so
+    # far, and a level's memo is keyed by the code of the level below.
+    best_orders: list[tuple[int, ...] | None] = [None]
+    chosen: list[int] = []
     states = [0]
+    limit = inf if budget is None else budget
     found = [False]
 
-    def pair_bound(low_positions: dict[str, list[int]], vs: list[str]) -> int:
-        """Crossings the strip below must pay however this level is ordered:
-        each vertex pair contributes at least the cheaper of its two relative
-        orders."""
-        total = 0
-        for i in range(len(vs)):
-            pi = low_positions[vs[i]]
-            if not pi:
-                continue
-            for j in range(i + 1, len(vs)):
-                pj = low_positions[vs[j]]
-                if not pj:
-                    continue
-                total += min(_pair_crossings(pi, pj))
-        return total
-
-    # Iterative deepening: search for a completion of cost at most ``target``,
-    # raising the target until one exists.  Earlier rounds prove no cheaper
-    # completion exists, so the first completion found costs exactly the
-    # minimum, and depth-first order makes it the lexicographically least.
     def fill_level(level: int, cost: int, target: int,
-                   memo: dict[tuple[int, tuple[str, ...] | None], int]) -> None:
+                   memo: list[dict[int, int]]) -> None:
         if level == lev.count:
             best_orders[0] = tuple(chosen)
             found[0] = True
             return
-        state = (level, chosen[level - 1] if level > 0 else None)
-        seen = memo.get(state)
+        below = chosen[level - 1] if level > 0 else 0
+        seen = memo[level].get(below)
         if seen is not None and seen <= cost:
             return
-        memo[state] = cost
-        vs = level_vertices[level]
-        below = {v: i for i, v in enumerate(chosen[level - 1])} if level > 0 else {}
-        low_positions = {v: sorted(below[lo] for lo in down_ends[v]) for v in vs}
-        if cost + pair_bound(low_positions, vs) + future_lb[level] > target:
-            return
-        perm: list[str] = []
-        used: set[str] = set()
-        paid: list[int] = []  # sorted lower positions of edges already placed
-
-        def place(cost_here: int) -> None:
-            if len(perm) == len(vs):
-                chosen.append(tuple(perm))
-                fill_level(level + 1, cost_here, target, memo)
-                if not found[0]:
-                    chosen.pop()
+        # The floor counts only pairs with a vertex of several lower edges.
+        floor = cost + future_lb[level]
+        ones = list(map(pos.__getitem__, one_below[level]))
+        lows: list[tuple[int, list[int]]] = []
+        if multi[level]:
+            ranked = sorted(ones)
+            for i, xs in multi[level]:
+                a = sorted(map(pos.__getitem__, xs))
+                for _, b in lows:
+                    floor += min(_pair_crossings(a, b))
+                # A one-edge vertex crosses a's edges in both orders only
+                # when its neighbor lies strictly inside a's span.  Counted
+                # inline: this runs on every level entry.
+                n = len(a)
+                for p in ranked[bisect_right(ranked, a[0]):bisect_left(ranked, a[-1])]:
+                    floor += min(bisect_left(a, p), n - bisect_right(a, p))
+                lows.append((i, a))
+            if floor > target:
                 return
-            for v in vs:
-                if found[0]:
-                    return
-                if v in used:
+        memo[level][below] = cost
+        # regret[u] sums max(0, c[u][w] - c[w][u]) over the unplaced w; drop[u]
+        # is what placing u takes off every other vertex's regret.
+        width = len(level_vertices[level])
+        regret = [0] * width
+        drop = [[0] * width for _ in range(width)]
+        singles = list(zip(one_index[level], ones))
+        # (i, j, c[i][j], c[j][i]) for each pair of vertices with lower edges.
+        pairs = [(i, j, *_pair_crossings(a, b)) for k, (i, a) in enumerate(lows) for j, b in lows[k + 1:]]
+        pairs += [(i, j, *_pair_crossings(a, [p])) for i, a in lows for j, p in singles]
+        pairs += [(i, j, p > q, q > p) for k, (i, p) in enumerate(singles) for j, q in singles[k + 1:]]
+        for i, j, ij, ji in pairs:
+            if ij > ji:
+                regret[i] += ij - ji
+                drop[j][i] = ij - ji
+            elif ji > ij:
+                regret[j] += ji - ij
+                drop[i][j] = ji - ij
+        base = number[level_vertices[level][0]]
+        mirror = level == mirror_level
+        perm: list[int] = []
+        placed = [False] * width
+
+        def place(floor_here: int, regret_here: list[int], code: int) -> None:
+            for i in range(width):
+                if placed[i]:
                     continue
                 states[0] += 1
-                if budget is not None and states[0] > budget:
+                if states[0] > limit:
                     raise BudgetExhaustedError(
                         f"exact search exceeded budget of {budget} states",
                         best=warm,
                         ordering=warm_ordering,
                     )
-                # Edges placed earlier whose lower endpoint lies strictly
-                # right of a new edge's lower endpoint now cross it.
-                add = sum(len(paid) - bisect_right(paid, p) for p in low_positions[v])
-                if cost_here + add + future_lb[level] > target:
+                if floor_here + regret_here[i] > target:
                     continue
-                perm.append(v)
-                used.add(v)
-                for p in low_positions[v]:
-                    insort(paid, p)
-                place(cost_here + add)
-                if found[0]:
-                    return
-                for p in low_positions[v]:
-                    paid.remove(p)
-                used.remove(v)
+                if mirror and len(perm) + 1 < width:
+                    # Mirror cut: a vertex after the first in id order must
+                    # be left over to place last.
+                    first = perm[0] if perm else i
+                    if placed[first + 1:].count(False) == (i > first):
+                        continue
+                pos[base + i] = len(perm)
+                perm.append(i)
+                if len(perm) == width:
+                    chosen.append(code * width + i)
+                    fill_level(level + 1, floor_here + regret_here[i] - future_lb[level], target, memo)
+                    if found[0]:
+                        return
+                    chosen.pop()
+                else:
+                    placed[i] = True
+                    place(floor_here + regret_here[i], list(map(sub, regret_here, drop[i])), code * width + i)
+                    if found[0]:
+                        return
+                    placed[i] = False
                 perm.pop()
 
         # ``place`` and ``fill_level`` refer to themselves: emptying their cells
         # breaks the cycle, which would hold ``memo`` until the collector runs.
         try:
-            place(cost)
+            place(floor, regret, 0)
         finally:
             del place
 
     minimum = None
     try:
         for target in range(future_lb[0], warm + 1):
-            fill_level(0, 0, target, {})
+            fill_level(0, 0, target, [{} for _ in range(lev.count)])
             if found[0]:
                 minimum = target
                 break
@@ -739,9 +784,16 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     if minimum is None or best_orders[0] is None:
         # Unreachable: the warm-start cost itself is always attainable.
         raise InternalInvariantError("exact search finished without a witness")
+    orders = []
+    for vs, code in zip(level_vertices, best_orders[0]):
+        order = []
+        for _ in vs:
+            code, i = divmod(code, len(vs))
+            order.append(vs[i])
+        orders.append(tuple(reversed(order)))
     return ExactResult(
         count=minimum,
-        ordering=LevelOrdering(best_orders[0]),
+        ordering=LevelOrdering(tuple(orders)),
         graph=g2,
         mapping=smap,
         states=states[0],

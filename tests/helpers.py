@@ -9,16 +9,19 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right, insort
 from fractions import Fraction
 from math import gcd
 
 from reebdraw import (
+    BudgetExhaustedError,
     CrossingCertificate,
     DegeneracyError,
     Drawing,
     EdgeLeftRightOrder,
     GraphStructureError,
     InternalInvariantError,
+    LayoutError,
     LevelOrdering,
     ReebGraph,
     VertexInsertionOrder,
@@ -29,7 +32,19 @@ from reebdraw import (
     subdivide,
 )
 from reebdraw import geometry
-from reebdraw.crossings import CrossingPair, _dfs_level_orders, _strip_crossings, _strip_edges
+from reebdraw.core import is_connected
+from reebdraw.crossings import (
+    DEFAULT_SEARCH_BUDGET,
+    CrossingPair,
+    ExactResult,
+    _dfs_level_orders,
+    _neighbors,
+    _pair_crossings,
+    _strip_crossings,
+    _strip_edges,
+    _strip_lower_bound,
+    _warm_start,
+)
 
 
 def rand_height(rng: random.Random, lo: int = -10, hi: int = 10) -> Fraction:
@@ -523,3 +538,157 @@ def _reference_placement_clean(g, d, new_x, drawn, v, pv, neighbors) -> bool:
                 continue
             return False
     return True
+
+
+def reference_exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> ExactResult:
+    """Oracle: the exact search with the per-candidate bound, kept verbatim.
+
+    Its ``count``, witness and budget payload are what ``exact_rgcn`` must
+    reproduce; ``exact_rgcn`` prunes harder, so it explores fewer states.
+
+    Exact minimum crossing number over all drawings, with a witness ordering.
+
+    Subdivides the graph, then minimizes the layered count over all per-level
+    permutations by depth-first search: levels are fixed bottom-up, and within
+    a level vertices are placed left to right, paying the inversions each
+    placement closes against the strip below.  Already-paid inversions plus
+    unavoidable-crossing bounds for undecided strips prune against the
+    incumbent, which starts at the cost of the warm start's heuristic ordering
+    (the best of a depth-first and four barycenter orderings, after sifting).
+    Candidates are tried in lexicographic id order and only strict
+    improvements replace the incumbent, so the returned witness is the
+    lexicographically least optimal ordering.  Raises
+    :class:`BudgetExhaustedError` once more than ``budget`` placements have
+    been explored; it carries the warm start's cost as ``best`` and its
+    ordering, over the subdivided graph, as ``ordering``.
+    """
+    if not is_connected(g):
+        raise LayoutError("exact search requires a connected graph", code="disconnected")
+    g2, smap = subdivide(g)
+    lev = levels(g2)
+    level_vertices = lev.by_level()
+    strips = _strip_edges(g2, lev)
+
+    if lev.count == 0:
+        return ExactResult(0, LevelOrdering(()), g2, smap, 0)
+
+    down_ends, _ = _neighbors(g2)
+
+    # future_lb[l]: crossings unavoidable in strips at or above level l.
+    strip_lb = [
+        _strip_lower_bound(strips[s], len(level_vertices[s]), len(level_vertices[s + 1]))
+        for s in range(lev.count - 1)
+    ]
+    future_lb = [0] * (lev.count + 1)
+    for s in range(lev.count - 2, -1, -1):
+        future_lb[s] = future_lb[s + 1] + strip_lb[s]
+
+    warm, warm_ordering = _warm_start(g2)
+
+    best_orders: list[tuple[tuple[str, ...], ...] | None] = [None]
+    chosen: list[tuple[str, ...]] = []
+    states = [0]
+    found = [False]
+
+    def pair_bound(low_positions: dict[str, list[int]], vs: list[str]) -> int:
+        """Crossings the strip below must pay however this level is ordered:
+        each vertex pair contributes at least the cheaper of its two relative
+        orders."""
+        total = 0
+        for i in range(len(vs)):
+            pi = low_positions[vs[i]]
+            if not pi:
+                continue
+            for j in range(i + 1, len(vs)):
+                pj = low_positions[vs[j]]
+                if not pj:
+                    continue
+                total += min(_pair_crossings(pi, pj))
+        return total
+
+    # Iterative deepening: search for a completion of cost at most ``target``,
+    # raising the target until one exists.  Earlier rounds prove no cheaper
+    # completion exists, so the first completion found costs exactly the
+    # minimum, and depth-first order makes it the lexicographically least.
+    def fill_level(level: int, cost: int, target: int,
+                   memo: dict[tuple[int, tuple[str, ...] | None], int]) -> None:
+        if level == lev.count:
+            best_orders[0] = tuple(chosen)
+            found[0] = True
+            return
+        state = (level, chosen[level - 1] if level > 0 else None)
+        seen = memo.get(state)
+        if seen is not None and seen <= cost:
+            return
+        memo[state] = cost
+        vs = level_vertices[level]
+        below = {v: i for i, v in enumerate(chosen[level - 1])} if level > 0 else {}
+        low_positions = {v: sorted(below[lo] for lo in down_ends[v]) for v in vs}
+        if cost + pair_bound(low_positions, vs) + future_lb[level] > target:
+            return
+        perm: list[str] = []
+        used: set[str] = set()
+        paid: list[int] = []  # sorted lower positions of edges already placed
+
+        def place(cost_here: int) -> None:
+            if len(perm) == len(vs):
+                chosen.append(tuple(perm))
+                fill_level(level + 1, cost_here, target, memo)
+                if not found[0]:
+                    chosen.pop()
+                return
+            for v in vs:
+                if found[0]:
+                    return
+                if v in used:
+                    continue
+                states[0] += 1
+                if budget is not None and states[0] > budget:
+                    raise BudgetExhaustedError(
+                        f"exact search exceeded budget of {budget} states",
+                        best=warm,
+                        ordering=warm_ordering,
+                    )
+                # Edges placed earlier whose lower endpoint lies strictly
+                # right of a new edge's lower endpoint now cross it.
+                add = sum(len(paid) - bisect_right(paid, p) for p in low_positions[v])
+                if cost_here + add + future_lb[level] > target:
+                    continue
+                perm.append(v)
+                used.add(v)
+                for p in low_positions[v]:
+                    insort(paid, p)
+                place(cost_here + add)
+                if found[0]:
+                    return
+                for p in low_positions[v]:
+                    paid.remove(p)
+                used.remove(v)
+                perm.pop()
+
+        # ``place`` and ``fill_level`` refer to themselves: emptying their cells
+        # breaks the cycle, which would hold ``memo`` until the collector runs.
+        try:
+            place(cost)
+        finally:
+            del place
+
+    minimum = None
+    try:
+        for target in range(future_lb[0], warm + 1):
+            fill_level(0, 0, target, {})
+            if found[0]:
+                minimum = target
+                break
+    finally:
+        del fill_level
+    if minimum is None or best_orders[0] is None:
+        # Unreachable: the warm-start cost itself is always attainable.
+        raise InternalInvariantError("exact search finished without a witness")
+    return ExactResult(
+        count=minimum,
+        ordering=LevelOrdering(best_orders[0]),
+        graph=g2,
+        mapping=smap,
+        states=states[0],
+    )

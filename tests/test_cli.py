@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ GRAPH = {
     ],
     "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]],
 }
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 OLA = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}
 
@@ -79,6 +82,30 @@ def test_exact_and_budget_exit_codes(graph_file, capsys):
     code, _, err = run(capsys, "exact", graph_file, "--budget", "1")
     assert code == 2
     assert json.loads(err)["error"] == "budget-exhausted"
+
+
+def test_exact_on_a_tree_requiring_crossings(capsys):
+    code, out, _ = run(capsys, "exact", FIXTURES / "tree_requiring_crossings.json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["count"] == 1
+    assert payload["ordering"] == [
+        ["v1", "v4", "v6"],
+        ["__sub_4_1", "__sub_0_1", "__sub_5_1", "v2", "__sub_6_1"],
+        ["v5", "v0", "v3", "v7"],
+    ]
+    heights = {"v0": "2", "v1": "0", "v2": "1", "v3": "2", "v4": "0", "v5": "2", "v6": "0", "v7": "2",
+               "__sub_0_1": "1", "__sub_4_1": "1", "__sub_5_1": "1", "__sub_6_1": "1"}
+    assert payload["subdivided"] == {
+        "vertices": [{"id": v, "height": h} for v, h in heights.items()],
+        "edges": [
+            ["__sub_0_1", "v1"], ["__sub_0_1", "v0"], ["v0", "v2"], ["v2", "v3"], ["v2", "v4"],
+            ["__sub_4_1", "v1"], ["__sub_4_1", "v5"], ["__sub_5_1", "v6"], ["__sub_5_1", "v0"],
+            ["__sub_6_1", "v6"], ["__sub_6_1", "v7"],
+        ],
+    }
+    # The per-candidate bound explored 729 states here.
+    assert payload["states"] <= 729
 
 
 def test_subdivide_roundtrip(graph_file, capsys):

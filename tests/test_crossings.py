@@ -22,7 +22,7 @@ from reebdraw import (
     realize_layered,
     subdivide,
 )
-from reebdraw.crossings import _warm_start
+from reebdraw.crossings import ExactResult, _warm_start
 
 from helpers import (
     alternating_cycle,
@@ -33,6 +33,7 @@ from helpers import (
     random_ordering,
     random_path_graph,
     reference_count_crossings_geometric,
+    reference_exact_rgcn,
     reference_warm_start,
 )
 
@@ -439,6 +440,14 @@ class TestExactSearch:
             exact_rgcn(exhausted, budget=2000)
         assert self.crossings_garbage(lambda: exact_rgcn(exhausted, budget=2000)) == []
 
+    def test_work_on_the_hardest_criterion_4_graph(self):
+        # Graph 29 of acceptance criterion 4's stream took 6,773,738 states
+        # under the per-candidate bound; the level floor must need a tenth.
+        rng = random.Random(104)
+        for _ in range(30):
+            g = random_connected_graph(rng.randint(2, 9), rng)
+        assert exact_rgcn(g).states <= 677_373
+
     def test_deterministic_witness(self):
         rng = random.Random(17)
         for _ in range(5):
@@ -449,3 +458,107 @@ class TestExactSearch:
         g = ReebGraph.build({"a": 0, "b": 1, "c": 0, "d": 1}, [("a", "b"), ("c", "d")])
         with pytest.raises(Exception):
             exact_rgcn(g)
+
+
+@st.composite
+def search_graphs(draw):
+    """Connected graphs on 2-8 vertices for the exact search.
+
+    A stem of up to three vertices, chained one per level below all others,
+    gives width-1 levels under the first wide one.  Heights 0-3 above it make
+    edges skip levels, and extra edges may repeat an edge.
+    """
+    n = draw(st.integers(min_value=2, max_value=8))
+    stem = draw(st.integers(min_value=0, max_value=min(3, n - 1)))
+    heights = [i - stem for i in range(stem)]
+    heights += draw(st.lists(st.integers(min_value=0, max_value=3), min_size=n - stem, max_size=n - stem))
+    edges = [(i - 1, i) for i in range(1, min(stem + 1, n))]
+    for i in range(stem + 1, n):
+        parents = [j for j in range(max(stem - 1, 0), i) if heights[j] != heights[i]]
+        assume(parents)
+        edges.append((draw(st.sampled_from(parents)), i))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if heights[a] != heights[b]]
+    edges += draw(st.lists(st.sampled_from(edges + pairs), min_size=n // 2, max_size=2 * n))
+    return ReebGraph.build({f"v{i}": h for i, h in enumerate(heights)},
+                           [(f"v{a}", f"v{b}") for a, b in edges])
+
+
+def search_outcome(search, g, budget):
+    """(count, witness, states) of a search, or (best, ordering, None) if it
+    runs out of budget."""
+    try:
+        res = search(g, budget=budget)
+    except BudgetExhaustedError as exc:
+        return exc.best, exc.ordering, None
+    return res.count, res.ordering, res.states
+
+
+class TestExactSearchOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(search_graphs(), st.integers(min_value=1, max_value=40))
+    def test_matches_reference_search(self, g, small):
+        count, witness, states = search_outcome(exact_rgcn, g, 20_000)
+        ref_count, ref_witness, ref_states = search_outcome(reference_exact_rgcn, g, 20_000)
+        if states is not None and ref_states is not None:
+            assert (count, witness) == (ref_count, ref_witness)
+        elif states is not None:
+            assert count <= ref_count
+        # Out of budget, both carry the warm start whatever the budget; a
+        # budget of 0 always runs out.
+        best, ordering, states = search_outcome(exact_rgcn, g, small)
+        if states is None:
+            assert (best, ordering) == search_outcome(reference_exact_rgcn, g, 0)[:2]
+
+
+def assert_matches_reference(g) -> tuple[ExactResult, ExactResult]:
+    res = exact_rgcn(g)
+    ref = reference_exact_rgcn(g)
+    assert (res.count, res.ordering) == (ref.count, ref.ordering)
+    assert res.count == enumerate_min_crossings(g)
+    return res, ref
+
+
+class TestMirrorCutBoundaries:
+    def test_every_level_of_width_one(self):
+        # No level has two vertices, so there is no mirror level.
+        g = ReebGraph.build({"a": 0, "b": 1, "c": 2}, [("a", "b"), ("b", "c"), ("a", "b")])
+        res, _ = assert_matches_reference(g)
+        assert res.count == 0
+        assert res.states == 3
+
+    def test_mirror_level_is_the_top_level(self):
+        g = ReebGraph.build({"a": 0, "b": 1, "c": 2, "d": 2, "e": 2},
+                            [("a", "b"), ("b", "c"), ("b", "d"), ("b", "e")])
+        res, _ = assert_matches_reference(g)
+        assert res.ordering.orders[-1] == ("c", "d", "e")
+
+    def test_mirror_level_above_a_run_of_width_one_levels(self):
+        # K_{3,2} between levels 3 and 4, reached through a chain.
+        g = ReebGraph.build(
+            {"a": 0, "b": 1, "c": 2, "d": 3, "e": 3, "f": 3, "g": 4, "h": 4},
+            [("a", "b"), ("b", "c"), ("c", "d"), ("c", "e"), ("c", "f")]
+            + [(x, y) for x in "def" for y in "gh"],
+        )
+        res, ref = assert_matches_reference(g)
+        assert res.count == 3
+        first, last = res.ordering.orders[3][0], res.ordering.orders[3][-1]
+        assert first < last
+        # The rounds below 3 fail; the cut skips the mirrored half of level
+        # 3's orders, which the reference explores.
+        assert res.states < ref.states
+
+    def test_vertices_without_lower_neighbors(self):
+        # c and f are local minima above the bottom level.
+        g = ReebGraph.build(
+            {"a": 0, "b": 1, "c": 1, "d": 2, "e": 2, "f": 2, "g": 3},
+            [("a", "b"), ("b", "d"), ("b", "e"), ("c", "d"), ("c", "e"), ("f", "g"), ("d", "g")],
+        )
+        assert assert_matches_reference(g)[0].count == 1
+
+    def test_parallel_edges_tie_lower_positions(self):
+        g = ReebGraph.build(
+            {"a": 0, "b": 0, "c": 1, "d": 1, "e": 1, "f": 2},
+            [("a", "c"), ("a", "c"), ("a", "d"), ("b", "d"), ("b", "c"), ("b", "e"), ("b", "e"),
+             ("c", "f"), ("d", "f"), ("e", "f")],
+        )
+        assert_matches_reference(g)
