@@ -599,6 +599,97 @@ def _strip_lower_bound(strip: list[tuple[str, str]], w_lo: int, w_hi: int) -> in
     return max(0, distinct - (w_lo + w_hi - 1))
 
 
+def _find(parent: list[int], flip: list[int], k: int) -> tuple[int, int]:
+    """Root of k's component and k's parity relative to it, compressing the path."""
+    path = []
+    while parent[k] != k:
+        path.append(k)
+        k = parent[k]
+    parity = 0
+    for node in reversed(path):
+        parity ^= flip[node]
+        parent[node], flip[node] = k, parity
+    return k, flip[path[0]] if path else 0
+
+
+def _parity_system(level_vertices: list[list[str]],
+                   strips: list[list[tuple[str, str]]]) -> list[list[list[tuple[int, int, int]]]] | None:
+    """The level-planarity parity system of a leveled graph, frozen per level.
+
+    For u, w on one level, x_uw means "u is left of w".  Two edges (a, b) and
+    (c, d) of a strip with a != c and b != d do not cross iff x_ac = x_bd, and
+    a union-find with parity collects these equalities, in O(m^2) per strip
+    of m distinct edges (Randerath et al., "A satisfiability formulation of
+    problems on level graphs", ENDM 9, 2001).  Returns None when they
+    contradict each other: then no ordering is crossing-free.  Otherwise
+    returns, per level and per vertex index i, the entries (j, root, side)
+    for the pairs (i, j) in some equality: placing i left of j forces the
+    variable at the root of their component to ``side``.
+    """
+    index = {v: (l, i) for l, vs in enumerate(level_vertices) for i, v in enumerate(vs)}
+    node: dict[tuple[str, str], int] = {}  # (u, w) with u before w in its level
+    parent: list[int] = []
+    flip: list[int] = []  # parity to the parent
+
+    def variable(u: str, w: str) -> tuple[int, int]:
+        """x_uw as (node, parity relative to the node)."""
+        key, parity = ((u, w), 0) if index[u] < index[w] else ((w, u), 1)
+        k = node.get(key)
+        if k is None:
+            k = node[key] = len(parent)
+            parent.append(k)
+            flip.append(0)
+        return k, parity
+
+    for strip in strips:
+        edges = list(dict.fromkeys(strip))
+        for k, (a, b) in enumerate(edges):
+            for c, d in edges[k + 1:]:
+                if a == c or b == d:
+                    continue
+                ka, pa = variable(a, c)
+                kb, pb = variable(b, d)
+                ra, qa = _find(parent, flip, ka)
+                rb, qb = _find(parent, flip, kb)
+                if ra != rb:
+                    parent[ra], flip[ra] = rb, qa ^ pa ^ qb ^ pb
+                elif qa ^ pa != qb ^ pb:
+                    return None
+
+    sides: list[list[list[tuple[int, int, int]]]] = [[[] for _ in vs] for vs in level_vertices]
+    for (u, w), k in node.items():
+        root, parity = _find(parent, flip, k)
+        (l, i), (_, j) = index[u], index[w]
+        row = sides[l]
+        # x_uw = x_root ^ parity, so "u left of w" forces x_root = 1 ^ parity.
+        row[i].append((j, root, 1 ^ parity))
+        row[j].append((i, root, parity))
+    return sides
+
+
+def _fix_sides(entries: list[tuple[int, int, int]], placed: list[bool],
+               orient: dict[int, int], trail: list[int]) -> bool:
+    """Fix the components that placing a vertex left of every unplaced vertex
+    of its level orients, from its parity entries; False on a clash with an
+    orientation already fixed."""
+    for j, c, side in entries:
+        if placed[j]:
+            continue
+        fixed = orient.get(c)
+        if fixed is None:
+            orient[c] = side
+            trail.append(c)
+        elif fixed != side:
+            return False
+    return True
+
+
+def _unwind(orient: dict[int, int], trail: list[int], mark: int) -> None:
+    """Free the components fixed since the trail was ``mark`` long."""
+    while len(trail) > mark:
+        del orient[trail.pop()]
+
+
 def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> ExactResult:
     """Exact minimum crossing number over all drawings, with a witness ordering.
 
@@ -625,13 +716,28 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     Mirroring every level keeps the count, so on the first level with two or
     more vertices the first vertex must precede the last in id order.
 
+    A round of target 0 asks for a crossing-free ordering, and the parity
+    system of :func:`_parity_system` answers part of that question up front:
+    it holds for every crossing-free ordering, so when it is contradictory,
+    deepening starts at ``max(future_lb[0], 1)``.  Otherwise round 0 prunes
+    on it.  Placing i fixes "i left of j" for every unplaced j of its level,
+    and each such pair fixes the orientation of its component.  A candidate
+    that clashes with an orientation already fixed, on any level, including
+    the levels above, is pruned.  New orientations go on a trail that is
+    popped on backtrack.  The memo stays sound: equalities link only pairs
+    on levels s and s + 1, so on entering level L every component that
+    reaches level L or above either also holds a pair on level L - 1, whose
+    order (the memo key) fixed it, or has no fixed pair yet.  The
+    subtree's outcome is a function of (L, order of level L - 1, cost) as
+    before.  Rounds of target 1 or more do not use the system.
+
     Candidates are tried in id order and the first completion within the
     target ends the round, so the witness is the lexicographically least
     optimal ordering; it always passes the mirror cut, being no greater than
     its mirror.  ``states`` counts the candidates tried.  Raises
     :class:`BudgetExhaustedError` once more than ``budget`` have been tried;
-    it carries the warm start's cost as ``best`` and its ordering, over the
-    subdivided graph, as ``ordering``.
+    it carries the warm start's cost as ``best``, its ordering, over the
+    subdivided graph, as ``ordering``, and the subdivision as ``mapping``.
     """
     if not is_connected(g):
         raise LayoutError("exact search requires a connected graph", code="disconnected")
@@ -655,6 +761,14 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
         future_lb[s] = future_lb[s + 1] + strip_lb[s]
 
     warm, warm_ordering = _warm_start(g2)
+
+    # Round 0 runs only if the parity system is consistent, and then prunes
+    # on it: ``orient`` maps each component fixed so far to its root value,
+    # and ``trail`` lists those components in the order they were fixed.
+    sides = _parity_system(level_vertices, strips) if future_lb[0] == 0 else None
+    first_target = future_lb[0] if future_lb[0] > 0 or sides is not None else 1
+    orient: dict[int, int] = {}
+    trail: list[int] = []
 
     # Vertices are numbered level by level; ``pos[k]`` is vertex k's position
     # in its level's current order, written as it is placed.  Per level, the
@@ -727,6 +841,7 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
                 drop[i][j] = ji - ij
         base = number[level_vertices[level][0]]
         mirror = level == mirror_level
+        oracle = sides[level] if target == 0 else None
         perm: list[int] = []
         placed = [False] * width
 
@@ -740,6 +855,7 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
                         f"exact search exceeded budget of {budget} states",
                         best=warm,
                         ordering=warm_ordering,
+                        mapping=smap,
                     )
                 if floor_here + regret_here[i] > target:
                     continue
@@ -749,6 +865,10 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
                     first = perm[0] if perm else i
                     if placed[first + 1:].count(False) == (i > first):
                         continue
+                mark = len(trail)
+                if oracle is not None and not _fix_sides(oracle[i], placed, orient, trail):
+                    _unwind(orient, trail, mark)
+                    continue
                 pos[base + i] = len(perm)
                 perm.append(i)
                 if len(perm) == width:
@@ -763,6 +883,8 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
                     if found[0]:
                         return
                     placed[i] = False
+                if oracle is not None:
+                    _unwind(orient, trail, mark)
                 perm.pop()
 
         # ``place`` and ``fill_level`` refer to themselves: emptying their cells
@@ -774,7 +896,7 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
 
     minimum = None
     try:
-        for target in range(future_lb[0], warm + 1):
+        for target in range(first_target, warm + 1):
             fill_level(0, 0, target, [{} for _ in range(lev.count)])
             if found[0]:
                 minimum = target

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # import cycle: crossings raises these errors
+if TYPE_CHECKING:  # import cycle: crossings and subdivide raise these errors
     from .crossings import LevelOrdering
+    from .subdivide import SubdivisionMap
 
 
 class ReebError(Exception):
@@ -45,16 +46,19 @@ class BudgetExhaustedError(ReebError):
     """A bounded search ran out of states; ``best`` holds the best bound seen so far.
 
     When the exact crossing search runs out, ``ordering`` is the heuristic
-    ordering that attains ``best``, over the subdivided graph.
+    ordering that attains ``best``, over the subdivided graph, and
+    ``mapping`` links that graph back to the input.
     """
 
     code = "budget-exhausted"
 
     def __init__(self, message: str, *, best: int | None = None,
-                 ordering: LevelOrdering | None = None):
+                 ordering: LevelOrdering | None = None,
+                 mapping: SubdivisionMap | None = None):
         super().__init__(message, code="budget-exhausted")
         self.best = best
         self.ordering = ordering
+        self.mapping = mapping
 
 
 class InternalInvariantError(ReebError):

@@ -387,5 +387,5 @@ def layout_auto(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Dra
     try:
         res = exact_rgcn(g, budget)
     except BudgetExhaustedError as exc:
-        return _realize_unsubdivided(subdivide(g).mapping, exc.ordering)
+        return _realize_unsubdivided(exc.mapping, exc.ordering)
     return _realize_unsubdivided(res.mapping, res.ordering)

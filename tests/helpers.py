@@ -90,6 +90,24 @@ def random_caterpillar_graph(n: int, rng: random.Random) -> ReebGraph:
     return ReebGraph.build(heights, edges)
 
 
+def random_wide_caterpillar_graph(spine_len: int, rng: random.Random) -> ReebGraph:
+    """Caterpillar whose spine vertices carry 3-4 legs each, so inner spine
+    vertices have degree 5-6 and ends 4-5."""
+    base = random_path_graph(spine_len, rng)
+    heights = dict(base.vertices)
+    edges = list(base.edges)
+    for i in range(spine_len):
+        v = f"p{i}"
+        for _ in range(rng.randint(3, 4)):
+            leaf = f"l{len(heights) - spine_len}"
+            h = rand_height(rng)
+            while h == heights[v]:
+                h = rand_height(rng)
+            heights[leaf] = h
+            edges.append((v, leaf))
+    return ReebGraph.build(heights, edges)
+
+
 def random_cycle_graph(n: int, rng: random.Random, max_level: int = 4) -> ReebGraph:
     ids = [f"v{i}" for i in range(n)]
     while True:

@@ -108,6 +108,12 @@ def test_exact_on_a_tree_requiring_crossings(capsys):
     assert payload["states"] <= 729
 
 
+def test_exact_on_a_level_planar_bench_graph(capsys):
+    code, out, _ = run(capsys, "exact", FIXTURES / "level_planar_bench_graph.json")
+    assert code == 0
+    assert json.loads(out)["count"] == 0
+
+
 def test_subdivide_roundtrip(graph_file, capsys):
     code, out, _ = run(capsys, "subdivide", graph_file)
     assert code == 0

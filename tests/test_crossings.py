@@ -4,6 +4,7 @@ import gc
 import inspect
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,10 +20,12 @@ from reebdraw import (
     count_crossings_geometric,
     count_crossings_layered,
     exact_rgcn,
+    levels,
     realize_layered,
     subdivide,
 )
-from reebdraw.crossings import ExactResult, _warm_start
+from reebdraw.crossings import ExactResult, _parity_system, _strip_edges, _warm_start
+from reebdraw.jsonio import parse_graph
 
 from helpers import (
     alternating_cycle,
@@ -36,6 +39,8 @@ from helpers import (
     reference_exact_rgcn,
     reference_warm_start,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def x_graph():
@@ -406,6 +411,9 @@ class TestExactSearch:
         # The carried ordering covers the subdivided graph's levels and attains the bound.
         g2, _ = subdivide(g)
         assert count_crossings_layered(g2, exc.value.ordering) == exc.value.best
+        # The carried mapping is that of the graph the ordering covers.
+        assert exc.value.mapping.subdivided == g2
+        assert exc.value.mapping.original == g
 
     @staticmethod
     def crossings_garbage(run) -> list[str]:
@@ -435,7 +443,7 @@ class TestExactSearch:
     def test_search_leaves_no_reference_cycles(self):
         solved = random_connected_graph(8, random.Random(93), extra=3)
         assert self.crossings_garbage(lambda: exact_rgcn(solved)) == []
-        exhausted = random_connected_graph(12, random.Random(3), extra=4)
+        exhausted = random_connected_graph(12, random.Random(5), extra=4)
         with pytest.raises(BudgetExhaustedError):
             exact_rgcn(exhausted, budget=2000)
         assert self.crossings_garbage(lambda: exact_rgcn(exhausted, budget=2000)) == []
@@ -447,6 +455,26 @@ class TestExactSearch:
         for _ in range(30):
             g = random_connected_graph(rng.randint(2, 9), rng)
         assert exact_rgcn(g).states <= 677_373
+
+    def test_work_on_a_level_planar_bench_graph(self):
+        # Case 24 of the benchmark's ``layout_cases(Random(7), 8, 24)``.  Its
+        # warm start is already crossing-free, yet round 0 took 555,387
+        # states to find the least witness before the parity oracle; the
+        # oracle must need a hundredth.
+        g = parse_graph((FIXTURES / "level_planar_bench_graph.json").read_text())
+        res = exact_rgcn(g)
+        assert res.states <= 5_553
+        assert res.count == 0
+        # ``reference_exact_rgcn`` reaches this witness only after
+        # 30,563,136 states (about 40 s), so it is frozen here.
+        assert [" ".join(order) for order in res.ordering.orders] == [
+            "v0",
+            "__sub_0_1 __sub_10_1 __sub_1_1 __sub_11_1 v10 __sub_2_1 __sub_4_1 v6",
+            "__sub_0_2 __sub_10_2 __sub_1_2 __sub_11_2 __sub_9_2 v4 __sub_2_2 __sub_4_2",
+            "__sub_0_3 __sub_10_3 __sub_1_3 __sub_11_3 __sub_9_3 __sub_7_3 __sub_3_3 __sub_2_3 __sub_4_3 v9 v7",
+            "__sub_0_4 __sub_10_4 __sub_1_4 v8 __sub_3_4 __sub_2_4 v5 __sub_6_4",
+            "v1 v2 v3",
+        ]
 
     def test_deterministic_witness(self):
         rng = random.Random(17)
@@ -493,21 +521,91 @@ def search_outcome(search, g, budget):
     return res.count, res.ordering, res.states
 
 
+@st.composite
+def tree_graphs(draw):
+    """Trees and caterpillars of any spine degree on 2-12 vertices, heights 0-5.
+
+    Most of them are level-planar, so the search's round 0 succeeds or is
+    pruned by the parity oracle.  A caterpillar's first ``spine`` vertices
+    form a path and every later vertex is a leg of one of them.
+    """
+    n = draw(st.integers(min_value=2, max_value=12))
+    spine = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=n)))
+    heights = [draw(st.integers(min_value=0, max_value=5))]
+    edges = []
+    for i in range(1, n):
+        if spine is None:
+            parent = draw(st.integers(min_value=0, max_value=i - 1))
+        else:
+            parent = i - 1 if i < spine else draw(st.integers(min_value=0, max_value=spine - 1))
+        heights.append(draw(st.sampled_from([h for h in range(6) if h != heights[parent]])))
+        edges.append((f"v{parent}", f"v{i}"))
+    return ReebGraph.build({f"v{i}": h for i, h in enumerate(heights)}, edges)
+
+
+def parity_system(g2):
+    lev = levels(g2)
+    return _parity_system(lev.by_level(), _strip_edges(g2, lev))
+
+
+def assert_search_matches_reference(g, small) -> None:
+    count, witness, states = search_outcome(exact_rgcn, g, 20_000)
+    ref_count, ref_witness, ref_states = search_outcome(reference_exact_rgcn, g, 20_000)
+    if states is not None and ref_states is not None:
+        assert (count, witness) == (ref_count, ref_witness)
+    elif states is not None:
+        assert count <= ref_count
+    # Out of budget, both carry the warm start whatever the budget; a
+    # budget of 0 always runs out.
+    best, ordering, states = search_outcome(exact_rgcn, g, small)
+    if states is None:
+        assert (best, ordering) == search_outcome(reference_exact_rgcn, g, 0)[:2]
+
+
 class TestExactSearchOracle:
     @settings(max_examples=200, deadline=None)
     @given(search_graphs(), st.integers(min_value=1, max_value=40))
     def test_matches_reference_search(self, g, small):
-        count, witness, states = search_outcome(exact_rgcn, g, 20_000)
-        ref_count, ref_witness, ref_states = search_outcome(reference_exact_rgcn, g, 20_000)
-        if states is not None and ref_states is not None:
-            assert (count, witness) == (ref_count, ref_witness)
-        elif states is not None:
-            assert count <= ref_count
-        # Out of budget, both carry the warm start whatever the budget; a
-        # budget of 0 always runs out.
-        best, ordering, states = search_outcome(exact_rgcn, g, small)
-        if states is None:
-            assert (best, ordering) == search_outcome(reference_exact_rgcn, g, 0)[:2]
+        assert_search_matches_reference(g, small)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree_graphs(), st.integers(min_value=1, max_value=40))
+    def test_matches_reference_search_on_trees(self, g, small):
+        assert_search_matches_reference(g, small)
+
+    def test_refuted_round_zero_keeps_the_reference_witness(self):
+        # The tree fixture's parity system is contradictory, so the search
+        # starts at target 1.
+        g = parse_graph((FIXTURES / "tree_requiring_crossings.json").read_text())
+        assert parity_system(subdivide(g).graph) is None
+        res, ref = exact_rgcn(g), reference_exact_rgcn(g)
+        assert (res.count, res.ordering) == (ref.count, ref.ordering)
+        assert res.count == 1
+        # Round 0 alone took 91 of the 131 states before the refutation.
+        assert res.states <= 40 < ref.states
+
+
+class TestParitySystem:
+    def test_alternating_four_cycle_is_contradictory(self):
+        # (a,b),(c,d) force x_ac = x_bd and (a,d),(c,b) force x_ac = x_db.
+        assert parity_system(alternating_cycle(4)) is None
+
+    def test_entries_of_a_crossing_free_pair(self):
+        g = ReebGraph.build({"a": 0, "c": 0, "b": 1, "d": 1}, [("a", "b"), ("c", "d")])
+        sides = parity_system(g)
+        # One component links x_ac and x_bd; each placement forces its root
+        # the same way on both levels, and the opposite placements force the
+        # opposite value.
+        (j_a, root, side_a), = sides[0][0]
+        (j_b, root_b, side_b), = sides[1][0]
+        assert (j_a, j_b, root, side_a) == (1, 1, root_b, side_b)
+        assert sides[0][1] == [(0, root, 1 - side_a)]
+        assert sides[1][1] == [(0, root, 1 - side_b)]
+
+    def test_shared_endpoints_give_no_entries(self):
+        # A star and parallel edges: every pair of edges shares an endpoint.
+        g = ReebGraph.build({"a": 0, "b": 1, "c": 1, "d": 1}, [("a", "b"), ("a", "c"), ("a", "d"), ("a", "b")])
+        assert parity_system(g) == [[[]], [[], [], []]]
 
 
 def assert_matches_reference(g) -> tuple[ExactResult, ExactResult]:

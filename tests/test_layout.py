@@ -28,6 +28,7 @@ from helpers import (
     random_connected_graph,
     random_cycle_graph,
     random_path_graph,
+    random_wide_caterpillar_graph,
 )
 
 
@@ -255,6 +256,15 @@ class TestLayoutAuto:
             g = random_connected_graph(rng.randint(3, 8), rng)
             drawn = count_crossings_geometric(layout_auto(g)).count
             assert drawn == exact_rgcn(g).count
+
+    def test_wide_caterpillars_are_drawn_crossing_free(self):
+        # Spine vertices of degree > 3 leave the caterpillar construction to
+        # the exact search, which must find a crossing-free ordering within
+        # the budget.
+        rng = random.Random(95)
+        for _ in range(20):
+            g = random_wide_caterpillar_graph(rng.randint(3, 6), rng)
+            assert count_crossings_geometric(layout_auto(g, budget=200_000)).count == 0
 
     def test_budget_fallback_uses_heuristic(self):
         # Ten barycenter rounds alone draw this graph with 3 crossings; the
