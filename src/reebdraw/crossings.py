@@ -22,6 +22,7 @@ instead of guessing a count.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm
@@ -612,66 +613,128 @@ def _find(parent: list[int], flip: list[int], k: int) -> tuple[int, int]:
     return k, flip[path[0]] if path else 0
 
 
-def _parity_system(level_vertices: list[list[str]],
-                   strips: list[list[tuple[str, str]]]) -> list[list[list[tuple[int, int, int]]]] | None:
-    """The level-planarity parity system of a leveled graph, frozen per level.
+class _ParityUnion:
+    """The level-planarity parity system of a leveled graph, grown one strip
+    at a time in a union-find with parity.
 
     For u, w on one level, x_uw means "u is left of w".  Two edges (a, b) and
     (c, d) of a strip with a != c and b != d do not cross iff x_ac = x_bd, and
-    a union-find with parity collects these equalities, in O(m^2) per strip
-    of m distinct edges (Randerath et al., "A satisfiability formulation of
-    problems on level graphs", ENDM 9, 2001).  Returns None when they
-    contradict each other: then no ordering is crossing-free.  Otherwise
-    returns, per level and per vertex index i, the entries (j, root, side)
-    for the pairs (i, j) in some equality: placing i left of j forces the
-    variable at the root of their component to ``side``.
+    :meth:`add_strip` joins these equalities, in O(m^2) per strip of m
+    distinct edges (Randerath et al., "A satisfiability formulation of
+    problems on level graphs", ENDM 9, 2001).  A component whose equalities
+    contradict each other holds an odd cycle: some strip edge pair in it
+    crosses under every ordering.  Variables are listed by level, so
+    :meth:`entries` reads one level's in time linear in its pairs.
     """
-    index = {v: (l, i) for l, vs in enumerate(level_vertices) for i, v in enumerate(vs)}
-    node: dict[tuple[str, str], int] = {}  # (u, w) with u before w in its level
-    parent: list[int] = []
-    flip: list[int] = []  # parity to the parent
 
-    def variable(u: str, w: str) -> tuple[int, int]:
+    def __init__(self, level_vertices: list[list[str]]):
+        self.index = {v: (l, i) for l, vs in enumerate(level_vertices) for i, v in enumerate(vs)}
+        self.node: dict[tuple[str, str], int] = {}  # (u, w) with u before w in its level
+        self.parent: list[int] = []
+        self.flip: list[int] = []  # parity to the parent
+        self.odd: list[bool] = []  # at a root: its component holds an odd cycle
+        self.odd_count = 0
+        self.pairs: list[list[tuple[int, int, int]]] = [[] for _ in level_vertices]  # (node, i, j)
+        self.widths = [len(vs) for vs in level_vertices]
+
+    def variable(self, u: str, w: str) -> tuple[int, int]:
         """x_uw as (node, parity relative to the node)."""
-        key, parity = ((u, w), 0) if index[u] < index[w] else ((w, u), 1)
-        k = node.get(key)
+        key, parity = ((u, w), 0) if self.index[u] < self.index[w] else ((w, u), 1)
+        k = self.node.get(key)
         if k is None:
-            k = node[key] = len(parent)
-            parent.append(k)
-            flip.append(0)
+            k = self.node[key] = len(self.parent)
+            self.parent.append(k)
+            self.flip.append(0)
+            self.odd.append(False)
+            (l, i), (_, j) = self.index[key[0]], self.index[key[1]]
+            self.pairs[l].append((k, i, j))
         return k, parity
 
-    for strip in strips:
+    def add_strip(self, strip: list[tuple[str, str]]) -> None:
+        """Join the equalities of one strip's edge pairs."""
+        parent, flip, odd = self.parent, self.flip, self.odd
         edges = list(dict.fromkeys(strip))
         for k, (a, b) in enumerate(edges):
             for c, d in edges[k + 1:]:
                 if a == c or b == d:
                     continue
-                ka, pa = variable(a, c)
-                kb, pb = variable(b, d)
+                ka, pa = self.variable(a, c)
+                kb, pb = self.variable(b, d)
                 ra, qa = _find(parent, flip, ka)
                 rb, qb = _find(parent, flip, kb)
                 if ra != rb:
                     parent[ra], flip[ra] = rb, qa ^ pa ^ qb ^ pb
-                elif qa ^ pa != qb ^ pb:
-                    return None
+                    if odd[ra]:
+                        if odd[rb]:
+                            self.odd_count -= 1
+                        odd[rb] = True
+                elif qa ^ pa != qb ^ pb and not odd[ra]:
+                    odd[ra] = True
+                    self.odd_count += 1
 
-    sides: list[list[list[tuple[int, int, int]]]] = [[[] for _ in vs] for vs in level_vertices]
-    for (u, w), k in node.items():
-        root, parity = _find(parent, flip, k)
-        (l, i), (_, j) = index[u], index[w]
-        row = sides[l]
-        # x_uw = x_root ^ parity, so "u left of w" forces x_root = 1 ^ parity.
-        row[i].append((j, root, 1 ^ parity))
-        row[j].append((i, root, parity))
-    return sides
+    def entries(self, level: int) -> list[list[tuple[int, int, int]]]:
+        """Per vertex index i of ``level``, the entries (j, root, side) for the
+        pairs (i, j) in a component without an odd cycle: placing i left of j
+        forces the variable at the root of their component to ``side``."""
+        row: list[list[tuple[int, int, int]]] = [[] for _ in range(self.widths[level])]
+        for k, i, j in self.pairs[level]:
+            root, parity = _find(self.parent, self.flip, k)
+            if self.odd[root]:
+                continue
+            # x_ij = x_root ^ parity, so "i left of j" forces x_root = 1 ^ parity.
+            row[i].append((j, root, 1 ^ parity))
+            row[j].append((i, root, parity))
+        return row
 
 
-def _fix_sides(entries: list[tuple[int, int, int]], placed: list[bool],
-               orient: dict[int, int], trail: list[int]) -> bool:
-    """Fix the components that placing a vertex left of every unplaced vertex
-    of its level orients, from its parity entries; False on a clash with an
-    orientation already fixed."""
+def _parity_system(level_vertices: list[list[str]],
+                   strips: list[list[tuple[str, str]]]) -> list[list[list[tuple[int, int, int]]]] | None:
+    """The parity system of all strips (see :class:`_ParityUnion`), frozen per
+    level.  Returns None when it is contradictory: then no ordering is
+    crossing-free.  Otherwise returns, per level, its :meth:`~_ParityUnion.entries`.
+    """
+    system = _ParityUnion(level_vertices)
+    for strip in strips:
+        system.add_strip(strip)
+        if system.odd_count:
+            return None
+    return [system.entries(l) for l in range(len(level_vertices))]
+
+
+def _suffix_tables(level_vertices: list[list[str]],
+                   strips: list[list[tuple[str, str]]]) -> tuple[list[int], list[list[list[tuple[int, int, int]]]]]:
+    """Per level L, the parity system of the strips at or above L alone:
+    the number of its components that hold an odd cycle, and the
+    :meth:`~_ParityUnion.entries` of level L's pairs, kept only for the
+    components that hold two or more of them (one pair alone cannot be
+    oriented both ways).
+
+    One top-down pass builds them all: add strip L, then freeze level L,
+    while the system holds the strips >= L and no other.
+    """
+    system = _ParityUnion(level_vertices)
+    odd = [0] * len(level_vertices)
+    sides: list[list[list[tuple[int, int, int]]]] = [[] for _ in level_vertices]
+    for l in range(len(level_vertices) - 1, -1, -1):
+        if l < len(strips):
+            system.add_strip(strips[l])
+        odd[l] = system.odd_count
+        row = system.entries(l)
+        pairs = Counter(c for entries in row for _, c, _ in entries)
+        sides[l] = [[e for e in entries if pairs[e[1]] > 2] for entries in row]
+    return odd, sides
+
+
+def _orient(entries: list[tuple[int, int, int]], placed: list[bool],
+            orient: dict[int, int], trail: list[int]) -> int:
+    """Orient the components that placing a vertex left of every unplaced
+    vertex of its level fixes, from its parity entries; returns how many
+    components this orients both ways for the first time.
+
+    ``orient`` maps a component to the side it was first given, plus 2 once
+    it has been given both; ``trail`` lists each change, for :func:`_unwind`.
+    """
+    clashes = 0
     for j, c, side in entries:
         if placed[j]:
             continue
@@ -679,15 +742,21 @@ def _fix_sides(entries: list[tuple[int, int, int]], placed: list[bool],
         if fixed is None:
             orient[c] = side
             trail.append(c)
-        elif fixed != side:
-            return False
-    return True
+        elif fixed ^ side == 1:
+            orient[c] = fixed + 2
+            trail.append(c)
+            clashes += 1
+    return clashes
 
 
 def _unwind(orient: dict[int, int], trail: list[int], mark: int) -> None:
-    """Free the components fixed since the trail was ``mark`` long."""
+    """Undo the changes made to ``orient`` since the trail was ``mark`` long."""
     while len(trail) > mark:
-        del orient[trail.pop()]
+        c = trail.pop()
+        if orient[c] > 1:
+            orient[c] -= 2
+        else:
+            del orient[c]
 
 
 def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> ExactResult:
@@ -716,20 +785,36 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     Mirroring every level keeps the count, so on the first level with two or
     more vertices the first vertex must precede the last in id order.
 
-    A round of target 0 asks for a crossing-free ordering, and the parity
-    system of :func:`_parity_system` answers part of that question up front:
-    it holds for every crossing-free ordering, so when it is contradictory,
-    deepening starts at ``max(future_lb[0], 1)``.  Otherwise round 0 prunes
-    on it.  Placing i fixes "i left of j" for every unplaced j of its level,
-    and each such pair fixes the orientation of its component.  A candidate
-    that clashes with an orientation already fixed, on any level, including
-    the levels above, is pruned.  New orientations go on a trail that is
-    popped on backtrack.  The memo stays sound: equalities link only pairs
-    on levels s and s + 1, so on entering level L every component that
-    reaches level L or above either also holds a pair on level L - 1, whose
-    order (the memo key) fixed it, or has no fixed pair yet.  The
-    subtree's outcome is a function of (L, order of level L - 1, cost) as
-    before.  Rounds of target 1 or more do not use the system.
+    Every round also consults the level-planarity parity system (see
+    :class:`_ParityUnion`): one equality per pair of strip edges that must
+    not cross.  Placing i fixes "i left of j" for every unplaced j of its
+    level, and each such pair orients its component of the system.
+    Orientations go on a trail that is popped on backtrack.
+
+    A round of target 0 asks for a crossing-free ordering, and the system
+    of all strips, from :func:`_parity_system`, holds for every such
+    ordering.  So when it is contradictory, deepening starts at
+    ``max(future_lb[0], 1)``.  Otherwise round 0 prunes a candidate that
+    orients a component both ways, on any level, the levels above included.
+    The memo stays sound: equalities link only pairs on levels s and s + 1,
+    so on entering level L every component that reaches level L or above
+    either also holds a pair on level L - 1, whose order (the memo key)
+    fixed it, or has no fixed pair yet.
+
+    Rounds of target 1 or more bound the crossings in the strips at or
+    above the level being filled, from the system of those strips alone
+    (:func:`_suffix_tables`, built when the first such round starts).  On
+    entering level L the orientation map starts empty and ``bad`` holds the
+    components with an odd cycle; a component that the placements orient
+    both ways joins ``bad``.  Every component in ``bad`` forces a crossing
+    in strips >= L, and no two force the same one, since distinct
+    components share no equality.  The floor counts ``future_lb[L]`` for
+    those strips, which the rest of the floor never counts, so a candidate
+    is pruned when its raised floor, with ``max(future_lb[L], bad)`` in
+    place of ``future_lb[L]``, exceeds the target.  The memo stays sound
+    because the orientation starts afresh at each level entry and sees only
+    the placements on level L.  In every round the subtree's outcome is a
+    function of (L, order of level L - 1, cost) as before.
 
     Candidates are tried in id order and the first completion within the
     target ends the round, so the witness is the lexicographically least
@@ -763,12 +848,15 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     warm, warm_ordering = _warm_start(g2)
 
     # Round 0 runs only if the parity system is consistent, and then prunes
-    # on it: ``orient`` maps each component fixed so far to its root value,
-    # and ``trail`` lists those components in the order they were fixed.
+    # on it, with one orientation map and trail (see ``_orient``) over all
+    # levels.  Rounds >= 1 build the suffix tables when the first of them
+    # starts, and orient afresh on each level entry.
     sides = _parity_system(level_vertices, strips) if future_lb[0] == 0 else None
     first_target = future_lb[0] if future_lb[0] > 0 or sides is not None else 1
-    orient: dict[int, int] = {}
-    trail: list[int] = []
+    round_zero_orient: dict[int, int] = {}
+    round_zero_trail: list[int] = []
+    suffix_odd: list[int] = []
+    suffix_sides: list[list[list[tuple[int, int, int]]]] = []
 
     # Vertices are numbered level by level; ``pos[k]`` is vertex k's position
     # in its level's current order, written as it is placed.  Per level, the
@@ -841,11 +929,17 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
                 drop[i][j] = ji - ij
         base = number[level_vertices[level][0]]
         mirror = level == mirror_level
-        oracle = sides[level] if target == 0 else None
+        # ``bad`` counts the components of the parity system in use that
+        # force a crossing in the strips >= level.
+        if target == 0:
+            entries, orient, trail, bad = sides[level], round_zero_orient, round_zero_trail, 0
+        else:
+            entries, orient, trail, bad = suffix_sides[level], {}, [], suffix_odd[level]
+        above = future_lb[level]
         perm: list[int] = []
         placed = [False] * width
 
-        def place(floor_here: int, regret_here: list[int], code: int) -> None:
+        def place(floor_here: int, regret_here: list[int], code: int, bad_here: int) -> None:
             for i in range(width):
                 if placed[i]:
                     continue
@@ -866,37 +960,44 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
                     if placed[first + 1:].count(False) == (i > first):
                         continue
                 mark = len(trail)
-                if oracle is not None and not _fix_sides(oracle[i], placed, orient, trail):
-                    _unwind(orient, trail, mark)
+                bad_i = bad_here + _orient(entries[i], placed, orient, trail) if entries[i] else bad_here
+                # The floor counts ``above`` for the strips >= level, and
+                # ``bad_i`` bounds them too.
+                if bad_i > above and floor_here + regret_here[i] + bad_i - above > target:
+                    if len(trail) > mark:
+                        _unwind(orient, trail, mark)
                     continue
                 pos[base + i] = len(perm)
                 perm.append(i)
                 if len(perm) == width:
                     chosen.append(code * width + i)
-                    fill_level(level + 1, floor_here + regret_here[i] - future_lb[level], target, memo)
+                    fill_level(level + 1, floor_here + regret_here[i] - above, target, memo)
                     if found[0]:
                         return
                     chosen.pop()
                 else:
                     placed[i] = True
-                    place(floor_here + regret_here[i], list(map(sub, regret_here, drop[i])), code * width + i)
+                    place(floor_here + regret_here[i], list(map(sub, regret_here, drop[i])),
+                          code * width + i, bad_i)
                     if found[0]:
                         return
                     placed[i] = False
-                if oracle is not None:
+                if len(trail) > mark:
                     _unwind(orient, trail, mark)
                 perm.pop()
 
         # ``place`` and ``fill_level`` refer to themselves: emptying their cells
         # breaks the cycle, which would hold ``memo`` until the collector runs.
         try:
-            place(floor, regret, 0)
+            place(floor, regret, 0, bad)
         finally:
             del place
 
     minimum = None
     try:
         for target in range(first_target, warm + 1):
+            if target and not suffix_sides:
+                suffix_odd, suffix_sides = _suffix_tables(level_vertices, strips)
             fill_level(0, 0, target, [{} for _ in range(lev.count)])
             if found[0]:
                 minimum = target

@@ -114,6 +114,12 @@ def test_exact_on_a_level_planar_bench_graph(capsys):
     assert json.loads(out)["count"] == 0
 
 
+def test_exact_on_a_bench_graph_of_minimum_one(capsys):
+    code, out, _ = run(capsys, "exact", FIXTURES / "min_one_bench_graph.json")
+    assert code == 0
+    assert json.loads(out)["count"] == 1
+
+
 def test_subdivide_roundtrip(graph_file, capsys):
     code, out, _ = run(capsys, "subdivide", graph_file)
     assert code == 0

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import gc
 import inspect
+import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -24,7 +26,15 @@ from reebdraw import (
     realize_layered,
     subdivide,
 )
-from reebdraw.crossings import ExactResult, _parity_system, _strip_edges, _warm_start
+from reebdraw.crossings import (
+    ExactResult,
+    _orient,
+    _parity_system,
+    _strip_crossings,
+    _strip_edges,
+    _suffix_tables,
+    _warm_start,
+)
 from reebdraw.jsonio import parse_graph
 
 from helpers import (
@@ -191,10 +201,10 @@ class TestGeometricCounterOracle:
 
 
 @st.composite
-def leveled_graphs(draw):
+def leveled_graphs(draw, max_width=5):
     """Graphs whose edges all join consecutive levels, with parallel edges and
     isolated vertices; ids are shuffled so id order and level order disagree."""
-    widths = draw(st.lists(st.integers(min_value=1, max_value=5), min_size=2, max_size=5))
+    widths = draw(st.lists(st.integers(min_value=1, max_value=max_width), min_size=2, max_size=5))
     n = sum(widths)
     ids = iter(draw(st.permutations(range(n))))
     names = [[f"v{next(ids)}" for _ in range(w)] for w in widths]
@@ -443,7 +453,7 @@ class TestExactSearch:
     def test_search_leaves_no_reference_cycles(self):
         solved = random_connected_graph(8, random.Random(93), extra=3)
         assert self.crossings_garbage(lambda: exact_rgcn(solved)) == []
-        exhausted = random_connected_graph(12, random.Random(5), extra=4)
+        exhausted = random_connected_graph(12, random.Random(17), extra=4)
         with pytest.raises(BudgetExhaustedError):
             exact_rgcn(exhausted, budget=2000)
         assert self.crossings_garbage(lambda: exact_rgcn(exhausted, budget=2000)) == []
@@ -455,6 +465,33 @@ class TestExactSearch:
         for _ in range(30):
             g = random_connected_graph(rng.randint(2, 9), rng)
         assert exact_rgcn(g).states <= 677_373
+
+    def test_work_on_the_hardest_criterion_4_graph_with_the_suffix_bound(self):
+        # The same graph took 137,692 states before the suffix parity bound;
+        # the bound must need a tenth.
+        rng = random.Random(104)
+        for _ in range(30):
+            g = random_connected_graph(rng.randint(2, 9), rng)
+        assert exact_rgcn(g).states <= 13_769
+
+    def test_work_on_a_bench_graph_of_minimum_one(self):
+        # Case 3 of the benchmark's ``layout_cases(Random(7), 8, 24)``.  Before
+        # the suffix parity bound the search took 383,784 states, so a
+        # 200,000-state budget drew the warm start's 5 crossings instead of 1;
+        # the bound must need a hundredth.
+        g = parse_graph((FIXTURES / "min_one_bench_graph.json").read_text())
+        res = exact_rgcn(g)
+        assert res.states <= 3_838
+        assert res.count == 1
+        # The witness of the search without the bound, at a budget of 1,000,000.
+        assert [" ".join(order) for order in res.ordering.orders] == [
+            "v0 v10",
+            "__sub_0_1 v7 __sub_2_1 __sub_11_1 __sub_1_1 __sub_10_1 __sub_3_1 v5 __sub_9_1",
+            "__sub_0_2 __sub_6_2 __sub_2_2 __sub_11_2 __sub_1_2 __sub_10_2 v4 __sub_5_2 __sub_9_2",
+            "__sub_0_3 __sub_6_3 __sub_2_3 v8 __sub_1_3 __sub_10_3 __sub_8_3 __sub_5_3 __sub_9_3",
+            "v1 __sub_2_4 __sub_7_4 __sub_1_4 __sub_10_4 __sub_8_4 v6",
+            "v3 v2 v9",
+        ]
 
     def test_work_on_a_level_planar_bench_graph(self):
         # Case 24 of the benchmark's ``layout_cases(Random(7), 8, 24)``.  Its
@@ -543,6 +580,24 @@ def tree_graphs(draw):
     return ReebGraph.build({f"v{i}": h for i, h in enumerate(heights)}, edges)
 
 
+@st.composite
+def long_edge_graphs(draw):
+    """Connected graphs on 5-8 vertices with heights 0-6: a spanning tree plus
+    1-4 extra edges, which may repeat an edge.  Edges skip up to six levels,
+    so the subdivided graph is mostly long chains."""
+    n = draw(st.integers(min_value=5, max_value=8))
+    heights = draw(st.lists(st.integers(min_value=0, max_value=6), min_size=n, max_size=n))
+    edges = []
+    for i in range(1, n):
+        parents = [j for j in range(i) if heights[j] != heights[i]]
+        assume(parents)
+        edges.append((draw(st.sampled_from(parents)), i))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if heights[a] != heights[b]]
+    edges += draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4))
+    return ReebGraph.build({f"v{i}": h for i, h in enumerate(heights)},
+                           [(f"v{a}", f"v{b}") for a, b in edges])
+
+
 def parity_system(g2):
     lev = levels(g2)
     return _parity_system(lev.by_level(), _strip_edges(g2, lev))
@@ -571,6 +626,11 @@ class TestExactSearchOracle:
     @settings(max_examples=200, deadline=None)
     @given(tree_graphs(), st.integers(min_value=1, max_value=40))
     def test_matches_reference_search_on_trees(self, g, small):
+        assert_search_matches_reference(g, small)
+
+    @settings(max_examples=200, deadline=None)
+    @given(long_edge_graphs(), st.integers(min_value=1, max_value=40))
+    def test_matches_reference_search_on_long_edges(self, g, small):
         assert_search_matches_reference(g, small)
 
     def test_refuted_round_zero_keeps_the_reference_witness(self):
@@ -606,6 +666,98 @@ class TestParitySystem:
         # A star and parallel edges: every pair of edges shares an endpoint.
         g = ReebGraph.build({"a": 0, "b": 1, "c": 1, "d": 1}, [("a", "b"), ("a", "c"), ("a", "d"), ("a", "b")])
         assert parity_system(g) == [[[]], [[], [], []]]
+
+
+def suffix_tables(g2):
+    lev = levels(g2)
+    return _suffix_tables(lev.by_level(), _strip_edges(g2, lev))
+
+
+def suffix_bound(tables, level: int, order) -> int:
+    """The suffix bound once level ``level``'s vertices are placed, by index,
+    left to right in ``order``, as the search reads it."""
+    odd, sides = tables
+    placed = [False] * len(order)
+    orient: dict[int, int] = {}
+    trail: list[int] = []
+    bad = odd[level]
+    for i in order:
+        bad += _orient(sides[level][i], placed, orient, trail)
+        placed[i] = True
+    return bad
+
+
+def canonical(rows):
+    """Suffix-table rows with each component renamed by its first appearance."""
+    names: dict[int, int] = {}
+    return [[(j, names.setdefault(c, len(names)), side) for j, c, side in row] for row in rows]
+
+
+class TestSuffixTables:
+    def test_odd_cycles_of_chained_alternating_four_cycles(self):
+        # Strips 0 and 1 are each an alternating 4-cycle through the pair
+        # (b, d) of level 1, so both odd cycles lie in one component.
+        g = ReebGraph.build({"a": 0, "c": 0, "b": 1, "d": 1, "e": 2, "f": 2},
+                            [("a", "b"), ("a", "d"), ("c", "b"), ("c", "d"),
+                             ("b", "e"), ("b", "f"), ("d", "e"), ("d", "f")])
+        assert suffix_tables(g)[0] == [1, 1, 0]
+
+    def test_odd_cycles_of_two_alternating_four_cycles_joined_below(self):
+        # Strip 1 holds two alternating 4-cycles, one through the pair (b, d)
+        # of level 1 and one through (g, h).  Strip 0 links both pairs to
+        # (a, c), which joins the two odd components into one.
+        g = ReebGraph.build({"a": 0, "c": 0, "b": 1, "d": 1, "g": 1, "h": 1,
+                             "e": 2, "f": 2, "p": 2, "q": 2},
+                            [("b", "e"), ("b", "f"), ("d", "e"), ("d", "f"),
+                             ("g", "p"), ("g", "q"), ("h", "p"), ("h", "q"),
+                             ("a", "b"), ("c", "d"), ("a", "g"), ("c", "h")])
+        assert suffix_tables(g)[0] == [1, 2, 0]
+
+    def test_level_entries_come_only_from_the_strips_above(self):
+        # Strip 1 links the pairs (b, d) and (b, g) of level 1 to (e, f).
+        # Strip 0 links (d, g) to (a, c), but it lies below level 1, and its
+        # component holds only one pair of level 0.
+        g = ReebGraph.build({"a": 0, "c": 0, "b": 1, "d": 1, "g": 1, "e": 2, "f": 2},
+                            [("b", "e"), ("d", "f"), ("g", "f"), ("a", "d"), ("c", "g")])
+        odd, sides = suffix_tables(g)
+        assert odd == [0, 0, 0]
+        assert sides[0] == [[], []]
+        assert sides[2] == [[], []]
+        (j_bd, root, side_bd), (j_bg, root_bg, side_bg) = sides[1][0]
+        assert (j_bd, j_bg, root_bg) == (1, 2, root)
+        # x_bd = x_ef = x_bg, so "b left of d" and "b left of g" force the
+        # root the same way; d and g have no pair with each other.
+        assert side_bd == side_bg
+        assert sides[1][1] == [(0, root, 1 - side_bd)]
+        assert sides[1][2] == [(0, root, 1 - side_bg)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(leveled_graphs())
+    def test_each_level_sees_only_the_graph_above_it(self, g2):
+        lev = levels(g2)
+        level_vertices, strips = lev.by_level(), _strip_edges(g2, lev)
+        odd, sides = _suffix_tables(level_vertices, strips)
+        for l in range(lev.count):
+            top_odd, top_sides = _suffix_tables(level_vertices[l:], strips[l:])
+            assert odd[l:] == top_odd
+            assert canonical(sides[l]) == canonical(top_sides[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(leveled_graphs(max_width=4))
+    def test_bound_never_exceeds_the_crossings_above(self, g2):
+        lev = levels(g2)
+        level_vertices, strips = lev.by_level(), _strip_edges(g2, lev)
+        perms = [list(itertools.permutations(range(len(vs)))) for vs in level_vertices]
+        assume(math.prod(map(len, perms)) <= 3_000)
+        tables = _suffix_tables(level_vertices, strips)
+        bounds = [{p: suffix_bound(tables, l, p) for p in ps} for l, ps in enumerate(perms)]
+        for combo in itertools.product(*perms):
+            pos = {vs[i]: k for vs, order in zip(level_vertices, combo) for k, i in enumerate(order)}
+            above = 0
+            for l in range(lev.count - 1, -1, -1):
+                if l < len(strips):
+                    above += _strip_crossings((pos[lo], pos[hi]) for lo, hi in strips[l])
+                assert above >= bounds[l][combo[l]]
 
 
 def assert_matches_reference(g) -> tuple[ExactResult, ExactResult]:
