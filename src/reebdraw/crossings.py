@@ -329,72 +329,50 @@ def count_crossings_layered(g2: ReebGraph, ordering: LevelOrdering) -> int:
 def realize_layered(g2: ReebGraph, ordering: LevelOrdering) -> Drawing:
     """Straight-line drawing of a leveled graph whose geometric count equals the layered count.
 
-    Vertices sit at (position, height).  Parallel edges beyond the first copy
-    get a small mid-strip bend, and when integer positions happen to be
-    degenerate (three segments concurrent), per-level rational jitter is
-    applied, shrinking deterministically until the exact geometric count
-    matches the layered count.
+    Vertices sit at (position, height); copies of a parallel edge after the
+    first bend at mid-strip.  Integer positions come first.  If they are
+    degenerate, vertices move onto the moment curve x = i + i^2 / S with
+    S = 8 W^3, W the widest level.  Strip edges span one y-interval, so three
+    are concurrent only if their points (x below, x above) are collinear; on
+    the curve that takes three vertical, hence parallel, edges.  Mid-strip x
+    values then differ by at least 1/(2S) except on (i -> j) and (j -> i),
+    which cross there, so copy c bends by c * delta toward +x iff i <= j,
+    with copies * delta < 1/(8 W S^2): every crossing stays, and no
+    collinearity determinant moves by 1/S^2.  The count runs at most twice.
     """
     target = count_crossings_layered(g2, ordering)
-    lev = levels(g2)
-    n = max(g2.vertex_count, 2)
-    widths = [len(order) for order in ordering.orders]
-
-    par_groups: dict[tuple[str, str], list[int]] = {}
+    copies: dict[tuple[str, str], list[int]] = {}
     for i, pair in enumerate(g2.edges):
-        par_groups.setdefault(pair, []).append(i)
-
+        copies.setdefault(pair, []).append(i)
     pos = ordering.positions()
 
-    import random as _random
-
-    def attempt(mode: int, fan_denom: int, seed: int, denom: int) -> Drawing:
-        xs: dict[str, Fraction] = {}
-        rng = _random.Random(seed)
-        for l, order in enumerate(ordering.orders):
-            for i, v in enumerate(order):
-                x = Fraction(i)
-                if mode == 1:
-                    # Per-level shear: offset grows with the position index.
-                    x += Fraction(i, 2 * max(widths[l], 1) * n * n)
-                elif mode == 2:
-                    # Fresh pseudo-random offsets per attempt: structured
-                    # offset families can leave symmetric concurrencies (for
-                    # example equal position sums meeting at mid-strip) exactly
-                    # in place, so draw offsets with no algebraic relation to
-                    # the positions.  The seed is fixed, so output stays
-                    # deterministic.
-                    x += Fraction(rng.randrange(1, 1 << 20), denom)
-                xs[v] = x
+    def drawing(place, lean) -> Drawing:
+        xs = {v: place(i) for v, i in pos.items()}
         bends: list[tuple[Point, ...]] = [() for _ in g2.edges]
-        for pair, members in par_groups.items():
-            if len(members) < 2:
-                continue
+        for pair, members in copies.items():
             lo, hi = (pair if g2.vertices[pair[0]] < g2.vertices[pair[1]] else (pair[1], pair[0]))
             mid_y = (g2.vertices[lo] + g2.vertices[hi]) / 2
             mid_x = (xs[lo] + xs[hi]) / 2
+            step = lean(pos[lo], pos[hi])
             for c, ei in enumerate(members[1:], start=1):
-                bends[ei] = ((mid_x + Fraction(c, fan_denom), mid_y),)
+                bends[ei] = ((mid_x + c * step, mid_y),)
         return Drawing(graph=g2, x=xs, bends=tuple(bends))
 
-    schedule: list[tuple[int, int, int, int]] = [
-        (0, 4 * (n + 1), 0, 1),
-        (1, 8 * (n + 1), 0, 1),
-    ]
-    denom = (1 << 22) * n * n * n
-    for t in range(40):
-        schedule.append((2, denom, 6121 + 7919 * t, denom))
-        denom *= 2
-
-    for mode, fan_denom, seed, denom in schedule:
-        try:
-            d = attempt(mode, fan_denom, seed, denom)
-            cert = count_crossings_geometric(d)
-        except DegeneracyError:
-            continue
-        if cert.count == target:
+    fan = Fraction(1, 4 * (max(g2.vertex_count, 2) + 1))
+    d = drawing(Fraction, lambda i, j: fan)
+    try:
+        if count_crossings_geometric(d).count == target:
             return d
-    raise InternalInvariantError("could not realize layered ordering without degeneracy")
+    except DegeneracyError:
+        pass
+    w = max(map(len, ordering.orders), default=1)
+    s = 8 * w ** 3
+    multiplicity = max(map(len, copies.values()), default=1)
+    delta = Fraction(1, 8 * w * s * s * multiplicity)
+    d = drawing(lambda i: i + Fraction(i * i, s), lambda i, j: delta if i <= j else -delta)
+    if count_crossings_geometric(d).count != target:
+        raise InternalInvariantError("layered ordering realized with a different crossing count")
+    return d
 
 
 def _realize_unsubdivided(mapping: SubdivisionMap, ordering: LevelOrdering) -> Drawing:

@@ -438,6 +438,19 @@ def _certified_drawing(inst: GadgetInstance, f: LinearArrangement) -> tuple[Draw
     to its bottom chain.  The geometric crossing count is at most the budget
     whenever the arrangement cost is within its own budget.  Returns the
     drawing with its crossing certificate.
+
+    The canonical lane offsets come first.  They can make two lanes coincide
+    or three gap pieces meet; pieces from one chain to one side's lanes are
+    nested, so nothing else can.  Each half of the gap (split at the strand
+    bends) is a strip every gap piece spans, where three pieces meet only if
+    their points (x below, x above) are collinear.  Every diagonal crosses
+    mid-gap at its columns' mean whatever its offset, so the second drawing
+    moves route r's bottom lane by kappa * r and its top lane by
+    kappa * r^2, a parabola: three pieces, two of them diagonals, then have
+    a determinant with a nonzero kappa^2 term.  Coordinates lie on a grid of
+    step h = 1/(10 (m + 1)) within (n + 1) * pitch, so kappa =
+    h^2 / (8 m^4 (n + 1) pitch) is below every other root and keeps lanes
+    apart, in order and off the strand bends.  The count runs at most twice.
     """
     plan = inst.plan
     if set(f.ranks) != set(inst.source.vertices):
@@ -458,33 +471,36 @@ def _certified_drawing(inst: GadgetInstance, f: LinearArrangement) -> tuple[Draw
     band_lo = Fraction(2 * plan.bottom_grid_base - 1, 2)  # just below the bottom grids
     band_hi = Fraction(2 * plan.top_grid_top + 1, 2)      # just above the top grids
 
-    for wobble in range(24):
-        shift = Fraction(wobble, 13 * (wobble + 1)) if wobble else Fraction(0)
-        bends: list[tuple[tuple[Fraction, Fraction], ...]] = [() for _ in inst.graph.edges]
-        fan = Fraction(1, 2 * (m + 1) * (wobble + 1))
-        for edge_index, u, slot, copy in plan.strand_edges:
-            if copy == 0:
-                continue
+    bends: list[tuple[tuple[Fraction, Fraction], ...]] = [() for _ in inst.graph.edges]
+    fan = Fraction(1, 2 * (m + 1))
+    for edge_index, u, slot, copy in plan.strand_edges:
+        if copy:
             a, _ = inst.graph.edges[edge_index]
             bends[edge_index] = ((xs[a] + copy * fan, mid_gap),)
-        for route in plan.e1_routes:
+
+    def drawing(kappa: Fraction) -> Drawing:
+        for r, route in enumerate(plan.e1_routes, start=1):
             top_u, bot_u = route.top_source, route.bottom_source
-            sub = route.lane_offset + shift
+            sub = route.lane_offset
             going_right = f.ranks[bot_u] > f.ranks[top_u]
-            lane_top = origin(top_u) + width + sub if going_right else origin(top_u) - sub
-            lane_bot = origin(bot_u) - sub if going_right else origin(bot_u) + width + sub
+            lane_top = (origin(top_u) + width + sub if going_right else origin(top_u) - sub) + kappa * r * r
+            lane_bot = (origin(bot_u) - sub if going_right else origin(bot_u) + width + sub) + kappa * r
             bends[route.edge_index] = (
                 (lane_bot, band_lo),
                 (lane_bot, gap_lo),
                 (lane_top, gap_hi),
                 (lane_top, band_hi),
             )
-        d = Drawing(graph=inst.graph, x=xs, bends=tuple(bends))
-        try:
-            return d, count_crossings_geometric(d)
-        except DegeneracyError:
-            continue
-    raise InternalInvariantError("gadget drawing stayed degenerate under all lane offsets")
+        return Drawing(graph=inst.graph, x=xs, bends=tuple(bends))
+
+    d = drawing(Fraction(0))
+    try:
+        return d, count_crossings_geometric(d)
+    except DegeneracyError:
+        pass
+    h = Fraction(1, 10 * (m + 1))
+    d = drawing(h * h / (8 * m ** 4 * (len(f.ranks) + 1) * pitch))
+    return d, count_crossings_geometric(d)
 
 
 def arrangement_to_drawing(inst: GadgetInstance, f: LinearArrangement) -> Drawing:

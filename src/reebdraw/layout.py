@@ -1,13 +1,16 @@
 """Constructive layouts: paths, caterpillars, cycles, and an auto dispatcher.
 
 Paths are drawn left to right, one column per vertex, so edge interiors occupy
-disjoint x ranges and nothing can cross.  Caterpillars reuse the path layout
-for the spine and hang legs on short offset segments toward the open side of
-each spine vertex.  Cycles are decomposed by their alternation between the top
-and bottom level: the alternation count k fixes a skeleton that is drawn like
-a bowtie, corridors between skeleton columns carry the connecting paths, and
-the construction emits exactly k-1 crossings.  The bowtie layout itself covers
-the fully alternating case with the provably minimal (N-2)/2 crossings.
+disjoint x ranges and nothing can cross.  Caterpillars of any spine degree
+reuse the path layout for the spine and hang legs on short offset segments
+toward the open side of each spine vertex; the offset is chosen outside the
+finite set at which a leg would lie along a spine edge, so the drawing is in
+general position by construction.  Cycles are decomposed by their
+alternation between the top and bottom level: the alternation count k fixes a
+skeleton that is drawn like a bowtie, corridors between skeleton columns
+carry the connecting paths, and the construction emits exactly k-1
+crossings.  The bowtie layout itself covers the fully alternating case with
+the provably minimal (N-2)/2 crossings.
 
 Everything is deterministic: start vertices, traversal directions, corridor
 offsets, and tie-breaks are all fixed functions of the input.
@@ -38,7 +41,6 @@ from .crossings import (
 )
 from .errors import (
     BudgetExhaustedError,
-    DegeneracyError,
     InternalInvariantError,
     LayoutError,
 )
@@ -80,64 +82,54 @@ def layout_path(g: ReebGraph) -> Drawing:
 def layout_caterpillar(g: ReebGraph) -> Drawing:
     """Draw a caterpillar: path layout for the spine, legs as short offset segments.
 
-    Legs lean at most 1/4 column toward the side where the adjacent spine edge
-    departs in the opposite vertical direction, so they stay clear of
-    everything except (possibly) incidences that a deterministic shrink-and
-    -retry loop removes.  Emits zero crossings.
+    Spine vertex i sits at x = i + 1.  A leg leans at most ``base`` <= 1/4
+    into one column, preferring the side whose spine edge departs against
+    the leg's vertical direction, so it can meet only edges at its own spine
+    vertex; legs of one group are ranked by height, so their dx/dy differ.
+    A leg can only lie along a spine edge leaving on its side in its
+    direction, when ``base`` = |dy_leg| k / (r |dy_spine|) for rank r of k;
+    ``base`` is the largest 2^-j / 4 outside that finite set.  Certified
+    once: zero crossings.
     """
     shape = classify_shape(g)
     if shape == ShapeClass.PATH:
         return layout_path(g)
     if shape != ShapeClass.CATERPILLAR:
         raise LayoutError("layout_caterpillar requires a caterpillar", code="not-caterpillar")
-    prof = degree_profile(g)
     spine, legs = spine_and_legs(g)
-    for v in spine:
-        if prof.total[v] > 3:
-            raise LayoutError(
-                f"spine vertex {v!r} has degree {prof.total[v]}, legs would collide",
-                code="degree",
-            )
-
     spine_x = {v: Fraction(i + 1) for i, v in enumerate(spine)}
-    spine_index = {v: i for i, v in enumerate(spine)}
+    h = g.vertices
 
-    def open_side(v: str, up: bool) -> int:
-        """+1 to lean right, -1 to lean left, preferring a side whose spine edge
-        departs away from the leg's vertical direction."""
-        i = spine_index[v]
-        h = g.vertices[v]
-        right_ok = i == len(spine) - 1 or (g.vertices[spine[i + 1]] < h) == up
-        left_ok = i == 0 or (g.vertices[spine[i - 1]] < h) == up
-        if right_ok:
-            return 1
-        if left_ok:
-            return -1
-        return 1
+    # (vertex, side, leg, rank, group size) for every leg.
+    placed: list[tuple[str, int, str, int, int]] = []
+    forbidden: set[Fraction] = set()
+    for i, v in enumerate(spine):
+        right = spine[i + 1] if i + 1 < len(spine) else None
+        left = spine[i - 1] if i > 0 else None
+        ups = sorted((w for w in legs[v] if h[w] > h[v]), key=lambda w: (-h[w], w))
+        downs = sorted((w for w in legs[v] if h[w] < h[v]), key=lambda w: (h[w], w))
+        for group, up in ((ups, True), (downs, False)):
+            # Lean toward a side whose spine edge leaves against the leg's
+            # direction: right if it does, else left if it does, else right.
+            right_ok = right is None or (h[right] > h[v]) != up
+            left_ok = left is None or (h[left] > h[v]) != up
+            side = 1 if right_ok or not left_ok else -1
+            nbr = right if side == 1 else left
+            for rank, w in enumerate(group, start=1):
+                placed.append((v, side, w, rank, len(group)))
+                if nbr is not None and (h[nbr] > h[v]) == up:
+                    forbidden.add(abs(h[w] - h[v]) * len(group) / (rank * abs(h[nbr] - h[v])))
 
     base = Fraction(1, 4)
-    for _ in range(40):
-        xs = dict(spine_x)
-        for v in spine:
-            h = g.vertices[v]
-            ups = sorted((w for w in legs[v] if g.vertices[w] > h),
-                         key=lambda w: (-g.vertices[w], w))
-            downs = sorted((w for w in legs[v] if g.vertices[w] < h),
-                           key=lambda w: (g.vertices[w], w))
-            for group, up in ((ups, True), (downs, False)):
-                if not group:
-                    continue
-                side = open_side(v, up)
-                for rank, w in enumerate(group, start=1):
-                    xs[w] = spine_x[v] + side * base * Fraction(rank, len(group))
-        d = Drawing(graph=g, x=xs)
-        try:
-            if count_crossings_geometric(d).count == 0:
-                return d
-        except DegeneracyError:
-            pass
+    while base in forbidden:
         base /= 2
-    raise InternalInvariantError("caterpillar legs could not be placed cleanly")
+    xs = dict(spine_x)
+    for v, side, w, rank, k in placed:
+        xs[w] = spine_x[v] + side * base * Fraction(rank, k)
+    d = Drawing(graph=g, x=xs)
+    if count_crossings_geometric(d).count != 0:
+        raise InternalInvariantError("caterpillar drawing is not crossing-free")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +370,7 @@ def layout_auto(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Dra
     if shape == ShapeClass.PATH:
         return layout_path(g)
     if shape == ShapeClass.CATERPILLAR:
-        try:
-            return layout_caterpillar(g)
-        except LayoutError:
-            pass  # spine degree beyond the leg construction; use the exact route
+        return layout_caterpillar(g)
     if shape == ShapeClass.SINGLE_CYCLE:
         return layout_cycle(g)
     try:

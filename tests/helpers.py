@@ -19,24 +19,31 @@ from reebdraw import (
     DegeneracyError,
     Drawing,
     EdgeLeftRightOrder,
+    GadgetInstance,
     GraphStructureError,
     InternalInvariantError,
     LayoutError,
     LevelOrdering,
+    LinearArrangement,
     ReebGraph,
+    ShapeClass,
     VertexInsertionOrder,
+    classify_shape,
     count_crossings_geometric,
     count_crossings_layered,
+    degree_profile,
+    layout_path,
     levels,
     per_level_order,
     subdivide,
 )
 from reebdraw import geometry
-from reebdraw.core import is_connected
+from reebdraw.core import is_connected, spine_and_legs
 from reebdraw.crossings import (
     DEFAULT_SEARCH_BUDGET,
     CrossingPair,
     ExactResult,
+    Point,
     _dfs_level_orders,
     _neighbors,
     _pair_crossings,
@@ -65,7 +72,14 @@ def random_path_graph(n: int, rng: random.Random) -> ReebGraph:
 
 
 def random_caterpillar_graph(n: int, rng: random.Random) -> ReebGraph:
-    """Caterpillar with spine degrees at most 3 and at least one leg when room allows."""
+    """Random path of max(2, n // 2) to n vertices with legs hung on it, every
+    degree at most 3: each end takes up to two legs, each inner vertex one.
+
+    Legs are added until n vertices are used, but each vertex stops taking
+    legs at random, so a few graphs have fewer than n vertices.  Legs at the
+    ends only extend the path, so about half the graphs are paths.  For
+    higher spine degrees see ``random_wide_caterpillar_graph``.
+    """
     spine_len = max(2, rng.randint(max(2, n // 2), n))
     base = random_path_graph(spine_len, rng)
     heights = dict(base.vertices)
@@ -203,6 +217,16 @@ def random_ordering(g2: ReebGraph, rng: random.Random) -> LevelOrdering:
     for group in by_level:
         rng.shuffle(group)
     return LevelOrdering.from_lists(by_level)
+
+
+def counted_geometric_calls(monkeypatch, *modules) -> list:
+    """Route each module's ``count_crossings_geometric`` through a wrapper that
+    records every drawing it counts; returns that record."""
+    calls: list = []
+    counter = modules[0].count_crossings_geometric
+    for module in modules:
+        monkeypatch.setattr(module, "count_crossings_geometric", lambda d: calls.append(d) or counter(d))
+    return calls
 
 
 def _reference_scaled_polylines(d: Drawing) -> tuple[list[list[tuple[int, int]]], int, int]:
@@ -710,3 +734,211 @@ def reference_exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGE
         mapping=smap,
         states=states[0],
     )
+
+
+def reference_layout_caterpillar(g: ReebGraph) -> Drawing:
+    """Oracle: the caterpillar layout with its shrink-and-retry loop, kept verbatim.
+
+    Wherever it succeeds (spine degree <= 3), ``layout_caterpillar`` must return
+    the same drawing.
+
+    Draw a caterpillar: path layout for the spine, legs as short offset segments.
+
+    Legs lean at most 1/4 column toward the side where the adjacent spine edge
+    departs in the opposite vertical direction, so they stay clear of
+    everything except (possibly) incidences that a deterministic shrink-and
+    -retry loop removes.  Emits zero crossings.
+    """
+    shape = classify_shape(g)
+    if shape == ShapeClass.PATH:
+        return layout_path(g)
+    if shape != ShapeClass.CATERPILLAR:
+        raise LayoutError("layout_caterpillar requires a caterpillar", code="not-caterpillar")
+    prof = degree_profile(g)
+    spine, legs = spine_and_legs(g)
+    for v in spine:
+        if prof.total[v] > 3:
+            raise LayoutError(
+                f"spine vertex {v!r} has degree {prof.total[v]}, legs would collide",
+                code="degree",
+            )
+
+    spine_x = {v: Fraction(i + 1) for i, v in enumerate(spine)}
+    spine_index = {v: i for i, v in enumerate(spine)}
+
+    def open_side(v: str, up: bool) -> int:
+        """+1 to lean right, -1 to lean left, preferring a side whose spine edge
+        departs away from the leg's vertical direction."""
+        i = spine_index[v]
+        h = g.vertices[v]
+        right_ok = i == len(spine) - 1 or (g.vertices[spine[i + 1]] < h) == up
+        left_ok = i == 0 or (g.vertices[spine[i - 1]] < h) == up
+        if right_ok:
+            return 1
+        if left_ok:
+            return -1
+        return 1
+
+    base = Fraction(1, 4)
+    for _ in range(40):
+        xs = dict(spine_x)
+        for v in spine:
+            h = g.vertices[v]
+            ups = sorted((w for w in legs[v] if g.vertices[w] > h),
+                         key=lambda w: (-g.vertices[w], w))
+            downs = sorted((w for w in legs[v] if g.vertices[w] < h),
+                           key=lambda w: (g.vertices[w], w))
+            for group, up in ((ups, True), (downs, False)):
+                if not group:
+                    continue
+                side = open_side(v, up)
+                for rank, w in enumerate(group, start=1):
+                    xs[w] = spine_x[v] + side * base * Fraction(rank, len(group))
+        d = Drawing(graph=g, x=xs)
+        try:
+            if count_crossings_geometric(d).count == 0:
+                return d
+        except DegeneracyError:
+            pass
+        base /= 2
+    raise InternalInvariantError("caterpillar legs could not be placed cleanly")
+
+
+def reference_realize_layered(g2: ReebGraph, ordering: LevelOrdering) -> Drawing:
+    """Oracle: the realization with its 42-entry retry schedule, kept verbatim.
+
+    Wherever its first attempt (integer positions) certifies,
+    ``realize_layered`` must return the same drawing.
+
+    Straight-line drawing of a leveled graph whose geometric count equals the layered count.
+
+    Vertices sit at (position, height).  Parallel edges beyond the first copy
+    get a small mid-strip bend, and when integer positions happen to be
+    degenerate (three segments concurrent), per-level rational jitter is
+    applied, shrinking deterministically until the exact geometric count
+    matches the layered count.
+    """
+    target = count_crossings_layered(g2, ordering)
+    lev = levels(g2)
+    n = max(g2.vertex_count, 2)
+    widths = [len(order) for order in ordering.orders]
+
+    par_groups: dict[tuple[str, str], list[int]] = {}
+    for i, pair in enumerate(g2.edges):
+        par_groups.setdefault(pair, []).append(i)
+
+    pos = ordering.positions()
+
+    import random as _random
+
+    def attempt(mode: int, fan_denom: int, seed: int, denom: int) -> Drawing:
+        xs: dict[str, Fraction] = {}
+        rng = _random.Random(seed)
+        for l, order in enumerate(ordering.orders):
+            for i, v in enumerate(order):
+                x = Fraction(i)
+                if mode == 1:
+                    # Per-level shear: offset grows with the position index.
+                    x += Fraction(i, 2 * max(widths[l], 1) * n * n)
+                elif mode == 2:
+                    # Fresh pseudo-random offsets per attempt: structured
+                    # offset families can leave symmetric concurrencies (for
+                    # example equal position sums meeting at mid-strip) exactly
+                    # in place, so draw offsets with no algebraic relation to
+                    # the positions.  The seed is fixed, so output stays
+                    # deterministic.
+                    x += Fraction(rng.randrange(1, 1 << 20), denom)
+                xs[v] = x
+        bends: list[tuple[Point, ...]] = [() for _ in g2.edges]
+        for pair, members in par_groups.items():
+            if len(members) < 2:
+                continue
+            lo, hi = (pair if g2.vertices[pair[0]] < g2.vertices[pair[1]] else (pair[1], pair[0]))
+            mid_y = (g2.vertices[lo] + g2.vertices[hi]) / 2
+            mid_x = (xs[lo] + xs[hi]) / 2
+            for c, ei in enumerate(members[1:], start=1):
+                bends[ei] = ((mid_x + Fraction(c, fan_denom), mid_y),)
+        return Drawing(graph=g2, x=xs, bends=tuple(bends))
+
+    schedule: list[tuple[int, int, int, int]] = [
+        (0, 4 * (n + 1), 0, 1),
+        (1, 8 * (n + 1), 0, 1),
+    ]
+    denom = (1 << 22) * n * n * n
+    for t in range(40):
+        schedule.append((2, denom, 6121 + 7919 * t, denom))
+        denom *= 2
+
+    for mode, fan_denom, seed, denom in schedule:
+        try:
+            d = attempt(mode, fan_denom, seed, denom)
+            cert = count_crossings_geometric(d)
+        except DegeneracyError:
+            continue
+        if cert.count == target:
+            return d
+    raise InternalInvariantError("could not realize layered ordering without degeneracy")
+
+
+def reference_certified_drawing(inst: GadgetInstance, f: LinearArrangement) -> tuple[Drawing, CrossingCertificate]:
+    """Oracle: the gadget drawing with its 24 lane-offset wobbles, kept verbatim.
+
+    Wherever its first wobble (the canonical offsets) is non-degenerate,
+    ``_certified_drawing`` must return the same drawing and certificate.
+
+    Draw H with columns in arrangement order.
+
+    Grid pairs face each other, strands run straight across the gap (extra
+    copies fan out slightly at mid-gap), and each source edge travels through
+    the lanes between column boxes: down from its top chain, across the gap
+    diagonally (crossing exactly the skipped columns' strand bundles), and up
+    to its bottom chain.  The geometric crossing count is at most the budget
+    whenever the arrangement cost is within its own budget.  Returns the
+    drawing with its crossing certificate.
+    """
+    plan = inst.plan
+    if set(f.ranks) != set(inst.source.vertices):
+        raise GraphStructureError("arrangement does not cover the source vertices",
+                                  code="arrangement-mismatch")
+    m = plan.strands
+    pitch = plan.column_pitch
+    width = plan.column_width
+
+    def origin(u: str) -> Fraction:
+        return Fraction((f.ranks[u] - 1) * pitch)
+
+    xs = {v: origin(plan.owner[v]) + plan.local_x[v] for v in inst.graph.vertices}
+
+    mid_gap = Fraction(plan.bottom_grid_top + plan.top_grid_base, 2)
+    gap_lo = Fraction(2 * plan.bottom_grid_top + 1, 2)   # just above the bottom grids
+    gap_hi = Fraction(2 * plan.top_grid_base - 1, 2)     # just below the top grids
+    band_lo = Fraction(2 * plan.bottom_grid_base - 1, 2)  # just below the bottom grids
+    band_hi = Fraction(2 * plan.top_grid_top + 1, 2)      # just above the top grids
+
+    for wobble in range(24):
+        shift = Fraction(wobble, 13 * (wobble + 1)) if wobble else Fraction(0)
+        bends: list[tuple[tuple[Fraction, Fraction], ...]] = [() for _ in inst.graph.edges]
+        fan = Fraction(1, 2 * (m + 1) * (wobble + 1))
+        for edge_index, u, slot, copy in plan.strand_edges:
+            if copy == 0:
+                continue
+            a, _ = inst.graph.edges[edge_index]
+            bends[edge_index] = ((xs[a] + copy * fan, mid_gap),)
+        for route in plan.e1_routes:
+            top_u, bot_u = route.top_source, route.bottom_source
+            sub = route.lane_offset + shift
+            going_right = f.ranks[bot_u] > f.ranks[top_u]
+            lane_top = origin(top_u) + width + sub if going_right else origin(top_u) - sub
+            lane_bot = origin(bot_u) - sub if going_right else origin(bot_u) + width + sub
+            bends[route.edge_index] = (
+                (lane_bot, band_lo),
+                (lane_bot, gap_lo),
+                (lane_top, gap_hi),
+                (lane_top, band_hi),
+            )
+        d = Drawing(graph=inst.graph, x=xs, bends=tuple(bends))
+        try:
+            return d, count_crossings_geometric(d)
+        except DegeneracyError:
+            continue
+    raise InternalInvariantError("gadget drawing stayed degenerate under all lane offsets")

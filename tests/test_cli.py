@@ -7,6 +7,8 @@ import pytest
 
 from reebdraw.cli import main
 
+from helpers import counted_geometric_calls
+
 GRAPH = {
     "vertices": [
         {"id": "a", "height": 0},
@@ -183,6 +185,30 @@ def test_gadget_verify_counts_the_drawing_once(ola_file, tmp_path, capsys, monke
     assert code == 0
     assert len(calls) == 1
     assert json.loads(out)["crossings"] == counter(calls[0]).count
+
+
+@pytest.mark.parametrize("rank", [
+    (0, 1, 3, 4, 2), (0, 3, 1, 4, 2), (1, 0, 3, 4, 2),
+    (1, 3, 0, 4, 2), (3, 0, 1, 4, 2), (3, 1, 0, 4, 2),
+])
+def test_gadget_verify_k4_plus_pendant(rank, tmp_path, capsys, monkeypatch):
+    # K4 plus a pendant edge; vertex v is named by the rank[v]-th letter.
+    # These six orders were degenerate under every old lane-offset wobble.
+    import reebdraw.cli
+    import reebdraw.gadget
+
+    name = "abcde"
+    pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4))
+    path = tmp_path / "k4p.json"
+    path.write_text(json.dumps({"vertices": list(name),
+                                "edges": [[name[rank[a]], name[rank[b]]] for a, b in pairs]}))
+    calls = counted_geometric_calls(monkeypatch, reebdraw.gadget, reebdraw.cli)
+    code, out, _ = run(capsys, "gadget", "verify", "--graph", path)
+    assert code == 0
+    result = json.loads(out)
+    assert result["ok"] is True
+    assert result["crossings"] <= result["budget"]
+    assert len(calls) == 2
 
 
 def test_malformed_input_is_exit_one(tmp_path, capsys):

@@ -39,6 +39,7 @@ from reebdraw.jsonio import parse_graph
 
 from helpers import (
     alternating_cycle,
+    counted_geometric_calls,
     enumerate_min_crossings,
     random_caterpillar_graph,
     random_connected_graph,
@@ -47,6 +48,7 @@ from helpers import (
     random_path_graph,
     reference_count_crossings_geometric,
     reference_exact_rgcn,
+    reference_realize_layered,
     reference_warm_start,
 )
 
@@ -355,6 +357,67 @@ class TestRealizeLayered:
         g = ReebGraph.build({"a": 0, "b": 1}, [("a", "b")] * 3)
         d = realize_layered(g, LevelOrdering((("a",), ("b",))))
         assert count_crossings_geometric(d).count == 0
+
+    def test_concurrent_integer_strip(self, monkeypatch):
+        # At integer positions the three edges all pass through (1, 1/2).
+        g = ReebGraph.build(
+            {"a0": 0, "a1": 0, "a2": 0, "b0": 1, "b1": 1, "b2": 1},
+            [("a0", "b2"), ("a1", "b1"), ("a2", "b0")],
+        )
+        ordering = LevelOrdering((("a0", "a1", "a2"), ("b0", "b1", "b2")))
+        with pytest.raises(DegeneracyError):
+            count_crossings_geometric(Drawing(graph=g, x={v: Fraction(int(v[1])) for v in g.vertices}))
+        import reebdraw.crossings
+
+        calls = counted_geometric_calls(monkeypatch, reebdraw.crossings)
+        d = realize_layered(g, ordering)
+        assert len(calls) == 2
+        assert count_crossings_geometric(d).count == 3
+
+    def test_parallel_pair_both_ways(self, monkeypatch):
+        # (a0 -> b1) and (a1 -> b0) cross at mid-strip, where both second
+        # copies bend there at integer positions; each pair has three copies.
+        g = ReebGraph.build(
+            {"a0": 0, "a1": 0, "b0": 1, "b1": 1},
+            [("a0", "b1")] * 3 + [("a1", "b0")] * 3,
+        )
+        ordering = LevelOrdering((("a0", "a1"), ("b0", "b1")))
+        import reebdraw.crossings
+
+        calls = counted_geometric_calls(monkeypatch, reebdraw.crossings)
+        d = realize_layered(g, ordering)
+        assert len(calls) == 2
+        assert count_crossings_geometric(d).count == count_crossings_layered(g, ordering) == 9
+
+    def test_matches_reference(self, monkeypatch):
+        # Byte-identical wherever the reference's integer positions certify;
+        # the counts agree with the layered count everywhere.
+        import helpers
+        import reebdraw.crossings
+
+        reference_calls = counted_geometric_calls(monkeypatch, helpers)
+        calls = counted_geometric_calls(monkeypatch, reebdraw.crossings)
+        rng = random.Random(33)
+        second = 0
+        for _ in range(150):
+            g = random_connected_graph(rng.randint(2, 9), rng, extra=rng.randint(0, 5))
+            g2, _ = subdivide(g)
+            edges = list(g2.edges) + [rng.choice(g2.edges) for _ in range(rng.randint(0, 3))]
+            g2 = ReebGraph.build(dict(g2.vertices), edges)
+            ordering = random_ordering(g2, rng)
+            reference_calls.clear()
+            calls.clear()
+            expected = reference_realize_layered(g2, ordering)
+            d = realize_layered(g2, ordering)
+            assert len(calls) <= 2
+            target = count_crossings_layered(g2, ordering)
+            assert count_crossings_geometric(d).count == target == count_crossings_geometric(expected).count
+            if len(reference_calls) == 1:
+                assert list(d.x.items()) == list(expected.x.items())
+                assert d.bends == expected.bends
+            else:
+                second += 1
+        assert second > 10
 
     def test_agreement_on_random_pairs(self):
         rng = random.Random(31)

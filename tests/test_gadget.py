@@ -22,9 +22,28 @@ from reebdraw import (
 )
 from reebdraw.gadget import _certified_drawing
 
+from helpers import counted_geometric_calls, reference_certified_drawing
+
 TRIANGLE = OlaGraph(("a", "b", "c"), (("a", "b"), ("b", "c"), ("a", "c")))
 P3 = OlaGraph(("a", "b", "c"), (("a", "b"), ("b", "c")))
 K2 = OlaGraph(("a", "b"), (("a", "b"),))
+
+#: K4 plus a pendant edge, and the six vertex orders (rank of each vertex's
+#: name among a..e) on which every one of the old 24 lane-offset wobbles was
+#: degenerate: the pendant vertex's name sorts third, its K4 neighbour's last.
+K4_PENDANT = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4))
+K4_PENDANT_ORDERS = (
+    (0, 1, 3, 4, 2), (0, 3, 1, 4, 2), (1, 0, 3, 4, 2),
+    (1, 3, 0, 4, 2), (3, 0, 1, 4, 2), (3, 1, 0, 4, 2),
+)
+HOUSE = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4))
+FIVE_CYCLE_TWO_CHORDS = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (0, 3))
+
+
+def named(pairs, rank) -> OlaGraph:
+    """Source graph on a..e with vertex v named by the rank[v]-th letter."""
+    names = "abcde"[:len(rank)]
+    return OlaGraph(tuple(names), tuple((names[rank[a]], names[rank[b]]) for a, b in pairs))
 
 
 class TestTriHexGrid:
@@ -224,3 +243,44 @@ class TestArrangementDrawings:
         inst = ola_reduce(P3, best.cost)
         with pytest.raises(GraphStructureError):
             arrangement_to_drawing(inst, LinearArrangement({"x": 1, "y": 2}, 0))
+
+
+class TestGenericLaneOffsets:
+    @pytest.mark.parametrize("rank", K4_PENDANT_ORDERS)
+    def test_k4_pendant_within_budget(self, rank, monkeypatch):
+        import reebdraw.gadget
+
+        g = named(K4_PENDANT, rank)
+        best = ola_brute(g)
+        inst = ola_reduce(g, best.cost)
+        calls = counted_geometric_calls(monkeypatch, reebdraw.gadget)
+        d, cert = _certified_drawing(inst, best)
+        assert len(calls) == 2
+        assert cert.count <= inst.budget
+        assert extract_arrangement(d, inst) == (best, best)
+
+    @pytest.mark.parametrize("pairs,rank", [
+        (HOUSE, (0, 1, 2, 4, 3)), (HOUSE, (0, 1, 2, 3, 4)), (HOUSE, (0, 2, 1, 4, 3)),
+        (FIVE_CYCLE_TWO_CHORDS, (0, 1, 2, 3, 4)), (FIVE_CYCLE_TWO_CHORDS, (0, 1, 2, 4, 3)),
+        (FIVE_CYCLE_TWO_CHORDS, (0, 1, 3, 2, 4)), (FIVE_CYCLE_TWO_CHORDS, (0, 1, 3, 4, 2)),
+    ])
+    def test_matches_reference(self, pairs, rank, monkeypatch):
+        # Byte-identical where the reference's canonical offsets certify; the
+        # same count where it needed a later wobble.
+        import helpers
+        import reebdraw.gadget
+
+        g = named(pairs, rank)
+        best = ola_brute(g)
+        inst = ola_reduce(g, best.cost)
+        reference_calls = counted_geometric_calls(monkeypatch, helpers)
+        calls = counted_geometric_calls(monkeypatch, reebdraw.gadget)
+        expected, expected_cert = reference_certified_drawing(inst, best)
+        d, cert = _certified_drawing(inst, best)
+        assert len(calls) == min(len(reference_calls), 2)
+        assert cert.count == expected_cert.count <= inst.budget
+        if len(reference_calls) == 1:
+            assert list(d.x.items()) == list(expected.x.items())
+            assert d.bends == expected.bends
+            assert cert == expected_cert
+

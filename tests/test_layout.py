@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reebdraw import (
     BudgetExhaustedError,
@@ -23,13 +25,50 @@ from reebdraw import (
 
 from helpers import (
     alternating_cycle,
+    counted_geometric_calls,
     enumerate_min_crossings,
     random_caterpillar_graph,
     random_connected_graph,
     random_cycle_graph,
     random_path_graph,
     random_wide_caterpillar_graph,
+    reference_layout_caterpillar,
 )
+
+
+@st.composite
+def caterpillars(draw):
+    """Caterpillars of any spine degree: up to six legs per spine vertex.
+
+    Spine edges rise or fall by 1 to 4.  A leg rises or falls by a multiple
+    of 1/4, 1/8, 1/12 or 1/16, or repeats the height of an earlier leg on its
+    vertex, so legs of equal height occur, and so do legs whose slope at
+    offset 1/4 equals that of a spine edge leaving on their side in the same
+    direction (|dy_leg| = r |dy_spine| / (4 k) for rank r of k).
+    """
+    spine = draw(st.integers(min_value=1, max_value=6))
+    heights = {"s0": Fraction(draw(st.integers(-4, 4)))}
+    edges = []
+    for i in range(1, spine):
+        step = draw(st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)))
+        heights[f"s{i}"] = heights[f"s{i - 1}"] + step
+        edges.append((f"s{i - 1}", f"s{i}"))
+    for i in range(spine):
+        v = f"s{i}"
+        legs: list[str] = []
+        for _ in range(draw(st.integers(min_value=0, max_value=6))):
+            w = f"l{len(heights) - spine}"
+            if legs and draw(st.booleans()):
+                heights[w] = heights[draw(st.sampled_from(legs))]
+            else:
+                dy = Fraction(draw(st.integers(1, 16)), draw(st.sampled_from((4, 8, 12, 16))))
+                heights[w] = heights[v] + dy * draw(st.sampled_from((-1, 1)))
+            legs.append(w)
+            edges.append((v, w))
+    if not edges:
+        edges.append(("s0", "l0"))
+        heights["l0"] = heights["s0"] + 1
+    return ReebGraph.build(heights, edges)
 
 
 class TestLayoutPath:
@@ -72,17 +111,53 @@ class TestLayoutCaterpillar:
     def test_zero_crossings_on_random_caterpillars(self):
         rng = random.Random(42)
         for _ in range(30):
-            d = layout_caterpillar(random_caterpillar_graph(rng.randint(2, 12), rng))
+            g = random_caterpillar_graph(rng.randint(2, 12), rng)
+            d = layout_caterpillar(g)
             assert count_crossings_geometric(d).count == 0
+            assert list(d.x.items()) == list(reference_layout_caterpillar(g).x.items())
 
-    def test_overloaded_spine_vertex_rejected(self):
+    def test_overloaded_spine_vertex_drawn_crossing_free(self):
         g = ReebGraph.build(
             {"s1": 0, "s2": 1, "s3": 0, "l1": 2, "l2": 3},
             [("s1", "s2"), ("s2", "s3"), ("s2", "l1"), ("s2", "l2")],
         )
-        with pytest.raises(LayoutError) as exc:
-            layout_caterpillar(g)
-        assert exc.value.code == "degree"
+        assert count_crossings_geometric(layout_caterpillar(g)).count == 0
+
+    def test_leg_collinear_with_spine_edge_at_offset_one_quarter(self):
+        # s2 is a local minimum of the spine s1-s2-s3, so its leg leans right
+        # next to the rising spine edge; at offset 1/4 the leg's slope (1/4
+        # over 1) equals the spine edge's (1 over 4), so the offset halves.
+        g = ReebGraph.build(
+            {"s1": 4, "s2": 0, "s3": 4, "l1": 1, "t1": 5, "t3": 5},
+            [("s1", "s2"), ("s2", "s3"), ("s2", "l1"), ("s1", "t1"), ("s3", "t3")],
+        )
+        d = layout_caterpillar(g)
+        assert d.x["l1"] == d.x["s2"] + Fraction(1, 8)
+        assert count_crossings_geometric(d).count == 0
+        assert d.x == reference_layout_caterpillar(g).x
+
+    def test_certifies_once(self, monkeypatch):
+        import reebdraw.layout
+
+        calls = counted_geometric_calls(monkeypatch, reebdraw.layout)
+        rng = random.Random(96)
+        for _ in range(10):
+            calls.clear()
+            layout_caterpillar(random_wide_caterpillar_graph(rng.randint(2, 6), rng))
+            assert len(calls) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(caterpillars())
+    def test_any_spine_degree_is_crossing_free(self, g):
+        # Byte-identical to the reference wherever it draws (spine degree <= 3).
+        d = layout_caterpillar(g)
+        assert count_crossings_geometric(d).count == 0
+        try:
+            expected = reference_layout_caterpillar(g)
+        except LayoutError as exc:
+            assert exc.code == "degree"
+            return
+        assert list(d.x.items()) == list(expected.x.items())
 
     def test_two_legs_same_side_on_end_vertex(self):
         g = ReebGraph.build(
@@ -258,13 +333,25 @@ class TestLayoutAuto:
             assert drawn == exact_rgcn(g).count
 
     def test_wide_caterpillars_are_drawn_crossing_free(self):
-        # Spine vertices of degree > 3 leave the caterpillar construction to
-        # the exact search, which must find a crossing-free ordering within
-        # the budget.
+        # Spine vertices of degree > 3 are drawn by the caterpillar
+        # construction, like every other caterpillar.
         rng = random.Random(95)
         for _ in range(20):
             g = random_wide_caterpillar_graph(rng.randint(3, 6), rng)
             assert count_crossings_geometric(layout_auto(g, budget=200_000)).count == 0
+
+    def test_caterpillars_never_reach_the_search(self, monkeypatch):
+        import reebdraw.layout
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("layout_auto searched a caterpillar")
+
+        monkeypatch.setattr(reebdraw.layout, "exact_rgcn", no_search)
+        rng = random.Random(97)
+        for _ in range(20):
+            g = random_wide_caterpillar_graph(rng.randint(1, 6), rng)
+            assert count_crossings_geometric(layout_auto(g)).count == 0
+        assert count_crossings_geometric(layout_auto(random_caterpillar_graph(9, rng))).count == 0
 
     def test_budget_fallback_uses_heuristic(self):
         # Ten barycenter rounds alone draw this graph with 3 crossings; the
