@@ -25,6 +25,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import inf, lcm
 from operator import itemgetter, sub
 from typing import Iterable, Sequence
@@ -41,8 +42,14 @@ from .errors import (
 from .subdivide import SubdivisionMap, subdivide, unsubdivide_drawing
 
 Point = tuple[Fraction, Fraction]
+IntPoint = tuple[int, int]
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
+
+
+def _exact(c) -> Fraction:
+    """``c`` as a Fraction, without re-wrapping one that already is."""
+    return c if type(c) is Fraction else Fraction(c)
 
 
 @dataclass(frozen=True)
@@ -53,7 +60,8 @@ class Drawing:
     lists edge i's interior bend points ordered by strictly increasing y,
     strictly between the endpoint heights; an empty tuple means a straight
     segment.  Cheap invariants (bend monotonicity, vertex coincidences) are
-    checked here; incidence degeneracies are caught when counting.
+    checked here; incidence degeneracies are caught when counting.  A drawing
+    is a value: its exact integer frame is computed once and kept.
     """
 
     graph: ReebGraph
@@ -68,7 +76,7 @@ class Drawing:
         extra = [v for v in xs if v not in self.graph.vertices]
         if extra:
             raise GraphStructureError(f"x coordinate for unknown vertex {extra[0]!r}", code="unknown-vertex")
-        bends = tuple(tuple((Fraction(px), Fraction(py)) for px, py in eb) for eb in self.bends)
+        bends = tuple(tuple((_exact(px), _exact(py)) for px, py in eb) for eb in self.bends)
         if not bends:
             bends = tuple(() for _ in self.graph.edges)
         if len(bends) != len(self.graph.edges):
@@ -77,6 +85,8 @@ class Drawing:
                 code="edge-mismatch",
             )
         for i, eb in enumerate(bends):
+            if not eb:
+                continue
             lo, hi = self.graph.lower_upper(i)
             y_prev = self.graph.vertices[lo]
             y_top = self.graph.vertices[hi]
@@ -87,14 +97,46 @@ class Drawing:
                         code="bad-bend",
                     )
                 y_prev = py
-        points: dict[Point, str] = {}
-        for v in self.graph.vertices:
-            p = (Fraction(xs[v]), self.graph.vertices[v])
-            if p in points:
-                raise DegeneracyError(f"vertices {points[p]!r} and {v!r} coincide at {p}")
-            points[p] = v
-        object.__setattr__(self, "x", {v: Fraction(c) for v, c in xs.items()})
+        # Fractions are kept in lowest terms, so two points are equal iff their
+        # numerators and denominators are; integer keys hash cheaply.
+        exact: dict[str, Fraction] = {}
+        points: dict[tuple[int, int, int, int], str] = {}
+        for v, h in self.graph.vertices.items():
+            x = exact[v] = _exact(xs[v])
+            key = (x.numerator, x.denominator, h.numerator, h.denominator)
+            if key in points:
+                raise DegeneracyError(f"vertices {points[key]!r} and {v!r} coincide at {(x, h)}")
+            points[key] = v
+        object.__setattr__(self, "x", {v: exact[v] for v in xs})
         object.__setattr__(self, "bends", bends)
+
+    @cached_property
+    def _scaled_polylines(self) -> tuple[tuple[tuple[IntPoint, ...], ...], dict[str, IntPoint], int, int]:
+        """The drawing on one exact integer frame, computed on first use:
+        (edge polylines, vertex points, sx, sy), each coordinate multiplied by
+        its axis scale sx or sy, the lcm of that axis's denominators.
+
+        The scales cover every vertex, isolated ones included, so each scaled
+        coordinate is exact.  Every geometric consumer (the crossing counter,
+        ``stretch``'s edge order and the SVG renderer) reads this one frame,
+        so none may change it.
+        """
+        bend_pts = [p for eb in self.bends for p in eb]
+        heights = self.graph.vertices
+        sx = lcm(*(x.denominator for x in self.x.values()), *(px.denominator for px, _ in bend_pts))
+        sy = lcm(*(h.denominator for h in heights.values()), *(py.denominator for _, py in bend_pts))
+
+        def scaled(p: Point) -> IntPoint:
+            return (p[0].numerator * (sx // p[0].denominator), p[1].numerator * (sy // p[1].denominator))
+
+        vertex_pt = {v: scaled((self.x[v], h)) for v, h in heights.items()}
+        polys = []
+        for (a, b), eb in zip(self.graph.edges, self.bends):
+            lo, hi = vertex_pt[a], vertex_pt[b]
+            if hi[1] < lo[1]:
+                lo, hi = hi, lo
+            polys.append((lo, *map(scaled, eb), hi))
+        return tuple(polys), vertex_pt, sx, sy
 
     def point(self, v: str) -> Point:
         return (self.x[v], self.graph.vertices[v])
@@ -151,30 +193,6 @@ class CrossingCertificate:
     pairs: tuple[CrossingPair, ...]
 
 
-def _scaled_polylines(
-    d: Drawing,
-) -> tuple[list[list[tuple[int, int]]], dict[str, tuple[int, int]], int, int]:
-    """Polylines and vertex points with coordinates scaled to integers;
-    returns (polylines, vertex points, sx, sy).
-
-    The scales cover every vertex, isolated ones included, so each scaled
-    coordinate is exact.
-    """
-    bend_pts = [p for eb in d.bends for p in eb]
-    sx = lcm(*(x.denominator for x in d.x.values()), *(px.denominator for px, _ in bend_pts))
-    sy = lcm(*(h.denominator for h in d.graph.vertices.values()), *(py.denominator for _, py in bend_pts))
-
-    def scaled(p: Point) -> tuple[int, int]:
-        return (p[0].numerator * (sx // p[0].denominator), p[1].numerator * (sy // p[1].denominator))
-
-    vertex_pt = {v: scaled(d.point(v)) for v in d.graph.vertices}
-    polys = []
-    for i, eb in enumerate(d.bends):
-        lo, hi = d.graph.lower_upper(i)
-        polys.append([vertex_pt[lo], *map(scaled, eb), vertex_pt[hi]])
-    return polys, vertex_pt, sx, sy
-
-
 def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
     """Count transversal interior intersections between distinct edge polylines.
 
@@ -183,18 +201,26 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
     segments through one interior point, and polylines through foreign
     vertices all raise :class:`DegeneracyError`.
 
-    Coordinates are scaled to integers once.  Every segment is strictly
-    y-monotone, so it meets at most one point per height: the foreign-vertex
-    check bisects a sorted list of the distinct vertex heights to those in the
-    segment's closed y-range and looks up the one point of the segment there.
-    It costs one lookup per (segment, vertex height in its range) instead of
-    one test per (edge, vertex, segment).  The pair sweep runs over segments
-    sorted by lower y; a segment meets only the later ones that start at or
-    below its upper y (found by bisection), their stored x-extents reject most
-    of those, and only the rest reach the exact intersection test.  The sweep
-    thus costs O(n log n + P) for n segments and P pairs whose y-ranges overlap.
+    The count runs on the drawing's integer frame (``Drawing._scaled_polylines``).
+    Every segment is strictly y-monotone, so it meets at most one point per
+    height: the foreign-vertex check bisects a sorted list of the distinct
+    vertex heights to those in the segment's closed y-range and looks up the
+    one point of the segment there.  It costs one lookup per (segment, vertex
+    height in its range) instead of one test per (edge, vertex, segment).
+
+    The pair sweep visits segments sorted by lower y; a segment meets only the
+    later ones that start at or below its upper y and whose closed x-extent
+    overlaps its own.  Equal-width x-slabs list each segment, in sweep order,
+    in every slab its x-extent meets, so two x-overlapping segments share a
+    slab; a segment's candidates are the later members of its slabs up to its
+    upper y (found by bisection), merged in sweep order, so pairs are visited
+    in the same order as by scanning the whole y-window and the first
+    degeneracy found is the same.  Two segments with a common end need no
+    general test: both run upward, so a shared lower or upper end is an
+    overlap iff they are collinear and a touch otherwise, and the upper end
+    of one at the lower end of the other is a touch.
     """
-    polys, vertex_pt, sx, sy = _scaled_polylines(d)
+    polys, vertex_pt, sx, sy = d._scaled_polylines
 
     # A polyline must not pass through any vertex other than its endpoints.
     # Report the first offender of the lowest edge, in ``graph.vertices`` order.
@@ -224,33 +250,42 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
             x_lo, x_hi = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
             segs.append((a[1], b[1], x_lo, x_hi, a, b, ei))
     segs.sort(key=itemgetter(0, 1))
-    starts = [s[0] for s in segs]
+    slabs, slab_starts, slab_range = _x_slabs(segs)
 
-    shared_cache: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
-
-    def shared_points(ei: int, ej: int) -> frozenset[tuple[int, int]]:
-        key = (ei, ej)
-        got = shared_cache.get(key)
-        if got is None:
-            common = set(d.graph.edges[ei]) & set(d.graph.edges[ej])
-            got = frozenset(vertex_pt[v] for v in common)
-            shared_cache[key] = got
-        return got
-
+    # Vertex points are distinct, so a point that is an end of both edges is
+    # a vertex they share.
+    ends = [(poly[0], poly[-1]) for poly in polys]
+    orient, classify = geometry.orient, geometry.classify_segments
     hits: list[CrossingPair] = []
     seen_points: dict[tuple, set[int]] = {}
     for i, (_, y_hi_i, x_lo_i, x_hi_i, a, b, ei) in enumerate(segs):
-        for j in range(i + 1, bisect_right(starts, y_hi_i)):
+        first, last = slab_range[i]
+        if first == last:
+            members = slabs[first]
+            candidates = members[bisect_right(members, i):bisect_right(slab_starts[first], y_hi_i)]
+        else:
+            candidates = sorted({
+                j
+                for m in range(first, last + 1)
+                for j in slabs[m][bisect_right(slabs[m], i):bisect_right(slab_starts[m], y_hi_i)]
+            })
+        for j in candidates:
             _, _, x_lo_j, x_hi_j, c, dd, ej = segs[j]
             if ei == ej or x_hi_i < x_lo_j or x_hi_j < x_lo_i:
                 continue
-            kind, pt = geometry.classify_segments(a, b, c, dd)
-            if kind == geometry.NONE:
-                continue
+            if a == c or b == dd:
+                kind = geometry.OVERLAP if orient(a, b, dd if a == c else c) == 0 else geometry.TOUCH
+                pt = a if a == c else b
+            elif a == dd or b == c:
+                kind, pt = geometry.TOUCH, (a if a == dd else b)
+            else:
+                kind, pt = classify(a, b, c, dd)
+                if kind == geometry.NONE:
+                    continue
             if kind == geometry.OVERLAP:
                 raise DegeneracyError(f"edges {ei} and {ej} contain overlapping collinear segments")
             if kind == geometry.TOUCH:
-                if pt in shared_points(*sorted((ei, ej))):
+                if pt in ends[ei] and pt in ends[ej]:
                     continue
                 raise DegeneracyError(
                     f"edges {ei} and {ej} touch at {pt} without crossing transversally"
@@ -267,6 +302,31 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
 
     hits.sort(key=lambda h: (h.edges, h.point))
     return CrossingCertificate(count=len(hits), pairs=tuple(hits))
+
+
+def _x_slabs(segs: list[tuple]) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]]]:
+    """Cover the x-range of sweep-sorted segments ``(y_lo, y_hi, x_lo, x_hi,
+    ...)`` with equal slabs; returns each slab's members (segment indices in
+    sweep order) and their lower ys, and each segment's first and last slab.
+
+    The slab width is the mean x-extent, but at least the range over the
+    segment count, so there are at most about as many slabs as segments.
+    """
+    if not segs:
+        return [], [], []
+    x0 = min(s[2] for s in segs)
+    span = max(s[3] for s in segs) - x0
+    width = max(sum(s[3] - s[2] for s in segs) // len(segs), span // len(segs), 1)
+    slabs: list[list[int]] = [[] for _ in range(span // width + 1)]
+    slab_starts: list[list[int]] = [[] for _ in slabs]
+    slab_range = []
+    for k, (y_lo, _, x_lo, x_hi, *_) in enumerate(segs):
+        first, last = (x_lo - x0) // width, (x_hi - x0) // width
+        slab_range.append((first, last))
+        for m in range(first, last + 1):
+            slabs[m].append(k)
+            slab_starts[m].append(y_lo)
+    return slabs, slab_starts, slab_range
 
 
 def _strip_edges(g2: ReebGraph, lev: LevelAssignment) -> list[list[tuple[str, str]]]:

@@ -21,7 +21,7 @@ from graphlib import CycleError, TopologicalSorter
 from math import lcm
 
 from . import geometry
-from .crossings import Drawing, _scaled_polylines, count_crossings_geometric, per_level_order
+from .crossings import Drawing, count_crossings_geometric, per_level_order
 from .errors import DegeneracyError, GraphStructureError, InternalInvariantError
 
 
@@ -57,7 +57,7 @@ def _x_at_half(poly, y2: int) -> tuple[int, int]:
 
 
 def _edge_partial_order_unchecked(d: Drawing) -> EdgeLeftRightOrder:
-    polys, _, _, sy = _scaled_polylines(d)
+    polys, _, _, sy = d._scaled_polylines
     n = len(polys)
     spans = [(poly[0][1], poly[-1][1]) for poly in polys]
     succs: list[list[int]] = [[] for _ in range(n)]

@@ -3,12 +3,19 @@
 The drawing's bounding box is scaled linearly into the canvas and the y axis
 is flipped (screen y grows downward, so the topmost height maps to the top
 margin).  Identical input and options produce byte-identical output.
+
+Coordinates come from the drawing's integer frame (``Drawing._scaled_polylines``,
+shared with the crossing counter), in which each axis is multiplied by one
+positive integer scale.  A screen coordinate needs only the ratio
+(x - min x) / (max x - min x), which the common scale leaves unchanged, and
+CPython's int / int true division is correctly rounded, so the integer ratio
+gives the same float as converting the exact ``Fraction`` ratio, and the same
+bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .crossings import Drawing
@@ -43,38 +50,30 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
+def _axis(values: set[int], margin: int, inner: int, flip: bool) -> dict[int, str]:
+    """Formatted screen coordinate of each value on one axis of the integer
+    frame: the values' range fills ``inner`` pixels after ``margin``, the
+    greatest value first if ``flip``; a zero range lands mid-axis."""
+    if not values:
+        return {}
+    lo, hi = min(values), max(values)
+    span = hi - lo
+    if span == 0:
+        return {v: _fmt(margin + inner / 2) for v in values}
+    return {v: _fmt(margin + ((hi - v) if flip else (v - lo)) / span * inner) for v in values}
+
+
 def render_svg(
     d: Drawing,
     opts: RenderOptions = RenderOptions(),
     edge_parts: Sequence[str] | None = None,
 ) -> str:
     """Render a drawing to SVG text; ``edge_parts`` enables per-part styling."""
-    pts: list[tuple[Fraction, Fraction]] = [d.point(v) for v in d.graph.vertices]
-    for i in range(len(d.graph.edges)):
-        pts.extend(d.bends[i])
-    if pts:
-        min_x = min(p[0] for p in pts)
-        max_x = max(p[0] for p in pts)
-        min_y = min(p[1] for p in pts)
-        max_y = max(p[1] for p in pts)
-    else:
-        min_x = max_x = min_y = max_y = Fraction(0)
-
-    inner_w = opts.width - 2 * opts.margin
-    inner_h = opts.height - 2 * opts.margin
-    span_x = max_x - min_x
-    span_y = max_y - min_y
-
-    def sx(x: Fraction) -> float:
-        if span_x == 0:
-            return opts.margin + inner_w / 2
-        return opts.margin + float((x - min_x) / span_x) * inner_w
-
-    def sy(y: Fraction) -> float:
-        if span_y == 0:
-            return opts.margin + inner_h / 2
-        # Flip: the greatest height lands at the top margin.
-        return opts.margin + float((max_y - y) / span_y) * inner_h
+    polys, vertex_pt, _, _ = d._scaled_polylines
+    pts = [*vertex_pt.values(), *(p for poly in polys for p in poly[1:-1])]
+    sx = _axis({p[0] for p in pts}, opts.margin, opts.width - 2 * opts.margin, flip=False)
+    # Flip: the greatest height lands at the top margin.
+    sy = _axis({p[1] for p in pts}, opts.margin, opts.height - 2 * opts.margin, flip=True)
 
     lines: list[str] = []
     lines.append(
@@ -85,16 +84,15 @@ def render_svg(
     lines.append(f'<rect width="{opts.width}" height="{opts.height}" fill="white"/>')
 
     if opts.show_level_lines:
-        for h in sorted(set(d.graph.vertices.values())):
-            y = _fmt(sy(h))
+        for h in sorted({p[1] for p in vertex_pt.values()}):
+            y = sy[h]
             lines.append(
                 f'<line x1="{opts.margin}" y1="{y}" x2="{opts.width - opts.margin}" y2="{y}" '
                 f'stroke="#d0d0d0" stroke-width="0.5"/>'
             )
 
-    for i in range(len(d.graph.edges)):
-        poly = d.polyline(i)
-        points = " ".join(f"{_fmt(sx(px))},{_fmt(sy(py))}" for px, py in poly)
+    for i, poly in enumerate(polys):
+        points = " ".join(f"{sx[px]},{sy[py]}" for px, py in poly)
         color, dash = "#303030", None
         if opts.color_by_part and edge_parts is not None and i < len(edge_parts):
             color, dash = PART_STYLES.get(edge_parts[i], (color, None))
@@ -104,10 +102,9 @@ def render_svg(
             f'stroke-width="{opts.stroke_width}"{dash_attr}/>'
         )
 
-    for v in d.graph.vertices:
-        px, py = d.point(v)
+    for v, (px, py) in vertex_pt.items():
         lines.append(
-            f'<circle cx="{_fmt(sx(px))}" cy="{_fmt(sy(py))}" r="{opts.vertex_radius}" fill="#1050a0">'
+            f'<circle cx="{sx[px]}" cy="{sy[py]}" r="{opts.vertex_radius}" fill="#1050a0">'
             f"<title>{v}</title></circle>"
         )
 

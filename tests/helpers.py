@@ -12,6 +12,7 @@ import random
 from bisect import bisect_right, insort
 from fractions import Fraction
 from math import gcd
+from typing import Sequence
 
 from reebdraw import (
     BudgetExhaustedError,
@@ -26,6 +27,7 @@ from reebdraw import (
     LevelOrdering,
     LinearArrangement,
     ReebGraph,
+    RenderOptions,
     ShapeClass,
     VertexInsertionOrder,
     classify_shape,
@@ -39,6 +41,7 @@ from reebdraw import (
 )
 from reebdraw import geometry
 from reebdraw.core import is_connected, spine_and_legs
+from reebdraw.svg import PART_STYLES
 from reebdraw.crossings import (
     DEFAULT_SEARCH_BUDGET,
     CrossingPair,
@@ -319,6 +322,84 @@ def reference_count_crossings_geometric(d: Drawing) -> CrossingCertificate:
 
     hits.sort(key=lambda h: (h.edges, h.point))
     return CrossingCertificate(count=len(hits), pairs=tuple(hits))
+
+
+def _reference_fmt(value: float) -> str:
+    return f"{value:.2f}"
+
+
+def reference_render_svg(
+    d: Drawing,
+    opts: RenderOptions = RenderOptions(),
+    edge_parts: Sequence[str] | None = None,
+) -> str:
+    """Oracle: the renderer on exact ``Fraction`` coordinates, kept verbatim
+    (its ``_fmt`` renamed ``_reference_fmt``).  ``render_svg`` must produce
+    the same bytes."""
+    pts: list[tuple[Fraction, Fraction]] = [d.point(v) for v in d.graph.vertices]
+    for i in range(len(d.graph.edges)):
+        pts.extend(d.bends[i])
+    if pts:
+        min_x = min(p[0] for p in pts)
+        max_x = max(p[0] for p in pts)
+        min_y = min(p[1] for p in pts)
+        max_y = max(p[1] for p in pts)
+    else:
+        min_x = max_x = min_y = max_y = Fraction(0)
+
+    inner_w = opts.width - 2 * opts.margin
+    inner_h = opts.height - 2 * opts.margin
+    span_x = max_x - min_x
+    span_y = max_y - min_y
+
+    def sx(x: Fraction) -> float:
+        if span_x == 0:
+            return opts.margin + inner_w / 2
+        return opts.margin + float((x - min_x) / span_x) * inner_w
+
+    def sy(y: Fraction) -> float:
+        if span_y == 0:
+            return opts.margin + inner_h / 2
+        # Flip: the greatest height lands at the top margin.
+        return opts.margin + float((max_y - y) / span_y) * inner_h
+
+    lines: list[str] = []
+    lines.append(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{opts.width}" height="{opts.height}" '
+        f'viewBox="0 0 {opts.width} {opts.height}">'
+    )
+    lines.append("<!-- y axis flipped: screen y = margin + (max_height - height) * scale -->")
+    lines.append(f'<rect width="{opts.width}" height="{opts.height}" fill="white"/>')
+
+    if opts.show_level_lines:
+        for h in sorted(set(d.graph.vertices.values())):
+            y = _reference_fmt(sy(h))
+            lines.append(
+                f'<line x1="{opts.margin}" y1="{y}" x2="{opts.width - opts.margin}" y2="{y}" '
+                f'stroke="#d0d0d0" stroke-width="0.5"/>'
+            )
+
+    for i in range(len(d.graph.edges)):
+        poly = d.polyline(i)
+        points = " ".join(f"{_reference_fmt(sx(px))},{_reference_fmt(sy(py))}" for px, py in poly)
+        color, dash = "#303030", None
+        if opts.color_by_part and edge_parts is not None and i < len(edge_parts):
+            color, dash = PART_STYLES.get(edge_parts[i], (color, None))
+        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+        lines.append(
+            f'<polyline points="{points}" fill="none" stroke="{color}" '
+            f'stroke-width="{opts.stroke_width}"{dash_attr}/>'
+        )
+
+    for v in d.graph.vertices:
+        px, py = d.point(v)
+        lines.append(
+            f'<circle cx="{_reference_fmt(sx(px))}" cy="{_reference_fmt(sy(py))}" r="{opts.vertex_radius}" fill="#1050a0">'
+            f"<title>{v}</title></circle>"
+        )
+
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
 
 
 def _reference_barycenter_ordering(g2: ReebGraph, rounds: int = 10) -> LevelOrdering:

@@ -13,7 +13,9 @@ from pathlib import Path
 
 from reebdraw import (
     LevelOrdering,
+    ShapeClass,
     arrangement_to_drawing,
+    classify_shape,
     count_crossings_geometric,
     count_crossings_layered,
     exact_rgcn,
@@ -58,12 +60,18 @@ def test_criterion_1_paths_and_caterpillars_are_planar():
     for _ in range(200):
         d = layout_path(random_path_graph(rng.randint(2, 20), rng))
         assert count_crossings_geometric(d).count == 0
-    for _ in range(200):
-        d = layout_caterpillar(random_caterpillar_graph(rng.randint(2, 20), rng))
-        assert count_crossings_geometric(d).count == 0
+    caterpillars = redrawn = 0
+    while caterpillars < 200:
+        g = random_caterpillar_graph(rng.randint(2, 20), rng)
+        if classify_shape(g) is not ShapeClass.CATERPILLAR:
+            redrawn += 1  # a path: the paths above already cover those
+            continue
+        caterpillars += 1
+        assert count_crossings_geometric(layout_caterpillar(g)).count == 0
     elapsed = time.monotonic() - start
     report(1, elapsed < 5.0,
-           f"200 paths + 200 caterpillars drawn with 0 crossings in {elapsed:.2f}s (< 5s)")
+           f"200 paths + 200 caterpillars ({redrawn} paths redrawn) drawn with 0 crossings "
+           f"in {elapsed:.2f}s (< 5s)")
 
 
 def test_criterion_2_bowtie_matches_enumerated_minimum():

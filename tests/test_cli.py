@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -209,6 +210,65 @@ def test_gadget_verify_k4_plus_pendant(rank, tmp_path, capsys, monkeypatch):
     assert result["ok"] is True
     assert result["crossings"] <= result["budget"]
     assert len(calls) == 2
+
+
+K4_SOURCE = {"vertices": ["a", "b", "c", "d"],
+             "edges": [["a", "b"], ["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"], ["c", "d"]]}
+# K4 plus a pendant edge in the order (0, 1, 3, 4, 2) above: its drawing needs
+# the second attempt.
+K4_PENDANT_SOURCE = {"vertices": list("abcde"),
+                     "edges": [["a", "b"], ["a", "d"], ["a", "e"], ["b", "d"], ["b", "e"],
+                               ["d", "e"], ["e", "c"]]}
+CURVED_DRAWING = {
+    "graph": {
+        "vertices": [{"id": "a", "height": "-1"}, {"id": "b", "height": "1/2"},
+                     {"id": "c", "height": "7/3"}, {"id": "d", "height": "3/2"}],
+        "edges": [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]],
+    },
+    "x": {"a": "0", "b": "-3/4", "c": "5/7", "d": "11/10"},
+    "edges": [
+        {"endpoints": ["a", "b"], "bends": [["-2/3", "-1/4"]]},
+        {"endpoints": ["a", "c"], "bends": [["1/3", "0"], ["2/5", "4/3"]]},
+        {"endpoints": ["b", "d"], "bends": []},
+        {"endpoints": ["c", "d"], "bends": [["13/8", "2"]]},
+    ],
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("source,counts,json_sha,svg_sha", [
+    (K4_SOURCE, 1,
+     "953825843ce342406221b1ea9053feb78c79b3c1a25de766033c5421c3c37216",
+     "692ba4b15c67cc8014dc8751c07bce547a93375aafe54d8795f267ff46af190f"),
+    (K4_PENDANT_SOURCE, 2,
+     "5a1caa0f33839c1a95b99cacdbfc14f9693df967d5306779d5821c851b11575b",
+     "d5dc9f7dca2869a9498e0215a890803d576752506bf5613efc5d9e9a66ed84aa"),
+], ids=["K4", "K4-pendant"])
+def test_gadget_verify_golden_bytes(source, counts, json_sha, svg_sha, tmp_path, capsys, monkeypatch):
+    # Digests of the outputs before the renderer moved to the integer frame;
+    # any change to the drawing, the count or the SVG bytes shows here.
+    import reebdraw.cli
+    import reebdraw.gadget
+
+    path = tmp_path / "source.json"
+    path.write_text(json.dumps(source))
+    calls = counted_geometric_calls(monkeypatch, reebdraw.gadget, reebdraw.cli)
+    code, _, _ = run(capsys, "gadget", "verify", "--graph", path,
+                     "-o", tmp_path / "out.json", "--svg", tmp_path / "out.svg")
+    assert code == 0
+    assert len(calls) == counts
+    assert (_sha256(tmp_path / "out.json"), _sha256(tmp_path / "out.svg")) == (json_sha, svg_sha)
+
+
+def test_render_level_lines_golden_bytes(tmp_path, capsys):
+    path = tmp_path / "curved.json"
+    path.write_text(json.dumps(CURVED_DRAWING))
+    code, _, _ = run(capsys, "render", path, "--level-lines", "-o", tmp_path / "out.svg")
+    assert code == 0
+    assert _sha256(tmp_path / "out.svg") == "73d1e77ad7961b4910fefb09f7a52f55dfd7fcd559a61897c6e04a227e4ff77d"
 
 
 def test_malformed_input_is_exit_one(tmp_path, capsys):

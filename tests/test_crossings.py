@@ -16,15 +16,20 @@ from reebdraw import (
     BudgetExhaustedError,
     DegeneracyError,
     Drawing,
+    GraphStructureError,
     LevelOrdering,
+    OlaGraph,
     ReebError,
     ReebGraph,
     count_crossings_geometric,
     count_crossings_layered,
     exact_rgcn,
     levels,
+    ola_brute,
+    ola_reduce,
     realize_layered,
     subdivide,
+    tri_hex_grid,
 )
 from reebdraw.crossings import (
     ExactResult,
@@ -35,11 +40,13 @@ from reebdraw.crossings import (
     _suffix_tables,
     _warm_start,
 )
+from reebdraw.gadget import _certified_drawing
 from reebdraw.jsonio import parse_graph
 
 from helpers import (
     alternating_cycle,
     counted_geometric_calls,
+    curved_copy,
     enumerate_min_crossings,
     random_caterpillar_graph,
     random_connected_graph,
@@ -200,6 +207,177 @@ class TestGeometricCounterOracle:
             g2, _ = subdivide(random_connected_graph(rng.randint(2, 8), rng))
             d = realize_layered(g2, random_ordering(g2, rng))
             assert count_crossings_geometric(d) == reference_count_crossings_geometric(d)
+
+
+def _bent(d: Drawing, rng: random.Random, step: Fraction) -> Drawing:
+    """A copy of ``d`` with up to two bends per edge, at eighths of the edge's
+    height, moved off the straight line by multiples of ``step``: a coarse
+    step makes shared points, collinear pieces and concurrent triples likely."""
+    bends = []
+    for i in range(len(d.graph.edges)):
+        (x0, y0), (x1, y1) = (d.point(v) for v in d.graph.lower_upper(i))
+        bends.append(tuple(
+            (x0 + (x1 - x0) * Fraction(t, 8) + rng.randint(-2, 2) * step, y0 + (y1 - y0) * Fraction(t, 8))
+            for t in sorted(rng.sample(range(1, 8), rng.randint(0, 2)))
+        ))
+    return Drawing(graph=d.graph, x=d.x, bends=tuple(bends))
+
+
+def _segments(d: Drawing) -> int:
+    return sum(len(eb) + 1 for eb in d.bends)
+
+
+def _with_piece(base: Drawing, points: dict, edges: list, bends: list) -> tuple[Drawing, list[int]]:
+    """``base`` plus a piece right of it: new vertices at ``points`` (x, y),
+    x offset past the base, and new edges with their bends (same offset);
+    returns the drawing and the new edges' indices."""
+    dx = max(base.x.values()) + 5
+    g = ReebGraph({**base.graph.vertices, **{v: Fraction(y) for v, (_, y) in points.items()}},
+                  base.graph.edges + tuple(edges))
+    xs = {**base.x, **{v: dx + x for v, (x, _) in points.items()}}
+    moved = tuple(tuple((dx + x, Fraction(y)) for x, y in eb) for eb in bends)
+    first = len(base.graph.edges)
+    return Drawing(graph=g, x=xs, bends=base.bends + moved), list(range(first, first + len(edges)))
+
+
+class TestCounterOracleAtScale:
+    """Hundreds of segments across many x-slabs, against the reference counter."""
+
+    def assert_matches(self, d):
+        got = _outcome(count_crossings_geometric, d)
+        assert got == _outcome(reference_count_crossings_geometric, d)
+        return got
+
+    P3 = OlaGraph(("a", "b", "c"), (("a", "b"), ("b", "c")))
+    TRIANGLE = OlaGraph(("a", "b", "c"), (("a", "b"), ("b", "c"), ("a", "c")))
+    # K4 plus a pendant edge, named so that its drawing needs the second attempt.
+    K4_PENDANT = OlaGraph(tuple("abcde"), (("a", "b"), ("a", "d"), ("a", "e"), ("b", "d"),
+                                           ("b", "e"), ("d", "e"), ("e", "c")))
+
+    @staticmethod
+    def gadget_drawing(source):
+        best = ola_brute(source)
+        return _certified_drawing(ola_reduce(source, best.cost), best)
+
+    @pytest.mark.parametrize("source", [P3, TRIANGLE, K4_PENDANT], ids=["P3", "triangle", "K4-pendant"])
+    def test_gadget_drawings(self, source):
+        d, cert = self.gadget_drawing(source)
+        assert _segments(d) >= 100
+        assert self.assert_matches(Drawing(graph=d.graph, x=d.x, bends=d.bends)) == cert
+
+    @pytest.mark.parametrize("source", [P3, TRIANGLE], ids=["P3", "triangle"])
+    def test_bent_gadget_drawings(self, source):
+        d, _ = self.gadget_drawing(source)
+        rng = random.Random(len(source.edges))
+        for step in (Fraction(1, 2), Fraction(1, 1000)):
+            self.assert_matches(_bent(d, rng, step))
+
+    def test_hexgrids(self):
+        rng = random.Random(67)
+        outcomes = []
+        for rows in range(1, 9):
+            d = tri_hex_grid(rows).drawing
+            assert self.assert_matches(d).count == 0
+            self.assert_matches(curved_copy(d, rng))
+            for step in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 97)):
+                outcomes.append(self.assert_matches(_bent(d, rng, step)))
+        assert any(isinstance(o, tuple) for o in outcomes)  # some refusals
+        assert any(not isinstance(o, tuple) and o.count for o in outcomes)  # some crossings
+
+    def test_realized_orderings(self):
+        rng = random.Random(71)
+        sizes = []
+        for _ in range(6):
+            g2, _ = subdivide(random_connected_graph(rng.randint(12, 24), rng, extra=rng.randint(3, 12)))
+            d = realize_layered(g2, random_ordering(g2, rng))
+            sizes.append(_segments(d))
+            self.assert_matches(d)
+            for step in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 1024)):
+                self.assert_matches(_bent(d, rng, step))
+        assert max(sizes) >= 100
+
+    def test_collinear_continuation_out_of_a_shared_vertex(self):
+        # v-a runs up at slope 1; v-b leaves v along it to a bend at (1, 1).
+        # The shorter piece comes first in the sweep, so its edge is named first.
+        d, (va, vb) = _with_piece(tri_hex_grid(8).drawing, {"v": (0, 0), "a": (4, 4), "b": (1, 3)},
+                                  [("v", "a"), ("v", "b")], [(), ((1, 1),)])
+        assert self.assert_matches(d) == (
+            DegeneracyError, "degenerate", f"edges {vb} and {va} contain overlapping collinear segments")
+
+    def test_two_edges_sharing_a_bend_point(self):
+        # p-q and r-s both bend at (10, 2): they touch there, away from any vertex.
+        base = tri_hex_grid(8).drawing
+        d, (pq, rs) = _with_piece(base, {"p": (8, 0), "q": (8, 4), "r": (12, 1), "s": (12, 3)},
+                                  [("p", "q"), ("r", "s")], [((10, 2),), ((10, 2),)])
+        x = max(base.x.values()) + 15
+        assert self.assert_matches(d) == (
+            DegeneracyError, "degenerate",
+            f"edges {pq} and {rs} touch at ({x}, 2) without crossing transversally")
+
+    @pytest.mark.parametrize("points", [
+        {"u": (0, 0), "v": (1, 2), "w": (2, 4)},
+        {"u": (0, 0), "v": (0, 2), "w": (0, 4)},
+        {"u": (0, 0), "v": (1, 2), "w": (3, 4)},
+    ], ids=["collinear", "vertical", "bent"])
+    def test_edge_ending_where_another_starts(self, points):
+        # u-v ends at v, where v-w starts: they touch at their shared vertex only.
+        d, _ = _with_piece(tri_hex_grid(8).drawing, points, [("u", "v"), ("v", "w")], [(), ()])
+        assert self.assert_matches(d).count == 0
+
+    def test_parallel_edges(self):
+        base = tri_hex_grid(8).drawing
+        d, (e0, e1) = _with_piece(base, {"u": (0, 0), "w": (1, 3)}, [("u", "w"), ("u", "w")], [(), ()])
+        assert self.assert_matches(d) == (
+            DegeneracyError, "degenerate", f"edges {e0} and {e1} contain overlapping collinear segments")
+        d, _ = _with_piece(base, {"u": (0, 0), "w": (1, 3)}, [("u", "w"), ("u", "w")], [(), ((2, 1),)])
+        assert self.assert_matches(d).count == 0
+
+
+class TestDrawingRefusals:
+    """Each check of ``Drawing`` keeps its class, code and message."""
+
+    GRAPH = ReebGraph.build({"a": 0, "b": 1, "c": 2, "d": 1, "e": 1}, [("a", "b"), ("b", "c")])
+    X = {"a": Fraction(0), "b": Fraction(2, 3), "c": Fraction(1), "d": Fraction(-1), "e": Fraction(5)}
+
+    def refusal(self, **kwargs):
+        with pytest.raises(ReebError) as exc:
+            Drawing(graph=self.GRAPH, **{"x": self.X, **kwargs})
+        return type(exc.value), exc.value.code, str(exc.value)
+
+    def test_missing_x(self):
+        xs = {v: x for v, x in self.X.items() if v not in "bd"}
+        assert self.refusal(x=xs) == (GraphStructureError, "missing-x", "missing x coordinate for vertex 'b'")
+
+    def test_unknown_vertex(self):
+        xs = {**self.X, "z": Fraction(3), "y": Fraction(4)}
+        assert self.refusal(x=xs) == (GraphStructureError, "unknown-vertex", "x coordinate for unknown vertex 'z'")
+
+    def test_edge_mismatch(self):
+        assert self.refusal(bends=((),)) == (
+            GraphStructureError, "edge-mismatch", "bend list length 1 does not match edge count 2")
+
+    @pytest.mark.parametrize("bends,y", [
+        (((), ((Fraction(1), Fraction(3)),)), "3"),
+        (((), ((Fraction(1), Fraction(3, 2)), (Fraction(1), Fraction(5, 4)))), "5/4"),
+        ((((0, "1/2"),), ((1, 1),)), "1"),
+    ], ids=["above", "not-increasing", "at-endpoint"])
+    def test_bad_bend(self, bends, y):
+        assert self.refusal(bends=bends) == (
+            GraphStructureError, "bad-bend", f"bend of edge 1 at y={y} breaks strict y-monotonicity")
+
+    def test_coincident_vertices(self):
+        # d and e both sit on b; d comes first in graph order.
+        xs = {**self.X, "d": Fraction(2, 3), "e": Fraction(4, 6)}
+        assert self.refusal(x=xs) == (
+            DegeneracyError, "degenerate", "vertices 'b' and 'd' coincide at (Fraction(2, 3), Fraction(1, 1))")
+
+    def test_coordinates_become_fractions(self):
+        d = Drawing(graph=self.GRAPH, x={"a": 0, "b": "2/3", "c": 1.5, "d": -1, "e": Fraction(5)},
+                    bends=((("1/4", "1/2"),), ()))
+        assert d.x == {"a": 0, "b": Fraction(2, 3), "c": Fraction(3, 2), "d": -1, "e": 5}
+        assert all(type(x) is Fraction for x in d.x.values())
+        assert d.bends == (((Fraction(1, 4), Fraction(1, 2)),), ())
+        assert all(type(c) is Fraction for eb in d.bends for p in eb for c in p)
 
 
 @st.composite

@@ -11,18 +11,20 @@ from reebdraw import (
     GraphStructureError,
     LinearArrangement,
     OlaGraph,
+    RenderOptions,
     arrangement_to_drawing,
     count_crossings_geometric,
     extract_arrangement,
     ola_brute,
     ola_cost,
     ola_reduce,
+    render_svg,
     tri_hex_grid,
     validate,
 )
 from reebdraw.gadget import _certified_drawing
 
-from helpers import counted_geometric_calls, reference_certified_drawing
+from helpers import counted_geometric_calls, reference_certified_drawing, reference_render_svg
 
 TRIANGLE = OlaGraph(("a", "b", "c"), (("a", "b"), ("b", "c"), ("a", "c")))
 P3 = OlaGraph(("a", "b", "c"), (("a", "b"), ("b", "c")))
@@ -258,6 +260,18 @@ class TestGenericLaneOffsets:
         assert len(calls) == 2
         assert cert.count <= inst.budget
         assert extract_arrangement(d, inst) == (best, best)
+
+    def test_k4_pendant_second_drawing_renders_as_reference(self, monkeypatch):
+        import reebdraw.gadget
+
+        g = named(K4_PENDANT, K4_PENDANT_ORDERS[0])
+        best = ola_brute(g)
+        inst = ola_reduce(g, best.cost)
+        calls = counted_geometric_calls(monkeypatch, reebdraw.gadget)
+        d, _ = _certified_drawing(inst, best)
+        assert len(calls) == 2  # the canonical offsets were degenerate; this is the kappa drawing
+        for opts in (RenderOptions(color_by_part=True), RenderOptions(show_level_lines=True)):
+            assert render_svg(d, opts, inst.edge_parts) == reference_render_svg(d, opts, inst.edge_parts)
 
     @pytest.mark.parametrize("pairs,rank", [
         (HOUSE, (0, 1, 2, 4, 3)), (HOUSE, (0, 1, 2, 3, 4)), (HOUSE, (0, 2, 1, 4, 3)),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
 
@@ -14,11 +15,20 @@ from reebdraw import (
     ola_brute,
     ola_reduce,
     arrangement_to_drawing,
+    realize_layered,
     render_svg,
+    subdivide,
+    tri_hex_grid,
 )
-from reebdraw.gadget import OlaGraph
+from reebdraw.gadget import OlaGraph, _certified_drawing
 
-from helpers import alternating_cycle
+from helpers import (
+    alternating_cycle,
+    curved_copy,
+    random_connected_graph,
+    random_ordering,
+    reference_render_svg,
+)
 
 
 def test_single_vertex_renders_centered_circle():
@@ -98,3 +108,79 @@ def test_color_by_part_styles_gadget_edges():
 def test_bad_options_rejected():
     with pytest.raises(GraphStructureError):
         RenderOptions(width=0)
+
+
+class TestRendererOracle:
+    """``render_svg`` reads the integer frame; the Fraction renderer it
+    replaced must give the same bytes."""
+
+    OPTIONS = (
+        RenderOptions(),
+        RenderOptions(show_level_lines=True),
+        RenderOptions(width=333, height=127, margin=7, vertex_radius=1.25, stroke_width=0.3,
+                      show_level_lines=True),
+    )
+
+    def assert_same(self, d, edge_parts=None):
+        for opts in self.OPTIONS:
+            assert render_svg(d, opts) == reference_render_svg(d, opts)
+        opts = RenderOptions(color_by_part=True, show_level_lines=True)
+        assert render_svg(d, opts, edge_parts) == reference_render_svg(d, opts, edge_parts)
+
+    @pytest.mark.parametrize("source", [
+        OlaGraph(("a", "b"), (("a", "b"),)),
+        OlaGraph(("a", "b", "c"), (("a", "b"), ("b", "c"), ("a", "c"))),
+        OlaGraph(("a", "b", "c", "d"), (("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"))),
+    ], ids=["K2", "triangle", "four-cycle"])
+    def test_gadget_drawings(self, source):
+        best = ola_brute(source)
+        inst = ola_reduce(source, best.cost)
+        d, _ = _certified_drawing(inst, best)
+        self.assert_same(d, inst.edge_parts)
+
+    def test_curved_copies_and_realized_orderings(self):
+        rng = random.Random(61)
+        bent = 0
+        for rows in (2, 4, 6):
+            d = curved_copy(tri_hex_grid(rows).drawing, rng)
+            bent += sum(map(len, d.bends))
+            self.assert_same(d)
+        for _ in range(10):
+            g2, _ = subdivide(random_connected_graph(rng.randint(3, 12), rng, extra=0))
+            d = realize_layered(g2, random_ordering(g2, rng))
+            self.assert_same(d)
+        assert bent > 0
+
+    def test_single_vertex(self):
+        d = Drawing(graph=ReebGraph({"a": Fraction(-7, 3)}, ()), x={"a": Fraction(5, 11)})
+        self.assert_same(d)
+
+    def test_empty_drawing(self):
+        self.assert_same(Drawing(graph=ReebGraph({}, ()), x={}))
+
+    def test_one_level(self):
+        # Zero y-span: every vertex on one level, so no edges.
+        g = ReebGraph({v: Fraction(3, 2) for v in "abc"}, ())
+        self.assert_same(Drawing(graph=g, x={"a": Fraction(-1), "b": Fraction(2, 7), "c": Fraction(4)}))
+
+    def test_all_vertical(self):
+        # Zero x-span: a vertical path with a bend on the same vertical.
+        g = ReebGraph.build({"a": 0, "b": "1/3", "c": 2}, [("a", "b"), ("b", "c")])
+        d = Drawing(graph=g, x={v: Fraction(-5, 9) for v in "abc"},
+                    bends=((), ((Fraction(-5, 9), Fraction(1)),)))
+        self.assert_same(d)
+
+    def test_negative_and_large_denominator_coordinates(self):
+        big = 10 ** 12 + 39
+        g = ReebGraph.build({"a": Fraction(-3, big), "b": Fraction(7, 3), "c": Fraction(-big, 7),
+                             "d": Fraction(1, big + 2)},
+                            [("a", "b"), ("c", "d"), ("c", "b")])
+        d = Drawing(
+            graph=g,
+            x={"a": Fraction(-big, 13), "b": Fraction(1, big), "c": Fraction(-2, 3),
+               "d": Fraction(big, 10 ** 6 + 3)},
+            bends=(((Fraction(-1, 3 * big), Fraction(1, 10 ** 9 + 7)),),
+                   ((Fraction(-big, 2), Fraction(-1, 3)),),
+                   ((Fraction(-5, 7), Fraction(-big, 9)), (Fraction(1, 17), Fraction(2)))),
+        )
+        self.assert_same(d)
