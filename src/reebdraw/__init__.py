@@ -60,13 +60,7 @@ from .layout import (
     layout_path,
     top_down_iteration_number,
 )
-from .stretch import (
-    EdgeLeftRightOrder,
-    VertexInsertionOrder,
-    edge_partial_order,
-    stretch,
-    vertex_insertion_order,
-)
+from .stretch import stretch
 from .subdivide import SubdivisionMap, subdivide, subdivide_drawing, unsubdivide_drawing
 from .svg import RenderOptions, render_svg
 
@@ -77,7 +71,6 @@ __all__ = [
     "DegeneracyError",
     "DegreeProfile",
     "Drawing",
-    "EdgeLeftRightOrder",
     "ExactResult",
     "GadgetInstance",
     "GraphStructureError",
@@ -94,13 +87,11 @@ __all__ = [
     "SubdivisionMap",
     "TriHexGrid",
     "ValidationReport",
-    "VertexInsertionOrder",
     "arrangement_to_drawing",
     "classify_shape",
     "count_crossings_geometric",
     "count_crossings_layered",
     "degree_profile",
-    "edge_partial_order",
     "exact_rgcn",
     "extract_arrangement",
     "layout_auto",
@@ -124,7 +115,6 @@ __all__ = [
     "tri_hex_grid",
     "unsubdivide_drawing",
     "validate",
-    "vertex_insertion_order",
 ]
 
 __version__ = "0.1.0"

@@ -118,8 +118,8 @@ class Drawing:
 
         The scales cover every vertex, isolated ones included, so each scaled
         coordinate is exact.  Every geometric consumer (the crossing counter,
-        ``stretch``'s edge order and the SVG renderer) reads this one frame,
-        so none may change it.
+        ``stretch``'s rows and the SVG renderer) reads this one frame, so none
+        may change it.
         """
         bend_pts = [p for eb in self.bends for p in eb]
         heights = self.graph.vertices
@@ -149,13 +149,7 @@ class Drawing:
 
 def per_level_order(d: Drawing) -> tuple[tuple[str, ...], ...]:
     """Left-to-right vertex order on each level of a drawing."""
-    lev = levels(d.graph)
-    out = []
-    for l in range(lev.count):
-        vs = sorted((v for v in d.graph.vertices if lev.level[v] == l),
-                    key=lambda v: (d.x[v], v))
-        out.append(tuple(vs))
-    return tuple(out)
+    return tuple(tuple(sorted(vs, key=lambda v: (d.x[v], v))) for vs in levels(d.graph).by_level())
 
 
 @dataclass(frozen=True)

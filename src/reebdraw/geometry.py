@@ -3,10 +3,9 @@
 Everything here works on pairs of exact numbers (``Fraction`` or ``int``);
 there are no epsilon tolerances anywhere.  Callers that need speed can scale
 their coordinates to integers first -- the predicates only use ring
-operations, so results are identical.  ``crossings.count_crossings_geometric``,
-``stretch``'s edge order and ``svg.render_svg`` read one integer frame per
-drawing (``crossings.Drawing._scaled_polylines``); ``stretch.stretch`` places
-vertices on integers of its own.
+operations, so results are identical.  ``crossings.count_crossings_geometric``
+and ``svg.render_svg`` read one integer frame per drawing
+(``crossings.Drawing._scaled_polylines``); ``stretch``'s rows read it too.
 """
 
 from __future__ import annotations

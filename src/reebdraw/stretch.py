@@ -1,12 +1,30 @@
-"""Straighten crossing-free curved drawings while preserving per-level order.
+"""Straighten crossing-free curved drawings, keeping the order at every height.
 
-A crossing-free drawing orders its edges left-to-right wherever two edges
-share a y interval; that relation is acyclic, and it induces an insertion
-order on the vertices in which each new vertex only needs to connect to
-vertices currently exposed on the right frontier.  Placing each vertex far
-enough to the right therefore lets every edge be drawn as a straight segment
-without hitting anything, keeping the left-to-right order of vertices on each
-level intact.
+The *rows* of a drawing are the per-level orders of its subdivision: for each
+distinct vertex height, bottom up, the vertices at that height and the edges
+passing strictly through it, from left to right.  ``stretch`` redraws every
+edge as one straight segment at the same heights and keeps every row, so the
+output has no crossings and the same per-level vertex order.
+
+Vertices are placed one at a time, each right of everything placed before.
+The order comes from a peel.  The *star* of a vertex z is z plus its edges to
+vertices still present; z is *exposed* when, in every row, nothing outside
+its star lies right of a star object.  The peel repeatedly removes an exposed
+vertex together with its star, the greatest by (x, id) first, and the
+insertion order is the peel order reversed.  Removing a star never blocks
+another vertex, so the peel gets stuck only if every peel order does; such a
+drawing is refused with code ``not-straightenable``.  That can happen on a
+crossing-free drawing: a straight drawing with the same rows may still exist,
+but not one built by placing each vertex right of all earlier ones.
+
+At its turn, a vertex v was exposed among exactly the vertices placed so far,
+so everything drawn that shares a height with v's star lies left of that star
+in the input.  v goes at x = base + 2^k, base the last placed x, with the
+least k that puts every such object strictly left of v's new edges.  Each
+vertex placed strictly inside the y-range of a new edge gives a closed-form
+integer lower bound on x, and those bounds clear the drawn segments too.
+Placed x grows along the insertion order, so the edge from a neighbour u can
+only be bounded by the vertices placed after u.
 
 Inputs with crossings are rejected outright: stretching a drawing that has
 crossings can force additional crossings, so silently proceeding would betray
@@ -15,160 +33,147 @@ the contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from graphlib import CycleError, TopologicalSorter
-from math import lcm
+from heapq import heappop, heappush
+from operator import itemgetter
 
-from . import geometry
-from .crossings import Drawing, count_crossings_geometric, per_level_order
-from .errors import DegeneracyError, GraphStructureError, InternalInvariantError
+from .crossings import Drawing, IntPoint, count_crossings_geometric, per_level_order
+from .errors import GraphStructureError, InternalInvariantError, LayoutError
 
 
-@dataclass(frozen=True)
-class EdgeLeftRightOrder:
-    """Directed relation over edge indices: i -> j iff i and j share part of
-    their open y intervals and i runs strictly left of j there."""
+def _rows(d: Drawing) -> tuple[list[list[str | int]], dict[str | int, list[tuple[int, int]]]]:
+    """The drawing's rows, bottom up, holding vertex ids and edge indices,
+    and the cells (row, position) of each object.
 
-    edge_count: int
-    left_of: tuple[tuple[int, ...], ...]  # successors: edges strictly to the right
-
-    def predecessors(self) -> tuple[tuple[int, ...], ...]:
-        preds: list[list[int]] = [[] for _ in range(self.edge_count)]
-        for i, succs in enumerate(self.left_of):
-            for j in succs:
-                preds[j].append(i)
-        return tuple(tuple(p) for p in preds)
-
-
-@dataclass(frozen=True)
-class VertexInsertionOrder:
-    sequence: tuple[str, ...]
-
-
-def _x_at_half(poly, y2: int) -> tuple[int, int]:
-    """x of a strictly y-monotone integer polyline at height y2 / 2, as a
-    (numerator, positive denominator) pair; y2 / 2 lies inside its span."""
-    for (ax, ay), (bx, by) in zip(poly, poly[1:]):
-        if 2 * by >= y2:
-            dy = 2 * (by - ay)
-            return ax * dy + (bx - ax) * (y2 - 2 * ay), dy
-    raise InternalInvariantError(f"height {y2}/2 outside polyline span")
-
-
-def _edge_partial_order_unchecked(d: Drawing) -> EdgeLeftRightOrder:
-    polys, _, _, sy = d._scaled_polylines
-    n = len(polys)
-    spans = [(poly[0][1], poly[-1][1]) for poly in polys]
-    succs: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        lo_i, hi_i = spans[i]
-        for j in range(i + 1, n):
-            lo = max(lo_i, spans[j][0])
-            hi = min(hi_i, spans[j][1])
-            if lo >= hi:
-                continue
-            # Compare xi = ni/di and xj = nj/dj at the midpoint (lo + hi) / 2.
-            (ni, di), (nj, dj) = _x_at_half(polys[i], lo + hi), _x_at_half(polys[j], lo + hi)
-            if ni * dj == nj * di:
-                raise DegeneracyError(f"edges {i} and {j} coincide at height {Fraction(lo + hi, 2 * sy)}")
-            if ni * dj < nj * di:
-                succs[i].append(j)
-            else:
-                succs[j].append(i)
-    order = EdgeLeftRightOrder(n, tuple(tuple(s) for s in succs))
-    _check_acyclic(order)
-    return order
-
-
-def _check_acyclic(order: EdgeLeftRightOrder) -> None:
-    try:
-        TopologicalSorter(dict(enumerate(order.left_of))).prepare()
-    except CycleError:
-        raise InternalInvariantError("left-right edge relation contains a cycle") from None
-
-
-def edge_partial_order(d: Drawing) -> EdgeLeftRightOrder:
-    """Left-right relation between edges of a crossing-free drawing.
-
-    For each pair of edges with overlapping open y intervals, exactly one
-    direction is recorded, decided by exact x comparison at the midpoint of
-    the shared interval.  The comparison runs on the integer-scaled
-    polylines: with doubled heights the midpoint is an integer, each x there
-    is a fraction with a positive denominator, and the two are compared by
-    cross-multiplication.
+    x is read from the integer frame, where an edge's x at a row is a
+    fraction whose denominator is the height of one of its segments, at most
+    D.  Two such fractions that differ, differ by at least 1 / D^2, so
+    floor(x * D^2) orders them exactly.  On a drawing that passed the
+    crossing check no two objects in a row share an x.
     """
-    if count_crossings_geometric(d).count != 0:
-        raise GraphStructureError("edge order is only defined for crossing-free drawings",
-                                  code="has-crossings")
-    return _edge_partial_order_unchecked(d)
+    polys, vertex_pt, _, _ = d._scaled_polylines
+    heights = sorted({y for _, y in vertex_pt.values()})
+    level = {h: r for r, h in enumerate(heights)}
+    scale = max((b[1] - a[1] for poly in polys for a, b in zip(poly, poly[1:])), default=1) ** 2
+    keyed: list[list[tuple[int, str | int]]] = [[] for _ in heights]
+    for v, (x, y) in vertex_pt.items():
+        keyed[level[y]].append((x * scale, v))
+    for i, poly in enumerate(polys):
+        k = 1
+        for r in range(level[poly[0][1]] + 1, level[poly[-1][1]]):
+            h = heights[r]
+            while poly[k][1] < h:
+                k += 1
+            (ax, ay), (bx, by) = poly[k - 1], poly[k]
+            keyed[r].append(((ax * (by - ay) + (bx - ax) * (h - ay)) * scale // (by - ay), i))
+    rows = [[obj for _, obj in sorted(row, key=itemgetter(0))] for row in keyed]
+    cells: dict[str | int, list[tuple[int, int]]] = {}
+    for r, row in enumerate(rows):
+        for p, obj in enumerate(row):
+            cells.setdefault(obj, []).append((r, p))
+    return rows, cells
 
 
-def _vertex_insertion_order_unchecked(d: Drawing, order: EdgeLeftRightOrder) -> VertexInsertionOrder:
+def _insertion_order(d: Drawing) -> tuple[str, ...]:
+    """The peel order reversed (see the module docstring).
+
+    A peel removes a suffix of every row it touches, so each row is kept as
+    its full list and a current length, and positions never change.  Let m be
+    the first position of z's star in a row, and q the first position after m
+    that holds an object outside the star.  z is exposed in that row exactly
+    while the row is no longer than q, even as z's star loses edges (each is
+    the tail of its rows when it goes).  So z waits on one blocker (row, q)
+    per row that blocks it and becomes exposed when the last one is removed.
+    """
     g = d.graph
-    preds = order.predecessors()
+    rows, cells = _rows(d)
+    length = [len(row) for row in rows]
     incident = g.incident_edges()
-    placed: set[str] = set()
-    sequence: list[str] = []
+    present = set(g.vertices)
+    rank = {v: r for r, v in enumerate(sorted(g.vertices, key=lambda v: (d.x[v], v)))}
+    exposed: list[tuple[int, str]] = []  # heap, greatest rank first
+    waiting: dict[tuple[int, int], list[str]] = {}
+    blockers: dict[str, int] = {}
 
-    start = min(g.vertices, key=lambda v: (d.x[v], g.vertices[v], v))
+    def star(z: str) -> tuple[set[str | int], dict[int, int], dict[int, int]]:
+        """z's star, and per row its first position and its number of objects."""
+        objs = {z, *(e for e in incident[z] if g.edges[e][0] in present and g.edges[e][1] in present)}
+        first: dict[int, int] = {}
+        count: dict[int, int] = {}
+        for obj in objs:
+            for r, p in cells.get(obj, ()):
+                first[r] = min(first.get(r, p), p)
+                count[r] = count.get(r, 0) + 1
+        return objs, first, count
 
-    def free(v: str) -> bool:
-        # Edges incident to v itself are drawn in the same step as v, so they
-        # count as settled when checking v's obligations.
-        def settled(i: int) -> bool:
-            a, b = g.edges[i]
-            return (a in placed or a == v) and (b in placed or b == v)
+    for z in g.vertices:
+        objs, first, count = star(z)
+        blockers[z] = 0
+        for r, m in first.items():
+            if length[r] - m > count[r]:
+                q = m + 1
+                while rows[r][q] in objs:
+                    q += 1
+                waiting.setdefault((r, q), []).append(z)
+                blockers[z] += 1
+        if not blockers[z]:
+            heappush(exposed, (-rank[z], z))
+    peeled: list[str] = []
+    while exposed:
+        z = heappop(exposed)[1]
+        for r, m in star(z)[1].items():
+            for p in range(m, length[r]):
+                for w in waiting.pop((r, p), ()):
+                    blockers[w] -= 1
+                    if not blockers[w]:
+                        heappush(exposed, (-rank[w], w))
+            length[r] = m
+        present.remove(z)
+        peeled.append(z)
+    if len(peeled) != len(g.vertices):
+        raise LayoutError(
+            f"placing each vertex right of the earlier ones cannot keep the order at every "
+            f"height ({len(g.vertices) - len(peeled)} vertices stay blocked)",
+            code="not-straightenable",
+        )
+    return tuple(reversed(peeled))
 
-        for e in incident[v]:
-            other = g.edges[e][0] if g.edges[e][1] == v else g.edges[e][1]
-            if other not in placed:
-                continue
-            if any(not settled(p) for p in preds[e]):
-                return False
-        return True
 
-    sequence.append(start)
-    placed.add(start)
-    # Ranked once by the unique key (x, id): the first free vertex is the least.
-    remaining = [v for v in sorted(g.vertices, key=lambda v: (d.x[v], v)) if v != start]
-    while remaining:
-        k = next((k for k, v in enumerate(remaining) if free(v)), None)
-        if k is None:
-            raise InternalInvariantError("no free vertex found; drawing is not crossing-free")
-        v = remaining.pop(k)
-        sequence.append(v)
-        placed.add(v)
-    return VertexInsertionOrder(tuple(sequence))
+def _clearing_x(pu: IntPoint, yv: int, points: list[IntPoint]) -> int:
+    """Least integer x at which the straight edge from pu to (x, yv) passes
+    strictly right of every point strictly inside its y-range.
 
-
-def vertex_insertion_order(d: Drawing, order: EdgeLeftRightOrder) -> VertexInsertionOrder:
-    """Greedy left-to-right vertex order: start at the leftmost (lowest on
-    ties) vertex, then repeatedly take the free vertex with least x (ties by
-    id).  A vertex is free when, for each edge to an already-placed vertex,
-    every edge left of it joins placed vertices only."""
-    if count_crossings_geometric(d).count != 0:
-        raise GraphStructureError("insertion order is only defined for crossing-free drawings",
-                                  code="has-crossings")
-    return _vertex_insertion_order_unchecked(d, order)
+    Callers pass the points placed after pu only: the others lie left of pu,
+    and so left of the edge.  Drawn segments need no bound of their own.  At
+    each end of the y-range a segment shares with the edge, the segment is at
+    a placed point (bounded here, or left of pu), or at height yv (left of
+    every new x), or at height yu, where the peel keeps it left of pu or
+    ending at pu.  Left of the edge at both ends, it stays left in between.
+    """
+    xu, yu = pu
+    dy = abs(yv - yu)
+    lo, hi = min(yu, yv), max(yu, yv)
+    least = xu + 1
+    for px, py in points:
+        if lo < py < hi:
+            least = max(least, xu + (px - xu) * dy // abs(py - yu) + 1)
+    return least
 
 
 def stretch(d: Drawing) -> Drawing:
-    """Redraw a crossing-free drawing with straight segments only.
+    """Redraw a crossing-free drawing with straight segments only, keeping
+    the left-to-right order of vertices and edges at every vertex height.
 
-    Vertices are placed in insertion order, each at an x strictly beyond
-    everything placed so far and pushed further right (doubling the offset)
-    until its new straight edges verifiably intersect nothing.  The output has
-    zero crossings and the same per-level vertex order as the input.
+    Vertices are inserted in the peel order reversed, each at x = base + 2^k
+    (the first at 0), where base is the last placed x and k is the least
+    value that clears the integer lower bounds of ``_clearing_x``: each
+    point placed strictly inside a new edge's y-range must lie strictly left
+    of the edge.  The output keeps every row, so it has zero crossings and
+    the same per-level vertex order as the input; the empty drawing is
+    returned as is.
 
-    Every placed x is an integer (0, then the last x plus a power of two), so
-    the heights are scaled once by the lcm of their denominators and every
-    test runs on exact integers.  Placed x grows along the insertion order, so
-    a new edge from u, whose box spans x(u) to the new x, can only meet the
-    segments drawn and the vertices placed from u's turn on; of those, only
-    the ones whose closed y-range meets the edge's reach the exact predicates.
-    Outside that box the predicates answer NONE / False, so every placement
-    is decided as by testing everything.
+    Raises ``GraphStructureError`` on crossings (``has-crossings``) or
+    parallel edges (``parallel-edges``), and ``LayoutError``
+    (``not-straightenable``) when the peel gets stuck.
     """
     if count_crossings_geometric(d).count != 0:
         raise GraphStructureError("cannot stretch a drawing with crossings", code="has-crossings")
@@ -177,73 +182,27 @@ def stretch(d: Drawing) -> Drawing:
         # Two straight segments between the same endpoints always coincide.
         raise GraphStructureError("parallel edges cannot be drawn as straight segments",
                                   code="parallel-edges")
-    order = _edge_partial_order_unchecked(d)
-    insertion = _vertex_insertion_order_unchecked(d, order)
+    _, vertex_pt, _, _ = d._scaled_polylines
+    adjacency = g.adjacency()
+    placed: list[IntPoint] = []  # in insertion order, so x increases
+    turn: dict[str, int] = {}  # v -> its index in placed
 
-    sy = lcm(*(h.denominator for h in g.vertices.values()))
-    y = {v: h.numerator * (sy // h.denominator) for v, h in g.vertices.items()}
-    point: dict[str, tuple[int, int]] = {}
-    placed: list[tuple[int, int]] = []  # points in insertion order, so x increases
-    drawn: list[tuple[tuple[int, int], tuple[int, int], int, int, frozenset[str]]] = []  # a, b, y range, ends
-    since: dict[str, tuple[int, int]] = {}  # v -> lengths of drawn and placed before v's turn
-    incident = g.incident_edges()
-
-    for v in insertion.sequence:
-        neighbors = sorted(
-            {g.edges[e][0] if g.edges[e][1] == v else g.edges[e][1] for e in incident[v]}
-            & set(point)
-        )
+    for v in _insertion_order(d):
+        yv = vertex_pt[v][1]
         x = 0
         if placed:
             base = placed[-1][0]
-            offset = 1
-            for _ in range(64):
-                x = base + offset
-                if _placement_clean(neighbors, (x, y[v]), point, placed, drawn, since):
-                    break
-                offset *= 2
-            else:
-                raise InternalInvariantError(f"could not place vertex {v!r} clear of obstacles")
-        pv = point[v] = (x, y[v])
-        since[v] = (len(drawn), len(placed))
-        placed.append(pv)
-        for u in neighbors:
-            pu = point[u]
-            drawn.append((pu, pv, min(pu[1], pv[1]), max(pu[1], pv[1]), frozenset((u, v))))
+            least = max([base + 1] + [
+                _clearing_x(placed[turn[u]], yv, placed[turn[u] + 1:])
+                for u, _ in adjacency[v] if u in turn
+            ])
+            x = base + (1 << (least - base - 1).bit_length())
+        turn[v] = len(placed)
+        placed.append((x, yv))
 
-    out = Drawing(graph=g, x={v: p[0] for v, p in point.items()})
+    out = Drawing(graph=g, x={v: placed[i][0] for v, i in turn.items()})
     if per_level_order(out) != per_level_order(d):
         raise InternalInvariantError("stretching changed a per-level vertex order")
     if count_crossings_geometric(out).count != 0:
         raise InternalInvariantError("stretched drawing has crossings")
     return out
-
-
-def _placement_clean(neighbors, pv, point, placed, drawn, since) -> bool:
-    """True if v's new straight edges, to ``pv`` on integer coordinates, miss
-    all drawn segments and placed vertices."""
-    for u in neighbors:
-        a = point[u]
-        y_lo, y_hi = min(a[1], pv[1]), max(a[1], pv[1])
-        first_seg, first_vertex = since[u]
-        for (c, e, c_lo, c_hi, ends) in drawn[first_seg:]:
-            if c_hi < y_lo or y_hi < c_lo:
-                continue
-            kind, pt = geometry.classify_segments(a, pv, c, e)
-            if kind == geometry.NONE:
-                continue
-            if kind == geometry.TOUCH and u in ends and pt == a:
-                continue
-            return False
-        for pw in placed[first_vertex + 1:]:  # placed[first_vertex] is u
-            if y_lo <= pw[1] <= y_hi and geometry.on_segment(pw, a, pv):
-                return False
-    # New edges pairwise share only v (collinear overlaps would slip past the
-    # drawn-segment checks above).
-    for i in range(len(neighbors)):
-        for j in range(i + 1, len(neighbors)):
-            kind, pt = geometry.classify_segments(point[neighbors[i]], pv, point[neighbors[j]], pv)
-            if kind == geometry.NONE or (kind == geometry.TOUCH and pt == pv):
-                continue
-            return False
-    return True

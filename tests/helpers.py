@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_right, insort
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -19,7 +20,6 @@ from reebdraw import (
     CrossingCertificate,
     DegeneracyError,
     Drawing,
-    EdgeLeftRightOrder,
     GadgetInstance,
     GraphStructureError,
     InternalInvariantError,
@@ -29,7 +29,6 @@ from reebdraw import (
     ReebGraph,
     RenderOptions,
     ShapeClass,
-    VertexInsertionOrder,
     classify_shape,
     count_crossings_geometric,
     count_crossings_layered,
@@ -194,6 +193,25 @@ def curved_copy(d: Drawing, rng: random.Random) -> Drawing:
             pass
         eps /= 2
     return d
+
+
+def found_deadlock():
+    """A crossing-free straight caterpillar on which ``reference_stretch``'s
+    wait-for rule deadlocks: s2 waits for s4 (l0-s4 lies left of s1-s2) and
+    s4 for s2 (s1-s2 lies left of s3-s4)."""
+    g = ReebGraph.build({"s0": 0, "s1": -1, "s2": 1, "s3": 0, "s4": 3, "l0": 0},
+                        [("s0", "s1"), ("s1", "s2"), ("s2", "s3"), ("s3", "s4"), ("l0", "s4")])
+    return Drawing(graph=g, x={"s0": Fraction(0), "s1": Fraction(2), "s2": Fraction(3),
+                               "s3": Fraction(4), "s4": Fraction(5), "l0": Fraction(1)})
+
+
+def found_doubling():
+    """A crossing-free straight caterpillar on which ``reference_stretch``
+    finds no clean offset for s2 in 64 doublings."""
+    g = ReebGraph.build({"s0": 0, "s1": -1, "s2": 0, "l0": 1, "l1": 3},
+                        [("s0", "s1"), ("s1", "s2"), ("l0", "s2"), ("l1", "s0")])
+    return Drawing(graph=g, x={"s0": Fraction(0), "l0": Fraction(1), "s1": Fraction(2),
+                               "l1": Fraction(11, 4), "s2": Fraction(4)})
 
 
 def enumerate_min_crossings(g: ReebGraph) -> int:
@@ -489,6 +507,27 @@ def reference_warm_start(g2: ReebGraph) -> int:
     return best
 
 
+@dataclass(frozen=True)
+class EdgeLeftRightOrder:
+    """Directed relation over edge indices: i -> j iff i and j share part of
+    their open y intervals and i runs strictly left of j there."""
+
+    edge_count: int
+    left_of: tuple[tuple[int, ...], ...]  # successors: edges strictly to the right
+
+    def predecessors(self) -> tuple[tuple[int, ...], ...]:
+        preds: list[list[int]] = [[] for _ in range(self.edge_count)]
+        for i, succs in enumerate(self.left_of):
+            for j in succs:
+                preds[j].append(i)
+        return tuple(tuple(p) for p in preds)
+
+
+@dataclass(frozen=True)
+class VertexInsertionOrder:
+    sequence: tuple[str, ...]
+
+
 def _reference_x_at(poly, y: Fraction) -> Fraction:
     """x coordinate of a strictly y-monotone polyline at height y."""
     for a, b in zip(poly, poly[1:]):
@@ -582,14 +621,37 @@ def reference_vertex_insertion_order(d: Drawing, order: EdgeLeftRightOrder) -> V
     return VertexInsertionOrder(tuple(sequence))
 
 
-def reference_stretch(d: Drawing) -> Drawing:
-    """Oracle: the original ``stretch``, kept verbatim with its three helpers.
+def reference_rows(d: Drawing) -> tuple[tuple[str | int, ...], ...]:
+    """Independent oracle for the order ``stretch`` keeps: for each distinct
+    vertex height, bottom up, the vertex ids there and the indices of the
+    edges whose polylines pass strictly through it, left to right, on
+    unscaled ``Fraction`` coordinates."""
+    g = d.graph
+    rows = []
+    for h in sorted(set(g.vertices.values())):
+        row = [(d.x[v], v) for v in g.vertices if g.vertices[v] == h]
+        for i in range(len(g.edges)):
+            poly = d.polyline(i)
+            if poly[0][1] < h < poly[-1][1]:
+                row.append((_reference_x_at(poly, h), i))
+        row.sort(key=lambda item: item[0])
+        xs = [x for x, _ in row]
+        assert len(set(xs)) == len(xs), f"two objects share x at height {h}"
+        rows.append(tuple(obj for _, obj in row))
+    return tuple(rows)
 
-    It tests every new edge against every drawn segment and every placed
-    vertex on unscaled ``Fraction`` coordinates, so it is slow, but its
-    output (drawing, or exception class, code and message) is what
-    ``stretch`` must reproduce; likewise ``reference_edge_partial_order`` and
-    ``reference_vertex_insertion_order`` for the unchecked stages.
+
+def reference_stretch(d: Drawing) -> Drawing:
+    """Oracle: the ``stretch`` that ordered edges all-pairs, kept verbatim
+    with its three helpers.
+
+    It inserts vertices by a wait-for rule on the edge relation and doubles
+    each offset until the new edges touch nothing, testing every new edge
+    against every drawn segment and placed vertex on unscaled ``Fraction``
+    coordinates.  Wherever its output keeps ``reference_rows`` and its
+    insertion order (``reference_vertex_insertion_order``) equals the peel's,
+    ``stretch`` must reproduce it byte for byte; its refusals for crossings,
+    parallel edges and degeneracies too.
     """
     if count_crossings_geometric(d).count != 0:
         raise GraphStructureError("cannot stretch a drawing with crossings", code="has-crossings")

@@ -39,6 +39,8 @@ from helpers import (
     alternating_cycle,
     curved_copy,
     enumerate_min_crossings,
+    found_deadlock,
+    found_doubling,
     random_caterpillar_graph,
     random_connected_graph,
     random_cycle_graph,
@@ -130,19 +132,22 @@ def test_criterion_4_subdivision_preserves_the_minimum():
 def test_criterion_5_stretching_straightens_curved_planar_drawings():
     rng = random.Random(105)
     start = time.monotonic()
+    drawings = [found_deadlock(), found_doubling()]
     for i in range(100):
         if i % 2 == 0:
             base = layout_path(random_path_graph(rng.randint(2, 12), rng))
         else:
             base = layout_caterpillar(random_caterpillar_graph(rng.randint(2, 12), rng))
-        curved = curved_copy(base, rng)
+        drawings.append(curved_copy(base, rng))
+    for curved in drawings:
         out = stretch(curved)
         assert all(not b for b in out.bends)
         assert count_crossings_geometric(out).count == 0
         assert per_level_order(out) == per_level_order(curved)
     elapsed = time.monotonic() - start
     report(5, True,
-           f"100 curved drawings straightened: 0 crossings, per-level order kept ({elapsed:.2f}s)")
+           f"100 curved drawings and 2 regression caterpillars straightened: 0 crossings, "
+           f"per-level order kept ({elapsed:.2f}s)")
 
 
 def test_criterion_6_grid_counts_and_planarity():

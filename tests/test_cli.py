@@ -138,6 +138,39 @@ def test_stretch_cli(graph_file, tmp_path, capsys):
     assert all(not e["bends"] for e in json.loads(out)["edges"])
 
 
+def test_stretch_cli_empty_drawing(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"graph": {"vertices": [], "edges": []}, "x": {}, "edges": []}))
+    code, out, _ = run(capsys, "stretch", path)
+    assert code == 0
+    assert json.loads(out) == {"graph": {"vertices": [], "edges": []}, "x": {}, "edges": []}
+
+
+# A crossing-free path with p3 in a pocket between p1-p2 and p0-p1.
+POCKET_PATH = {
+    "graph": {
+        "vertices": [{"id": "p0", "height": "-2/3"}, {"id": "p1", "height": "3"}, {"id": "p2", "height": "0"},
+                     {"id": "p3", "height": "1/2"}, {"id": "l0", "height": "9"}],
+        "edges": [["p0", "p1"], ["p1", "p2"], ["p2", "p3"], ["l0", "p0"]],
+    },
+    "x": {"p0": "0", "p1": "1", "p2": "1", "p3": "2", "l0": "0"},
+    "edges": [
+        {"endpoints": ["p0", "p1"], "bends": [["2", "0"], ["3", "1/2"]]},
+        {"endpoints": ["p1", "p2"], "bends": [["1", "1/2"]]},
+        {"endpoints": ["p2", "p3"], "bends": []},
+        {"endpoints": ["l0", "p0"], "bends": [["0", "0"], ["0", "1/2"], ["0", "3"]]},
+    ],
+}
+
+
+def test_stretch_cli_refuses_the_pocket_path(tmp_path, capsys):
+    path = tmp_path / "pocket.json"
+    path.write_text(json.dumps(POCKET_PATH))
+    code, out, err = run(capsys, "stretch", path)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "not-straightenable"
+
+
 def test_render_cli(graph_file, tmp_path, capsys):
     drawing_path = tmp_path / "d.json"
     run(capsys, "layout", graph_file, "-o", drawing_path)

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
+import importlib
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -9,103 +9,46 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reebdraw import (
-    DegeneracyError,
     Drawing,
     GraphStructureError,
+    LayoutError,
     ReebError,
     ReebGraph,
-    geometry,
     count_crossings_geometric,
-    edge_partial_order,
+    count_crossings_layered,
     layout_caterpillar,
-    layout_path,
     per_level_order,
     stretch,
-    vertex_insertion_order,
+    subdivide,
 )
+from reebdraw.crossings import _realize_unsubdivided
 from reebdraw.jsonio import serialize_drawing
-from reebdraw.stretch import _edge_partial_order_unchecked, _vertex_insertion_order_unchecked
+from reebdraw.stretch import _insertion_order
 
 from helpers import (
     curved_copy,
+    found_deadlock,
+    found_doubling,
     random_caterpillar_graph,
+    random_connected_graph,
+    random_ordering,
     random_path_graph,
     reference_edge_partial_order,
+    reference_rows,
     reference_stretch,
     reference_vertex_insertion_order,
 )
 
-
-def vertical_pair():
-    g = ReebGraph.build({"a": 0, "b": 2, "c": 0, "d": 2}, [("a", "b"), ("c", "d")])
-    d = Drawing(graph=g, x={"a": Fraction(0), "b": Fraction(0),
-                            "c": Fraction(1), "d": Fraction(1)})
-    return g, d
+# The package exports the function ``stretch`` under the module's name.
+stretch_module = importlib.import_module("reebdraw.stretch")
 
 
-class TestEdgePartialOrder:
-    def test_left_edge_precedes_right(self):
-        g, d = vertical_pair()
-        order = edge_partial_order(d)
-        assert order.left_of[0] == (1,)
-        assert order.left_of[1] == ()
-
-    def test_disjoint_spans_incomparable(self):
-        g = ReebGraph.build({"a": 0, "b": 1, "c": 2, "d": 3},
-                            [("a", "b"), ("c", "d")])
-        d = Drawing(graph=g, x={"a": Fraction(0), "b": Fraction(5),
-                                "c": Fraction(0), "d": Fraction(5)})
-        order = edge_partial_order(d)
-        assert order.left_of == ((), ())
-
-    def test_three_nested_curves_form_a_chain(self):
-        g = ReebGraph.build(
-            {"a1": 0, "b1": 3, "a2": 0, "b2": 3, "a3": 0, "b3": 3},
-            [("a1", "b1"), ("a2", "b2"), ("a3", "b3")],
-        )
-        bends = (
-            ((Fraction(-1), Fraction(1)),),
-            ((Fraction(1), Fraction(2)),),
-            ((Fraction(3), Fraction(1)),),
-        )
-        d = Drawing(
-            graph=g,
-            x={"a1": Fraction(0), "b1": Fraction(0), "a2": Fraction(1), "b2": Fraction(1),
-               "a3": Fraction(2), "b3": Fraction(2)},
-            bends=bends,
-        )
-        order = edge_partial_order(d)
-        assert 1 in order.left_of[0] and 2 in order.left_of[1] and 2 in order.left_of[0]
-
-    def test_crossing_drawing_rejected(self):
-        g = ReebGraph.build({"a": 0, "b": 0, "c": 1, "d": 1}, [("a", "d"), ("b", "c")])
-        d = Drawing(graph=g, x={"a": Fraction(0), "b": Fraction(1),
-                                "c": Fraction(0), "d": Fraction(1)})
-        with pytest.raises(GraphStructureError) as exc:
-            edge_partial_order(d)
-        assert exc.value.code == "has-crossings"
-
-
-class TestVertexInsertionOrder:
-    def test_single_edge_lower_left_first(self):
-        g = ReebGraph.build({"a": 0, "b": 1}, [("a", "b")])
-        d = Drawing(graph=g, x={"a": Fraction(0), "b": Fraction(1)})
-        order = vertex_insertion_order(d, edge_partial_order(d))
-        assert order.sequence == ("a", "b")
-
-    def test_path_layout_inserts_left_to_right(self):
-        rng = random.Random(1)
-        g = random_path_graph(7, rng)
-        d = layout_path(g)
-        order = vertex_insertion_order(d, edge_partial_order(d))
-        assert [d.x[v] for v in order.sequence] == sorted(d.x.values())
-
-    def test_terminates_on_curved_planar_drawing(self):
-        rng = random.Random(2)
-        g = random_caterpillar_graph(10, rng)
-        d = curved_copy(layout_caterpillar(g), rng)
-        order = vertex_insertion_order(d, edge_partial_order(d))
-        assert len(order.sequence) == g.vertex_count
+def _outcome(fn, *args):
+    """A result, or the class, code and message of the refusal."""
+    try:
+        return fn(*args)
+    except ReebError as exc:
+        return (type(exc), exc.code, str(exc))
 
 
 class TestStretch:
@@ -175,21 +118,74 @@ class TestStretch:
         rng = random.Random(6)
         g = random_caterpillar_graph(8, rng)
         d = curved_copy(layout_caterpillar(g), rng)
-        before = edge_partial_order(d)
+        assert reference_rows(stretch(d)) == reference_rows(d)
+
+    def test_empty_drawing(self):
+        d = Drawing(graph=ReebGraph.build({}, []), x={})
+        assert stretch(d) == d
+
+
+def pocket_path():
+    """A crossing-free path with p3 in a pocket between p1-p2 and p0-p1: a
+    straight drawing with the same rows exists, but not one that places each
+    vertex right of the earlier ones."""
+    g = ReebGraph.build({"p0": Fraction(-2, 3), "p1": 3, "p2": 0, "p3": Fraction(1, 2), "l0": 9},
+                        [("p0", "p1"), ("p1", "p2"), ("p2", "p3"), ("l0", "p0")])
+    half = Fraction(1, 2)
+    bends = (((Fraction(2), Fraction(0)), (Fraction(3), half)),
+             ((Fraction(1), half),),
+             (),
+             ((Fraction(0), Fraction(0)), (Fraction(0), half), (Fraction(0), Fraction(3))))
+    return Drawing(graph=g, x={"p0": Fraction(0), "p1": Fraction(1), "p2": Fraction(1),
+                               "p3": Fraction(2), "l0": Fraction(0)}, bends=bends)
+
+
+class TestStretchRegressions:
+    @pytest.mark.parametrize("make, xs", [
+        (found_deadlock, {"s0": 0, "l0": 1, "s1": 2, "s4": 3, "s2": 4, "s3": 5}),
+        (found_doubling, {"s0": 0, "l1": 1, "l0": 2, "s1": 3, "s2": 4}),
+    ])
+    def test_found_caterpillars_straighten(self, make, xs):
+        d = make()
+        assert count_crossings_geometric(d).count == 0
         out = stretch(d)
-        after = edge_partial_order(out)
-        for i, succs in enumerate(before.left_of):
-            for j in succs:
-                # comparable pairs keep their direction
-                assert i not in after.left_of[j]
+        assert out.x == xs
+        assert all(not b for b in out.bends)
+        assert count_crossings_geometric(out).count == 0
+        assert reference_rows(out) == reference_rows(d)
 
+    def test_pocket_path_is_refused(self):
+        d = pocket_path()
+        assert count_crossings_geometric(d).count == 0
+        with pytest.raises(LayoutError) as exc:
+            stretch(d)
+        assert exc.value.code == "not-straightenable"
 
-def _outcome(fn, *args):
-    """A result, or the class, code and message of the refusal."""
-    try:
-        return fn(*args)
-    except ReebError as exc:
-        return (type(exc), exc.code, str(exc))
+    def test_random_crossing_free_level_orderings(self):
+        # Paths, caterpillars and trees, each realized from a random
+        # crossing-free ordering of its subdivision, straight and curved.
+        rng = random.Random(10)
+        trees = (random_path_graph, random_caterpillar_graph,
+                 lambda n, r: random_connected_graph(n, r, extra=0))
+        drawn = 0
+        for i in range(300):
+            g2, mapping = subdivide(trees[i % 3](rng.randint(2, 7), rng))
+            for _ in range(50):
+                ordering = random_ordering(g2, rng)
+                if count_crossings_layered(g2, ordering) == 0:
+                    break
+            else:
+                continue
+            d = _realize_unsubdivided(mapping, ordering)
+            for dd in (d, curved_copy(d, rng)):
+                drawn += 1
+                out, ref = _outcome(stretch, dd), _outcome(reference_stretch, dd)
+                if isinstance(out, Drawing):
+                    assert reference_rows(out) == reference_rows(dd)
+                else:
+                    assert out[:2] == (LayoutError, "not-straightenable")
+                    assert not isinstance(ref, Drawing)
+        assert drawn > 400
 
 
 _T = tuple(Fraction(k, 12) for k in (3, 4, 6, 8, 9))
@@ -239,38 +235,24 @@ class TestStretchOracle:
     @given(curved_caterpillars())
     def test_matches_reference(self, d):
         out, ref = _outcome(stretch, d), _outcome(reference_stretch, d)
-        if isinstance(ref, Drawing):
-            assert isinstance(out, Drawing) and serialize_drawing(out) == serialize_drawing(ref)
+        if isinstance(out, Drawing):
+            rows = reference_rows(d)
+            assert reference_rows(out) == rows
+            if (isinstance(ref, Drawing) and reference_rows(ref) == rows
+                    and reference_vertex_insertion_order(d, reference_edge_partial_order(d)).sequence
+                    == _insertion_order(d)):
+                assert serialize_drawing(out) == serialize_drawing(ref)
         else:
-            assert out == ref
-        order = _outcome(_edge_partial_order_unchecked, d)
-        assert order == _outcome(reference_edge_partial_order, d)
-        if not isinstance(order, tuple):
-            assert (_outcome(_vertex_insertion_order_unchecked, d, order)
-                    == _outcome(reference_vertex_insertion_order, d, order))
-
-
-def _record_calls(monkeypatch, name):
-    """Record the arguments of every call to ``geometry.<name>`` made directly
-    from ``reebdraw.stretch`` (not from the crossing counter, nor from inside
-    another predicate)."""
-    calls = []
-    fn = getattr(geometry, name)
-
-    def recorded(*args):
-        if sys._getframe(1).f_globals["__name__"] == "reebdraw.stretch":
-            calls.append(args)
-        return fn(*args)
-
-    monkeypatch.setattr(geometry, name, recorded)
-    return calls
+            assert not isinstance(ref, Drawing)
+            assert out[1] != "internal"
+            if {out[1], ref[1]} & {"has-crossings", "parallel-edges", "degenerate"}:
+                assert out == ref
 
 
 class TestStretchBoundaries:
     def test_offset_doubles_past_an_overlap(self):
-        # u-w is straight; u-v bends at (2, 1).  The first candidate for v is
-        # x = 2, where u-v would run over u-w and through w; doubling the
-        # offset puts v at x = 3.
+        # u-w is straight; u-v bends at (2, 1).  The least x that puts w
+        # strictly left of u-v is 3, so v skips x = 2 and lands at 3.
         g = ReebGraph.build({"u": 0, "w": 1, "v": 2}, [("u", "w"), ("u", "v")])
         d = Drawing(graph=g, x={"u": Fraction(0), "w": Fraction(1), "v": Fraction(3)},
                     bends=((), ((Fraction(2), Fraction(1)),)))
@@ -278,43 +260,46 @@ class TestStretchBoundaries:
         assert out.x == {"u": 0, "w": 1, "v": 3}
         assert out == reference_stretch(d)
 
-    def test_segment_and_vertex_at_an_end_height_are_tested(self, monkeypatch):
+    def test_offset_rounds_up_to_a_power_of_two(self):
+        # w = (1, 1) lies strictly inside u-v's y-range, so v needs x >= 4;
+        # the offset from base 1 rounds up to 4.  The old doubling stopped at
+        # x = 2, where u-v misses w but passes it on the left.
+        g = ReebGraph.build({"u": 0, "w": 1, "v": 3}, [("u", "w"), ("u", "v")])
+        d = Drawing(graph=g, x={"u": Fraction(0), "w": Fraction(1), "v": Fraction(3)},
+                    bends=((), ((Fraction(2), Fraction(1)),)))
+        out = stretch(d)
+        assert out.x == {"u": 0, "w": 1, "v": 5}
+        assert reference_rows(out) == reference_rows(d)
+        assert reference_rows(reference_stretch(d)) != reference_rows(d)
+
+    def test_segment_and_vertex_at_an_end_height_are_tested(self):
         # Inserted u, w, z, v.  New edge u-v spans y in [0, 1]; the drawn
         # segment w-z spans [1, 3] and ends at z = (2, 1): the closed ranges
-        # meet at y = 1 only, and both z and w-z must still be tested.
+        # meet at y = 1 only, where u-v is at u, so v goes at 3.
         g = ReebGraph.build({"u": 1, "w": 3, "z": 1, "v": 0}, [("u", "w"), ("w", "z"), ("u", "v")])
         d = Drawing(graph=g, x={"u": Fraction(0), "w": Fraction(1), "z": Fraction(2), "v": Fraction(3)})
-        segment_calls = _record_calls(monkeypatch, "classify_segments")
-        vertex_calls = _record_calls(monkeypatch, "on_segment")
         out = stretch(d)
         assert out.x == {"u": 0, "w": 1, "z": 2, "v": 3}
-        assert ((0, 1), (3, 0), (1, 3), (2, 1)) in segment_calls
-        assert ((2, 1), (0, 1), (3, 0)) in vertex_calls
-
-    def test_coincidence_message_names_the_unscaled_height(self):
-        # Two straight a-b edges coincide; the midpoint of their span is
-        # (1/3 + 5/2) / 2 = 17/12, on unscaled coordinates.
-        g = ReebGraph.build({"a": Fraction(1, 3), "b": Fraction(5, 2)}, [("a", "b"), ("a", "b")])
-        d = Drawing(graph=g, x={"a": Fraction(1, 2), "b": Fraction(5, 3)})
-        with pytest.raises(DegeneracyError) as exc:
-            _edge_partial_order_unchecked(d)
-        assert str(exc.value) == "edges 0 and 1 coincide at height 17/12"
-        assert _outcome(reference_edge_partial_order, d) == (DegeneracyError, "degenerate", str(exc.value))
 
 
 class TestStretchWork:
-    # classify_segments / on_segment calls made by the all-pairs placement
-    # check on this input; the windowed check must make under a tenth of each.
-    ALL_PAIRS_SEGMENT_TESTS = 19733
-    ALL_PAIRS_VERTEX_TESTS = 19710
+    # Placed vertices the bound would read on this input if every new edge
+    # were tested against all of them; the windowed bound must read under a
+    # tenth of that.
+    ALL_PLACED = 19909
 
     def test_placement_tests_only_nearby_segments_and_vertices(self, monkeypatch):
         rng = random.Random(1)
         g = random_caterpillar_graph(200, rng)
         d = curved_copy(layout_caterpillar(g), rng)
-        segment_calls = _record_calls(monkeypatch, "classify_segments")
-        vertex_calls = _record_calls(monkeypatch, "on_segment")
+        read = []
+        clearing_x = stretch_module._clearing_x
+
+        def counted(pu, yv, points):
+            read.append(len(points))
+            return clearing_x(pu, yv, points)
+
+        monkeypatch.setattr(stretch_module, "_clearing_x", counted)
         out = stretch(d)
-        assert per_level_order(out) == per_level_order(d)
-        assert len(segment_calls) < self.ALL_PAIRS_SEGMENT_TESTS // 10
-        assert len(vertex_calls) < self.ALL_PAIRS_VERTEX_TESTS // 10
+        assert reference_rows(out) == reference_rows(d)
+        assert sum(read) < self.ALL_PLACED // 10
