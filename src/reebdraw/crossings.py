@@ -343,15 +343,14 @@ def _strip_crossings(pairs: Iterable[tuple[int, int]]) -> int:
     return total
 
 
-def _check_ordering(g2: ReebGraph, lev: LevelAssignment, ordering: LevelOrdering) -> None:
+def _check_ordering(lev: LevelAssignment, ordering: LevelOrdering) -> None:
     if len(ordering.orders) != lev.count:
         raise GraphStructureError(
             f"ordering has {len(ordering.orders)} levels, graph has {lev.count}",
             code="ordering-mismatch",
         )
-    for l, order in enumerate(ordering.orders):
-        expected = {v for v, lv in lev.level.items() if lv == l}
-        if set(order) != expected or len(order) != len(expected):
+    for l, (order, expected) in enumerate(zip(ordering.orders, lev.by_level())):
+        if len(order) != len(expected) or set(order) != set(expected):
             raise GraphStructureError(
                 f"ordering for level {l} does not cover exactly that level's vertices",
                 code="ordering-mismatch",
@@ -372,7 +371,7 @@ def count_crossings_layered(g2: ReebGraph, ordering: LevelOrdering) -> int:
                 f"layered counting requires consecutive-level edges; edge {i} ({a}, {b}) skips levels",
                 code="not-leveled",
             )
-    _check_ordering(g2, lev, ordering)
+    _check_ordering(lev, ordering)
     pos = ordering.positions()
     total = 0
     for strip in _strip_edges(g2, lev):
@@ -612,7 +611,7 @@ class ExactResult:
     """Outcome of the exact search: minimum count plus a witnessing ordering.
 
     The ordering is over the subdivided graph (``graph``); ``mapping`` links it
-    back to the input.  ``states`` is the number of search nodes explored.
+    back to the input.  ``states`` counts the candidates tried, as the budget does.
     """
 
     count: int
@@ -821,7 +820,6 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     :class:`_ParityUnion`): one equality per pair of strip edges that must
     not cross.  Placing i fixes "i left of j" for every unplaced j of its
     level, and each such pair orients its component of the system.
-    Orientations go on a trail that is popped on backtrack.
 
     A round of target 0 asks for a crossing-free ordering, and the system
     of all strips, from :func:`_parity_system`, holds for every such
@@ -847,6 +845,12 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     because the orientation starts afresh at each level entry and sees only
     the placements on level L.  In every round the subtree's outcome is a
     function of (L, order of level L - 1, cost) as before.
+
+    Each round is one loop over an explicit stack, so no input is too deep:
+    a frame per level entry (its ``drop`` rows, parity entries, orientation
+    map, trail, placed flags and order so far) holds a choice point per
+    vertex placed (next candidate, floor, regret row, order code, ``bad`` and
+    the trail mark to unwind to when the placement is taken back).
 
     Candidates are tried in id order and the first completion within the
     target ends the round, so the witness is the lexicographically least
@@ -906,22 +910,18 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     # A level's order is coded as one int, its indices read as digits in base
     # the level's width: ``chosen`` holds the codes of the levels placed so
     # far, and a level's memo is keyed by the code of the level below.
-    best_orders: list[tuple[int, ...] | None] = [None]
     chosen: list[int] = []
-    states = [0]
+    states = 0
     limit = inf if budget is None else budget
-    found = [False]
 
-    def fill_level(level: int, cost: int, target: int,
-                   memo: list[dict[int, int]]) -> None:
-        if level == lev.count:
-            best_orders[0] = tuple(chosen)
-            found[0] = True
-            return
-        below = chosen[level - 1] if level > 0 else 0
+    def enter(cost: int, target: int, memo: list[dict[int, int]]) -> tuple | None:
+        """The frame (width, base, mirror, above, drop, entries, orient, trail, placed,
+        perm, points) of the level above ``chosen``, or None if the memo or floor cuts it."""
+        level = len(chosen)
+        below = chosen[-1] if chosen else 0
         seen = memo[level].get(below)
         if seen is not None and seen <= cost:
-            return
+            return None
         # The floor counts only pairs with a vertex of several lower edges.
         floor = cost + future_lb[level]
         ones = list(map(pos.__getitem__, one_below[level]))
@@ -940,7 +940,7 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
                     floor += min(bisect_left(a, p), n - bisect_right(a, p))
                 lows.append((i, a))
             if floor > target:
-                return
+                return None
         memo[level][below] = cost
         # regret[u] sums max(0, c[u][w] - c[w][u]) over the unplaced w; drop[u]
         # is what placing u takes off every other vertex's regret.
@@ -959,97 +959,97 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
             elif ji > ij:
                 regret[j] += ji - ij
                 drop[i][j] = ji - ij
-        base = number[level_vertices[level][0]]
-        mirror = level == mirror_level
         # ``bad`` counts the components of the parity system in use that
         # force a crossing in the strips >= level.
         if target == 0:
             entries, orient, trail, bad = sides[level], round_zero_orient, round_zero_trail, 0
         else:
             entries, orient, trail, bad = suffix_sides[level], {}, [], suffix_odd[level]
-        above = future_lb[level]
-        perm: list[int] = []
-        placed = [False] * width
+        return (width, number[level_vertices[level][0]], level == mirror_level, future_lb[level],
+                drop, entries, orient, trail, [False] * width, [], [[0, floor, regret, 0, bad, 0]])
 
-        def place(floor_here: int, regret_here: list[int], code: int, bad_here: int) -> None:
-            for i in range(width):
-                if placed[i]:
-                    continue
-                states[0] += 1
-                if states[0] > limit:
-                    raise BudgetExhaustedError(
-                        f"exact search exceeded budget of {budget} states",
-                        best=warm,
-                        ordering=warm_ordering,
-                        mapping=smap,
-                    )
-                if floor_here + regret_here[i] > target:
-                    continue
-                if mirror and len(perm) + 1 < width:
-                    # Mirror cut: a vertex after the first in id order must
-                    # be left over to place last.
-                    first = perm[0] if perm else i
-                    if placed[first + 1:].count(False) == (i > first):
+    def run_round(target: int) -> list[list[str]] | None:
+        """One deepening round: the orders of the first completion within ``target``, or None."""
+        nonlocal states
+        memo: list[dict[int, int]] = [{} for _ in range(lev.count)]
+        frame = enter(0, target, memo)
+        frames = [] if frame is None else [frame]
+        while frames:
+            width, base, mirror, above, drop, entries, orient, trail, placed, perm, points = frames[-1]
+            start, floor, regret, code, bad, mark = point = points[-1]
+            if len(perm) == width:
+                # No completion above this level's last placement: take it back.
+                placed[perm.pop()] = False
+                chosen.pop()
+                _unwind(orient, trail, mark)
+            while True:
+                for i in range(start, width):
+                    if placed[i]:
                         continue
-                mark = len(trail)
-                bad_i = bad_here + _orient(entries[i], placed, orient, trail) if entries[i] else bad_here
-                # The floor counts ``above`` for the strips >= level, and
-                # ``bad_i`` bounds them too.
-                if bad_i > above and floor_here + regret_here[i] + bad_i - above > target:
+                    states += 1
+                    if states > limit:
+                        raise BudgetExhaustedError(f"exact search exceeded budget of {budget} states",
+                                                   best=warm, ordering=warm_ordering, mapping=smap)
+                    if floor + regret[i] > target:
+                        continue
+                    if mirror and len(perm) + 1 < width:
+                        # Mirror cut: a vertex after the first in id order must
+                        # be left over to place last.
+                        first = perm[0] if perm else i
+                        if placed[first + 1:].count(False) == (i > first):
+                            continue
+                    mark = len(trail)
+                    bad_i = bad + _orient(entries[i], placed, orient, trail) if entries[i] else bad
+                    # The floor counts ``above`` for the strips >= level, and
+                    # ``bad_i`` bounds them too.
+                    if bad_i > above and floor + regret[i] + bad_i - above > target:
+                        if len(trail) > mark:
+                            _unwind(orient, trail, mark)
+                        continue
+                    break
+                else:
+                    points.pop()
+                    if not points:
+                        frames.pop()
+                        break
+                    # Back up to the choice point below and take its placement back.
+                    start, floor, regret, code, bad, mark = point = points[-1]
+                    placed[perm.pop()] = False
                     if len(trail) > mark:
                         _unwind(orient, trail, mark)
                     continue
+                point[0], point[5] = i + 1, mark
                 pos[base + i] = len(perm)
                 perm.append(i)
-                if len(perm) == width:
-                    chosen.append(code * width + i)
-                    fill_level(level + 1, floor_here + regret_here[i] - above, target, memo)
-                    if found[0]:
-                        return
-                    chosen.pop()
-                else:
-                    placed[i] = True
-                    place(floor_here + regret_here[i], list(map(sub, regret_here, drop[i])),
-                          code * width + i, bad_i)
-                    if found[0]:
-                        return
-                    placed[i] = False
-                if len(trail) > mark:
-                    _unwind(orient, trail, mark)
-                perm.pop()
-
-        # ``place`` and ``fill_level`` refer to themselves: emptying their cells
-        # breaks the cycle, which would hold ``memo`` until the collector runs.
-        try:
-            place(floor, regret, 0, bad)
-        finally:
-            del place
-
-    minimum = None
-    try:
-        for target in range(first_target, warm + 1):
-            if target and not suffix_sides:
-                suffix_odd, suffix_sides = _suffix_tables(level_vertices, strips)
-            fill_level(0, 0, target, [{} for _ in range(lev.count)])
-            if found[0]:
-                minimum = target
+                placed[i] = True
+                if len(perm) < width:
+                    point = [0, floor + regret[i], list(map(sub, regret, drop[i])), code * width + i, bad_i, 0]
+                    points.append(point)
+                    start, floor, regret, code, bad, mark = point
+                    continue
+                chosen.append(code * width + i)
+                if len(chosen) == lev.count:
+                    # Each level's frame is on the stack, its order complete.
+                    return [[vs[k] for k in frame[-2]] for vs, frame in zip(level_vertices, frames)]
+                frame = enter(floor + regret[i] - above, target, memo)
+                if frame is not None:
+                    frames.append(frame)
                 break
-    finally:
-        del fill_level
-    if minimum is None or best_orders[0] is None:
+        return None
+
+    for target in range(first_target, warm + 1):
+        if target and not suffix_sides:
+            suffix_odd, suffix_sides = _suffix_tables(level_vertices, strips)
+        witness = run_round(target)
+        if witness is not None:
+            break
+    else:
         # Unreachable: the warm-start cost itself is always attainable.
         raise InternalInvariantError("exact search finished without a witness")
-    orders = []
-    for vs, code in zip(level_vertices, best_orders[0]):
-        order = []
-        for _ in vs:
-            code, i = divmod(code, len(vs))
-            order.append(vs[i])
-        orders.append(tuple(reversed(order)))
     return ExactResult(
-        count=minimum,
-        ordering=LevelOrdering(tuple(orders)),
+        count=target,
+        ordering=LevelOrdering.from_lists(witness),
         graph=g2,
         mapping=smap,
-        states=states[0],
+        states=states,
     )

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
+from operator import sub
 from typing import Sequence
 
 from reebdraw import (
@@ -48,10 +49,14 @@ from reebdraw.crossings import (
     Point,
     _dfs_level_orders,
     _neighbors,
+    _orient,
     _pair_crossings,
+    _parity_system,
     _strip_crossings,
     _strip_edges,
     _strip_lower_bound,
+    _suffix_tables,
+    _unwind,
     _warm_start,
 )
 
@@ -165,6 +170,18 @@ def random_connected_graph(n: int, rng: random.Random, extra: int | None = None)
             if hs[a] != hs[b]:
                 edges.append((a, b))
         return ReebGraph.build(hs, edges)
+
+
+def deep_general_graph() -> ReebGraph:
+    """A GENERAL graph on 602 levels: a path v0..v599 at heights 0..599, w at
+    height 0 joined to v1 and v5, and z at height 605 joined to v3.  Its
+    subdivided vertices plus levels pass 1,000, deep enough to overflow a
+    search that recurses once per placed vertex."""
+    heights = {f"v{i}": i for i in range(600)}
+    heights.update(w=0, z=605)
+    edges = [(f"v{i}", f"v{i + 1}") for i in range(599)]
+    edges += [("w", "v1"), ("w", "v5"), ("z", "v3")]
+    return ReebGraph.build(heights, edges)
 
 
 def curved_copy(d: Drawing, rng: random.Random) -> Drawing:
@@ -873,6 +890,214 @@ def reference_exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGE
     return ExactResult(
         count=minimum,
         ordering=LevelOrdering(best_orders[0]),
+        graph=g2,
+        mapping=smap,
+        states=states[0],
+    )
+
+
+def recursive_exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> ExactResult:
+    """Oracle: ``exact_rgcn``'s search written as two self-recursive
+    closures, ``fill_level`` and ``place``, kept verbatim.
+
+    ``exact_rgcn`` runs the same search as a loop over an explicit stack, so
+    it must reproduce this one's ``count``, witness, ``states`` and budget
+    payload exactly.  This one recurses once per placed vertex, so it needs
+    a small graph.
+    """
+    if not is_connected(g):
+        raise LayoutError("exact search requires a connected graph", code="disconnected")
+    g2, smap = subdivide(g)
+    lev = levels(g2)
+    level_vertices = lev.by_level()
+    strips = _strip_edges(g2, lev)
+
+    if lev.count == 0:
+        return ExactResult(0, LevelOrdering(()), g2, smap, 0)
+
+    down_ends, _ = _neighbors(g2)
+
+    # future_lb[l]: crossings unavoidable in strips at or above level l.
+    strip_lb = [
+        _strip_lower_bound(strips[s], len(level_vertices[s]), len(level_vertices[s + 1]))
+        for s in range(lev.count - 1)
+    ]
+    future_lb = [0] * (lev.count + 1)
+    for s in range(lev.count - 2, -1, -1):
+        future_lb[s] = future_lb[s + 1] + strip_lb[s]
+
+    warm, warm_ordering = _warm_start(g2)
+
+    # Round 0 runs only if the parity system is consistent, and then prunes
+    # on it, with one orientation map and trail (see ``_orient``) over all
+    # levels.  Rounds >= 1 build the suffix tables when the first of them
+    # starts, and orient afresh on each level entry.
+    sides = _parity_system(level_vertices, strips) if future_lb[0] == 0 else None
+    first_target = future_lb[0] if future_lb[0] > 0 or sides is not None else 1
+    round_zero_orient: dict[int, int] = {}
+    round_zero_trail: list[int] = []
+    suffix_odd: list[int] = []
+    suffix_sides: list[list[list[tuple[int, int, int]]]] = []
+
+    # Vertices are numbered level by level; ``pos[k]`` is vertex k's position
+    # in its level's current order, written as it is placed.  Per level, the
+    # vertices with several lower edges (by index in the level, with their
+    # lower neighbors' numbers), and the indices and lower neighbors of those
+    # with exactly one.
+    number = {v: k for k, v in enumerate(v for vs in level_vertices for v in vs)}
+    pos = [0] * len(number)
+    multi = [[(i, [number[x] for x in down_ends[v]]) for i, v in enumerate(vs) if len(down_ends[v]) > 1]
+             for vs in level_vertices]
+    one_index = [[i for i, v in enumerate(vs) if len(down_ends[v]) == 1] for vs in level_vertices]
+    one_below = [[number[down_ends[v][0]] for v in vs if len(down_ends[v]) == 1] for vs in level_vertices]
+    mirror_level = next((l for l, vs in enumerate(level_vertices) if len(vs) > 1), None)
+
+    # A level's order is coded as one int, its indices read as digits in base
+    # the level's width: ``chosen`` holds the codes of the levels placed so
+    # far, and a level's memo is keyed by the code of the level below.
+    best_orders: list[tuple[int, ...] | None] = [None]
+    chosen: list[int] = []
+    states = [0]
+    limit = inf if budget is None else budget
+    found = [False]
+
+    def fill_level(level: int, cost: int, target: int,
+                   memo: list[dict[int, int]]) -> None:
+        if level == lev.count:
+            best_orders[0] = tuple(chosen)
+            found[0] = True
+            return
+        below = chosen[level - 1] if level > 0 else 0
+        seen = memo[level].get(below)
+        if seen is not None and seen <= cost:
+            return
+        # The floor counts only pairs with a vertex of several lower edges.
+        floor = cost + future_lb[level]
+        ones = list(map(pos.__getitem__, one_below[level]))
+        lows: list[tuple[int, list[int]]] = []
+        if multi[level]:
+            ranked = sorted(ones)
+            for i, xs in multi[level]:
+                a = sorted(map(pos.__getitem__, xs))
+                for _, b in lows:
+                    floor += min(_pair_crossings(a, b))
+                # A one-edge vertex crosses a's edges in both orders only
+                # when its neighbor lies strictly inside a's span.  Counted
+                # inline: this runs on every level entry.
+                n = len(a)
+                for p in ranked[bisect_right(ranked, a[0]):bisect_left(ranked, a[-1])]:
+                    floor += min(bisect_left(a, p), n - bisect_right(a, p))
+                lows.append((i, a))
+            if floor > target:
+                return
+        memo[level][below] = cost
+        # regret[u] sums max(0, c[u][w] - c[w][u]) over the unplaced w; drop[u]
+        # is what placing u takes off every other vertex's regret.
+        width = len(level_vertices[level])
+        regret = [0] * width
+        drop = [[0] * width for _ in range(width)]
+        singles = list(zip(one_index[level], ones))
+        # (i, j, c[i][j], c[j][i]) for each pair of vertices with lower edges.
+        pairs = [(i, j, *_pair_crossings(a, b)) for k, (i, a) in enumerate(lows) for j, b in lows[k + 1:]]
+        pairs += [(i, j, *_pair_crossings(a, [p])) for i, a in lows for j, p in singles]
+        pairs += [(i, j, p > q, q > p) for k, (i, p) in enumerate(singles) for j, q in singles[k + 1:]]
+        for i, j, ij, ji in pairs:
+            if ij > ji:
+                regret[i] += ij - ji
+                drop[j][i] = ij - ji
+            elif ji > ij:
+                regret[j] += ji - ij
+                drop[i][j] = ji - ij
+        base = number[level_vertices[level][0]]
+        mirror = level == mirror_level
+        # ``bad`` counts the components of the parity system in use that
+        # force a crossing in the strips >= level.
+        if target == 0:
+            entries, orient, trail, bad = sides[level], round_zero_orient, round_zero_trail, 0
+        else:
+            entries, orient, trail, bad = suffix_sides[level], {}, [], suffix_odd[level]
+        above = future_lb[level]
+        perm: list[int] = []
+        placed = [False] * width
+
+        def place(floor_here: int, regret_here: list[int], code: int, bad_here: int) -> None:
+            for i in range(width):
+                if placed[i]:
+                    continue
+                states[0] += 1
+                if states[0] > limit:
+                    raise BudgetExhaustedError(
+                        f"exact search exceeded budget of {budget} states",
+                        best=warm,
+                        ordering=warm_ordering,
+                        mapping=smap,
+                    )
+                if floor_here + regret_here[i] > target:
+                    continue
+                if mirror and len(perm) + 1 < width:
+                    # Mirror cut: a vertex after the first in id order must
+                    # be left over to place last.
+                    first = perm[0] if perm else i
+                    if placed[first + 1:].count(False) == (i > first):
+                        continue
+                mark = len(trail)
+                bad_i = bad_here + _orient(entries[i], placed, orient, trail) if entries[i] else bad_here
+                # The floor counts ``above`` for the strips >= level, and
+                # ``bad_i`` bounds them too.
+                if bad_i > above and floor_here + regret_here[i] + bad_i - above > target:
+                    if len(trail) > mark:
+                        _unwind(orient, trail, mark)
+                    continue
+                pos[base + i] = len(perm)
+                perm.append(i)
+                if len(perm) == width:
+                    chosen.append(code * width + i)
+                    fill_level(level + 1, floor_here + regret_here[i] - above, target, memo)
+                    if found[0]:
+                        return
+                    chosen.pop()
+                else:
+                    placed[i] = True
+                    place(floor_here + regret_here[i], list(map(sub, regret_here, drop[i])),
+                          code * width + i, bad_i)
+                    if found[0]:
+                        return
+                    placed[i] = False
+                if len(trail) > mark:
+                    _unwind(orient, trail, mark)
+                perm.pop()
+
+        # ``place`` and ``fill_level`` refer to themselves: emptying their cells
+        # breaks the cycle, which would hold ``memo`` until the collector runs.
+        try:
+            place(floor, regret, 0, bad)
+        finally:
+            del place
+
+    minimum = None
+    try:
+        for target in range(first_target, warm + 1):
+            if target and not suffix_sides:
+                suffix_odd, suffix_sides = _suffix_tables(level_vertices, strips)
+            fill_level(0, 0, target, [{} for _ in range(lev.count)])
+            if found[0]:
+                minimum = target
+                break
+    finally:
+        del fill_level
+    if minimum is None or best_orders[0] is None:
+        # Unreachable: the warm-start cost itself is always attainable.
+        raise InternalInvariantError("exact search finished without a witness")
+    orders = []
+    for vs, code in zip(level_vertices, best_orders[0]):
+        order = []
+        for _ in vs:
+            code, i = divmod(code, len(vs))
+            order.append(vs[i])
+        orders.append(tuple(reversed(order)))
+    return ExactResult(
+        count=minimum,
+        ordering=LevelOrdering(tuple(orders)),
         graph=g2,
         mapping=smap,
         states=states[0],

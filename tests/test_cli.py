@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from reebdraw.cli import main
+from reebdraw.jsonio import serialize_graph
 
-from helpers import counted_geometric_calls
+from helpers import counted_geometric_calls, deep_general_graph
 
 GRAPH = {
     "vertices": [
@@ -121,6 +122,17 @@ def test_exact_on_a_bench_graph_of_minimum_one(capsys):
     code, out, _ = run(capsys, "exact", FIXTURES / "min_one_bench_graph.json")
     assert code == 0
     assert json.loads(out)["count"] == 1
+
+
+def test_exact_and_auto_layout_on_a_deep_graph(tmp_path, capsys):
+    # The search holds its state on an explicit stack, so depth is no limit.
+    path = tmp_path / "deep.json"
+    path.write_text(serialize_graph(deep_general_graph()))
+    code, out, _ = run(capsys, "exact", path)
+    assert code == 0
+    assert json.loads(out)["count"] == 0
+    code, _, _ = run(capsys, "layout", path, "--algorithm", "auto")
+    assert code == 0
 
 
 def test_subdivide_roundtrip(graph_file, capsys):

@@ -53,6 +53,7 @@ from helpers import (
     random_cycle_graph,
     random_ordering,
     random_path_graph,
+    recursive_exact_rgcn,
     reference_count_crossings_geometric,
     reference_exact_rgcn,
     reference_realize_layered,
@@ -486,9 +487,21 @@ class TestLayeredCounter:
             count_crossings_layered(g, LevelOrdering((("a",), ("b",), ("c",))))
 
     def test_ordering_mismatch_rejected(self):
-        g = ReebGraph.build({"a": 0, "b": 1}, [("a", "b")])
-        with pytest.raises(Exception):
-            count_crossings_layered(g, LevelOrdering((("a", "b"), ())))
+        g = ReebGraph.build({"a": 0, "b": 0, "c": 1, "d": 1, "e": 2},
+                            [("a", "c"), ("b", "d"), ("c", "e"), ("d", "e")])
+        cases = [
+            ((("a", "b"), ("c", "d")), "ordering has 2 levels, graph has 3"),
+            # A missing vertex; a vertex from another level, with level 2 wrong
+            # too; a duplicated vertex, the same set in a longer order.
+            ((("a", "b"), ("c",), ("e",)), "level 1 "),
+            ((("a", "b"), ("c", "e"), ("d",)), "level 1 "),
+            ((("a", "b", "a"), ("c", "d"), ("e",)), "level 0 "),
+        ]
+        for orders, message in cases:
+            with pytest.raises(GraphStructureError) as info:
+                count_crossings_layered(g, LevelOrdering(orders))
+            assert info.value.code == "ordering-mismatch"
+            assert message in str(info.value)
 
     def test_mirror_symmetry(self):
         rng = random.Random(12)
@@ -845,6 +858,10 @@ def parity_system(g2):
 
 
 def assert_search_matches_reference(g, small) -> None:
+    # The recursive form of the same search must agree on everything: count,
+    # witness and states, or the budget payload.
+    for budget in (20_000, small):
+        assert search_outcome(exact_rgcn, g, budget) == search_outcome(recursive_exact_rgcn, g, budget)
     count, witness, states = search_outcome(exact_rgcn, g, 20_000)
     ref_count, ref_witness, ref_states = search_outcome(reference_exact_rgcn, g, 20_000)
     if states is not None and ref_states is not None:
