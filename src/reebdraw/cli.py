@@ -183,8 +183,7 @@ def _cmd_gadget_hexgrid(args) -> int:
         },
         args.output,
     )
-    if args.svg:
-        _write(render_svg(grid.drawing), args.svg)
+    _maybe_svg(grid.drawing, args)
     return 0
 
 
@@ -217,8 +216,7 @@ def _cmd_gadget_verify(args) -> int:
         },
         args.output,
     )
-    if args.svg:
-        _write(render_svg(drawing, RenderOptions(color_by_part=True), inst.edge_parts), args.svg)
+    _maybe_svg(drawing, args, inst.edge_parts)
     return 0 if ok else 1
 
 

@@ -644,116 +644,88 @@ def _find(parent: list[int], flip: list[int], k: int) -> tuple[int, int]:
     return k, flip[path[0]] if path else 0
 
 
-class _ParityUnion:
-    """The level-planarity parity system of a leveled graph, grown one strip
-    at a time in a union-find with parity.
+def _parity_tables(
+    level_vertices: list[list[str]], strips: list[list[tuple[str, str]]],
+) -> tuple[list[int], list[list[list[tuple[int, int, int]]]], list[list[list[tuple[int, int, int]]]] | None]:
+    """The level-planarity parity system of a leveled graph, read per level
+    while it grows one strip at a time, top down, in a union-find with parity.
 
     For u, w on one level, x_uw means "u is left of w".  Two edges (a, b) and
-    (c, d) of a strip with a != c and b != d do not cross iff x_ac = x_bd, and
-    :meth:`add_strip` joins these equalities, in O(m^2) per strip of m
-    distinct edges (Randerath et al., "A satisfiability formulation of
-    problems on level graphs", ENDM 9, 2001).  A component whose equalities
-    contradict each other holds an odd cycle: some strip edge pair in it
-    crosses under every ordering.  Variables are listed by level, so
-    :meth:`entries` reads one level's in time linear in its pairs.
+    (c, d) of a strip with a != c and b != d do not cross iff x_ac = x_bd;
+    adding a strip joins these equalities, in O(m^2) for m distinct edges
+    (Randerath et al., "A satisfiability formulation of problems on level
+    graphs", ENDM 9, 2001).  A component whose equalities contradict each
+    other holds an odd cycle: some strip edge pair in it crosses under every
+    ordering.
+
+    A level's *entries* are, per vertex index i, the triples (j, root, side)
+    for the pairs (i, j) in a component without an odd cycle: placing i left
+    of j forces the variable at the root of their component to ``side``.
+    Once strip L is added the system holds the strips >= L and no other, and
+    the pass reads level L's number of components with an odd cycle and its
+    entries, kept only for components that hold two or more of its pairs
+    (one pair alone cannot be oriented both ways).  Returns those two lists,
+    and then, per level, the entries of the system of all strips, or None
+    when that system is contradictory: then no ordering is crossing-free.
     """
+    index = {v: i for vs in level_vertices for i, v in enumerate(vs)}
+    node: list[dict[tuple[int, int], int]] = [{} for _ in level_vertices]  # (i, j), i < j
+    pairs: list[list[tuple[int, int, int]]] = [[] for _ in level_vertices]  # (node, i, j)
+    parent: list[int] = []
+    flip: list[int] = []  # parity to the parent
+    odd: list[bool] = []  # at a root: its component holds an odd cycle
+    odd_count = 0
 
-    def __init__(self, level_vertices: list[list[str]]):
-        self.index = {v: (l, i) for l, vs in enumerate(level_vertices) for i, v in enumerate(vs)}
-        self.node: dict[tuple[str, str], int] = {}  # (u, w) with u before w in its level
-        self.parent: list[int] = []
-        self.flip: list[int] = []  # parity to the parent
-        self.odd: list[bool] = []  # at a root: its component holds an odd cycle
-        self.odd_count = 0
-        self.pairs: list[list[tuple[int, int, int]]] = [[] for _ in level_vertices]  # (node, i, j)
-        self.widths = [len(vs) for vs in level_vertices]
-
-    def variable(self, u: str, w: str) -> tuple[int, int]:
-        """x_uw as (node, parity relative to the node)."""
-        key, parity = ((u, w), 0) if self.index[u] < self.index[w] else ((w, u), 1)
-        k = self.node.get(key)
+    def variable(l: int, i: int, j: int) -> tuple[int, int]:
+        """x_ij on level l as (node, parity relative to the node)."""
+        key, parity = ((i, j), 0) if i < j else ((j, i), 1)
+        k = node[l].get(key)
         if k is None:
-            k = self.node[key] = len(self.parent)
-            self.parent.append(k)
-            self.flip.append(0)
-            self.odd.append(False)
-            (l, i), (_, j) = self.index[key[0]], self.index[key[1]]
-            self.pairs[l].append((k, i, j))
+            k = node[l][key] = len(parent)
+            parent.append(k)
+            flip.append(0)
+            odd.append(False)
+            pairs[l].append((k, *key))
         return k, parity
 
-    def add_strip(self, strip: list[tuple[str, str]]) -> None:
-        """Join the equalities of one strip's edge pairs."""
-        parent, flip, odd = self.parent, self.flip, self.odd
-        edges = list(dict.fromkeys(strip))
-        for k, (a, b) in enumerate(edges):
-            for c, d in edges[k + 1:]:
-                if a == c or b == d:
-                    continue
-                ka, pa = self.variable(a, c)
-                kb, pb = self.variable(b, d)
-                ra, qa = _find(parent, flip, ka)
-                rb, qb = _find(parent, flip, kb)
-                if ra != rb:
-                    parent[ra], flip[ra] = rb, qa ^ pa ^ qb ^ pb
-                    if odd[ra]:
-                        if odd[rb]:
-                            self.odd_count -= 1
-                        odd[rb] = True
-                elif qa ^ pa != qb ^ pb and not odd[ra]:
-                    odd[ra] = True
-                    self.odd_count += 1
-
-    def entries(self, level: int) -> list[list[tuple[int, int, int]]]:
-        """Per vertex index i of ``level``, the entries (j, root, side) for the
-        pairs (i, j) in a component without an odd cycle: placing i left of j
-        forces the variable at the root of their component to ``side``."""
-        row: list[list[tuple[int, int, int]]] = [[] for _ in range(self.widths[level])]
-        for k, i, j in self.pairs[level]:
-            root, parity = _find(self.parent, self.flip, k)
-            if self.odd[root]:
+    def entries(l: int) -> list[list[tuple[int, int, int]]]:
+        row: list[list[tuple[int, int, int]]] = [[] for _ in level_vertices[l]]
+        for k, i, j in pairs[l]:
+            root, parity = _find(parent, flip, k)
+            if odd[root]:
                 continue
             # x_ij = x_root ^ parity, so "i left of j" forces x_root = 1 ^ parity.
             row[i].append((j, root, 1 ^ parity))
             row[j].append((i, root, parity))
         return row
 
-
-def _parity_system(level_vertices: list[list[str]],
-                   strips: list[list[tuple[str, str]]]) -> list[list[list[tuple[int, int, int]]]] | None:
-    """The parity system of all strips (see :class:`_ParityUnion`), frozen per
-    level.  Returns None when it is contradictory: then no ordering is
-    crossing-free.  Otherwise returns, per level, its :meth:`~_ParityUnion.entries`.
-    """
-    system = _ParityUnion(level_vertices)
-    for strip in strips:
-        system.add_strip(strip)
-        if system.odd_count:
-            return None
-    return [system.entries(l) for l in range(len(level_vertices))]
-
-
-def _suffix_tables(level_vertices: list[list[str]],
-                   strips: list[list[tuple[str, str]]]) -> tuple[list[int], list[list[list[tuple[int, int, int]]]]]:
-    """Per level L, the parity system of the strips at or above L alone:
-    the number of its components that hold an odd cycle, and the
-    :meth:`~_ParityUnion.entries` of level L's pairs, kept only for the
-    components that hold two or more of them (one pair alone cannot be
-    oriented both ways).
-
-    One top-down pass builds them all: add strip L, then freeze level L,
-    while the system holds the strips >= L and no other.
-    """
-    system = _ParityUnion(level_vertices)
-    odd = [0] * len(level_vertices)
-    sides: list[list[list[tuple[int, int, int]]]] = [[] for _ in level_vertices]
+    suffix_odd = [0] * len(level_vertices)
+    suffix_sides: list[list[list[tuple[int, int, int]]]] = [[] for _ in level_vertices]
     for l in range(len(level_vertices) - 1, -1, -1):
-        if l < len(strips):
-            system.add_strip(strips[l])
-        odd[l] = system.odd_count
-        row = system.entries(l)
-        pairs = Counter(c for entries in row for _, c, _ in entries)
-        sides[l] = [[e for e in entries if pairs[e[1]] > 2] for entries in row]
-    return odd, sides
+        edges = list(dict.fromkeys((index[a], index[b]) for a, b in strips[l])) if l < len(strips) else []
+        for k, (a, b) in enumerate(edges):
+            for c, d in edges[k + 1:]:
+                if a == c or b == d:
+                    continue
+                ka, pa = variable(l, a, c)
+                kb, pb = variable(l + 1, b, d)
+                ra, qa = _find(parent, flip, ka)
+                rb, qb = _find(parent, flip, kb)
+                if ra != rb:
+                    parent[ra], flip[ra] = rb, qa ^ pa ^ qb ^ pb
+                    if odd[ra]:
+                        if odd[rb]:
+                            odd_count -= 1
+                        odd[rb] = True
+                elif qa ^ pa != qb ^ pb and not odd[ra]:
+                    odd[ra] = True
+                    odd_count += 1
+        suffix_odd[l] = odd_count
+        row = entries(l)
+        count = Counter(c for triples in row for _, c, _ in triples)
+        suffix_sides[l] = [[e for e in triples if count[e[1]] > 2] for triples in row]
+    full = None if odd_count else [entries(l) for l in range(len(level_vertices))]
+    return suffix_odd, suffix_sides, full
 
 
 def _orient(entries: list[tuple[int, int, int]], placed: list[bool],
@@ -817,25 +789,25 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     more vertices the first vertex must precede the last in id order.
 
     Every round also consults the level-planarity parity system (see
-    :class:`_ParityUnion`): one equality per pair of strip edges that must
-    not cross.  Placing i fixes "i left of j" for every unplaced j of its
-    level, and each such pair orients its component of the system.
+    :func:`_parity_tables`, built once before the first round): one equality
+    per pair of strip edges that must not cross.  Placing i fixes "i left of
+    j" for every unplaced j of its level, and each such pair orients its
+    component of the system.
 
     A round of target 0 asks for a crossing-free ordering, and the system
-    of all strips, from :func:`_parity_system`, holds for every such
-    ordering.  So when it is contradictory, deepening starts at
-    ``max(future_lb[0], 1)``.  Otherwise round 0 prunes a candidate that
-    orients a component both ways, on any level, the levels above included.
-    The memo stays sound: equalities link only pairs on levels s and s + 1,
-    so on entering level L every component that reaches level L or above
-    either also holds a pair on level L - 1, whose order (the memo key)
-    fixed it, or has no fixed pair yet.
+    of all strips holds for every such ordering.  So when it is
+    contradictory, deepening starts at ``max(future_lb[0], 1)``.  Otherwise
+    round 0 prunes a candidate that orients a component both ways, on any
+    level, the levels above included.  The memo stays sound: equalities
+    link only pairs on levels s and s + 1, so on entering level L every
+    component that reaches level L or above either also holds a pair on
+    level L - 1, whose order (the memo key) fixed it, or has no fixed pair
+    yet.
 
     Rounds of target 1 or more bound the crossings in the strips at or
-    above the level being filled, from the system of those strips alone
-    (:func:`_suffix_tables`, built when the first such round starts).  On
-    entering level L the orientation map starts empty and ``bad`` holds the
-    components with an odd cycle; a component that the placements orient
+    above the level being filled, from the system of those strips alone.
+    On entering level L the orientation map starts empty and ``bad`` holds
+    the components with an odd cycle; a component that the placements orient
     both ways joins ``bad``.  Every component in ``bad`` forces a crossing
     in strips >= L, and no two force the same one, since distinct
     components share no equality.  The floor counts ``future_lb[L]`` for
@@ -883,16 +855,14 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
 
     warm, warm_ordering = _warm_start(g2)
 
-    # Round 0 runs only if the parity system is consistent, and then prunes
-    # on it, with one orientation map and trail (see ``_orient``) over all
-    # levels.  Rounds >= 1 build the suffix tables when the first of them
-    # starts, and orient afresh on each level entry.
-    sides = _parity_system(level_vertices, strips) if future_lb[0] == 0 else None
+    # Round 0 runs only if the system of all strips is consistent, and then
+    # prunes on it, with one orientation map and trail (see ``_orient``) over
+    # all levels.  Rounds >= 1 read level L's suffix tables, the system of
+    # the strips >= L alone, and orient afresh on each level entry.
+    suffix_odd, suffix_sides, sides = _parity_tables(level_vertices, strips)
     first_target = future_lb[0] if future_lb[0] > 0 or sides is not None else 1
     round_zero_orient: dict[int, int] = {}
     round_zero_trail: list[int] = []
-    suffix_odd: list[int] = []
-    suffix_sides: list[list[list[tuple[int, int, int]]]] = []
 
     # Vertices are numbered level by level; ``pos[k]`` is vertex k's position
     # in its level's current order, written as it is placed.  Per level, the
@@ -1038,8 +1008,6 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
         return None
 
     for target in range(first_target, warm + 1):
-        if target and not suffix_sides:
-            suffix_odd, suffix_sides = _suffix_tables(level_vertices, strips)
         witness = run_round(target)
         if witness is not None:
             break

@@ -288,11 +288,7 @@ def _cycle_level_ordering(g2: ReebGraph, dec: CycleDecomposition) -> LevelOrderi
         for i, v in enumerate(interior, start=1):
             off = Fraction(i, 2 * (m + 1))
             vx[v] = start_x + off if j <= k else start_x - off
-    lev = levels(g2)
-    orders = []
-    for l in range(lev.count):
-        vs = sorted((v for v in g2.vertices if lev.level[v] == l), key=lambda v: (vx[v], v))
-        orders.append(tuple(vs))
+    orders = [tuple(sorted(vs, key=lambda v: (vx[v], v))) for vs in levels(g2).by_level()]
     return LevelOrdering(tuple(orders))
 
 

@@ -36,13 +36,12 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from operator import itemgetter
 
-from .crossings import Drawing, IntPoint, count_crossings_geometric, per_level_order
+from .crossings import Drawing, IntPoint, count_crossings_geometric
 from .errors import GraphStructureError, InternalInvariantError, LayoutError
 
 
-def _rows(d: Drawing) -> tuple[list[list[str | int]], dict[str | int, list[tuple[int, int]]]]:
-    """The drawing's rows, bottom up, holding vertex ids and edge indices,
-    and the cells (row, position) of each object.
+def _rows(d: Drawing) -> list[list[str | int]]:
+    """The drawing's rows, bottom up, holding vertex ids and edge indices.
 
     x is read from the integer frame, where an edge's x at a row is a
     fraction whose denominator is the height of one of its segments, at most
@@ -65,16 +64,12 @@ def _rows(d: Drawing) -> tuple[list[list[str | int]], dict[str | int, list[tuple
                 k += 1
             (ax, ay), (bx, by) = poly[k - 1], poly[k]
             keyed[r].append(((ax * (by - ay) + (bx - ax) * (h - ay)) * scale // (by - ay), i))
-    rows = [[obj for _, obj in sorted(row, key=itemgetter(0))] for row in keyed]
-    cells: dict[str | int, list[tuple[int, int]]] = {}
-    for r, row in enumerate(rows):
-        for p, obj in enumerate(row):
-            cells.setdefault(obj, []).append((r, p))
-    return rows, cells
+    return [[obj for _, obj in sorted(row, key=itemgetter(0))] for row in keyed]
 
 
-def _insertion_order(d: Drawing) -> tuple[str, ...]:
-    """The peel order reversed (see the module docstring).
+def _insertion_order(d: Drawing, rows: list[list[str | int]]) -> tuple[str, ...]:
+    """The peel order reversed (see the module docstring), from the
+    drawing's ``_rows``.
 
     A peel removes a suffix of every row it touches, so each row is kept as
     its full list and a current length, and positions never change.  Let m be
@@ -85,7 +80,10 @@ def _insertion_order(d: Drawing) -> tuple[str, ...]:
     per row that blocks it and becomes exposed when the last one is removed.
     """
     g = d.graph
-    rows, cells = _rows(d)
+    cells: dict[str | int, list[tuple[int, int]]] = {}  # object -> its (row, position)s
+    for r, row in enumerate(rows):
+        for p, obj in enumerate(row):
+            cells.setdefault(obj, []).append((r, p))
     length = [len(row) for row in rows]
     incident = g.incident_edges()
     present = set(g.vertices)
@@ -183,11 +181,12 @@ def stretch(d: Drawing) -> Drawing:
         raise GraphStructureError("parallel edges cannot be drawn as straight segments",
                                   code="parallel-edges")
     _, vertex_pt, _, _ = d._scaled_polylines
+    rows = _rows(d)
     adjacency = g.adjacency()
     placed: list[IntPoint] = []  # in insertion order, so x increases
     turn: dict[str, int] = {}  # v -> its index in placed
 
-    for v in _insertion_order(d):
+    for v in _insertion_order(d, rows):
         yv = vertex_pt[v][1]
         x = 0
         if placed:
@@ -201,8 +200,8 @@ def stretch(d: Drawing) -> Drawing:
         placed.append((x, yv))
 
     out = Drawing(graph=g, x={v: placed[i][0] for v, i in turn.items()})
-    if per_level_order(out) != per_level_order(d):
-        raise InternalInvariantError("stretching changed a per-level vertex order")
+    if _rows(out) != rows:
+        raise InternalInvariantError("stretching changed a row")
     if count_crossings_geometric(out).count != 0:
         raise InternalInvariantError("stretched drawing has crossings")
     return out

@@ -14,6 +14,7 @@ at equal heights land on one level.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
@@ -95,10 +96,6 @@ def subdivide(g: ReebGraph) -> Subdivision:
     return Subdivision(g2, SubdivisionMap(g, g2, tuple(paths), tuple(sub_edges), owner))
 
 
-def _rank_to_height(mapping: SubdivisionMap) -> tuple[Fraction, ...]:
-    return levels(mapping.original).level_heights
-
-
 def _remap_y(y: Fraction, src_lo: Fraction, src_hi: Fraction, dst_lo: Fraction, dst_hi: Fraction) -> Fraction:
     return dst_lo + (y - src_lo) * (dst_hi - dst_lo) / (src_hi - src_lo)
 
@@ -115,7 +112,7 @@ def unsubdivide_drawing(d2: "Drawing", mapping: SubdivisionMap) -> "Drawing":
 
     if d2.graph != mapping.subdivided:
         raise GraphStructureError("drawing does not match the subdivision's output graph", code="map-mismatch")
-    heights = _rank_to_height(mapping)
+    heights = levels(mapping.original).level_heights
 
     def back(y: Fraction) -> Fraction:
         k = int(y)
@@ -149,13 +146,13 @@ def subdivide_drawing(d: "Drawing", g: ReebGraph, mapping: SubdivisionMap) -> "D
 
     if g != mapping.original or d.graph != g:
         raise GraphStructureError("drawing does not match the subdivision's input graph", code="map-mismatch")
-    heights = _rank_to_height(mapping)
+    heights = levels(mapping.original).level_heights
     rank_of = {h: k for k, h in enumerate(heights)}
 
     def fwd(y: Fraction) -> Fraction:
         if y in rank_of:
             return Fraction(rank_of[y])
-        k = _strip_index(heights, y)
+        k = bisect_right(heights, y) - 1
         return _remap_y(y, heights[k], heights[k + 1], Fraction(k), Fraction(k + 1))
 
     xs: dict[str, Fraction] = {v: d.x[v] for v in g.vertices}
@@ -178,43 +175,26 @@ def subdivide_drawing(d: "Drawing", g: ReebGraph, mapping: SubdivisionMap) -> "D
     return Drawing(graph=mapping.subdivided, x=xs, bends=tuple(bends2))
 
 
-def _strip_index(heights: tuple[Fraction, ...], y: Fraction) -> int:
-    lo, hi = 0, len(heights) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if heights[mid] <= y:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def _cut_polyline(
     poly: tuple[tuple[Fraction, Fraction], ...], cut_heights: list[Fraction]
 ) -> list[list[tuple[Fraction, Fraction]]]:
-    """Split a strictly y-monotone polyline at the given interior heights."""
+    """Split a strictly y-monotone polyline at the given interior heights,
+    which lie strictly above its start, in increasing order.
+
+    A cut at a bend's height is met as the end of the segment below the
+    bend, and there the cut point is the bend itself.
+    """
     pieces: list[list[tuple[Fraction, Fraction]]] = []
     current: list[tuple[Fraction, Fraction]] = [poly[0]]
-    remaining = list(cut_heights)
+    k = 0
     for a, b in zip(poly, poly[1:]):
-        while remaining and a[1] <= remaining[0] <= b[1]:
-            yc = remaining.pop(0)
-            if yc == a[1]:
-                # The previous point already sits exactly on the cut line.
-                pieces.append(current)
-                current = [current[-1]]
-                continue
+        while k < len(cut_heights) and cut_heights[k] <= b[1]:
+            yc = cut_heights[k]
+            k += 1
             xc = a[0] + (b[0] - a[0]) * (yc - a[1]) / (b[1] - a[1])
-            if yc == b[1]:
-                current.append((xc, yc))
-                pieces.append(current)
-                current = [(xc, yc)]
-                a = (xc, yc)
-                continue
             current.append((xc, yc))
             pieces.append(current)
             current = [(xc, yc)]
-            a = (xc, yc)
         if current[-1] != b:
             current.append(b)
     pieces.append(current)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,14 +49,13 @@ from reebdraw.crossings import (
     ExactResult,
     Point,
     _dfs_level_orders,
+    _find,
     _neighbors,
     _orient,
     _pair_crossings,
-    _parity_system,
     _strip_crossings,
     _strip_edges,
     _strip_lower_bound,
-    _suffix_tables,
     _unwind,
     _warm_start,
 )
@@ -896,14 +896,134 @@ def reference_exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGE
     )
 
 
+# Reference parity builders, kept verbatim: a bottom-up build of the system
+# of all strips and a top-down build of the suffix tables, each on its own
+# union-find.  ``recursive_exact_rgcn`` runs on them, so comparing it with
+# ``exact_rgcn`` also checks ``crossings._parity_tables``.
+
+
+class _ParityUnion:
+    """The level-planarity parity system of a leveled graph, grown one strip
+    at a time in a union-find with parity.
+
+    For u, w on one level, x_uw means "u is left of w".  Two edges (a, b) and
+    (c, d) of a strip with a != c and b != d do not cross iff x_ac = x_bd, and
+    :meth:`add_strip` joins these equalities, in O(m^2) per strip of m
+    distinct edges (Randerath et al., "A satisfiability formulation of
+    problems on level graphs", ENDM 9, 2001).  A component whose equalities
+    contradict each other holds an odd cycle: some strip edge pair in it
+    crosses under every ordering.  Variables are listed by level, so
+    :meth:`entries` reads one level's in time linear in its pairs.
+    """
+
+    def __init__(self, level_vertices: list[list[str]]):
+        self.index = {v: (l, i) for l, vs in enumerate(level_vertices) for i, v in enumerate(vs)}
+        self.node: dict[tuple[str, str], int] = {}  # (u, w) with u before w in its level
+        self.parent: list[int] = []
+        self.flip: list[int] = []  # parity to the parent
+        self.odd: list[bool] = []  # at a root: its component holds an odd cycle
+        self.odd_count = 0
+        self.pairs: list[list[tuple[int, int, int]]] = [[] for _ in level_vertices]  # (node, i, j)
+        self.widths = [len(vs) for vs in level_vertices]
+
+    def variable(self, u: str, w: str) -> tuple[int, int]:
+        """x_uw as (node, parity relative to the node)."""
+        key, parity = ((u, w), 0) if self.index[u] < self.index[w] else ((w, u), 1)
+        k = self.node.get(key)
+        if k is None:
+            k = self.node[key] = len(self.parent)
+            self.parent.append(k)
+            self.flip.append(0)
+            self.odd.append(False)
+            (l, i), (_, j) = self.index[key[0]], self.index[key[1]]
+            self.pairs[l].append((k, i, j))
+        return k, parity
+
+    def add_strip(self, strip: list[tuple[str, str]]) -> None:
+        """Join the equalities of one strip's edge pairs."""
+        parent, flip, odd = self.parent, self.flip, self.odd
+        edges = list(dict.fromkeys(strip))
+        for k, (a, b) in enumerate(edges):
+            for c, d in edges[k + 1:]:
+                if a == c or b == d:
+                    continue
+                ka, pa = self.variable(a, c)
+                kb, pb = self.variable(b, d)
+                ra, qa = _find(parent, flip, ka)
+                rb, qb = _find(parent, flip, kb)
+                if ra != rb:
+                    parent[ra], flip[ra] = rb, qa ^ pa ^ qb ^ pb
+                    if odd[ra]:
+                        if odd[rb]:
+                            self.odd_count -= 1
+                        odd[rb] = True
+                elif qa ^ pa != qb ^ pb and not odd[ra]:
+                    odd[ra] = True
+                    self.odd_count += 1
+
+    def entries(self, level: int) -> list[list[tuple[int, int, int]]]:
+        """Per vertex index i of ``level``, the entries (j, root, side) for the
+        pairs (i, j) in a component without an odd cycle: placing i left of j
+        forces the variable at the root of their component to ``side``."""
+        row: list[list[tuple[int, int, int]]] = [[] for _ in range(self.widths[level])]
+        for k, i, j in self.pairs[level]:
+            root, parity = _find(self.parent, self.flip, k)
+            if self.odd[root]:
+                continue
+            # x_ij = x_root ^ parity, so "i left of j" forces x_root = 1 ^ parity.
+            row[i].append((j, root, 1 ^ parity))
+            row[j].append((i, root, parity))
+        return row
+
+
+def _parity_system(level_vertices: list[list[str]],
+                   strips: list[list[tuple[str, str]]]) -> list[list[list[tuple[int, int, int]]]] | None:
+    """The parity system of all strips (see :class:`_ParityUnion`), frozen per
+    level.  Returns None when it is contradictory: then no ordering is
+    crossing-free.  Otherwise returns, per level, its :meth:`~_ParityUnion.entries`.
+    """
+    system = _ParityUnion(level_vertices)
+    for strip in strips:
+        system.add_strip(strip)
+        if system.odd_count:
+            return None
+    return [system.entries(l) for l in range(len(level_vertices))]
+
+
+def _suffix_tables(level_vertices: list[list[str]],
+                   strips: list[list[tuple[str, str]]]) -> tuple[list[int], list[list[list[tuple[int, int, int]]]]]:
+    """Per level L, the parity system of the strips at or above L alone:
+    the number of its components that hold an odd cycle, and the
+    :meth:`~_ParityUnion.entries` of level L's pairs, kept only for the
+    components that hold two or more of them (one pair alone cannot be
+    oriented both ways).
+
+    One top-down pass builds them all: add strip L, then freeze level L,
+    while the system holds the strips >= L and no other.
+    """
+    system = _ParityUnion(level_vertices)
+    odd = [0] * len(level_vertices)
+    sides: list[list[list[tuple[int, int, int]]]] = [[] for _ in level_vertices]
+    for l in range(len(level_vertices) - 1, -1, -1):
+        if l < len(strips):
+            system.add_strip(strips[l])
+        odd[l] = system.odd_count
+        row = system.entries(l)
+        pairs = Counter(c for entries in row for _, c, _ in entries)
+        sides[l] = [[e for e in entries if pairs[e[1]] > 2] for entries in row]
+    return odd, sides
+
+
 def recursive_exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> ExactResult:
     """Oracle: ``exact_rgcn``'s search written as two self-recursive
     closures, ``fill_level`` and ``place``, kept verbatim.
 
-    ``exact_rgcn`` runs the same search as a loop over an explicit stack, so
-    it must reproduce this one's ``count``, witness, ``states`` and budget
-    payload exactly.  This one recurses once per placed vertex, so it needs
-    a small graph.
+    ``exact_rgcn`` runs the same search as a loop over an explicit stack, on
+    parity tables from one pass, so it must reproduce this one's ``count``,
+    witness, ``states`` and budget payload exactly.  This one builds its
+    tables with the reference builders ``_parity_system`` and
+    ``_suffix_tables``, and recurses once per placed vertex, so it needs a
+    small graph.
     """
     if not is_connected(g):
         raise LayoutError("exact search requires a connected graph", code="disconnected")

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from reebdraw import render_svg, tri_hex_grid
 from reebdraw.cli import main
 from reebdraw.jsonio import serialize_graph
 
@@ -209,9 +210,11 @@ def test_gadget_subcommands(ola_file, tmp_path, capsys):
     assert result["ok"] and result["crossings"] <= result["budget"]
     assert svg_path.exists()
 
-    code, out, _ = run(capsys, "gadget", "hexgrid", "--rows", "2")
+    hex_svg = tmp_path / "hex.svg"
+    code, out, _ = run(capsys, "gadget", "hexgrid", "--rows", "2", "--svg", hex_svg)
     assert code == 0
     assert json.loads(out)["rows"] == 2
+    assert hex_svg.read_text() == render_svg(tri_hex_grid(2).drawing)
 
 
 def test_gadget_verify_counts_the_drawing_once(ola_file, tmp_path, capsys, monkeypatch):
@@ -316,12 +319,56 @@ def test_render_level_lines_golden_bytes(tmp_path, capsys):
     assert _sha256(tmp_path / "out.svg") == "73d1e77ad7961b4910fefb09f7a52f55dfd7fcd559a61897c6e04a227e4ff77d"
 
 
-def test_malformed_input_is_exit_one(tmp_path, capsys):
+TREE = {
+    "vertices": [{"id": "a", "height": 0}, {"id": "b", "height": 1}, {"id": "c", "height": 2}],
+    "edges": [["a", "b"], ["a", "c"]],
+}
+
+# Inputs from outside the program that each command must refuse: the
+# arguments before the input file, the file's content, the error code.
+MALFORMED = {
+    "bad-json": (["validate"], "{nope", "bad-json"),
+    "caterpillar-on-a-cycle": (["layout", "--algorithm", "caterpillar"], GRAPH, "not-caterpillar"),
+    "cycle-on-a-tree": (["layout", "--algorithm", "cycle"], TREE, "not-single-cycle"),
+    "bowtie-on-a-tree": (["layout", "--algorithm", "bowtie"], TREE, "not-single-cycle"),
+    "duplicate-vertex": (["gadget", "ola-reduce", "--budget", "1", "--graph"],
+                         {"vertices": ["a", "a", "b"], "edges": [["a", "b"]]}, "duplicate-vertex"),
+    "unknown-vertex": (["gadget", "ola-reduce", "--budget", "1", "--graph"],
+                       {"vertices": ["a", "b"], "edges": [["a", "c"]]}, "unknown-vertex"),
+    "self-loop": (["gadget", "ola-reduce", "--budget", "1", "--graph"],
+                  {"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "b"]]}, "self-loop"),
+    "no-edges": (["gadget", "ola-reduce", "--budget", "1", "--graph"], {"vertices": ["a"], "edges": []}, "no-edges"),
+    "edge-mismatch": (["crossings"],
+                      {"graph": TREE, "x": {"a": "0", "b": "0", "c": "1"},
+                       "edges": [{"endpoints": ["a", "b"], "bends": []}, {"endpoints": ["b", "c"], "bends": []}]},
+                      "edge-mismatch"),
+}
+
+
+@pytest.mark.parametrize("argv, content, error", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_input_is_exit_one(argv, content, error, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{nope")
-    code, _, err = run(capsys, "validate", bad)
-    assert code == 1
-    assert json.loads(err)["error"] == "bad-json"
+    bad.write_text(content if isinstance(content, str) else json.dumps(content))
+    code, out, err = run(capsys, *argv, bad)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == error
+
+
+def test_empty_graph_is_accepted_everywhere(tmp_path, capsys):
+    graph = tmp_path / "empty.json"
+    graph.write_text(json.dumps({"vertices": [], "edges": []}))
+    drawing = tmp_path / "empty-drawing.json"
+    empty = {"graph": {"vertices": [], "edges": []}, "x": {}, "edges": []}
+    drawing.write_text(json.dumps(empty))
+    for argv in (["validate", graph], ["subdivide", graph], ["crossings", drawing], ["render", drawing]):
+        assert run(capsys, *argv)[0] == 0, argv
+    code, out, _ = run(capsys, "exact", graph)
+    assert code == 0
+    assert (json.loads(out)["count"], json.loads(out)["states"]) == (0, 0)
+    for algorithm in ("auto", "heuristic", "exact"):
+        code, out, _ = run(capsys, "layout", "--algorithm", algorithm, graph)
+        assert code == 0
+        assert json.loads(out) == empty, algorithm
 
 
 def test_missing_file_is_io_error(tmp_path, capsys):

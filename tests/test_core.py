@@ -37,6 +37,12 @@ class TestReebGraph:
             ReebGraph.build({"a": 0}, [("a", "a")])
         assert exc.value.code == "self-loop"
 
+    @pytest.mark.parametrize("height", [True, "abc", 1.5])
+    def test_bad_height_rejected(self, height):
+        with pytest.raises(GraphStructureError) as exc:
+            ReebGraph.build({"a": height, "b": 2}, [("a", "b")])
+        assert exc.value.code == "bad-height"
+
     def test_horizontal_edge_rejected(self):
         with pytest.raises(GraphStructureError) as exc:
             ReebGraph.build({"a": 1, "b": 1}, [("a", "b")])

@@ -34,16 +34,16 @@ from reebdraw import (
 from reebdraw.crossings import (
     ExactResult,
     _orient,
-    _parity_system,
+    _parity_tables,
     _strip_crossings,
     _strip_edges,
-    _suffix_tables,
     _warm_start,
 )
 from reebdraw.gadget import _certified_drawing
 from reebdraw.jsonio import parse_graph
 
 from helpers import (
+    _parity_system,
     alternating_cycle,
     counted_geometric_calls,
     curved_copy,
@@ -853,8 +853,9 @@ def long_edge_graphs(draw):
 
 
 def parity_system(g2):
+    """The entries of the parity system of all strips, or None."""
     lev = levels(g2)
-    return _parity_system(lev.by_level(), _strip_edges(g2, lev))
+    return _parity_tables(lev.by_level(), _strip_edges(g2, lev))[2]
 
 
 def assert_search_matches_reference(g, small) -> None:
@@ -903,6 +904,21 @@ class TestExactSearchOracle:
         assert res.states <= 40 < ref.states
 
 
+def normalized(sides):
+    """Parity entries with each row sorted, each component renamed by its
+    first appearance, and each component flipped so its first side is 0."""
+    names: dict[int, tuple[int, int]] = {}  # component -> (name, flip)
+    out = []
+    for rows in sides:
+        out.append([])
+        for row in rows:
+            out[-1].append([])
+            for j, c, side in sorted(row):
+                name, flip = names.setdefault(c, (len(names), side))
+                out[-1][-1].append((j, name, side ^ flip))
+    return out
+
+
 class TestParitySystem:
     def test_alternating_four_cycle_is_contradictory(self):
         # (a,b),(c,d) force x_ac = x_bd and (a,d),(c,b) force x_ac = x_db.
@@ -925,10 +941,23 @@ class TestParitySystem:
         g = ReebGraph.build({"a": 0, "b": 1, "c": 1, "d": 1}, [("a", "b"), ("a", "c"), ("a", "d"), ("a", "b")])
         assert parity_system(g) == [[[]], [[], [], []]]
 
+    @settings(max_examples=300, deadline=None)
+    @given(leveled_graphs())
+    def test_matches_the_reference_builder(self, g2):
+        # The one pass may name and orient components differently, and list
+        # a row's entries in another order; nothing else may differ.
+        lev = levels(g2)
+        ref = _parity_system(lev.by_level(), _strip_edges(g2, lev))
+        sides = parity_system(g2)
+        assert (sides is None) == (ref is None)
+        if ref is not None:
+            assert normalized(sides) == normalized(ref)
+
 
 def suffix_tables(g2):
+    """Per level, the odd-cycle count and entries of the strips at or above it."""
     lev = levels(g2)
-    return _suffix_tables(lev.by_level(), _strip_edges(g2, lev))
+    return _parity_tables(lev.by_level(), _strip_edges(g2, lev))[:2]
 
 
 def suffix_bound(tables, level: int, order) -> int:
@@ -994,9 +1023,9 @@ class TestSuffixTables:
     def test_each_level_sees_only_the_graph_above_it(self, g2):
         lev = levels(g2)
         level_vertices, strips = lev.by_level(), _strip_edges(g2, lev)
-        odd, sides = _suffix_tables(level_vertices, strips)
+        odd, sides, _ = _parity_tables(level_vertices, strips)
         for l in range(lev.count):
-            top_odd, top_sides = _suffix_tables(level_vertices[l:], strips[l:])
+            top_odd, top_sides, _ = _parity_tables(level_vertices[l:], strips[l:])
             assert odd[l:] == top_odd
             assert canonical(sides[l]) == canonical(top_sides[0])
 
@@ -1007,7 +1036,7 @@ class TestSuffixTables:
         level_vertices, strips = lev.by_level(), _strip_edges(g2, lev)
         perms = [list(itertools.permutations(range(len(vs)))) for vs in level_vertices]
         assume(math.prod(map(len, perms)) <= 3_000)
-        tables = _suffix_tables(level_vertices, strips)
+        tables = suffix_tables(g2)
         bounds = [{p: suffix_bound(tables, l, p) for p in ps} for l, ps in enumerate(perms)]
         for combo in itertools.product(*perms):
             pos = {vs[i]: k for vs, order in zip(level_vertices, combo) for k, i in enumerate(order)}

@@ -23,7 +23,7 @@ from reebdraw import (
 )
 from reebdraw.crossings import _realize_unsubdivided
 from reebdraw.jsonio import serialize_drawing
-from reebdraw.stretch import _insertion_order
+from reebdraw.stretch import _insertion_order, _rows
 
 from helpers import (
     curved_copy,
@@ -240,7 +240,7 @@ class TestStretchOracle:
             assert reference_rows(out) == rows
             if (isinstance(ref, Drawing) and reference_rows(ref) == rows
                     and reference_vertex_insertion_order(d, reference_edge_partial_order(d)).sequence
-                    == _insertion_order(d)):
+                    == _insertion_order(d, _rows(d))):
                 assert serialize_drawing(out) == serialize_drawing(ref)
         else:
             assert not isinstance(ref, Drawing)
