@@ -81,9 +81,6 @@ class ReebGraph:
         """Build a graph from height-like values (ints, 'p/q' or decimal strings)."""
         return cls({v: as_height(h) for v, h in heights.items()}, tuple((a, b) for a, b in edges))
 
-    def height(self, v: str) -> Fraction:
-        return self.vertices[v]
-
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
@@ -264,9 +261,9 @@ def validate(g: ReebGraph) -> ValidationReport:
             if prof.total[v] > 3:
                 violations.append(Violation("degree-at-most-3", v, f"deg({v}) = {prof.total[v]} > 3"))
 
-    connected = is_connected(g)
+    comps = connected_components(g)
+    connected = len(comps) <= 1
     if not connected:
-        comps = connected_components(g)
         violations.append(
             Violation("connected", ";".join(sorted(min(c) for c in comps)),
                       f"graph has {len(comps)} connected components")

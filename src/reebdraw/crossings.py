@@ -496,17 +496,13 @@ def barycenter_ordering(g2: ReebGraph) -> tuple[LevelOrdering, ...]:
     return tuple(snapshots)
 
 
-def _dfs_level_orders(g2: ReebGraph, lev: LevelAssignment) -> list[list[str]]:
-    """Order each level by depth-first discovery time; subtrees stay contiguous."""
-    adj: dict[str, list[str]] = {v: [] for v in g2.vertices}
-    for a, b in g2.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    for v in adj:
-        adj[v] = sorted(set(adj[v]))
+def _dfs_level_orders(lev: LevelAssignment, down: dict[str, list[str]],
+                      up: dict[str, list[str]]) -> list[list[str]]:
+    """Order each level by depth-first discovery time, neighbors in id order;
+    subtrees stay contiguous."""
     orders: list[list[str]] = [[] for _ in range(lev.count)]
     seen: set[str] = set()
-    for root in sorted(g2.vertices, key=lambda v: (lev.level[v], v)):
+    for root in sorted(lev.level, key=lambda v: (lev.level[v], v)):
         if root in seen:
             continue
         seen.add(root)
@@ -514,7 +510,7 @@ def _dfs_level_orders(g2: ReebGraph, lev: LevelAssignment) -> list[list[str]]:
         while stack:
             v = stack.pop()
             orders[lev.level[v]].append(v)
-            for w in reversed(adj[v]):
+            for w in sorted({*down[v], *up[v]}, reverse=True):
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -592,7 +588,7 @@ def _warm_start(g2: ReebGraph) -> tuple[int, LevelOrdering]:
             for strip in strips
         )
 
-    candidates = [_dfs_level_orders(g2, lev)]
+    candidates = [_dfs_level_orders(lev, down, up)]
     candidates += [[list(o) for o in snapshot.orders] for snapshot in barycenter_ordering(g2)]
     best_cost, best_orders = None, candidates[0]
     for k, orders in enumerate(candidates):

@@ -64,6 +64,14 @@ def _require(cond: bool, message: str) -> None:
         raise GraphStructureError(message, code="bad-schema")
 
 
+def _edge_pairs(items: list) -> tuple[tuple[str, str], ...]:
+    """An ``edges`` list as id pairs; bad-schema unless every item is two ids."""
+    for pair in items:
+        _require(isinstance(pair, list) and len(pair) == 2
+                 and all(isinstance(p, str) for p in pair), "each edge must be a pair of ids")
+    return tuple((a, b) for a, b in items)
+
+
 # ---------------------------------------------------------------------------
 # Reeb graphs
 # ---------------------------------------------------------------------------
@@ -87,12 +95,7 @@ def graph_from_obj(obj: Any) -> ReebGraph:
         if vid in heights:
             raise GraphStructureError(f"duplicate vertex id {vid!r}", code="duplicate-vertex")
         heights[vid] = parse_rational(item.get("height"), f"height of {vid!r}")
-    edges = []
-    for pair in obj["edges"]:
-        _require(isinstance(pair, list) and len(pair) == 2
-                 and all(isinstance(p, str) for p in pair), "each edge must be a pair of ids")
-        edges.append((pair[0], pair[1]))
-    return ReebGraph(heights, tuple(edges))
+    return ReebGraph(heights, _edge_pairs(obj["edges"]))
 
 
 def serialize_graph(g: ReebGraph) -> str:
@@ -187,12 +190,7 @@ def ola_graph_from_obj(obj: Any) -> OlaGraph:
              and all(isinstance(v, str) for v in obj["vertices"]),
              "vertices must be a list of ids")
     _require(isinstance(obj.get("edges"), list), "edges must be a list")
-    edges = []
-    for pair in obj["edges"]:
-        _require(isinstance(pair, list) and len(pair) == 2
-                 and all(isinstance(p, str) for p in pair), "each edge must be a pair of ids")
-        edges.append((pair[0], pair[1]))
-    return OlaGraph(tuple(obj["vertices"]), tuple(edges))
+    return OlaGraph(tuple(obj["vertices"]), _edge_pairs(obj["edges"]))
 
 
 def parse_ola_graph(text: str) -> OlaGraph:

@@ -6,11 +6,11 @@ reuse the path layout for the spine and hang legs on short offset segments
 toward the open side of each spine vertex; the offset is chosen outside the
 finite set at which a leg would lie along a spine edge, so the drawing is in
 general position by construction.  Cycles are decomposed by their
-alternation between the top and bottom level: the alternation count k fixes a
-skeleton that is drawn like a bowtie, corridors between skeleton columns
-carry the connecting paths, and the construction emits exactly k-1
-crossings.  The bowtie layout itself covers the fully alternating case with
-the provably minimal (N-2)/2 crossings.
+alternation between the top and bottom level: the alternation count k fixes
+key columns drawn like a bowtie, corridors between them carry the connecting
+paths, and the construction emits exactly k-1 crossings.  The bowtie layout
+is the fully alternating case, drawn straight in the key columns with the
+provably minimal (N-2)/2 crossings.  Each layout certifies its count once.
 
 Everything is deterministic: start vertices, traversal directions, corridor
 offsets, and tie-breaks are all fixed functions of the input.
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    LevelAssignment,
     ReebGraph,
     ShapeClass,
     classify_shape,
@@ -153,10 +154,9 @@ class CycleDecomposition:
     paths: tuple[tuple[str, ...], ...]
 
 
-def _cycle_order(g: ReebGraph) -> list[str]:
+def _cycle_order(g: ReebGraph, lev: LevelAssignment) -> list[str]:
     """Cycle traversal starting at the lexicographically least top-level vertex,
     stepping first toward its lexicographically least neighbor."""
-    lev = levels(g)
     top = lev.count - 1
     start = min(v for v in g.vertices if lev.level[v] == top)
     adj = g.adjacency()
@@ -175,53 +175,32 @@ def _cycle_order(g: ReebGraph) -> list[str]:
 def top_down_iteration_number(g: ReebGraph) -> CycleDecomposition:
     """Count a cycle's alternations between its extreme levels and name the keys.
 
-    The traversal is projected to T (top level) / B (bottom level) symbols,
-    consecutive repeats collapse into runs (cyclically), and the number of T
-    runs is the iteration count; each run's first vertex is a key.
+    A key is a top- or bottom-level visit on the other extreme from the
+    extreme visit before it, cyclically, so keys alternate and each starts a
+    run of visits to one extreme; the number of top keys is the iteration
+    count.  The traversal is rotated to the key whose run holds its start,
+    so every run is a contiguous stretch and each connecting path touches at
+    most one extreme level beyond its endpoints.
     """
     if classify_shape(g) != ShapeClass.SINGLE_CYCLE:
         raise LayoutError("top-down iteration number requires a single cycle", code="not-single-cycle")
     lev = levels(g)
-    top, bottom = lev.count - 1, 0
-    order = _cycle_order(g)
-
-    def runs_of(seq: list[str]) -> list[tuple[str, list[int]]]:
-        out: list[tuple[str, list[int]]] = []
-        for i, v in enumerate(seq):
-            if lev.level[v] not in (top, bottom):
-                continue
-            sym = "T" if lev.level[v] == top else "B"
-            if out and out[-1][0] == sym:
-                out[-1][1].append(i)
-            else:
-                out.append((sym, [i]))
-        return out
-
-    # The start vertex may sit mid-run (its run wrapping around the cycle);
-    # rotate the traversal to that run's cyclic start so every run is a
-    # contiguous stretch and each connecting path touches at most one extreme
-    # level beyond its endpoints.
-    runs = runs_of(order)
-    if len(runs) > 1 and runs[-1][0] == runs[0][0]:
-        order = order[runs[-1][1][0]:] + order[:runs[-1][1][0]]
-        runs = runs_of(order)
-    k = sum(1 for sym, _ in runs if sym == "T")
-
-    keys = [order[positions[0]] for _, positions in runs]
-    key_pos = [positions[0] for _, positions in runs]
-    paths: list[tuple[str, ...]] = []
-    for j in range(len(keys)):
-        a = key_pos[j]
-        if j + 1 < len(keys):
-            paths.append(tuple(order[a:key_pos[j + 1] + 1]))
-        else:
-            paths.append(tuple(order[a:] + order[:1]))
+    top = lev.count - 1
+    order = _cycle_order(g, lev)
+    ext = [i for i, v in enumerate(order) if lev.level[v] in (top, 0)]
+    key_pos = [i for i, p in zip(ext, ext[-1:] + ext) if lev.level[order[i]] != lev.level[order[p]]]
+    if key_pos[0] != 0:  # the start's run wraps around the end of the traversal
+        s = key_pos.pop()
+        order = order[s:] + order[:s]
+        key_pos = [0] + [p + len(order) - s for p in key_pos]
+    closed = order + order[:1]
+    bounds = key_pos + [len(order)]
     return CycleDecomposition(
         top=top,
-        bottom=bottom,
-        keys=tuple(keys),
-        iteration_count=k,
-        paths=tuple(paths),
+        bottom=0,
+        keys=tuple(order[p] for p in key_pos),
+        iteration_count=len(key_pos) // 2,
+        paths=tuple(tuple(closed[a:b + 1]) for a, b in zip(bounds, bounds[1:])),
     )
 
 
@@ -229,24 +208,28 @@ def top_down_iteration_number(g: ReebGraph) -> CycleDecomposition:
 # Cycle layouts
 # ---------------------------------------------------------------------------
 
+def _key_columns(dec: CycleDecomposition) -> dict[str, Fraction]:
+    """Key j (counted from 1) in column j, or its mirror 2k+1-j in the second half."""
+    k = dec.iteration_count
+    return {key: Fraction(j if j <= k else 2 * k + 1 - j) for j, key in enumerate(dec.keys, start=1)}
+
+
 def layout_bowtie(g: ReebGraph) -> Drawing:
     """Draw a two-level alternating cycle with the minimal (N-2)/2 crossings.
 
-    Vertices are numbered around the cycle from a fixed top start; the first
-    half goes in columns 1..n, the second half comes back over the same
-    columns mirrored, which closes the cycle with a vertical segment.
+    Every vertex is a key of the cycle's decomposition, and each is drawn in
+    its key column: the first half goes in columns 1..n, the second half
+    comes back over the same columns mirrored, which closes the cycle with a
+    vertical segment.  Certified once: n-1 crossings.
     """
     if classify_shape(g) != ShapeClass.SINGLE_CYCLE:
         raise LayoutError("bowtie layout requires a single cycle", code="not-single-cycle")
-    lev = levels(g)
-    if lev.count != 2:
+    dec = top_down_iteration_number(g)
+    if dec.top != 1:
         raise LayoutError("bowtie layout requires a cycle alternating between two levels",
                           code="not-alternating")
-    order = _cycle_order(g)
-    n = len(order) // 2
-    xs: dict[str, Fraction] = {}
-    for i, v in enumerate(order, start=1):
-        xs[v] = Fraction(i) if i <= n else Fraction(2 * n + 1 - i)
+    n = dec.iteration_count
+    xs = _key_columns(dec)
 
     bends: list[tuple[tuple[Fraction, Fraction], ...]] = [() for _ in g.edges]
     groups: dict[tuple[str, str], list[int]] = {}
@@ -261,33 +244,24 @@ def layout_bowtie(g: ReebGraph) -> Drawing:
     d = Drawing(graph=g, x=xs, bends=tuple(bends))
     cert = count_crossings_geometric(d)
     if cert.count != n - 1:
-        raise InternalInvariantError(
-            f"bowtie emitted {cert.count} crossings, expected {n - 1}"
-        )
+        raise InternalInvariantError(f"bowtie emitted {cert.count} crossings, expected {n - 1}")
     return d
 
 
 def _cycle_level_ordering(g2: ReebGraph, dec: CycleDecomposition) -> LevelOrdering:
     """Per-level orderings realizing the corridor scheme for a leveled cycle.
 
-    Key j sits in column j (first half) or its mirror 2k+1-j (second half).
-    First-half connecting paths run left-to-right through the left half of the
-    corridor right of their start column; second-half paths run right-to-left
-    through the right half.  Exactly the k-1 designated pairs invert.
+    Keys sit in their key columns.  First-half connecting paths run
+    left-to-right through the left half of the corridor right of their start
+    column; second-half paths run right-to-left through the right half.
+    Exactly the k-1 designated pairs invert.
     """
     k = dec.iteration_count
-    vx: dict[str, Fraction] = {}
-    for j0, key in enumerate(dec.keys):
-        j = j0 + 1
-        vx[key] = Fraction(j if j <= k else 2 * k + 1 - j)
-    for j0, path in enumerate(dec.paths):
-        j = j0 + 1
-        interior = path[1:-1]
-        m = len(interior)
-        start_x = vx[path[0]]
-        for i, v in enumerate(interior, start=1):
-            off = Fraction(i, 2 * (m + 1))
-            vx[v] = start_x + off if j <= k else start_x - off
+    vx = _key_columns(dec)
+    for j, path in enumerate(dec.paths, start=1):
+        step = Fraction(1 if j <= k else -1, 2 * (len(path) - 1))
+        for i, v in enumerate(path[1:-1], start=1):
+            vx[v] = vx[path[0]] + i * step
     orders = [tuple(sorted(vs, key=lambda v: (vx[v], v))) for vs in levels(g2).by_level()]
     return LevelOrdering(tuple(orders))
 
@@ -295,10 +269,12 @@ def _cycle_level_ordering(g2: ReebGraph, dec: CycleDecomposition) -> LevelOrderi
 def layout_cycle(g: ReebGraph) -> Drawing:
     """Draw any single cycle with exactly k-1 crossings (k = iteration count).
 
-    The cycle is leveled, its key skeleton is drawn bowtie-style, connecting
-    paths are routed through disjoint corridors (free paths crossing-free, the
-    k-1 designated pairs crossing once each), and the leveled drawing is
-    merged back so the output is a drawing of the input graph.
+    The cycle is leveled and its keys are drawn in their key columns, as in
+    the bowtie; connecting paths are routed through disjoint corridors (free
+    paths crossing-free, the k-1 designated pairs crossing once each), and
+    the leveled drawing is merged back so the output is a drawing of the
+    input graph.  The ordering's layered count is checked against k-1, and
+    the realization certifies once that the drawing has that many crossings.
     """
     if classify_shape(g) != ShapeClass.SINGLE_CYCLE:
         raise LayoutError("cycle layout requires a single cycle", code="not-single-cycle")
@@ -310,20 +286,15 @@ def layout_cycle(g: ReebGraph) -> Drawing:
         raise InternalInvariantError(
             f"cycle corridor ordering produced {layered} crossings, expected {dec.iteration_count - 1}"
         )
-    d = _realize_unsubdivided(smap, ordering)
-    cert = count_crossings_geometric(d)
-    if cert.count != dec.iteration_count - 1:
-        raise InternalInvariantError(
-            f"cycle drawing has {cert.count} crossings, expected {dec.iteration_count - 1}"
-        )
-    return d
+    return _realize_unsubdivided(smap, ordering)
 
 
 def layout_cycle_unique_extrema(g: ReebGraph) -> Drawing:
     """Draw a cycle with a unique topmost and bottommost vertex without crossings.
 
     The two extrema split the cycle into two paths which are laid out on
-    opposite sides of a shared column.
+    opposite sides of a shared column.  This is :func:`layout_cycle` with
+    k = 1, which certifies its 0 crossings once.
     """
     if classify_shape(g) != ShapeClass.SINGLE_CYCLE:
         raise LayoutError("unique-extrema layout requires a single cycle", code="not-single-cycle")
@@ -335,10 +306,7 @@ def layout_cycle_unique_extrema(g: ReebGraph) -> Drawing:
             f"extrema are not unique ({len(tops)} topmost, {len(bottoms)} bottommost)",
             code="extrema-not-unique",
         )
-    d = layout_cycle(g)
-    if count_crossings_geometric(d).count != 0:
-        raise InternalInvariantError("unique-extrema cycle drawing is not crossing-free")
-    return d
+    return layout_cycle(g)
 
 
 # ---------------------------------------------------------------------------

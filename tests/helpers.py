@@ -20,12 +20,14 @@ from typing import Sequence
 from reebdraw import (
     BudgetExhaustedError,
     CrossingCertificate,
+    CycleDecomposition,
     DegeneracyError,
     Drawing,
     GadgetInstance,
     GraphStructureError,
     InternalInvariantError,
     LayoutError,
+    LevelAssignment,
     LevelOrdering,
     LinearArrangement,
     ReebGraph,
@@ -48,7 +50,6 @@ from reebdraw.crossings import (
     CrossingPair,
     ExactResult,
     Point,
-    _dfs_level_orders,
     _find,
     _neighbors,
     _orient,
@@ -470,6 +471,33 @@ def _reference_barycenter_ordering(g2: ReebGraph, rounds: int = 10) -> LevelOrde
     return LevelOrdering.from_lists(orders)
 
 
+def _reference_dfs_level_orders(g2: ReebGraph, lev: LevelAssignment) -> list[list[str]]:
+    """Oracle: the depth-first ordering on its own adjacency, kept verbatim.
+
+    Order each level by depth-first discovery time; subtrees stay contiguous."""
+    adj: dict[str, list[str]] = {v: [] for v in g2.vertices}
+    for a, b in g2.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    for v in adj:
+        adj[v] = sorted(set(adj[v]))
+    orders: list[list[str]] = [[] for _ in range(lev.count)]
+    seen: set[str] = set()
+    for root in sorted(g2.vertices, key=lambda v: (lev.level[v], v)):
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            orders[lev.level[v]].append(v)
+            for w in reversed(adj[v]):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return orders
+
+
 def reference_warm_start(g2: ReebGraph) -> int:
     """Oracle: the original warm-start cost, kept verbatim.
 
@@ -513,7 +541,7 @@ def reference_warm_start(g2: ReebGraph) -> int:
                 break
         return cost_of(orders)
 
-    candidates = [_dfs_level_orders(g2, lev)]
+    candidates = [_reference_dfs_level_orders(g2, lev)]
     for rounds in (1, 2, 4, 10):
         candidates.append([list(o) for o in _reference_barycenter_ordering(g2, rounds).orders])
     best = min(cost_of(orders) for orders in candidates)
@@ -1290,6 +1318,82 @@ def reference_layout_caterpillar(g: ReebGraph) -> Drawing:
             pass
         base /= 2
     raise InternalInvariantError("caterpillar legs could not be placed cleanly")
+
+
+def _reference_cycle_order(g: ReebGraph) -> list[str]:
+    """Oracle: ``layout._cycle_order`` before the decomposition was rewritten, kept verbatim.
+
+    Cycle traversal starting at the lexicographically least top-level vertex,
+    stepping first toward its lexicographically least neighbor."""
+    lev = levels(g)
+    top = lev.count - 1
+    start = min(v for v in g.vertices if lev.level[v] == top)
+    adj = g.adjacency()
+    first = min(adj[start], key=lambda t: (t[0], t[1]))
+    order = [start]
+    used = {first[1]}
+    cur = first[0]
+    while cur != start:
+        order.append(cur)
+        nxt = min((t for t in adj[cur] if t[1] not in used), key=lambda t: (t[0], t[1]))
+        used.add(nxt[1])
+        cur = nxt[0]
+    return order
+
+
+def reference_top_down_iteration_number(g: ReebGraph) -> CycleDecomposition:
+    """Oracle: the two-scan decomposition, kept verbatim.
+
+    Count a cycle's alternations between its extreme levels and name the keys.
+
+    The traversal is projected to T (top level) / B (bottom level) symbols,
+    consecutive repeats collapse into runs (cyclically), and the number of T
+    runs is the iteration count; each run's first vertex is a key.
+    """
+    if classify_shape(g) != ShapeClass.SINGLE_CYCLE:
+        raise LayoutError("top-down iteration number requires a single cycle", code="not-single-cycle")
+    lev = levels(g)
+    top, bottom = lev.count - 1, 0
+    order = _reference_cycle_order(g)
+
+    def runs_of(seq: list[str]) -> list[tuple[str, list[int]]]:
+        out: list[tuple[str, list[int]]] = []
+        for i, v in enumerate(seq):
+            if lev.level[v] not in (top, bottom):
+                continue
+            sym = "T" if lev.level[v] == top else "B"
+            if out and out[-1][0] == sym:
+                out[-1][1].append(i)
+            else:
+                out.append((sym, [i]))
+        return out
+
+    # The start vertex may sit mid-run (its run wrapping around the cycle);
+    # rotate the traversal to that run's cyclic start so every run is a
+    # contiguous stretch and each connecting path touches at most one extreme
+    # level beyond its endpoints.
+    runs = runs_of(order)
+    if len(runs) > 1 and runs[-1][0] == runs[0][0]:
+        order = order[runs[-1][1][0]:] + order[:runs[-1][1][0]]
+        runs = runs_of(order)
+    k = sum(1 for sym, _ in runs if sym == "T")
+
+    keys = [order[positions[0]] for _, positions in runs]
+    key_pos = [positions[0] for _, positions in runs]
+    paths: list[tuple[str, ...]] = []
+    for j in range(len(keys)):
+        a = key_pos[j]
+        if j + 1 < len(keys):
+            paths.append(tuple(order[a:key_pos[j + 1] + 1]))
+        else:
+            paths.append(tuple(order[a:] + order[:1]))
+    return CycleDecomposition(
+        top=top,
+        bottom=bottom,
+        keys=tuple(keys),
+        iteration_count=k,
+        paths=tuple(paths),
+    )
 
 
 def reference_realize_layered(g2: ReebGraph, ordering: LevelOrdering) -> Drawing:

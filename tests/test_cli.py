@@ -319,6 +319,44 @@ def test_render_level_lines_golden_bytes(tmp_path, capsys):
     assert _sha256(tmp_path / "out.svg") == "73d1e77ad7961b4910fefb09f7a52f55dfd7fcd559a61897c6e04a227e4ff77d"
 
 
+CYCLE_K2 = {
+    "vertices": [{"id": v, "height": h} for v, h in
+                 [("t1", 2), ("m1", 1), ("b1", 0), ("m2", 1), ("t2", 2), ("m3", 1), ("b2", 0), ("m4", 1)]],
+    "edges": [["t1", "m1"], ["m1", "b1"], ["b1", "m2"], ["m2", "t2"],
+              ["t2", "m3"], ["m3", "b2"], ["b2", "m4"], ["m4", "t1"]],
+}
+ALTERNATING_SIX = {
+    "vertices": [{"id": f"v{i}", "height": 1 - i % 2} for i in range(6)],
+    "edges": [[f"v{i}", f"v{(i + 1) % 6}"] for i in range(6)],
+}
+PARALLEL_PAIR = {
+    "vertices": [{"id": "a", "height": 0}, {"id": "b", "height": 1}],
+    "edges": [["a", "b"], ["a", "b"]],
+}
+
+
+@pytest.mark.parametrize("algorithm,graph,json_sha,svg_sha", [
+    ("cycle", CYCLE_K2,
+     "375550c50c435062d4d7276948d16f0e521f444f3ab695fdab39997db11c8ae4",
+     "19f8c8b550e8faa08cdae127fabc9534f2b451278494c5cfb81d1598a4987ba0"),
+    ("bowtie", ALTERNATING_SIX,
+     "0a8ea76104208daa25614d34a383aeef6d8b9c2c9701007d8659ce6b57b3bdab",
+     "b611cda0a16ab248204304d6e959c6ad4243b118936babc741ec6e2272f934e8"),
+    ("bowtie", PARALLEL_PAIR,
+     "b1096457ce4eb501d91cc3a1bf5b2a283a22dcbdc719c421ea242639e221bf17",
+     "be03c23ef876818efc55c241cffd4a5e8081633a147c71c0f08d39763238c911"),
+], ids=["cycle-k2", "bowtie-six", "bowtie-two"])
+def test_cycle_layout_golden_bytes(algorithm, graph, json_sha, svg_sha, tmp_path, capsys):
+    # Digests of the outputs from before the cycle layouts shared one
+    # decomposition; any change to the drawing or the SVG bytes shows here.
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    code, _, _ = run(capsys, "layout", "--algorithm", algorithm, path,
+                     "-o", tmp_path / "out.json", "--svg", tmp_path / "out.svg")
+    assert code == 0
+    assert (_sha256(tmp_path / "out.json"), _sha256(tmp_path / "out.svg")) == (json_sha, svg_sha)
+
+
 TREE = {
     "vertices": [{"id": "a", "height": 0}, {"id": "b", "height": 1}, {"id": "c", "height": 2}],
     "edges": [["a", "b"], ["a", "c"]],

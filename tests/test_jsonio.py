@@ -64,13 +64,15 @@ class TestGraphRoundTrip:
         assert "ghost" in str(exc.value)
 
     def test_error_codes_distinct(self):
-        cases = {
-            "bad-json": "{nope",
-            "duplicate-vertex": '{"vertices": [{"id": "a", "height": 1}, {"id": "a", "height": 2}], "edges": []}',
-            "self-loop": '{"vertices": [{"id": "a", "height": 1}], "edges": [["a", "a"]]}',
-            "horizontal-edge": '{"vertices": [{"id": "a", "height": 1}, {"id": "b", "height": 1}], "edges": [["a", "b"]]}',
-        }
-        for code, text in cases.items():
+        cases = [
+            ("bad-json", "{nope"),
+            ("duplicate-vertex", '{"vertices": [{"id": "a", "height": 1}, {"id": "a", "height": 2}], "edges": []}'),
+            ("self-loop", '{"vertices": [{"id": "a", "height": 1}], "edges": [["a", "a"]]}'),
+            ("horizontal-edge", '{"vertices": [{"id": "a", "height": 1}, {"id": "b", "height": 1}], "edges": [["a", "b"]]}'),
+            ("bad-schema", '{"vertices": [{"id": "a", "height": 1}], "edges": [["a"]]}'),
+            ("bad-schema", '{"vertices": [{"id": "a", "height": 1}], "edges": [["a", 1]]}'),
+        ]
+        for code, text in cases:
             with pytest.raises(GraphStructureError) as exc:
                 parse_graph(text)
             assert exc.value.code == code
@@ -121,5 +123,9 @@ class TestOlaGraphParsing:
         assert g.vertices == ("a", "b") and g.edges == (("a", "b"),)
 
     def test_bad_schema(self):
-        with pytest.raises(GraphStructureError):
-            parse_ola_graph('{"vertices": "ab", "edges": []}')
+        for text in ('{"vertices": "ab", "edges": []}',
+                     '{"vertices": ["a"], "edges": [["a"]]}',
+                     '{"vertices": ["a"], "edges": [["a", 1]]}'):
+            with pytest.raises(GraphStructureError) as exc:
+                parse_ola_graph(text)
+            assert exc.value.code == "bad-schema"

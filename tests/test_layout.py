@@ -20,6 +20,7 @@ from reebdraw import (
     layout_cycle_unique_extrema,
     layout_heuristic,
     layout_path,
+    levels,
     top_down_iteration_number,
 )
 
@@ -33,6 +34,7 @@ from helpers import (
     random_path_graph,
     random_wide_caterpillar_graph,
     reference_layout_caterpillar,
+    reference_top_down_iteration_number,
 )
 
 
@@ -69,6 +71,31 @@ def caterpillars(draw):
         edges.append(("s0", "l0"))
         heights["l0"] = heights["s0"] + 1
     return ReebGraph.build(heights, edges)
+
+
+@st.composite
+def cycles_and_paths(draw):
+    """Random cycles of 2-14 vertices with top levels 2-7, alternating cycles
+    of 2-16 vertices, and paths, which every cycle routine must reject."""
+    kind = draw(st.sampled_from(("cycle", "alternating", "path")))
+    if kind == "alternating":
+        return alternating_cycle(2 * draw(st.integers(min_value=1, max_value=8)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "path":
+        return random_path_graph(draw(st.integers(min_value=2, max_value=8)), rng)
+    n = draw(st.integers(min_value=2, max_value=14))
+    return random_cycle_graph(n, rng, max_level=draw(st.integers(min_value=2, max_value=7)))
+
+
+def unique_extrema_cycles(rng: random.Random, count: int) -> list[ReebGraph]:
+    """``count`` random cycles with one topmost and one bottommost vertex."""
+    out = []
+    while len(out) < count:
+        g = random_cycle_graph(rng.randint(4, 10), rng, max_level=6)
+        per_level = levels(g).by_level()
+        if len(per_level[0]) == len(per_level[-1]) == 1:
+            out.append(g)
+    return out
 
 
 class TestLayoutPath:
@@ -204,8 +231,6 @@ class TestTopDownIterationNumber:
             g = random_cycle_graph(rng.randint(3, 10), rng)
             dec = top_down_iteration_number(g)
             assert len(dec.keys) == 2 * dec.iteration_count
-            from reebdraw import levels
-
             lev = levels(g)
             for i, key in enumerate(dec.keys):
                 expected = dec.top if i % 2 == 0 else dec.bottom
@@ -217,6 +242,18 @@ class TestTopDownIterationNumber:
         g = ReebGraph.build({"a": 0, "b": 1}, [("a", "b")])
         with pytest.raises(LayoutError):
             top_down_iteration_number(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cycles_and_paths())
+    def test_matches_the_two_scan_reference(self, g):
+        try:
+            expected = reference_top_down_iteration_number(g)
+        except LayoutError as exc:
+            with pytest.raises(LayoutError) as got:
+                top_down_iteration_number(g)
+            assert got.value.code == exc.code
+            return
+        assert top_down_iteration_number(g) == expected
 
 
 class TestLayoutBowtie:
@@ -269,6 +306,17 @@ class TestLayoutCycle:
             k = top_down_iteration_number(g).iteration_count
             assert count_crossings_geometric(layout_cycle(g)).count == k - 1
 
+    def test_certifies_once(self, monkeypatch):
+        import reebdraw.crossings
+        import reebdraw.layout
+
+        calls = counted_geometric_calls(monkeypatch, reebdraw.layout, reebdraw.crossings)
+        rng = random.Random(79)
+        for _ in range(20):
+            calls.clear()
+            layout_cycle(random_cycle_graph(rng.randint(2, 12), rng, max_level=rng.randint(2, 6)))
+            assert len(calls) == 1
+
     def test_oracle_never_beats_promise_by_much(self):
         rng = random.Random(78)
         for _ in range(15):
@@ -284,19 +332,18 @@ class TestUniqueExtrema:
         assert count_crossings_geometric(layout_cycle_unique_extrema(g)).count == 0
 
     def test_random_unique_extrema_cycles(self):
-        rng = random.Random(55)
-        produced = 0
-        while produced < 10:
-            g = random_cycle_graph(rng.randint(4, 10), rng, max_level=6)
-            from reebdraw import levels
-
-            lev = levels(g)
-            tops = [v for v in g.vertices if lev.level[v] == lev.count - 1]
-            bottoms = [v for v in g.vertices if lev.level[v] == 0]
-            if len(tops) != 1 or len(bottoms) != 1:
-                continue
-            produced += 1
+        for g in unique_extrema_cycles(random.Random(55), 10):
             assert count_crossings_geometric(layout_cycle_unique_extrema(g)).count == 0
+
+    def test_certifies_once(self, monkeypatch):
+        import reebdraw.crossings
+        import reebdraw.layout
+
+        calls = counted_geometric_calls(monkeypatch, reebdraw.layout, reebdraw.crossings)
+        for g in unique_extrema_cycles(random.Random(56), 10):
+            calls.clear()
+            layout_cycle_unique_extrema(g)
+            assert len(calls) == 1
 
     def test_repeated_extrema_rejected(self):
         g = alternating_cycle(4)
