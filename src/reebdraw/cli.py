@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import jsonio
-from .core import classify_shape, validate
+from .core import validate
 from .crossings import (
     DEFAULT_SEARCH_BUDGET,
     _realize_unsubdivided,

@@ -31,7 +31,7 @@ from operator import itemgetter, sub
 from typing import Iterable, Sequence
 
 from . import geometry
-from .core import LevelAssignment, ReebGraph, is_connected, levels, validate
+from .core import LevelAssignment, ReebGraph, is_connected, levels
 from .errors import (
     BudgetExhaustedError,
     DegeneracyError,
@@ -197,10 +197,11 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
 
     The count runs on the drawing's integer frame (``Drawing._scaled_polylines``).
     Every segment is strictly y-monotone, so it meets at most one point per
-    height: the foreign-vertex check bisects a sorted list of the distinct
-    vertex heights to those in the segment's closed y-range and looks up the
-    one point of the segment there.  It costs one lookup per (segment, vertex
-    height in its range) instead of one test per (edge, vertex, segment).
+    height: the foreign-vertex check looks up each bend point once, and
+    bisects a sorted list of the distinct vertex heights to those strictly
+    inside a segment's y-range and looks up the one point of the segment
+    there.  It costs one lookup per bend and per (segment, vertex height
+    strictly inside its range) instead of one test per (edge, vertex, segment).
 
     The pair sweep visits segments sorted by lower y; a segment meets only the
     later ones that start at or below its upper y and whose closed x-extent
@@ -218,21 +219,23 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
 
     # A polyline must not pass through any vertex other than its endpoints.
     # Report the first offender of the lowest edge, in ``graph.vertices`` order.
-    rank = {v: k for k, v in enumerate(d.graph.vertices)}
+    # The polyline's ends are its own vertices and its bends lie strictly
+    # between them in y, so only the bends and the points strictly inside a
+    # segment's y-range can be foreign vertices.
     vertex_at = {p: v for v, p in vertex_pt.items()}
     heights = sorted({p[1] for p in vertex_pt.values()})
     for ei, poly in enumerate(polys):
-        ends = d.graph.edges[ei]
-        offenders = []
+        offenders = [vertex_at[p] for p in poly[1:-1] if p in vertex_at]
         for (ax, ay), (bx, by) in zip(poly, poly[1:]):
             dx, dy = bx - ax, by - ay
-            for y in heights[bisect_left(heights, ay):bisect_right(heights, by)]:
+            for y in heights[bisect_right(heights, ay):bisect_left(heights, by)]:
                 num = ax * dy + (y - ay) * dx
                 if num % dy == 0:
                     v = vertex_at.get((num // dy, y))
-                    if v is not None and v not in ends:
+                    if v is not None:
                         offenders.append(v)
         if offenders:
+            rank = {v: k for k, v in enumerate(d.graph.vertices)}
             v = min(offenders, key=rank.__getitem__)
             raise DegeneracyError(f"edge {ei} passes through vertex {v!r}")
 
@@ -465,35 +468,43 @@ def barycenter_ordering(g2: ReebGraph) -> tuple[LevelOrdering, ...]:
 
     Starting from id-sorted levels, each round reorders every level by the
     mean position of its lower neighbors (upward pass), then of its upper
-    neighbors (downward pass), ties broken by vertex id.  Returns the
-    orderings after rounds 1, 2, 4 and 10.
+    neighbors (downward pass), ties broken by vertex id; a vertex without such
+    neighbors keeps its own position as its key.  Returns the orderings after
+    rounds 1, 2, 4 and 10.
+
+    Keys are integers: every mean is scaled by ``scale``, the lcm of the
+    neighbor counts.  A level of one vertex never moves, and once a round
+    leaves every level as it was, every later round does too.
     """
     lev = levels(g2)
     orders = lev.by_level()
     down_nbrs, up_nbrs = _neighbors(g2)
+    scale = lcm(*{len(ns) for nbrs in (down_nbrs, up_nbrs) for ns in nbrs.values() if ns})
 
-    def sweep(level_order: list[str], nbrs: dict[str, list[str]], pos: dict[str, int]) -> list[str]:
-        pos_self = {v: i for i, v in enumerate(level_order)}
-
-        def key(v: str):
+    def sweep(l: int, nbrs: dict[str, list[str]], other: list[str]) -> None:
+        if len(orders[l]) < 2:
+            return
+        pos = {v: i for i, v in enumerate(other)}
+        keys = []
+        for i, v in enumerate(orders[l]):
             ns = nbrs[v]
-            if not ns:
-                return (Fraction(pos_self[v]), v)
-            return (Fraction(sum(pos[w] for w in ns), len(ns)), v)
-
-        return sorted(level_order, key=key)
+            keys.append((sum(pos[w] for w in ns) * (scale // len(ns)) if ns else i * scale, v))
+        keys.sort()
+        orders[l] = [v for _, v in keys]
 
     snapshots = []
     for rounds in range(1, _BARYCENTER_SNAPSHOTS[-1] + 1):
+        start = orders.copy()
         for l in range(1, lev.count):
-            below = {v: i for i, v in enumerate(orders[l - 1])}
-            orders[l] = sweep(orders[l], down_nbrs, below)
+            sweep(l, down_nbrs, orders[l - 1])
         for l in range(lev.count - 2, -1, -1):
-            above = {v: i for i, v in enumerate(orders[l + 1])}
-            orders[l] = sweep(orders[l], up_nbrs, above)
-        if rounds in _BARYCENTER_SNAPSHOTS:
+            sweep(l, up_nbrs, orders[l + 1])
+        settled = orders == start
+        if settled or rounds in _BARYCENTER_SNAPSHOTS:
             snapshots.append(LevelOrdering.from_lists(orders))
-    return tuple(snapshots)
+        if settled:
+            break
+    return tuple(snapshots + snapshots[-1:] * (len(_BARYCENTER_SNAPSHOTS) - len(snapshots)))
 
 
 def _dfs_level_orders(lev: LevelAssignment, down: dict[str, list[str]],

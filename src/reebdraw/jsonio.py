@@ -3,6 +3,9 @@
 Rational numbers serialize as strings "p/q" in lowest terms with positive
 denominator (plain "p" for integers), because JSON numbers cannot carry exact
 rationals.  Parsers accept integers, decimal strings, and "p/q" strings.
+Each distinct rational string is parsed once per document: the graph and
+drawing readers share one memo for the document's heights, x coordinates and
+bends, so a value repeated across a document costs a dict lookup.
 All serializers are byte-deterministic for identical inputs.
 
 Graph schema::
@@ -24,9 +27,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
-from .core import ReebGraph, as_height
+from .core import ReebGraph
 from .crossings import CrossingCertificate, Drawing, LevelOrdering
 from .errors import GraphStructureError
 from .gadget import GadgetInstance, OlaGraph
@@ -50,6 +53,25 @@ def parse_rational(value: Any, what: str = "value") -> Fraction:
             raise GraphStructureError(f"cannot parse {what} {value!r}: {exc}", code="bad-rational") from None
     raise GraphStructureError(f"{what} must be an integer or string, got {type(value).__name__}",
                               code="bad-rational")
+
+
+def _rational_reader() -> Callable[[Any, str], Fraction]:
+    """A :func:`parse_rational` for one document that parses each distinct
+    string once.  Only successful parses are kept, and values other than
+    strings are parsed every time, so what is accepted, the values and every
+    error (the first bad use, with its ``what``) are those of
+    :func:`parse_rational`."""
+    memo: dict[str, Fraction] = {}
+
+    def read(value: Any, what: str) -> Fraction:
+        if type(value) is not str:
+            return parse_rational(value, what)
+        q = memo.get(value)
+        if q is None:
+            q = memo[value] = parse_rational(value, what)
+        return q
+
+    return read
 
 
 def _loads(text: str) -> Any:
@@ -84,6 +106,10 @@ def graph_to_obj(g: ReebGraph) -> dict:
 
 
 def graph_from_obj(obj: Any) -> ReebGraph:
+    return _graph_from_obj(obj, _rational_reader())
+
+
+def _graph_from_obj(obj: Any, read: Callable[[Any, str], Fraction]) -> ReebGraph:
     _require(isinstance(obj, dict), "graph must be an object")
     _require(isinstance(obj.get("vertices"), list), "graph.vertices must be a list")
     _require(isinstance(obj.get("edges"), list), "graph.edges must be a list")
@@ -94,7 +120,7 @@ def graph_from_obj(obj: Any) -> ReebGraph:
         vid = item["id"]
         if vid in heights:
             raise GraphStructureError(f"duplicate vertex id {vid!r}", code="duplicate-vertex")
-        heights[vid] = parse_rational(item.get("height"), f"height of {vid!r}")
+        heights[vid] = read(item.get("height"), f"height of {vid!r}")
     return ReebGraph(heights, _edge_pairs(obj["edges"]))
 
 
@@ -126,9 +152,10 @@ def drawing_to_obj(d: Drawing) -> dict:
 
 def drawing_from_obj(obj: Any) -> Drawing:
     _require(isinstance(obj, dict), "drawing must be an object")
-    g = graph_from_obj(obj.get("graph"))
+    read = _rational_reader()
+    g = _graph_from_obj(obj.get("graph"), read)
     _require(isinstance(obj.get("x"), dict), "drawing.x must be an object")
-    xs = {v: parse_rational(c, f"x of {v!r}") for v, c in obj["x"].items()}
+    xs = {v: read(c, f"x of {v!r}") for v, c in obj["x"].items()}
     _require(isinstance(obj.get("edges"), list), "drawing.edges must be a list")
     entries = obj["edges"]
     if len(entries) != len(g.edges):
@@ -150,7 +177,7 @@ def drawing_from_obj(obj: Any) -> Drawing:
         eb = []
         for pair in raw:
             _require(isinstance(pair, list) and len(pair) == 2, "each bend must be an [x, y] pair")
-            eb.append((parse_rational(pair[0], "bend x"), parse_rational(pair[1], "bend y")))
+            eb.append((read(pair[0], "bend x"), read(pair[1], "bend y")))
         bends.append(tuple(eb))
     return Drawing(graph=g, x=xs, bends=tuple(bends))
 

@@ -16,7 +16,7 @@ bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .crossings import Drawing
 from .errors import GraphStructureError

@@ -38,15 +38,18 @@ from reebdraw.crossings import (
     _strip_crossings,
     _strip_edges,
     _warm_start,
+    barycenter_ordering,
 )
 from reebdraw.gadget import _certified_drawing
 from reebdraw.jsonio import parse_graph
 
 from helpers import (
     _parity_system,
+    _reference_barycenter_ordering,
     alternating_cycle,
     counted_geometric_calls,
     curved_copy,
+    deep_general_graph,
     enumerate_min_crossings,
     random_caterpillar_graph,
     random_connected_graph,
@@ -402,6 +405,19 @@ class TestWarmStart:
         cost, ordering = _warm_start(g2)
         assert cost == reference_warm_start(g2)
         assert count_crossings_layered(g2, ordering) == cost
+
+    @staticmethod
+    def reference_snapshots(g2):
+        return tuple(_reference_barycenter_ordering(g2, r) for r in (1, 2, 4, 10))
+
+    @settings(max_examples=300, deadline=None)
+    @given(leveled_graphs())
+    def test_barycenter_snapshots_match_reference(self, g2):
+        assert barycenter_ordering(g2) == self.reference_snapshots(g2)
+
+    def test_barycenter_snapshots_match_reference_on_a_deep_graph(self):
+        g2 = subdivide(deep_general_graph()).graph
+        assert barycenter_ordering(g2) == self.reference_snapshots(g2)
 
 
 class TestForeignVertexIndex:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from reebdraw import (
     ReebGraph,
     layout_auto,
 )
+from reebdraw import jsonio
 from reebdraw.jsonio import (
     parse_drawing,
     parse_graph,
@@ -115,6 +117,73 @@ class TestDrawingRoundTrip:
         with pytest.raises(GraphStructureError) as exc:
             parse_drawing(text)
         assert exc.value.code == "edge-mismatch"
+
+
+def drawing_text(heights, xs, bends):
+    """A drawing document of the edges a-b and c-d, heights and x as given."""
+    return json.dumps({
+        "graph": {"vertices": [{"id": v, "height": h} for v, h in heights.items()],
+                  "edges": [["a", "b"], ["c", "d"]]},
+        "x": xs,
+        "edges": [{"endpoints": ["a", "b"], "bends": bends[0]},
+                  {"endpoints": ["c", "d"], "bends": bends[1]}],
+    })
+
+
+class TestRationalMemo:
+    """Each distinct rational string of a document is parsed once."""
+
+    HEIGHTS = {"a": "0", "b": "2", "c": "0", "d": "2"}
+    XS = {"a": "0", "b": "1", "c": "1", "d": "0"}
+    BENDS = ([["1/2", "1"]], [["1/2", "3/2"], ["1", "7/4"]])
+
+    @staticmethod
+    def count_parses(monkeypatch):
+        calls = []
+        parse = jsonio.parse_rational
+
+        def counting(value, what="value"):
+            calls.append(value)
+            return parse(value, what)
+
+        monkeypatch.setattr(jsonio, "parse_rational", counting)
+        return calls
+
+    def test_drawing_parses_each_distinct_string_once(self, monkeypatch):
+        calls = self.count_parses(monkeypatch)
+        d = parse_drawing(drawing_text(self.HEIGHTS, self.XS, self.BENDS))
+        assert sorted(calls) == ["0", "1", "1/2", "2", "3/2", "7/4"]
+        assert d.graph.vertices == {"a": 0, "b": 2, "c": 0, "d": 2}
+        assert d.x == {"a": 0, "b": 1, "c": 1, "d": 0}
+        assert d.bends == (((Fraction(1, 2), 1),),
+                           ((Fraction(1, 2), Fraction(3, 2)), (1, Fraction(7, 4))))
+
+    def test_graph_parses_each_distinct_string_once(self, monkeypatch):
+        calls = self.count_parses(monkeypatch)
+        g = parse_graph(json.dumps({
+            "vertices": [{"id": v, "height": h} for v, h in self.HEIGHTS.items()],
+            "edges": [["a", "b"], ["c", "d"]]}))
+        assert sorted(calls) == ["0", "2"]
+        assert g.vertices == {"a": 0, "b": 2, "c": 0, "d": 2}
+
+    @pytest.mark.parametrize("bad", ["1/0", "x"])
+    def test_first_bad_use_is_reported(self, bad):
+        with pytest.raises(GraphStructureError) as expected:
+            parse_rational(bad, "height of 'b'")
+        with pytest.raises(GraphStructureError) as exc:
+            parse_drawing(drawing_text({**self.HEIGHTS, "b": bad}, {**self.XS, "a": bad}, self.BENDS))
+        assert exc.value.code == "bad-rational"
+        assert str(exc.value) == str(expected.value) == f"cannot parse height of 'b' {bad!r}: " + {
+            "1/0": "Fraction(1, 0)", "x": "Invalid literal for Fraction: 'x'"}[bad]
+
+    @pytest.mark.parametrize("bad", [1.0, True])
+    def test_float_or_bool_after_a_repeated_equal_value_is_refused(self, bad):
+        # "1" and 1 are read before; 1.0 and True compare equal to 1.
+        heights = {**self.HEIGHTS, "b": 1}
+        with pytest.raises(GraphStructureError) as exc:
+            parse_drawing(drawing_text(heights, {**self.XS, "d": bad}, ([], [])))
+        assert exc.value.code == "bad-rational"
+        assert str(exc.value) == f"x of 'd' must be an integer or an exact string, got {bad!r}"
 
 
 class TestOlaGraphParsing:
