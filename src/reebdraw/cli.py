@@ -26,7 +26,7 @@ from .crossings import (
     count_crossings_geometric,
     exact_rgcn,
 )
-from .errors import BudgetExhaustedError, ReebError
+from .errors import BudgetExhaustedError, GraphStructureError, ReebError
 from .gadget import (
     _certified_drawing,
     ola_brute,
@@ -47,9 +47,13 @@ from .svg import RenderOptions, render_svg
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    """An input file's text; bytes that are not UTF-8 are not JSON text (bad-json)."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphStructureError(f"malformed JSON: input is not UTF-8 text: {exc}", code="bad-json") from None
 
 
 def _write(text: str, path: str | None) -> None:

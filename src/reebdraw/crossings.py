@@ -43,6 +43,7 @@ from .subdivide import SubdivisionMap, subdivide, unsubdivide_drawing
 
 Point = tuple[Fraction, Fraction]
 IntPoint = tuple[int, int]
+LeveledView = tuple[LevelAssignment, list[list[tuple[str, str]]], dict[str, list[str]], dict[str, list[str]]]
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -326,13 +327,25 @@ def _x_slabs(segs: list[tuple]) -> tuple[list[list[int]], list[list[int]], list[
     return slabs, slab_starts, slab_range
 
 
-def _strip_edges(g2: ReebGraph, lev: LevelAssignment) -> list[list[tuple[str, str]]]:
-    """Edges grouped by strip; each as (lower vertex, upper vertex)."""
+def _leveled(g2: ReebGraph) -> LeveledView:
+    """A leveled graph's levels, its edges grouped by strip as (lower vertex,
+    upper vertex), and each vertex's lower and upper neighbors, one entry per
+    edge, in one pass; raises ``not-leveled`` at the first level-skipping edge."""
+    lev = levels(g2)
     strips: list[list[tuple[str, str]]] = [[] for _ in range(max(lev.count - 1, 0))]
-    for i in range(len(g2.edges)):
-        lo, hi = g2.lower_upper(i)
+    down: dict[str, list[str]] = {v: [] for v in g2.vertices}
+    up: dict[str, list[str]] = {v: [] for v in g2.vertices}
+    for i, (a, b) in enumerate(g2.edges):
+        lo, hi = (a, b) if lev.level[a] < lev.level[b] else (b, a)
+        if lev.level[hi] - lev.level[lo] != 1:
+            raise GraphStructureError(
+                f"layered counting requires consecutive-level edges; edge {i} ({a}, {b}) skips levels",
+                code="not-leveled",
+            )
         strips[lev.level[lo]].append((lo, hi))
-    return strips
+        down[hi].append(lo)
+        up[lo].append(hi)
+    return lev, strips, down, up
 
 
 def _strip_crossings(pairs: Iterable[tuple[int, int]]) -> int:
@@ -346,7 +359,20 @@ def _strip_crossings(pairs: Iterable[tuple[int, int]]) -> int:
     return total
 
 
-def _check_ordering(lev: LevelAssignment, ordering: LevelOrdering) -> None:
+def _layered_cost(strips: list[list[tuple[str, str]]], orders: Sequence[Sequence[str]]) -> int:
+    """Crossings of the strip edges under per-level orders (see :func:`count_crossings_layered`)."""
+    pos = {v: i for order in orders for i, v in enumerate(order)}
+    return sum(_strip_crossings((pos[lo], pos[hi]) for lo, hi in strip) for strip in strips)
+
+
+def count_crossings_layered(g2: ReebGraph, ordering: LevelOrdering) -> int:
+    """Crossings of a leveled graph under per-level orderings, by inversion counting.
+
+    Two edges of the same strip with no shared endpoint cross iff their lower
+    endpoints and upper endpoints are ordered oppositely; shared endpoints and
+    parallel edges contribute nothing.
+    """
+    lev, strips, _, _ = _leveled(g2)
     if len(ordering.orders) != lev.count:
         raise GraphStructureError(
             f"ordering has {len(ordering.orders)} levels, graph has {lev.count}",
@@ -358,28 +384,7 @@ def _check_ordering(lev: LevelAssignment, ordering: LevelOrdering) -> None:
                 f"ordering for level {l} does not cover exactly that level's vertices",
                 code="ordering-mismatch",
             )
-
-
-def count_crossings_layered(g2: ReebGraph, ordering: LevelOrdering) -> int:
-    """Crossings of a leveled graph under per-level orderings, by inversion counting.
-
-    Two edges of the same strip with no shared endpoint cross iff their lower
-    endpoints and upper endpoints are ordered oppositely; shared endpoints and
-    parallel edges contribute nothing.
-    """
-    lev = levels(g2)
-    for i, (a, b) in enumerate(g2.edges):
-        if abs(lev.level[a] - lev.level[b]) != 1:
-            raise GraphStructureError(
-                f"layered counting requires consecutive-level edges; edge {i} ({a}, {b}) skips levels",
-                code="not-leveled",
-            )
-    _check_ordering(lev, ordering)
-    pos = ordering.positions()
-    total = 0
-    for strip in _strip_edges(g2, lev):
-        total += _strip_crossings((pos[lo], pos[hi]) for lo, hi in strip)
-    return total
+    return _layered_cost(strips, ordering.orders)
 
 
 def realize_layered(g2: ReebGraph, ordering: LevelOrdering) -> Drawing:
@@ -438,17 +443,6 @@ def _realize_unsubdivided(mapping: SubdivisionMap, ordering: LevelOrdering) -> D
     return unsubdivide_drawing(realize_layered(mapping.subdivided, ordering), mapping)
 
 
-def _neighbors(g2: ReebGraph) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
-    """Each vertex's lower and upper neighbors, one entry per edge."""
-    down: dict[str, list[str]] = {v: [] for v in g2.vertices}
-    up: dict[str, list[str]] = {v: [] for v in g2.vertices}
-    for i in range(len(g2.edges)):
-        lo, hi = g2.lower_upper(i)
-        down[hi].append(lo)
-        up[lo].append(hi)
-    return down, up
-
-
 def _pair_crossings(a: list[int], b: list[int]) -> tuple[int, int]:
     """Crossings between two same-level vertices' edges into one neighboring
     level, from the sorted neighbor positions of each: (with a's vertex on the
@@ -460,11 +454,24 @@ def _pair_crossings(a: list[int], b: list[int]) -> tuple[int, int]:
     return a_left, b_left
 
 
+def _pair_costs(lows: list[tuple[int, list[int]]], singles: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """The two-layer crossing matrix of one level against one neighboring level
+    (Jünger & Mutzel, JGAA 1(1), 1997) as (i, j, c[i][j], c[j][i]) for each
+    pair of vertices with edges into it, ``c[u][w]`` counting the crossings
+    there when u is left of w.  ``lows`` lists the vertices with several such
+    edges as (index, sorted neighbor positions), ``singles`` those with one as
+    (index, neighbor position); a pair of singles costs one comparison."""
+    pairs = [(i, j, *_pair_crossings(a, b)) for k, (i, a) in enumerate(lows) for j, b in lows[k + 1:]]
+    pairs += [(i, j, *_pair_crossings(a, [p])) for i, a in lows for j, p in singles]
+    pairs += [(i, j, p > q, q > p) for k, (i, p) in enumerate(singles) for j, q in singles[k + 1:]]
+    return pairs
+
+
 _BARYCENTER_SNAPSHOTS = (1, 2, 4, 10)
 
 
-def barycenter_ordering(g2: ReebGraph) -> tuple[LevelOrdering, ...]:
-    """Deterministic barycenter sweep of a leveled graph.
+def barycenter_ordering(view: LeveledView) -> tuple[LevelOrdering, ...]:
+    """Deterministic barycenter sweep of a leveled graph's view (:func:`_leveled`).
 
     Starting from id-sorted levels, each round reorders every level by the
     mean position of its lower neighbors (upward pass), then of its upper
@@ -476,9 +483,8 @@ def barycenter_ordering(g2: ReebGraph) -> tuple[LevelOrdering, ...]:
     neighbor counts.  A level of one vertex never moves, and once a round
     leaves every level as it was, every later round does too.
     """
-    lev = levels(g2)
+    lev, _, down_nbrs, up_nbrs = view
     orders = lev.by_level()
-    down_nbrs, up_nbrs = _neighbors(g2)
     scale = lcm(*{len(ns) for nbrs in (down_nbrs, up_nbrs) for ns in nbrs.values() if ns})
 
     def sweep(l: int, nbrs: dict[str, list[str]], other: list[str]) -> None:
@@ -507,10 +513,10 @@ def barycenter_ordering(g2: ReebGraph) -> tuple[LevelOrdering, ...]:
     return tuple(snapshots + snapshots[-1:] * (len(_BARYCENTER_SNAPSHOTS) - len(snapshots)))
 
 
-def _dfs_level_orders(lev: LevelAssignment, down: dict[str, list[str]],
-                      up: dict[str, list[str]]) -> list[list[str]]:
-    """Order each level by depth-first discovery time, neighbors in id order;
-    subtrees stay contiguous."""
+def _dfs_level_orders(view: LeveledView) -> list[list[str]]:
+    """Order each level of a leveled graph's view by depth-first discovery
+    time, neighbors in id order; subtrees stay contiguous."""
+    lev, _, down, up = view
     orders: list[list[str]] = [[] for _ in range(lev.count)]
     seen: set[str] = set()
     for root in sorted(lev.level, key=lambda v: (lev.level[v], v)):
@@ -536,26 +542,23 @@ def _sift(orders: list[list[str]], down: dict[str, list[str]], up: dict[str, lis
     of least cost, and only if that is strictly cheaper than where it is.
     Moves are priced as in Matuszewski, Schönfeld & Molitor (GD 1999): from
     the level's crossing matrix ``c[u][w]``, the crossings in the two adjacent
-    strips between the edges of u and of w when u is left of w (Jünger &
-    Mutzel, JGAA 1997), pricing every position of one vertex costs O(W) in
+    strips between the edges of u and of w when u is left of w (summed from
+    :func:`_pair_costs`), pricing every position of one vertex costs O(W) in
     all.  The matrix depends only on the neighboring levels, so it is rebuilt
     when its level is visited.
     """
     for _ in range(8):
         improved = False
         for l, vs in enumerate(orders):
-            below = {v: i for i, v in enumerate(orders[l - 1])} if l > 0 else {}
-            above = {v: i for i, v in enumerate(orders[l + 1])} if l + 1 < len(orders) else {}
-            low = [sorted(below[x] for x in down[v]) for v in vs]
-            high = [sorted(above[x] for x in up[v]) for v in vs]
             w = len(vs)
             c = [[0] * w for _ in range(w)]
-            for i in range(w):
-                for j in range(i + 1, w):
-                    low_ij, low_ji = _pair_crossings(low[i], low[j])
-                    high_ij, high_ji = _pair_crossings(high[i], high[j])
-                    c[i][j] = low_ij + high_ij
-                    c[j][i] = low_ji + high_ji
+            for k, nbrs in ((l - 1, down), (l + 1, up)):
+                at = {v: i for i, v in enumerate(orders[k])} if 0 <= k < len(orders) else {}
+                lows = [(i, sorted(at[x] for x in nbrs[v])) for i, v in enumerate(vs) if len(nbrs[v]) > 1]
+                singles = [(i, at[nbrs[v][0]]) for i, v in enumerate(vs) if len(nbrs[v]) == 1]
+                for i, j, ij, ji in _pair_costs(lows, singles):
+                    c[i][j] += ij
+                    c[j][i] += ji
             cur = list(range(w))  # indices into vs, left to right
             for i in range(w):
                 base = cur.index(i)
@@ -577,35 +580,26 @@ def _sift(orders: list[list[str]], down: dict[str, list[str]], up: dict[str, lis
             break
 
 
-def _warm_start(g2: ReebGraph) -> tuple[int, LevelOrdering]:
-    """The heuristic ordering of a leveled graph and its crossing count.
+def _warm_start(view: LeveledView) -> tuple[int, LevelOrdering]:
+    """The heuristic ordering of a leveled graph's view (:func:`_leveled`) and its cost.
 
     The candidates are, in order, the depth-first ordering and the barycenter
-    snapshots after rounds 1, 2, 4 and 10; the first two are improved by
-    sifting.  Returns the first candidate of least cost.  The exact search
-    takes the cost as its incumbent, and every heuristic drawing realizes the
-    ordering.
+    snapshots after rounds 1, 2, 4 and 10, both read from the view; the first
+    two are improved by sifting.  Returns the first candidate of least cost,
+    summed by :func:`_layered_cost` as the layered counter sums it.  The exact
+    search takes the cost as its incumbent, and every heuristic drawing
+    realizes the ordering.
     """
-    lev = levels(g2)
+    lev, strips, down, up = view
     if lev.count == 0:
         return 0, LevelOrdering(())
-    strips = _strip_edges(g2, lev)
-    down, up = _neighbors(g2)
-
-    def cost_of(orders: list[list[str]]) -> int:
-        pos = {v: i for order in orders for i, v in enumerate(order)}
-        return sum(
-            _strip_crossings((pos[lo], pos[hi]) for lo, hi in strip)
-            for strip in strips
-        )
-
-    candidates = [_dfs_level_orders(lev, down, up)]
-    candidates += [[list(o) for o in snapshot.orders] for snapshot in barycenter_ordering(g2)]
+    candidates = [_dfs_level_orders(view)]
+    candidates += [[list(o) for o in snapshot.orders] for snapshot in barycenter_ordering(view)]
     best_cost, best_orders = None, candidates[0]
     for k, orders in enumerate(candidates):
         if k < 2:
             _sift(orders, down, up)
-        cost = cost_of(orders)
+        cost = _layered_cost(strips, orders)
         if best_cost is None or cost < best_cost:
             best_cost, best_orders = cost, orders
             if cost == 0:
@@ -772,7 +766,8 @@ def _unwind(orient: dict[int, int], trail: list[int], mark: int) -> None:
 def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> ExactResult:
     """Exact minimum crossing number over all drawings, with a witness ordering.
 
-    Subdivides the graph, then minimizes the layered count over all per-level
+    Subdivides the graph, builds its view once (:func:`_leveled`) for itself
+    and the warm start, then minimizes the layered count over all per-level
     permutations by depth-first search: levels are fixed bottom-up, and within
     a level vertices are placed left to right.  Iterative deepening searches
     for a completion of cost at most a target, raising the target from the
@@ -781,7 +776,8 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
 
     Pruning follows the two-layer bound of Jünger & Mutzel (JGAA 1(1), 1997).
     On entering a level, the crossing matrix ``c[u][w]`` counts the crossings
-    in the strip below when u is left of w, and the *floor* is the cost so
+    in the strip below when u is left of w (the regret rows read it from
+    :func:`_pair_costs`, as sifting does), and the *floor* is the cost so
     far plus, over every pair of the level, the cheaper of ``c[u][w]`` and
     ``c[w][u]``, plus the unavoidable crossings of the strips above.  A pair
     of vertices with one lower edge each never adds to it, so those pairs are
@@ -842,14 +838,12 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     if not is_connected(g):
         raise LayoutError("exact search requires a connected graph", code="disconnected")
     g2, smap = subdivide(g)
-    lev = levels(g2)
+    view = _leveled(g2)
+    lev, strips, down_ends, _ = view
     level_vertices = lev.by_level()
-    strips = _strip_edges(g2, lev)
 
     if lev.count == 0:
         return ExactResult(0, LevelOrdering(()), g2, smap, 0)
-
-    down_ends, _ = _neighbors(g2)
 
     # future_lb[l]: crossings unavoidable in strips at or above level l.
     strip_lb = [
@@ -860,7 +854,7 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     for s in range(lev.count - 2, -1, -1):
         future_lb[s] = future_lb[s + 1] + strip_lb[s]
 
-    warm, warm_ordering = _warm_start(g2)
+    warm, warm_ordering = _warm_start(view)
 
     # Round 0 runs only if the system of all strips is consistent, and then
     # prunes on it, with one orientation map and trail (see ``_orient``) over
@@ -924,12 +918,7 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
         width = len(level_vertices[level])
         regret = [0] * width
         drop = [[0] * width for _ in range(width)]
-        singles = list(zip(one_index[level], ones))
-        # (i, j, c[i][j], c[j][i]) for each pair of vertices with lower edges.
-        pairs = [(i, j, *_pair_crossings(a, b)) for k, (i, a) in enumerate(lows) for j, b in lows[k + 1:]]
-        pairs += [(i, j, *_pair_crossings(a, [p])) for i, a in lows for j, p in singles]
-        pairs += [(i, j, p > q, q > p) for k, (i, p) in enumerate(singles) for j, q in singles[k + 1:]]
-        for i, j, ij, ji in pairs:
+        for i, j, ij, ji in _pair_costs(lows, list(zip(one_index[level], ones))):
             if ij > ji:
                 regret[i] += ij - ji
                 drop[j][i] = ij - ji

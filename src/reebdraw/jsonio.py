@@ -167,6 +167,7 @@ def drawing_from_obj(obj: Any) -> Drawing:
         _require(isinstance(entry, dict), "each drawing edge must be an object")
         eps = entry.get("endpoints")
         _require(isinstance(eps, list) and len(eps) == 2, "drawing edge needs two endpoints")
+        _require(all(isinstance(p, str) for p in eps), "drawing edge endpoints must be string ids")
         if tuple(sorted(eps)) != g.edges[i]:
             raise GraphStructureError(
                 f"drawing edge {i} endpoints {eps} do not match graph edge {list(g.edges[i])}",

@@ -34,6 +34,7 @@ from .crossings import (
     DEFAULT_SEARCH_BUDGET,
     Drawing,
     LevelOrdering,
+    _leveled,
     _realize_unsubdivided,
     _warm_start,
     count_crossings_geometric,
@@ -321,7 +322,7 @@ def layout_heuristic(g: ReebGraph) -> Drawing:
     the exact search's incumbent.  Emits exactly that ordering's crossings.
     """
     g2, smap = subdivide(g)
-    _, ordering = _warm_start(g2)
+    _, ordering = _warm_start(_leveled(g2))
     return _realize_unsubdivided(smap, ordering)
 
 

@@ -51,11 +51,10 @@ from reebdraw.crossings import (
     ExactResult,
     Point,
     _find,
-    _neighbors,
+    _leveled,
     _orient,
     _pair_crossings,
     _strip_crossings,
-    _strip_edges,
     _strip_lower_bound,
     _unwind,
     _warm_start,
@@ -438,6 +437,30 @@ def reference_render_svg(
     return "\n".join(lines) + "\n"
 
 
+# Reference strip and neighbor builders, kept verbatim, each a pass of its
+# own over the edges: the oracles below build their strips and neighbor
+# lists with these, not with ``crossings._leveled``.
+
+def _strip_edges(g2: ReebGraph, lev: LevelAssignment) -> list[list[tuple[str, str]]]:
+    """Edges grouped by strip; each as (lower vertex, upper vertex)."""
+    strips: list[list[tuple[str, str]]] = [[] for _ in range(max(lev.count - 1, 0))]
+    for i in range(len(g2.edges)):
+        lo, hi = g2.lower_upper(i)
+        strips[lev.level[lo]].append((lo, hi))
+    return strips
+
+
+def _neighbors(g2: ReebGraph) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """Each vertex's lower and upper neighbors, one entry per edge."""
+    down: dict[str, list[str]] = {v: [] for v in g2.vertices}
+    up: dict[str, list[str]] = {v: [] for v in g2.vertices}
+    for i in range(len(g2.edges)):
+        lo, hi = g2.lower_upper(i)
+        down[hi].append(lo)
+        up[lo].append(hi)
+    return down, up
+
+
 def _reference_barycenter_ordering(g2: ReebGraph, rounds: int = 10) -> LevelOrdering:
     """The original barycenter sweep, kept verbatim except that the levels come
     from ``LevelAssignment.by_level``: ``rounds`` rounds from id-sorted levels."""
@@ -813,7 +836,7 @@ def reference_exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGE
     for s in range(lev.count - 2, -1, -1):
         future_lb[s] = future_lb[s + 1] + strip_lb[s]
 
-    warm, warm_ordering = _warm_start(g2)
+    warm, warm_ordering = _warm_start(_leveled(g2))
 
     best_orders: list[tuple[tuple[str, ...], ...] | None] = [None]
     chosen: list[tuple[str, ...]] = []
@@ -1074,7 +1097,7 @@ def recursive_exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGE
     for s in range(lev.count - 2, -1, -1):
         future_lb[s] = future_lb[s + 1] + strip_lb[s]
 
-    warm, warm_ordering = _warm_start(g2)
+    warm, warm_ordering = _warm_start(_leveled(g2))
 
     # Round 0 runs only if the parity system is consistent, and then prunes
     # on it, with one orientation map and trail (see ``_orient``) over all

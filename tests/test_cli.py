@@ -380,13 +380,22 @@ MALFORMED = {
                       {"graph": TREE, "x": {"a": "0", "b": "0", "c": "1"},
                        "edges": [{"endpoints": ["a", "b"], "bends": []}, {"endpoints": ["b", "c"], "bends": []}]},
                       "edge-mismatch"),
+    "not-utf-8": (["validate"], b"\xff\xfe\x00bad", "bad-json"),
 }
+for command, endpoints in (("crossings", [1, "a"]), ("stretch", [None, "a"]), ("render", [["a"], "b"])):
+    MALFORMED[f"{command}-endpoints-not-ids"] = (
+        [command], {"graph": TREE, "x": {"a": "0", "b": "0", "c": "1"},
+                    "edges": [{"endpoints": endpoints, "bends": []}, {"endpoints": ["a", "c"], "bends": []}]},
+        "bad-schema")
 
 
 @pytest.mark.parametrize("argv, content, error", MALFORMED.values(), ids=MALFORMED)
 def test_malformed_input_is_exit_one(argv, content, error, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(content if isinstance(content, str) else json.dumps(content))
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(content if isinstance(content, str) else json.dumps(content))
     code, out, err = run(capsys, *argv, bad)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == error

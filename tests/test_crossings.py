@@ -33,10 +33,10 @@ from reebdraw import (
 )
 from reebdraw.crossings import (
     ExactResult,
+    _leveled,
     _orient,
     _parity_tables,
     _strip_crossings,
-    _strip_edges,
     _warm_start,
     barycenter_ordering,
 )
@@ -46,6 +46,7 @@ from reebdraw.jsonio import parse_graph
 from helpers import (
     _parity_system,
     _reference_barycenter_ordering,
+    _strip_edges,
     alternating_cycle,
     counted_geometric_calls,
     curved_copy,
@@ -402,7 +403,7 @@ class TestWarmStart:
     @settings(max_examples=300, deadline=None)
     @given(leveled_graphs())
     def test_matches_reference_and_returns_its_ordering(self, g2):
-        cost, ordering = _warm_start(g2)
+        cost, ordering = _warm_start(_leveled(g2))
         assert cost == reference_warm_start(g2)
         assert count_crossings_layered(g2, ordering) == cost
 
@@ -413,11 +414,11 @@ class TestWarmStart:
     @settings(max_examples=300, deadline=None)
     @given(leveled_graphs())
     def test_barycenter_snapshots_match_reference(self, g2):
-        assert barycenter_ordering(g2) == self.reference_snapshots(g2)
+        assert barycenter_ordering(_leveled(g2)) == self.reference_snapshots(g2)
 
     def test_barycenter_snapshots_match_reference_on_a_deep_graph(self):
         g2 = subdivide(deep_general_graph()).graph
-        assert barycenter_ordering(g2) == self.reference_snapshots(g2)
+        assert barycenter_ordering(_leveled(g2)) == self.reference_snapshots(g2)
 
 
 class TestForeignVertexIndex:
@@ -499,8 +500,14 @@ class TestLayeredCounter:
     def test_level_skipping_graph_rejected(self):
         g = ReebGraph.build({"a": 0, "b": 1, "c": 2},
                             [("a", "b"), ("b", "c"), ("a", "c")])
-        with pytest.raises(Exception):
-            count_crossings_layered(g, LevelOrdering((("a",), ("b",), ("c",))))
+        # A wrong ordering too: the skipping edge is reported first.
+        for orders in ((("a",), ("b",), ("c",)), (("a",), ("c",), ("b",)), (("a", "b", "c"),)):
+            with pytest.raises(GraphStructureError) as info:
+                count_crossings_layered(g, LevelOrdering(orders))
+            assert info.value.code == "not-leveled"
+            assert str(info.value) == (
+                "layered counting requires consecutive-level edges; edge 2 (a, c) skips levels"
+            )
 
     def test_ordering_mismatch_rejected(self):
         g = ReebGraph.build({"a": 0, "b": 0, "c": 1, "d": 1, "e": 2},
@@ -681,6 +688,24 @@ class TestExactSearch:
             g = random_connected_graph(rng.randint(2, 7), rng)
             mapped = ReebGraph({v: 2 * h + 1 for v, h in g.vertices.items()}, g.edges)
             assert exact_rgcn(g).count == exact_rgcn(mapped).count
+
+    def test_builds_the_leveled_view_once(self, monkeypatch):
+        # The search, its warm start and the barycenter sweep share one view
+        # of the subdivided graph, so its levels are derived once per call.
+        import reebdraw.crossings
+
+        calls = []
+        counter = reebdraw.crossings.levels
+        monkeypatch.setattr(reebdraw.crossings, "levels", lambda g: calls.append(g) or counter(g))
+        rng = random.Random(17)
+        for _ in range(10):
+            calls.clear()
+            res = exact_rgcn(random_connected_graph(rng.randint(2, 7), rng))
+            assert calls == [res.graph]
+        calls.clear()
+        with pytest.raises(BudgetExhaustedError) as exc:
+            exact_rgcn(alternating_cycle(8), budget=2)
+        assert calls == [exc.value.mapping.subdivided]
 
     def test_budget_error_carries_bound(self):
         g = alternating_cycle(8)

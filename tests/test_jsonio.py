@@ -118,6 +118,24 @@ class TestDrawingRoundTrip:
             parse_drawing(text)
         assert exc.value.code == "edge-mismatch"
 
+    @pytest.mark.parametrize("endpoints, message", [
+        ([1, "a"], "drawing edge endpoints must be string ids"),
+        ([None, "a"], "drawing edge endpoints must be string ids"),
+        ([["a"], "b"], "drawing edge endpoints must be string ids"),
+        ([1, 2], "drawing edge endpoints must be string ids"),
+        (["a"], "drawing edge needs two endpoints"),
+        ("ab", "drawing edge needs two endpoints"),
+    ])
+    def test_endpoints_must_be_two_string_ids(self, endpoints, message):
+        text = json.dumps({
+            "graph": {"vertices": [{"id": "a", "height": 0}, {"id": "b", "height": 2}], "edges": [["a", "b"]]},
+            "x": {"a": "0", "b": "0"},
+            "edges": [{"endpoints": endpoints, "bends": []}],
+        })
+        with pytest.raises(GraphStructureError) as exc:
+            parse_drawing(text)
+        assert (exc.value.code, str(exc.value)) == ("bad-schema", message)
+
 
 def drawing_text(heights, xs, bends):
     """A drawing document of the edges a-b and c-d, heights and x as given."""
