@@ -122,7 +122,7 @@ _ALGORITHMS = {
 
 def _layout_exact(g, budget):
     res = exact_rgcn(g, budget)
-    return _realize_unsubdivided(res.mapping, res.ordering)
+    return _realize_unsubdivided(res.mapping, res.ordering, res.count)
 
 
 def _cmd_layout(args) -> int:

@@ -31,7 +31,7 @@ from operator import itemgetter, sub
 from typing import Iterable, Sequence
 
 from . import geometry
-from .core import LevelAssignment, ReebGraph, is_connected, levels
+from .core import ReebGraph, is_connected, levels
 from .errors import (
     BudgetExhaustedError,
     DegeneracyError,
@@ -39,11 +39,10 @@ from .errors import (
     InternalInvariantError,
     LayoutError,
 )
-from .subdivide import SubdivisionMap, subdivide, unsubdivide_drawing
+from .subdivide import LeveledView, SubdivisionMap, _leveled, subdivide, unsubdivide_drawing
 
 Point = tuple[Fraction, Fraction]
 IntPoint = tuple[int, int]
-LeveledView = tuple[LevelAssignment, list[list[tuple[str, str]]], dict[str, list[str]], dict[str, list[str]]]
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -327,27 +326,6 @@ def _x_slabs(segs: list[tuple]) -> tuple[list[list[int]], list[list[int]], list[
     return slabs, slab_starts, slab_range
 
 
-def _leveled(g2: ReebGraph) -> LeveledView:
-    """A leveled graph's levels, its edges grouped by strip as (lower vertex,
-    upper vertex), and each vertex's lower and upper neighbors, one entry per
-    edge, in one pass; raises ``not-leveled`` at the first level-skipping edge."""
-    lev = levels(g2)
-    strips: list[list[tuple[str, str]]] = [[] for _ in range(max(lev.count - 1, 0))]
-    down: dict[str, list[str]] = {v: [] for v in g2.vertices}
-    up: dict[str, list[str]] = {v: [] for v in g2.vertices}
-    for i, (a, b) in enumerate(g2.edges):
-        lo, hi = (a, b) if lev.level[a] < lev.level[b] else (b, a)
-        if lev.level[hi] - lev.level[lo] != 1:
-            raise GraphStructureError(
-                f"layered counting requires consecutive-level edges; edge {i} ({a}, {b}) skips levels",
-                code="not-leveled",
-            )
-        strips[lev.level[lo]].append((lo, hi))
-        down[hi].append(lo)
-        up[lo].append(hi)
-    return lev, strips, down, up
-
-
 def _strip_crossings(pairs: Iterable[tuple[int, int]]) -> int:
     """Crossings among strip edges given (lower position, upper position)
     pairs: the strict inversions of the upper positions in sorted order."""
@@ -372,7 +350,7 @@ def count_crossings_layered(g2: ReebGraph, ordering: LevelOrdering) -> int:
     endpoints and upper endpoints are ordered oppositely; shared endpoints and
     parallel edges contribute nothing.
     """
-    lev, strips, _, _ = _leveled(g2)
+    lev, strips, _, _ = _leveled(g2, levels(g2))
     if len(ordering.orders) != lev.count:
         raise GraphStructureError(
             f"ordering has {len(ordering.orders)} levels, graph has {lev.count}",
@@ -387,8 +365,13 @@ def count_crossings_layered(g2: ReebGraph, ordering: LevelOrdering) -> int:
     return _layered_cost(strips, ordering.orders)
 
 
-def realize_layered(g2: ReebGraph, ordering: LevelOrdering) -> Drawing:
+def realize_layered(g2: ReebGraph, ordering: LevelOrdering, count: int | None = None) -> Drawing:
     """Straight-line drawing of a leveled graph whose geometric count equals the layered count.
+
+    Without ``count`` the ordering is first checked and counted by
+    :func:`count_crossings_layered`.  A caller holding the layered count of a
+    checked ordering, as every layout does, passes it; the drawing is certified
+    against it, and :class:`InternalInvariantError` is raised if it is not attained.
 
     Vertices sit at (position, height); copies of a parallel edge after the
     first bend at mid-strip.  Integer positions come first.  If they are
@@ -401,7 +384,8 @@ def realize_layered(g2: ReebGraph, ordering: LevelOrdering) -> Drawing:
     with copies * delta < 1/(8 W S^2): every crossing stays, and no
     collinearity determinant moves by 1/S^2.  The count runs at most twice.
     """
-    target = count_crossings_layered(g2, ordering)
+    if count is None:
+        count = count_crossings_layered(g2, ordering)
     copies: dict[tuple[str, str], list[int]] = {}
     for i, pair in enumerate(g2.edges):
         copies.setdefault(pair, []).append(i)
@@ -422,7 +406,7 @@ def realize_layered(g2: ReebGraph, ordering: LevelOrdering) -> Drawing:
     fan = Fraction(1, 4 * (max(g2.vertex_count, 2) + 1))
     d = drawing(Fraction, lambda i, j: fan)
     try:
-        if count_crossings_geometric(d).count == target:
+        if count_crossings_geometric(d).count == count:
             return d
     except DegeneracyError:
         pass
@@ -431,16 +415,15 @@ def realize_layered(g2: ReebGraph, ordering: LevelOrdering) -> Drawing:
     multiplicity = max(map(len, copies.values()), default=1)
     delta = Fraction(1, 8 * w * s * s * multiplicity)
     d = drawing(lambda i: i + Fraction(i * i, s), lambda i, j: delta if i <= j else -delta)
-    if count_crossings_geometric(d).count != target:
+    if count_crossings_geometric(d).count != count:
         raise InternalInvariantError("layered ordering realized with a different crossing count")
     return d
 
 
-def _realize_unsubdivided(mapping: SubdivisionMap, ordering: LevelOrdering) -> Drawing:
-    """Realize an ordering of ``mapping.subdivided`` (see :func:`realize_layered`)
-    and merge it back into a drawing of ``mapping.original``; the geometric
-    crossing count equals the ordering's layered count."""
-    return unsubdivide_drawing(realize_layered(mapping.subdivided, ordering), mapping)
+def _realize_unsubdivided(mapping: SubdivisionMap, ordering: LevelOrdering, count: int) -> Drawing:
+    """Realize an ordering of ``mapping.subdivided`` with layered count ``count``
+    (:func:`realize_layered`) and merge it back into a drawing of ``mapping.original``."""
+    return unsubdivide_drawing(realize_layered(mapping.subdivided, ordering, count), mapping)
 
 
 def _pair_crossings(a: list[int], b: list[int]) -> tuple[int, int]:
@@ -766,10 +749,10 @@ def _unwind(orient: dict[int, int], trail: list[int], mark: int) -> None:
 def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> ExactResult:
     """Exact minimum crossing number over all drawings, with a witness ordering.
 
-    Subdivides the graph, builds its view once (:func:`_leveled`) for itself
-    and the warm start, then minimizes the layered count over all per-level
-    permutations by depth-first search: levels are fixed bottom-up, and within
-    a level vertices are placed left to right.  Iterative deepening searches
+    Subdivides the graph, reads the view its map carries (``SubdivisionMap.view``)
+    for itself and the warm start, then minimizes the layered count over all
+    per-level permutations by depth-first search: levels are fixed bottom-up, and
+    within a level vertices are placed left to right.  Iterative deepening searches
     for a completion of cost at most a target, raising the target from the
     strip lower bounds to the cost of the warm start's heuristic ordering (the
     best of a depth-first and four barycenter orderings, after sifting).
@@ -834,12 +817,12 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     :class:`BudgetExhaustedError` once more than ``budget`` have been tried;
     it carries the warm start's cost as ``best``, its ordering, over the
     subdivided graph, as ``ordering``, and the subdivision as ``mapping``.
+    Either ordering's layered count is the count it comes with.
     """
     if not is_connected(g):
         raise LayoutError("exact search requires a connected graph", code="disconnected")
     g2, smap = subdivide(g)
-    view = _leveled(g2)
-    lev, strips, down_ends, _ = view
+    lev, strips, down_ends, _ = smap.view
     level_vertices = lev.by_level()
 
     if lev.count == 0:
@@ -854,7 +837,7 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     for s in range(lev.count - 2, -1, -1):
         future_lb[s] = future_lb[s + 1] + strip_lb[s]
 
-    warm, warm_ordering = _warm_start(view)
+    warm, warm_ordering = _warm_start(smap.view)
 
     # Round 0 runs only if the system of all strips is consistent, and then
     # prunes on it, with one orientation map and trail (see ``_orient``) over

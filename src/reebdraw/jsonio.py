@@ -2,7 +2,8 @@
 
 Rational numbers serialize as strings "p/q" in lowest terms with positive
 denominator (plain "p" for integers), because JSON numbers cannot carry exact
-rationals.  Parsers accept integers, decimal strings, and "p/q" strings.
+rationals.  Parsers accept integers, decimal strings, and "p/q" strings,
+and refuse an exponent that would scale a value past 4,300 digits.
 Each distinct rational string is parsed once per document: the graph and
 drawing readers share one memo for the document's heights, x coordinates and
 bends, so a value repeated across a document costs a dict lookup.
@@ -34,6 +35,8 @@ from .crossings import CrossingCertificate, Drawing, LevelOrdering
 from .errors import GraphStructureError
 from .gadget import GadgetInstance, OlaGraph
 
+_MAX_DIGITS = 4300  # Python's default limit on the digits of an int read from or written to a string
+
 
 def format_rational(value: Fraction) -> str:
     return str(value)
@@ -48,6 +51,14 @@ def parse_rational(value: Any, what: str = "value") -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            # ``Fraction`` builds m * 10**s, or m over 10**-s, from the significand m and s, the
+            # exponent less the digits after the point: refuse from the string what overflows.
+            head, e, exp = value.strip().replace("_", "").lower().partition("e")
+            if e and exp.lstrip("+-").isdecimal():
+                shift = int(exp) - len(head.partition(".")[2])
+                digits = len(head.lstrip("+-0.").replace(".", ""))
+                if max(digits + max(shift, 0), 1 - shift) > _MAX_DIGITS:
+                    raise ValueError(f"needs more than {_MAX_DIGITS} digits")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise GraphStructureError(f"cannot parse {what} {value!r}: {exc}", code="bad-rational") from None
@@ -77,7 +88,7 @@ def _rational_reader() -> Callable[[Any, str], Fraction]:
 def _loads(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also deep nesting, and an int past the digit limit
         raise GraphStructureError(f"malformed JSON: {exc}", code="bad-json") from None
 
 

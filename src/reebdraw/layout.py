@@ -34,11 +34,10 @@ from .crossings import (
     DEFAULT_SEARCH_BUDGET,
     Drawing,
     LevelOrdering,
-    _leveled,
+    _layered_cost,
     _realize_unsubdivided,
     _warm_start,
     count_crossings_geometric,
-    count_crossings_layered,
     exact_rgcn,
 )
 from .errors import (
@@ -155,24 +154,6 @@ class CycleDecomposition:
     paths: tuple[tuple[str, ...], ...]
 
 
-def _cycle_order(g: ReebGraph, lev: LevelAssignment) -> list[str]:
-    """Cycle traversal starting at the lexicographically least top-level vertex,
-    stepping first toward its lexicographically least neighbor."""
-    top = lev.count - 1
-    start = min(v for v in g.vertices if lev.level[v] == top)
-    adj = g.adjacency()
-    first = min(adj[start], key=lambda t: (t[0], t[1]))
-    order = [start]
-    used = {first[1]}
-    cur = first[0]
-    while cur != start:
-        order.append(cur)
-        nxt = min((t for t in adj[cur] if t[1] not in used), key=lambda t: (t[0], t[1]))
-        used.add(nxt[1])
-        cur = nxt[0]
-    return order
-
-
 def top_down_iteration_number(g: ReebGraph) -> CycleDecomposition:
     """Count a cycle's alternations between its extreme levels and name the keys.
 
@@ -185,9 +166,24 @@ def top_down_iteration_number(g: ReebGraph) -> CycleDecomposition:
     """
     if classify_shape(g) != ShapeClass.SINGLE_CYCLE:
         raise LayoutError("top-down iteration number requires a single cycle", code="not-single-cycle")
-    lev = levels(g)
+    return _decompose(g, levels(g))
+
+
+def _decompose(g: ReebGraph, lev: LevelAssignment) -> CycleDecomposition:
+    """:func:`top_down_iteration_number` of a single cycle with levels ``lev``, traversed from
+    its least top-level vertex toward that vertex's least neighbor, ids compared as strings."""
     top = lev.count - 1
-    order = _cycle_order(g, lev)
+    start = min(v for v in g.vertices if lev.level[v] == top)
+    adj = g.adjacency()
+    first = min(adj[start], key=lambda t: (t[0], t[1]))
+    order = [start]
+    used = {first[1]}
+    cur = first[0]
+    while cur != start:
+        order.append(cur)
+        nxt = min((t for t in adj[cur] if t[1] not in used), key=lambda t: (t[0], t[1]))
+        used.add(nxt[1])
+        cur = nxt[0]
     ext = [i for i, v in enumerate(order) if lev.level[v] in (top, 0)]
     key_pos = [i for i, p in zip(ext, ext[-1:] + ext) if lev.level[order[i]] != lev.level[order[p]]]
     if key_pos[0] != 0:  # the start's run wraps around the end of the traversal
@@ -249,8 +245,8 @@ def layout_bowtie(g: ReebGraph) -> Drawing:
     return d
 
 
-def _cycle_level_ordering(g2: ReebGraph, dec: CycleDecomposition) -> LevelOrdering:
-    """Per-level orderings realizing the corridor scheme for a leveled cycle.
+def _cycle_level_ordering(lev: LevelAssignment, dec: CycleDecomposition) -> LevelOrdering:
+    """Per-level orderings realizing the corridor scheme for a leveled cycle's levels.
 
     Keys sit in their key columns.  First-half connecting paths run
     left-to-right through the left half of the corridor right of their start
@@ -263,7 +259,7 @@ def _cycle_level_ordering(g2: ReebGraph, dec: CycleDecomposition) -> LevelOrderi
         step = Fraction(1 if j <= k else -1, 2 * (len(path) - 1))
         for i, v in enumerate(path[1:-1], start=1):
             vx[v] = vx[path[0]] + i * step
-    orders = [tuple(sorted(vs, key=lambda v: (vx[v], v))) for vs in levels(g2).by_level()]
+    orders = [tuple(sorted(vs, key=lambda v: (vx[v], v))) for vs in lev.by_level()]
     return LevelOrdering(tuple(orders))
 
 
@@ -274,20 +270,22 @@ def layout_cycle(g: ReebGraph) -> Drawing:
     the bowtie; connecting paths are routed through disjoint corridors (free
     paths crossing-free, the k-1 designated pairs crossing once each), and
     the leveled drawing is merged back so the output is a drawing of the
-    input graph.  The ordering's layered count is checked against k-1, and
-    the realization certifies once that the drawing has that many crossings.
+    input graph.  Everything reads the subdivision map's view, so the levels
+    are derived once; the ordering's layered count, summed once over its strips,
+    is checked against k-1, and the realization certifies that count once.
     """
     if classify_shape(g) != ShapeClass.SINGLE_CYCLE:
         raise LayoutError("cycle layout requires a single cycle", code="not-single-cycle")
     g2, smap = subdivide(g)
-    dec = top_down_iteration_number(g2)
-    ordering = _cycle_level_ordering(g2, dec)
-    layered = count_crossings_layered(g2, ordering)
+    lev, strips, _, _ = smap.view
+    dec = _decompose(g2, lev)
+    ordering = _cycle_level_ordering(lev, dec)
+    layered = _layered_cost(strips, ordering.orders)
     if layered != dec.iteration_count - 1:
         raise InternalInvariantError(
             f"cycle corridor ordering produced {layered} crossings, expected {dec.iteration_count - 1}"
         )
-    return _realize_unsubdivided(smap, ordering)
+    return _realize_unsubdivided(smap, ordering, layered)
 
 
 def layout_cycle_unique_extrema(g: ReebGraph) -> Drawing:
@@ -299,12 +297,11 @@ def layout_cycle_unique_extrema(g: ReebGraph) -> Drawing:
     """
     if classify_shape(g) != ShapeClass.SINGLE_CYCLE:
         raise LayoutError("unique-extrema layout requires a single cycle", code="not-single-cycle")
-    lev = levels(g)
-    tops = [v for v in g.vertices if lev.level[v] == lev.count - 1]
-    bottoms = [v for v in g.vertices if lev.level[v] == 0]
-    if len(tops) != 1 or len(bottoms) != 1:
+    heights = list(g.vertices.values())
+    tops, bottoms = heights.count(max(heights)), heights.count(min(heights))
+    if tops != 1 or bottoms != 1:
         raise LayoutError(
-            f"extrema are not unique ({len(tops)} topmost, {len(bottoms)} bottommost)",
+            f"extrema are not unique ({tops} topmost, {bottoms} bottommost)",
             code="extrema-not-unique",
         )
     return layout_cycle(g)
@@ -321,9 +318,9 @@ def layout_heuristic(g: ReebGraph) -> Drawing:
     depth-first and four barycenter orderings, after sifting, which is also
     the exact search's incumbent.  Emits exactly that ordering's crossings.
     """
-    g2, smap = subdivide(g)
-    _, ordering = _warm_start(_leveled(g2))
-    return _realize_unsubdivided(smap, ordering)
+    _, smap = subdivide(g)
+    cost, ordering = _warm_start(smap.view)
+    return _realize_unsubdivided(smap, ordering, cost)
 
 
 def layout_auto(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Drawing:
@@ -341,5 +338,5 @@ def layout_auto(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Dra
     try:
         res = exact_rgcn(g, budget)
     except BudgetExhaustedError as exc:
-        return _realize_unsubdivided(exc.mapping, exc.ordering)
-    return _realize_unsubdivided(res.mapping, res.ordering)
+        return _realize_unsubdivided(exc.mapping, exc.ordering, exc.best)
+    return _realize_unsubdivided(res.mapping, res.ordering, res.count)

@@ -19,11 +19,33 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import GENERATED_ID_PREFIX, ReebGraph, is_connected, levels
+from .core import GENERATED_ID_PREFIX, LevelAssignment, ReebGraph, is_connected, levels
 from .errors import GraphStructureError, LayoutError
 
 if TYPE_CHECKING:  # import cycle: crossings imports subdivide for the oracle
     from .crossings import Drawing
+
+LeveledView = tuple[LevelAssignment, list[list[tuple[str, str]]], dict[str, list[str]], dict[str, list[str]]]
+
+
+def _leveled(g2: ReebGraph, lev: LevelAssignment) -> LeveledView:
+    """A leveled graph's levels ``lev``, its edges grouped by strip as (lower
+    vertex, upper vertex), and each vertex's lower and upper neighbors, one entry
+    per edge, in one pass; raises ``not-leveled`` at the first level-skipping edge."""
+    strips: list[list[tuple[str, str]]] = [[] for _ in range(max(lev.count - 1, 0))]
+    down: dict[str, list[str]] = {v: [] for v in g2.vertices}
+    up: dict[str, list[str]] = {v: [] for v in g2.vertices}
+    for i, (a, b) in enumerate(g2.edges):
+        lo, hi = (a, b) if lev.level[a] < lev.level[b] else (b, a)
+        if lev.level[hi] - lev.level[lo] != 1:
+            raise GraphStructureError(
+                f"layered counting requires consecutive-level edges; edge {i} ({a}, {b}) skips levels",
+                code="not-leveled",
+            )
+        strips[lev.level[lo]].append((lo, hi))
+        down[hi].append(lo)
+        up[lo].append(hi)
+    return lev, strips, down, up
 
 
 @dataclass(frozen=True)
@@ -33,7 +55,9 @@ class SubdivisionMap:
     ``paths[i]`` lists the vertices of edge i's path from the lower original
     endpoint to the upper one; ``sub_edges[i]`` gives the corresponding edge
     indices in the subdivided graph.  ``owner`` maps each generated vertex to
-    (original edge index, position within the path).
+    (original edge index, position within the path).  ``view`` is the
+    subdivided graph's leveled view (:func:`_leveled`), and level k lies at
+    ``level_heights[k]`` in the original; :func:`subdivide` derives both once.
     """
 
     original: ReebGraph
@@ -41,6 +65,8 @@ class SubdivisionMap:
     paths: tuple[tuple[str, ...], ...]
     sub_edges: tuple[tuple[int, ...], ...]
     owner: dict[str, tuple[int, int]]
+    view: LeveledView
+    level_heights: tuple[Fraction, ...]
 
     @property
     def generated(self) -> tuple[str, ...]:
@@ -63,7 +89,7 @@ def subdivide(g: ReebGraph) -> Subdivision:
     if not is_connected(g):
         raise LayoutError("subdivision requires a connected graph", code="disconnected")
     lev = levels(g)
-    heights2: dict[str, Fraction] = {v: Fraction(lev.level[v]) for v in g.vertices}
+    level2 = dict(lev.level)  # the output's levels, which are its heights
     edges2: list[tuple[str, str]] = []
     paths: list[tuple[str, ...]] = []
     sub_edges: list[tuple[int, ...]] = []
@@ -71,7 +97,7 @@ def subdivide(g: ReebGraph) -> Subdivision:
 
     def fresh_id(base: str) -> str:
         name = base
-        while name in heights2:
+        while name in level2:
             name = "_" + name
         return name
 
@@ -81,7 +107,7 @@ def subdivide(g: ReebGraph) -> Subdivision:
         path = [lo]
         for k in range(r_lo + 1, r_hi):
             name = fresh_id(f"{GENERATED_ID_PREFIX}{i}_{k}")
-            heights2[name] = Fraction(k)
+            level2[name] = k
             owner[name] = (i, len(path))
             path.append(name)
         path.append(hi)
@@ -92,8 +118,9 @@ def subdivide(g: ReebGraph) -> Subdivision:
         paths.append(tuple(path))
         sub_edges.append(tuple(indices))
 
-    g2 = ReebGraph(heights2, tuple(edges2))
-    return Subdivision(g2, SubdivisionMap(g, g2, tuple(paths), tuple(sub_edges), owner))
+    g2 = ReebGraph({v: Fraction(k) for v, k in level2.items()}, tuple(edges2))
+    view = _leveled(g2, LevelAssignment(level2, lev.count, tuple(map(Fraction, range(lev.count)))))
+    return Subdivision(g2, SubdivisionMap(g, g2, tuple(paths), tuple(sub_edges), owner, view, lev.level_heights))
 
 
 def _remap_y(y: Fraction, src_lo: Fraction, src_hi: Fraction, dst_lo: Fraction, dst_hi: Fraction) -> Fraction:
@@ -112,7 +139,7 @@ def unsubdivide_drawing(d2: "Drawing", mapping: SubdivisionMap) -> "Drawing":
 
     if d2.graph != mapping.subdivided:
         raise GraphStructureError("drawing does not match the subdivision's output graph", code="map-mismatch")
-    heights = levels(mapping.original).level_heights
+    heights = mapping.level_heights
 
     def back(y: Fraction) -> Fraction:
         k = int(y)
@@ -146,7 +173,7 @@ def subdivide_drawing(d: "Drawing", g: ReebGraph, mapping: SubdivisionMap) -> "D
 
     if g != mapping.original or d.graph != g:
         raise GraphStructureError("drawing does not match the subdivision's input graph", code="map-mismatch")
-    heights = levels(mapping.original).level_heights
+    heights = mapping.level_heights
     rank_of = {h: k for k, h in enumerate(heights)}
 
     def fwd(y: Fraction) -> Fraction:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from collections import Counter
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
@@ -51,7 +52,6 @@ from reebdraw.crossings import (
     ExactResult,
     Point,
     _find,
-    _leveled,
     _orient,
     _pair_crossings,
     _strip_crossings,
@@ -59,6 +59,7 @@ from reebdraw.crossings import (
     _unwind,
     _warm_start,
 )
+from reebdraw.subdivide import _leveled
 
 
 def rand_height(rng: random.Random, lo: int = -10, hi: int = 10) -> Fraction:
@@ -267,6 +268,17 @@ def counted_geometric_calls(monkeypatch, *modules) -> list:
     return calls
 
 
+def counted_level_calls(monkeypatch) -> list:
+    """Route ``levels`` through a wrapper that records every graph it levels,
+    in each library module that reads it; returns that record.  The modules
+    come from ``sys.modules``, because ``reebdraw.subdivide`` as an attribute
+    is the function of that name."""
+    calls: list = []
+    for name in ("core", "subdivide", "crossings", "layout"):
+        monkeypatch.setattr(sys.modules[f"reebdraw.{name}"], "levels", lambda g: calls.append(g) or levels(g))
+    return calls
+
+
 def _reference_scaled_polylines(d: Drawing) -> tuple[list[list[tuple[int, int]]], int, int]:
     """Polylines with coordinates scaled to integers; returns (polylines, sx, sy)."""
     polys = [d.polyline(i) for i in range(len(d.graph.edges))]
@@ -439,7 +451,7 @@ def reference_render_svg(
 
 # Reference strip and neighbor builders, kept verbatim, each a pass of its
 # own over the edges: the oracles below build their strips and neighbor
-# lists with these, not with ``crossings._leveled``.
+# lists with these, not with ``subdivide._leveled``.
 
 def _strip_edges(g2: ReebGraph, lev: LevelAssignment) -> list[list[tuple[str, str]]]:
     """Edges grouped by strip; each as (lower vertex, upper vertex)."""
@@ -836,7 +848,7 @@ def reference_exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGE
     for s in range(lev.count - 2, -1, -1):
         future_lb[s] = future_lb[s + 1] + strip_lb[s]
 
-    warm, warm_ordering = _warm_start(_leveled(g2))
+    warm, warm_ordering = _warm_start(_leveled(g2, lev))
 
     best_orders: list[tuple[tuple[str, ...], ...] | None] = [None]
     chosen: list[tuple[str, ...]] = []
@@ -1097,7 +1109,7 @@ def recursive_exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGE
     for s in range(lev.count - 2, -1, -1):
         future_lb[s] = future_lb[s + 1] + strip_lb[s]
 
-    warm, warm_ordering = _warm_start(_leveled(g2))
+    warm, warm_ordering = _warm_start(_leveled(g2, lev))
 
     # Round 0 runs only if the parity system is consistent, and then prunes
     # on it, with one orientation map and trail (see ``_orient``) over all

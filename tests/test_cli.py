@@ -10,7 +10,7 @@ from reebdraw import render_svg, tri_hex_grid
 from reebdraw.cli import main
 from reebdraw.jsonio import serialize_graph
 
-from helpers import counted_geometric_calls, deep_general_graph
+from helpers import alternating_cycle, counted_geometric_calls, counted_level_calls, deep_general_graph
 
 GRAPH = {
     "vertices": [
@@ -381,7 +381,14 @@ MALFORMED = {
                        "edges": [{"endpoints": ["a", "b"], "bends": []}, {"endpoints": ["b", "c"], "bends": []}]},
                       "edge-mismatch"),
     "not-utf-8": (["validate"], b"\xff\xfe\x00bad", "bad-json"),
+    "deep-nesting": (["validate"], "[" * 100_000, "bad-json"),
+    "long-integer": (["validate"], '{"vertices": [{"id": "a", "height": ' + "1" * 5000 + '}], "edges": []}',
+                     "bad-json"),
 }
+for name, height in (("huge-exponent", "1e999999999"), ("huge-negative-exponent", "1e-999999999"),
+                     ("exponent-past-the-digit-limit", "1e5000")):
+    MALFORMED[name] = (["layout"], {"vertices": [{"id": "a", "height": 0}, {"id": "b", "height": height}],
+                                    "edges": [["a", "b"]]}, "bad-rational")
 for command, endpoints in (("crossings", [1, "a"]), ("stretch", [None, "a"]), ("render", [["a"], "b"])):
     MALFORMED[f"{command}-endpoints-not-ids"] = (
         [command], {"graph": TREE, "x": {"a": "0", "b": "0", "c": "1"},
@@ -399,6 +406,35 @@ def test_malformed_input_is_exit_one(argv, content, error, tmp_path, capsys):
     code, out, err = run(capsys, *argv, bad)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == error
+
+
+def test_layout_at_the_digit_limit(tmp_path, capsys):
+    # 10**4299 has the 4,300 digits Python still writes out.
+    graph = {"vertices": [{"id": "a", "height": 0}, {"id": "b", "height": "1e4299"}, {"id": "c", "height": 1}],
+             "edges": [["a", "b"], ["b", "c"]]}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    code, out, _ = run(capsys, "layout", path)
+    assert code == 0
+    assert json.loads(out)["graph"]["vertices"][1]["height"] == str(10 ** 4299)
+
+
+def test_layout_levels_the_input_once(tmp_path, capsys, monkeypatch):
+    import reebdraw.crossings
+    from reebdraw.jsonio import parse_graph
+
+    calls = counted_level_calls(monkeypatch)
+    layered = []
+    monkeypatch.setattr(reebdraw.crossings, "count_crossings_layered", lambda *args: layered.append(args))
+    for graph, algorithms in ((alternating_cycle(6), ("cycle", "exact", "heuristic", "auto")),
+                              (deep_general_graph(), ("exact", "heuristic", "auto"))):
+        path = tmp_path / "g.json"
+        path.write_text(serialize_graph(graph))
+        for algorithm in algorithms:
+            calls.clear()
+            assert run(capsys, "layout", "--algorithm", algorithm, path)[0] == 0
+            assert calls == [parse_graph(path.read_text())], algorithm
+    assert layered == []
 
 
 def test_empty_graph_is_accepted_everywhere(tmp_path, capsys):

@@ -17,6 +17,7 @@ from reebdraw import (
     DegeneracyError,
     Drawing,
     GraphStructureError,
+    InternalInvariantError,
     LevelOrdering,
     OlaGraph,
     ReebError,
@@ -33,7 +34,6 @@ from reebdraw import (
 )
 from reebdraw.crossings import (
     ExactResult,
-    _leveled,
     _orient,
     _parity_tables,
     _strip_crossings,
@@ -42,6 +42,7 @@ from reebdraw.crossings import (
 )
 from reebdraw.gadget import _certified_drawing
 from reebdraw.jsonio import parse_graph
+from reebdraw.subdivide import _leveled
 
 from helpers import (
     _parity_system,
@@ -49,6 +50,7 @@ from helpers import (
     _strip_edges,
     alternating_cycle,
     counted_geometric_calls,
+    counted_level_calls,
     curved_copy,
     deep_general_graph,
     enumerate_min_crossings,
@@ -403,7 +405,7 @@ class TestWarmStart:
     @settings(max_examples=300, deadline=None)
     @given(leveled_graphs())
     def test_matches_reference_and_returns_its_ordering(self, g2):
-        cost, ordering = _warm_start(_leveled(g2))
+        cost, ordering = _warm_start(_leveled(g2, levels(g2)))
         assert cost == reference_warm_start(g2)
         assert count_crossings_layered(g2, ordering) == cost
 
@@ -414,11 +416,11 @@ class TestWarmStart:
     @settings(max_examples=300, deadline=None)
     @given(leveled_graphs())
     def test_barycenter_snapshots_match_reference(self, g2):
-        assert barycenter_ordering(_leveled(g2)) == self.reference_snapshots(g2)
+        assert barycenter_ordering(_leveled(g2, levels(g2))) == self.reference_snapshots(g2)
 
     def test_barycenter_snapshots_match_reference_on_a_deep_graph(self):
         g2 = subdivide(deep_general_graph()).graph
-        assert barycenter_ordering(_leveled(g2)) == self.reference_snapshots(g2)
+        assert barycenter_ordering(_leveled(g2, levels(g2))) == self.reference_snapshots(g2)
 
 
 class TestForeignVertexIndex:
@@ -500,10 +502,14 @@ class TestLayeredCounter:
     def test_level_skipping_graph_rejected(self):
         g = ReebGraph.build({"a": 0, "b": 1, "c": 2},
                             [("a", "b"), ("b", "c"), ("a", "c")])
-        # A wrong ordering too: the skipping edge is reported first.
-        for orders in ((("a",), ("b",), ("c",)), (("a",), ("c",), ("b",)), (("a", "b", "c"),)):
+        # A wrong ordering too: the skipping edge is reported first.  The
+        # realizer, given no count, checks the ordering the same way.
+        for orders, check in itertools.product(
+            ((("a",), ("b",), ("c",)), (("a",), ("c",), ("b",)), (("a", "b", "c"),)),
+            (count_crossings_layered, realize_layered),
+        ):
             with pytest.raises(GraphStructureError) as info:
-                count_crossings_layered(g, LevelOrdering(orders))
+                check(g, LevelOrdering(orders))
             assert info.value.code == "not-leveled"
             assert str(info.value) == (
                 "layered counting requires consecutive-level edges; edge 2 (a, c) skips levels"
@@ -520,9 +526,9 @@ class TestLayeredCounter:
             ((("a", "b"), ("c", "e"), ("d",)), "level 1 "),
             ((("a", "b", "a"), ("c", "d"), ("e",)), "level 0 "),
         ]
-        for orders, message in cases:
+        for (orders, message), check in itertools.product(cases, (count_crossings_layered, realize_layered)):
             with pytest.raises(GraphStructureError) as info:
-                count_crossings_layered(g, LevelOrdering(orders))
+                check(g, LevelOrdering(orders))
             assert info.value.code == "ordering-mismatch"
             assert message in str(info.value)
 
@@ -633,6 +639,18 @@ class TestRealizeLayered:
                 second += 1
         assert second > 10
 
+    def test_wrong_count_raises_without_a_drawing(self):
+        # A given ``count`` is a precondition the certificate checks: a count
+        # off by one either way is refused, never drawn.
+        rng = random.Random(32)
+        for _ in range(20):
+            g2, _ = subdivide(random_connected_graph(rng.randint(2, 8), rng))
+            ordering = random_ordering(g2, rng)
+            count = count_crossings_layered(g2, ordering)
+            for wrong in (count - 1, count + 1):
+                with pytest.raises(InternalInvariantError):
+                    realize_layered(g2, ordering, wrong)
+
     def test_agreement_on_random_pairs(self):
         rng = random.Random(31)
         for _ in range(60):
@@ -690,22 +708,47 @@ class TestExactSearch:
             assert exact_rgcn(g).count == exact_rgcn(mapped).count
 
     def test_builds_the_leveled_view_once(self, monkeypatch):
-        # The search, its warm start and the barycenter sweep share one view
-        # of the subdivided graph, so its levels are derived once per call.
+        # ``subdivide`` levels its input once and emits the subdivided graph's
+        # view; the search, the warm start, the cycle decomposition, the
+        # certificate and the merge back all read it.  No layout recounts the
+        # layered count that it already holds.
         import reebdraw.crossings
+        from reebdraw import (ShapeClass, classify_shape, layout_auto, layout_cycle,
+                              layout_cycle_unique_extrema, layout_heuristic)
 
-        calls = []
-        counter = reebdraw.crossings.levels
-        monkeypatch.setattr(reebdraw.crossings, "levels", lambda g: calls.append(g) or counter(g))
+        calls = counted_level_calls(monkeypatch)
+        layered = []
+        monkeypatch.setattr(reebdraw.crossings, "count_crossings_layered", lambda *args: layered.append(args))
+
+        def leveled(run, g, budget_runs_out=False):
+            calls.clear()
+            if budget_runs_out:
+                with pytest.raises(BudgetExhaustedError):
+                    run(g)
+            else:
+                run(g)
+            return calls
+
         rng = random.Random(17)
         for _ in range(10):
-            calls.clear()
-            res = exact_rgcn(random_connected_graph(rng.randint(2, 7), rng))
-            assert calls == [res.graph]
-        calls.clear()
-        with pytest.raises(BudgetExhaustedError) as exc:
-            exact_rgcn(alternating_cycle(8), budget=2)
-        assert calls == [exc.value.mapping.subdivided]
+            g = random_connected_graph(rng.randint(2, 7), rng)
+            assert leveled(exact_rgcn, g) == [g]
+            assert leveled(layout_heuristic, g) == [g]
+            # Paths and caterpillars are drawn without leveling.
+            drawn_directly = classify_shape(g) in (ShapeClass.PATH, ShapeClass.CATERPILLAR)
+            assert leveled(layout_auto, g) == ([] if drawn_directly else [g])
+        for g in (alternating_cycle(8), random_cycle_graph(9, rng)):
+            assert leveled(layout_cycle, g) == [g]
+            assert leveled(layout_auto, g) == [g]
+            assert leveled(layout_heuristic, g) == [g]
+        g = ReebGraph.build({"a": 0, "b": 1, "c": 3, "d": 2}, [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+        assert leveled(layout_cycle_unique_extrema, g) == [g]
+        g = alternating_cycle(8)
+        assert leveled(lambda g: exact_rgcn(g, budget=2), g, budget_runs_out=True) == [g]
+        g = deep_general_graph()
+        assert leveled(layout_auto, g) == [g]
+        assert leveled(lambda g: layout_auto(g, budget=1), g) == [g]
+        assert layered == []
 
     def test_budget_error_carries_bound(self):
         g = alternating_cycle(8)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,32 @@ class TestRationals:
         for bad in (0.25, True, "x/y", "1/0", None):
             with pytest.raises(GraphStructureError):
                 parse_rational(bad)
+
+    @pytest.mark.parametrize("text, value", [
+        ("1e4299", Fraction(10 ** 4299)),
+        ("1e-4299", Fraction(1, 10 ** 4299)),
+        ("0.5e3", Fraction(500)),
+        ("-12.5E-3", Fraction(-1, 80)),
+        ("1_0e1_0", Fraction(10 ** 11)),
+    ])
+    def test_exponents_within_the_digit_limit(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "1e4300", "1e-4300", "1e5000", "1e999999999", "1e-999999999", "0e5000", "0.001e4303",
+        pytest.param("1e" + "9" * 5000, id="5000-digit-exponent"),
+        pytest.param("1" * 200_000, id="200000-digits"),
+        pytest.param("1" * 200_000 + "e", id="200000-digits-then-e"),
+        pytest.param("1" * 200_000 + "e1", id="200000-digits-then-exponent"),
+    ])
+    def test_past_the_digit_limit_is_refused_at_once(self, text):
+        # Refused from the string alone: building 10**999999999 takes minutes,
+        # and reading a long digit string must stay linear in its length.
+        start = time.process_time()
+        with pytest.raises(GraphStructureError) as info:
+            parse_rational(text, "height")
+        assert time.process_time() - start < 1
+        assert info.value.code == "bad-rational"
 
 
 class TestGraphRoundTrip:

@@ -350,6 +350,7 @@ class TestUniqueExtrema:
         with pytest.raises(LayoutError) as exc:
             layout_cycle_unique_extrema(g)
         assert exc.value.code == "extrema-not-unique"
+        assert str(exc.value) == "extrema are not unique (2 topmost, 2 bottommost)"
 
 
 class TestLayoutAuto:

@@ -176,7 +176,7 @@ class TestStretchRegressions:
                     break
             else:
                 continue
-            d = _realize_unsubdivided(mapping, ordering)
+            d = _realize_unsubdivided(mapping, ordering, 0)
             for dd in (d, curved_copy(d, rng)):
                 drawn += 1
                 out, ref = _outcome(stretch, dd), _outcome(reference_stretch, dd)

@@ -19,7 +19,9 @@ from reebdraw import (
     validate,
 )
 
-from helpers import curved_copy, random_connected_graph, random_ordering
+from reebdraw.subdivide import _leveled
+
+from helpers import curved_copy, deep_general_graph, random_connected_graph, random_cycle_graph, random_ordering
 
 
 def test_long_edge_becomes_path_with_one_vertex_per_skipped_level():
@@ -72,6 +74,29 @@ def test_idempotent_on_leveled_graphs():
     g3, m3 = subdivide(g2)
     assert m3.generated == ()
     assert g3.vertices == g2.vertices and g3.edges == g2.edges
+
+
+def test_emitted_view_equals_an_independent_one():
+    # The warm start breaks ties by the order of the strip and neighbor
+    # lists, so the view ``subdivide`` emits must equal, lists in order, the
+    # one built from the subdivided graph's own levels.
+    rng = random.Random(19)
+    graphs = [random_connected_graph(rng.randint(1, 9), rng, extra=rng.randint(0, 5)) for _ in range(80)]
+    graphs += [random_cycle_graph(rng.randint(2, 9), rng) for _ in range(20)]
+    graphs.append(deep_general_graph())
+    shared = parallel = 0
+    for g in graphs:
+        shared += len(set(g.vertices.values())) < g.vertex_count
+        parallel += len(set(g.edges)) < len(g.edges)
+        g2, m = subdivide(g)
+        lev, strips, down, up = m.view
+        ref_lev, ref_strips, ref_down, ref_up = _leveled(g2, levels(g2))
+        assert lev == ref_lev and list(lev.level.items()) == list(ref_lev.level.items())
+        assert strips == ref_strips
+        assert list(down.items()) == list(ref_down.items())
+        assert list(up.items()) == list(ref_up.items())
+        assert m.level_heights == levels(g).level_heights
+    assert shared > 20 and parallel > 5
 
 
 def test_disconnected_rejected():
