@@ -14,6 +14,7 @@ algorithm here is deterministic and ignores it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -229,6 +230,7 @@ def _add_io(sub, *, input_name: str = "input") -> None:
     sub.add_argument("-o", "--output", help="output file (default stdout)")
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reebdraw",
@@ -305,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExhaustedError as exc:

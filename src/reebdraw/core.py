@@ -27,6 +27,26 @@ HeightLike = Fraction | int | str
 #: should avoid it; generated ids are made collision-free regardless.
 GENERATED_ID_PREFIX = "__sub_"
 
+_MAX_DIGITS = 4300  # Python's default limit on the digits of an int read from or written to a string
+
+
+def _parse_fraction(text: str, what: str, code: str) -> Fraction:
+    """``Fraction(text)``, or a GraphStructureError with ``code`` naming the
+    value ``what``.  A decimal exponent that would scale the value past
+    4,300 digits is refused from the string, before the number is built."""
+    try:
+        # ``Fraction`` builds m * 10**s, or m over 10**-s, from the significand m and s, the
+        # exponent less the digits after the point: refuse from the string what overflows.
+        head, e, exp = text.strip().replace("_", "").lower().partition("e")
+        if e and exp.lstrip("+-").isdecimal():
+            shift = int(exp) - len(head.partition(".")[2])
+            digits = len(head.lstrip("+-0.").replace(".", ""))
+            if max(digits + max(shift, 0), 1 - shift) > _MAX_DIGITS:
+                raise ValueError(f"needs more than {_MAX_DIGITS} digits")
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise GraphStructureError(f"cannot parse {what} {text!r}: {exc}", code=code) from None
+
 
 def as_height(value: HeightLike) -> Fraction:
     """Convert an int, exact-decimal/rational string, or Fraction to a Fraction."""
@@ -37,10 +57,7 @@ def as_height(value: HeightLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise GraphStructureError(f"cannot parse height {value!r}: {exc}", code="bad-height") from None
+        return _parse_fraction(value, "height", "bad-height")
     raise GraphStructureError(f"height must be int, string, or Fraction, got {type(value).__name__}", code="bad-height")
 
 
@@ -59,15 +76,13 @@ class ReebGraph:
     def __post_init__(self):
         verts = dict(self.vertices)
         canon = []
-        for pair in self.edges:
-            a, b = pair
-            if a not in verts:
-                raise GraphStructureError(f"edge endpoint {a!r} is not a declared vertex", code="unknown-vertex")
-            if b not in verts:
-                raise GraphStructureError(f"edge endpoint {b!r} is not a declared vertex", code="unknown-vertex")
+        for a, b in self.edges:
+            if a not in verts or b not in verts:
+                raise GraphStructureError(f"edge endpoint {a if a not in verts else b!r} is not a declared vertex",
+                                          code="unknown-vertex")
             if a == b:
                 raise GraphStructureError(f"self-loop at vertex {a!r}", code="self-loop")
-            if verts[a] == verts[b]:
+            if verts[a].as_integer_ratio() == verts[b].as_integer_ratio():  # exact, faster than Fraction.__eq__
                 raise GraphStructureError(
                     f"edge ({a!r}, {b!r}) joins two vertices of equal height {verts[a]}",
                     code="horizontal-edge",

@@ -26,6 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import inf, lcm
 from operator import itemgetter, sub
 from typing import Iterable, Sequence
@@ -69,45 +70,38 @@ class Drawing:
     bends: tuple[tuple[Point, ...], ...] = ()
 
     def __post_init__(self):
-        xs = dict(self.x)
+        xs = {v: _exact(x) for v, x in self.x.items()}
         missing = [v for v in self.graph.vertices if v not in xs]
         if missing:
             raise GraphStructureError(f"missing x coordinate for vertex {missing[0]!r}", code="missing-x")
         extra = [v for v in xs if v not in self.graph.vertices]
         if extra:
             raise GraphStructureError(f"x coordinate for unknown vertex {extra[0]!r}", code="unknown-vertex")
-        bends = tuple(tuple((_exact(px), _exact(py)) for px, py in eb) for eb in self.bends)
-        if not bends:
-            bends = tuple(() for _ in self.graph.edges)
+        bends = tuple(tuple((_exact(px), _exact(py)) for px, py in eb) if eb else () for eb in self.bends)
+        bends = bends or ((),) * len(self.graph.edges)
         if len(bends) != len(self.graph.edges):
             raise GraphStructureError(
                 f"bend list length {len(bends)} does not match edge count {len(self.graph.edges)}",
                 code="edge-mismatch",
             )
         for i, eb in enumerate(bends):
-            if not eb:
-                continue
-            lo, hi = self.graph.lower_upper(i)
-            y_prev = self.graph.vertices[lo]
-            y_top = self.graph.vertices[hi]
-            for (_, py) in eb:
-                if not (y_prev < py < y_top):
-                    raise GraphStructureError(
-                        f"bend of edge {i} at y={py} breaks strict y-monotonicity",
-                        code="bad-bend",
-                    )
-                y_prev = py
+            if eb:
+                y_prev, y_top = (self.graph.vertices[v] for v in self.graph.lower_upper(i))
+                for _, py in eb:
+                    if not (y_prev < py < y_top):
+                        raise GraphStructureError(
+                            f"bend of edge {i} at y={py} breaks strict y-monotonicity", code="bad-bend"
+                        )
+                    y_prev = py
         # Fractions are kept in lowest terms, so two points are equal iff their
         # numerators and denominators are; integer keys hash cheaply.
-        exact: dict[str, Fraction] = {}
-        points: dict[tuple[int, int, int, int], str] = {}
+        points: dict[tuple[tuple[int, int], tuple[int, int]], str] = {}
         for v, h in self.graph.vertices.items():
-            x = exact[v] = _exact(xs[v])
-            key = (x.numerator, x.denominator, h.numerator, h.denominator)
+            key = (xs[v].as_integer_ratio(), h.as_integer_ratio())
             if key in points:
-                raise DegeneracyError(f"vertices {points[key]!r} and {v!r} coincide at {(x, h)}")
+                raise DegeneracyError(f"vertices {points[key]!r} and {v!r} coincide at {(xs[v], h)}")
             points[key] = v
-        object.__setattr__(self, "x", {v: exact[v] for v in xs})
+        object.__setattr__(self, "x", xs)
         object.__setattr__(self, "bends", bends)
 
     @cached_property
@@ -119,23 +113,26 @@ class Drawing:
         The scales cover every vertex, isolated ones included, so each scaled
         coordinate is exact.  Every geometric consumer (the crossing counter,
         ``stretch``'s rows and the SVG renderer) reads this one frame, so none
-        may change it.
-        """
-        bend_pts = [p for eb in self.bends for p in eb]
+        may change it.  One ``as_integer_ratio`` call reads a coordinate's
+        numerator and denominator."""
         heights = self.graph.vertices
-        sx = lcm(*(x.denominator for x in self.x.values()), *(px.denominator for px, _ in bend_pts))
-        sy = lcm(*(h.denominator for h in heights.values()), *(py.denominator for _, py in bend_pts))
+        ratios = {v: (self.x[v].as_integer_ratio(), h.as_integer_ratio()) for v, h in heights.items()}
+        bend_ratios = [(px.as_integer_ratio(), py.as_integer_ratio()) for eb in self.bends for px, py in eb]
+        sx = lcm(*(x[1] for x, _ in ratios.values()), *(x[1] for x, _ in bend_ratios))
+        sy = lcm(*(y[1] for _, y in ratios.values()), *(y[1] for _, y in bend_ratios))
 
-        def scaled(p: Point) -> IntPoint:
-            return (p[0].numerator * (sx // p[0].denominator), p[1].numerator * (sy // p[1].denominator))
+        def scaled(ratio: tuple[tuple[int, int], tuple[int, int]]) -> IntPoint:
+            (xn, xd), (yn, yd) = ratio
+            return xn * (sx // xd), yn * (sy // yd)
 
-        vertex_pt = {v: scaled((self.x[v], h)) for v, h in heights.items()}
+        vertex_pt = {v: scaled(r) for v, r in ratios.items()}
+        bend_pts = map(scaled, bend_ratios)
         polys = []
         for (a, b), eb in zip(self.graph.edges, self.bends):
             lo, hi = vertex_pt[a], vertex_pt[b]
             if hi[1] < lo[1]:
                 lo, hi = hi, lo
-            polys.append((lo, *map(scaled, eb), hi))
+            polys.append((lo, *islice(bend_pts, len(eb)), hi) if eb else (lo, hi))
         return tuple(polys), vertex_pt, sx, sy
 
     def point(self, v: str) -> Point:

@@ -1,13 +1,14 @@
 """JSON schemas for graphs, drawings, orderings, and related values.
 
-Rational numbers serialize as strings "p/q" in lowest terms with positive
-denominator (plain "p" for integers), because JSON numbers cannot carry exact
-rationals.  Parsers accept integers, decimal strings, and "p/q" strings,
-and refuse an exponent that would scale a value past 4,300 digits.
-Each distinct rational string is parsed once per document: the graph and
-drawing readers share one memo for the document's heights, x coordinates and
-bends, so a value repeated across a document costs a dict lookup.
-All serializers are byte-deterministic for identical inputs.
+Rationals serialize as lowest-terms strings "p/q" (plain "p" for integers),
+as JSON numbers cannot carry them exactly; one with more digits than Python
+writes is ``too-many-digits``.  Parsers accept integers, decimal strings and
+"p/q" strings, refuse an exponent that would scale a value past 4,300 digits,
+and parse each distinct string once per document (one memo for heights, x
+coordinates and bends).  The drawing reader walks the graph edges and the
+drawing edges once each, checking only the schema and that each drawing edge
+names its graph edge; the ``ReebGraph`` and ``Drawing`` constructors check
+the rest.  All serializers are byte-deterministic for identical inputs.
 
 Graph schema::
 
@@ -30,16 +31,17 @@ import json
 from fractions import Fraction
 from typing import Any, Callable
 
-from .core import ReebGraph
+from .core import ReebGraph, _parse_fraction
 from .crossings import CrossingCertificate, Drawing, LevelOrdering
-from .errors import GraphStructureError
+from .errors import GraphStructureError, ReebError
 from .gadget import GadgetInstance, OlaGraph
-
-_MAX_DIGITS = 4300  # Python's default limit on the digits of an int read from or written to a string
 
 
 def format_rational(value: Fraction) -> str:
-    return str(value)
+    try:
+        return str(value)
+    except ValueError as exc:  # a numerator or denominator past Python's digit limit
+        raise ReebError(f"cannot write a rational: {exc}", code="too-many-digits") from None
 
 
 def parse_rational(value: Any, what: str = "value") -> Fraction:
@@ -50,28 +52,15 @@ def parse_rational(value: Any, what: str = "value") -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            # ``Fraction`` builds m * 10**s, or m over 10**-s, from the significand m and s, the
-            # exponent less the digits after the point: refuse from the string what overflows.
-            head, e, exp = value.strip().replace("_", "").lower().partition("e")
-            if e and exp.lstrip("+-").isdecimal():
-                shift = int(exp) - len(head.partition(".")[2])
-                digits = len(head.lstrip("+-0.").replace(".", ""))
-                if max(digits + max(shift, 0), 1 - shift) > _MAX_DIGITS:
-                    raise ValueError(f"needs more than {_MAX_DIGITS} digits")
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise GraphStructureError(f"cannot parse {what} {value!r}: {exc}", code="bad-rational") from None
+        return _parse_fraction(value, what, "bad-rational")
     raise GraphStructureError(f"{what} must be an integer or string, got {type(value).__name__}",
                               code="bad-rational")
 
 
 def _rational_reader() -> Callable[[Any, str], Fraction]:
     """A :func:`parse_rational` for one document that parses each distinct
-    string once.  Only successful parses are kept, and values other than
-    strings are parsed every time, so what is accepted, the values and every
-    error (the first bad use, with its ``what``) are those of
-    :func:`parse_rational`."""
+    string once.  Only successful parses are kept, so every value and error
+    (the first bad use, with its ``what``) is that of :func:`parse_rational`."""
     memo: dict[str, Fraction] = {}
 
     def read(value: Any, what: str) -> Fraction:
@@ -97,12 +86,11 @@ def _require(cond: bool, message: str) -> None:
         raise GraphStructureError(message, code="bad-schema")
 
 
-def _edge_pairs(items: list) -> tuple[tuple[str, str], ...]:
-    """An ``edges`` list as id pairs; bad-schema unless every item is two ids."""
-    for pair in items:
-        _require(isinstance(pair, list) and len(pair) == 2
-                 and all(isinstance(p, str) for p in pair), "each edge must be a pair of ids")
-    return tuple((a, b) for a, b in items)
+def _edge_pairs(items: list) -> list:
+    """An ``edges`` list, bad-schema unless every item is a list of two ids."""
+    _require(all(isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and isinstance(p[1], str)
+                 for p in items), "each edge must be a pair of ids")
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +114,8 @@ def _graph_from_obj(obj: Any, read: Callable[[Any, str], Fraction]) -> ReebGraph
     _require(isinstance(obj.get("edges"), list), "graph.edges must be a list")
     heights: dict[str, Fraction] = {}
     for item in obj["vertices"]:
-        _require(isinstance(item, dict) and isinstance(item.get("id"), str),
+        _require(isinstance(item, dict) and isinstance(vid := item.get("id"), str),
                  "each vertex needs a string id")
-        vid = item["id"]
         if vid in heights:
             raise GraphStructureError(f"duplicate vertex id {vid!r}", code="duplicate-vertex")
         heights[vid] = read(item.get("height"), f"height of {vid!r}")
@@ -167,21 +154,21 @@ def drawing_from_obj(obj: Any) -> Drawing:
     g = _graph_from_obj(obj.get("graph"), read)
     _require(isinstance(obj.get("x"), dict), "drawing.x must be an object")
     xs = {v: read(c, f"x of {v!r}") for v, c in obj["x"].items()}
-    _require(isinstance(obj.get("edges"), list), "drawing.edges must be a list")
-    entries = obj["edges"]
+    _require(isinstance(entries := obj.get("edges"), list), "drawing.edges must be a list")
     if len(entries) != len(g.edges):
         raise GraphStructureError(
             f"drawing lists {len(entries)} edges, graph has {len(g.edges)}", code="edge-mismatch"
         )
     bends = []
-    for i, entry in enumerate(entries):
+    for i, (entry, edge) in enumerate(zip(entries, g.edges)):
         _require(isinstance(entry, dict), "each drawing edge must be an object")
         eps = entry.get("endpoints")
         _require(isinstance(eps, list) and len(eps) == 2, "drawing edge needs two endpoints")
-        _require(all(isinstance(p, str) for p in eps), "drawing edge endpoints must be string ids")
-        if tuple(sorted(eps)) != g.edges[i]:
+        a, b = eps
+        _require(isinstance(a, str) and isinstance(b, str), "drawing edge endpoints must be string ids")
+        if ((a, b) if a <= b else (b, a)) != edge:
             raise GraphStructureError(
-                f"drawing edge {i} endpoints {eps} do not match graph edge {list(g.edges[i])}",
+                f"drawing edge {i} endpoints {eps} do not match graph edge {list(edge)}",
                 code="edge-mismatch",
             )
         raw = entry.get("bends", [])

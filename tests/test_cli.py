@@ -8,7 +8,7 @@ import pytest
 
 from reebdraw import render_svg, tri_hex_grid
 from reebdraw.cli import main
-from reebdraw.jsonio import serialize_graph
+from reebdraw.jsonio import serialize_drawing, serialize_graph
 
 from helpers import alternating_cycle, counted_geometric_calls, counted_level_calls, deep_general_graph
 
@@ -389,6 +389,16 @@ for name, height in (("huge-exponent", "1e999999999"), ("huge-negative-exponent"
                      ("exponent-past-the-digit-limit", "1e5000")):
     MALFORMED[name] = (["layout"], {"vertices": [{"id": "a", "height": 0}, {"id": "b", "height": height}],
                                     "edges": [["a", "b"]]}, "bad-rational")
+# Results whose rationals have more digits than Python writes out: the second of
+# two parallel edges bends at the mean of two heights with 4,300-digit
+# denominators, and 10**-4300 has a 4,301-digit denominator.
+MALFORMED["bend-past-the-digit-limit"] = (
+    ["layout"], {"vertices": [{"id": "a", "height": f"1/{10 ** 4299 + 1}"},
+                              {"id": "b", "height": f"1/{10 ** 4299 + 3}"}],
+                 "edges": [["a", "b"], ["a", "b"]]}, "too-many-digits")
+MALFORMED["height-past-the-digit-limit"] = (
+    ["layout"], {"vertices": [{"id": "a", "height": "0." + "0" * 4299 + "1"}, {"id": "b", "height": 1}],
+                 "edges": [["a", "b"]]}, "too-many-digits")
 for command, endpoints in (("crossings", [1, "a"]), ("stretch", [None, "a"]), ("render", [["a"], "b"])):
     MALFORMED[f"{command}-endpoints-not-ids"] = (
         [command], {"graph": TREE, "x": {"a": "0", "b": "0", "c": "1"},
@@ -406,6 +416,53 @@ def test_malformed_input_is_exit_one(argv, content, error, tmp_path, capsys):
     code, out, err = run(capsys, *argv, bad)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == error
+
+
+def test_cached_parser_keeps_no_state_between_calls(graph_file, tmp_path, capsys):
+    # One parser serves every call in a process; each call must behave as with
+    # a parser of its own, an argparse failure first included.
+    import reebdraw.cli
+
+    drawing = tmp_path / "d.json"
+    drawing.write_text(serialize_drawing(tri_hex_grid(2).drawing))
+    calls = (["layout"], ["--seed", "3", "validate", graph_file], ["layout", graph_file], ["crossings", drawing])
+
+    def outcomes(fresh_parser_each_call):
+        reebdraw.cli.build_parser.cache_clear()
+        results = []
+        for argv in calls:
+            if fresh_parser_each_call:
+                reebdraw.cli.build_parser.cache_clear()
+            try:
+                code = main([str(a) for a in argv])
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    shared = outcomes(fresh_parser_each_call=False)
+    assert shared == outcomes(fresh_parser_each_call=True)
+    assert [code for code, _, _ in shared] == [("SystemExit", 2), 0, 0, 0]
+
+
+def test_parser_is_built_once_per_process(graph_file, capsys, monkeypatch):
+    import argparse
+
+    import reebdraw.cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    reebdraw.cli.build_parser.cache_clear()
+    for _ in range(5):
+        assert run(capsys, "validate", graph_file)[0] == 0
+    assert built.count("reebdraw") == 1
 
 
 def test_layout_at_the_digit_limit(tmp_path, capsys):

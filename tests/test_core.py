@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -48,9 +49,30 @@ class TestReebGraph:
             ReebGraph.build({"a": 1, "b": 1}, [("a", "b")])
         assert exc.value.code == "horizontal-edge"
 
+    @pytest.mark.parametrize("heights", [{"a": 1, "b": Fraction(1)}, {"a": Fraction(2, 4), "b": Fraction(1, 2)}])
+    def test_horizontal_edge_between_equal_values_rejected(self, heights):
+        with pytest.raises(GraphStructureError) as exc:
+            ReebGraph(heights, (("a", "b"),))
+        assert exc.value.code == "horizontal-edge"
+
     def test_parallel_edges_kept_with_multiplicity(self):
         g = ReebGraph.build({"a": 0, "b": 1}, [("a", "b"), ("b", "a")])
         assert g.edges == (("a", "b"), ("a", "b"))
+
+    @pytest.mark.parametrize("height", ["1e999999999", "1e-999999999", "1e5000"])
+    def test_height_past_the_digit_limit_is_refused_at_once(self, height):
+        # The JSON reader's bounded parse, under the height's own error code:
+        # building 10**999999999 would take minutes.
+        start = time.process_time()
+        with pytest.raises(GraphStructureError) as exc:
+            ReebGraph.build({"a": 0, "b": height}, [("a", "b")])
+        assert time.process_time() - start < 1
+        assert (exc.value.code, str(exc.value)) == (
+            "bad-height", f"cannot parse height {height!r}: needs more than 4300 digits")
+
+    def test_height_at_the_digit_limit_is_accepted(self):
+        g = ReebGraph.build({"a": 0, "b": "1e4299"}, [("a", "b")])
+        assert g.vertices["b"] == 10 ** 4299
 
 
 class TestDegreeProfile:

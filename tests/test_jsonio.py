@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import copy
 import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from reebdraw import (
     Drawing,
     GraphStructureError,
+    ReebError,
     ReebGraph,
     layout_auto,
 )
@@ -229,6 +232,54 @@ class TestRationalMemo:
             parse_drawing(drawing_text(heights, {**self.XS, "d": bad}, ([], [])))
         assert exc.value.code == "bad-rational"
         assert str(exc.value) == f"x of 'd' must be an integer or an exact string, got {bad!r}"
+
+
+class TestFirstOfTwoFaults:
+    """Of two faults in a drawing, the reader reports the first in a fixed
+    order.  ``first_error_drawings.json`` holds a valid ``base`` drawing,
+    named ``faults`` (``[op, path, value]`` edits of it) and, for each pair of
+    faults, the error code and message that an earlier reader, which made one
+    pass over the edges per check, emitted."""
+
+    TABLE = json.loads((Path(__file__).parent / "fixtures" / "first_error_drawings.json").read_text())
+
+    @classmethod
+    def drawing(cls, *faults):
+        doc = copy.deepcopy(cls.TABLE["base"])
+        for name in faults:
+            op, path, *value = cls.TABLE["faults"][name]
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if op == "set":
+                parent[path[-1]] = copy.deepcopy(value[0])
+            elif op == "del":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]].append(copy.deepcopy(value[0]))
+        return doc
+
+    def test_base_is_valid(self):
+        parse_drawing(json.dumps(self.drawing()))
+
+    def test_each_fault_alone_is_refused(self):
+        for name in self.TABLE["faults"]:
+            with pytest.raises(ReebError):
+                parse_drawing(json.dumps(self.drawing(name)))
+
+    def test_first_error_is_pinned(self):
+        rows = self.TABLE["rows"]
+        assert len(rows) == 503
+        wrong = []
+        for first, second, code, message in rows:
+            try:
+                parse_drawing(json.dumps(self.drawing(first, second)))
+                got = None
+            except ReebError as exc:
+                got = (exc.code, str(exc))
+            if got != (code, message):
+                wrong.append((first, second, got))
+        assert wrong == []
 
 
 class TestOlaGraphParsing:
