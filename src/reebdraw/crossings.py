@@ -112,9 +112,9 @@ class Drawing:
 
         The scales cover every vertex, isolated ones included, so each scaled
         coordinate is exact.  Every geometric consumer (the crossing counter,
-        ``stretch``'s rows and the SVG renderer) reads this one frame, so none
-        may change it.  One ``as_integer_ratio`` call reads a coordinate's
-        numerator and denominator."""
+        ``stretch``'s rows, ``subdivide_drawing`` and the SVG renderer) reads
+        this one frame, so none may change it.  One ``as_integer_ratio`` call
+        reads a coordinate's numerator and denominator."""
         heights = self.graph.vertices
         ratios = {v: (self.x[v].as_integer_ratio(), h.as_integer_ratio()) for v, h in heights.items()}
         bend_ratios = [(px.as_integer_ratio(), py.as_integer_ratio()) for eb in self.bends for px, py in eb]
@@ -134,6 +134,33 @@ class Drawing:
                 lo, hi = hi, lo
             polys.append((lo, *islice(bend_pts, len(eb)), hi) if eb else (lo, hi))
         return tuple(polys), vertex_pt, sx, sy
+
+    @cached_property
+    def _level_passes(self) -> tuple[list[int], tuple[tuple[tuple[int, int, int], ...], ...]]:
+        """Where the edges pass the vertex heights on the integer frame,
+        computed on first use: (heights, passes).  ``heights`` lists the
+        distinct vertex heights bottom up; ``passes[i]`` holds, bottom up, a
+        triple (r, num, den) for each ``heights[r]`` strictly between edge
+        i's ends, where the edge's x is num / den and den is the height of
+        the segment holding the point (a bend there is the top of the segment
+        below it).  The crossing counter's foreign-vertex check, ``stretch``'s
+        rows and ``subdivide_drawing``'s cut points read this one view, so
+        none may change it."""
+        polys, vertex_pt, _, _ = self._scaled_polylines
+        heights = sorted({y for _, y in vertex_pt.values()})
+        level = {h: r for r, h in enumerate(heights)}
+        passes = []
+        for poly in polys:
+            cuts = []
+            k = 1
+            for r in range(level[poly[0][1]] + 1, level[poly[-1][1]]):
+                h = heights[r]
+                while poly[k][1] < h:
+                    k += 1
+                (ax, ay), (bx, by) = poly[k - 1], poly[k]
+                cuts.append((r, ax * (by - ay) + (bx - ax) * (h - ay), by - ay))
+            passes.append(tuple(cuts))
+        return heights, tuple(passes)
 
     def point(self, v: str) -> Point:
         return (self.x[v], self.graph.vertices[v])
@@ -193,12 +220,13 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
     vertices all raise :class:`DegeneracyError`.
 
     The count runs on the drawing's integer frame (``Drawing._scaled_polylines``).
-    Every segment is strictly y-monotone, so it meets at most one point per
-    height: the foreign-vertex check looks up each bend point once, and
-    bisects a sorted list of the distinct vertex heights to those strictly
-    inside a segment's y-range and looks up the one point of the segment
-    there.  It costs one lookup per bend and per (segment, vertex height
-    strictly inside its range) instead of one test per (edge, vertex, segment).
+    Every polyline is strictly y-monotone, so it meets at most one point per
+    height: the foreign-vertex check reads the drawing's shared view of where
+    each edge passes the vertex heights (``Drawing._level_passes``, which
+    ``stretch`` and ``subdivide_drawing`` read too) and looks up each of
+    those points that has an integer x.  It costs one lookup per (edge,
+    vertex height strictly inside its range) instead of one test per (edge,
+    vertex, segment).
 
     The pair sweep visits segments sorted by lower y; a segment meets only the
     later ones that start at or below its upper y and whose closed x-extent
@@ -217,20 +245,17 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
     # A polyline must not pass through any vertex other than its endpoints.
     # Report the first offender of the lowest edge, in ``graph.vertices`` order.
     # The polyline's ends are its own vertices and its bends lie strictly
-    # between them in y, so only the bends and the points strictly inside a
-    # segment's y-range can be foreign vertices.
+    # between them in y, so only its points at the vertex heights strictly
+    # between its ends can be foreign vertices.
     vertex_at = {p: v for v, p in vertex_pt.items()}
-    heights = sorted({p[1] for p in vertex_pt.values()})
-    for ei, poly in enumerate(polys):
-        offenders = [vertex_at[p] for p in poly[1:-1] if p in vertex_at]
-        for (ax, ay), (bx, by) in zip(poly, poly[1:]):
-            dx, dy = bx - ax, by - ay
-            for y in heights[bisect_right(heights, ay):bisect_left(heights, by)]:
-                num = ax * dy + (y - ay) * dx
-                if num % dy == 0:
-                    v = vertex_at.get((num // dy, y))
-                    if v is not None:
-                        offenders.append(v)
+    heights, passes = d._level_passes
+    for ei, cuts in enumerate(passes):
+        offenders = []
+        for r, num, den in cuts:
+            if num % den == 0:
+                v = vertex_at.get((num // den, heights[r]))
+                if v is not None:
+                    offenders.append(v)
         if offenders:
             rank = {v: k for k, v in enumerate(d.graph.vertices)}
             v = min(offenders, key=rank.__getitem__)

@@ -3,9 +3,11 @@
 Everything here works on pairs of exact numbers (``Fraction`` or ``int``);
 there are no epsilon tolerances anywhere.  Callers that need speed can scale
 their coordinates to integers first -- the predicates only use ring
-operations, so results are identical.  ``crossings.count_crossings_geometric``
-and ``svg.render_svg`` read one integer frame per drawing
-(``crossings.Drawing._scaled_polylines``); ``stretch``'s rows read it too.
+operations, so results are identical.  ``crossings.count_crossings_geometric``,
+``stretch``'s rows, ``subdivide_drawing`` and ``svg.render_svg`` read one
+integer frame per drawing (``crossings.Drawing._scaled_polylines``); all but
+the renderer also read its one view of where each edge passes the vertex
+heights (``crossings.Drawing._level_passes``).
 """
 
 from __future__ import annotations

@@ -43,27 +43,24 @@ from .errors import GraphStructureError, InternalInvariantError, LayoutError
 def _rows(d: Drawing) -> list[list[str | int]]:
     """The drawing's rows, bottom up, holding vertex ids and edge indices.
 
-    x is read from the integer frame, where an edge's x at a row is a
-    fraction whose denominator is the height of one of its segments, at most
-    D.  Two such fractions that differ, differ by at least 1 / D^2, so
-    floor(x * D^2) orders them exactly.  On a drawing that passed the
-    crossing check no two objects in a row share an x.
+    Vertices and their integer x come from the integer frame, and each
+    edge's x at a row from the drawing's shared view of where its edges pass
+    the vertex heights (``Drawing._level_passes``), as a fraction num / den
+    with den at most D, the largest den in the view.  Two such fractions
+    that differ, differ by at least 1 / D^2, so floor(x * D^2) orders them
+    exactly.  On a drawing that passed the crossing check no two objects in
+    a row share an x.
     """
-    polys, vertex_pt, _, _ = d._scaled_polylines
-    heights = sorted({y for _, y in vertex_pt.values()})
+    _, vertex_pt, _, _ = d._scaled_polylines
+    heights, passes = d._level_passes
     level = {h: r for r, h in enumerate(heights)}
-    scale = max((b[1] - a[1] for poly in polys for a, b in zip(poly, poly[1:])), default=1) ** 2
+    scale = max((den for cuts in passes for _, _, den in cuts), default=1) ** 2
     keyed: list[list[tuple[int, str | int]]] = [[] for _ in heights]
     for v, (x, y) in vertex_pt.items():
         keyed[level[y]].append((x * scale, v))
-    for i, poly in enumerate(polys):
-        k = 1
-        for r in range(level[poly[0][1]] + 1, level[poly[-1][1]]):
-            h = heights[r]
-            while poly[k][1] < h:
-                k += 1
-            (ax, ay), (bx, by) = poly[k - 1], poly[k]
-            keyed[r].append(((ax * (by - ay) + (bx - ax) * (h - ay)) * scale // (by - ay), i))
+    for i, cuts in enumerate(passes):
+        for r, num, den in cuts:
+            keyed[r].append((num * scale // den, i))
     return [[obj for _, obj in sorted(row, key=itemgetter(0))] for row in keyed]
 
 

@@ -14,7 +14,7 @@ at equal heights land on one level.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
@@ -123,10 +123,6 @@ def subdivide(g: ReebGraph) -> Subdivision:
     return Subdivision(g2, SubdivisionMap(g, g2, tuple(paths), tuple(sub_edges), owner, view, lev.level_heights))
 
 
-def _remap_y(y: Fraction, src_lo: Fraction, src_hi: Fraction, dst_lo: Fraction, dst_hi: Fraction) -> Fraction:
-    return dst_lo + (y - src_lo) * (dst_hi - dst_lo) / (src_hi - src_lo)
-
-
 def unsubdivide_drawing(d2: "Drawing", mapping: SubdivisionMap) -> "Drawing":
     """Merge subdivision paths back into single edges with bends; counts are preserved.
 
@@ -145,7 +141,7 @@ def unsubdivide_drawing(d2: "Drawing", mapping: SubdivisionMap) -> "Drawing":
         k = int(y)
         if y == k:
             return heights[k]
-        return _remap_y(y, Fraction(k), Fraction(k + 1), heights[k], heights[k + 1])
+        return heights[k] + (y - k) * (heights[k + 1] - heights[k])
 
     g = mapping.original
     xs = {v: d2.x[v] for v in g.vertices}
@@ -166,63 +162,33 @@ def unsubdivide_drawing(d2: "Drawing", mapping: SubdivisionMap) -> "Drawing":
 def subdivide_drawing(d: "Drawing", g: ReebGraph, mapping: SubdivisionMap) -> "Drawing":
     """Cut a drawing's polylines at every level height; cut points become vertices.
 
-    Cut x coordinates come from exact rational interpolation along each
-    segment, so the crossing count is preserved bit-exactly.
+    The cut points are the drawing's shared view of where its edges pass the
+    vertex heights (``Drawing._level_passes``), whose exact frame x becomes
+    each generated vertex's x, so the crossing count is preserved
+    bit-exactly.  A bend at a level height is the cut point there; every
+    other bend stays a bend of the piece holding it.
     """
     from .crossings import Drawing
 
     if g != mapping.original or d.graph != g:
         raise GraphStructureError("drawing does not match the subdivision's input graph", code="map-mismatch")
-    heights = mapping.level_heights
-    rank_of = {h: k for k, h in enumerate(heights)}
-
-    def fwd(y: Fraction) -> Fraction:
-        if y in rank_of:
-            return Fraction(rank_of[y])
-        k = bisect_right(heights, y) - 1
-        return _remap_y(y, heights[k], heights[k + 1], Fraction(k), Fraction(k + 1))
-
+    polys, _, sx, _ = d._scaled_polylines
+    heights, passes = d._level_passes
     xs: dict[str, Fraction] = {v: d.x[v] for v in g.vertices}
-    bends2: list[tuple[tuple[Fraction, Fraction], ...]] = [()] * len(mapping.subdivided.edges)
-    for i in range(len(g.edges)):
-        poly = d.polyline(i)
-        path = mapping.paths[i]
-        cut_heights = [heights[k] for k in range(int(fwd(poly[0][1])) + 1, int(fwd(poly[-1][1])))]
-        pieces = _cut_polyline(poly, cut_heights)
-        if len(pieces) != len(mapping.sub_edges[i]):
+    bends2: list[list[tuple[Fraction, Fraction]]] = [[] for _ in mapping.subdivided.edges]
+    for i, cuts in enumerate(passes):
+        subs = mapping.sub_edges[i]
+        if len(cuts) + 1 != len(subs):
             raise GraphStructureError(
-                f"edge {i} cuts into {len(pieces)} pieces, expected {len(mapping.sub_edges[i])}",
+                f"edge {i} cuts into {len(cuts) + 1} pieces, expected {len(subs)}",
                 code="map-mismatch",
             )
-        for j, sub in enumerate(mapping.sub_edges[i]):
-            piece = pieces[j]
-            if j < len(pieces) - 1:
-                xs[path[j + 1]] = piece[-1][0]
-            bends2[sub] = tuple((px, fwd(py)) for px, py in piece[1:-1])
-    return Drawing(graph=mapping.subdivided, x=xs, bends=tuple(bends2))
-
-
-def _cut_polyline(
-    poly: tuple[tuple[Fraction, Fraction], ...], cut_heights: list[Fraction]
-) -> list[list[tuple[Fraction, Fraction]]]:
-    """Split a strictly y-monotone polyline at the given interior heights,
-    which lie strictly above its start, in increasing order.
-
-    A cut at a bend's height is met as the end of the segment below the
-    bend, and there the cut point is the bend itself.
-    """
-    pieces: list[list[tuple[Fraction, Fraction]]] = []
-    current: list[tuple[Fraction, Fraction]] = [poly[0]]
-    k = 0
-    for a, b in zip(poly, poly[1:]):
-        while k < len(cut_heights) and cut_heights[k] <= b[1]:
-            yc = cut_heights[k]
-            k += 1
-            xc = a[0] + (b[0] - a[0]) * (yc - a[1]) / (b[1] - a[1])
-            current.append((xc, yc))
-            pieces.append(current)
-            current = [(xc, yc)]
-        if current[-1] != b:
-            current.append(b)
-    pieces.append(current)
-    return pieces
+        for (_, num, den), v in zip(cuts, mapping.paths[i][1:]):
+            xs[v] = Fraction(num, den * sx)
+        r_lo = bisect_left(heights, polys[i][0][1])
+        for (px, _), (_, y) in zip(d.bends[i], polys[i][1:-1]):
+            # Level k maps to height k, and the strip above it affinely onto (k, k + 1).
+            k = bisect_right(heights, y) - 1
+            if heights[k] != y:
+                bends2[subs[k - r_lo]].append((px, k + Fraction(y - heights[k], heights[k + 1] - heights[k])))
+    return Drawing(graph=mapping.subdivided, x=xs, bends=tuple(map(tuple, bends2)))

@@ -44,6 +44,9 @@ class RenderOptions:
         for name in ("width", "height", "margin", "vertex_radius", "stroke_width"):
             if getattr(self, name) <= 0:
                 raise GraphStructureError(f"render option {name} must be positive", code="bad-options")
+        if 2 * self.margin >= min(self.width, self.height):  # it would mirror or collapse the picture
+            raise GraphStructureError(f"render margin {self.margin} leaves no drawing area in a "
+                                      f"{self.width}x{self.height} canvas", code="bad-options")
 
 
 def _fmt(value: float) -> str:

@@ -59,7 +59,7 @@ from reebdraw.crossings import (
     _unwind,
     _warm_start,
 )
-from reebdraw.subdivide import _leveled
+from reebdraw.subdivide import SubdivisionMap, _leveled
 
 
 def rand_height(rng: random.Random, lo: int = -10, hi: int = 10) -> Fraction:
@@ -369,6 +369,74 @@ def reference_count_crossings_geometric(d: Drawing) -> CrossingCertificate:
 
     hits.sort(key=lambda h: (h.edges, h.point))
     return CrossingCertificate(count=len(hits), pairs=tuple(hits))
+
+
+def _reference_remap_y(y: Fraction, src_lo: Fraction, src_hi: Fraction, dst_lo: Fraction, dst_hi: Fraction) -> Fraction:
+    return dst_lo + (y - src_lo) * (dst_hi - dst_lo) / (src_hi - src_lo)
+
+
+def reference_subdivide_drawing(d: Drawing, g: ReebGraph, mapping: SubdivisionMap) -> Drawing:
+    """Oracle: ``subdivide_drawing`` as it cut each polyline itself on
+    ``Fraction`` coordinates, kept verbatim (with its ``_cut_polyline`` and
+    ``_remap_y``).  Its output, or its refusal, is what the version reading
+    the drawing's shared view of where edges pass the vertex heights must
+    reproduce.
+    """
+    if g != mapping.original or d.graph != g:
+        raise GraphStructureError("drawing does not match the subdivision's input graph", code="map-mismatch")
+    heights = mapping.level_heights
+    rank_of = {h: k for k, h in enumerate(heights)}
+
+    def fwd(y: Fraction) -> Fraction:
+        if y in rank_of:
+            return Fraction(rank_of[y])
+        k = bisect_right(heights, y) - 1
+        return _reference_remap_y(y, heights[k], heights[k + 1], Fraction(k), Fraction(k + 1))
+
+    xs: dict[str, Fraction] = {v: d.x[v] for v in g.vertices}
+    bends2: list[tuple[tuple[Fraction, Fraction], ...]] = [()] * len(mapping.subdivided.edges)
+    for i in range(len(g.edges)):
+        poly = d.polyline(i)
+        path = mapping.paths[i]
+        cut_heights = [heights[k] for k in range(int(fwd(poly[0][1])) + 1, int(fwd(poly[-1][1])))]
+        pieces = _reference_cut_polyline(poly, cut_heights)
+        if len(pieces) != len(mapping.sub_edges[i]):
+            raise GraphStructureError(
+                f"edge {i} cuts into {len(pieces)} pieces, expected {len(mapping.sub_edges[i])}",
+                code="map-mismatch",
+            )
+        for j, sub in enumerate(mapping.sub_edges[i]):
+            piece = pieces[j]
+            if j < len(pieces) - 1:
+                xs[path[j + 1]] = piece[-1][0]
+            bends2[sub] = tuple((px, fwd(py)) for px, py in piece[1:-1])
+    return Drawing(graph=mapping.subdivided, x=xs, bends=tuple(bends2))
+
+
+def _reference_cut_polyline(
+    poly: tuple[tuple[Fraction, Fraction], ...], cut_heights: list[Fraction]
+) -> list[list[tuple[Fraction, Fraction]]]:
+    """Split a strictly y-monotone polyline at the given interior heights,
+    which lie strictly above its start, in increasing order.
+
+    A cut at a bend's height is met as the end of the segment below the
+    bend, and there the cut point is the bend itself.
+    """
+    pieces: list[list[tuple[Fraction, Fraction]]] = []
+    current: list[tuple[Fraction, Fraction]] = [poly[0]]
+    k = 0
+    for a, b in zip(poly, poly[1:]):
+        while k < len(cut_heights) and cut_heights[k] <= b[1]:
+            yc = cut_heights[k]
+            k += 1
+            xc = a[0] + (b[0] - a[0]) * (yc - a[1]) / (b[1] - a[1])
+            current.append((xc, yc))
+            pieces.append(current)
+            current = [(xc, yc)]
+        if current[-1] != b:
+            current.append(b)
+    pieces.append(current)
+    return pieces
 
 
 def _reference_fmt(value: float) -> str:

@@ -192,6 +192,14 @@ def test_render_cli(graph_file, tmp_path, capsys):
     assert out.startswith("<svg")
 
 
+def test_render_margin_leaving_no_area_is_refused(graph_file, tmp_path, capsys):
+    drawing_path = tmp_path / "d.json"
+    run(capsys, "layout", graph_file, "-o", drawing_path)
+    code, out, err = run(capsys, "render", drawing_path, "--width", 50, "--margin", 40)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "bad-options"
+
+
 def test_gadget_subcommands(ola_file, tmp_path, capsys):
     code, out, _ = run(capsys, "gadget", "ola-brute", "--graph", ola_file)
     assert code == 0

@@ -18,6 +18,7 @@ from reebdraw import (
     Drawing,
     GraphStructureError,
     InternalInvariantError,
+    LayoutError,
     LevelOrdering,
     OlaGraph,
     ReebError,
@@ -444,6 +445,14 @@ class TestForeignVertexIndex:
         with pytest.raises(DegeneracyError, match=r"^edge 0 passes through vertex 'v'$"):
             count_crossings_geometric(d)
 
+    def test_the_shared_view_lists_the_heights_between_the_ends(self):
+        # Frame y is twice the height: vertex heights 0, 1, 2, 8 and bends at
+        # 2 and 6.  At height 1 the edge is inside its first segment, at 2 it
+        # is the bend, met as the top of the segment below it (x = 4 / 2).
+        d = self.bent_edge({"v": (5, 1), "w": (-3, Fraction(1, 2))})
+        assert d._level_passes == ([0, 1, 2, 8], (((1, 2, 2), (2, 4, 2)),))
+        assert count_crossings_geometric(d).count == 0
+
     def test_vertices_at_segment_end_heights_off_the_edge_are_not_reported(self):
         # Same heights as the edge's ends and bends, other x: no degeneracy.
         extra = {"p": (5, 0), "q": (3, 1), "r": (Fraction(3, 2), 1), "s": (1, 3), "t": (-1, 4)}
@@ -859,8 +868,9 @@ class TestExactSearch:
 
     def test_disconnected_rejected(self):
         g = ReebGraph.build({"a": 0, "b": 1, "c": 0, "d": 1}, [("a", "b"), ("c", "d")])
-        with pytest.raises(Exception):
+        with pytest.raises(LayoutError) as exc:
             exact_rgcn(g)
+        assert exc.value.code == "disconnected"
 
 
 @st.composite

@@ -9,6 +9,7 @@ from reebdraw import (
     DegeneracyError,
     Drawing,
     GraphStructureError,
+    LayoutError,
     LinearArrangement,
     OlaGraph,
     RenderOptions,
@@ -86,8 +87,9 @@ class TestTriHexGrid:
         assert xs == sorted(xs)
 
     def test_invalid_rows_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(LayoutError) as exc:
             tri_hex_grid(0)
+        assert exc.value.code == "bad-rows"
 
 
 class TestOlaCost:

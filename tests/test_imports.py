@@ -5,9 +5,10 @@ No linter ships with the project, so this walks each module's syntax tree:
 an imported name must appear as an ``ast.Name`` somewhere in the module.
 ``__init__.py`` re-exports its imports and is left out, as is
 ``from __future__``.  A module-level function or class whose name starts
-with one underscore must be named (as a name, an attribute or an import)
-by some top-level statement of the library other than its own definition,
-so that no helper survives only for the tests.
+with one underscore, and a method (cached properties included) of a
+module-level class whose name does, must be named (as a name, an attribute
+or an import) somewhere in the library outside its own definition, so that
+no helper survives only for the tests.
 """
 
 from __future__ import annotations
@@ -35,31 +36,46 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _names_outside_own_definition(node: ast.AST, own: frozenset[str] = frozenset()) -> set[str]:
+    """Every name, attribute and imported name under ``node``, leaving out a
+    private definition's mentions of itself inside its own body."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and _private(node.name):
+        own = own | {node.name}
+    if isinstance(node, ast.Name):
+        found = {node.id}
+    elif isinstance(node, ast.Attribute):
+        found = {node.attr}
+    elif isinstance(node, ast.ImportFrom):
+        found = {alias.name for alias in node.names}
+    else:
+        found = set()
+    found -= own
+    for child in ast.iter_child_nodes(node):
+        found |= _names_outside_own_definition(child, own)
+    return found
+
+
 def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
-    """``module.name`` of each private module-level function or class in
+    """``module.name`` of each private module-level function or class, and
+    ``module.Class.name`` of each private method of a module-level class, in
     ``sources`` (module name to source) that nothing else names."""
-    defined: list[str] = []
+    defined: list[tuple[str, str]] = []  # (qualified name, name)
     named: set[str] = set()
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for module, source in sources.items():
-        for stmt in ast.parse(source).body:
-            own = None
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if stmt.name.startswith("_") and not stmt.name.startswith("__"):
-                    own = stmt.name
-                    defined.append(f"{module}.{own}")
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                elif isinstance(node, ast.ImportFrom):
-                    named.update(alias.name for alias in node.names)
-                    continue
-                else:
-                    continue
-                if name != own:
-                    named.add(name)
-    return [qualified for qualified in defined if qualified.split(".")[1] not in named]
+        tree = ast.parse(source)
+        for stmt in tree.body:
+            if isinstance(stmt, (*defs, ast.ClassDef)) and _private(stmt.name):
+                defined.append((f"{module}.{stmt.name}", stmt.name))
+            if isinstance(stmt, ast.ClassDef):
+                defined.extend((f"{module}.{stmt.name}.{f.name}", f.name)
+                               for f in stmt.body if isinstance(f, defs) and _private(f.name))
+        named |= _names_outside_own_definition(tree)
+    return [qualified for qualified, name in defined if name not in named]
 
 
 def test_modules_found():
@@ -92,3 +108,16 @@ def test_the_check_sees_an_unused_helper():
              "def g(m):\n    return m._by_attribute\n",
     }
     assert unreferenced_helpers(sources) == ["a._dead"]
+
+
+def test_the_check_sees_an_unused_method():
+    sources = {
+        "a": "from functools import cached_property\n\n"
+             "class Shape:\n"
+             "    @cached_property\n    def _frame(self):\n        return self._frame\n\n"
+             "    @cached_property\n    def _view(self):\n        return self._points()\n\n"
+             "    def _points(self):\n        return 1\n\n"
+             "    def __repr__(self):\n        return 's'\n",
+        "b": "def f(shape):\n    return shape._view\n",
+    }
+    assert unreferenced_helpers(sources) == ["a.Shape._frame"]

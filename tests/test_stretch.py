@@ -303,3 +303,20 @@ class TestStretchWork:
         out = stretch(d)
         assert reference_rows(out) == reference_rows(d)
         assert sum(read) < self.ALL_PLACED // 10
+
+    def test_walks_each_drawing_once(self, monkeypatch):
+        # The counter, the rows and the post-check all read one view per
+        # drawing: the input's and the output's are each built once.
+        rng = random.Random(5)
+        bent = curved_copy(layout_caterpillar(random_caterpillar_graph(30, rng)), rng)
+        d = Drawing(graph=bent.graph, x=bent.x, bends=bent.bends)  # nothing read yet
+        walked = []
+        for name in ("_scaled_polylines", "_level_passes"):
+            view = vars(Drawing)[name]
+            monkeypatch.setattr(view, "func", lambda dd, build=view.func, name=name:
+                                walked.append((name, dd)) or build(dd))
+        out = stretch(d)
+        assert [(name, id(dd)) for name, dd in walked] == [
+            ("_scaled_polylines", id(d)), ("_level_passes", id(d)),
+            ("_scaled_polylines", id(out)), ("_level_passes", id(out)),
+        ]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ import pytest
 from reebdraw import (
     Drawing,
     GraphStructureError,
+    LayoutError,
+    ReebError,
     ReebGraph,
     count_crossings_geometric,
     exact_rgcn,
@@ -19,9 +22,17 @@ from reebdraw import (
     validate,
 )
 
+from reebdraw.jsonio import serialize_drawing
 from reebdraw.subdivide import _leveled
 
-from helpers import curved_copy, deep_general_graph, random_connected_graph, random_cycle_graph, random_ordering
+from helpers import (
+    curved_copy,
+    deep_general_graph,
+    random_connected_graph,
+    random_cycle_graph,
+    random_ordering,
+    reference_subdivide_drawing,
+)
 
 
 def test_long_edge_becomes_path_with_one_vertex_per_skipped_level():
@@ -101,8 +112,9 @@ def test_emitted_view_equals_an_independent_one():
 
 def test_disconnected_rejected():
     g = ReebGraph.build({"a": 0, "b": 1, "c": 0, "d": 1}, [("a", "b"), ("c", "d")])
-    with pytest.raises(Exception):
+    with pytest.raises(LayoutError) as exc:
         subdivide(g)
+    assert exc.value.code == "disconnected"
 
 
 def test_generated_ids_avoid_collisions():
@@ -188,6 +200,91 @@ class TestDrawingTransforms:
         with pytest.raises(GraphStructureError) as exc:
             unsubdivide_drawing(d_other, m)
         assert exc.value.code == "map-mismatch"
+
+
+def _bent_drawing(g: ReebGraph, rng: random.Random) -> Drawing:
+    """``g`` at random x, with up to four bends per edge: some at level
+    heights strictly inside the edge's range, some at random heights."""
+    heights = levels(g).level_heights
+    while True:
+        xs = {v: Fraction(rng.randint(-40, 40), rng.randint(1, 6)) for v in g.vertices}
+        if len({(x, g.vertices[v]) for v, x in xs.items()}) == len(xs):
+            break
+    bends = []
+    for i in range(len(g.edges)):
+        lo, hi = (g.vertices[v] for v in g.lower_upper(i))
+        inner = [h for h in heights if lo < h < hi]
+        ys = set(rng.sample(inner, min(len(inner), rng.randint(0, 2))))
+        ys.update(lo + (hi - lo) * Fraction(rng.randint(1, 999), 1000) for _ in range(rng.randint(0, 2)))
+        bends.append(tuple((Fraction(rng.randint(-40, 40), rng.randint(1, 6)), y) for y in sorted(ys)))
+    return Drawing(graph=g, x=xs, bends=tuple(bends))
+
+
+def _outcome(fn, *args):
+    """A result, or the class, code and message of the refusal."""
+    try:
+        return fn(*args)
+    except ReebError as exc:
+        return (type(exc), exc.code, str(exc))
+
+
+class TestSubdivideDrawingOracle:
+    """``subdivide_drawing`` reads the drawing's shared view of where edges
+    pass the vertex heights; the verbatim parent cut each polyline itself."""
+
+    @staticmethod
+    def assert_same(d, g, m) -> bool:
+        """Both give the same drawing, or the same refusal; True on a drawing."""
+        got, ref = _outcome(subdivide_drawing, d, g, m), _outcome(reference_subdivide_drawing, d, g, m)
+        assert got == ref
+        if isinstance(got, tuple):
+            return False
+        assert list(got.x.items()) == list(ref.x.items())
+        assert serialize_drawing(got) == serialize_drawing(ref)
+        return True
+
+    def test_bent_drawings(self):
+        rng = random.Random(83)
+        drawn = at_level = long_edges = 0
+        for _ in range(300):
+            g = random_connected_graph(rng.randint(2, 8), rng)
+            m = subdivide(g).mapping
+            d = _bent_drawing(g, rng)
+            if self.assert_same(d, g, m):
+                drawn += 1
+                at_level += sum(y in m.level_heights for eb in d.bends for _, y in eb)
+                long_edges += sum(len(p) > 4 for p in m.paths)
+        assert drawn > 280 and at_level > 600 and long_edges > 200
+
+    def test_unsubdivided_and_curved_drawings(self):
+        # Unsubdividing turns every generated vertex into a bend at a level height.
+        rng = random.Random(89)
+        for _ in range(40):
+            g = random_connected_graph(rng.randint(3, 9), rng, extra=rng.randint(0, 4))
+            g2, m = subdivide(g)
+            d = unsubdivide_drawing(realize_layered(g2, random_ordering(g2, rng)), m)
+            self.assert_same(d, g, m)
+            self.assert_same(curved_copy(d, rng), g, m)
+
+    def test_refusals_match_reference(self):
+        # Edge 1 (a-c) passes level 1 and edge 0 (a-b) passes none.
+        g = ReebGraph.build({"a": 0, "b": 1, "c": 3}, [("a", "b"), ("a", "c")])
+        d = Drawing(graph=g, x={"a": Fraction(0), "b": Fraction(1), "c": Fraction(-1)})
+        m = subdivide(g).mapping
+        other = ReebGraph.build({"x": 0, "y": 1}, [("x", "y")])
+        d_other = Drawing(graph=other, x={"x": Fraction(0), "y": Fraction(1)})
+        short = dataclasses.replace(m, paths=(m.paths[0], ("a", "c")), sub_edges=(m.sub_edges[0], (1,)))
+        long = dataclasses.replace(m, sub_edges=(m.sub_edges[0] * 2, m.sub_edges[1]))
+        cases = [
+            ((d_other, other, m), "drawing does not match the subdivision's input graph"),
+            ((d, other, m), "drawing does not match the subdivision's input graph"),
+            ((d, g, short), "edge 1 cuts into 2 pieces, expected 1"),
+            ((d, g, long), "edge 0 cuts into 1 pieces, expected 2"),
+        ]
+        for args, message in cases:
+            refusal = (GraphStructureError, "map-mismatch", message)
+            assert _outcome(subdivide_drawing, *args) == refusal
+            assert _outcome(reference_subdivide_drawing, *args) == refusal
 
 
 def test_oracle_agrees_before_and_after_subdividing():

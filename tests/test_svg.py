@@ -110,6 +110,24 @@ def test_bad_options_rejected():
         RenderOptions(width=0)
 
 
+@pytest.mark.parametrize("size", [
+    {"width": 50, "height": 50}, {"width": 80}, {"height": 80},
+], ids=["mirrored", "width-collapsed", "height-collapsed"])
+def test_margins_that_leave_no_drawing_area_rejected(size):
+    # With width 50 and margin 40, x = 0 would land at 40 and x = 1 at 10.
+    with pytest.raises(GraphStructureError) as exc:
+        RenderOptions(margin=40, **size)
+    assert exc.value.code == "bad-options"
+    assert "leaves no drawing area" in str(exc.value)
+
+
+def test_margins_that_leave_one_pixel_accepted():
+    opts = RenderOptions(width=81, height=81, margin=40)
+    g = ReebGraph.build({"a": 0, "b": 1}, [("a", "b")])
+    svg = render_svg(Drawing(graph=g, x={"a": Fraction(0), "b": Fraction(1)}), opts)
+    assert 'cx="40.00" cy="41.00"' in svg and 'cx="41.00" cy="40.00"' in svg
+
+
 class TestRendererOracle:
     """``render_svg`` reads the integer frame; the Fraction renderer it
     replaced must give the same bytes."""
