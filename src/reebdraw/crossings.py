@@ -60,9 +60,11 @@ class Drawing:
     The y coordinate of every vertex is forced to its height.  ``bends[i]``
     lists edge i's interior bend points ordered by strictly increasing y,
     strictly between the endpoint heights; an empty tuple means a straight
-    segment.  Cheap invariants (bend monotonicity, vertex coincidences) are
-    checked here; incidence degeneracies are caught when counting.  A drawing
-    is a value: its exact integer frame is computed once and kept.
+    segment.  A drawing is a value: the constructor builds its exact integer
+    frame (``_scaled_polylines``) from one ``as_integer_ratio`` read of each
+    coordinate, scaling each axis by the lcm of its distinct denominators,
+    and checks bend monotonicity and vertex coincidences on that frame;
+    incidence degeneracies are caught when counting.
     """
 
     graph: ReebGraph
@@ -71,10 +73,11 @@ class Drawing:
 
     def __post_init__(self):
         xs = {v: _exact(x) for v, x in self.x.items()}
-        missing = [v for v in self.graph.vertices if v not in xs]
+        heights = self.graph.vertices
+        missing = [v for v in heights if v not in xs]
         if missing:
             raise GraphStructureError(f"missing x coordinate for vertex {missing[0]!r}", code="missing-x")
-        extra = [v for v in xs if v not in self.graph.vertices]
+        extra = [v for v in xs if v not in heights]
         if extra:
             raise GraphStructureError(f"x coordinate for unknown vertex {extra[0]!r}", code="unknown-vertex")
         bends = tuple(tuple((_exact(px), _exact(py)) for px, py in eb) if eb else () for eb in self.bends)
@@ -84,56 +87,53 @@ class Drawing:
                 f"bend list length {len(bends)} does not match edge count {len(self.graph.edges)}",
                 code="edge-mismatch",
             )
-        for i, eb in enumerate(bends):
-            if eb:
-                y_prev, y_top = (self.graph.vertices[v] for v in self.graph.lower_upper(i))
-                for _, py in eb:
-                    if not (y_prev < py < y_top):
-                        raise GraphStructureError(
-                            f"bend of edge {i} at y={py} breaks strict y-monotonicity", code="bad-bend"
-                        )
-                    y_prev = py
-        # Fractions are kept in lowest terms, so two points are equal iff their
-        # numerators and denominators are; integer keys hash cheaply.
-        points: dict[tuple[tuple[int, int], tuple[int, int]], str] = {}
-        for v, h in self.graph.vertices.items():
-            key = (xs[v].as_integer_ratio(), h.as_integer_ratio())
-            if key in points:
-                raise DegeneracyError(f"vertices {points[key]!r} and {v!r} coincide at {(xs[v], h)}")
-            points[key] = v
-        object.__setattr__(self, "x", xs)
-        object.__setattr__(self, "bends", bends)
 
-    @cached_property
-    def _scaled_polylines(self) -> tuple[tuple[tuple[IntPoint, ...], ...], dict[str, IntPoint], int, int]:
-        """The drawing on one exact integer frame, computed on first use:
-        (edge polylines, vertex points, sx, sy), each coordinate multiplied by
-        its axis scale sx or sy, the lcm of that axis's denominators.
-
-        The scales cover every vertex, isolated ones included, so each scaled
-        coordinate is exact.  Every geometric consumer (the crossing counter,
-        ``stretch``'s rows, ``subdivide_drawing`` and the SVG renderer) reads
-        this one frame, so none may change it.  One ``as_integer_ratio`` call
-        reads a coordinate's numerator and denominator."""
-        heights = self.graph.vertices
-        ratios = {v: (self.x[v].as_integer_ratio(), h.as_integer_ratio()) for v, h in heights.items()}
-        bend_ratios = [(px.as_integer_ratio(), py.as_integer_ratio()) for eb in self.bends for px, py in eb]
-        sx = lcm(*(x[1] for x, _ in ratios.values()), *(x[1] for x, _ in bend_ratios))
-        sy = lcm(*(y[1] for _, y in ratios.values()), *(y[1] for _, y in bend_ratios))
+        # The integer frame: (edge polylines from the lower end up, vertex
+        # points, sx, sy), each coordinate multiplied by its axis scale sx or
+        # sy.  The scales cover every vertex, isolated ones included, so each
+        # scaled coordinate is exact, and scaling keeps order and equality.
+        # Every geometric consumer (the crossing counter, ``stretch``'s rows,
+        # ``subdivide_drawing`` and the SVG renderer) reads this one frame, so
+        # none may change it.
+        ratios = {v: (xs[v].as_integer_ratio(), h.as_integer_ratio()) for v, h in heights.items()}
+        bend_ratios = [(px.as_integer_ratio(), py.as_integer_ratio()) for eb in bends for px, py in eb]
+        x_dens = {xd for (_, xd), _ in ratios.values()} | {xd for (_, xd), _ in bend_ratios}
+        y_dens = {yd for _, (_, yd) in ratios.values()} | {yd for _, (_, yd) in bend_ratios}
+        sx, sy = lcm(*x_dens), lcm(*y_dens)
+        fx = {d: sx // d for d in x_dens}  # each denominator's factor into its scale
+        fy = {d: sy // d for d in y_dens}
 
         def scaled(ratio: tuple[tuple[int, int], tuple[int, int]]) -> IntPoint:
             (xn, xd), (yn, yd) = ratio
-            return xn * (sx // xd), yn * (sy // yd)
+            return xn * fx[xd], yn * fy[yd]
 
         vertex_pt = {v: scaled(r) for v, r in ratios.items()}
         bend_pts = map(scaled, bend_ratios)
         polys = []
-        for (a, b), eb in zip(self.graph.edges, self.bends):
+        for i, ((a, b), eb) in enumerate(zip(self.graph.edges, bends)):
             lo, hi = vertex_pt[a], vertex_pt[b]
             if hi[1] < lo[1]:
                 lo, hi = hi, lo
-            polys.append((lo, *islice(bend_pts, len(eb)), hi) if eb else (lo, hi))
-        return tuple(polys), vertex_pt, sx, sy
+            if not eb:
+                polys.append((lo, hi))
+                continue
+            pts = tuple(islice(bend_pts, len(eb)))
+            y_prev = lo[1]
+            for (_, y), (_, py) in zip(pts, eb):
+                if not (y_prev < y < hi[1]):
+                    raise GraphStructureError(
+                        f"bend of edge {i} at y={py} breaks strict y-monotonicity", code="bad-bend"
+                    )
+                y_prev = y
+            polys.append((lo, *pts, hi))
+        points: dict[IntPoint, str] = {}
+        for v, p in vertex_pt.items():
+            if p in points:
+                raise DegeneracyError(f"vertices {points[p]!r} and {v!r} coincide at {(xs[v], heights[v])}")
+            points[p] = v
+        object.__setattr__(self, "x", xs)
+        object.__setattr__(self, "bends", bends)
+        object.__setattr__(self, "_scaled_polylines", (tuple(polys), vertex_pt, sx, sy))
 
     @cached_property
     def _level_passes(self) -> tuple[list[int], tuple[tuple[tuple[int, int, int], ...], ...]]:
@@ -161,14 +161,6 @@ class Drawing:
                 cuts.append((r, ax * (by - ay) + (bx - ax) * (h - ay), by - ay))
             passes.append(tuple(cuts))
         return heights, tuple(passes)
-
-    def point(self, v: str) -> Point:
-        return (self.x[v], self.graph.vertices[v])
-
-    def polyline(self, edge_index: int) -> tuple[Point, ...]:
-        """Edge polyline from the lower endpoint to the upper one."""
-        lo, hi = self.graph.lower_upper(edge_index)
-        return (self.point(lo), *self.bends[edge_index], self.point(hi))
 
 
 def per_level_order(d: Drawing) -> tuple[tuple[str, ...], ...]:

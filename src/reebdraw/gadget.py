@@ -212,7 +212,7 @@ class TriHexGrid:
 
 
 def tri_hex_grid(rows: int) -> TriHexGrid:
-    """Build the grid and its crossing-free canonical drawing."""
+    """Build the grid and its canonical drawing, certified crossing-free."""
     if rows < 1:
         raise LayoutError("grid needs at least one row", code="bad-rows")
     cells, edges, apex, bottoms = _patch(rows)
@@ -232,6 +232,8 @@ def tri_hex_grid(rows: int) -> TriHexGrid:
             f"grid size mismatch: {graph.vertex_count} vertices / {graph.edge_count} edges, "
             f"expected {expected_v} / {expected_e}"
         )
+    if count_crossings_geometric(drawing).count != 0:
+        raise InternalInvariantError("hexagon grid drawing is not crossing-free")
     return TriHexGrid(
         rows=rows,
         graph=graph,

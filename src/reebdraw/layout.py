@@ -72,12 +72,15 @@ def _path_order(g: ReebGraph) -> list[str]:
 
 
 def layout_path(g: ReebGraph) -> Drawing:
-    """Draw a path with vertex i at x = i; straight edges, zero crossings."""
+    """Draw a path with vertex i at x = i; straight edges, certified once: zero crossings."""
     if classify_shape(g) != ShapeClass.PATH:
         raise LayoutError("layout_path requires a path graph", code="not-path")
     order = _path_order(g)
     xs = {v: Fraction(i + 1) for i, v in enumerate(order)}
-    return Drawing(graph=g, x=xs)
+    d = Drawing(graph=g, x=xs)
+    if count_crossings_geometric(d).count != 0:
+        raise InternalInvariantError("path drawing is not crossing-free")
+    return d
 
 
 def layout_caterpillar(g: ReebGraph) -> Drawing:

@@ -22,7 +22,9 @@ from typing import TYPE_CHECKING, NamedTuple
 from .core import GENERATED_ID_PREFIX, LevelAssignment, ReebGraph, is_connected, levels
 from .errors import GraphStructureError, LayoutError
 
-if TYPE_CHECKING:  # import cycle: crossings imports subdivide for the oracle
+# Import cycle: crossings imports subdivide for the subdivision, the leveled
+# view and ``unsubdivide_drawing``.
+if TYPE_CHECKING:
     from .crossings import Drawing
 
 LeveledView = tuple[LevelAssignment, list[list[tuple[str, str]]], dict[str, list[str]], dict[str, list[str]]]

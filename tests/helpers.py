@@ -279,9 +279,20 @@ def counted_level_calls(monkeypatch) -> list:
     return calls
 
 
+def point(d: Drawing, v: str) -> tuple[Fraction, Fraction]:
+    """Vertex ``v``'s point in drawing ``d``: (x, height)."""
+    return (d.x[v], d.graph.vertices[v])
+
+
+def polyline(d: Drawing, edge_index: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Edge polyline from the lower endpoint to the upper one."""
+    lo, hi = d.graph.lower_upper(edge_index)
+    return (point(d, lo), *d.bends[edge_index], point(d, hi))
+
+
 def _reference_scaled_polylines(d: Drawing) -> tuple[list[list[tuple[int, int]]], int, int]:
     """Polylines with coordinates scaled to integers; returns (polylines, sx, sy)."""
-    polys = [d.polyline(i) for i in range(len(d.graph.edges))]
+    polys = [polyline(d, i) for i in range(len(d.graph.edges))]
     sx = sy = 1
     for poly in polys:
         for (px, py) in poly:
@@ -396,7 +407,7 @@ def reference_subdivide_drawing(d: Drawing, g: ReebGraph, mapping: SubdivisionMa
     xs: dict[str, Fraction] = {v: d.x[v] for v in g.vertices}
     bends2: list[tuple[tuple[Fraction, Fraction], ...]] = [()] * len(mapping.subdivided.edges)
     for i in range(len(g.edges)):
-        poly = d.polyline(i)
+        poly = polyline(d, i)
         path = mapping.paths[i]
         cut_heights = [heights[k] for k in range(int(fwd(poly[0][1])) + 1, int(fwd(poly[-1][1])))]
         pieces = _reference_cut_polyline(poly, cut_heights)
@@ -451,7 +462,7 @@ def reference_render_svg(
     """Oracle: the renderer on exact ``Fraction`` coordinates, kept verbatim
     (its ``_fmt`` renamed ``_reference_fmt``).  ``render_svg`` must produce
     the same bytes."""
-    pts: list[tuple[Fraction, Fraction]] = [d.point(v) for v in d.graph.vertices]
+    pts: list[tuple[Fraction, Fraction]] = [point(d, v) for v in d.graph.vertices]
     for i in range(len(d.graph.edges)):
         pts.extend(d.bends[i])
     if pts:
@@ -495,7 +506,7 @@ def reference_render_svg(
             )
 
     for i in range(len(d.graph.edges)):
-        poly = d.polyline(i)
+        poly = polyline(d, i)
         points = " ".join(f"{_reference_fmt(sx(px))},{_reference_fmt(sy(py))}" for px, py in poly)
         color, dash = "#303030", None
         if opts.color_by_part and edge_parts is not None and i < len(edge_parts):
@@ -507,7 +518,7 @@ def reference_render_svg(
         )
 
     for v in d.graph.vertices:
-        px, py = d.point(v)
+        px, py = point(d, v)
         lines.append(
             f'<circle cx="{_reference_fmt(sx(px))}" cy="{_reference_fmt(sy(py))}" r="{opts.vertex_radius}" fill="#1050a0">'
             f"<title>{v}</title></circle>"
@@ -688,7 +699,7 @@ def _reference_x_at(poly, y: Fraction) -> Fraction:
 
 def reference_edge_partial_order(d: Drawing) -> EdgeLeftRightOrder:
     n = len(d.graph.edges)
-    polys = [d.polyline(i) for i in range(n)]
+    polys = [polyline(d, i) for i in range(n)]
     spans = [(poly[0][1], poly[-1][1]) for poly in polys]
     succs: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
@@ -779,7 +790,7 @@ def reference_rows(d: Drawing) -> tuple[tuple[str | int, ...], ...]:
     for h in sorted(set(g.vertices.values())):
         row = [(d.x[v], v) for v in g.vertices if g.vertices[v] == h]
         for i in range(len(g.edges)):
-            poly = d.polyline(i)
+            poly = polyline(d, i)
             if poly[0][1] < h < poly[-1][1]:
                 row.append((_reference_x_at(poly, h), i))
         row.sort(key=lambda item: item[0])

@@ -365,6 +365,38 @@ def test_cycle_layout_golden_bytes(algorithm, graph, json_sha, svg_sha, tmp_path
     assert (_sha256(tmp_path / "out.json"), _sha256(tmp_path / "out.svg")) == (json_sha, svg_sha)
 
 
+ZIGZAG_PATH = {
+    "vertices": [{"id": v, "height": h} for v, h in
+                 [("p", "1/2"), ("q", 3), ("r", "-2/3"), ("s", 2), ("t", "7/4"), ("u", 0)]],
+    "edges": [["q", "r"], ["p", "q"], ["s", "r"], ["t", "s"], ["u", "t"]],
+}
+
+
+@pytest.mark.parametrize("argv,json_sha,svg_sha", [
+    (["layout", "--algorithm", "path", "{graph}"],
+     "574c1bfaa1e490e60ae006284c0c51549c36f96b3a8b477301a98612ef55cfc1",
+     "7e408c49bc997e4df6d944bda560484c74682b17da1fc972200658c71620c96b"),
+    (["gadget", "hexgrid", "--rows", "3"],
+     "90f60c8c60e1221904ceebf0f754c82e27ed8b9fd2f466b611c67abf2c0d20bb",
+     "c3754c6339b23e689d639cd4e59ffb0d1b16fcf2ae84ac7710c72ee848935f56"),
+], ids=["path", "hexgrid"])
+def test_certified_constructions_golden_bytes(argv, json_sha, svg_sha, tmp_path, capsys, monkeypatch):
+    # Digests of the outputs from before these constructions counted their
+    # drawings; each now counts its drawing once and emits the same bytes.
+    import reebdraw.cli
+    import reebdraw.gadget
+    import reebdraw.layout
+
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(ZIGZAG_PATH))
+    calls = counted_geometric_calls(monkeypatch, reebdraw.layout, reebdraw.gadget, reebdraw.cli)
+    code, _, _ = run(capsys, *(a.format(graph=path) for a in argv),
+                     "-o", tmp_path / "out.json", "--svg", tmp_path / "out.svg")
+    assert code == 0
+    assert len(calls) == 1
+    assert (_sha256(tmp_path / "out.json"), _sha256(tmp_path / "out.svg")) == (json_sha, svg_sha)
+
+
 TREE = {
     "vertices": [{"id": "a", "height": 0}, {"id": "b", "height": 1}, {"id": "c", "height": 2}],
     "edges": [["a", "b"], ["a", "c"]],

@@ -48,6 +48,7 @@ from reebdraw.subdivide import _leveled
 from helpers import (
     _parity_system,
     _reference_barycenter_ordering,
+    _reference_scaled_polylines,
     _strip_edges,
     alternating_cycle,
     counted_geometric_calls,
@@ -55,6 +56,7 @@ from helpers import (
     curved_copy,
     deep_general_graph,
     enumerate_min_crossings,
+    point,
     random_caterpillar_graph,
     random_connected_graph,
     random_cycle_graph,
@@ -223,7 +225,7 @@ def _bent(d: Drawing, rng: random.Random, step: Fraction) -> Drawing:
     step makes shared points, collinear pieces and concurrent triples likely."""
     bends = []
     for i in range(len(d.graph.edges)):
-        (x0, y0), (x1, y1) = (d.point(v) for v in d.graph.lower_upper(i))
+        (x0, y0), (x1, y1) = (point(d, v) for v in d.graph.lower_upper(i))
         bends.append(tuple(
             (x0 + (x1 - x0) * Fraction(t, 8) + rng.randint(-2, 2) * step, y0 + (y1 - y0) * Fraction(t, 8))
             for t in sorted(rng.sample(range(1, 8), rng.randint(0, 2)))
@@ -379,6 +381,41 @@ class TestDrawingRefusals:
         assert self.refusal(x=xs) == (
             DegeneracyError, "degenerate", "vertices 'b' and 'd' coincide at (Fraction(2, 3), Fraction(1, 1))")
 
+    TINY = Fraction(1, 10**40)
+
+    @pytest.mark.parametrize("ys,y", [
+        ((Fraction(3, 2), Fraction(3, 2) - TINY), Fraction(3, 2) - TINY),
+        ((1 - TINY,), 1 - TINY),
+        ((Fraction(3, 2), Fraction(2)), Fraction(2)),
+        ((2 - TINY, Fraction(2)), Fraction(2)),
+    ], ids=["just-below-the-previous-bend", "just-below-the-lower-end", "at-the-upper-end",
+            "at-the-upper-end-after-a-close-bend"])
+    def test_bad_bend_by_a_hair(self, ys, y):
+        bends = ((), tuple((Fraction(1), py) for py in ys))
+        assert self.refusal(bends=bends) == (
+            GraphStructureError, "bad-bend", f"bend of edge 1 at y={y} breaks strict y-monotonicity")
+
+    def test_bends_a_hair_inside_are_accepted(self):
+        ys = (1 + self.TINY, Fraction(3, 2), Fraction(3, 2) + self.TINY, 2 - self.TINY)
+        d = Drawing(graph=self.GRAPH, x=self.X, bends=((), tuple((Fraction(1), py) for py in ys)))
+        assert [py for _, py in d.bends[1]] == list(ys)
+
+    def test_bad_bend_is_reported_before_coincident_vertices(self):
+        xs = {**self.X, "d": Fraction(2, 3), "e": Fraction(4, 6)}
+        bends = ((), ((Fraction(1), Fraction(3, 2)), (Fraction(1), Fraction(3, 2) - self.TINY)))
+        assert self.refusal(x=xs, bends=bends) == (
+            GraphStructureError, "bad-bend",
+            f"bend of edge 1 at y={Fraction(3, 2) - self.TINY} breaks strict y-monotonicity")
+
+    def test_vertices_a_hair_apart_do_not_coincide(self):
+        xs = {**self.X, "d": Fraction(2, 3) + self.TINY, "e": Fraction(2, 3) - self.TINY}
+        assert Drawing(graph=self.GRAPH, x=xs).x == xs
+
+    def test_coincidence_across_int_string_and_fraction(self):
+        xs = {**self.X, "d": 5, "e": "5"}
+        assert self.refusal(x={**xs, "b": Fraction(5)}) == (
+            DegeneracyError, "degenerate", "vertices 'b' and 'd' coincide at (Fraction(5, 1), Fraction(1, 1))")
+
     def test_coordinates_become_fractions(self):
         d = Drawing(graph=self.GRAPH, x={"a": 0, "b": "2/3", "c": 1.5, "d": -1, "e": Fraction(5)},
                     bends=((("1/4", "1/2"),), ()))
@@ -386,6 +423,78 @@ class TestDrawingRefusals:
         assert all(type(x) is Fraction for x in d.x.values())
         assert d.bends == (((Fraction(1, 4), Fraction(1, 2)),), ())
         assert all(type(c) is Fraction for eb in d.bends for p in eb for c in p)
+
+
+class TestIntegerFrame:
+    """The frame the constructor builds equals the one the reference scales
+    from the drawing's polylines, widened by the isolated vertices'
+    denominators."""
+
+    #: Denominators that many coordinates share: three of 40 digits, 1 and 6.
+    DENS = (10**39 + 7, 3 * 10**39 + 1, 2**130, 1, 6)
+
+    @classmethod
+    def assert_matches_reference(cls, d: Drawing):
+        polys, vertex_pt, sx, sy = d._scaled_polylines
+        ref, rsx, rsy = _reference_scaled_polylines(d)
+        assert sx == math.lcm(rsx, *(x.denominator for x in d.x.values()))
+        assert sy == math.lcm(rsy, *(h.denominator for h in d.graph.vertices.values()))
+        kx, ky = sx // rsx, sy // rsy
+        assert polys == tuple(tuple((px * kx, py * ky) for px, py in poly) for poly in ref)
+        assert list(vertex_pt.items()) == [(v, (int(d.x[v] * sx), int(h * sy)))
+                                           for v, h in d.graph.vertices.items()]
+        assert all(type(c) is int for p in vertex_pt.values() for c in p)
+
+    @classmethod
+    def random_drawing(cls, rng: random.Random) -> Drawing:
+        """Up to 12 vertices at distinct points, some of them isolated; up to
+        three bends per edge; coordinates as Fractions, ints and strings."""
+        points: dict[tuple[Fraction, Fraction], str] = {}
+        for i in range(rng.randint(1, 12)):
+            points.setdefault((Fraction(rng.randint(-9, 9), rng.choice(cls.DENS)),
+                               Fraction(rng.randint(-5, 5), rng.choice((1, 2, *cls.DENS)))), f"v{i}")
+        heights = {v: h for (_, h), v in points.items()}
+        pairs = [(a, b) for a in heights for b in heights if heights[a] < heights[b]]
+        edges = rng.sample(pairs, min(len(pairs), rng.randint(0, len(heights))))
+        bends = []
+        for a, b in edges:
+            den = rng.choice(cls.DENS[:3])
+            lo, hi = math.floor(heights[a] * den) + 1, math.ceil(heights[b] * den) - 1
+            ys = sorted({Fraction(rng.randint(lo, hi), den) for _ in range(rng.randint(0, 3))} if lo <= hi else ())
+            bends.append(tuple((str(Fraction(rng.randint(-9, 9), rng.choice(cls.DENS))), y) for y in ys))
+        spelled = {v: rng.choice((h, str(h), int(h) if h.denominator == 1 else h)) for v, h in heights.items()}
+        xs = {v: rng.choice((x, str(x), int(x) if x.denominator == 1 else x)) for (x, _), v in points.items()}
+        return Drawing(graph=ReebGraph.build(spelled, edges), x=xs, bends=tuple(bends))
+
+    def test_seeded_drawings(self):
+        rng = random.Random(83)
+        isolated = bent = 0
+        for _ in range(150):
+            d = self.random_drawing(rng)
+            self.assert_matches_reference(d)
+            isolated += len(set(d.graph.vertices) - {v for e in d.graph.edges for v in e})
+            bent += sum(map(len, d.bends))
+        assert isolated > 100 and bent > 300
+
+    def test_constructions(self):
+        rng = random.Random(89)
+        for rows in (1, 4):
+            d = tri_hex_grid(rows).drawing
+            self.assert_matches_reference(d)
+            self.assert_matches_reference(curved_copy(d, rng))
+        g2, _ = subdivide(random_connected_graph(10, rng, extra=4))
+        self.assert_matches_reference(realize_layered(g2, random_ordering(g2, rng)))
+
+    def test_the_empty_graph(self):
+        d = Drawing(graph=ReebGraph.build({}, []), x={})
+        assert d._scaled_polylines == ((), {}, 1, 1)
+
+    def test_isolated_vertices_widen_the_scales(self):
+        g = ReebGraph.build({"a": 0, "b": "1/2", "c": "2/3"}, [("a", "b")])
+        d = Drawing(graph=g, x={"a": 0, "b": "1/4", "c": "5/7"}, bends=(((Fraction(1, 8), "1/4"),),))
+        assert d._scaled_polylines == (
+            (((0, 0), (7, 3), (14, 6)),), {"a": (0, 0), "b": (14, 6), "c": (40, 8)}, 56, 12)
+        self.assert_matches_reference(d)
 
 
 @st.composite

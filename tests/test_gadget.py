@@ -6,9 +6,11 @@ import pytest
 
 from reebdraw import (
     BudgetExhaustedError,
+    CrossingCertificate,
     DegeneracyError,
     Drawing,
     GraphStructureError,
+    InternalInvariantError,
     LayoutError,
     LinearArrangement,
     OlaGraph,
@@ -90,6 +92,22 @@ class TestTriHexGrid:
         with pytest.raises(LayoutError) as exc:
             tri_hex_grid(0)
         assert exc.value.code == "bad-rows"
+
+    def test_certifies_once(self, monkeypatch):
+        import reebdraw.gadget
+
+        calls = counted_geometric_calls(monkeypatch, reebdraw.gadget)
+        for rows in range(1, 6):
+            calls.clear()
+            grid = tri_hex_grid(rows)
+            assert calls == [grid.drawing]
+
+    def test_refuses_a_drawing_that_fails_its_count(self, monkeypatch):
+        import reebdraw.gadget
+
+        monkeypatch.setattr(reebdraw.gadget, "count_crossings_geometric", lambda d: CrossingCertificate(1, ()))
+        with pytest.raises(InternalInvariantError, match="hexagon grid drawing is not crossing-free"):
+            tri_hex_grid(2)
 
 
 class TestOlaCost:

@@ -9,16 +9,25 @@ with one underscore, and a method (cached properties included) of a
 module-level class whose name does, must be named (as a name, an attribute
 or an import) somewhere in the library outside its own definition, so that
 no helper survives only for the tests.
+
+The benchmark's tracer (``bench/spans.py``) wraps a library function only
+where it is defined, and names one it cannot find only during a traced run;
+each name it needs must be a function defined in the module it is named after.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
+import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "reebdraw"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "reebdraw"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -121,3 +130,37 @@ def test_the_check_sees_an_unused_method():
         "b": "def f(shape):\n    return shape._view\n",
     }
     assert unreferenced_helpers(sources) == ["a.Shape._frame"]
+
+
+def misplaced(names, package: str = "reebdraw") -> list[str]:
+    """Each ``module.function`` in ``names`` that is not a function defined
+    in ``package.module``."""
+    wrong = []
+    for name in names:
+        short, attr = name.split(".")
+        fn = getattr(importlib.import_module(f"{package}.{short}"), attr, None)
+        if not (inspect.isfunction(fn) and fn.__module__ == f"{package}.{short}"):
+            wrong.append(name)
+    return wrong
+
+
+def test_every_traced_name_is_a_library_function(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    names = [*spans.REQUIRED, *spans.PRIVATE]
+    assert "crossings.count_crossings_geometric" in names
+    assert misplaced(names, spans.PACKAGE) == []
+
+
+def test_the_check_sees_a_moved_or_missing_function(monkeypatch):
+    import reebdraw.crossings
+    import reebdraw.geometry
+
+    monkeypatch.setattr(reebdraw.crossings, "count_crossings_geometric", lambda d: None)
+    monkeypatch.setattr(reebdraw.crossings, "levels", reebdraw.geometry.on_segment)
+    monkeypatch.delattr(reebdraw.geometry, "classify_segments")
+    names = ["crossings.count_crossings_geometric", "crossings.levels", "geometry.classify_segments",
+             "geometry.on_segment", "crossings.Drawing"]
+    assert misplaced(names) == names[:3] + names[4:]

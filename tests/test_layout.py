@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from reebdraw import (
     BudgetExhaustedError,
+    CrossingCertificate,
+    InternalInvariantError,
     LayoutError,
     ReebGraph,
     count_crossings_geometric,
@@ -120,6 +122,25 @@ class TestLayoutPath:
         with pytest.raises(LayoutError) as exc:
             layout_path(g)
         assert exc.value.code == "not-path"
+
+    def test_certifies_once(self, monkeypatch):
+        # layout_caterpillar and layout_auto reach layout_path on paths.
+        import reebdraw.layout
+
+        calls = counted_geometric_calls(monkeypatch, reebdraw.layout)
+        rng = random.Random(43)
+        for layout in (layout_path, layout_caterpillar, layout_auto):
+            for _ in range(5):
+                calls.clear()
+                d = layout(random_path_graph(rng.randint(2, 8), rng))
+                assert calls == [d]
+
+    def test_refuses_a_drawing_that_fails_its_count(self, monkeypatch):
+        import reebdraw.layout
+
+        monkeypatch.setattr(reebdraw.layout, "count_crossings_geometric", lambda d: CrossingCertificate(1, ()))
+        with pytest.raises(InternalInvariantError, match="path drawing is not crossing-free"):
+            layout_path(random_path_graph(4, random.Random(1)))
 
 
 class TestLayoutCaterpillar:
