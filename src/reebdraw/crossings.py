@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import compress, islice, pairwise
 from math import inf, lcm
 from operator import itemgetter, sub
 from typing import Iterable, Sequence
@@ -225,12 +225,19 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
     overlaps its own.  Equal-width x-slabs list each segment, in sweep order,
     in every slab its x-extent meets, so two x-overlapping segments share a
     slab; a segment's candidates are the later members of its slabs up to its
-    upper y (found by bisection), merged in sweep order, so pairs are visited
-    in the same order as by scanning the whole y-window and the first
-    degeneracy found is the same.  Two segments with a common end need no
-    general test: both run upward, so a shared lower or upper end is an
-    overlap iff they are collinear and a touch otherwise, and the upper end
-    of one at the lower end of the other is a touch.
+    upper y (found by bisection).  A *level* edge has no bend and passes no
+    vertex height, so its one segment spans one strip between consecutive
+    heights; two level segments meet only where their strip orders say (see
+    :func:`_level_pairs`), so a level segment's level candidates are just the
+    crossing and overlapping ones, and the slabs are not built when every
+    edge is level.  Each segment's candidates are merged in sweep order, so
+    every pair that can count or refuse is visited in the same order as by
+    scanning the whole y-window, and the first degeneracy found is the same.
+    Two segments with a common end need no general test: both run upward, so
+    a shared lower or upper end is an overlap iff they are collinear and a
+    touch otherwise, and the upper end of one at the lower end of the other
+    is a touch.  A proper crossing's point is one integer triple
+    (:func:`geometry.crossing_point`), which keys the concurrency check.
     """
     polys, vertex_pt, sx, sy = d._scaled_polylines
 
@@ -257,29 +264,46 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
     # polylines run upward, so a lies below b.  Sweep by y interval.
     segs = []
     for ei, poly in enumerate(polys):
-        for a, b in zip(poly, poly[1:]):
+        for a, b in pairwise(poly):
             x_lo, x_hi = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
             segs.append((a[1], b[1], x_lo, x_hi, a, b, ei))
     segs.sort(key=itemgetter(0, 1))
-    slabs, slab_starts, slab_range = _x_slabs(segs)
+    # A level edge has no bend and passes no vertex height: its one segment
+    # spans one strip between consecutive heights, and its pairs with other
+    # level segments are settled by the strip orders.
+    level_edge = [len(poly) == 2 and not cuts for poly, cuts in zip(polys, passes)]
+    level = list(map(level_edge.__getitem__, map(itemgetter(6), segs)))
+    settled = _level_pairs(segs, level)
+    if all(level):
+        sweep, slabs = sorted(settled), None
+    else:
+        sweep, (slabs, slab_starts, slab_range) = range(len(segs)), _x_slabs(segs)
 
     # Vertex points are distinct, so a point that is an end of both edges is
     # a vertex they share.
     ends = [(poly[0], poly[-1]) for poly in polys]
-    orient, classify = geometry.orient, geometry.classify_segments
+    orient, contact = geometry.orient, geometry.contact
     hits: list[CrossingPair] = []
-    seen_points: dict[tuple, set[int]] = {}
-    for i, (_, y_hi_i, x_lo_i, x_hi_i, a, b, ei) in enumerate(segs):
-        first, last = slab_range[i]
-        if first == last:
-            members = slabs[first]
-            candidates = members[bisect_right(members, i):bisect_right(slab_starts[first], y_hi_i)]
+    seen_points: dict[tuple[int, int, int], set[int]] = {}
+    for i in sweep:
+        _, y_hi_i, x_lo_i, x_hi_i, a, b, ei = segs[i]
+        if slabs is None:
+            candidates = settled[i]
         else:
-            candidates = sorted({
-                j
-                for m in range(first, last + 1)
-                for j in slabs[m][bisect_right(slabs[m], i):bisect_right(slab_starts[m], y_hi_i)]
-            })
+            first, last = slab_range[i]
+            if first == last:
+                members = slabs[first]
+                candidates = members[bisect_right(members, i):bisect_right(slab_starts[first], y_hi_i)]
+            else:
+                candidates = sorted({
+                    j
+                    for m in range(first, last + 1)
+                    for j in slabs[m][bisect_right(slabs[m], i):bisect_right(slab_starts[m], y_hi_i)]
+                })
+            if level[i]:
+                candidates = [j for j in candidates if not level[j]]
+                if i in settled:
+                    candidates = sorted(candidates + settled[i])
         for j in candidates:
             _, _, x_lo_j, x_hi_j, c, dd, ej = segs[j]
             if ei == ej or x_hi_i < x_lo_j or x_hi_j < x_lo_i:
@@ -290,7 +314,7 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
             elif a == dd or b == c:
                 kind, pt = geometry.TOUCH, (a if a == dd else b)
             else:
-                kind, pt = classify(a, b, c, dd)
+                kind, pt = contact(a, b, c, dd)
                 if kind == geometry.NONE:
                     continue
             if kind == geometry.OVERLAP:
@@ -303,16 +327,54 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
                 )
             # Proper crossing.  Track concurrency: three distinct segments
             # through one interior point is degenerate.
-            witnesses = seen_points.setdefault(pt, set())
+            key = geometry.crossing_point(a, b, c, dd)
+            witnesses = seen_points.setdefault(key, set())
             witnesses.add(i)
             witnesses.add(j)
+            xn, yn, den = key
             if len(witnesses) > 2:
+                pt = (Fraction(xn, den), Fraction(yn, den))
                 raise DegeneracyError(f"three or more segments concurrent at {pt}")
             e_lo, e_hi = sorted((ei, ej))
-            hits.append(CrossingPair(edges=(e_lo, e_hi), point=(Fraction(pt[0], sx), Fraction(pt[1], sy))))
+            hits.append(CrossingPair(edges=(e_lo, e_hi), point=(Fraction(xn, den * sx), Fraction(yn, den * sy))))
 
     hits.sort(key=lambda h: (h.edges, h.point))
     return CrossingCertificate(count=len(hits), pairs=tuple(hits))
+
+
+def _level_pairs(segs: list[tuple], level: list[bool]) -> dict[int, list[int]]:
+    """The level segments among sweep-sorted ``segs`` that cross or overlap,
+    as {i: [j, ...]} for sweep indices i < j, each list ascending.
+
+    The level segments of one strip all run between the same two heights.
+    Sorted by (lower x, upper x), two of them cross iff the later one's upper
+    x is strictly smaller, and overlap iff both xs are equal; any other
+    contact between them is at a height where both have an end, so at a
+    vertex they share.
+    """
+    strips: dict[int, list[tuple[int, int, int]]] = {}
+    for k in compress(range(len(segs)), level):
+        y_lo, _, _, _, a, b, _ = segs[k]
+        strips.setdefault(y_lo, []).append((a[0], b[0], k))
+    pairs: dict[int, list[int]] = {}
+    for strip in strips.values():
+        strip.sort()
+        uppers: list[int] = []  # the upper xs so far, ascending, and their segments
+        owners: list[int] = []
+        for n, (lo, hi, k) in enumerate(strip):
+            pos = bisect_right(uppers, hi)
+            partners = owners[pos:]
+            m = n
+            while m and strip[m - 1][0] == lo and strip[m - 1][1] == hi:
+                m -= 1
+                partners.append(strip[m][2])
+            for j in partners:
+                pairs.setdefault(min(j, k), []).append(max(j, k))
+            uppers.insert(pos, hi)
+            owners.insert(pos, k)
+    for js in pairs.values():
+        js.sort()
+    return pairs
 
 
 def _x_slabs(segs: list[tuple]) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]]]:
@@ -325,18 +387,17 @@ def _x_slabs(segs: list[tuple]) -> tuple[list[list[int]], list[list[int]], list[
     """
     if not segs:
         return [], [], []
-    x0 = min(s[2] for s in segs)
-    span = max(s[3] for s in segs) - x0
-    width = max(sum(s[3] - s[2] for s in segs) // len(segs), span // len(segs), 1)
+    x_los, x_his = list(map(itemgetter(2), segs)), list(map(itemgetter(3), segs))
+    x0, n = min(x_los), len(segs)
+    span = max(x_his) - x0
+    width = max((sum(x_his) - sum(x_los)) // n, span // n, 1)
     slabs: list[list[int]] = [[] for _ in range(span // width + 1)]
     slab_starts: list[list[int]] = [[] for _ in slabs]
-    slab_range = []
-    for k, (y_lo, _, x_lo, x_hi, *_) in enumerate(segs):
-        first, last = (x_lo - x0) // width, (x_hi - x0) // width
-        slab_range.append((first, last))
+    slab_range = [((x_lo - x0) // width, (x_hi - x0) // width) for x_lo, x_hi in zip(x_los, x_his)]
+    for k, ((first, last), seg) in enumerate(zip(slab_range, segs)):
         for m in range(first, last + 1):
             slabs[m].append(k)
-            slab_starts[m].append(y_lo)
+            slab_starts[m].append(seg[0])
     return slabs, slab_starts, slab_range
 
 

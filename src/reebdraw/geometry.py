@@ -1,18 +1,23 @@
 """Exact rational plane geometry: orientation tests and segment intersection.
 
-Everything here works on pairs of exact numbers (``Fraction`` or ``int``);
-there are no epsilon tolerances anywhere.  Callers that need speed can scale
-their coordinates to integers first -- the predicates only use ring
-operations, so results are identical.  ``crossings.count_crossings_geometric``,
-``stretch``'s rows, ``subdivide_drawing`` and ``svg.render_svg`` read one
-integer frame per drawing (``crossings.Drawing._scaled_polylines``); all but
-the renderer also read its one view of where each edge passes the vertex
-heights (``crossings.Drawing._level_passes``).
+Everything here works on pairs of exact numbers (``Fraction`` or ``int``),
+except :func:`crossing_point`, which takes integers; there are no epsilon
+tolerances anywhere.  Callers that need speed can scale their coordinates to
+integers first -- the predicates only use ring operations, so results are
+identical.  ``crossings.count_crossings_geometric``, ``stretch``'s rows,
+``subdivide_drawing`` and ``svg.render_svg`` read one integer frame per
+drawing (``crossings.Drawing._scaled_polylines``); all but the renderer also
+read its one view of where each edge passes the vertex heights
+(``crossings.Drawing._level_passes``).  The counter tests here only the
+pairs that its strip orders and shared ends leave open: it calls
+:func:`contact`, and for a proper crossing :func:`crossing_point`, so it
+makes no ``Fraction`` until it writes the certificate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 Point = tuple[Fraction, Fraction]
 
@@ -48,16 +53,24 @@ def line_intersection(a, b, c, d) -> Point:
     return (a[0] + t * r[0], a[1] + t * r[1])
 
 
-def classify_segments(a, b, c, d) -> tuple[str, Point | None]:
-    """Classify how closed segments ab and cd intersect.
+def crossing_point(a, b, c, d) -> tuple[int, int, int]:
+    """Where integer segments ab and cd cross properly, as (xn, yn, den) with
+    den > 0 and gcd(xn, yn, den) = 1: the point (xn / den, yn / den).  Each
+    point has one such triple, so it can key the point without ``Fraction``s."""
+    r0, r1 = b[0] - a[0], b[1] - a[1]
+    s0, s1 = d[0] - c[0], d[1] - c[1]
+    den = r0 * s1 - r1 * s0
+    t = (c[0] - a[0]) * s1 - (c[1] - a[1]) * s0
+    xn, yn = a[0] * den + t * r0, a[1] * den + t * r1
+    if den < 0:
+        xn, yn, den = -xn, -yn, -den
+    g = gcd(xn, yn, den)
+    return xn // g, yn // g, den // g
 
-    Returns one of:
-      (PROPER, p)  -- transversal crossing at p, interior to both segments
-      (TOUCH, p)   -- they meet at exactly one point p which is an endpoint
-                      of at least one segment
-      (OVERLAP, None) -- collinear with a shared sub-segment of positive length
-      (NONE, None) -- disjoint
-    """
+
+def contact(a, b, c, d) -> tuple[str, Point | None]:
+    """:func:`classify_segments` without computing a proper crossing's point:
+    returns (PROPER, None) there, and otherwise what it returns."""
     o1 = orient(a, b, c)
     o2 = orient(a, b, d)
     o3 = orient(c, d, a)
@@ -77,7 +90,7 @@ def classify_segments(a, b, c, d) -> tuple[str, Point | None]:
         return (OVERLAP, None)
 
     if o1 * o2 < 0 and o3 * o4 < 0:
-        return (PROPER, line_intersection(a, b, c, d))
+        return (PROPER, None)
 
     # At most one endpoint can lie on the other segment (two would force
     # collinearity, handled above).
@@ -90,3 +103,17 @@ def classify_segments(a, b, c, d) -> tuple[str, Point | None]:
     if o4 == 0 and on_segment(b, c, d):
         return (TOUCH, b)
     return (NONE, None)
+
+
+def classify_segments(a, b, c, d) -> tuple[str, Point | None]:
+    """Classify how closed segments ab and cd intersect.
+
+    Returns one of:
+      (PROPER, p)  -- transversal crossing at p, interior to both segments
+      (TOUCH, p)   -- they meet at exactly one point p which is an endpoint
+                      of at least one segment
+      (OVERLAP, None) -- collinear with a shared sub-segment of positive length
+      (NONE, None) -- disjoint
+    """
+    kind, p = contact(a, b, c, d)
+    return kind, (line_intersection(a, b, c, d) if kind == PROPER else p)

@@ -57,18 +57,21 @@ def parse_rational(value: Any, what: str = "value") -> Fraction:
                               code="bad-rational")
 
 
-def _rational_reader() -> Callable[[Any, str], Fraction]:
+def _rational_reader() -> Callable[..., Fraction]:
     """A :func:`parse_rational` for one document that parses each distinct
-    string once.  Only successful parses are kept, so every value and error
-    (the first bad use, with its ``what``) is that of :func:`parse_rational`."""
+    string once.  ``read(value, what, name)`` names the value ``what`` followed
+    by ``name!r`` (just ``what`` without a name), built only when the value is
+    parsed.  Only successful parses are kept, so every value and error (the
+    first bad use, with its name) is that of :func:`parse_rational`."""
     memo: dict[str, Fraction] = {}
 
-    def read(value: Any, what: str) -> Fraction:
-        if type(value) is not str:
-            return parse_rational(value, what)
-        q = memo.get(value)
-        if q is None:
-            q = memo[value] = parse_rational(value, what)
+    def read(value: Any, what: str, name: str | None = None) -> Fraction:
+        text = type(value) is str
+        if text and (q := memo.get(value)) is not None:
+            return q
+        q = parse_rational(value, what if name is None else f"{what} {name!r}")
+        if text:
+            memo[value] = q
         return q
 
     return read
@@ -108,7 +111,7 @@ def graph_from_obj(obj: Any) -> ReebGraph:
     return _graph_from_obj(obj, _rational_reader())
 
 
-def _graph_from_obj(obj: Any, read: Callable[[Any, str], Fraction]) -> ReebGraph:
+def _graph_from_obj(obj: Any, read: Callable[..., Fraction]) -> ReebGraph:
     _require(isinstance(obj, dict), "graph must be an object")
     _require(isinstance(obj.get("vertices"), list), "graph.vertices must be a list")
     _require(isinstance(obj.get("edges"), list), "graph.edges must be a list")
@@ -118,7 +121,7 @@ def _graph_from_obj(obj: Any, read: Callable[[Any, str], Fraction]) -> ReebGraph
                  "each vertex needs a string id")
         if vid in heights:
             raise GraphStructureError(f"duplicate vertex id {vid!r}", code="duplicate-vertex")
-        heights[vid] = read(item.get("height"), f"height of {vid!r}")
+        heights[vid] = read(item.get("height"), "height of", vid)
     return ReebGraph(heights, _edge_pairs(obj["edges"]))
 
 
@@ -153,7 +156,7 @@ def drawing_from_obj(obj: Any) -> Drawing:
     read = _rational_reader()
     g = _graph_from_obj(obj.get("graph"), read)
     _require(isinstance(obj.get("x"), dict), "drawing.x must be an object")
-    xs = {v: read(c, f"x of {v!r}") for v, c in obj["x"].items()}
+    xs = {v: read(c, "x of", v) for v, c in obj["x"].items()}
     _require(isinstance(entries := obj.get("edges"), list), "drawing.edges must be a list")
     if len(entries) != len(g.edges):
         raise GraphStructureError(

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from reebdraw import geometry
 from reebdraw import (
     BudgetExhaustedError,
     DegeneracyError,
@@ -159,6 +160,34 @@ class TestGeometricCounter:
         with pytest.raises(DegeneracyError):
             count_crossings_geometric(d)
 
+    def test_level_pairs_need_no_geometric_test(self, monkeypatch):
+        # Every edge of a hexagon grid joins consecutive heights with no bend,
+        # so the strip orders settle every pair of its segments.
+        d = tri_hex_grid(30).drawing
+        bent = _bent(tri_hex_grid(3).drawing, random.Random(5), Fraction(1, 1000))
+        calls = []
+        for name in ("orient", "contact", "classify_segments", "crossing_point"):
+            fn = getattr(geometry, name)
+            monkeypatch.setattr(geometry, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+        assert count_crossings_geometric(d).count == 0
+        assert calls == []
+        _outcome(count_crossings_geometric, bent)  # bent edges: the patched tests do run
+        assert "orient" in calls
+
+    def test_crossing_point_is_the_intersection_in_lowest_terms(self):
+        rng = random.Random(83)
+        seen = 0
+        while seen < 300:
+            a, b, c, e = ((rng.randint(-40, 40), rng.randint(-40, 40)) for _ in range(4))
+            kind, p = geometry.classify_segments(a, b, c, e)
+            if kind != geometry.PROPER:
+                continue
+            seen += 1
+            xn, yn, den = geometry.crossing_point(a, b, c, e)
+            assert den > 0 and math.gcd(xn, yn, den) == 1
+            assert (Fraction(xn, den), Fraction(yn, den)) == p == geometry.line_intersection(a, b, c, e)
+            assert geometry.contact(a, b, c, e) == (geometry.PROPER, None)
+
     def test_certificate_count_matches_pairs(self):
         rng = random.Random(2)
         for _ in range(20):
@@ -305,6 +334,61 @@ class TestCounterOracleAtScale:
             for step in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 1024)):
                 self.assert_matches(_bent(d, rng, step))
         assert max(sizes) >= 100
+
+    @staticmethod
+    def level_copy(d: Drawing, rng: random.Random, step: Fraction) -> Drawing:
+        """``d`` with no bends and each vertex moved in x only, by a multiple
+        of ``step`` (mostly -2 to 2) that keeps it apart from the vertices
+        already moved at its height: a coarse step makes inverted, parallel and
+        concurrent level edges likely."""
+        taken, xs = set(), {}
+        for v, x in d.x.items():
+            k, way = rng.randint(-2, 2), rng.choice((-1, 1))
+            while (x + k * step, d.graph.vertices[v]) in taken:
+                k += way
+            xs[v] = x + k * step
+            taken.add((xs[v], d.graph.vertices[v]))
+        return Drawing(graph=d.graph, x=xs)
+
+    def test_all_level_drawings(self):
+        rng = random.Random(79)
+        outcomes = []
+        for rows in range(2, 9):
+            d = tri_hex_grid(rows).drawing
+            for step in (Fraction(1), Fraction(1, 2), Fraction(1, 3)):
+                outcomes.append(self.level_copy(d, rng, step))
+            doubled = ReebGraph(d.graph.vertices, d.graph.edges + d.graph.edges[:1])
+            outcomes.append(self.level_copy(Drawing(graph=doubled, x=d.x), rng, Fraction(1, 2)))
+        for _ in range(8):
+            # Vertices at their integer positions in a random ordering.
+            g2, _ = subdivide(random_connected_graph(rng.randint(6, 16), rng, extra=rng.randint(2, 8)))
+            d = Drawing(graph=g2, x={v: Fraction(i) for v, i in random_ordering(g2, rng).positions().items()})
+            outcomes.append(d)
+            for step in (Fraction(1, 2), Fraction(1, 97)):
+                outcomes.append(self.level_copy(d, rng, step))
+        for d in outcomes:
+            assert not any(d.bends) and not any(d._level_passes[1])  # every edge is level
+        outcomes = [self.assert_matches(d) for d in outcomes]
+        refusals = [o[2] for o in outcomes if isinstance(o, tuple)]
+        assert any(not isinstance(o, tuple) and o.count for o in outcomes)  # level edges cross
+        assert any("overlapping collinear" in m for m in refusals)  # parallel edges
+        assert any(m.startswith("three or more segments concurrent") for m in refusals)
+
+    def test_bent_edge_through_a_level_crossing(self):
+        # a-b and c-d are level and cross at (1, 1/2); p-q bends at (1, 3/2),
+        # so its lower segment, x = 1, passes that point too.
+        d, _ = _with_piece(tri_hex_grid(8).drawing,
+                           {"a": (0, 0), "b": (2, 1), "c": (2, 0), "d": (0, 1), "p": (1, 0), "q": (2, 2)},
+                           [("a", "b"), ("c", "d"), ("p", "q")], [(), (), ((1, Fraction(3, 2)),)])
+        got = self.assert_matches(d)
+        assert got[2].startswith("three or more segments concurrent at")
+
+    def test_bend_on_a_level_edge(self):
+        # r-s bends at (1, 1/2), inside the level edge a-b.
+        d, (ab, rs) = _with_piece(tri_hex_grid(8).drawing, {"a": (0, 0), "b": (2, 1), "r": (4, 0), "s": (5, 2)},
+                                  [("a", "b"), ("r", "s")], [(), ((1, Fraction(1, 2)),)])
+        got = self.assert_matches(d)
+        assert got[2].startswith(f"edges {rs} and {ab} touch at")
 
     def test_collinear_continuation_out_of_a_shared_vertex(self):
         # v-a runs up at slope 1; v-b leaves v along it to a bend at (1, 1).
