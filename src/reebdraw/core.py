@@ -204,25 +204,33 @@ def levels(g: ReebGraph) -> LevelAssignment:
     )
 
 
-def connected_components(g: ReebGraph) -> list[set[str]]:
-    """Connected components as vertex-id sets, in order of their smallest id."""
-    adj = g.adjacency()
+def _components(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> list[set[str]]:
+    """Connected components of the graph on ``vertices`` with ``edges``, as
+    vertex sets, in order of their first vertex in ``vertices``."""
+    adj: dict[str, list[str]] = {v: [] for v in vertices}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
     seen: set[str] = set()
     comps: list[set[str]] = []
-    for start in sorted(g.vertices):
+    for start in adj:
         if start in seen:
             continue
         comp = {start}
         stack = [start]
         while stack:
-            v = stack.pop()
-            for w, _ in adj[v]:
+            for w in adj[stack.pop()]:
                 if w not in comp:
                     comp.add(w)
                     stack.append(w)
         seen |= comp
         comps.append(comp)
     return comps
+
+
+def connected_components(g: ReebGraph) -> list[set[str]]:
+    """Connected components as vertex-id sets, in order of their smallest id."""
+    return _components(sorted(g.vertices), g.edges)
 
 
 def is_connected(g: ReebGraph) -> bool:

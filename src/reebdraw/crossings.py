@@ -2,11 +2,11 @@
 
 A drawing fixes each vertex at y equal to its height and assigns it a rational
 x coordinate; each edge becomes a strictly y-monotone polyline (optional bend
-points between the endpoint heights).  Crossings are counted two ways:
-
-* geometrically, by exact segment-intersection tests over the polylines, and
-* combinatorially for leveled graphs, as inversions between consecutive-level
-  orderings (two strip edges cross iff their endpoint orders disagree).
+points between the endpoint heights).  Two edges of one strip (between
+consecutive levels) cross iff the orders of their ends on the two levels
+disagree; :func:`_strip_inversions` walks a strip by this rule.  The layered
+counter sums its inversions, and the geometric counter, otherwise exact
+segment-intersection tests over the polylines, takes its level edges' pairs.
 
 The two counters agree on realized layered drawings, which is what makes the
 enumeration in :func:`exact_rgcn` an exact oracle for the minimum crossing
@@ -21,15 +21,15 @@ instead of guessing a count.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, islice, pairwise
-from math import inf, lcm
+from itertools import chain, compress, islice, pairwise
+from math import comb, inf, lcm
 from operator import itemgetter, sub
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import geometry
 from .core import ReebGraph, is_connected, levels
@@ -228,7 +228,7 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
     upper y (found by bisection).  A *level* edge has no bend and passes no
     vertex height, so its one segment spans one strip between consecutive
     heights; two level segments meet only where their strip orders say (see
-    :func:`_level_pairs`), so a level segment's level candidates are just the
+    :func:`_strip_inversions`), so a level segment's level candidates are the
     crossing and overlapping ones, and the slabs are not built when every
     edge is level.  Each segment's candidates are merged in sweep order, so
     every pair that can count or refuse is visited in the same order as by
@@ -268,9 +268,7 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
             x_lo, x_hi = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
             segs.append((a[1], b[1], x_lo, x_hi, a, b, ei))
     segs.sort(key=itemgetter(0, 1))
-    # A level edge has no bend and passes no vertex height: its one segment
-    # spans one strip between consecutive heights, and its pairs with other
-    # level segments are settled by the strip orders.
+    # Level edges (see above) pair with each other by their strip orders.
     level_edge = [len(poly) == 2 and not cuts for poly, cuts in zip(polys, passes)]
     level = list(map(level_edge.__getitem__, map(itemgetter(6), segs)))
     settled = _level_pairs(segs, level)
@@ -342,15 +340,30 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
     return CrossingCertificate(count=len(hits), pairs=tuple(hits))
 
 
+def _strip_inversions(edges: Iterable[tuple[int, int, int]]) -> Iterator[tuple[tuple, list[int], int]]:
+    """Walk one strip's edges, given as (lower position, upper position, tag), in
+    sorted order; yield each edge, the tags ``owners`` of the earlier edges by
+    upper position, and ``pos``, the first of them whose upper position exceeds
+    its own.  The edge crosses exactly ``owners[pos:]``, earlier edges with its
+    positions sit just before ``pos``, and ``owners`` grows as the walk goes on."""
+    uppers: list[int] = []  # the upper positions so far, ascending, and their edges' tags
+    owners: list[int] = []
+    for edge in sorted(edges):
+        _, hi, tag = edge
+        pos = bisect_right(uppers, hi)
+        yield edge, owners, pos
+        uppers.insert(pos, hi)
+        owners.insert(pos, tag)
+
+
 def _level_pairs(segs: list[tuple], level: list[bool]) -> dict[int, list[int]]:
     """The level segments among sweep-sorted ``segs`` that cross or overlap,
     as {i: [j, ...]} for sweep indices i < j, each list ascending.
 
-    The level segments of one strip all run between the same two heights.
-    Sorted by (lower x, upper x), two of them cross iff the later one's upper
-    x is strictly smaller, and overlap iff both xs are equal; any other
-    contact between them is at a height where both have an end, so at a
-    vertex they share.
+    The level segments of one strip all run between the same two heights, so
+    :func:`_strip_inversions` over their (lower x, upper x) finds the crossing
+    pairs.  Two of them overlap iff both xs are equal, and any other contact
+    between them is at a vertex they share.
     """
     strips: dict[int, list[tuple[int, int, int]]] = {}
     for k in compress(range(len(segs)), level):
@@ -358,20 +371,14 @@ def _level_pairs(segs: list[tuple], level: list[bool]) -> dict[int, list[int]]:
         strips.setdefault(y_lo, []).append((a[0], b[0], k))
     pairs: dict[int, list[int]] = {}
     for strip in strips.values():
-        strip.sort()
-        uppers: list[int] = []  # the upper xs so far, ascending, and their segments
-        owners: list[int] = []
-        for n, (lo, hi, k) in enumerate(strip):
-            pos = bisect_right(uppers, hi)
-            partners = owners[pos:]
-            m = n
-            while m and strip[m - 1][0] == lo and strip[m - 1][1] == hi:
-                m -= 1
-                partners.append(strip[m][2])
-            for j in partners:
-                pairs.setdefault(min(j, k), []).append(max(j, k))
-            uppers.insert(pos, hi)
-            owners.insert(pos, k)
+        last_lo = last_hi = None
+        same = 0  # the segments walked just before this one with its ends: owners[pos - same:pos]
+        for (lo, hi, k), owners, pos in _strip_inversions(strip):
+            same = same + 1 if lo == last_lo and hi == last_hi else 0
+            last_lo, last_hi = lo, hi
+            if pos - same < len(owners):  # most segments cross and overlap nothing
+                for j in owners[pos - same:]:
+                    pairs.setdefault(min(j, k), []).append(max(j, k))
     for js in pairs.values():
         js.sort()
     return pairs
@@ -401,25 +408,17 @@ def _x_slabs(segs: list[tuple]) -> tuple[list[list[int]], list[list[int]], list[
     return slabs, slab_starts, slab_range
 
 
-def _strip_crossings(pairs: Iterable[tuple[int, int]]) -> int:
-    """Crossings among strip edges given (lower position, upper position)
-    pairs: the strict inversions of the upper positions in sorted order."""
-    seen: list[int] = []
-    total = 0
-    for _, hi in sorted(pairs):
-        total += len(seen) - bisect_right(seen, hi)
-        insort(seen, hi)
-    return total
-
-
 def _layered_cost(strips: list[list[tuple[str, str]]], orders: Sequence[Sequence[str]]) -> int:
-    """Crossings of the strip edges under per-level orders (see :func:`count_crossings_layered`)."""
+    """Crossings of the strip edges under per-level orders (see :func:`count_crossings_layered`).
+    The k-th edge walked crosses k - pos earlier edges, so a strip of m edges has C(m, 2) - sum(pos)."""
     pos = {v: i for order in orders for i, v in enumerate(order)}
-    return sum(_strip_crossings((pos[lo], pos[hi]) for lo, hi in strip) for strip in strips)
+    walks = chain.from_iterable(_strip_inversions([(pos[lo], pos[hi], i) for i, (lo, hi) in enumerate(strip)])
+                                for strip in strips)
+    return sum(comb(len(strip), 2) for strip in strips) - sum(map(itemgetter(2), walks))
 
 
 def count_crossings_layered(g2: ReebGraph, ordering: LevelOrdering) -> int:
-    """Crossings of a leveled graph under per-level orderings, by inversion counting.
+    """Crossings of a leveled graph under per-level orderings, counted by :func:`_strip_inversions`.
 
     Two edges of the same strip with no shared endpoint cross iff their lower
     endpoints and upper endpoints are ordered oppositely; shared endpoints and

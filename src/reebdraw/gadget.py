@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .core import ReebGraph
+from .core import ReebGraph, _components
 from .crossings import CrossingCertificate, Drawing, count_crossings_geometric
 from .errors import (
     BudgetExhaustedError,
@@ -82,20 +82,7 @@ class OlaGraph:
         return deg
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        return len(_components(self.vertices, self.edges)) <= 1
 
 
 @dataclass(frozen=True)

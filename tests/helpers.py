@@ -54,7 +54,6 @@ from reebdraw.crossings import (
     _find,
     _orient,
     _pair_crossings,
-    _strip_crossings,
     _strip_lower_bound,
     _unwind,
     _warm_start,
@@ -541,6 +540,13 @@ def _strip_edges(g2: ReebGraph, lev: LevelAssignment) -> list[list[tuple[str, st
     return strips
 
 
+def brute_strip_crossings(pairs: Sequence[tuple[int, int]]) -> int:
+    """Oracle: crossings among one strip's edges, given as (lower position,
+    upper position), tested pair by pair: two cross iff their ends' orders
+    on the two levels disagree."""
+    return sum((a - c) * (b - d) < 0 for (a, b), (c, d) in itertools.combinations(pairs, 2))
+
+
 def _neighbors(g2: ReebGraph) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
     """Each vertex's lower and upper neighbors, one entry per edge."""
     down: dict[str, list[str]] = {v: [] for v in g2.vertices}
@@ -625,10 +631,7 @@ def reference_warm_start(g2: ReebGraph) -> int:
 
     def cost_of(orders: list[list[str]]) -> int:
         pos = {v: i for order in orders for i, v in enumerate(order)}
-        return sum(
-            _strip_crossings((pos[lo], pos[hi]) for lo, hi in strip)
-            for strip in strips
-        )
+        return sum(brute_strip_crossings([(pos[lo], pos[hi]) for lo, hi in strip]) for strip in strips)
 
     def sift(orders: list[list[str]]) -> int:
         for _ in range(8):

@@ -12,7 +12,6 @@ import time
 from pathlib import Path
 
 from reebdraw import (
-    LevelOrdering,
     ShapeClass,
     arrangement_to_drawing,
     classify_shape,

@@ -38,7 +38,7 @@ from reebdraw.crossings import (
     ExactResult,
     _orient,
     _parity_tables,
-    _strip_crossings,
+    _strip_inversions,
     _warm_start,
     barycenter_ordering,
 )
@@ -52,6 +52,7 @@ from helpers import (
     _reference_scaled_polylines,
     _strip_edges,
     alternating_cycle,
+    brute_strip_crossings,
     counted_geometric_calls,
     counted_level_calls,
     curved_copy,
@@ -357,8 +358,10 @@ class TestCounterOracleAtScale:
             d = tri_hex_grid(rows).drawing
             for step in (Fraction(1), Fraction(1, 2), Fraction(1, 3)):
                 outcomes.append(self.level_copy(d, rng, step))
-            doubled = ReebGraph(d.graph.vertices, d.graph.edges + d.graph.edges[:1])
-            outcomes.append(self.level_copy(Drawing(graph=doubled, x=d.x), rng, Fraction(1, 2)))
+            # Runs of 2, 3 and 4 identical level edges.
+            for copies in ((0,), (0, 0), (0, 0, 3, 3, 3)):
+                runs = ReebGraph(d.graph.vertices, d.graph.edges + tuple(d.graph.edges[k] for k in copies))
+                outcomes.append(self.level_copy(Drawing(graph=runs, x=d.x), rng, Fraction(1, 2)))
         for _ in range(8):
             # Vertices at their integer positions in a random ordering.
             g2, _ = subdivide(random_connected_graph(rng.randint(6, 16), rng, extra=rng.randint(2, 8)))
@@ -382,6 +385,38 @@ class TestCounterOracleAtScale:
                            [("a", "b"), ("c", "d"), ("p", "q")], [(), (), ((1, Fraction(3, 2)),)])
         got = self.assert_matches(d)
         assert got[2].startswith("three or more segments concurrent at")
+
+    # Level edges between heights 0 and 1 (and one bent edge) to the right of
+    # a hexagon grid: runs of identical edges, a fan of shared ends and
+    # inverted pairs through one point; ``{k}`` is the piece's k-th edge.
+    LEVEL_STRIPS = {
+        "run-of-3": ({"u": (0, 0), "w": (1, 1)}, ["uw"] * 3, "edges {0} and {1} contain overlapping"),
+        "run-of-4-after-its-crossing": ({"a": (0, 0), "b": (2, 1), "c": (2, 0), "d": (0, 1)},
+                                        ["cd"] + ["ab"] * 4, "three or more segments concurrent at"),
+        "run-of-4-before-its-crossing": ({"a": (0, 0), "b": (2, 1), "c": (2, 0), "d": (0, 1)},
+                                         ["ab"] * 4 + ["cd"], "edges {0} and {1} contain overlapping"),
+        "two-runs-crossing": ({"a": (0, 0), "b": (2, 1), "c": (2, 0), "d": (0, 1)},
+                              ["cd", "ab", "cd", "ab", "cd"], "edges {0} and {2} contain overlapping"),
+        "fan": ({"u": (0, 0), "t": (1, 0), "x": (-1, 1), "y": (0, 1), "z": (1, 1)},
+                ["ux", "uy", "uz", "tx"], 2),
+        "fan-with-a-run": ({"u": (0, 0), "t": (1, 0), "x": (-1, 1), "y": (0, 1), "z": (1, 1)},
+                           ["ux", "tx", "uy", "uz", "uy", "uy"], "three or more segments concurrent at"),
+        "bent-through-a-crossed-run": ({"a": (0, 0), "b": (2, 1), "c": (2, 0), "d": (0, 1), "p": (1, 0),
+                                        "q": (2, 2)}, ["pq", "ab", "cd", "ab", "ab"],
+                                       "edges {1} and {3} contain overlapping"),
+    }
+
+    @pytest.mark.parametrize("name", LEVEL_STRIPS)
+    def test_degenerate_level_strips(self, name):
+        points, edges, expected = self.LEVEL_STRIPS[name]
+        # p-q bends at (1, 3/2), above the crossing of a-b and c-d at (1, 1/2).
+        bends = [((1, Fraction(3, 2)),) if e == "pq" else () for e in edges]
+        d, new = _with_piece(tri_hex_grid(8).drawing, points, [tuple(e) for e in edges], bends)
+        got = self.assert_matches(d)
+        if isinstance(expected, int):
+            assert got.count == expected
+        else:
+            assert got[2].startswith(expected.format(*new))
 
     def test_bend_on_a_level_edge(self):
         # r-s bends at (1, 1/2), inside the level edge a-b.
@@ -742,6 +777,83 @@ class TestLayeredCounter:
             assert count_crossings_layered(g2, ordering) == count_crossings_layered(
                 g2, ordering.mirrored()
             )
+
+    @staticmethod
+    def brute_count(g2, ordering):
+        pos = ordering.positions()
+        return sum(brute_strip_crossings([(pos[lo], pos[hi]) for lo, hi in strip])
+                   for strip in _strip_edges(g2, levels(g2)))
+
+    def test_matches_pairwise_oracle_on_random_orderings(self):
+        # Low integer heights make many edges span one level, so strips hold
+        # parallel edges (an extra copy of a tree edge) and fans of shared ends.
+        rng = random.Random(97)
+        parallel = 0
+        for _ in range(200):
+            n = rng.randint(3, 12)
+            hs = {f"v{i}": rng.randint(0, 4) for i in range(n)}
+            edges = []
+            for i in range(1, n):
+                j = rng.choice([j for j in range(i) if hs[f"v{j}"] != hs[f"v{i}"]] or [None])
+                if j is None:
+                    hs[f"v{i}"] = hs["v0"] + 1
+                    j = 0
+                edges.append((f"v{i}", f"v{j}"))
+            edges += rng.choices(edges, k=rng.randint(1, 3))
+            for _ in range(rng.randint(0, n)):
+                a, b = rng.sample(sorted(hs), 2)
+                if hs[a] != hs[b]:
+                    edges.append((a, b))
+            g2, _ = subdivide(ReebGraph.build(hs, edges))
+            strips = _strip_edges(g2, levels(g2))
+            parallel += sum(len(strip) - len(set(strip)) for strip in strips)
+            for _ in range(3):
+                ordering = random_ordering(g2, rng)
+                assert count_crossings_layered(g2, ordering) == self.brute_count(g2, ordering)
+        assert parallel >= 200
+
+    def test_dense_reversed_strip(self):
+        # Every edge between two levels of 40: any two edges without a shared
+        # end cross exactly once, whatever the orders.
+        lower, upper = [f"a{i:02d}" for i in range(40)], [f"b{i:02d}" for i in range(40)]
+        g = ReebGraph.build({**dict.fromkeys(lower, 0), **dict.fromkeys(upper, 1)},
+                            [(a, b) for a in lower for b in upper])
+        ordering = LevelOrdering((tuple(lower), tuple(reversed(upper))))
+        assert count_crossings_layered(g, ordering) == self.brute_count(g, ordering) == math.comb(40, 2) ** 2
+
+    def test_strip_walk_yields_the_pairwise_crossings(self):
+        rng = random.Random(101)
+        for _ in range(300):
+            m = rng.randint(0, 30)
+            width = rng.randint(1, 6)  # few positions: many ties and shared ends
+            edges = [(rng.randrange(width), rng.randrange(width), k) for k in range(m)]
+            crossed, walked = set(), []
+            for (lo, hi, k), owners, pos in _strip_inversions(edges):
+                crossed |= {frozenset((j, k)) for j in owners[pos:]}
+                # The earlier edges with the same positions sit just before pos.
+                same = [j for j in walked if edges[j][:2] == (lo, hi)]
+                assert owners[pos - len(same):pos] == same
+                walked.append(k)
+            assert walked == [k for _, _, k in sorted(edges)]
+            assert crossed == {frozenset((i, j)) for (a, b, i), (c, d, j) in itertools.combinations(edges, 2)
+                               if (a - c) * (b - d) < 0}
+
+    def test_every_counter_walks_the_one_routine(self, monkeypatch):
+        import reebdraw.crossings
+
+        walked = []
+        walk = reebdraw.crossings._strip_inversions
+        monkeypatch.setattr(reebdraw.crossings, "_strip_inversions",
+                            lambda edges: walked.append(1) or walk(edges))
+        g2, _ = subdivide(alternating_cycle(4))
+        count_crossings_layered(g2, random_ordering(g2, random.Random(3)))
+        assert walked
+        walked.clear()
+        _warm_start(_leveled(g2, levels(g2)))
+        assert walked
+        walked.clear()
+        assert count_crossings_geometric(tri_hex_grid(4).drawing).count == 0
+        assert walked
 
 
 class TestRealizeLayered:
@@ -1330,7 +1442,7 @@ class TestSuffixTables:
             above = 0
             for l in range(lev.count - 1, -1, -1):
                 if l < len(strips):
-                    above += _strip_crossings((pos[lo], pos[hi]) for lo, hi in strips[l])
+                    above += brute_strip_crossings([(pos[lo], pos[hi]) for lo, hi in strips[l]])
                 assert above >= bounds[l][combo[l]]
 
 

@@ -163,6 +163,18 @@ class TestOlaReduce:
         with pytest.raises(GraphStructureError) as exc:
             ola_reduce(g, 3)
         assert exc.value.code == "disconnected"
+        assert str(exc.value) == "the gadget is connected only for connected inputs"
+
+    @pytest.mark.parametrize("vertices,edges,connected", [
+        ((), (), True),
+        (("a",), (), True),
+        (("a", "b"), (), False),
+        (("a", "b", "c"), (("c", "a"), ("a", "b"), ("b", "a")), True),
+        (("d", "a", "b", "c"), (("a", "b"), ("c", "d")), False),
+        (("a", "b", "c"), (("b", "c"),), False),
+    ])
+    def test_is_connected(self, vertices, edges, connected):
+        assert OlaGraph(vertices, edges).is_connected() is connected
 
     def test_structure_sizes(self):
         inst = ola_reduce(P3, 2)

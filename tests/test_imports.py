@@ -1,9 +1,9 @@
-"""Every name a library module imports is used in that module, and every
-private helper is used somewhere in the library.
+"""Every name a library module or test file imports is used in that file,
+and every private helper is used somewhere in the library.
 
-No linter ships with the project, so this walks each module's syntax tree:
-an imported name must appear as an ``ast.Name`` somewhere in the module.
-``__init__.py`` re-exports its imports and is left out, as is
+No linter ships with the project, so this walks each file's syntax tree:
+an imported name must appear as an ``ast.Name`` somewhere in the file.
+The library's ``__init__.py`` re-exports its imports and is left out, as is
 ``from __future__``.  A module-level function or class whose name starts
 with one underscore, and a method (cached properties included) of a
 module-level class whose name does, must be named (as a name, an attribute
@@ -29,6 +29,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "reebdraw"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -91,7 +92,8 @@ def test_modules_found():
     assert len(MODULES) >= 10
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES,
+                         ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
