@@ -643,9 +643,9 @@ def _warm_start(view: LeveledView) -> tuple[int, LevelOrdering]:
     The candidates are, in order, the depth-first ordering and the barycenter
     snapshots after rounds 1, 2, 4 and 10, both read from the view; the first
     two are improved by sifting.  Returns the first candidate of least cost,
-    summed by :func:`_layered_cost` as the layered counter sums it.  The exact
-    search takes the cost as its incumbent, and every heuristic drawing
-    realizes the ordering.
+    summed by :func:`_layered_cost` as the layered counter sums it.  Every
+    heuristic drawing realizes the ordering, and the exact search runs this
+    only once its budget runs out.
     """
     lev, strips, down, up = view
     if lev.count == 0:
@@ -823,13 +823,13 @@ def _unwind(orient: dict[int, int], trail: list[int], mark: int) -> None:
 def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> ExactResult:
     """Exact minimum crossing number over all drawings, with a witness ordering.
 
-    Subdivides the graph, reads the view its map carries (``SubdivisionMap.view``)
-    for itself and the warm start, then minimizes the layered count over all
-    per-level permutations by depth-first search: levels are fixed bottom-up, and
-    within a level vertices are placed left to right.  Iterative deepening searches
-    for a completion of cost at most a target, raising the target from the
-    strip lower bounds to the cost of the warm start's heuristic ordering (the
-    best of a depth-first and four barycenter orderings, after sifting).
+    Subdivides the graph, reads the view its map carries (``SubdivisionMap.view``),
+    then minimizes the layered count over all per-level permutations by
+    depth-first search: levels are fixed bottom-up, and within a level vertices
+    are placed left to right.  Iterative deepening raises a target from the
+    strip lower bounds until a completion of cost at most the target exists.
+    It keeps no incumbent: the round at the optimum completes, and no ordering
+    costs more than the ceiling, C(m, 2) summed over the strips' edge counts m.
 
     Pruning follows the two-layer bound of Jünger & Mutzel (JGAA 1(1), 1997).
     On entering a level, the crossing matrix ``c[u][w]`` counts the crossings
@@ -888,10 +888,11 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     target ends the round, so the witness is the lexicographically least
     optimal ordering; it always passes the mirror cut, being no greater than
     its mirror.  ``states`` counts the candidates tried.  Raises
-    :class:`BudgetExhaustedError` once more than ``budget`` have been tried;
-    it carries the warm start's cost as ``best``, its ordering, over the
-    subdivided graph, as ``ordering``, and the subdivision as ``mapping``.
-    Either ordering's layered count is the count it comes with.
+    :class:`BudgetExhaustedError` once more than ``budget`` have been tried,
+    and only then runs the warm start (:func:`_warm_start`); the error carries
+    its cost as ``best``, its ordering, over the subdivided graph, as
+    ``ordering``, and the subdivision as ``mapping``.  Either ordering's
+    layered count is the count it comes with.
     """
     if not is_connected(g):
         raise LayoutError("exact search requires a connected graph", code="disconnected")
@@ -910,8 +911,6 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     future_lb = [0] * (lev.count + 1)
     for s in range(lev.count - 2, -1, -1):
         future_lb[s] = future_lb[s + 1] + strip_lb[s]
-
-    warm, warm_ordering = _warm_start(smap.view)
 
     # Round 0 runs only if the system of all strips is consistent, and then
     # prunes on it, with one orientation map and trail (see ``_orient``) over
@@ -1011,8 +1010,9 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
                         continue
                     states += 1
                     if states > limit:
+                        best, ordering = _warm_start(smap.view)
                         raise BudgetExhaustedError(f"exact search exceeded budget of {budget} states",
-                                                   best=warm, ordering=warm_ordering, mapping=smap)
+                                                   best=best, ordering=ordering, mapping=smap)
                     if floor + regret[i] > target:
                         continue
                     if mirror and len(perm) + 1 < width:
@@ -1060,12 +1060,12 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
                 break
         return None
 
-    for target in range(first_target, warm + 1):
+    for target in range(first_target, sum(comb(len(s), 2) for s in strips) + 1):
         witness = run_round(target)
         if witness is not None:
             break
     else:
-        # Unreachable: the warm-start cost itself is always attainable.
+        # Unreachable: no ordering costs more than the ceiling.
         raise InternalInvariantError("exact search finished without a witness")
     return ExactResult(
         count=target,

@@ -319,7 +319,8 @@ def layout_heuristic(g: ReebGraph) -> Drawing:
 
     Draws the warm start's ordering of the subdivided graph: the best of a
     depth-first and four barycenter orderings, after sifting, which is also
-    the exact search's incumbent.  Emits exactly that ordering's crossings.
+    what the exact search reports when its budget runs out.  Emits exactly
+    that ordering's crossings.
     """
     _, smap = subdivide(g)
     cost, ordering = _warm_start(smap.view)
@@ -329,8 +330,9 @@ def layout_heuristic(g: ReebGraph) -> Drawing:
 def layout_auto(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Drawing:
     """Dispatch on shape: path/caterpillar/cycle constructions, else exact search
     (realized from its witness ordering).  When the search budget runs out,
-    draws the heuristic ordering the search held as its incumbent, so the
-    drawing has exactly the ``best`` crossings of the budget error."""
+    draws the warm-start ordering that the budget error carries, as
+    :func:`layout_heuristic` does, so the drawing has exactly the error's
+    ``best`` crossings."""
     shape = classify_shape(g)
     if shape == ShapeClass.PATH:
         return layout_path(g)

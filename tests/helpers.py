@@ -2,7 +2,8 @@
 
 Everything takes an explicit ``random.Random`` so tests are reproducible.
 The enumeration oracle here is deliberately independent of the search in
-``reebdraw.crossings.exact_rgcn``: it tries every per-level permutation.
+``reebdraw.crossings.exact_rgcn`` and of the library's counters: it tries
+every per-level permutation and scores each strip pair by pair.
 """
 
 from __future__ import annotations
@@ -232,15 +233,18 @@ def found_doubling():
 
 
 def enumerate_min_crossings(g: ReebGraph) -> int:
-    """Independent oracle: subdivide, then try every per-level permutation."""
+    """Independent oracle: subdivide, then try every per-level permutation,
+    scoring each strip pair by pair with :func:`brute_strip_crossings`."""
     g2, _ = subdivide(g)
     lev = levels(g2)
     by_level: list[list[str]] = [[] for _ in range(lev.count)]
     for v in sorted(g2.vertices):
         by_level[lev.level[v]].append(v)
+    strips = _strip_edges(g2, lev)
     best = None
     for combo in itertools.product(*(itertools.permutations(b) for b in by_level)):
-        c = count_crossings_layered(g2, LevelOrdering(tuple(combo)))
+        pos = {v: i for order in combo for i, v in enumerate(order)}
+        c = sum(brute_strip_crossings([(pos[lo], pos[hi]) for lo, hi in strip]) for strip in strips)
         if best is None or c < best:
             best = c
     assert best is not None
@@ -275,6 +279,16 @@ def counted_level_calls(monkeypatch) -> list:
     calls: list = []
     for name in ("core", "subdivide", "crossings", "layout"):
         monkeypatch.setattr(sys.modules[f"reebdraw.{name}"], "levels", lambda g: calls.append(g) or levels(g))
+    return calls
+
+
+def counted_warm_starts(monkeypatch) -> list:
+    """Route ``_warm_start`` through a wrapper that records every view it
+    orders, in the search's module and in the layouts'; returns that record."""
+    calls: list = []
+    for name in ("crossings", "layout"):
+        monkeypatch.setattr(sys.modules[f"reebdraw.{name}"], "_warm_start",
+                            lambda view: calls.append(view) or _warm_start(view))
     return calls
 
 

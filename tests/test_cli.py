@@ -125,6 +125,20 @@ def test_exact_on_a_bench_graph_of_minimum_one(capsys):
     assert json.loads(out)["count"] == 1
 
 
+def test_budget_exhaustion_bytes(capsys):
+    # 100 states do not reach this graph's minimum of 1.  The exact paths
+    # report the warm start's 5 crossings, and auto draws that ordering.
+    path = FIXTURES / "min_one_bench_graph.json"
+    payload = {"error": "budget-exhausted", "message": "exact search exceeded budget of 100 states", "best": 5}
+    for argv in (["exact", path], ["layout", path, "--algorithm", "exact"]):
+        assert run(capsys, *argv, "--budget", "100") == (2, "", json.dumps(payload) + "\n")
+    for argv in (["--budget", "100"], ["--algorithm", "heuristic"]):
+        code, out, err = run(capsys, "layout", path, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "5da9c592cc95ca5ad38382869da42c57bd9b08323905d489018408f8c2902a0b")
+
+
 def test_exact_and_auto_layout_on_a_deep_graph(tmp_path, capsys):
     # The search holds its state on an explicit stack, so depth is no limit.
     path = tmp_path / "deep.json"

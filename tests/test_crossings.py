@@ -55,6 +55,7 @@ from helpers import (
     brute_strip_crossings,
     counted_geometric_calls,
     counted_level_calls,
+    counted_warm_starts,
     curved_copy,
     deep_general_graph,
     enumerate_min_crossings,
@@ -998,6 +999,23 @@ class TestExactSearch:
             g = random_connected_graph(rng.randint(2, 6), rng)
             assert exact_rgcn(g).count == enumerate_min_crossings(g)
 
+    def test_enumeration_shares_no_counter_with_the_search(self, monkeypatch):
+        # The oracle scores each strip pair by pair, so it still finds every
+        # minimum when the library's strip walk is broken.
+        import reebdraw.crossings
+
+        rng = random.Random(13)
+        graphs = [random_connected_graph(rng.randint(2, 6), rng) for _ in range(5)]
+        graphs += [alternating_cycle(total) for total in (4, 6, 8)]
+        minima = [exact_rgcn(g).count for g in graphs]
+        assert minima[-3:] == [1, 2, 3]
+
+        def broken(edges):
+            raise AssertionError("the enumeration oracle walked the library's strips")
+
+        monkeypatch.setattr(reebdraw.crossings, "_strip_inversions", broken)
+        assert [enumerate_min_crossings(g) for g in graphs] == minima
+
     def test_witness_achieves_the_minimum(self):
         rng = random.Random(14)
         for _ in range(15):
@@ -1063,6 +1081,36 @@ class TestExactSearch:
         assert leveled(layout_auto, g) == [g]
         assert leveled(lambda g: layout_auto(g, budget=1), g) == [g]
         assert layered == []
+
+    def test_warm_start_runs_only_when_the_budget_runs_out(self, monkeypatch):
+        # The search keeps no incumbent: a solved search never runs the warm
+        # start, and an exhausted one runs it once, for the error's payload.
+        from reebdraw import layout_heuristic
+
+        calls = counted_warm_starts(monkeypatch)
+        rng = random.Random(18)
+        for _ in range(10):
+            exact_rgcn(random_connected_graph(rng.randint(2, 7), rng))
+        exact_rgcn(alternating_cycle(8))
+        exact_rgcn(parse_graph((FIXTURES / "min_one_bench_graph.json").read_text()))
+        assert calls == []
+        with pytest.raises(BudgetExhaustedError):
+            exact_rgcn(alternating_cycle(8), budget=2)
+        assert len(calls) == 1
+        layout_heuristic(alternating_cycle(8))
+        assert len(calls) == 2
+
+    def test_deepening_is_bounded(self, monkeypatch):
+        # No ordering pays more than C(m, 2) crossings in a strip of m edges.
+        # With lower bounds above that in every strip, no target the search
+        # may try has a completion, so it must stop and say so.
+        import reebdraw.crossings
+
+        monkeypatch.setattr(reebdraw.crossings, "_strip_lower_bound",
+                            lambda strip, w_lo, w_hi: math.comb(len(strip), 2) + 1)
+        for g in (alternating_cycle(8), random_connected_graph(6, random.Random(5), extra=3)):
+            with pytest.raises(InternalInvariantError):
+                exact_rgcn(g)
 
     def test_budget_error_carries_bound(self):
         g = alternating_cycle(8)

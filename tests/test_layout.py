@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,10 +26,12 @@ from reebdraw import (
     levels,
     top_down_iteration_number,
 )
+from reebdraw.jsonio import parse_graph, serialize_drawing
 
 from helpers import (
     alternating_cycle,
     counted_geometric_calls,
+    counted_warm_starts,
     enumerate_min_crossings,
     random_caterpillar_graph,
     random_connected_graph,
@@ -38,6 +41,8 @@ from helpers import (
     reference_layout_caterpillar,
     reference_top_down_iteration_number,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @st.composite
@@ -432,6 +437,24 @@ class TestLayoutAuto:
         assert set(d.x) == set(g.vertices)
         assert count_crossings_geometric(d).count == exc.value.best == 0
         assert count_crossings_geometric(layout_heuristic(g)).count == exc.value.best
+
+    @pytest.mark.parametrize("name,best", [("exhausted_bench_graph_27.json", 9),
+                                           ("exhausted_bench_graph_29.json", 5)])
+    def test_exhausted_bench_graphs_draw_the_heuristic(self, name, best, monkeypatch):
+        # Cases 27 and 29 of the benchmark's ``layout_cases(Random(7), 8, 24)``.
+        # Their optima, 3 and 2, take 3,739,753 and 10,206,055 states, so a
+        # 200,000-state budget runs out and the warm start is drawn.
+        g = parse_graph((FIXTURES / name).read_text())
+        calls = counted_warm_starts(monkeypatch)
+        with pytest.raises(BudgetExhaustedError) as exc:
+            exact_rgcn(g, budget=200_000)
+        assert exc.value.best == best
+        assert len(calls) == 1
+        d = layout_auto(g, budget=200_000)
+        assert len(calls) == 2
+        assert count_crossings_geometric(d).count == best
+        assert serialize_drawing(d) == serialize_drawing(layout_heuristic(g))
+        assert len(calls) == 3
 
     def test_heuristic_deterministic(self):
         rng = random.Random(94)
