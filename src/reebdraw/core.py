@@ -314,31 +314,30 @@ def classify_shape(g: ReebGraph) -> ShapeClass:
 
     if acyclic and all(d <= 2 for d in prof.total.values()):
         return ShapeClass.PATH
-    if acyclic and _is_caterpillar(g, prof):
-        return ShapeClass.CATERPILLAR
+    if acyclic:
+        # The non-leaf vertices form a path iff the walk through them covers
+        # them: in a tree it then uses every edge among them.
+        spine = {v for v, d in prof.total.items() if d >= 2}
+        return ShapeClass.CATERPILLAR if len(_walk(spine, g.adjacency())) == len(spine) else ShapeClass.TREE
     if n >= 2 and all(d == 2 for d in prof.total.values()):
         return ShapeClass.SINGLE_CYCLE
-    if acyclic:
-        return ShapeClass.TREE
     return ShapeClass.GENERAL
 
 
-def _is_caterpillar(g: ReebGraph, prof: DegreeProfile) -> bool:
-    """True iff the non-leaf vertices of a tree induce a path."""
-    spine = {v for v, d in prof.total.items() if d >= 2}
-    if not spine:
-        return True
-    spine_deg = {v: 0 for v in spine}
-    for a, b in g.edges:
-        if a in spine and b in spine:
-            spine_deg[a] += 1
-            spine_deg[b] += 1
-    if any(d > 2 for d in spine_deg.values()):
-        return False
-    # Degrees <= 2 in an induced forest: a path iff connected, i.e. exactly
-    # |spine| - 1 induced edges.
-    induced = sum(1 for a, b in g.edges if a in spine and b in spine)
-    return induced == len(spine) - 1
+def _walk(nodes: set[str], adj: Mapping[str, list[tuple[str, int]]]) -> list[str]:
+    """The path through ``nodes`` from its least end, each step to the first
+    unvisited neighbor among ``nodes`` in ``adj`` (see :meth:`ReebGraph.adjacency`).
+    An end has at most one such neighbor; with no end the path is empty."""
+    nbrs = {v: [w for w, _ in adj[v] if w in nodes] for v in nodes}
+    ends = [v for v in nodes if len(nbrs[v]) <= 1]
+    if not ends:
+        return []
+    order = [min(ends)]
+    seen = set(order)
+    while (step := next((w for w in nbrs[order[-1]] if w not in seen), None)) is not None:
+        order.append(step)
+        seen.add(step)
+    return order
 
 
 def spine_and_legs(g: ReebGraph) -> tuple[list[str], dict[str, list[str]]]:
@@ -351,27 +350,8 @@ def spine_and_legs(g: ReebGraph) -> tuple[list[str], dict[str, list[str]]]:
     shape = classify_shape(g)
     if shape not in (ShapeClass.PATH, ShapeClass.CATERPILLAR):
         raise LayoutError(f"expected a caterpillar, got {shape.value}", code="not-caterpillar")
-    prof = degree_profile(g)
-    spine_set = {v for v, d in prof.total.items() if d >= 2}
-    if not spine_set:
-        # Single vertex or single edge: treat every vertex as spine.
-        spine_set = set(g.vertices)
     adj = g.adjacency()
-    spine_adj = {v: sorted({w for w, _ in adj[v] if w in spine_set}) for v in spine_set}
-    ends = [v for v in spine_set if len(spine_adj[v]) <= 1]
-    start = min(ends) if ends else min(spine_set)
-    order = [start]
-    seen = {start}
-    while True:
-        nxt = [w for w in spine_adj[order[-1]] if w not in seen]
-        if not nxt:
-            break
-        order.append(nxt[0])
-        seen.add(nxt[0])
-    legs = {v: [] for v in order}
-    for v in order:
-        for w, _ in adj[v]:
-            if w not in spine_set:
-                legs[v].append(w)
-        legs[v].sort()
-    return order, legs
+    # A single vertex or single edge has no non-leaf vertex: all are spine.
+    spine_set = {v for v, a in adj.items() if len(a) >= 2} or set(adj)
+    order = _walk(spine_set, adj)
+    return order, {v: sorted(w for w, _ in adj[v] if w not in spine_set) for v in order}

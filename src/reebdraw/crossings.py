@@ -385,15 +385,14 @@ def _level_pairs(segs: list[tuple], level: list[bool]) -> dict[int, list[int]]:
 
 
 def _x_slabs(segs: list[tuple]) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]]]:
-    """Cover the x-range of sweep-sorted segments ``(y_lo, y_hi, x_lo, x_hi,
-    ...)`` with equal slabs; returns each slab's members (segment indices in
-    sweep order) and their lower ys, and each segment's first and last slab.
+    """Cover the x-range of one or more sweep-sorted segments ``(y_lo, y_hi,
+    x_lo, x_hi, ...)`` with equal slabs; returns each slab's members (segment
+    indices in sweep order) and their lower ys, and each segment's first and
+    last slab.
 
     The slab width is the mean x-extent, but at least the range over the
     segment count, so there are at most about as many slabs as segments.
     """
-    if not segs:
-        return [], [], []
     x_los, x_his = list(map(itemgetter(2), segs)), list(map(itemgetter(3), segs))
     x0, n = min(x_los), len(segs)
     span = max(x_his) - x0
@@ -881,8 +880,9 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     Each round is one loop over an explicit stack, so no input is too deep:
     a frame per level entry (its ``drop`` rows, parity entries, orientation
     map, trail, placed flags and order so far) holds a choice point per
-    vertex placed (next candidate, floor, regret row, order code, ``bad`` and
-    the trail mark to unwind to when the placement is taken back).
+    vertex placed (next candidate, floor, regret row, ``bad`` and the trail
+    mark to unwind to when the placement is taken back).  A level's order is
+    held only in its frame, and the frame above reads it once, on entry.
 
     Candidates are tried in id order and the first completion within the
     target ends the round, so the witness is the lexicographically least
@@ -921,34 +921,33 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     round_zero_orient: dict[int, int] = {}
     round_zero_trail: list[int] = []
 
-    # Vertices are numbered level by level; ``pos[k]`` is vertex k's position
-    # in its level's current order, written as it is placed.  Per level, the
-    # vertices with several lower edges (by index in the level, with their
-    # lower neighbors' numbers), and the indices and lower neighbors of those
-    # with exactly one.
-    number = {v: k for k, v in enumerate(v for vs in level_vertices for v in vs)}
-    pos = [0] * len(number)
-    multi = [[(i, [number[x] for x in down_ends[v]]) for i, v in enumerate(vs) if len(down_ends[v]) > 1]
+    # Per level, the vertices with several lower edges (by index in the
+    # level, with their lower neighbors' indices in the level below), and the
+    # indices and lower neighbors of those with exactly one.
+    index = {v: i for vs in level_vertices for i, v in enumerate(vs)}
+    multi = [[(i, [index[x] for x in down_ends[v]]) for i, v in enumerate(vs) if len(down_ends[v]) > 1]
              for vs in level_vertices]
     one_index = [[i for i, v in enumerate(vs) if len(down_ends[v]) == 1] for vs in level_vertices]
-    one_below = [[number[down_ends[v][0]] for v in vs if len(down_ends[v]) == 1] for vs in level_vertices]
+    one_below = [[index[down_ends[v][0]] for v in vs if len(down_ends[v]) == 1] for vs in level_vertices]
     mirror_level = next((l for l, vs in enumerate(level_vertices) if len(vs) > 1), None)
-
-    # A level's order is coded as one int, its indices read as digits in base
-    # the level's width: ``chosen`` holds the codes of the levels placed so
-    # far, and a level's memo is keyed by the code of the level below.
-    chosen: list[int] = []
     states = 0
     limit = inf if budget is None else budget
 
-    def enter(cost: int, target: int, memo: list[dict[int, int]]) -> tuple | None:
-        """The frame (width, base, mirror, above, drop, entries, orient, trail, placed,
-        perm, points) of the level above ``chosen``, or None if the memo or floor cuts it."""
-        level = len(chosen)
-        below = chosen[-1] if chosen else 0
-        seen = memo[level].get(below)
+    def enter(level: int, below: list[int], cost: int, target: int, memo: list[dict[int, int]]) -> tuple | None:
+        """The frame (width, mirror, above, drop, entries, orient, trail, placed, perm,
+        points) of ``level``, entered at ``cost`` on the finished order ``below`` of
+        the level under it, or None if the memo or floor cuts it."""
+        # The memo key reads ``below``'s indices as digits in base its width.
+        key = 0
+        for i in below:
+            key = key * len(below) + i
+        seen = memo[level].get(key)
         if seen is not None and seen <= cost:
             return None
+        # pos[i]: the position of vertex i of the level below in ``below``.
+        pos = [0] * len(below)
+        for p, i in enumerate(below):
+            pos[i] = p
         # The floor counts only pairs with a vertex of several lower edges.
         floor = cost + future_lb[level]
         ones = list(map(pos.__getitem__, one_below[level]))
@@ -968,7 +967,7 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
                 lows.append((i, a))
             if floor > target:
                 return None
-        memo[level][below] = cost
+        memo[level][key] = cost
         # regret[u] sums max(0, c[u][w] - c[w][u]) over the unplaced w; drop[u]
         # is what placing u takes off every other vertex's regret.
         width = len(level_vertices[level])
@@ -987,22 +986,21 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
             entries, orient, trail, bad = sides[level], round_zero_orient, round_zero_trail, 0
         else:
             entries, orient, trail, bad = suffix_sides[level], {}, [], suffix_odd[level]
-        return (width, number[level_vertices[level][0]], level == mirror_level, future_lb[level],
-                drop, entries, orient, trail, [False] * width, [], [[0, floor, regret, 0, bad, 0]])
+        return (width, level == mirror_level, future_lb[level],
+                drop, entries, orient, trail, [False] * width, [], [[0, floor, regret, bad, 0]])
 
     def run_round(target: int) -> list[list[str]] | None:
         """One deepening round: the orders of the first completion within ``target``, or None."""
         nonlocal states
         memo: list[dict[int, int]] = [{} for _ in range(lev.count)]
-        frame = enter(0, target, memo)
+        frame = enter(0, [], 0, target, memo)
         frames = [] if frame is None else [frame]
         while frames:
-            width, base, mirror, above, drop, entries, orient, trail, placed, perm, points = frames[-1]
-            start, floor, regret, code, bad, mark = point = points[-1]
+            width, mirror, above, drop, entries, orient, trail, placed, perm, points = frames[-1]
+            start, floor, regret, bad, mark = point = points[-1]
             if len(perm) == width:
                 # No completion above this level's last placement: take it back.
                 placed[perm.pop()] = False
-                chosen.pop()
                 _unwind(orient, trail, mark)
             while True:
                 for i in range(start, width):
@@ -1036,25 +1034,23 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
                         frames.pop()
                         break
                     # Back up to the choice point below and take its placement back.
-                    start, floor, regret, code, bad, mark = point = points[-1]
+                    start, floor, regret, bad, mark = point = points[-1]
                     placed[perm.pop()] = False
                     if len(trail) > mark:
                         _unwind(orient, trail, mark)
                     continue
-                point[0], point[5] = i + 1, mark
-                pos[base + i] = len(perm)
+                point[0], point[4] = i + 1, mark
                 perm.append(i)
                 placed[i] = True
                 if len(perm) < width:
-                    point = [0, floor + regret[i], list(map(sub, regret, drop[i])), code * width + i, bad_i, 0]
+                    point = [0, floor + regret[i], list(map(sub, regret, drop[i])), bad_i, 0]
                     points.append(point)
-                    start, floor, regret, code, bad, mark = point
+                    start, floor, regret, bad, mark = point
                     continue
-                chosen.append(code * width + i)
-                if len(chosen) == lev.count:
+                if len(frames) == lev.count:
                     # Each level's frame is on the stack, its order complete.
                     return [[vs[k] for k in frame[-2]] for vs, frame in zip(level_vertices, frames)]
-                frame = enter(floor + regret[i] - above, target, memo)
+                frame = enter(len(frames), perm, floor + regret[i] - above, target, memo)
                 if frame is not None:
                     frames.append(frame)
                 break

@@ -123,8 +123,6 @@ def ola_brute(g: OlaGraph, budget: int | None = DEFAULT_OLA_BUDGET) -> LinearArr
         cost = sum(abs(ranks[a] - ranks[b]) for a, b in g.edges)
         if best is None or cost < best.cost:
             best = LinearArrangement(ranks, cost)
-    if best is None:
-        return LinearArrangement({}, 0)
     return best
 
 
@@ -504,11 +502,10 @@ def extract_arrangement(d: Drawing, inst: GadgetInstance) -> tuple[LinearArrange
     if d.graph != inst.graph:
         raise GraphStructureError("drawing is not a drawing of this gadget", code="map-mismatch")
 
+    # A row's connectors share one height, and ``Drawing`` refuses coincident
+    # vertices, so no two of them share x.
     def order_of(connectors: dict[str, str]) -> dict[str, int]:
         pos = sorted(((d.x[cid], u) for u, cid in connectors.items()))
-        for (x1, _), (x2, _) in zip(pos, pos[1:]):
-            if x1 == x2:
-                raise DegeneracyError(f"two connectors share x = {x1}; order is ambiguous")
         return {u: i + 1 for i, (_, u) in enumerate(pos)}
 
     f1 = LinearArrangement.for_graph(inst.source, order_of(inst.plan.top_connector))

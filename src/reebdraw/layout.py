@@ -25,8 +25,8 @@ from .core import (
     LevelAssignment,
     ReebGraph,
     ShapeClass,
+    _walk,
     classify_shape,
-    degree_profile,
     levels,
     spine_and_legs,
 )
@@ -52,30 +52,11 @@ from .subdivide import subdivide
 # Paths and caterpillars
 # ---------------------------------------------------------------------------
 
-def _path_order(g: ReebGraph) -> list[str]:
-    """Vertices of a path graph from its lexicographically smaller endpoint."""
-    if g.vertex_count == 0:
-        return []
-    prof = degree_profile(g)
-    ends = sorted(v for v, d in prof.total.items() if d <= 1)
-    start = ends[0] if ends else min(g.vertices)
-    adj = g.adjacency()
-    order = [start]
-    seen = {start}
-    while len(order) < g.vertex_count:
-        nxt = [w for w, _ in adj[order[-1]] if w not in seen]
-        if not nxt:
-            raise InternalInvariantError("path traversal stalled")
-        order.append(nxt[0])
-        seen.add(nxt[0])
-    return order
-
-
 def layout_path(g: ReebGraph) -> Drawing:
     """Draw a path with vertex i at x = i; straight edges, certified once: zero crossings."""
     if classify_shape(g) != ShapeClass.PATH:
         raise LayoutError("layout_path requires a path graph", code="not-path")
-    order = _path_order(g)
+    order = _walk(set(g.vertices), g.adjacency())
     xs = {v: Fraction(i + 1) for i, v in enumerate(order)}
     d = Drawing(graph=g, x=xs)
     if count_crossings_geometric(d).count != 0:

@@ -111,18 +111,24 @@ def test_exact_on_a_tree_requiring_crossings(capsys):
     }
     # The per-candidate bound explored 729 states here.
     assert payload["states"] <= 729
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3fa0265f441565cb9fd48a7f9a84806d417546fafe0e05dfbb21a3d9f5be2e30")
 
 
 def test_exact_on_a_level_planar_bench_graph(capsys):
     code, out, _ = run(capsys, "exact", FIXTURES / "level_planar_bench_graph.json")
     assert code == 0
     assert json.loads(out)["count"] == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d221790f23ffe0ca7069ee587637cc74996450d47aeccd1ddfe5c6763458686f")
 
 
 def test_exact_on_a_bench_graph_of_minimum_one(capsys):
     code, out, _ = run(capsys, "exact", FIXTURES / "min_one_bench_graph.json")
     assert code == 0
     assert json.loads(out)["count"] == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fdc3203415ef5c16ea7ecffe418db4c74bdf02fbd1f33e8948675b7a4846744c")
 
 
 def test_budget_exhaustion_bytes(capsys):
@@ -377,6 +383,15 @@ def test_cycle_layout_golden_bytes(algorithm, graph, json_sha, svg_sha, tmp_path
                      "-o", tmp_path / "out.json", "--svg", tmp_path / "out.svg")
     assert code == 0
     assert (_sha256(tmp_path / "out.json"), _sha256(tmp_path / "out.svg")) == (json_sha, svg_sha)
+
+
+def test_crossings_cli_lists_each_crossing(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(ALTERNATING_SIX))
+    assert run(capsys, "layout", "--algorithm", "bowtie", path, "-o", tmp_path / "d.json")[0] == 0
+    pairs = [{"edges": [0, 4], "point": ["3/2", "1/2"]}, {"edges": [1, 3], "point": ["5/2", "1/2"]}]
+    assert run(capsys, "crossings", tmp_path / "d.json") == (
+        0, json.dumps({"count": 2, "crossings": pairs}, indent=2) + "\n", "")
 
 
 ZIGZAG_PATH = {

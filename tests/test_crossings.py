@@ -190,6 +190,11 @@ class TestGeometricCounter:
             assert (Fraction(xn, den), Fraction(yn, den)) == p == geometry.line_intersection(a, b, c, e)
             assert geometry.contact(a, b, c, e) == (geometry.PROPER, None)
 
+    def test_contact_without_a_crossing(self):
+        # Collinear but disjoint; and an end of the first segment inside the second.
+        assert geometry.contact((0, 0), (1, 1), (2, 2), (3, 3)) == (geometry.NONE, None)
+        assert geometry.contact((1, 1), (2, 0), (0, 0), (2, 2)) == (geometry.TOUCH, (1, 1))
+
     def test_certificate_count_matches_pairs(self):
         rng = random.Random(2)
         for _ in range(20):

@@ -262,8 +262,10 @@ class TestArrangementDrawings:
         d = arrangement_to_drawing(inst, best)
         xs = dict(d.x)
         xs[inst.plan.top_connector["a"]] = xs[inst.plan.top_connector["b"]]
-        with pytest.raises(DegeneracyError):
-            extract_arrangement(Drawing(graph=d.graph, x=xs, bends=d.bends), inst)
+        # Top connectors share one height, so equal x makes them coincide.
+        with pytest.raises(DegeneracyError) as exc:
+            Drawing(graph=d.graph, x=xs, bends=d.bends)
+        assert str(exc.value) == "vertices 'a:T5_2' and 'b:T5_2' coincide at (Fraction(12, 1), Fraction(22, 1))"
 
     def test_certified_drawing_carries_its_certificate(self):
         best = ola_brute(TRIANGLE)
@@ -277,6 +279,10 @@ class TestArrangementDrawings:
         inst = ola_reduce(P3, best.cost)
         with pytest.raises(GraphStructureError):
             arrangement_to_drawing(inst, LinearArrangement({"x": 1, "y": 2}, 0))
+        other = ola_reduce(TRIANGLE, ola_brute(TRIANGLE).cost)
+        with pytest.raises(GraphStructureError) as exc:
+            extract_arrangement(arrangement_to_drawing(other, ola_brute(TRIANGLE)), inst)
+        assert exc.value.code == "map-mismatch"
 
 
 class TestGenericLaneOffsets:

@@ -14,6 +14,8 @@ from reebdraw import (
     InternalInvariantError,
     LayoutError,
     ReebGraph,
+    ShapeClass,
+    classify_shape,
     count_crossings_geometric,
     exact_rgcn,
     layout_auto,
@@ -212,6 +214,22 @@ class TestLayoutCaterpillar:
             return
         assert list(d.x.items()) == list(expected.x.items())
 
+    def test_paths_and_spines_take_one_walk(self, monkeypatch):
+        import reebdraw.core
+        import reebdraw.layout
+
+        walks = []
+        walk = reebdraw.core._walk
+        for module in (reebdraw.core, reebdraw.layout):
+            monkeypatch.setattr(module, "_walk", lambda *args: walks.append(args) or walk(*args))
+        path = random_path_graph(6, random.Random(7))
+        caterpillar = random_caterpillar_graph(9, random.Random(91))
+        assert classify_shape(caterpillar) is ShapeClass.CATERPILLAR
+        for call, g in ((layout_path, path), (layout_caterpillar, caterpillar), (classify_shape, caterpillar)):
+            walks.clear()
+            call(g)
+            assert walks, call.__name__
+
     def test_two_legs_same_side_on_end_vertex(self):
         g = ReebGraph.build(
             {"s1": 1, "s2": 0, "l1": 3, "l2": 2},
@@ -377,6 +395,10 @@ class TestUniqueExtrema:
             layout_cycle_unique_extrema(g)
         assert exc.value.code == "extrema-not-unique"
         assert str(exc.value) == "extrema are not unique (2 topmost, 2 bottommost)"
+        tree = ReebGraph.build({"a": 0, "b": 1, "c": 2}, [("a", "b"), ("a", "c")])
+        with pytest.raises(LayoutError) as exc:
+            layout_cycle_unique_extrema(tree)
+        assert exc.value.code == "not-single-cycle"
 
 
 class TestLayoutAuto:
