@@ -702,7 +702,7 @@ def _find(parent: list[int], flip: list[int], k: int) -> tuple[int, int]:
 
 
 def _parity_tables(
-    level_vertices: list[list[str]], strips: list[list[tuple[str, str]]],
+    level_vertices: list[list[str]], strips: list[list[tuple[str, str]]], index: dict[str, int],
 ) -> tuple[list[int], list[list[list[tuple[int, int, int]]]], list[list[list[tuple[int, int, int]]]] | None]:
     """The level-planarity parity system of a leveled graph, read per level
     while it grows one strip at a time, top down, in a union-find with parity.
@@ -724,8 +724,8 @@ def _parity_tables(
     (one pair alone cannot be oriented both ways).  Returns those two lists,
     and then, per level, the entries of the system of all strips, or None
     when that system is contradictory: then no ordering is crossing-free.
+    ``index`` gives each vertex's index in its level.
     """
-    index = {v: i for vs in level_vertices for i, v in enumerate(vs)}
     node: list[dict[tuple[int, int], int]] = [{} for _ in level_vertices]  # (i, j), i < j
     pairs: list[list[tuple[int, int, int]]] = [[] for _ in level_vertices]  # (node, i, j)
     parent: list[int] = []
@@ -916,7 +916,8 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     # prunes on it, with one orientation map and trail (see ``_orient``) over
     # all levels.  Rounds >= 1 read level L's suffix tables, the system of
     # the strips >= L alone, and orient afresh on each level entry.
-    suffix_odd, suffix_sides, sides = _parity_tables(level_vertices, strips)
+    index = {v: i for vs in level_vertices for i, v in enumerate(vs)}
+    suffix_odd, suffix_sides, sides = _parity_tables(level_vertices, strips, index)
     first_target = future_lb[0] if future_lb[0] > 0 or sides is not None else 1
     round_zero_orient: dict[int, int] = {}
     round_zero_trail: list[int] = []
@@ -924,7 +925,6 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     # Per level, the vertices with several lower edges (by index in the
     # level, with their lower neighbors' indices in the level below), and the
     # indices and lower neighbors of those with exactly one.
-    index = {v: i for vs in level_vertices for i, v in enumerate(vs)}
     multi = [[(i, [index[x] for x in down_ends[v]]) for i, v in enumerate(vs) if len(down_ends[v]) > 1]
              for vs in level_vertices]
     one_index = [[i for i, v in enumerate(vs) if len(down_ends[v]) == 1] for vs in level_vertices]

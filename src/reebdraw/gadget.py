@@ -253,7 +253,7 @@ class GadgetPlan:
     bottom_grid_top: int
     top_grid_base: int
     top_grid_top: int
-    local_x: dict[str, Fraction]
+    local_x: dict[str, int]
     owner: dict[str, str]
     top_connector: dict[str, str]
     bottom_connector: dict[str, str]
@@ -302,7 +302,8 @@ def ola_reduce(g: OlaGraph, k: int) -> GadgetInstance:
     tg_top = tg0 + patch_height
 
     heights: dict[str, Fraction] = {}
-    local_x: dict[str, Fraction] = {}
+    level_height: dict[int, Fraction] = {}  # one shared height per level
+    local_x: dict[str, int] = {}
     owner: dict[str, str] = {}
     vertex_parts: dict[str, str] = {}
     edges: list[tuple[str, str]] = []
@@ -313,30 +314,26 @@ def ola_reduce(g: OlaGraph, k: int) -> GadgetInstance:
     bottom_chain: dict[str, list[str]] = {}
     strand_edges: list[tuple[int, str, int, int]] = []
 
-    def add_vertex(name: str, level: int, lx: int | Fraction, source: str, part: str) -> None:
-        heights[name] = Fraction(level)
-        local_x[name] = Fraction(lx)
+    def add_vertex(name: str, level: int, lx: int, source: str, part: str) -> None:
+        if level not in level_height:
+            level_height[level] = Fraction(level)
+        heights[name] = level_height[level]
+        local_x[name] = lx
         owner[name] = source
         vertex_parts[name] = part
 
     for u in ids:
         # Two grids per source vertex: apex-up above the gap, apex-down below.
+        names: dict[str, dict[Cell, str]] = {}
         for side, base, flip in (("T", tg0, False), ("B", bg0, True)):
-            def lvl(c: Cell) -> int:
-                return base + (patch_height - c[0] if flip else c[0])
-
-            def vid(c: Cell) -> str:
-                return f"{u}:{side}{c[0]}_{c[1]}"
-
+            name = names[side] = {c: f"{u}:{side}{c[0]}_{c[1]}" for c in cells}
             for c in cells:
-                add_vertex(vid(c), lvl(c), c[1], u, "V1")
+                add_vertex(name[c], base + (patch_height - c[0] if flip else c[0]), c[1], u, "V1")
             for a, b in patch_edges:
-                edges.append((vid(a), vid(b)))
+                edges.append((name[a], name[b]))
                 edge_parts.append("E4")
-            if side == "T":
-                top_connector[u] = vid(apex)
-            else:
-                bottom_connector[u] = vid(apex)
+        top_connector[u] = names["T"][apex]
+        bottom_connector[u] = names["B"][apex]
 
         # Connector chains off both apexes, one copy per level.
         top_chain[u] = []
@@ -355,8 +352,7 @@ def ola_reduce(g: OlaGraph, k: int) -> GadgetInstance:
 
         # Strand bundle: m copies between each of the m facing bottom-row pairs.
         for slot, cell in enumerate(bottoms):
-            a = f"{u}:T{cell[0]}_{cell[1]}"
-            b = f"{u}:B{cell[0]}_{cell[1]}"
+            a, b = names["T"][cell], names["B"][cell]
             for copy in range(m):
                 strand_edges.append((len(edges), u, slot, copy))
                 edges.append((a, b))
@@ -450,7 +446,10 @@ def _certified_drawing(inst: GadgetInstance, f: LinearArrangement) -> tuple[Draw
     def origin(u: str) -> Fraction:
         return Fraction((f.ranks[u] - 1) * pitch)
 
-    xs = {v: origin(plan.owner[v]) + plan.local_x[v] for v in inst.graph.vertices}
+    # Vertex x on the plan's integer grid; one Fraction per (column, local x).
+    grid_x = {v: (f.ranks[plan.owner[v]] - 1) * pitch + plan.local_x[v] for v in inst.graph.vertices}
+    at = {i: Fraction(i) for i in set(grid_x.values())}
+    xs = {v: at[i] for v, i in grid_x.items()}
 
     mid_gap = Fraction(plan.bottom_grid_top + plan.top_grid_base, 2)
     gap_lo = Fraction(2 * plan.bottom_grid_top + 1, 2)   # just above the bottom grids
@@ -459,11 +458,11 @@ def _certified_drawing(inst: GadgetInstance, f: LinearArrangement) -> tuple[Draw
     band_hi = Fraction(2 * plan.top_grid_top + 1, 2)      # just above the top grids
 
     bends: list[tuple[tuple[Fraction, Fraction], ...]] = [() for _ in inst.graph.edges]
-    fan = Fraction(1, 2 * (m + 1))
+    fan = 2 * (m + 1)  # copy c bends at x + c / fan
     for edge_index, u, slot, copy in plan.strand_edges:
         if copy:
             a, _ = inst.graph.edges[edge_index]
-            bends[edge_index] = ((xs[a] + copy * fan, mid_gap),)
+            bends[edge_index] = ((Fraction(grid_x[a] * fan + copy, fan), mid_gap),)
 
     def drawing(kappa: Fraction) -> Drawing:
         for r, route in enumerate(plan.e1_routes, start=1):

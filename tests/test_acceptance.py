@@ -93,7 +93,6 @@ def test_criterion_3_cycle_layout_emits_alternations_minus_one():
     rng = random.Random(103)
     start = time.monotonic()
     done = 0
-    strict = []
     while done < 100:
         g = random_cycle_graph(rng.randint(3, 12), rng)
         if subdivide(g).graph.vertex_count > 14:
@@ -103,13 +102,11 @@ def test_criterion_3_cycle_layout_emits_alternations_minus_one():
         drawn = count_crossings_geometric(layout_cycle(g)).count
         assert drawn == k - 1, (g, drawn, k)
         oracle = exact_rgcn(g).count
-        assert oracle <= k - 1
-        if oracle < k - 1:
-            strict.append((k, oracle))
+        assert oracle == k - 1, (g, oracle, k)
     elapsed = time.monotonic() - start
     report(3, True,
            f"100 cycles drawn with exactly k-1 crossings in {elapsed:.2f}s; "
-           f"oracle beat k-1 on {len(strict)} instances (existence, not optimality)")
+           "the exact minimum is k-1 on all of them")
 
 
 def test_criterion_4_subdivision_preserves_the_minimum():

@@ -295,6 +295,11 @@ K4_SOURCE = {"vertices": ["a", "b", "c", "d"],
 K4_PENDANT_SOURCE = {"vertices": list("abcde"),
                      "edges": [["a", "b"], ["a", "d"], ["a", "e"], ["b", "d"], ["b", "e"],
                                ["d", "e"], ["e", "c"]]}
+# The 5-cycle with both chords from one vertex: the benchmark's largest gadget
+# source (920 vertices and 1,442 edges in H).
+FIVE_CHORDS_SOURCE = {"vertices": list("abcde"),
+                      "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"], ["a", "e"],
+                                ["a", "c"], ["a", "d"]]}
 CURVED_DRAWING = {
     "graph": {
         "vertices": [{"id": "a", "height": "-1"}, {"id": "b", "height": "1/2"},
@@ -322,10 +327,14 @@ def _sha256(path) -> str:
     (K4_PENDANT_SOURCE, 2,
      "5a1caa0f33839c1a95b99cacdbfc14f9693df967d5306779d5821c851b11575b",
      "d5dc9f7dca2869a9498e0215a890803d576752506bf5613efc5d9e9a66ed84aa"),
-], ids=["K4", "K4-pendant"])
+    (FIVE_CHORDS_SOURCE, 1,
+     "227471dc24488162ad40d3c23aa31f48093c95ca36f0c64d185a19b3490cb586",
+     "be54ffa9baf5c024b7f6692a2ddf105a660b8dbc289e522aeba2b2e9b08ce473"),
+], ids=["K4", "K4-pendant", "five-chords"])
 def test_gadget_verify_golden_bytes(source, counts, json_sha, svg_sha, tmp_path, capsys, monkeypatch):
-    # Digests of the outputs before the renderer moved to the integer frame;
-    # any change to the drawing, the count or the SVG bytes shows here.
+    # Digests of the outputs before the renderer moved to the integer frame
+    # (five-chords: before the gadget moved to its plan's integer grid); any
+    # change to the drawing, the count or the SVG bytes shows here.
     import reebdraw.cli
     import reebdraw.gadget
 
@@ -337,6 +346,20 @@ def test_gadget_verify_golden_bytes(source, counts, json_sha, svg_sha, tmp_path,
     assert code == 0
     assert len(calls) == counts
     assert (_sha256(tmp_path / "out.json"), _sha256(tmp_path / "out.svg")) == (json_sha, svg_sha)
+
+
+@pytest.mark.parametrize("source,sha", [
+    (K4_SOURCE, "67ac6c576f4ed7e1693d5e2cb7df33b6abd388cf16cf2441dfab3ee3e16799fd"),
+    (FIVE_CHORDS_SOURCE, "6ef2c680bd82a0dee600f95fddfbdf0c84c2e6ff55696cf4c6c20e7c05333d49"),
+], ids=["K4", "five-chords"])
+def test_gadget_ola_reduce_golden_bytes(source, sha, tmp_path, capsys):
+    # Heights, parts and the budget of H as printed; any change to the
+    # reduction shows here.
+    path = tmp_path / "source.json"
+    path.write_text(json.dumps(source))
+    code, out, _ = run(capsys, "gadget", "ola-reduce", "--graph", path, "--budget", "10")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 def test_render_level_lines_golden_bytes(tmp_path, capsys):

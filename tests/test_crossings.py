@@ -1304,10 +1304,16 @@ def long_edge_graphs(draw):
                            [(f"v{a}", f"v{b}") for a, b in edges])
 
 
+def parity_tables(level_vertices, strips):
+    """``_parity_tables`` with the index of each vertex in its level."""
+    index = {v: i for vs in level_vertices for i, v in enumerate(vs)}
+    return _parity_tables(level_vertices, strips, index)
+
+
 def parity_system(g2):
     """The entries of the parity system of all strips, or None."""
     lev = levels(g2)
-    return _parity_tables(lev.by_level(), _strip_edges(g2, lev))[2]
+    return parity_tables(lev.by_level(), _strip_edges(g2, lev))[2]
 
 
 def assert_search_matches_reference(g, small) -> None:
@@ -1409,7 +1415,7 @@ class TestParitySystem:
 def suffix_tables(g2):
     """Per level, the odd-cycle count and entries of the strips at or above it."""
     lev = levels(g2)
-    return _parity_tables(lev.by_level(), _strip_edges(g2, lev))[:2]
+    return parity_tables(lev.by_level(), _strip_edges(g2, lev))[:2]
 
 
 def suffix_bound(tables, level: int, order) -> int:
@@ -1475,9 +1481,9 @@ class TestSuffixTables:
     def test_each_level_sees_only_the_graph_above_it(self, g2):
         lev = levels(g2)
         level_vertices, strips = lev.by_level(), _strip_edges(g2, lev)
-        odd, sides, _ = _parity_tables(level_vertices, strips)
+        odd, sides, _ = parity_tables(level_vertices, strips)
         for l in range(lev.count):
-            top_odd, top_sides, _ = _parity_tables(level_vertices[l:], strips[l:])
+            top_odd, top_sides, _ = parity_tables(level_vertices[l:], strips[l:])
             assert odd[l:] == top_odd
             assert canonical(sides[l]) == canonical(top_sides[0])
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -283,6 +284,29 @@ class TestArrangementDrawings:
         with pytest.raises(GraphStructureError) as exc:
             extract_arrangement(arrangement_to_drawing(other, ola_brute(TRIANGLE)), inst)
         assert exc.value.code == "map-mismatch"
+
+    def test_builds_on_the_integer_grid(self, monkeypatch):
+        # Work guard on the benchmark's largest source (920 vertices in H):
+        # the reduction makes one Fraction per level (72) and two per lane
+        # offset (7 routes); the drawing one per (column, local x) (75), per
+        # fanned strand (210), per gap height (5), per kappa (1) and per lane
+        # origin (14).  Per vertex, they were 1,854 and 941.
+        import reebdraw.gadget
+
+        g = named(FIVE_CYCLE_TWO_CHORDS, (0, 1, 2, 3, 4))
+        best = ola_brute(g)
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(reebdraw.gadget, "Fraction", counting)
+        inst = ola_reduce(g, best.cost)
+        assert (inst.graph.vertex_count, len(made)) == (920, 86)
+        made.clear()
+        _certified_drawing(inst, best)
+        assert len(made) == 305
 
 
 class TestGenericLaneOffsets:
