@@ -350,6 +350,11 @@ def spine_and_legs(g: ReebGraph) -> tuple[list[str], dict[str, list[str]]]:
     shape = classify_shape(g)
     if shape not in (ShapeClass.PATH, ShapeClass.CATERPILLAR):
         raise LayoutError(f"expected a caterpillar, got {shape.value}", code="not-caterpillar")
+    return _spine_and_legs(g)
+
+
+def _spine_and_legs(g: ReebGraph) -> tuple[list[str], dict[str, list[str]]]:
+    """:func:`spine_and_legs` of a graph already classified as a path or caterpillar."""
     adj = g.adjacency()
     # A single vertex or single edge has no non-leaf vertex: all are spine.
     spine_set = {v for v, a in adj.items() if len(a) >= 2} or set(adj)

@@ -5,8 +5,10 @@ x coordinate; each edge becomes a strictly y-monotone polyline (optional bend
 points between the endpoint heights).  Two edges of one strip (between
 consecutive levels) cross iff the orders of their ends on the two levels
 disagree; :func:`_strip_inversions` walks a strip by this rule.  The layered
-counter sums its inversions, and the geometric counter, otherwise exact
-segment-intersection tests over the polylines, takes its level edges' pairs.
+counter sums its inversions; the geometric counter takes its level edges'
+pairs from them and sweeps only the other segments and their partners, each
+against the later ones that start strictly below its top: a pair that meets
+only where one ends and the other starts is settled elsewhere.
 
 The two counters agree on realized layered drawings, which is what makes the
 enumeration in :func:`exact_rgcn` an exact oracle for the minimum crossing
@@ -28,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, islice, pairwise
 from math import comb, inf, lcm
-from operator import itemgetter, sub
+from operator import itemgetter, not_, sub
 from typing import Iterable, Iterator, Sequence
 
 from . import geometry
@@ -212,105 +214,87 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
     vertices all raise :class:`DegeneracyError`.
 
     The count runs on the drawing's integer frame (``Drawing._scaled_polylines``).
-    Every polyline is strictly y-monotone, so it meets at most one point per
-    height: the foreign-vertex check reads the drawing's shared view of where
-    each edge passes the vertex heights (``Drawing._level_passes``, which
-    ``stretch`` and ``subdivide_drawing`` read too) and looks up each of
-    those points that has an integer x.  It costs one lookup per (edge,
-    vertex height strictly inside its range) instead of one test per (edge,
-    vertex, segment).
+    Every polyline is strictly y-monotone, so the foreign-vertex check needs
+    one lookup per (edge, vertex height strictly inside its range), in the
+    view of where edges pass the vertex heights (``Drawing._level_passes``).
 
-    The pair sweep visits segments sorted by lower y; a segment meets only the
-    later ones that start at or below its upper y and whose closed x-extent
-    overlaps its own.  Equal-width x-slabs list each segment, in sweep order,
-    in every slab its x-extent meets, so two x-overlapping segments share a
-    slab; a segment's candidates are the later members of its slabs up to its
-    upper y (found by bisection).  A *level* edge has no bend and passes no
-    vertex height, so its one segment spans one strip between consecutive
-    heights; two level segments meet only where their strip orders say (see
-    :func:`_strip_inversions`), so a level segment's level candidates are the
-    crossing and overlapping ones, and the slabs are not built when every
-    edge is level.  Each segment's candidates are merged in sweep order, so
-    every pair that can count or refuse is visited in the same order as by
-    scanning the whole y-window, and the first degeneracy found is the same.
-    Two segments with a common end need no general test: both run upward, so
-    a shared lower or upper end is an overlap iff they are collinear and a
-    touch otherwise, and the upper end of one at the lower end of the other
-    is a touch.  A proper crossing's point is one integer triple
-    (:func:`geometry.crossing_point`), which keys the concurrency check.
+    The pair sweep visits segments sorted by lower y and tests each against
+    the later ones whose x-extents overlap its own and that start strictly
+    below its upper y.  One that starts at that height meets it at most in
+    one point, an end of both: a vertex both edges share, no degeneracy; a
+    bend on a vertex, which the foreign-vertex check refuses; or two edges'
+    coinciding bends, where their segments that end there meet too, earlier
+    in the sweep, and refuse.  A *level* edge has no bend and passes no vertex
+    height, so its one segment spans one strip between consecutive heights:
+    its pairs come strip by strip (:func:`_strip_pairs`), and only the other
+    segments fill the x-slabs (:func:`_x_slabs`).  The sweep visits the
+    non-level segments and the level ones with a partner, each with its
+    candidates in sweep order, so every pair that can count or refuse is
+    visited in the order of a scan over the whole y-window, and the first
+    degeneracy is the same.  Both segments run upward, so a shared lower or
+    upper end is an overlap iff they are collinear and a touch otherwise;
+    other pairs take :func:`geometry.contact`.  A proper crossing's point is
+    one integer triple (:func:`geometry.crossing_point`), which keys the
+    concurrency check.
     """
     polys, vertex_pt, sx, sy = d._scaled_polylines
 
-    # A polyline must not pass through any vertex other than its endpoints.
-    # Report the first offender of the lowest edge, in ``graph.vertices`` order.
-    # The polyline's ends are its own vertices and its bends lie strictly
-    # between them in y, so only its points at the vertex heights strictly
-    # between its ends can be foreign vertices.
+    # A polyline must not pass through any vertex other than its endpoints;
+    # report the first offender of the lowest edge, in ``graph.vertices``
+    # order.  Its bends lie strictly between its ends in y, so only its points
+    # at the vertex heights strictly between its ends can be foreign vertices.
     vertex_at = {p: v for v, p in vertex_pt.items()}
     heights, passes = d._level_passes
-    for ei, cuts in enumerate(passes):
-        offenders = []
-        for r, num, den in cuts:
-            if num % den == 0:
-                v = vertex_at.get((num // den, heights[r]))
-                if v is not None:
-                    offenders.append(v)
-        if offenders:
-            rank = {v: k for k, v in enumerate(d.graph.vertices)}
-            v = min(offenders, key=rank.__getitem__)
-            raise DegeneracyError(f"edge {ei} passes through vertex {v!r}")
+    through = [(ei, v) for ei, cuts in enumerate(passes) for r, num, den in cuts
+               if num % den == 0 and (v := vertex_at.get((num // den, heights[r]))) is not None]
+    if through:
+        ei = through[0][0]
+        rank = {v: k for k, v in enumerate(d.graph.vertices)}
+        v = min((v for e, v in through if e == ei), key=rank.__getitem__)
+        raise DegeneracyError(f"edge {ei} passes through vertex {v!r}")
 
-    # Flatten to segments with their x-extent, remembering the owning edge;
-    # polylines run upward, so a lies below b.  Sweep by y interval.
+    # Segments with their x-extent and owning edge; polylines run upward, so a lies below b.
     segs = []
     for ei, poly in enumerate(polys):
         for a, b in pairwise(poly):
             x_lo, x_hi = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
             segs.append((a[1], b[1], x_lo, x_hi, a, b, ei))
     segs.sort(key=itemgetter(0, 1))
-    # Level edges (see above) pair with each other by their strip orders.
     level_edge = [len(poly) == 2 and not cuts for poly, cuts in zip(polys, passes)]
     level = list(map(level_edge.__getitem__, map(itemgetter(6), segs)))
-    settled = _level_pairs(segs, level)
-    if all(level):
-        sweep, slabs = sorted(settled), None
-    else:
-        sweep, (slabs, slab_starts, slab_range) = range(len(segs)), _x_slabs(segs)
 
+    free = list(compress(range(len(segs)), map(not_, level)))
+    partners = _strip_pairs(segs, level, free)
+    slabs, slab_starts, slab_range = _x_slabs(segs, free) if free else ((), (), ())
+    ranges = iter(slab_range)  # the non-level segments come in ``free`` order
     # Vertex points are distinct, so a point that is an end of both edges is
     # a vertex they share.
     ends = [(poly[0], poly[-1]) for poly in polys]
     orient, contact = geometry.orient, geometry.contact
     hits: list[CrossingPair] = []
     seen_points: dict[tuple[int, int, int], set[int]] = {}
-    for i in sweep:
+    for i in sorted(chain(free, (k for k in partners if level[k]))):
         _, y_hi_i, x_lo_i, x_hi_i, a, b, ei = segs[i]
-        if slabs is None:
-            candidates = settled[i]
+        if level[i]:
+            candidates = partners[i]
         else:
-            first, last = slab_range[i]
+            first, last = next(ranges)
             if first == last:
                 members = slabs[first]
-                candidates = members[bisect_right(members, i):bisect_right(slab_starts[first], y_hi_i)]
+                candidates = members[bisect_right(members, i):bisect_left(slab_starts[first], y_hi_i)]
             else:
-                candidates = sorted({
-                    j
-                    for m in range(first, last + 1)
-                    for j in slabs[m][bisect_right(slabs[m], i):bisect_right(slab_starts[m], y_hi_i)]
-                })
-            if level[i]:
-                candidates = [j for j in candidates if not level[j]]
-                if i in settled:
-                    candidates = sorted(candidates + settled[i])
+                candidates = sorted({j for m in range(first, last + 1)
+                                     for j in slabs[m][bisect_right(slabs[m], i):bisect_left(slab_starts[m], y_hi_i)]})
+            extra = partners.get(i)
+            if extra:
+                candidates = sorted(candidates + extra)
         for j in candidates:
             _, _, x_lo_j, x_hi_j, c, dd, ej = segs[j]
-            if ei == ej or x_hi_i < x_lo_j or x_hi_j < x_lo_i:
+            if x_hi_i < x_lo_j or x_hi_j < x_lo_i:
                 continue
             if a == c or b == dd:
                 kind = geometry.OVERLAP if orient(a, b, dd if a == c else c) == 0 else geometry.TOUCH
                 pt = a if a == c else b
-            elif a == dd or b == c:
-                kind, pt = geometry.TOUCH, (a if a == dd else b)
             else:
                 kind, pt = contact(a, b, c, dd)
                 if kind == geometry.NONE:
@@ -320,15 +304,12 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
             if kind == geometry.TOUCH:
                 if pt in ends[ei] and pt in ends[ej]:
                     continue
-                raise DegeneracyError(
-                    f"edges {ei} and {ej} touch at {pt} without crossing transversally"
-                )
+                raise DegeneracyError(f"edges {ei} and {ej} touch at {pt} without crossing transversally")
             # Proper crossing.  Track concurrency: three distinct segments
             # through one interior point is degenerate.
             key = geometry.crossing_point(a, b, c, dd)
             witnesses = seen_points.setdefault(key, set())
-            witnesses.add(i)
-            witnesses.add(j)
+            witnesses.update((i, j))
             xn, yn, den = key
             if len(witnesses) > 2:
                 pt = (Fraction(xn, den), Fraction(yn, den))
@@ -356,15 +337,14 @@ def _strip_inversions(edges: Iterable[tuple[int, int, int]]) -> Iterator[tuple[t
         owners.insert(pos, tag)
 
 
-def _level_pairs(segs: list[tuple], level: list[bool]) -> dict[int, list[int]]:
-    """The level segments among sweep-sorted ``segs`` that cross or overlap,
-    as {i: [j, ...]} for sweep indices i < j, each list ascending.
-
-    The level segments of one strip all run between the same two heights, so
-    :func:`_strip_inversions` over their (lower x, upper x) finds the crossing
-    pairs.  Two of them overlap iff both xs are equal, and any other contact
-    between them is at a vertex they share.
-    """
+def _strip_pairs(segs: list[tuple], level: list[bool], free: list[int]) -> dict[int, list[int]]:
+    """The pairs of sweep-sorted ``segs`` with a level segment that can meet,
+    as {i: [j, ...]} for sweep indices i < j, ascending; ``free`` lists the
+    non-level segments.  A strip's level segments cross where
+    :func:`_strip_inversions` over their (lower x, upper x) says, overlap iff
+    both xs are equal, and meet otherwise only at shared vertices.  A
+    non-level segment running inside the strip pairs with those whose
+    x-extents overlap its own; none above the top strip is read."""
     strips: dict[int, list[tuple[int, int, int]]] = {}
     for k in compress(range(len(segs)), level):
         y_lo, _, _, _, a, b, _ = segs[k]
@@ -379,28 +359,48 @@ def _level_pairs(segs: list[tuple], level: list[bool]) -> dict[int, list[int]]:
             if pos - same < len(owners):  # most segments cross and overlap nothing
                 for j in owners[pos - same:]:
                     pairs.setdefault(min(j, k), []).append(max(j, k))
+    active, added = [], 0  # the non-level segments in ``free[:added]`` that end above the strip's bottom
+    for y_lo, strip in strips.items() if free else ():  # bottom up, as ``segs`` is sorted by lower y
+        top = bisect_left(free, segs[strip[0][2]][1], added, key=lambda k: segs[k][0])
+        active, added = [k for k in chain(active, free[added:top]) if segs[k][1] > y_lo], top
+        if not active:
+            continue
+        ks = list(map(itemgetter(2), strip))
+        chosen = list(map(segs.__getitem__, ks))
+        x_los, x_his = list(map(itemgetter(2), chosen)), list(map(itemgetter(3), chosen))
+        x_min, x_max, reach = min(x_los), max(x_his), max(map(sub, x_his, x_los))  # reach: widest level x-extent
+        near = [k for k in active if segs[k][2] <= x_max and segs[k][3] >= x_min]
+        if not near:
+            continue
+        spans = sorted(zip(x_los, x_his, ks))
+        starts = list(map(itemgetter(0), spans))
+        for n in near:
+            _, _, x_lo_n, x_hi_n, _, _, _ = segs[n]
+            for _, x_hi, k in spans[bisect_left(starts, x_lo_n - reach):bisect_right(starts, x_hi_n)]:
+                if x_hi >= x_lo_n:
+                    pairs.setdefault(min(n, k), []).append(max(n, k))
     for js in pairs.values():
         js.sort()
     return pairs
 
 
-def _x_slabs(segs: list[tuple]) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]]]:
-    """Cover the x-range of one or more sweep-sorted segments ``(y_lo, y_hi,
-    x_lo, x_hi, ...)`` with equal slabs; returns each slab's members (segment
-    indices in sweep order) and their lower ys, and each segment's first and
-    last slab.
-
-    The slab width is the mean x-extent, but at least the range over the
-    segment count, so there are at most about as many slabs as segments.
-    """
-    x_los, x_his = list(map(itemgetter(2), segs)), list(map(itemgetter(3), segs))
-    x0, n = min(x_los), len(segs)
+def _x_slabs(segs: list[tuple], members: list[int]) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]]]:
+    """Cover the x-range of the segments ``members`` (sweep indices, ascending)
+    with equal slabs; returns each slab's members in sweep order and their
+    lower ys, and each member's first and last slab.  The sweep gives it the
+    non-level segments only: two x-overlapping ones share a slab, so those
+    that can meet a non-level segment are the later members of its slabs that
+    start strictly below its upper y.  The slab width is the mean x-extent,
+    but at least the range over the member count: at most about one slab per member."""
+    chosen = list(map(segs.__getitem__, members))
+    x_los, x_his = list(map(itemgetter(2), chosen)), list(map(itemgetter(3), chosen))
+    x0, n = min(x_los), len(members)
     span = max(x_his) - x0
     width = max((sum(x_his) - sum(x_los)) // n, span // n, 1)
     slabs: list[list[int]] = [[] for _ in range(span // width + 1)]
     slab_starts: list[list[int]] = [[] for _ in slabs]
     slab_range = [((x_lo - x0) // width, (x_hi - x0) // width) for x_lo, x_hi in zip(x_los, x_his)]
-    for k, ((first, last), seg) in enumerate(zip(slab_range, segs)):
+    for k, (first, last), seg in zip(members, slab_range, chosen):
         for m in range(first, last + 1):
             slabs[m].append(k)
             slab_starts[m].append(seg[0])

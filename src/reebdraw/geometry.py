@@ -9,9 +9,12 @@ identical.  ``crossings.count_crossings_geometric``, ``stretch``'s rows,
 drawing (``crossings.Drawing._scaled_polylines``); all but the renderer also
 read its one view of where each edge passes the vertex heights
 (``crossings.Drawing._level_passes``).  The counter tests here only the
-pairs that its strip orders and shared ends leave open: it calls
-:func:`contact`, and for a proper crossing :func:`crossing_point`, so it
-makes no ``Fraction`` until it writes the certificate.
+pairs that its strip orders, its half-open y-window and shared ends leave
+open: two level segments only where their strip orders invert or repeat,
+a level segment only against the non-level segments that run inside its
+strip, and no pair that could meet only where one starts and the other ends.  It calls :func:`contact`, and for a
+proper crossing :func:`crossing_point`, so it makes no ``Fraction`` until it
+writes the certificate.
 """
 
 from __future__ import annotations

@@ -25,10 +25,10 @@ from .core import (
     LevelAssignment,
     ReebGraph,
     ShapeClass,
+    _spine_and_legs,
     _walk,
     classify_shape,
     levels,
-    spine_and_legs,
 )
 from .crossings import (
     DEFAULT_SEARCH_BUDGET,
@@ -56,6 +56,11 @@ def layout_path(g: ReebGraph) -> Drawing:
     """Draw a path with vertex i at x = i; straight edges, certified once: zero crossings."""
     if classify_shape(g) != ShapeClass.PATH:
         raise LayoutError("layout_path requires a path graph", code="not-path")
+    return _layout_path(g)
+
+
+def _layout_path(g: ReebGraph) -> Drawing:
+    """:func:`layout_path` of a graph already classified as a path."""
     order = _walk(set(g.vertices), g.adjacency())
     xs = {v: Fraction(i + 1) for i, v in enumerate(order)}
     d = Drawing(graph=g, x=xs)
@@ -78,10 +83,15 @@ def layout_caterpillar(g: ReebGraph) -> Drawing:
     """
     shape = classify_shape(g)
     if shape == ShapeClass.PATH:
-        return layout_path(g)
+        return _layout_path(g)
     if shape != ShapeClass.CATERPILLAR:
         raise LayoutError("layout_caterpillar requires a caterpillar", code="not-caterpillar")
-    spine, legs = spine_and_legs(g)
+    return _layout_caterpillar(g)
+
+
+def _layout_caterpillar(g: ReebGraph) -> Drawing:
+    """:func:`layout_caterpillar` of a graph already classified as a caterpillar."""
+    spine, legs = _spine_and_legs(g)
     spine_x = {v: Fraction(i + 1) for i, v in enumerate(spine)}
     h = g.vertices
 
@@ -205,7 +215,7 @@ def layout_bowtie(g: ReebGraph) -> Drawing:
     """
     if classify_shape(g) != ShapeClass.SINGLE_CYCLE:
         raise LayoutError("bowtie layout requires a single cycle", code="not-single-cycle")
-    dec = top_down_iteration_number(g)
+    dec = _decompose(g, levels(g))
     if dec.top != 1:
         raise LayoutError("bowtie layout requires a cycle alternating between two levels",
                           code="not-alternating")
@@ -260,6 +270,11 @@ def layout_cycle(g: ReebGraph) -> Drawing:
     """
     if classify_shape(g) != ShapeClass.SINGLE_CYCLE:
         raise LayoutError("cycle layout requires a single cycle", code="not-single-cycle")
+    return _layout_cycle(g)
+
+
+def _layout_cycle(g: ReebGraph) -> Drawing:
+    """:func:`layout_cycle` of a graph already classified as a single cycle."""
     g2, smap = subdivide(g)
     lev, strips, _, _ = smap.view
     dec = _decompose(g2, lev)
@@ -288,7 +303,7 @@ def layout_cycle_unique_extrema(g: ReebGraph) -> Drawing:
             f"extrema are not unique ({tops} topmost, {bottoms} bottommost)",
             code="extrema-not-unique",
         )
-    return layout_cycle(g)
+    return _layout_cycle(g)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +331,11 @@ def layout_auto(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Dra
     ``best`` crossings."""
     shape = classify_shape(g)
     if shape == ShapeClass.PATH:
-        return layout_path(g)
+        return _layout_path(g)
     if shape == ShapeClass.CATERPILLAR:
-        return layout_caterpillar(g)
+        return _layout_caterpillar(g)
     if shape == ShapeClass.SINGLE_CYCLE:
-        return layout_cycle(g)
+        return _layout_cycle(g)
     try:
         res = exact_rgcn(g, budget)
     except BudgetExhaustedError as exc:

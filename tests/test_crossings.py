@@ -71,6 +71,7 @@ from helpers import (
     reference_realize_layered,
     reference_warm_start,
 )
+from test_cli import FIVE_CHORDS_SOURCE
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -176,6 +177,41 @@ class TestGeometricCounter:
         _outcome(count_crossings_geometric, bent)  # bent edges: the patched tests do run
         assert "orient" in calls
 
+    def test_sweep_visits_only_what_strip_orders_leave_open(self, monkeypatch):
+        # Work guard on the five-chords gadget drawing: 1,680 segments, 1,225
+        # of them level, 152 crossings.  The sweep visits the 455 non-level
+        # segments and the 46 level ones with a partner, and tests 322 pairs
+        # with ``contact``.  Visiting every segment with a closed y-window
+        # took 1,392 ``contact`` and 7,086 ``orient`` calls.
+        import reebdraw.crossings
+
+        source = OlaGraph(tuple(FIVE_CHORDS_SOURCE["vertices"]), tuple(map(tuple, FIVE_CHORDS_SOURCE["edges"])))
+        best = ola_brute(source)
+        d, cert = _certified_drawing(ola_reduce(source, best.cost), best)
+        calls = []
+        for name in ("orient", "contact"):
+            fn = getattr(geometry, name)
+            monkeypatch.setattr(geometry, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+        # The sweep visits the segments it puts in the x-slabs and the level
+        # segments that ``_strip_pairs`` gives a partner.
+        visited = set()
+        strip_pairs, x_slabs = reebdraw.crossings._strip_pairs, reebdraw.crossings._x_slabs
+
+        def pairs_with_a_level_segment(segs, level, free):
+            pairs = strip_pairs(segs, level, free)
+            visited.update(k for k in pairs if level[k])
+            return pairs
+
+        def slabs_of(segs, members):
+            visited.update(members)
+            return x_slabs(segs, members)
+
+        monkeypatch.setattr(reebdraw.crossings, "_strip_pairs", pairs_with_a_level_segment)
+        monkeypatch.setattr(reebdraw.crossings, "_x_slabs", slabs_of)
+        assert count_crossings_geometric(d) == cert
+        assert (cert.count, _segments(d), len(visited)) == (152, 1680, 501)
+        assert (calls.count("contact"), calls.count("orient")) == (322, 2804)
+
     def test_crossing_point_is_the_intersection_in_lowest_terms(self):
         rng = random.Random(83)
         seen = 0
@@ -241,10 +277,48 @@ def coarse_drawings(draw):
         assume(False)
 
 
+@st.composite
+def grids_with_bent_edges(draw):
+    """A hexagon grid's level edges plus 1-3 bent edges on the coarse grid
+    around it, each end a grid vertex or a new one, with one or two bends at
+    quarter heights: bends on level edges, at strip bounds, on vertices and
+    on each other come up often."""
+    base = tri_hex_grid(draw(st.integers(min_value=2, max_value=4))).drawing
+    heights, xs = dict(base.graph.vertices), dict(base.x)
+    top, right = int(max(heights.values())), int(max(xs.values()))
+    coarse_x = st.integers(min_value=-2, max_value=2 * right + 2).map(lambda k: Fraction(k, 2))
+    edges, bends = list(base.graph.edges), list(base.bends)
+    for i in range(draw(st.integers(min_value=1, max_value=3))):
+        ends = []
+        for side in "lu":
+            if draw(st.booleans()):
+                ends.append(draw(st.sampled_from(sorted(base.graph.vertices))))
+            else:
+                v = f"{side}{i}"
+                heights[v] = Fraction(draw(st.integers(min_value=-2, max_value=2 * top + 2)), 2)
+                xs[v] = draw(coarse_x)
+                ends.append(v)
+        lo, hi = sorted(heights[v] for v in ends)
+        inner = [Fraction(k, 4) for k in range(int(4 * lo) + 1, int(4 * hi))]
+        assume(inner)
+        ys = sorted(draw(st.lists(st.sampled_from(inner), min_size=1, max_size=2, unique=True)))
+        edges.append(tuple(ends))
+        bends.append(tuple((draw(coarse_x), y) for y in ys))
+    try:
+        return Drawing(graph=ReebGraph(heights, tuple(edges)), x=xs, bends=tuple(bends))
+    except ReebError:
+        assume(False)
+
+
 class TestGeometricCounterOracle:
     @settings(max_examples=400, deadline=None)
     @given(coarse_drawings())
     def test_matches_reference_counter(self, d):
+        assert _outcome(count_crossings_geometric, d) == _outcome(reference_count_crossings_geometric, d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(grids_with_bent_edges())
+    def test_matches_reference_counter_on_grids_with_bent_edges(self, d):
         assert _outcome(count_crossings_geometric, d) == _outcome(reference_count_crossings_geometric, d)
 
     def test_matches_reference_on_realized_orderings(self):
@@ -418,6 +492,53 @@ class TestCounterOracleAtScale:
         # p-q bends at (1, 3/2), above the crossing of a-b and c-d at (1, 1/2).
         bends = [((1, Fraction(3, 2)),) if e == "pq" else () for e in edges]
         d, new = _with_piece(tri_hex_grid(8).drawing, points, [tuple(e) for e in edges], bends)
+        got = self.assert_matches(d)
+        if isinstance(expected, int):
+            assert got.count == expected
+        else:
+            assert got[2].startswith(expected.format(*new))
+
+    # Level edges a-b and c-d between heights 1 and 2 cross at (1, 3/2); e-f
+    # is a vertical level edge at x = 4.  Each case adds bent edges (named by
+    # their ends, ``{k}`` is the piece's k-th edge) that meet the strip at a
+    # boundary the sweep's half-open y-window and strip pairing rely on.
+    STRIP = {"a": (0, 1), "b": (2, 2), "c": (2, 1), "d": (0, 2), "e": (4, 1), "f": (4, 2)}
+    BENT_THROUGH_A_STRIP = {
+        # p-a's upper segment ends at a, where the level edge a-b starts.
+        "ends-at-a-shared-vertex": ({"p": (-2, -1)}, {"pa": ((-1, 0),)}, 1),
+        # p-q bends on c, the lower end of c-d.
+        "bend-on-a-lower-vertex": ({"p": (3, -1), "q": (3, 4)}, {"pq": ((2, 1),)},
+                                   "edge {3} passes through vertex"),
+        # p-q bends at the strip's lower height off every vertex, then crosses e-f.
+        "bend-at-the-lower-height": ({"p": (5, -1), "q": (2, 3)}, {"pq": ((5, 1),)}, 2),
+        # p-q and r-s bend at one point inside the strip, away from the level edges.
+        "bends-coincide-in-the-strip": ({"p": (5, 0), "q": (5, 3), "r": (7, 0), "s": (7, 3)},
+                                        {"pq": ((6, Fraction(3, 2)),), "rs": ((6, Fraction(3, 2)),)},
+                                        "edges {3} and {4} touch at"),
+        # ... and at the strip's lower height.
+        "bends-coincide-at-the-lower-height": ({"p": (5, 0), "q": (5, 3), "r": (7, 0), "s": (7, 3)},
+                                               {"pq": ((6, 1),), "rs": ((6, 1),)}, "edges {3} and {4} touch at"),
+        # p-q and p-r leave p along one line to one bend.
+        "bends-coincide-after-a-shared-vertex": ({"p": (6, 0), "q": (5, 3), "r": (9, 3)},
+                                                 {"pq": ((7, 1),), "pr": ((7, 1),)},
+                                                 "edges {3} and {4} contain overlapping"),
+        # A segment from height 5/4 to 7/4 crosses e-f.
+        "crosses-one": ({"p": (3, 0), "q": (5, 3)}, {"pq": ((3, Fraction(5, 4)), (5, Fraction(7, 4)))}, 2),
+        # a-q leaves a along a-b to a bend at height 5/4.  (A segment along a
+        # level edge with neither end at a vertex touches it first.)
+        "overlaps-one": ({"q": (3, 3)}, {"aq": ((Fraction(1, 2), Fraction(5, 4)),)},
+                         "edges {3} and {0} contain overlapping"),
+        # A segment from height 5/4 to 7/4 passes the crossing of a-b and c-d.
+        "through-a-crossing": ({"p": (-1, 0), "q": (3, 3)}, {"pq": ((0, Fraction(5, 4)), (2, Fraction(7, 4)))},
+                               "three or more segments concurrent at"),
+    }
+
+    @pytest.mark.parametrize("name", BENT_THROUGH_A_STRIP)
+    def test_bent_edges_at_a_level_strip(self, name):
+        points, bent, expected = self.BENT_THROUGH_A_STRIP[name]
+        edges = [("a", "b"), ("c", "d"), ("e", "f"), *map(tuple, bent)]
+        bends = [(), (), (), *bent.values()]
+        d, new = _with_piece(tri_hex_grid(8).drawing, {**self.STRIP, **points}, edges, bends)
         got = self.assert_matches(d)
         if isinstance(expected, int):
             assert got.count == expected

@@ -230,6 +230,27 @@ class TestLayoutCaterpillar:
             call(g)
             assert walks, call.__name__
 
+    def test_each_layout_classifies_once(self, monkeypatch):
+        # Work guard: the public layouts keep their shape guards, and what
+        # they dispatch to does not classify again.  On this caterpillar
+        # ``layout_auto`` classified 3 times and walked its spine 4 times.
+        import reebdraw.core
+        import reebdraw.layout
+
+        shapes, walks = [], []
+        classify, walk = reebdraw.core.classify_shape, reebdraw.core._walk
+        for module in (reebdraw.core, reebdraw.layout):
+            monkeypatch.setattr(module, "classify_shape", lambda g: shapes.append(g) or classify(g))
+            monkeypatch.setattr(module, "_walk", lambda *args: walks.append(args) or walk(*args))
+        caterpillar = random_caterpillar_graph(9, random.Random(91))
+        for call, g, walked in ((layout_auto, caterpillar, 2), (layout_caterpillar, caterpillar, 2),
+                                (layout_bowtie, alternating_cycle(6), 0), (layout_auto, alternating_cycle(6), 0),
+                                (layout_cycle_unique_extrema, random_cycle_graph(2, random.Random(3)), 0)):
+            shapes.clear()
+            walks.clear()
+            call(g)
+            assert (shapes, len(walks)) == ([g], walked), call.__name__
+
     def test_two_legs_same_side_on_end_vertex(self):
         g = ReebGraph.build(
             {"s1": 1, "s2": 0, "l1": 3, "l2": 2},
