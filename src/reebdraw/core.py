@@ -75,14 +75,16 @@ class ReebGraph:
 
     def __post_init__(self):
         verts = dict(self.vertices)
+        ratios = {v: h.as_integer_ratio() for v, h in verts.items()}  # exact, faster than Fraction.__eq__
         canon = []
         for a, b in self.edges:
-            if a not in verts or b not in verts:
-                raise GraphStructureError(f"edge endpoint {a if a not in verts else b!r} is not a declared vertex",
+            ra, rb = ratios.get(a), ratios.get(b)
+            if ra is None or rb is None:
+                raise GraphStructureError(f"edge endpoint {a if ra is None else b!r} is not a declared vertex",
                                           code="unknown-vertex")
             if a == b:
                 raise GraphStructureError(f"self-loop at vertex {a!r}", code="self-loop")
-            if verts[a].as_integer_ratio() == verts[b].as_integer_ratio():  # exact, faster than Fraction.__eq__
+            if ra == rb:
                 raise GraphStructureError(
                     f"edge ({a!r}, {b!r}) joins two vertices of equal height {verts[a]}",
                     code="horizontal-edge",

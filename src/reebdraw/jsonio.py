@@ -10,6 +10,14 @@ drawing edges once each, checking only the schema and that each drawing edge
 names its graph edge; the ``ReebGraph`` and ``Drawing`` constructors check
 the rest.  All serializers are byte-deterministic for identical inputs.
 
+Graphs and drawings are written by template from the fixed schema, byte for
+byte as ``json.dumps(graph_to_obj(g), indent=2)`` and
+``json.dumps(drawing_to_obj(d), indent=2)`` write them (each followed by a
+newline): json's indent encoder is pure Python, and this is the last stage of
+every ``layout`` and ``stretch``.  Vertex ids are strings or ints, each
+encoded once.  The ``*_to_obj`` forms stay for the envelopes, which json
+writes.
+
 Graph schema::
 
     {"vertices": [{"id": "a", "height": "3/2"}, ...],
@@ -29,7 +37,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Callable
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Iterable
 
 from .core import ReebGraph, _parse_fraction
 from .crossings import CrossingCertificate, Drawing, LevelOrdering
@@ -125,8 +134,44 @@ def _graph_from_obj(obj: Any, read: Callable[..., Fraction]) -> ReebGraph:
     return ReebGraph(heights, _edge_pairs(obj["edges"]))
 
 
+def _id_texts(ids: Iterable[Any]) -> tuple[dict, dict]:
+    """Each vertex id as ``json.dumps`` writes it as a value and as an object
+    key: a string escaped to ASCII both ways, an int bare and quoted."""
+    values: dict[Any, str] = {}
+    keys: dict[Any, str] = {}
+    for v in ids:
+        if isinstance(v, str):
+            values[v] = keys[v] = encode_basestring_ascii(v)
+        elif isinstance(v, int) and not isinstance(v, bool):
+            values[v] = text = int.__repr__(v)
+            keys[v] = f'"{text}"'
+        else:
+            raise TypeError(f"vertex ids must be str or int, not {type(v).__name__}")
+    return values, keys
+
+
+def _block(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """A JSON array (or, with ``brackets="{}"``, an object) of ``items``, each
+    already written, as ``indent=2`` lays it out at indent ``pad``."""
+    if not items:
+        return brackets
+    inner = f"\n{pad}  "
+    return f"{brackets[0]}{inner}{f',{inner}'.join(items)}\n{pad}{brackets[1]}"
+
+
+def _graph_text(g: ReebGraph, ids: dict, heights: list[str], pad: str) -> str:
+    """The graph object of ``graph_to_obj`` as ``json.dumps(indent=2)`` writes
+    it at indent ``pad``, from its written ids and heights."""
+    p = pad + "    "
+    vertices = [f'{{\n{p}  "id": {ids[v]},\n{p}  "height": "{h}"\n{p}}}' for v, h in zip(g.vertices, heights)]
+    edges = [f"[\n{p}  {ids[a]},\n{p}  {ids[b]}\n{p}]" for a, b in g.edges]
+    return (f'{{\n{pad}  "vertices": {_block(vertices, pad + "  ")},'
+            f'\n{pad}  "edges": {_block(edges, pad + "  ")}\n{pad}}}')
+
+
 def serialize_graph(g: ReebGraph) -> str:
-    return json.dumps(graph_to_obj(g), indent=2) + "\n"
+    heights = [format_rational(h) for h in g.vertices.values()]
+    return _graph_text(g, _id_texts(g.vertices)[0], heights, "") + "\n"
 
 
 def parse_graph(text: str) -> ReebGraph:
@@ -185,7 +230,20 @@ def drawing_from_obj(obj: Any) -> Drawing:
 
 
 def serialize_drawing(d: Drawing) -> str:
-    return json.dumps(drawing_to_obj(d), indent=2) + "\n"
+    """``json.dumps(drawing_to_obj(d), indent=2) + "\\n"``, written from the
+    schema: the rationals in the same order (heights, x, bends), so the same
+    one is the first ``too-many-digits``, then each id once."""
+    g = d.graph
+    heights = [format_rational(h) for h in g.vertices.values()]
+    xs = [format_rational(d.x[v]) for v in g.vertices]
+    bends = [[f'[\n          "{format_rational(px)}",\n          "{format_rational(py)}"\n        ]'
+              for px, py in eb] for eb in d.bends]
+    ids, keys = _id_texts(g.vertices)
+    x = [f'{keys[v]}: "{c}"' for v, c in zip(g.vertices, xs)]
+    edges = [f'{{\n      "endpoints": [\n        {ids[a]},\n        {ids[b]}\n      ],'
+             f'\n      "bends": {_block(eb, "      ")}\n    }}' for (a, b), eb in zip(g.edges, bends)]
+    return (f'{{\n  "graph": {_graph_text(g, ids, heights, "  ")},\n  "x": {_block(x, "  ", "{}")},'
+            f'\n  "edges": {_block(edges, "  ")}\n}}\n')
 
 
 def parse_drawing(text: str) -> Drawing:

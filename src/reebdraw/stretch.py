@@ -75,6 +75,11 @@ def _insertion_order(d: Drawing, rows: list[list[str | int]]) -> tuple[str, ...]
     while the row is no longer than q, even as z's star loses edges (each is
     the tail of its rows when it goes).  So z waits on one blocker (row, q)
     per row that blocks it and becomes exposed when the last one is removed.
+
+    Each star's first positions are found once, with every vertex present.
+    An edge to a peeled neighbour lies at or past its row's current length,
+    so at z's peel a row whose m is at or past its length holds no object of
+    z's star, and in every other row m is still the star's first position.
     """
     g = d.graph
     cells: dict[str | int, list[tuple[int, int]]] = {}  # object -> its (row, position)s
@@ -83,25 +88,21 @@ def _insertion_order(d: Drawing, rows: list[list[str | int]]) -> tuple[str, ...]
             cells.setdefault(obj, []).append((r, p))
     length = [len(row) for row in rows]
     incident = g.incident_edges()
-    present = set(g.vertices)
     rank = {v: r for r, v in enumerate(sorted(g.vertices, key=lambda v: (d.x[v], v)))}
     exposed: list[tuple[int, str]] = []  # heap, greatest rank first
     waiting: dict[tuple[int, int], list[str]] = {}
     blockers: dict[str, int] = {}
+    firsts: dict[str, dict[int, int]] = {}  # z -> per row, the first position of its star
 
-    def star(z: str) -> tuple[set[str | int], dict[int, int], dict[int, int]]:
-        """z's star, and per row its first position and its number of objects."""
-        objs = {z, *(e for e in incident[z] if g.edges[e][0] in present and g.edges[e][1] in present)}
+    for z in g.vertices:
+        objs = {z, *incident[z]}
         first: dict[int, int] = {}
         count: dict[int, int] = {}
         for obj in objs:
             for r, p in cells.get(obj, ()):
                 first[r] = min(first.get(r, p), p)
                 count[r] = count.get(r, 0) + 1
-        return objs, first, count
-
-    for z in g.vertices:
-        objs, first, count = star(z)
+        firsts[z] = first
         blockers[z] = 0
         for r, m in first.items():
             if length[r] - m > count[r]:
@@ -115,14 +116,15 @@ def _insertion_order(d: Drawing, rows: list[list[str | int]]) -> tuple[str, ...]
     peeled: list[str] = []
     while exposed:
         z = heappop(exposed)[1]
-        for r, m in star(z)[1].items():
+        for r, m in firsts[z].items():
+            if m >= length[r]:
+                continue  # the row holds only edges to peeled neighbours
             for p in range(m, length[r]):
                 for w in waiting.pop((r, p), ()):
                     blockers[w] -= 1
                     if not blockers[w]:
                         heappush(exposed, (-rank[w], w))
             length[r] = m
-        present.remove(z)
         peeled.append(z)
     if len(peeled) != len(g.vertices):
         raise LayoutError(

@@ -370,6 +370,52 @@ def test_render_level_lines_golden_bytes(tmp_path, capsys):
     assert _sha256(tmp_path / "out.svg") == "73d1e77ad7961b4910fefb09f7a52f55dfd7fcd559a61897c6e04a227e4ff77d"
 
 
+CURVED_CATERPILLAR = {
+    "graph": {
+        "vertices": [{"id": "s1", "height": "0"}, {"id": "s2", "height": "2"},
+                     {"id": "s3", "height": "-1/2"}, {"id": "l1", "height": "5/2"},
+                     {"id": "l2", "height": "1"}, {"id": "l3", "height": "3/4"}],
+        "edges": [["s1", "s2"], ["s2", "s3"], ["s1", "l1"], ["s2", "l2"], ["s3", "l3"]],
+    },
+    "x": {"s1": "0", "s2": "3", "s3": "6", "l1": "-2", "l2": "5/2", "l3": "15/2"},
+    "edges": [
+        {"endpoints": ["s1", "s2"], "bends": [["1/2", "1/2"], ["-1/3", "3/2"]]},
+        {"endpoints": ["s2", "s3"], "bends": [["9/2", "0"], ["4", "1"]]},
+        {"endpoints": ["s1", "l1"], "bends": [["-1", "1"], ["-7/4", "2"]]},
+        {"endpoints": ["s2", "l2"], "bends": [["11/4", "3/2"]]},
+        {"endpoints": ["s3", "l3"], "bends": [["7", "1/4"]]},
+    ],
+}
+ESCAPED_IDS = {
+    "graph": {
+        "vertices": [{"id": 'q"uote', "height": 0}, {"id": "back\\slash", "height": 2},
+                     {"id": "caf\u00e9", "height": 1}, {"id": "\U0001d11e\ttab", "height": 3}],
+        "edges": [['q"uote', "caf\u00e9"], ["caf\u00e9", "back\\slash"], ["back\\slash", "\U0001d11e\ttab"]],
+    },
+    "x": {'q"uote': "0", "back\\slash": "1/3", "caf\u00e9": "-1/2", "\U0001d11e\ttab": "2"},
+    "edges": [
+        {"endpoints": ['q"uote', "caf\u00e9"], "bends": [["1/4", "1/2"]]},
+        {"endpoints": ["caf\u00e9", "back\\slash"], "bends": [["-1", "3/2"]]},
+        {"endpoints": ["back\\slash", "\U0001d11e\ttab"], "bends": []},
+    ],
+}
+
+
+@pytest.mark.parametrize("drawing,sha", [
+    (CURVED_CATERPILLAR, "a6f7b946a84a3424e7c625029dcda6c91c983cb28e8038c5406e3abaea0f4653"),
+    (ESCAPED_IDS, "3b579cde7416c31b1a37281bad93e26362381ecb002c17e082f9efc82384effd"),
+], ids=["curved-caterpillar", "escaped-ids"])
+def test_stretch_golden_bytes(drawing, sha, tmp_path, capsys):
+    # Digests of the outputs from before drawings were written by template;
+    # any change to the placement, the peel or the written bytes (escaped
+    # ids included) shows here.
+    path = tmp_path / "curved.json"
+    path.write_text(json.dumps(drawing))
+    code, _, _ = run(capsys, "stretch", path, "-o", tmp_path / "out.json")
+    assert code == 0
+    assert _sha256(tmp_path / "out.json") == sha
+
+
 CYCLE_K2 = {
     "vertices": [{"id": v, "height": h} for v, h in
                  [("t1", 2), ("m1", 1), ("b1", 0), ("m2", 1), ("t2", 2), ("m3", 1), ("b2", 0), ("m4", 1)]],

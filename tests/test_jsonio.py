@@ -5,9 +5,12 @@ import json
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reebdraw import (
     Drawing,
@@ -15,9 +18,12 @@ from reebdraw import (
     ReebError,
     ReebGraph,
     layout_auto,
+    stretch,
 )
 from reebdraw import jsonio
 from reebdraw.jsonio import (
+    drawing_to_obj,
+    graph_to_obj,
     parse_drawing,
     parse_graph,
     parse_ola_graph,
@@ -26,7 +32,7 @@ from reebdraw.jsonio import (
     serialize_graph,
 )
 
-from helpers import alternating_cycle, random_connected_graph
+from helpers import alternating_cycle, random_caterpillar_graph, random_connected_graph
 
 
 class TestRationals:
@@ -280,6 +286,67 @@ class TestFirstOfTwoFaults:
             if got != (code, message):
                 wrong.append((first, second, got))
         assert wrong == []
+
+
+# Ids with characters that JSON escapes: quotes, backslashes, controls, DEL,
+# non-ASCII, line separators and astral characters (written as surrogate pairs).
+ID_CHARS = st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\xe9\u2028\U0001d11e\U0010ffff'))
+RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@st.composite
+def drawings(draw) -> Drawing:
+    """Drawings with isolated vertices, parallel edges, bends, negative and
+    fractional coordinates, and string or int ids (the empty one included)."""
+    ids = draw(st.one_of(st.lists(st.text(ID_CHARS, max_size=4), unique=True, max_size=7),
+                         st.lists(st.integers(-2 ** 70, 2 ** 70), unique=True, max_size=7)))
+    heights = {v: draw(RATIONALS) for v in ids}
+    pairs = [(a, b) for a, b in combinations(ids, 2) if heights[a] != heights[b]]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else []
+    xs = draw(st.lists(RATIONALS, min_size=len(ids), max_size=len(ids), unique=True))
+    bends = []
+    for a, b in edges:
+        lo, hi = sorted((heights[a], heights[b]))
+        steps = sorted(draw(st.sets(st.integers(1, 5), max_size=3)))
+        bends.append(tuple((draw(RATIONALS), lo + (hi - lo) * Fraction(k, 6)) for k in steps))
+    return Drawing(graph=ReebGraph(heights, tuple(edges)), x=dict(zip(ids, xs)), bends=tuple(bends))
+
+
+class TestTemplateWriter:
+    """The writers must give the bytes of ``json.dumps(..., indent=2)`` on the
+    public ``*_to_obj`` forms, without running json's encoder."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawings())
+    @example(Drawing(graph=ReebGraph({}, ()), x={}))
+    def test_matches_json_dumps(self, d):
+        assert serialize_drawing(d) == json.dumps(drawing_to_obj(d), indent=2) + "\n"
+        assert serialize_graph(d.graph) == json.dumps(graph_to_obj(d.graph), indent=2) + "\n"
+
+    @pytest.mark.parametrize("big", [("height", "x"), ("x", "bend y"), ("height", "bend x")])
+    def test_first_too_many_digits_is_the_oracles(self, big):
+        # Each value too long to write has its own digit count, so the message
+        # names the first one written.
+        long = {where: Fraction(1, 10 ** (4400 + 10 * k)) for k, where in enumerate(big)}
+        g = ReebGraph({"a": long.get("height", Fraction(-5)), "b": Fraction(20)}, (("a", "b"),))
+        d = Drawing(graph=g, x={"a": long.get("x", Fraction(0)), "b": Fraction(1)},
+                    bends=(((long.get("bend x", Fraction(1, 2)), long.get("bend y", Fraction(1, 2))),),))
+        with pytest.raises(ReebError) as expected:
+            drawing_to_obj(d)
+        with pytest.raises(ReebError) as got:
+            serialize_drawing(d)
+        assert (got.value.code, str(got.value)) == ("too-many-digits", str(expected.value))
+
+    def test_runs_no_json_encoder(self, monkeypatch):
+        # With an indent, json.dumps encodes through ``_make_iterencode``.
+        d = stretch(layout_auto(random_caterpillar_graph(12, random.Random(5))))
+        expected = json.dumps(drawing_to_obj(d), indent=2) + "\n"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json's indent encoder ran")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        assert serialize_drawing(d) == expected
 
 
 class TestOlaGraphParsing:
