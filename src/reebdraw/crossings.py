@@ -423,19 +423,19 @@ def count_crossings_layered(g2: ReebGraph, ordering: LevelOrdering) -> int:
     endpoints and upper endpoints are ordered oppositely; shared endpoints and
     parallel edges contribute nothing.
     """
-    lev, strips, _, _ = _leveled(g2, levels(g2))
-    if len(ordering.orders) != lev.count:
+    view = _leveled(g2, levels(g2))
+    if len(ordering.orders) != view.lev.count:
         raise GraphStructureError(
-            f"ordering has {len(ordering.orders)} levels, graph has {lev.count}",
+            f"ordering has {len(ordering.orders)} levels, graph has {view.lev.count}",
             code="ordering-mismatch",
         )
-    for l, (order, expected) in enumerate(zip(ordering.orders, lev.by_level())):
+    for l, (order, expected) in enumerate(zip(ordering.orders, view.level_vertices)):
         if len(order) != len(expected) or set(order) != set(expected):
             raise GraphStructureError(
                 f"ordering for level {l} does not cover exactly that level's vertices",
                 code="ordering-mismatch",
             )
-    return _layered_cost(strips, ordering.orders)
+    return _layered_cost(view.strips, ordering.orders)
 
 
 def realize_layered(g2: ReebGraph, ordering: LevelOrdering, count: int | None = None) -> Drawing:
@@ -539,8 +539,8 @@ def barycenter_ordering(view: LeveledView) -> tuple[LevelOrdering, ...]:
     neighbor counts.  A level of one vertex never moves, and once a round
     leaves every level as it was, every later round does too.
     """
-    lev, _, down_nbrs, up_nbrs = view
-    orders = lev.by_level()
+    down_nbrs, up_nbrs = view.down, view.up
+    orders = view.level_vertices.copy()
     scale = lcm(*{len(ns) for nbrs in (down_nbrs, up_nbrs) for ns in nbrs.values() if ns})
 
     def sweep(l: int, nbrs: dict[str, list[str]], other: list[str]) -> None:
@@ -557,9 +557,9 @@ def barycenter_ordering(view: LeveledView) -> tuple[LevelOrdering, ...]:
     snapshots = []
     for rounds in range(1, _BARYCENTER_SNAPSHOTS[-1] + 1):
         start = orders.copy()
-        for l in range(1, lev.count):
+        for l in range(1, len(orders)):
             sweep(l, down_nbrs, orders[l - 1])
-        for l in range(lev.count - 2, -1, -1):
+        for l in range(len(orders) - 2, -1, -1):
             sweep(l, up_nbrs, orders[l + 1])
         settled = orders == start
         if settled or rounds in _BARYCENTER_SNAPSHOTS:
@@ -572,17 +572,17 @@ def barycenter_ordering(view: LeveledView) -> tuple[LevelOrdering, ...]:
 def _dfs_level_orders(view: LeveledView) -> list[list[str]]:
     """Order each level of a leveled graph's view by depth-first discovery
     time, neighbors in id order; subtrees stay contiguous."""
-    lev, _, down, up = view
-    orders: list[list[str]] = [[] for _ in range(lev.count)]
+    level, down, up = view.lev.level, view.down, view.up
+    orders: list[list[str]] = [[] for _ in view.level_vertices]
     seen: set[str] = set()
-    for root in sorted(lev.level, key=lambda v: (lev.level[v], v)):
+    for root in chain.from_iterable(view.level_vertices):
         if root in seen:
             continue
         seen.add(root)
         stack = [root]
         while stack:
             v = stack.pop()
-            orders[lev.level[v]].append(v)
+            orders[level[v]].append(v)
             for w in sorted({*down[v], *up[v]}, reverse=True):
                 if w not in seen:
                     seen.add(w)
@@ -646,16 +646,15 @@ def _warm_start(view: LeveledView) -> tuple[int, LevelOrdering]:
     heuristic drawing realizes the ordering, and the exact search runs this
     only once its budget runs out.
     """
-    lev, strips, down, up = view
-    if lev.count == 0:
+    if not view.level_vertices:
         return 0, LevelOrdering(())
     candidates = [_dfs_level_orders(view)]
     candidates += [[list(o) for o in snapshot.orders] for snapshot in barycenter_ordering(view)]
     best_cost, best_orders = None, candidates[0]
     for k, orders in enumerate(candidates):
         if k < 2:
-            _sift(orders, down, up)
-        cost = _layered_cost(strips, orders)
+            _sift(orders, view.down, view.up)
+        cost = _layered_cost(view.strips, orders)
         if best_cost is None or cost < best_cost:
             best_cost, best_orders = cost, orders
             if cost == 0:
@@ -701,10 +700,9 @@ def _find(parent: list[int], flip: list[int], k: int) -> tuple[int, int]:
     return k, flip[path[0]] if path else 0
 
 
-def _parity_tables(
-    level_vertices: list[list[str]], strips: list[list[tuple[str, str]]], index: dict[str, int],
-) -> tuple[list[int], list[list[list[tuple[int, int, int]]]], list[list[list[tuple[int, int, int]]]] | None]:
-    """The level-planarity parity system of a leveled graph, read per level
+def _parity_tables(view: LeveledView) -> tuple[list[int], list[list[list[tuple[int, int, int]]]],
+                                                list[list[list[tuple[int, int, int]]]] | None]:
+    """The level-planarity parity system of a leveled graph's view, read per level
     while it grows one strip at a time, top down, in a union-find with parity.
 
     For u, w on one level, x_uw means "u is left of w".  Two edges (a, b) and
@@ -724,8 +722,8 @@ def _parity_tables(
     (one pair alone cannot be oriented both ways).  Returns those two lists,
     and then, per level, the entries of the system of all strips, or None
     when that system is contradictory: then no ordering is crossing-free.
-    ``index`` gives each vertex's index in its level.
     """
+    level_vertices, strips, index = view.level_vertices, view.strips, view.index
     node: list[dict[tuple[int, int], int]] = [{} for _ in level_vertices]  # (i, j), i < j
     pairs: list[list[tuple[int, int, int]]] = [[] for _ in level_vertices]  # (node, i, j)
     parent: list[int] = []
@@ -897,8 +895,8 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     if not is_connected(g):
         raise LayoutError("exact search requires a connected graph", code="disconnected")
     g2, smap = subdivide(g)
-    lev, strips, down_ends, _ = smap.view
-    level_vertices = lev.by_level()
+    view = smap.view
+    lev, strips, down_ends, level_vertices, index = view.lev, view.strips, view.down, view.level_vertices, view.index
 
     if lev.count == 0:
         return ExactResult(0, LevelOrdering(()), g2, smap, 0)
@@ -916,8 +914,7 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     # prunes on it, with one orientation map and trail (see ``_orient``) over
     # all levels.  Rounds >= 1 read level L's suffix tables, the system of
     # the strips >= L alone, and orient afresh on each level entry.
-    index = {v: i for vs in level_vertices for i, v in enumerate(vs)}
-    suffix_odd, suffix_sides, sides = _parity_tables(level_vertices, strips, index)
+    suffix_odd, suffix_sides, sides = _parity_tables(view)
     first_target = future_lb[0] if future_lb[0] > 0 or sides is not None else 1
     round_zero_orient: dict[int, int] = {}
     round_zero_trail: list[int] = []
@@ -1008,7 +1005,7 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
                         continue
                     states += 1
                     if states > limit:
-                        best, ordering = _warm_start(smap.view)
+                        best, ordering = _warm_start(view)
                         raise BudgetExhaustedError(f"exact search exceeded budget of {budget} states",
                                                    best=best, ordering=ordering, mapping=smap)
                     if floor + regret[i] > target:

@@ -140,22 +140,9 @@ def _patch(rows: int) -> tuple[list[Cell], list[tuple[Cell, Cell]], Cell, list[C
     level 2*(rows - r) with x offset rows - r; hexagons span four levels and
     adjacent hexagons share side edges, rows share their boundary rows.
     """
-    cells: list[Cell] = []
-    seen_cells: set[Cell] = set()
-    edges: list[tuple[Cell, Cell]] = []
-    seen_edges: set[tuple[Cell, Cell]] = set()
-
-    def add_cell(c: Cell) -> None:
-        if c not in seen_cells:
-            seen_cells.add(c)
-            cells.append(c)
-
-    def add_edge(a: Cell, b: Cell) -> None:
-        e = (a, b) if a <= b else (b, a)
-        if e not in seen_edges:
-            seen_edges.add(e)
-            edges.append(e)
-
+    # Insertion-ordered dicts: shared cells and side edges are kept once, in first-seen order.
+    cells: dict[Cell, None] = {}
+    edges: dict[tuple[Cell, Cell], None] = {}
     for r in range(rows, 0, -1):
         base = 2 * (rows - r)
         off = rows - r
@@ -165,18 +152,13 @@ def _patch(rows: int) -> tuple[list[Cell], list[tuple[Cell, Cell]], Cell, list[C
             l1, r1 = (base + 1, cx - 1), (base + 1, cx + 1)
             l2, r2 = (base + 2, cx - 1), (base + 2, cx + 1)
             top = (base + 3, cx)
-            for c in (bottom, l1, r1, l2, r2, top):
-                add_cell(c)
-            add_edge(bottom, l1)
-            add_edge(bottom, r1)
-            add_edge(l1, l2)
-            add_edge(r1, r2)
-            add_edge(l2, top)
-            add_edge(r2, top)
+            cells.update(dict.fromkeys((bottom, l1, r1, l2, r2, top)))
+            # Each edge is written (lower cell, upper cell), so it is its own sorted form.
+            edges.update(dict.fromkeys(((bottom, l1), (bottom, r1), (l1, l2), (r1, r2), (l2, top), (r2, top))))
 
     apex = (2 * rows + 1, rows)
     bottoms = sorted(c for c in cells if c[0] == 0)
-    return cells, edges, apex, bottoms
+    return list(cells), list(edges), apex, bottoms
 
 
 @dataclass(frozen=True)

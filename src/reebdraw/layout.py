@@ -239,8 +239,8 @@ def layout_bowtie(g: ReebGraph) -> Drawing:
     return d
 
 
-def _cycle_level_ordering(lev: LevelAssignment, dec: CycleDecomposition) -> LevelOrdering:
-    """Per-level orderings realizing the corridor scheme for a leveled cycle's levels.
+def _cycle_level_ordering(level_vertices: list[list[str]], dec: CycleDecomposition) -> LevelOrdering:
+    """Per-level orderings realizing the corridor scheme for a leveled cycle's ``level_vertices``.
 
     Keys sit in their key columns.  First-half connecting paths run
     left-to-right through the left half of the corridor right of their start
@@ -253,7 +253,7 @@ def _cycle_level_ordering(lev: LevelAssignment, dec: CycleDecomposition) -> Leve
         step = Fraction(1 if j <= k else -1, 2 * (len(path) - 1))
         for i, v in enumerate(path[1:-1], start=1):
             vx[v] = vx[path[0]] + i * step
-    orders = [tuple(sorted(vs, key=lambda v: (vx[v], v))) for vs in lev.by_level()]
+    orders = [tuple(sorted(vs, key=lambda v: (vx[v], v))) for vs in level_vertices]
     return LevelOrdering(tuple(orders))
 
 
@@ -276,10 +276,10 @@ def layout_cycle(g: ReebGraph) -> Drawing:
 def _layout_cycle(g: ReebGraph) -> Drawing:
     """:func:`layout_cycle` of a graph already classified as a single cycle."""
     g2, smap = subdivide(g)
-    lev, strips, _, _ = smap.view
-    dec = _decompose(g2, lev)
-    ordering = _cycle_level_ordering(lev, dec)
-    layered = _layered_cost(strips, ordering.orders)
+    view = smap.view
+    dec = _decompose(g2, view.lev)
+    ordering = _cycle_level_ordering(view.level_vertices, dec)
+    layered = _layered_cost(view.strips, ordering.orders)
     if layered != dec.iteration_count - 1:
         raise InternalInvariantError(
             f"cycle corridor ordering produced {layered} crossings, expected {dec.iteration_count - 1}"
@@ -314,9 +314,9 @@ def layout_heuristic(g: ReebGraph) -> Drawing:
     """Heuristic layout for graphs beyond the exact search budget.
 
     Draws the warm start's ordering of the subdivided graph: the best of a
-    depth-first and four barycenter orderings, after sifting, which is also
-    what the exact search reports when its budget runs out.  Emits exactly
-    that ordering's crossings.
+    depth-first and four barycenter orderings, the first two after sifting
+    (see :func:`_warm_start`), which is also what the exact search reports
+    when its budget runs out.  Emits exactly that ordering's crossings.
     """
     _, smap = subdivide(g)
     cost, ordering = _warm_start(smap.view)

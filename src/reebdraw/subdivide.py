@@ -27,13 +27,28 @@ from .errors import GraphStructureError, LayoutError
 if TYPE_CHECKING:
     from .crossings import Drawing
 
-LeveledView = tuple[LevelAssignment, list[list[tuple[str, str]]], dict[str, list[str]], dict[str, list[str]]]
+
+class LeveledView(NamedTuple):
+    """A leveled graph read per level, built once by :func:`_leveled`.
+
+    ``lev`` holds its levels; ``strips[l]`` lists the edges between levels l
+    and l + 1 as (lower vertex, upper vertex); ``down`` and ``up`` give each
+    vertex's lower and upper neighbors, one entry per edge;
+    ``level_vertices[l]`` lists level l's vertices in id order, and ``index``
+    gives each vertex's position there.
+    """
+
+    lev: LevelAssignment
+    strips: list[list[tuple[str, str]]]
+    down: dict[str, list[str]]
+    up: dict[str, list[str]]
+    level_vertices: list[list[str]]
+    index: dict[str, int]
 
 
 def _leveled(g2: ReebGraph, lev: LevelAssignment) -> LeveledView:
-    """A leveled graph's levels ``lev``, its edges grouped by strip as (lower
-    vertex, upper vertex), and each vertex's lower and upper neighbors, one entry
-    per edge, in one pass; raises ``not-leveled`` at the first level-skipping edge."""
+    """The view of a leveled graph ``g2`` with levels ``lev``, in one pass over
+    its edges; raises ``not-leveled`` at the first level-skipping edge."""
     strips: list[list[tuple[str, str]]] = [[] for _ in range(max(lev.count - 1, 0))]
     down: dict[str, list[str]] = {v: [] for v in g2.vertices}
     up: dict[str, list[str]] = {v: [] for v in g2.vertices}
@@ -47,7 +62,9 @@ def _leveled(g2: ReebGraph, lev: LevelAssignment) -> LeveledView:
         strips[lev.level[lo]].append((lo, hi))
         down[hi].append(lo)
         up[lo].append(hi)
-    return lev, strips, down, up
+    level_vertices = lev.by_level()
+    index = {v: i for vs in level_vertices for i, v in enumerate(vs)}
+    return LeveledView(lev, strips, down, up, level_vertices, index)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import reebdraw
 from reebdraw import render_svg, tri_hex_grid
 from reebdraw.cli import main
 from reebdraw.jsonio import serialize_drawing, serialize_graph
@@ -660,3 +664,32 @@ def test_seed_flag_accepted_and_ignored(graph_file, capsys):
     code2, out2, _ = run(capsys, "--seed", "8", "layout", graph_file)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # String hashing is seeded per process, so a set or dict walk whose
+    # order reached an output would show as bytes that differ between seeds.
+    curved = tmp_path / "curved.json"
+    curved.write_text(json.dumps(CURVED_CATERPILLAR))
+    source = tmp_path / "source.json"
+    source.write_text(json.dumps(FIVE_CHORDS_SOURCE))
+    graph = FIXTURES / "min_one_bench_graph.json"
+    commands = {
+        "layout-auto": ["layout", graph, "--algorithm", "auto"],
+        "layout-heuristic": ["layout", graph, "--algorithm", "heuristic"],
+        "exact": ["exact", graph],
+        "stretch": ["stretch", curved],
+        "gadget-verify": ["gadget", "verify", "--graph", source, "--svg", "out.svg"],
+    }
+    src = str(Path(reebdraw.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs: dict[str, set] = {name: set() for name in commands}
+    for seed in ("0", "1", "2"):
+        for name, argv in commands.items():
+            work = tmp_path / f"{name}-{seed}"
+            work.mkdir()
+            proc = subprocess.run([sys.executable, "-m", "reebdraw.cli", *map(str, argv)], cwd=work,
+                                  env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                                  capture_output=True, check=True)
+            outputs[name].add((proc.stdout, *(f.read_bytes() for f in sorted(work.iterdir()))))
+    assert {name: len(seen) for name, seen in outputs.items()} == dict.fromkeys(commands, 1)

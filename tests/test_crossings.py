@@ -44,7 +44,7 @@ from reebdraw.crossings import (
 )
 from reebdraw.gadget import _certified_drawing
 from reebdraw.jsonio import parse_graph
-from reebdraw.subdivide import _leveled
+from reebdraw.subdivide import LeveledView, _leveled
 
 from helpers import (
     _parity_system,
@@ -1226,6 +1226,28 @@ class TestExactSearch:
         layout_heuristic(alternating_cycle(8))
         assert len(calls) == 2
 
+    def test_derives_each_levels_vertices_once(self, monkeypatch):
+        # The view lists each level's vertices, and their index, once; the
+        # search, the warm start, the parity tables and the cycle ordering
+        # all read them there, whether the search is solved or exhausted.
+        from reebdraw import LevelAssignment, layout_cycle, layout_heuristic
+
+        calls = []
+        by_level = LevelAssignment.by_level
+        monkeypatch.setattr(LevelAssignment, "by_level", lambda lev: calls.append(lev) or by_level(lev))
+
+        def exhausted(g):
+            with pytest.raises(BudgetExhaustedError):
+                exact_rgcn(g, budget=2)
+
+        fixture = parse_graph((FIXTURES / "min_one_bench_graph.json").read_text())
+        runs = [(exact_rgcn, fixture), (exhausted, alternating_cycle(8)),
+                (layout_heuristic, fixture), (layout_cycle, alternating_cycle(8))]
+        for run, g in runs:
+            calls.clear()
+            run(g)
+            assert len(calls) == 1, run.__name__
+
     def test_deepening_is_bounded(self, monkeypatch):
         # No ordering pays more than C(m, 2) crossings in a strip of m edges.
         # With lower bounds above that in every strip, no target the search
@@ -1426,9 +1448,10 @@ def long_edge_graphs(draw):
 
 
 def parity_tables(level_vertices, strips):
-    """``_parity_tables`` with the index of each vertex in its level."""
+    """``_parity_tables`` of a view holding only these levels' vertices, their
+    strips and each vertex's index in its level: the fields the tables read."""
     index = {v: i for vs in level_vertices for i, v in enumerate(vs)}
-    return _parity_tables(level_vertices, strips, index)
+    return _parity_tables(LeveledView(None, strips, {}, {}, level_vertices, index))
 
 
 def parity_system(g2):

@@ -100,12 +100,13 @@ def test_emitted_view_equals_an_independent_one():
         shared += len(set(g.vertices.values())) < g.vertex_count
         parallel += len(set(g.edges)) < len(g.edges)
         g2, m = subdivide(g)
-        lev, strips, down, up = m.view
-        ref_lev, ref_strips, ref_down, ref_up = _leveled(g2, levels(g2))
-        assert lev == ref_lev and list(lev.level.items()) == list(ref_lev.level.items())
-        assert strips == ref_strips
-        assert list(down.items()) == list(ref_down.items())
-        assert list(up.items()) == list(ref_up.items())
+        view, ref = m.view, _leveled(g2, levels(g2))
+        assert view.lev == ref.lev and list(view.lev.level.items()) == list(ref.lev.level.items())
+        assert view.strips == ref.strips
+        assert list(view.down.items()) == list(ref.down.items())
+        assert list(view.up.items()) == list(ref.up.items())
+        assert view.level_vertices == levels(g2).by_level() and view.index == {
+            v: vs.index(v) for vs in view.level_vertices for v in vs}
         assert m.level_heights == levels(g).level_heights
     assert shared > 20 and parallel > 5
 
