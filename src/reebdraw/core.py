@@ -32,9 +32,18 @@ _MAX_DIGITS = 4300  # Python's default limit on the digits of an int read from o
 
 def _parse_fraction(text: str, what: str, code: str) -> Fraction:
     """``Fraction(text)``, or a GraphStructureError with ``code`` naming the
-    value ``what``.  A decimal exponent that would scale the value past
-    4,300 digits is refused from the string, before the number is built."""
+    value ``what``.  An integer or "p/q" in ASCII digits (the numerator
+    optionally signed) is built from its two ints, as ``Fraction`` builds it
+    after its pattern match, with the same digit-limit and zero-denominator
+    errors; any other form goes to ``Fraction``.  A decimal exponent that
+    would scale the value past 4,300 digits is refused from the string,
+    before the number is built."""
     try:
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num[:1] in ("-", "+") else num
+        if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            n = -int(digits) if num[0] == "-" else int(digits)
+            return Fraction(n, int(den)) if slash else Fraction(n)
         # ``Fraction`` builds m * 10**s, or m over 10**-s, from the significand m and s, the
         # exponent less the digits after the point: refuse from the string what overflows.
         head, e, exp = text.strip().replace("_", "").lower().partition("e")
@@ -75,16 +84,20 @@ class ReebGraph:
 
     def __post_init__(self):
         verts = dict(self.vertices)
-        ratios = {v: h.as_integer_ratio() for v, h in verts.items()}  # exact, faster than Fraction.__eq__
+        # Each height's exact ratio, read once: faster to compare than
+        # Fraction.__eq__, and kept (``_ratios``) for a drawing's integer frame.
+        ratios = {v: h.as_integer_ratio() for v, h in verts.items()}
+        get = ratios.get
         canon = []
         for a, b in self.edges:
-            ra, rb = ratios.get(a), ratios.get(b)
-            if ra is None or rb is None:
-                raise GraphStructureError(f"edge endpoint {a if ra is None else b!r} is not a declared vertex",
-                                          code="unknown-vertex")
-            if a == b:
-                raise GraphStructureError(f"self-loop at vertex {a!r}", code="self-loop")
-            if ra == rb:
+            # A self-loop joins two equal ratios too, so one test passes every good edge.
+            if (ra := get(a)) is None or (rb := get(b)) is None or ra == rb:
+                rb = get(b)
+                if ra is None or rb is None:
+                    raise GraphStructureError(f"edge endpoint {a if ra is None else b!r} is not a declared vertex",
+                                              code="unknown-vertex")
+                if a == b:
+                    raise GraphStructureError(f"self-loop at vertex {a!r}", code="self-loop")
                 raise GraphStructureError(
                     f"edge ({a!r}, {b!r}) joins two vertices of equal height {verts[a]}",
                     code="horizontal-edge",
@@ -92,6 +105,7 @@ class ReebGraph:
             canon.append((a, b) if a <= b else (b, a))
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", tuple(canon))
+        object.__setattr__(self, "_ratios", ratios)
 
     @classmethod
     def build(cls, heights: Mapping[str, HeightLike], edges: Iterable[tuple[str, str]]) -> "ReebGraph":

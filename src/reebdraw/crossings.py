@@ -55,6 +55,22 @@ def _exact(c) -> Fraction:
     return c if type(c) is Fraction else Fraction(c)
 
 
+def _all_of_type(items: Iterable, cls: type) -> bool:
+    """Whether every item is exactly a ``cls``, not a subclass (a C-speed scan)."""
+    return set(map(type, items)) <= {cls}
+
+
+def _exact_bends(bends) -> tuple[tuple[Point, ...], ...]:
+    """``bends`` as a tuple of per-edge tuples of (Fraction, Fraction) points
+    (``()`` for a straight edge).  Bends already in that form are kept; the
+    scan only reads types, and only the bent edges' points."""
+    if (type(bends) is tuple and _all_of_type(bends, tuple)
+            and _all_of_type(points := list(chain.from_iterable(compress(bends, bends))), tuple)
+            and set(map(len, points)) <= {2} and _all_of_type(chain.from_iterable(points), Fraction)):
+        return bends
+    return tuple(tuple((_exact(px), _exact(py)) for px, py in eb) if eb else () for eb in bends)
+
+
 @dataclass(frozen=True)
 class Drawing:
     """A concrete drawing: per-vertex x coordinates plus per-edge bend points.
@@ -63,9 +79,11 @@ class Drawing:
     lists edge i's interior bend points ordered by strictly increasing y,
     strictly between the endpoint heights; an empty tuple means a straight
     segment.  A drawing is a value: the constructor builds its exact integer
-    frame (``_scaled_polylines``) from one ``as_integer_ratio`` read of each
-    coordinate, scaling each axis by the lcm of its distinct denominators,
-    and checks bend monotonicity and vertex coincidences on that frame;
+    frame (``_scaled_polylines``) from the graph's height ratios and one
+    ``as_integer_ratio`` read of each x and bend coordinate, scaling each
+    axis by the lcm of its distinct denominators, and checks bend
+    monotonicity and vertex coincidences on that frame, the latter with the
+    index of vertex points (``_vertex_at``) that the crossing counter reads;
     incidence degeneracies are caught when counting.
     """
 
@@ -74,19 +92,20 @@ class Drawing:
     bends: tuple[tuple[Point, ...], ...] = ()
 
     def __post_init__(self):
-        xs = {v: _exact(x) for v, x in self.x.items()}
-        heights = self.graph.vertices
-        missing = [v for v in heights if v not in xs]
-        if missing:
-            raise GraphStructureError(f"missing x coordinate for vertex {missing[0]!r}", code="missing-x")
-        extra = [v for v in xs if v not in heights]
-        if extra:
+        heights, edges = self.graph.vertices, self.graph.edges
+        xs = dict(self.x.items())
+        if not _all_of_type(xs.values(), Fraction):
+            xs = {v: _exact(x) for v, x in self.x.items()}
+        if xs.keys() != heights.keys():
+            missing = [v for v in heights if v not in xs]
+            if missing:
+                raise GraphStructureError(f"missing x coordinate for vertex {missing[0]!r}", code="missing-x")
+            extra = [v for v in xs if v not in heights]
             raise GraphStructureError(f"x coordinate for unknown vertex {extra[0]!r}", code="unknown-vertex")
-        bends = tuple(tuple((_exact(px), _exact(py)) for px, py in eb) if eb else () for eb in self.bends)
-        bends = bends or ((),) * len(self.graph.edges)
-        if len(bends) != len(self.graph.edges):
+        bends = _exact_bends(self.bends) or ((),) * len(edges)
+        if len(bends) != len(edges):
             raise GraphStructureError(
-                f"bend list length {len(bends)} does not match edge count {len(self.graph.edges)}",
+                f"bend list length {len(bends)} does not match edge count {len(edges)}",
                 code="edge-mismatch",
             )
 
@@ -96,11 +115,13 @@ class Drawing:
         # scaled coordinate is exact, and scaling keeps order and equality.
         # Every geometric consumer (the crossing counter, ``stretch``'s rows,
         # ``subdivide_drawing`` and the SVG renderer) reads this one frame, so
-        # none may change it.
-        ratios = {v: (xs[v].as_integer_ratio(), h.as_integer_ratio()) for v, h in heights.items()}
-        bend_ratios = [(px.as_integer_ratio(), py.as_integer_ratio()) for eb in bends for px, py in eb]
-        x_dens = {xd for (_, xd), _ in ratios.values()} | {xd for (_, xd), _ in bend_ratios}
-        y_dens = {yd for _, (_, yd) in ratios.values()} | {yd for _, (_, yd) in bend_ratios}
+        # none may change it.  The heights' ratios are the graph's own.
+        y_ratios = self.graph._ratios
+        x_ratios = [xs[v].as_integer_ratio() for v in y_ratios]
+        bend_ratios = [(px.as_integer_ratio(), py.as_integer_ratio())
+                       for px, py in chain.from_iterable(compress(bends, bends))]
+        x_dens = set(map(itemgetter(1), x_ratios)) | {xd for (_, xd), _ in bend_ratios}
+        y_dens = set(map(itemgetter(1), y_ratios.values())) | {yd for _, (_, yd) in bend_ratios}
         sx, sy = lcm(*x_dens), lcm(*y_dens)
         fx = {d: sx // d for d in x_dens}  # each denominator's factor into its scale
         fy = {d: sy // d for d in y_dens}
@@ -109,10 +130,11 @@ class Drawing:
             (xn, xd), (yn, yd) = ratio
             return xn * fx[xd], yn * fy[yd]
 
-        vertex_pt = {v: scaled(r) for v, r in ratios.items()}
+        vertex_pt = {v: (xn * fx[xd], yn * fy[yd])
+                     for v, (xn, xd), (yn, yd) in zip(y_ratios, x_ratios, y_ratios.values())}
         bend_pts = map(scaled, bend_ratios)
         polys = []
-        for i, ((a, b), eb) in enumerate(zip(self.graph.edges, bends)):
+        for i, ((a, b), eb) in enumerate(zip(edges, bends)):
             lo, hi = vertex_pt[a], vertex_pt[b]
             if hi[1] < lo[1]:
                 lo, hi = hi, lo
@@ -128,14 +150,18 @@ class Drawing:
                     )
                 y_prev = y
             polys.append((lo, *pts, hi))
-        points: dict[IntPoint, str] = {}
-        for v, p in vertex_pt.items():
-            if p in points:
-                raise DegeneracyError(f"vertices {points[p]!r} and {v!r} coincide at {(xs[v], heights[v])}")
-            points[p] = v
+        # Which vertex sits at each point; the crossing counter reads it too.
+        vertex_at = dict(zip(vertex_pt.values(), vertex_pt))
+        if len(vertex_at) < len(vertex_pt):
+            points = {}
+            for v, p in vertex_pt.items():
+                if p in points:
+                    raise DegeneracyError(f"vertices {points[p]!r} and {v!r} coincide at {(xs[v], heights[v])}")
+                points[p] = v
         object.__setattr__(self, "x", xs)
         object.__setattr__(self, "bends", bends)
         object.__setattr__(self, "_scaled_polylines", (tuple(polys), vertex_pt, sx, sy))
+        object.__setattr__(self, "_vertex_at", vertex_at)
 
     @cached_property
     def _level_passes(self) -> tuple[list[int], tuple[tuple[tuple[int, int, int], ...], ...]]:
@@ -237,13 +263,14 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
     one integer triple (:func:`geometry.crossing_point`), which keys the
     concurrency check.
     """
-    polys, vertex_pt, sx, sy = d._scaled_polylines
+    polys, _, sx, sy = d._scaled_polylines
 
     # A polyline must not pass through any vertex other than its endpoints;
     # report the first offender of the lowest edge, in ``graph.vertices``
     # order.  Its bends lie strictly between its ends in y, so only its points
-    # at the vertex heights strictly between its ends can be foreign vertices.
-    vertex_at = {p: v for v, p in vertex_pt.items()}
+    # at the vertex heights strictly between its ends can be foreign vertices,
+    # looked up in the drawing's index of vertex points (``Drawing._vertex_at``).
+    vertex_at = d._vertex_at
     heights, passes = d._level_passes
     through = [(ei, v) for ei, cuts in enumerate(passes) for r, num, den in cuts
                if num % den == 0 and (v := vertex_at.get((num // den, heights[r]))) is not None]

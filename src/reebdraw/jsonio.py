@@ -5,10 +5,24 @@ as JSON numbers cannot carry them exactly; one with more digits than Python
 writes is ``too-many-digits``.  Parsers accept integers, decimal strings and
 "p/q" strings, refuse an exponent that would scale a value past 4,300 digits,
 and parse each distinct string once per document (one memo for heights, x
-coordinates and bends).  The drawing reader walks the graph edges and the
-drawing edges once each, checking only the schema and that each drawing edge
-names its graph edge; the ``ReebGraph`` and ``Drawing`` constructors check
-the rest.  All serializers are byte-deterministic for identical inputs.
+coordinates and bends, looked up inline).  The drawing reader walks the
+graph edges and the drawing edges once each, checking only the schema and
+that each drawing edge names its graph edge; the ``ReebGraph`` and
+``Drawing`` constructors check the rest.  Each element passes on exact-type
+tests (``type(v) is str``); only one that fails them takes the
+``isinstance`` test that decides whether it is refused.
+
+Of several faults, the first in this order is reported: the drawing
+object; the graph object and its vertex and edge lists; vertex by vertex its
+id, a duplicate id, its height; the edge pairs; the graph's edges one by one
+(unknown endpoint, self-loop, equal heights); the x object and its values in
+order; the drawing's edge list and its length; its edges one by one
+(object, endpoints, match with the graph edge, bends); then the ``Drawing``
+checks: a missing x before an unknown one, bends edge by edge, and
+coincident vertices, named by the first clash in vertex order.
+``ReebGraph`` keeps each height's exact ratio, read once, and ``Drawing``
+builds its integer frame from those and one read of each x and bend
+coordinate.  All serializers are byte-deterministic for identical inputs.
 
 Graphs and drawings are written by template from the fixed schema, byte for
 byte as ``json.dumps(graph_to_obj(g), indent=2)`` and
@@ -66,24 +80,23 @@ def parse_rational(value: Any, what: str = "value") -> Fraction:
                               code="bad-rational")
 
 
-def _rational_reader() -> Callable[..., Fraction]:
-    """A :func:`parse_rational` for one document that parses each distinct
-    string once.  ``read(value, what, name)`` names the value ``what`` followed
-    by ``name!r`` (just ``what`` without a name), built only when the value is
-    parsed.  Only successful parses are kept, so every value and error (the
-    first bad use, with its name) is that of :func:`parse_rational`."""
+def _rational_reader() -> tuple[dict[str, Fraction], Callable[..., Fraction]]:
+    """``(memo, read)``: a :func:`parse_rational` for one document that
+    parses each distinct string once.  A caller looks a ``str`` value up in
+    ``memo`` itself and calls ``read(value, what, name)`` only on a miss;
+    ``read`` names the value ``what`` followed by ``name!r`` (just ``what``
+    without a name), built only when the value is parsed.  Only successful
+    parses are kept, so every value and error (the first bad use, with its
+    name) is that of :func:`parse_rational`."""
     memo: dict[str, Fraction] = {}
 
     def read(value: Any, what: str, name: str | None = None) -> Fraction:
-        text = type(value) is str
-        if text and (q := memo.get(value)) is not None:
-            return q
         q = parse_rational(value, what if name is None else f"{what} {name!r}")
-        if text:
+        if type(value) is str:
             memo[value] = q
         return q
 
-    return read
+    return memo, read
 
 
 def _loads(text: str) -> Any:
@@ -117,20 +130,23 @@ def graph_to_obj(g: ReebGraph) -> dict:
 
 
 def graph_from_obj(obj: Any) -> ReebGraph:
-    return _graph_from_obj(obj, _rational_reader())
+    return _graph_from_obj(obj, *_rational_reader())
 
 
-def _graph_from_obj(obj: Any, read: Callable[..., Fraction]) -> ReebGraph:
+def _graph_from_obj(obj: Any, memo: dict[str, Fraction], read: Callable[..., Fraction]) -> ReebGraph:
     _require(isinstance(obj, dict), "graph must be an object")
     _require(isinstance(obj.get("vertices"), list), "graph.vertices must be a list")
     _require(isinstance(obj.get("edges"), list), "graph.edges must be a list")
     heights: dict[str, Fraction] = {}
     for item in obj["vertices"]:
-        _require(isinstance(item, dict) and isinstance(vid := item.get("id"), str),
-                 "each vertex needs a string id")
+        if type(item) is not dict or type(vid := item.get("id")) is not str:
+            _require(isinstance(item, dict) and isinstance(vid := item.get("id"), str),
+                     "each vertex needs a string id")
         if vid in heights:
             raise GraphStructureError(f"duplicate vertex id {vid!r}", code="duplicate-vertex")
-        heights[vid] = read(item.get("height"), "height of", vid)
+        if type(h := item.get("height")) is not str or (q := memo.get(h)) is None:
+            q = read(h, "height of", vid)
+        heights[vid] = q
     return ReebGraph(heights, _edge_pairs(obj["edges"]))
 
 
@@ -198,10 +214,14 @@ def drawing_to_obj(d: Drawing) -> dict:
 
 def drawing_from_obj(obj: Any) -> Drawing:
     _require(isinstance(obj, dict), "drawing must be an object")
-    read = _rational_reader()
-    g = _graph_from_obj(obj.get("graph"), read)
+    memo, read = _rational_reader()
+    g = _graph_from_obj(obj.get("graph"), memo, read)
     _require(isinstance(obj.get("x"), dict), "drawing.x must be an object")
-    xs = {v: read(c, "x of", v) for v, c in obj["x"].items()}
+    xs = {}
+    for v, c in obj["x"].items():
+        if type(c) is not str or (q := memo.get(c)) is None:
+            q = read(c, "x of", v)
+        xs[v] = q
     _require(isinstance(entries := obj.get("edges"), list), "drawing.edges must be a list")
     if len(entries) != len(g.edges):
         raise GraphStructureError(
@@ -209,22 +229,33 @@ def drawing_from_obj(obj: Any) -> Drawing:
         )
     bends = []
     for i, (entry, edge) in enumerate(zip(entries, g.edges)):
-        _require(isinstance(entry, dict), "each drawing edge must be an object")
-        eps = entry.get("endpoints")
-        _require(isinstance(eps, list) and len(eps) == 2, "drawing edge needs two endpoints")
+        if type(entry) is not dict:
+            _require(isinstance(entry, dict), "each drawing edge must be an object")
+        if type(eps := entry.get("endpoints")) is not list or len(eps) != 2:
+            _require(isinstance(eps, list) and len(eps) == 2, "drawing edge needs two endpoints")
         a, b = eps
-        _require(isinstance(a, str) and isinstance(b, str), "drawing edge endpoints must be string ids")
+        if type(a) is not str or type(b) is not str:
+            _require(isinstance(a, str) and isinstance(b, str), "drawing edge endpoints must be string ids")
         if ((a, b) if a <= b else (b, a)) != edge:
             raise GraphStructureError(
                 f"drawing edge {i} endpoints {eps} do not match graph edge {list(edge)}",
                 code="edge-mismatch",
             )
-        raw = entry.get("bends", [])
-        _require(isinstance(raw, list), "bends must be a list")
+        if type(raw := entry.get("bends", [])) is not list:
+            _require(isinstance(raw, list), "bends must be a list")
+        if not raw:
+            bends.append(())
+            continue
         eb = []
         for pair in raw:
-            _require(isinstance(pair, list) and len(pair) == 2, "each bend must be an [x, y] pair")
-            eb.append((read(pair[0], "bend x"), read(pair[1], "bend y")))
+            if type(pair) is not list or len(pair) != 2:
+                _require(isinstance(pair, list) and len(pair) == 2, "each bend must be an [x, y] pair")
+            px, py = pair
+            if type(px) is not str or (qx := memo.get(px)) is None:
+                qx = read(px, "bend x")
+            if type(py) is not str or (qy := memo.get(py)) is None:
+                qy = read(py, "bend y")
+            eb.append((qx, qy))
         bends.append(tuple(eb))
     return Drawing(graph=g, x=xs, bends=tuple(bends))
 

@@ -15,7 +15,7 @@ from collections import Counter
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, lcm
 from operator import sub
 from typing import Sequence
 
@@ -1665,3 +1665,210 @@ def reference_certified_drawing(inst: GadgetInstance, f: LinearArrangement) -> t
         except DegeneracyError:
             continue
     raise InternalInvariantError("gadget drawing stayed degenerate under all lane offsets")
+
+
+# ---------------------------------------------------------------------------
+# The drawing reader before it read each value once: its schema checks, the
+# rational parser, and the checks of the ReebGraph and Drawing constructors,
+# kept verbatim.  ``reference_parse_drawing`` returns what ``drawing_value``
+# returns for the Drawing it builds, or raises the error it raised.
+# ---------------------------------------------------------------------------
+
+_REFERENCE_MAX_DIGITS = 4300
+
+
+def reference_parse_fraction(text: str, what: str, code: str) -> Fraction:
+    """``Fraction(text)``, or a GraphStructureError with ``code`` naming the
+    value ``what``.  A decimal exponent that would scale the value past
+    4,300 digits is refused from the string, before the number is built."""
+    try:
+        # ``Fraction`` builds m * 10**s, or m over 10**-s, from the significand m and s, the
+        # exponent less the digits after the point: refuse from the string what overflows.
+        head, e, exp = text.strip().replace("_", "").lower().partition("e")
+        if e and exp.lstrip("+-").isdecimal():
+            shift = int(exp) - len(head.partition(".")[2])
+            digits = len(head.lstrip("+-0.").replace(".", ""))
+            if max(digits + max(shift, 0), 1 - shift) > _REFERENCE_MAX_DIGITS:
+                raise ValueError(f"needs more than {_REFERENCE_MAX_DIGITS} digits")
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise GraphStructureError(f"cannot parse {what} {text!r}: {exc}", code=code) from None
+
+
+def _reference_parse_rational(value, what: str = "value") -> Fraction:
+    if isinstance(value, bool) or isinstance(value, float):
+        raise GraphStructureError(
+            f"{what} must be an integer or an exact string, got {value!r}", code="bad-rational"
+        )
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        return reference_parse_fraction(value, what, "bad-rational")
+    raise GraphStructureError(f"{what} must be an integer or string, got {type(value).__name__}",
+                              code="bad-rational")
+
+
+def _reference_rational_reader():
+    memo: dict[str, Fraction] = {}
+
+    def read(value, what: str, name: str | None = None) -> Fraction:
+        text = type(value) is str
+        if text and (q := memo.get(value)) is not None:
+            return q
+        q = _reference_parse_rational(value, what if name is None else f"{what} {name!r}")
+        if text:
+            memo[value] = q
+        return q
+
+    return read
+
+
+def _reference_require(cond: bool, message: str) -> None:
+    if not cond:
+        raise GraphStructureError(message, code="bad-schema")
+
+
+def _reference_edge_pairs(items: list) -> list:
+    _reference_require(all(isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and isinstance(p[1], str)
+                           for p in items), "each edge must be a pair of ids")
+    return items
+
+
+def _reference_reeb_graph(vertices, edges) -> tuple[dict, tuple]:
+    """``ReebGraph.__post_init__``'s checks: (vertices, canonical edges)."""
+    verts = dict(vertices)
+    ratios = {v: h.as_integer_ratio() for v, h in verts.items()}  # exact, faster than Fraction.__eq__
+    canon = []
+    for a, b in edges:
+        ra, rb = ratios.get(a), ratios.get(b)
+        if ra is None or rb is None:
+            raise GraphStructureError(f"edge endpoint {a if ra is None else b!r} is not a declared vertex",
+                                      code="unknown-vertex")
+        if a == b:
+            raise GraphStructureError(f"self-loop at vertex {a!r}", code="self-loop")
+        if ra == rb:
+            raise GraphStructureError(
+                f"edge ({a!r}, {b!r}) joins two vertices of equal height {verts[a]}",
+                code="horizontal-edge",
+            )
+        canon.append((a, b) if a <= b else (b, a))
+    return verts, tuple(canon)
+
+
+def _reference_exact(c) -> Fraction:
+    return c if type(c) is Fraction else Fraction(c)
+
+
+def _reference_drawing(graph: tuple[dict, tuple], x, bends) -> tuple:
+    """``Drawing.__post_init__``'s checks and frame, as ``drawing_value``."""
+    heights, edges = graph
+    xs = {v: _reference_exact(x) for v, x in x.items()}
+    missing = [v for v in heights if v not in xs]
+    if missing:
+        raise GraphStructureError(f"missing x coordinate for vertex {missing[0]!r}", code="missing-x")
+    extra = [v for v in xs if v not in heights]
+    if extra:
+        raise GraphStructureError(f"x coordinate for unknown vertex {extra[0]!r}", code="unknown-vertex")
+    bends = tuple(tuple((_reference_exact(px), _reference_exact(py)) for px, py in eb) if eb else ()
+                  for eb in bends)
+    bends = bends or ((),) * len(edges)
+    if len(bends) != len(edges):
+        raise GraphStructureError(
+            f"bend list length {len(bends)} does not match edge count {len(edges)}",
+            code="edge-mismatch",
+        )
+    ratios = {v: (xs[v].as_integer_ratio(), h.as_integer_ratio()) for v, h in heights.items()}
+    bend_ratios = [(px.as_integer_ratio(), py.as_integer_ratio()) for eb in bends for px, py in eb]
+    x_dens = {xd for (_, xd), _ in ratios.values()} | {xd for (_, xd), _ in bend_ratios}
+    y_dens = {yd for _, (_, yd) in ratios.values()} | {yd for _, (_, yd) in bend_ratios}
+    sx, sy = lcm(*x_dens), lcm(*y_dens)
+    fx = {d: sx // d for d in x_dens}
+    fy = {d: sy // d for d in y_dens}
+
+    def scaled(ratio):
+        (xn, xd), (yn, yd) = ratio
+        return xn * fx[xd], yn * fy[yd]
+
+    vertex_pt = {v: scaled(r) for v, r in ratios.items()}
+    bend_pts = map(scaled, bend_ratios)
+    polys = []
+    for i, ((a, b), eb) in enumerate(zip(edges, bends)):
+        lo, hi = vertex_pt[a], vertex_pt[b]
+        if hi[1] < lo[1]:
+            lo, hi = hi, lo
+        if not eb:
+            polys.append((lo, hi))
+            continue
+        pts = tuple(itertools.islice(bend_pts, len(eb)))
+        y_prev = lo[1]
+        for (_, y), (_, py) in zip(pts, eb):
+            if not (y_prev < y < hi[1]):
+                raise GraphStructureError(
+                    f"bend of edge {i} at y={py} breaks strict y-monotonicity", code="bad-bend"
+                )
+            y_prev = y
+        polys.append((lo, *pts, hi))
+    points: dict[tuple[int, int], str] = {}
+    for v, p in vertex_pt.items():
+        if p in points:
+            raise DegeneracyError(f"vertices {points[p]!r} and {v!r} coincide at {(xs[v], heights[v])}")
+        points[p] = v
+    return (list(heights.items()), edges, list(xs.items()), bends, (tuple(polys), list(vertex_pt.items()), sx, sy))
+
+
+def _reference_graph_from_obj(obj, read) -> tuple[dict, tuple]:
+    _reference_require(isinstance(obj, dict), "graph must be an object")
+    _reference_require(isinstance(obj.get("vertices"), list), "graph.vertices must be a list")
+    _reference_require(isinstance(obj.get("edges"), list), "graph.edges must be a list")
+    heights: dict[str, Fraction] = {}
+    for item in obj["vertices"]:
+        _reference_require(isinstance(item, dict) and isinstance(vid := item.get("id"), str),
+                           "each vertex needs a string id")
+        if vid in heights:
+            raise GraphStructureError(f"duplicate vertex id {vid!r}", code="duplicate-vertex")
+        heights[vid] = read(item.get("height"), "height of", vid)
+    return _reference_reeb_graph(heights, _reference_edge_pairs(obj["edges"]))
+
+
+def reference_parse_drawing(obj) -> tuple:
+    """Oracle: the drawing reader that parsed each value once per use, from
+    a decoded JSON document.  Its value, or its error (class, code and
+    message), is what ``jsonio.drawing_from_obj`` must reproduce."""
+    _reference_require(isinstance(obj, dict), "drawing must be an object")
+    read = _reference_rational_reader()
+    g = _reference_graph_from_obj(obj.get("graph"), read)
+    _reference_require(isinstance(obj.get("x"), dict), "drawing.x must be an object")
+    xs = {v: read(c, "x of", v) for v, c in obj["x"].items()}
+    _reference_require(isinstance(entries := obj.get("edges"), list), "drawing.edges must be a list")
+    if len(entries) != len(g[1]):
+        raise GraphStructureError(
+            f"drawing lists {len(entries)} edges, graph has {len(g[1])}", code="edge-mismatch"
+        )
+    bends = []
+    for i, (entry, edge) in enumerate(zip(entries, g[1])):
+        _reference_require(isinstance(entry, dict), "each drawing edge must be an object")
+        eps = entry.get("endpoints")
+        _reference_require(isinstance(eps, list) and len(eps) == 2, "drawing edge needs two endpoints")
+        a, b = eps
+        _reference_require(isinstance(a, str) and isinstance(b, str), "drawing edge endpoints must be string ids")
+        if ((a, b) if a <= b else (b, a)) != edge:
+            raise GraphStructureError(
+                f"drawing edge {i} endpoints {eps} do not match graph edge {list(edge)}",
+                code="edge-mismatch",
+            )
+        raw = entry.get("bends", [])
+        _reference_require(isinstance(raw, list), "bends must be a list")
+        eb = []
+        for pair in raw:
+            _reference_require(isinstance(pair, list) and len(pair) == 2, "each bend must be an [x, y] pair")
+            eb.append((read(pair[0], "bend x"), read(pair[1], "bend y")))
+        bends.append(tuple(eb))
+    return _reference_drawing(g, xs, tuple(bends))
+
+
+def drawing_value(d: Drawing) -> tuple:
+    """Everything a Drawing holds, dict orders included: (vertices, edges,
+    x, bends, integer frame)."""
+    polys, vertex_pt, sx, sy = d._scaled_polylines
+    return (list(d.graph.vertices.items()), d.graph.edges, list(d.x.items()), d.bends,
+            (polys, list(vertex_pt.items()), sx, sy))

@@ -666,6 +666,22 @@ def test_seed_flag_accepted_and_ignored(graph_file, capsys):
     assert out1 == out2
 
 
+def crossed_drawing(**x) -> dict:
+    """Six edges from height 0 to height 3, their top ends permuted, so that
+    nine pairs cross (one edge bent); ``x`` overrides vertex x coordinates."""
+    names = ["kiwi", "fig", "plum", "lime", "pear", "date"]
+    tops = [5, 2, 0, 4, 1, 3]
+    return {
+        "graph": {"vertices": [{"id": f"lo_{n}", "height": "0"} for n in names]
+                  + [{"id": f"hi_{n}", "height": "3"} for n in names],
+                  "edges": [[f"lo_{n}", f"hi_{n}"] for n in names]},
+        "x": {**{f"lo_{n}": str(2 * i) for i, n in enumerate(names)},
+              **{f"hi_{n}": f"{3 * t}/2" for n, t in zip(names, tops)}, **x},
+        "edges": [{"endpoints": [f"lo_{n}", f"hi_{n}"], "bends": [["1/3", "1"]] if n == "fig" else []}
+                  for n in names],
+    }
+
+
 def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     # String hashing is seeded per process, so a set or dict walk whose
     # order reached an output would show as bytes that differ between seeds.
@@ -673,6 +689,11 @@ def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     curved.write_text(json.dumps(CURVED_CATERPILLAR))
     source = tmp_path / "source.json"
     source.write_text(json.dumps(FIVE_CHORDS_SOURCE))
+    crossed = tmp_path / "crossed.json"
+    crossed.write_text(json.dumps(crossed_drawing()))
+    # Two pairs of vertices coincide; the reader names the first in vertex order.
+    clashing = tmp_path / "clashing.json"
+    clashing.write_text(json.dumps(crossed_drawing(hi_plum="15/2", lo_date="8")))
     graph = FIXTURES / "min_one_bench_graph.json"
     commands = {
         "layout-auto": ["layout", graph, "--algorithm", "auto"],
@@ -680,6 +701,8 @@ def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path):
         "exact": ["exact", graph],
         "stretch": ["stretch", curved],
         "gadget-verify": ["gadget", "verify", "--graph", source, "--svg", "out.svg"],
+        "crossings": ["crossings", crossed],
+        "crossings-refused": ["crossings", clashing],
     }
     src = str(Path(reebdraw.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -690,6 +713,10 @@ def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path):
             work.mkdir()
             proc = subprocess.run([sys.executable, "-m", "reebdraw.cli", *map(str, argv)], cwd=work,
                                   env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
-                                  capture_output=True, check=True)
-            outputs[name].add((proc.stdout, *(f.read_bytes() for f in sorted(work.iterdir()))))
+                                  capture_output=True)
+            assert proc.returncode == (1 if name == "crossings-refused" else 0), proc.stderr
+            outputs[name].add((proc.stdout, proc.stderr, *(f.read_bytes() for f in sorted(work.iterdir()))))
     assert {name: len(seen) for name, seen in outputs.items()} == dict.fromkeys(commands, 1)
+    assert json.loads(outputs["crossings"].pop()[0])["count"] == 9
+    assert json.loads(outputs["crossings-refused"].pop()[1]) == {
+        "error": "degenerate", "message": "vertices 'lo_pear' and 'lo_date' coincide at (Fraction(8, 1), Fraction(0, 1))"}

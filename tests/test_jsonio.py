@@ -19,9 +19,12 @@ from reebdraw import (
     ReebGraph,
     layout_auto,
     stretch,
+    tri_hex_grid,
 )
 from reebdraw import jsonio
+from reebdraw.core import _parse_fraction
 from reebdraw.jsonio import (
+    drawing_from_obj,
     drawing_to_obj,
     graph_to_obj,
     parse_drawing,
@@ -32,7 +35,23 @@ from reebdraw.jsonio import (
     serialize_graph,
 )
 
-from helpers import alternating_cycle, random_caterpillar_graph, random_connected_graph
+from helpers import (
+    alternating_cycle,
+    curved_copy,
+    drawing_value,
+    random_caterpillar_graph,
+    random_connected_graph,
+    reference_parse_drawing,
+    reference_parse_fraction,
+)
+
+
+def outcome(f, *args):
+    """``("ok", f(*args))``, or the error ``f`` raised as (class, code, message)."""
+    try:
+        return "ok", f(*args)
+    except Exception as exc:
+        return type(exc), getattr(exc, "code", None), str(exc)
 
 
 class TestRationals:
@@ -72,6 +91,30 @@ class TestRationals:
             parse_rational(text, "height")
         assert time.process_time() - start < 1
         assert info.value.code == "bad-rational"
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.from_regex(r"\A[-+]?[0-9_]{1,6}(/[-+]?[0-9_]{0,6})?\Z"),
+                     st.text(st.sampled_from("0123456789/-+._eE \t\xa0\u0663\u00b2x"), max_size=12)))
+    @example("1/0")
+    @example("-1/0")
+    @example("-0/0")
+    @example("+3")
+    @example("007/010")
+    @example("1_000/3")
+    @example(" 3/4 ")
+    @example("3/-4")
+    @example("\u0663/\u0664")
+    @example("\u00b2")
+    @example("1" * 4301)
+    @example("-" + "1" * 4301)
+    @example("1/" + "1" * 4301)
+    @example("1" * 4301 + "/" + "1" * 4302)
+    def test_parse_matches_fraction_of_the_string(self, text):
+        # Integers and "p/q" are built from two ints; the value, its exact
+        # type and every error must be those of Fraction(text).
+        got = outcome(_parse_fraction, text, "x", "bad")
+        assert got == outcome(reference_parse_fraction, text, "x", "bad")
+        assert got[0] != "ok" or type(got[1]) is Fraction
 
 
 class TestGraphRoundTrip:
@@ -240,6 +283,25 @@ class TestRationalMemo:
         assert str(exc.value) == f"x of 'd' must be an integer or an exact string, got {bad!r}"
 
 
+class TestSingleRead:
+    """The reader and the constructors read each coordinate's exact ratio once."""
+
+    @pytest.mark.parametrize("curved", [False, True], ids=["straight", "curved"])
+    def test_one_ratio_read_per_coordinate(self, monkeypatch, curved):
+        d = tri_hex_grid(12).drawing
+        if curved:
+            d = curved_copy(d, random.Random(3))
+        bend_points = sum(map(len, d.bends))
+        assert (bend_points > 0) == curved
+        text = serialize_drawing(d)
+        reads = []
+        ratio = Fraction.as_integer_ratio
+        monkeypatch.setattr(Fraction, "as_integer_ratio", lambda q: reads.append(q) or ratio(q))
+        assert parse_drawing(text) == d
+        # Each height, x and bend coordinate once.
+        assert len(reads) == 2 * len(d.graph.vertices) + 2 * bend_points
+
+
 class TestFirstOfTwoFaults:
     """Of two faults in a drawing, the reader reports the first in a fixed
     order.  ``first_error_drawings.json`` holds a valid ``base`` drawing,
@@ -286,6 +348,94 @@ class TestFirstOfTwoFaults:
             if got != (code, message):
                 wrong.append((first, second, got))
         assert wrong == []
+
+
+class SubDict(dict):
+    pass
+
+
+class SubStr(str):
+    pass
+
+
+def _slots(node, path=()):
+    """The path of every value inside a decoded document, parents first."""
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield path + (key,)
+            yield from _slots(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _subclassed(node, rnd):
+    """``node`` with some dicts (keys too) and strings made subclass instances."""
+    if isinstance(node, dict):
+        out = {_subclassed(k, rnd): _subclassed(v, rnd) for k, v in node.items()}
+        return SubDict(out) if rnd.random() < 0.5 else out
+    if isinstance(node, list):
+        return [_subclassed(v, rnd) for v in node]
+    return SubStr(node) if isinstance(node, str) and rnd.random() < 0.5 else node
+
+
+_GRID = tri_hex_grid(2).drawing
+READER_BASES = [
+    TestFirstOfTwoFaults.TABLE["base"],
+    json.loads(serialize_drawing(_GRID)),
+    json.loads(serialize_drawing(curved_copy(_GRID, random.Random(4)))),
+]
+# The fault edits of the two-fault table, and values of every JSON kind.
+READER_EDITS = [*TestFirstOfTwoFaults.TABLE["faults"].values(),
+                *(["set", None, v] for v in ("b", "n0_1", "1/2", "x", "", 0, 7, -1, 0.5, 2.0, True, False, None,
+                                             [], ["a", "b"], ["1", "1/2"], {}, {"id": "a", "height": "1"})),
+                ["del", None], ["swap", None]]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid drawing document with up to three edits at random places:
+    the table's faults, values of another kind, or two values swapped; then,
+    half the time, some dicts and strings replaced by subclass instances."""
+    doc = copy.deepcopy(draw(st.sampled_from(READER_BASES)))
+    for _ in range(draw(st.integers(0, 3))):
+        op, _, *value = draw(st.sampled_from(READER_EDITS))
+        slots = list(_slots(doc))
+        if op == "append":
+            slots = [p for p in slots if isinstance(_at(doc, p), list)]
+        if not slots:
+            continue
+        path = draw(st.sampled_from(slots))
+        parent = _at(doc, path[:-1])
+        if op == "set":
+            parent[path[-1]] = copy.deepcopy(value[0])
+        elif op == "del":
+            del parent[path[-1]]
+        elif op == "append":
+            parent[path[-1]].append(copy.deepcopy(value[0]))
+        else:
+            other = draw(st.sampled_from(slots))
+            if path[:len(other)] != other and other[:len(path)] != path:
+                parent[path[-1]], _at(doc, other[:-1])[other[-1]] = _at(doc, other), parent[path[-1]]
+    if draw(st.booleans()):
+        doc = _subclassed(doc, draw(st.randoms(use_true_random=False)))
+    return doc
+
+
+class TestReaderOracle:
+    """The reader against its verbatim predecessor (``reference_parse_drawing``)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_documents())
+    @example(TestFirstOfTwoFaults.drawing("missing-x", "x-of-unknown-vertex"))
+    @example({**READER_BASES[1], "x": {v: "0" for v in reversed(READER_BASES[1]["x"])}})
+    @example({**READER_BASES[1], "x": {**READER_BASES[1]["x"], "zz": "1", "aa": "2"}})
+    def test_same_drawing_or_same_first_error(self, doc):
+        expected = outcome(reference_parse_drawing, doc)
+        assert outcome(lambda obj: drawing_value(drawing_from_obj(obj)), doc) == expected
 
 
 # Ids with characters that JSON escapes: quotes, backslashes, controls, DEL,
