@@ -8,7 +8,8 @@ disagree; :func:`_strip_inversions` walks a strip by this rule.  The layered
 counter sums its inversions; the geometric counter takes its level edges'
 pairs from them and sweeps only the other segments and their partners, each
 against the later ones that start strictly below its top: a pair that meets
-only where one ends and the other starts is settled elsewhere.
+only where one ends and the other starts is settled elsewhere.  The sweep's
+x-slabs also find the vertices that lie on another edge.
 
 The two counters agree on realized layered drawings, which is what makes the
 enumeration in :func:`exact_rgcn` an exact oracle for the minimum crossing
@@ -27,7 +28,6 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, compress, islice, pairwise
 from math import comb, inf, lcm
 from operator import itemgetter, not_, sub
@@ -82,9 +82,9 @@ class Drawing:
     frame (``_scaled_polylines``) from the graph's height ratios and one
     ``as_integer_ratio`` read of each x and bend coordinate, scaling each
     axis by the lcm of its distinct denominators, and checks bend
-    monotonicity and vertex coincidences on that frame, the latter with the
-    index of vertex points (``_vertex_at``) that the crossing counter reads;
-    incidence degeneracies are caught when counting.
+    monotonicity and vertex coincidences on that frame; incidence
+    degeneracies are caught when counting.  The frame is all a drawing holds
+    beyond its fields: it keeps no lazy state.
     """
 
     graph: ReebGraph
@@ -150,9 +150,7 @@ class Drawing:
                     )
                 y_prev = y
             polys.append((lo, *pts, hi))
-        # Which vertex sits at each point; the crossing counter reads it too.
-        vertex_at = dict(zip(vertex_pt.values(), vertex_pt))
-        if len(vertex_at) < len(vertex_pt):
+        if len(set(vertex_pt.values())) < len(vertex_pt):
             points = {}
             for v, p in vertex_pt.items():
                 if p in points:
@@ -161,34 +159,6 @@ class Drawing:
         object.__setattr__(self, "x", xs)
         object.__setattr__(self, "bends", bends)
         object.__setattr__(self, "_scaled_polylines", (tuple(polys), vertex_pt, sx, sy))
-        object.__setattr__(self, "_vertex_at", vertex_at)
-
-    @cached_property
-    def _level_passes(self) -> tuple[list[int], tuple[tuple[tuple[int, int, int], ...], ...]]:
-        """Where the edges pass the vertex heights on the integer frame,
-        computed on first use: (heights, passes).  ``heights`` lists the
-        distinct vertex heights bottom up; ``passes[i]`` holds, bottom up, a
-        triple (r, num, den) for each ``heights[r]`` strictly between edge
-        i's ends, where the edge's x is num / den and den is the height of
-        the segment holding the point (a bend there is the top of the segment
-        below it).  The crossing counter's foreign-vertex check, ``stretch``'s
-        rows and ``subdivide_drawing``'s cut points read this one view, so
-        none may change it."""
-        polys, vertex_pt, _, _ = self._scaled_polylines
-        heights = sorted({y for _, y in vertex_pt.values()})
-        level = {h: r for r, h in enumerate(heights)}
-        passes = []
-        for poly in polys:
-            cuts = []
-            k = 1
-            for r in range(level[poly[0][1]] + 1, level[poly[-1][1]]):
-                h = heights[r]
-                while poly[k][1] < h:
-                    k += 1
-                (ax, ay), (bx, by) = poly[k - 1], poly[k]
-                cuts.append((r, ax * (by - ay) + (bx - ax) * (h - ay), by - ay))
-            passes.append(tuple(cuts))
-        return heights, tuple(passes)
 
 
 def per_level_order(d: Drawing) -> tuple[tuple[str, ...], ...]:
@@ -239,10 +209,11 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
     segments through one interior point, and polylines through foreign
     vertices all raise :class:`DegeneracyError`.
 
-    The count runs on the drawing's integer frame (``Drawing._scaled_polylines``).
-    Every polyline is strictly y-monotone, so the foreign-vertex check needs
-    one lookup per (edge, vertex height strictly inside its range), in the
-    view of where edges pass the vertex heights (``Drawing._level_passes``).
+    The count reads only the drawing's integer frame
+    (``Drawing._scaled_polylines``) and builds its own index, the x-slabs of
+    the non-level segments (:func:`_x_slabs`).  A level edge passes no vertex
+    height, so a foreign vertex lies on a non-level segment: one of its own
+    slab that starts at or below it, found by an integer cross product.
 
     The pair sweep visits segments sorted by lower y and tests each against
     the later ones whose x-extents overlap its own and that start strictly
@@ -263,23 +234,7 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
     one integer triple (:func:`geometry.crossing_point`), which keys the
     concurrency check.
     """
-    polys, _, sx, sy = d._scaled_polylines
-
-    # A polyline must not pass through any vertex other than its endpoints;
-    # report the first offender of the lowest edge, in ``graph.vertices``
-    # order.  Its bends lie strictly between its ends in y, so only its points
-    # at the vertex heights strictly between its ends can be foreign vertices,
-    # looked up in the drawing's index of vertex points (``Drawing._vertex_at``).
-    vertex_at = d._vertex_at
-    heights, passes = d._level_passes
-    through = [(ei, v) for ei, cuts in enumerate(passes) for r, num, den in cuts
-               if num % den == 0 and (v := vertex_at.get((num // den, heights[r]))) is not None]
-    if through:
-        ei = through[0][0]
-        rank = {v: k for k, v in enumerate(d.graph.vertices)}
-        v = min((v for e, v in through if e == ei), key=rank.__getitem__)
-        raise DegeneracyError(f"edge {ei} passes through vertex {v!r}")
-
+    polys, vertex_pt, sx, sy = d._scaled_polylines
     # Segments with their x-extent and owning edge; polylines run upward, so a lies below b.
     segs = []
     for ei, poly in enumerate(polys):
@@ -287,16 +242,32 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
             x_lo, x_hi = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
             segs.append((a[1], b[1], x_lo, x_hi, a, b, ei))
     segs.sort(key=itemgetter(0, 1))
-    level_edge = [len(poly) == 2 and not cuts for poly, cuts in zip(polys, passes)]
+    rank = {y: r for r, y in enumerate(sorted({y for _, y in vertex_pt.values()}))}
+    level_edge = [len(poly) == 2 and rank[poly[1][1]] == rank[poly[0][1]] + 1 for poly in polys]
     level = list(map(level_edge.__getitem__, map(itemgetter(6), segs)))
 
     free = list(compress(range(len(segs)), map(not_, level)))
     partners = _strip_pairs(segs, level, free)
-    slabs, slab_starts, slab_range = _x_slabs(segs, free) if free else ((), (), ())
-    ranges = iter(slab_range)  # the non-level segments come in ``free`` order
+    slabs, slab_starts, slab_range, x0, width = _x_slabs(segs, free) if free else ((), (), (), 0, 1)
     # Vertex points are distinct, so a point that is an end of both edges is
     # a vertex they share.
     ends = [(poly[0], poly[-1]) for poly in polys]
+
+    # A polyline must not pass through a vertex other than its ends: report
+    # the lowest such edge, then its first such vertex in ``graph.vertices`` order.
+    through = []
+    for k, p in enumerate(vertex_pt.values()) if free else ():
+        px, py = p
+        m = (px - x0) // width
+        for j in slabs[m][:bisect_right(slab_starts[m], py)] if 0 <= m < len(slabs) else ():
+            _, y_hi, _, _, (ax, ay), (bx, by), ei = segs[j]
+            if py <= y_hi and (bx - ax) * (py - ay) == (by - ay) * (px - ax) and p not in ends[ei]:
+                through.append((ei, k))
+    if through:
+        ei, k = min(through)
+        raise DegeneracyError(f"edge {ei} passes through vertex {list(vertex_pt)[k]!r}")
+
+    ranges = iter(slab_range)  # the non-level segments come in ``free`` order
     orient, contact = geometry.orient, geometry.contact
     hits: list[CrossingPair] = []
     seen_points: dict[tuple[int, int, int], set[int]] = {}
@@ -411,10 +382,12 @@ def _strip_pairs(segs: list[tuple], level: list[bool], free: list[int]) -> dict[
     return pairs
 
 
-def _x_slabs(segs: list[tuple], members: list[int]) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]]]:
+def _x_slabs(segs: list[tuple], members: list[int]
+             ) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]], int, int]:
     """Cover the x-range of the segments ``members`` (sweep indices, ascending)
     with equal slabs; returns each slab's members in sweep order and their
-    lower ys, and each member's first and last slab.  The sweep gives it the
+    lower ys, each member's first and last slab, and the left end x0 and the
+    width, so that x lies in slab (x - x0) // width.  The sweep gives it the
     non-level segments only: two x-overlapping ones share a slab, so those
     that can meet a non-level segment are the later members of its slabs that
     start strictly below its upper y.  The slab width is the mean x-extent,
@@ -431,7 +404,7 @@ def _x_slabs(segs: list[tuple], members: list[int]) -> tuple[list[list[int]], li
         for m in range(first, last + 1):
             slabs[m].append(k)
             slab_starts[m].append(seg[0])
-    return slabs, slab_starts, slab_range
+    return slabs, slab_starts, slab_range, x0, width
 
 
 def _layered_cost(strips: list[list[tuple[str, str]]], orders: Sequence[Sequence[str]]) -> int:

@@ -6,15 +6,15 @@ tolerances anywhere.  Callers that need speed can scale their coordinates to
 integers first -- the predicates only use ring operations, so results are
 identical.  ``crossings.count_crossings_geometric``, ``stretch``'s rows,
 ``subdivide_drawing`` and ``svg.render_svg`` read one integer frame per
-drawing (``crossings.Drawing._scaled_polylines``); all but the renderer also
-read its one view of where each edge passes the vertex heights
-(``crossings.Drawing._level_passes``).  The counter tests here only the
-pairs that its strip orders, its half-open y-window and shared ends leave
-open: two level segments only where their strip orders invert or repeat,
-a level segment only against the non-level segments that run inside its
-strip, and no pair that could meet only where one starts and the other ends.  It calls :func:`contact`, and for a
-proper crossing :func:`crossing_point`, so it makes no ``Fraction`` until it
-writes the certificate.
+drawing (``crossings.Drawing._scaled_polylines``).  The counter tests here
+only the pairs that its strip orders, its half-open y-window and shared ends
+leave open: two level segments only where their strip orders invert or
+repeat, a level segment only against the non-level segments that run inside
+its strip, and no pair that could meet only where one starts and the other
+ends.  It calls :func:`contact`, and for a proper crossing
+:func:`crossing_point`, so it makes no ``Fraction`` until it writes the
+certificate; a vertex on a segment it finds with one cross product of its
+own, not with these predicates.
 """
 
 from __future__ import annotations

@@ -38,21 +38,22 @@ from operator import itemgetter
 
 from .crossings import Drawing, IntPoint, count_crossings_geometric
 from .errors import GraphStructureError, InternalInvariantError, LayoutError
+from .subdivide import _level_passes
 
 
 def _rows(d: Drawing) -> list[list[str | int]]:
     """The drawing's rows, bottom up, holding vertex ids and edge indices.
 
     Vertices and their integer x come from the integer frame, and each
-    edge's x at a row from the drawing's shared view of where its edges pass
-    the vertex heights (``Drawing._level_passes``), as a fraction num / den
-    with den at most D, the largest den in the view.  Two such fractions
-    that differ, differ by at least 1 / D^2, so floor(x * D^2) orders them
-    exactly.  On a drawing that passed the crossing check no two objects in
+    edge's x at a row from where the edges pass the vertex heights
+    (``subdivide._level_passes``, built here once per drawing), as a
+    fraction num / den with den at most D, the largest den there.  Two such
+    fractions that differ, differ by at least 1 / D^2, so floor(x * D^2)
+    orders them exactly.  On a drawing that passed the crossing check no two objects in
     a row share an x.
     """
     _, vertex_pt, _, _ = d._scaled_polylines
-    heights, passes = d._level_passes
+    heights, passes = _level_passes(d)
     level = {h: r for r, h in enumerate(heights)}
     scale = max((den for cuts in passes for _, _, den in cuts), default=1) ** 2
     keyed: list[list[tuple[int, str | int]]] = [[] for _ in heights]

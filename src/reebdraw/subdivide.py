@@ -178,11 +178,37 @@ def unsubdivide_drawing(d2: "Drawing", mapping: SubdivisionMap) -> "Drawing":
     return Drawing(graph=g, x=xs, bends=tuple(bends))
 
 
+def _level_passes(d: "Drawing") -> tuple[list[int], tuple[tuple[tuple[int, int, int], ...], ...]]:
+    """Where a drawing's edges pass the vertex heights on its integer frame:
+    (heights, passes).  ``heights`` lists the distinct vertex heights bottom
+    up; ``passes[i]`` holds, bottom up, a triple (r, num, den) for each
+    ``heights[r]`` strictly between edge i's ends, where the edge's x is
+    num / den and den is the height of the segment holding the point (a bend
+    there is the top of the segment below it).  It has one entry per (edge,
+    height it passes), so each caller builds it once per drawing, on demand:
+    ``subdivide_drawing`` for its cut points and ``stretch``'s rows."""
+    polys, vertex_pt, _, _ = d._scaled_polylines
+    heights = sorted({y for _, y in vertex_pt.values()})
+    level = {h: r for r, h in enumerate(heights)}
+    passes = []
+    for poly in polys:
+        cuts = []
+        k = 1
+        for r in range(level[poly[0][1]] + 1, level[poly[-1][1]]):
+            h = heights[r]
+            while poly[k][1] < h:
+                k += 1
+            (ax, ay), (bx, by) = poly[k - 1], poly[k]
+            cuts.append((r, ax * (by - ay) + (bx - ax) * (h - ay), by - ay))
+        passes.append(tuple(cuts))
+    return heights, tuple(passes)
+
+
 def subdivide_drawing(d: "Drawing", g: ReebGraph, mapping: SubdivisionMap) -> "Drawing":
     """Cut a drawing's polylines at every level height; cut points become vertices.
 
-    The cut points are the drawing's shared view of where its edges pass the
-    vertex heights (``Drawing._level_passes``), whose exact frame x becomes
+    The cut points are where its edges pass the vertex heights
+    (:func:`_level_passes`, built here once), whose exact frame x becomes
     each generated vertex's x, so the crossing count is preserved
     bit-exactly.  A bend at a level height is the cut point there; every
     other bend stays a bend of the piece holding it.
@@ -192,7 +218,7 @@ def subdivide_drawing(d: "Drawing", g: ReebGraph, mapping: SubdivisionMap) -> "D
     if g != mapping.original or d.graph != g:
         raise GraphStructureError("drawing does not match the subdivision's input graph", code="map-mismatch")
     polys, _, sx, _ = d._scaled_polylines
-    heights, passes = d._level_passes
+    heights, passes = _level_passes(d)
     xs: dict[str, Fraction] = {v: d.x[v] for v in g.vertices}
     bends2: list[list[tuple[Fraction, Fraction]]] = [[] for _ in mapping.subdivided.edges]
     for i, cuts in enumerate(passes):

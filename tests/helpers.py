@@ -130,6 +130,22 @@ def random_wide_caterpillar_graph(spine_len: int, rng: random.Random) -> ReebGra
     return ReebGraph.build(heights, edges)
 
 
+def distinct_height_path(n: int, rng: random.Random) -> ReebGraph:
+    """Path p0 - p1 - ... of n vertices, one per height: a sample of range(10 n)."""
+    ids = [f"p{i}" for i in range(n)]
+    return ReebGraph.build(dict(zip(ids, rng.sample(range(10 * n), n))), list(zip(ids, ids[1:])))
+
+
+def distinct_height_caterpillar(n: int, rng: random.Random) -> ReebGraph:
+    """Caterpillar of n vertices, one per height (a sample of range(4 n)): a
+    spine path of n // 2 to n - 1 vertices, and each other vertex a leg hung
+    on a random spine vertex."""
+    spine = [f"p{i}" for i in range(rng.randint(n // 2, n - 1))]
+    legs = [f"l{i}" for i in range(n - len(spine))]
+    heights = dict(zip(spine + legs, rng.sample(range(4 * n), n)))
+    return ReebGraph.build(heights, list(zip(spine, spine[1:])) + [(rng.choice(spine), leg) for leg in legs])
+
+
 def random_cycle_graph(n: int, rng: random.Random, max_level: int = 4) -> ReebGraph:
     ids = [f"v{i}" for i in range(n)]
     while True:

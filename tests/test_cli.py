@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,14 @@ from reebdraw import render_svg, tri_hex_grid
 from reebdraw.cli import main
 from reebdraw.jsonio import serialize_drawing, serialize_graph
 
-from helpers import alternating_cycle, counted_geometric_calls, counted_level_calls, deep_general_graph
+from helpers import (
+    alternating_cycle,
+    counted_geometric_calls,
+    counted_level_calls,
+    deep_general_graph,
+    distinct_height_caterpillar,
+    distinct_height_path,
+)
 
 GRAPH = {
     "vertices": [
@@ -434,6 +442,22 @@ PARALLEL_PAIR = {
     "vertices": [{"id": "a", "height": 0}, {"id": "b", "height": 1}],
     "edges": [["a", "b"], ["a", "b"]],
 }
+
+
+@pytest.mark.parametrize("graph,sha", [
+    (distinct_height_path(2400, random.Random(2400)),
+     "81dc41ce4cb720f9adbe63a7107f80a81866a4c0c94930ab5fe7f727633bf124"),
+    (distinct_height_caterpillar(1200, random.Random(1200)),
+     "49b15e6ea6b57963b8a120215e64ba620e9e414ee34256598cbe2da6c82982b6"),
+], ids=["path-2400", "caterpillar-1200"])
+def test_layout_bytes_with_one_vertex_per_height(graph, sha, tmp_path, capsys):
+    # Long edges that pass many vertex heights: the certifying count's
+    # foreign-vertex check sees each of them.
+    path = tmp_path / "g.json"
+    path.write_text(serialize_graph(graph))
+    code, out, err = run(capsys, "layout", path, "--algorithm", "auto")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 @pytest.mark.parametrize("algorithm,graph,json_sha,svg_sha", [

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import bisect
 import gc
+import importlib
 import inspect
 import itertools
 import math
@@ -27,6 +29,8 @@ from reebdraw import (
     count_crossings_geometric,
     count_crossings_layered,
     exact_rgcn,
+    layout_auto,
+    layout_caterpillar,
     levels,
     ola_brute,
     ola_reduce,
@@ -44,7 +48,7 @@ from reebdraw.crossings import (
 )
 from reebdraw.gadget import _certified_drawing
 from reebdraw.jsonio import parse_graph
-from reebdraw.subdivide import LeveledView, _leveled
+from reebdraw.subdivide import LeveledView, _level_passes, _leveled
 
 from helpers import (
     _parity_system,
@@ -58,8 +62,10 @@ from helpers import (
     counted_warm_starts,
     curved_copy,
     deep_general_graph,
+    distinct_height_path,
     enumerate_min_crossings,
     point,
+    polyline,
     random_caterpillar_graph,
     random_connected_graph,
     random_cycle_graph,
@@ -450,7 +456,7 @@ class TestCounterOracleAtScale:
             for step in (Fraction(1, 2), Fraction(1, 97)):
                 outcomes.append(self.level_copy(d, rng, step))
         for d in outcomes:
-            assert not any(d.bends) and not any(d._level_passes[1])  # every edge is level
+            assert not any(d.bends) and not any(_level_passes(d)[1])  # every edge is level
         outcomes = [self.assert_matches(d) for d in outcomes]
         refusals = [o[2] for o in outcomes if isinstance(o, tuple)]
         assert any(not isinstance(o, tuple) and o.count for o in outcomes)  # level edges cross
@@ -779,6 +785,60 @@ class TestWarmStart:
         assert barycenter_ordering(_leveled(g2, levels(g2))) == self.reference_snapshots(g2)
 
 
+def brute_vertex_through(d: Drawing) -> str | None:
+    """The foreign-vertex refusal, by testing every (vertex, segment) pair in
+    exact arithmetic: the first edge by index whose polyline holds a vertex
+    other than its own ends, with its first such vertex in graph order."""
+    for ei, ends in enumerate(d.graph.edges):
+        pieces = list(itertools.pairwise(polyline(d, ei)))
+        for v in d.graph.vertices:
+            px, py = point(d, v)
+            if v not in ends and any(ay <= py <= by and (bx - ax) * (py - ay) == (by - ay) * (px - ax)
+                                     for (ax, ay), (bx, by) in pieces):
+                return f"edge {ei} passes through vertex {v!r}"
+    return None
+
+
+@st.composite
+def drawings_with_vertices_on_edges(draw):
+    """A coarse drawing plus 1-3 new vertices, each put inside a segment of
+    an edge, on one of its bends, or at the height of a segment's end but off
+    the edge, in random places in the vertex order; some get an edge of their
+    own, at a random edge index."""
+    base = draw(coarse_drawings())
+    heights, xs = dict(base.graph.vertices), dict(base.x)
+    edges, bends = list(base.graph.edges), list(base.bends)
+    order = list(heights)
+    for k in range(draw(st.integers(min_value=1, max_value=3))):
+        ei = draw(st.integers(min_value=0, max_value=len(base.graph.edges) - 1))
+        poly = polyline(base, ei)
+        places = ["inside", "end height"] + (["bend"] if base.bends[ei] else [])
+        place = draw(st.sampled_from(places))
+        if place == "bend":
+            x, y = draw(st.sampled_from(base.bends[ei]))
+        else:
+            s = draw(st.integers(min_value=0, max_value=len(poly) - 2))
+            (ax, ay), (bx, by) = poly[s], poly[s + 1]
+            if place == "inside":
+                t = Fraction(draw(st.integers(min_value=1, max_value=3)), 4)
+                x, y = ax + t * (bx - ax), ay + t * (by - ay)
+            else:
+                x, y = draw(st.sampled_from([(ax, ay), (bx, by)]))
+                x += draw(st.sampled_from([Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1)]))
+        v = f"n{k}"
+        heights[v], xs[v] = y, x
+        order.insert(draw(st.integers(min_value=0, max_value=len(order))), v)
+        others = [w for w in order if heights[w] != y]
+        if others and draw(st.booleans()):
+            at = draw(st.integers(min_value=0, max_value=len(edges)))
+            edges.insert(at, (v, draw(st.sampled_from(others))))
+            bends.insert(at, ())
+    try:
+        return Drawing(graph=ReebGraph({w: heights[w] for w in order}, tuple(edges)), x=xs, bends=tuple(bends))
+    except ReebError:
+        assume(False)
+
+
 class TestForeignVertexIndex:
     """The height index must see every vertex in a segment's closed y-range."""
 
@@ -805,7 +865,7 @@ class TestForeignVertexIndex:
         # 2 and 6.  At height 1 the edge is inside its first segment, at 2 it
         # is the bend, met as the top of the segment below it (x = 4 / 2).
         d = self.bent_edge({"v": (5, 1), "w": (-3, Fraction(1, 2))})
-        assert d._level_passes == ([0, 1, 2, 8], (((1, 2, 2), (2, 4, 2)),))
+        assert _level_passes(d) == ([0, 1, 2, 8], (((1, 2, 2), (2, 4, 2)),))
         assert count_crossings_geometric(d).count == 0
 
     def test_vertices_at_segment_end_heights_off_the_edge_are_not_reported(self):
@@ -840,6 +900,47 @@ class TestForeignVertexIndex:
         d = Drawing(graph=g, x={"a": Fraction(0), "b": Fraction(1), "v": Fraction(1, 2)})
         with pytest.raises(DegeneracyError, match=r"^edge 0 passes through vertex 'v'$"):
             count_crossings_geometric(d)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawings_with_vertices_on_edges())
+    def test_refusal_matches_a_check_of_every_vertex_against_every_segment(self, d):
+        got = _outcome(count_crossings_geometric, d)
+        want = brute_vertex_through(d)
+        if want is not None:
+            assert got == (DegeneracyError, "degenerate", want)
+        else:
+            assert not (isinstance(got, tuple) and "passes through vertex" in got[2])
+
+    def test_the_counter_builds_no_pass_table(self, monkeypatch):
+        # The pass table is Θ(n·L) on inputs with one vertex per height; the
+        # counter finds foreign vertices in its own x-slabs instead.  On the
+        # 2,400-vertex path those hold 4,794 entries, two per non-level
+        # segment (2,397 of 2,399), and the check scans 4,794: linear in n.
+        import reebdraw.crossings
+
+        rng = random.Random(31)
+        source = OlaGraph(tuple(FIVE_CHORDS_SOURCE["vertices"]), tuple(map(tuple, FIVE_CHORDS_SOURCE["edges"])))
+        best = ola_brute(source)
+        gadget, cert = _certified_drawing(ola_reduce(source, best.cost), best)
+        curved = [curved_copy(layout_caterpillar(random_caterpillar_graph(n, rng)), rng) for n in (40, 90, 150)]
+        path = layout_auto(distinct_height_path(2400, random.Random(2400)))
+        for module in map(importlib.import_module, ("reebdraw.subdivide", "reebdraw.stretch")):
+            monkeypatch.setattr(module, "_level_passes", lambda d: pytest.fail("the counter built the pass table"))
+        assert count_crossings_geometric(tri_hex_grid(12).drawing).count == 0
+        assert count_crossings_geometric(gadget) == cert
+        assert [count_crossings_geometric(d).count for d in curved] == [0, 0, 0]
+
+        x_slabs, index = reebdraw.crossings._x_slabs, []
+        monkeypatch.setattr(reebdraw.crossings, "_x_slabs", lambda segs, members: index.append(x_slabs(segs, members))
+                            or index[-1])
+        assert count_crossings_geometric(path).count == 0
+        (slabs, slab_starts, _, x0, width), = index
+        scanned = 0
+        for px, py in path._scaled_polylines[1].values():
+            m = (px - x0) // width
+            scanned += bisect.bisect_right(slab_starts[m], py) if 0 <= m < len(slabs) else 0
+        assert (sum(map(len, slabs)), scanned) == (4794, 4794)
 
 
 class TestLayeredCounter:

@@ -305,18 +305,27 @@ class TestStretchWork:
         assert sum(read) < self.ALL_PLACED // 10
 
     def test_walks_each_drawing_once(self, monkeypatch):
-        # Each drawing's integer frame is set when it is built.  The counter,
-        # the rows and the post-check all read one view of where the edges
-        # pass the vertex heights per drawing: the input's and the output's
-        # are each built once.
+        # Each drawing's integer frame is set when it is built.  The rows read
+        # where the edges pass the vertex heights, built once for the input
+        # and once for the output; the counter, run on both, builds it never.
         rng = random.Random(5)
         bent = curved_copy(layout_caterpillar(random_caterpillar_graph(30, rng)), rng)
         d = Drawing(graph=bent.graph, x=bent.x, bends=bent.bends)
         assert "_scaled_polylines" not in vars(Drawing)
-        assert "_scaled_polylines" in vars(d) and "_level_passes" not in vars(d)
-        view = vars(Drawing)["_level_passes"]
-        walked = []
-        monkeypatch.setattr(view, "func", lambda dd, build=view.func: walked.append(dd) or build(dd))
+        assert "_scaled_polylines" in vars(d)
+        walked, counts = [], []
+        build, count = stretch_module._level_passes, stretch_module.count_crossings_geometric
+
+        def counted(dd):
+            before = len(walked)
+            cert = count(dd)
+            counts.append(len(walked) - before)
+            return cert
+
+        for module in (stretch_module, importlib.import_module("reebdraw.subdivide")):
+            monkeypatch.setattr(module, "_level_passes", lambda dd: walked.append(dd) or build(dd))
+        monkeypatch.setattr(stretch_module, "count_crossings_geometric", counted)
         out = stretch(d)
         assert "_scaled_polylines" in vars(out)
         assert [id(dd) for dd in walked] == [id(d), id(out)]
+        assert counts == [0, 0]
