@@ -462,12 +462,13 @@ def realize_layered(g2: ReebGraph, ordering: LevelOrdering, count: int | None = 
     copies: dict[tuple[str, str], list[int]] = {}
     for i, pair in enumerate(g2.edges):
         copies.setdefault(pair, []).append(i)
+    parallel = [(pair, members) for pair, members in copies.items() if len(members) > 1]  # only these bend
     pos = ordering.positions()
 
     def drawing(place, lean) -> Drawing:
         xs = {v: place(i) for v, i in pos.items()}
         bends: list[tuple[Point, ...]] = [() for _ in g2.edges]
-        for pair, members in copies.items():
+        for pair, members in parallel:
             lo, hi = (pair if g2.vertices[pair[0]] < g2.vertices[pair[1]] else (pair[1], pair[0]))
             mid_y = (g2.vertices[lo] + g2.vertices[hi]) / 2
             mid_x = (xs[lo] + xs[hi]) / 2
@@ -485,7 +486,7 @@ def realize_layered(g2: ReebGraph, ordering: LevelOrdering, count: int | None = 
         pass
     w = max(map(len, ordering.orders), default=1)
     s = 8 * w ** 3
-    multiplicity = max(map(len, copies.values()), default=1)
+    multiplicity = max((len(members) for _, members in parallel), default=1)
     delta = Fraction(1, 8 * w * s * s * multiplicity)
     d = drawing(lambda i: i + Fraction(i * i, s), lambda i, j: delta if i <= j else -delta)
     if count_crossings_geometric(d).count != count:

@@ -236,7 +236,8 @@ def drawing_from_obj(obj: Any) -> Drawing:
         a, b = eps
         if type(a) is not str or type(b) is not str:
             _require(isinstance(a, str) and isinstance(b, str), "drawing edge endpoints must be string ids")
-        if ((a, b) if a <= b else (b, a)) != edge:
+        lo, hi = edge  # canonical, and never a self-loop: match it either way round
+        if (a != lo or b != hi) and (a != hi or b != lo):
             raise GraphStructureError(
                 f"drawing edge {i} endpoints {eps} do not match graph edge {list(edge)}",
                 code="edge-mismatch",

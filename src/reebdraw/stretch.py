@@ -2,7 +2,9 @@
 
 The *rows* of a drawing are the per-level orders of its subdivision: for each
 distinct vertex height, bottom up, the vertices at that height and the edges
-passing strictly through it, from left to right.  ``stretch`` redraws every
+passing strictly through it, from left to right, each by number: vertex k of
+``graph.vertices`` is k and edge i is n + i, so no vertex id, an int
+included, is taken for an edge.  ``stretch`` redraws every
 edge as one straight segment at the same heights and keeps every row, so the
 output has no crossings and the same per-level vertex order.
 
@@ -11,7 +13,8 @@ The order comes from a peel.  The *star* of a vertex z is z plus its edges to
 vertices still present; z is *exposed* when, in every row, nothing outside
 its star lies right of a star object.  The peel repeatedly removes an exposed
 vertex together with its star, the greatest by (x, id) first, and the
-insertion order is the peel order reversed.  Removing a star never blocks
+insertion order is the peel order reversed.  One scan of each row finds what
+blocks each star there, before the peel starts.  Removing a star never blocks
 another vertex, so the peel gets stuck only if every peel order does; such a
 drawing is refused with code ``not-straightenable``.  That can happen on a
 crossing-free drawing: a straight drawing with the same rows may still exist,
@@ -41,33 +44,34 @@ from .errors import GraphStructureError, InternalInvariantError, LayoutError
 from .subdivide import _level_passes
 
 
-def _rows(d: Drawing) -> list[list[str | int]]:
-    """The drawing's rows, bottom up, holding vertex ids and edge indices.
+def _rows(d: Drawing) -> list[list[int]]:
+    """The drawing's rows, bottom up, holding numbered objects: vertex k of
+    ``graph.vertices`` is k and edge i is n + i, for n vertices.
 
     Vertices and their integer x come from the integer frame, and each
     edge's x at a row from where the edges pass the vertex heights
     (``subdivide._level_passes``, built here once per drawing), as a
     fraction num / den with den at most D, the largest den there.  Two such
     fractions that differ, differ by at least 1 / D^2, so floor(x * D^2)
-    orders them exactly.  On a drawing that passed the crossing check no two objects in
-    a row share an x.
+    orders them exactly.  On a drawing that passed the crossing check no two
+    objects in a row share an x.
     """
     _, vertex_pt, _, _ = d._scaled_polylines
     heights, passes = _level_passes(d)
     level = {h: r for r, h in enumerate(heights)}
     scale = max((den for cuts in passes for _, _, den in cuts), default=1) ** 2
-    keyed: list[list[tuple[int, str | int]]] = [[] for _ in heights]
-    for v, (x, y) in vertex_pt.items():
-        keyed[level[y]].append((x * scale, v))
-    for i, cuts in enumerate(passes):
+    keyed: list[list[tuple[int, int]]] = [[] for _ in heights]
+    for k, (x, y) in enumerate(vertex_pt.values()):
+        keyed[level[y]].append((x * scale, k))
+    for i, cuts in enumerate(passes, len(vertex_pt)):
         for r, num, den in cuts:
             keyed[r].append((num * scale // den, i))
     return [[obj for _, obj in sorted(row, key=itemgetter(0))] for row in keyed]
 
 
-def _insertion_order(d: Drawing, rows: list[list[str | int]]) -> tuple[str, ...]:
+def _insertion_order(d: Drawing, rows: list[list[int]]) -> tuple[str, ...]:
     """The peel order reversed (see the module docstring), from the
-    drawing's ``_rows``.
+    drawing's ``_rows``, as vertex ids.
 
     A peel removes a suffix of every row it touches, so each row is kept as
     its full list and a current length, and positions never change.  Let m be
@@ -77,44 +81,37 @@ def _insertion_order(d: Drawing, rows: list[list[str | int]]) -> tuple[str, ...]
     the tail of its rows when it goes).  So z waits on one blocker (row, q)
     per row that blocks it and becomes exposed when the last one is removed.
 
-    Each star's first positions are found once, with every vertex present.
-    An edge to a peeled neighbour lies at or past its row's current length,
-    so at z's peel a row whose m is at or past its length holds no object of
-    z's star, and in every other row m is still the star's first position.
+    One left-to-right scan per row finds every m and q, with every vertex
+    present.  A star is *running* from its m until its q; at each position
+    only the owners of the object before it (the vertex, or the edge's two
+    ends) can be running.  An edge to a peeled neighbour lies at or past its
+    row's current length, so at z's peel a row whose m is at or past its
+    length holds no object of z's star, and in every other row m is still
+    the star's first position.
     """
     g = d.graph
-    cells: dict[str | int, list[tuple[int, int]]] = {}  # object -> its (row, position)s
-    for r, row in enumerate(rows):
-        for p, obj in enumerate(row):
-            cells.setdefault(obj, []).append((r, p))
+    names = list(g.vertices)
+    n = len(names)
+    index = {v: k for k, v in enumerate(names)}
+    owners = [(k,) for k in range(n)] + [(index[a], index[b]) for a, b in g.edges]
     length = [len(row) for row in rows]
-    incident = g.incident_edges()
-    rank = {v: r for r, v in enumerate(sorted(g.vertices, key=lambda v: (d.x[v], v)))}
-    exposed: list[tuple[int, str]] = []  # heap, greatest rank first
-    waiting: dict[tuple[int, int], list[str]] = {}
-    blockers: dict[str, int] = {}
-    firsts: dict[str, dict[int, int]] = {}  # z -> per row, the first position of its star
+    firsts: list[dict[int, int]] = [{} for _ in names]  # z -> per row, the first position of its star
+    waiting: dict[tuple[int, int], list[int]] = {}
+    blockers = [0] * n
+    for r, row in enumerate(rows):
+        run: list[int] = []
+        for p, obj in enumerate(row):
+            own = owners[obj]
+            for z in run:
+                if z not in own:
+                    waiting.setdefault((r, p), []).append(z)
+                    blockers[z] += 1
+            # The owners still running, and those whose star starts here.
+            run = [z for z in own if z in run or firsts[z].setdefault(r, p) == p]
 
-    for z in g.vertices:
-        objs = {z, *incident[z]}
-        first: dict[int, int] = {}
-        count: dict[int, int] = {}
-        for obj in objs:
-            for r, p in cells.get(obj, ()):
-                first[r] = min(first.get(r, p), p)
-                count[r] = count.get(r, 0) + 1
-        firsts[z] = first
-        blockers[z] = 0
-        for r, m in first.items():
-            if length[r] - m > count[r]:
-                q = m + 1
-                while rows[r][q] in objs:
-                    q += 1
-                waiting.setdefault((r, q), []).append(z)
-                blockers[z] += 1
-        if not blockers[z]:
-            heappush(exposed, (-rank[z], z))
-    peeled: list[str] = []
+    rank = {k: r for r, k in enumerate(sorted(range(n), key=lambda k: (d.x[names[k]], names[k])))}
+    exposed = sorted((-rank[z], z) for z in range(n) if not blockers[z])  # a heap, greatest rank first
+    peeled: list[int] = []
     while exposed:
         z = heappop(exposed)[1]
         for r, m in firsts[z].items():
@@ -127,13 +124,13 @@ def _insertion_order(d: Drawing, rows: list[list[str | int]]) -> tuple[str, ...]
                         heappush(exposed, (-rank[w], w))
             length[r] = m
         peeled.append(z)
-    if len(peeled) != len(g.vertices):
+    if len(peeled) != n:
         raise LayoutError(
             f"placing each vertex right of the earlier ones cannot keep the order at every "
-            f"height ({len(g.vertices) - len(peeled)} vertices stay blocked)",
+            f"height ({n - len(peeled)} vertices stay blocked)",
             code="not-straightenable",
         )
-    return tuple(reversed(peeled))
+    return tuple(names[z] for z in reversed(peeled))
 
 
 def _clearing_x(pu: IntPoint, yv: int, points: list[IntPoint]) -> int:

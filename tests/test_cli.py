@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import random
@@ -582,6 +583,18 @@ def test_malformed_input_is_exit_one(argv, content, error, tmp_path, capsys):
     code, out, err = run(capsys, *argv, bad)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == error
+
+
+def test_dash_reads_stdin(graph_file, monkeypatch, capsys):
+    # "-" reads the input from stdin, with the same result as the file, and
+    # bytes that are not UTF-8 are refused there too.
+    from_file = run(capsys, "layout", graph_file)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(GRAPH)))
+    assert run(capsys, "layout", "-") == from_file
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe\x00bad"), encoding="utf-8"))
+    code, out, err = run(capsys, "validate", "-")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "bad-json"
 
 
 def test_cached_parser_keeps_no_state_between_calls(graph_file, tmp_path, capsys):

@@ -18,6 +18,7 @@ from reebdraw import (
     levels,
     validate,
 )
+from reebdraw.core import spine_and_legs
 
 from helpers import random_connected_graph
 
@@ -191,6 +192,16 @@ class TestClassifyShape:
              ("s3", "m"), ("m", "tip")],
         )
         assert classify_shape(g) == ShapeClass.TREE
+
+    def test_spine_and_legs_refuses_a_non_caterpillar(self):
+        g = ReebGraph.build(
+            {"s1": 0, "s2": 1, "s3": 0, "s4": 1, "s5": 0, "m": 2, "tip": 3},
+            [("s1", "s2"), ("s2", "s3"), ("s3", "s4"), ("s4", "s5"),
+             ("s3", "m"), ("m", "tip")],
+        )
+        with pytest.raises(LayoutError) as exc:
+            spine_and_legs(g)
+        assert (exc.value.code, str(exc.value)) == ("not-caterpillar", "expected a caterpillar, got tree")
 
     def test_cycle_with_chord_is_general(self):
         g = ReebGraph.build(

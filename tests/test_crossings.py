@@ -7,6 +7,7 @@ import inspect
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -1605,6 +1606,31 @@ class TestExactSearchOracle:
         assert res.count == 1
         # Round 0 alone took 91 of the 131 states before the refutation.
         assert res.states <= 40 < ref.states
+
+    def test_memo_skips_an_order_entered_before_at_no_greater_cost(self):
+        # On this graph ``enter`` meets the order of a level below that the
+        # memo holds at a cost no greater than the current one 8 times, and
+        # returns at once; a line tracer on ``enter`` counts those returns.
+        g = random_connected_graph(10, random.Random(71))
+        source, start = inspect.getsourcelines(exact_rgcn)
+        skip = start + next(k for k, line in enumerate(source) if "seen <= cost" in line) + 1
+        hits = []
+
+        def lines(frame, event, arg):
+            if event == "line" and frame.f_lineno == skip:
+                hits.append(skip)
+            return lines
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: lines if frame.f_code.co_name == "enter" else None)
+        try:
+            res = exact_rgcn(g)
+        finally:
+            sys.settrace(previous)
+        assert len(hits) == 8
+        assert (res.count, res.states) == (1, 1077)
+        ref = recursive_exact_rgcn(g)
+        assert (res.count, res.ordering, res.states) == (ref.count, ref.ordering, ref.states)
 
 
 def normalized(sides):

@@ -487,6 +487,12 @@ class TestTemplateWriter:
             serialize_drawing(d)
         assert (got.value.code, str(got.value)) == ("too-many-digits", str(expected.value))
 
+    @pytest.mark.parametrize("vid, kind", [(2.5, "float"), (True, "bool"), (None, "NoneType")])
+    def test_refuses_an_id_neither_str_nor_int(self, vid, kind):
+        g = ReebGraph({"a": Fraction(0), vid: Fraction(1)}, ())
+        with pytest.raises(TypeError, match=f"^vertex ids must be str or int, not {kind}$"):
+            serialize_graph(g)
+
     def test_runs_no_json_encoder(self, monkeypatch):
         # With an indent, json.dumps encodes through ``_make_iterencode``.
         d = stretch(layout_auto(random_caterpillar_graph(12, random.Random(5))))

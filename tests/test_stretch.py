@@ -188,6 +188,34 @@ class TestStretchRegressions:
         assert drawn > 400
 
 
+def _with_int_ids(d: Drawing) -> tuple[Drawing, dict[int, str]]:
+    """The drawing with its ids renamed to ints 0..n-1 in id order, so every
+    comparison of ids (edge orientation, ties in x) comes out the same; and
+    the map back to the old ids."""
+    old = sorted(d.graph.vertices)
+    num = {v: k for k, v in enumerate(old)}
+    g = ReebGraph({num[v]: h for v, h in d.graph.vertices.items()},
+                  tuple((num[a], num[b]) for a, b in d.graph.edges))
+    return Drawing(graph=g, x={num[v]: x for v, x in d.x.items()}, bends=d.bends), dict(enumerate(old))
+
+
+class TestIntegerIds:
+    # Integer vertex ids share no number with edge indices in the rows, so
+    # renaming the ids changes no placement and no refusal.
+    def test_int_ids_stretch_like_their_names(self):
+        rng = random.Random(12)
+        for i in range(300):
+            d = layout_caterpillar((random_path_graph, random_caterpillar_graph)[i % 2](rng.randint(2, 14), rng))
+            if i % 4 >= 2:
+                d = curved_copy(d, rng)
+            renamed, back = _with_int_ids(d)
+            assert {back[k]: x for k, x in stretch(renamed).x.items()} == stretch(d).x
+
+    def test_int_ids_are_refused_like_their_names(self):
+        renamed, _ = _with_int_ids(pocket_path())
+        assert _outcome(stretch, renamed) == _outcome(stretch, pocket_path())
+
+
 _T = tuple(Fraction(k, 12) for k in (3, 4, 6, 8, 9))
 
 
