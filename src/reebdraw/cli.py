@@ -5,7 +5,9 @@ gadget (hexgrid | ola-reduce | ola-brute | verify), render.  Inputs are JSON
 files ("-" for stdin); results go to stdout or ``-o``.  Exit codes: 0 on
 success, 1 on any validation error, 2 when a search budget is exhausted.
 Errors are written to stderr as one JSON object with ``error`` (stable code)
-and ``message``.
+and ``message``.  ``gadget verify`` also exits 1, with no error, when its
+drawing has more crossings than the reduction's budget: its result, with
+``"ok": false``, still goes to stdout (and the SVG to ``--svg``).
 
 ``--seed`` exists for reproducing randomized test fixtures elsewhere; every
 algorithm here is deterministic and ignores it.

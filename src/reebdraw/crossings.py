@@ -5,11 +5,13 @@ x coordinate; each edge becomes a strictly y-monotone polyline (optional bend
 points between the endpoint heights).  Two edges of one strip (between
 consecutive levels) cross iff the orders of their ends on the two levels
 disagree; :func:`_strip_inversions` walks a strip by this rule.  The layered
-counter sums its inversions; the geometric counter takes its level edges'
-pairs from them and sweeps only the other segments and their partners, each
-against the later ones that start strictly below its top: a pair that meets
-only where one ends and the other starts is settled elsewhere.  The sweep's
-x-slabs also find the vertices that lie on another edge.
+counter sums its inversions.  The geometric counter gathers the pairs that
+can meet in one candidate map, its level edges' pairs from those inversions
+and the rest from the level strips and the x-slabs of the other segments,
+each segment with later ones that start strictly below its top (a pair that
+meets only where one ends and the other starts is settled elsewhere), and
+then tests the map in sweep order.  The x-slabs also find the vertices that
+lie on another edge.
 
 The two counters agree on realized layered drawings, which is what makes the
 enumeration in :func:`exact_rgcn` an exact oracle for the minimum crossing
@@ -222,17 +224,20 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
     bend on a vertex, which the foreign-vertex check refuses; or two edges'
     coinciding bends, where their segments that end there meet too, earlier
     in the sweep, and refuse.  A *level* edge has no bend and passes no vertex
-    height, so its one segment spans one strip between consecutive heights:
-    its pairs come strip by strip (:func:`_strip_pairs`), and only the other
-    segments fill the x-slabs (:func:`_x_slabs`).  The sweep visits the
-    non-level segments and the level ones with a partner, each with its
-    candidates in sweep order, so every pair that can count or refuse is
-    visited in the order of a scan over the whole y-window, and the first
-    degeneracy is the same.  Both segments run upward, so a shared lower or
-    upper end is an overlap iff they are collinear and a touch otherwise;
-    other pairs take :func:`geometry.contact`.  A proper crossing's point is
-    one integer triple (:func:`geometry.crossing_point`), which keys the
-    concurrency check.
+    height, so its one segment spans one strip between consecutive heights.
+
+    The pairs come in two phases.  First one candidate map {i: [j, ...]},
+    for sweep indices i < j, each list ascending: :func:`_strip_pairs` gives
+    the pairs with a level segment, strip by strip, and each non-level
+    segment adds the later members of its x-slabs (:func:`_x_slabs`, which
+    hold only the non-level segments) that start below its top.  Then one
+    loop tests the map's pairs in sweep order, which is the order of a scan
+    over the whole y-window, so the first degeneracy is the same.  Both
+    segments run upward, so a shared lower or upper end is an overlap iff
+    they are collinear and a touch otherwise; other pairs take
+    :func:`geometry.contact`.  A proper crossing's point is one integer
+    triple (:func:`geometry.crossing_point`), which keys the concurrency
+    check.
     """
     polys, vertex_pt, sx, sy = d._scaled_polylines
     # Segments with their x-extent and owning edge; polylines run upward, so a lies below b.
@@ -247,7 +252,6 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
     level = list(map(level_edge.__getitem__, map(itemgetter(6), segs)))
 
     free = list(compress(range(len(segs)), map(not_, level)))
-    partners = _strip_pairs(segs, level, free)
     slabs, slab_starts, slab_range, x0, width = _x_slabs(segs, free) if free else ((), (), (), 0, 1)
     # Vertex points are distinct, so a point that is an end of both edges is
     # a vertex they share.
@@ -267,26 +271,19 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
         ei, k = min(through)
         raise DegeneracyError(f"edge {ei} passes through vertex {list(vertex_pt)[k]!r}")
 
-    ranges = iter(slab_range)  # the non-level segments come in ``free`` order
+    pairs = _strip_pairs(segs, level, free)  # the candidate map; the non-level pairs join it here
+    for i, (first, last) in zip(free, slab_range):
+        y_hi_i = segs[i][1]
+        later = {j for m in range(first, last + 1)
+                 for j in slabs[m][bisect_right(slabs[m], i):bisect_left(slab_starts[m], y_hi_i)]}
+        if later:
+            pairs[i] = sorted(later.union(pairs.get(i, ())))
     orient, contact = geometry.orient, geometry.contact
     hits: list[CrossingPair] = []
     seen_points: dict[tuple[int, int, int], set[int]] = {}
-    for i in sorted(chain(free, (k for k in partners if level[k]))):
-        _, y_hi_i, x_lo_i, x_hi_i, a, b, ei = segs[i]
-        if level[i]:
-            candidates = partners[i]
-        else:
-            first, last = next(ranges)
-            if first == last:
-                members = slabs[first]
-                candidates = members[bisect_right(members, i):bisect_left(slab_starts[first], y_hi_i)]
-            else:
-                candidates = sorted({j for m in range(first, last + 1)
-                                     for j in slabs[m][bisect_right(slabs[m], i):bisect_left(slab_starts[m], y_hi_i)]})
-            extra = partners.get(i)
-            if extra:
-                candidates = sorted(candidates + extra)
-        for j in candidates:
+    for i in sorted(pairs):
+        _, _, x_lo_i, x_hi_i, a, b, ei = segs[i]
+        for j in pairs[i]:
             _, _, x_lo_j, x_hi_j, c, dd, ej = segs[j]
             if x_hi_i < x_lo_j or x_hi_j < x_lo_i:
                 continue
@@ -340,9 +337,13 @@ def _strip_pairs(segs: list[tuple], level: list[bool], free: list[int]) -> dict[
     as {i: [j, ...]} for sweep indices i < j, ascending; ``free`` lists the
     non-level segments.  A strip's level segments cross where
     :func:`_strip_inversions` over their (lower x, upper x) says, overlap iff
-    both xs are equal, and meet otherwise only at shared vertices.  A
-    non-level segment running inside the strip pairs with those whose
-    x-extents overlap its own; none above the top strip is read."""
+    both xs are equal, and meet otherwise only at shared vertices.  The
+    strips are disjoint and ascending, so a non-level segment bisects their
+    bottoms and tops for those its open y-range crosses.  In each whose
+    x-range meets its own, it bisects the spans sorted by lower x for those
+    whose x-extents overlap its own, from its own lower x less the strip's
+    widest span (``reach``).  That index is built only when both kinds of
+    segment exist."""
     strips: dict[int, list[tuple[int, int, int]]] = {}
     for k in compress(range(len(segs)), level):
         y_lo, _, _, _, a, b, _ = segs[k]
@@ -357,26 +358,20 @@ def _strip_pairs(segs: list[tuple], level: list[bool], free: list[int]) -> dict[
             if pos - same < len(owners):  # most segments cross and overlap nothing
                 for j in owners[pos - same:]:
                     pairs.setdefault(min(j, k), []).append(max(j, k))
-    active, added = [], 0  # the non-level segments in ``free[:added]`` that end above the strip's bottom
-    for y_lo, strip in strips.items() if free else ():  # bottom up, as ``segs`` is sorted by lower y
-        top = bisect_left(free, segs[strip[0][2]][1], added, key=lambda k: segs[k][0])
-        active, added = [k for k in chain(active, free[added:top]) if segs[k][1] > y_lo], top
-        if not active:
-            continue
-        ks = list(map(itemgetter(2), strip))
-        chosen = list(map(segs.__getitem__, ks))
-        x_los, x_his = list(map(itemgetter(2), chosen)), list(map(itemgetter(3), chosen))
-        x_min, x_max, reach = min(x_los), max(x_his), max(map(sub, x_his, x_los))  # reach: widest level x-extent
-        near = [k for k in active if segs[k][2] <= x_max and segs[k][3] >= x_min]
-        if not near:
-            continue
-        spans = sorted(zip(x_los, x_his, ks))
-        starts = list(map(itemgetter(0), spans))
-        for n in near:
-            _, _, x_lo_n, x_hi_n, _, _, _ = segs[n]
-            for _, x_hi, k in spans[bisect_left(starts, x_lo_n - reach):bisect_right(starts, x_hi_n)]:
-                if x_hi >= x_lo_n:
-                    pairs.setdefault(min(n, k), []).append(max(n, k))
+    if free and strips:
+        bottoms, tops, index = list(strips), [], []
+        for strip in strips.values():
+            spans = sorted((segs[k][2], segs[k][3], k) for _, _, k in strip)
+            starts, x_his = list(map(itemgetter(0), spans)), list(map(itemgetter(1), spans))
+            tops.append(segs[strip[0][2]][1])
+            index.append((spans, starts, max(map(sub, x_his, starts)), max(x_his)))
+        for n in free:
+            y_lo_n, y_hi_n, x_lo_n, x_hi_n, _, _, _ = segs[n]
+            for spans, starts, reach, x_max in index[bisect_right(tops, y_lo_n):bisect_left(bottoms, y_hi_n)]:
+                if starts[0] <= x_hi_n and x_lo_n <= x_max:
+                    for _, x_hi, k in spans[bisect_left(starts, x_lo_n - reach):bisect_right(starts, x_hi_n)]:
+                        if x_hi >= x_lo_n:
+                            pairs.setdefault(min(n, k), []).append(max(n, k))
     for js in pairs.values():
         js.sort()
     return pairs
@@ -387,11 +382,12 @@ def _x_slabs(segs: list[tuple], members: list[int]
     """Cover the x-range of the segments ``members`` (sweep indices, ascending)
     with equal slabs; returns each slab's members in sweep order and their
     lower ys, each member's first and last slab, and the left end x0 and the
-    width, so that x lies in slab (x - x0) // width.  The sweep gives it the
-    non-level segments only: two x-overlapping ones share a slab, so those
-    that can meet a non-level segment are the later members of its slabs that
-    start strictly below its upper y.  The slab width is the mean x-extent,
-    but at least the range over the member count: at most about one slab per member."""
+    width, so that x lies in slab (x - x0) // width.  The counter gives it the
+    non-level segments only: two x-overlapping ones share a slab, so a
+    non-level segment's candidates among them, which the counter adds to its
+    candidate map, are the later members of its slabs that start strictly
+    below its upper y.  The slab width is the mean x-extent, but at least the
+    range over the member count: at most about one slab per member."""
     chosen = list(map(segs.__getitem__, members))
     x_los, x_his = list(map(itemgetter(2), chosen)), list(map(itemgetter(3), chosen))
     x0, n = min(x_los), len(members)

@@ -277,6 +277,27 @@ def test_gadget_verify_counts_the_drawing_once(ola_file, tmp_path, capsys, monke
     assert json.loads(out)["crossings"] == counter(calls[0]).count
 
 
+def test_gadget_verify_over_budget_exits_1_with_ok_false(ola_file, tmp_path, capsys, monkeypatch):
+    # A drawing with more crossings than the reduction's budget is a result,
+    # not an error: exit 1, "ok": false on stdout, nothing on stderr, and the
+    # SVG is still written.
+    import reebdraw.cli
+
+    certified = reebdraw.cli._certified_drawing
+
+    def over_budget(inst, best):
+        d, cert = certified(inst, best)
+        return d, reebdraw.CrossingCertificate(inst.budget + 1, cert.pairs)
+
+    monkeypatch.setattr(reebdraw.cli, "_certified_drawing", over_budget)
+    svg_path = tmp_path / "h.svg"
+    code, out, err = run(capsys, "gadget", "verify", "--graph", ola_file, "--svg", svg_path)
+    result = json.loads(out)
+    assert (code, err, result["ok"]) == (1, "", False)
+    assert result["crossings"] == result["budget"] + 1
+    assert svg_path.exists()
+
+
 @pytest.mark.parametrize("rank", [
     (0, 1, 3, 4, 2), (0, 3, 1, 4, 2), (1, 0, 3, 4, 2),
     (1, 3, 0, 4, 2), (3, 0, 1, 4, 2), (3, 1, 0, 4, 2),

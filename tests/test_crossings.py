@@ -186,10 +186,11 @@ class TestGeometricCounter:
 
     def test_sweep_visits_only_what_strip_orders_leave_open(self, monkeypatch):
         # Work guard on the five-chords gadget drawing: 1,680 segments, 1,225
-        # of them level, 152 crossings.  The sweep visits the 455 non-level
-        # segments and the 46 level ones with a partner, and tests 322 pairs
-        # with ``contact``.  Visiting every segment with a closed y-window
-        # took 1,392 ``contact`` and 7,086 ``orient`` calls.
+        # of them level, 152 crossings.  The sweep visits the keys of its
+        # candidate map, the 46 level and 406 non-level segments with a later
+        # partner, and tests 322 pairs with ``contact``.  Visiting every
+        # segment with a closed y-window took 1,392 ``contact`` and 7,086
+        # ``orient`` calls.
         import reebdraw.crossings
 
         source = OlaGraph(tuple(FIVE_CHORDS_SOURCE["vertices"]), tuple(map(tuple, FIVE_CHORDS_SOURCE["edges"])))
@@ -199,24 +200,20 @@ class TestGeometricCounter:
         for name in ("orient", "contact"):
             fn = getattr(geometry, name)
             monkeypatch.setattr(geometry, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
-        # The sweep visits the segments it puts in the x-slabs and the level
-        # segments that ``_strip_pairs`` gives a partner.
-        visited = set()
-        strip_pairs, x_slabs = reebdraw.crossings._strip_pairs, reebdraw.crossings._x_slabs
+        # The map starts as the dict ``_strip_pairs`` returns; the sweep adds
+        # the non-level pairs to it and then visits its keys.
+        maps = []
+        strip_pairs = reebdraw.crossings._strip_pairs
 
-        def pairs_with_a_level_segment(segs, level, free):
-            pairs = strip_pairs(segs, level, free)
-            visited.update(k for k in pairs if level[k])
-            return pairs
+        def kept_map(segs, level, free):
+            maps.append((strip_pairs(segs, level, free), level))
+            return maps[-1][0]
 
-        def slabs_of(segs, members):
-            visited.update(members)
-            return x_slabs(segs, members)
-
-        monkeypatch.setattr(reebdraw.crossings, "_strip_pairs", pairs_with_a_level_segment)
-        monkeypatch.setattr(reebdraw.crossings, "_x_slabs", slabs_of)
+        monkeypatch.setattr(reebdraw.crossings, "_strip_pairs", kept_map)
         assert count_crossings_geometric(d) == cert
-        assert (cert.count, _segments(d), len(visited)) == (152, 1680, 501)
+        (pairs, level), = maps
+        visited_level = sum(level[i] for i in pairs)
+        assert (cert.count, _segments(d), len(pairs), visited_level) == (152, 1680, 452, 46)
         assert (calls.count("contact"), calls.count("orient")) == (322, 2804)
 
     def test_crossing_point_is_the_intersection_in_lowest_terms(self):
@@ -317,6 +314,53 @@ def grids_with_bent_edges(draw):
         assume(False)
 
 
+@st.composite
+def level_strips_with_free_edges(draw):
+    """Level edges between integer heights 0..top, some strips left empty,
+    plus 1-3 non-level edges for the counter's strip lookup.  A non-level
+    edge ends at a level vertex (sharing that end with level segments) or at
+    a new vertex on an integer height, one below or above the levels too;
+    it bends at quarter heights, so its segments start at a strip's bottom,
+    end at its top, bend at a vertex height, span several strips or none,
+    and, when drawn vertical, keep its lower end's x."""
+    top = draw(st.integers(min_value=2, max_value=5))
+    coarse_x = st.integers(min_value=-2, max_value=12).map(lambda k: Fraction(k, 2))
+    heights, xs, rows = {}, {}, []
+    for h in range(top + 1):
+        rows.append([f"h{h}_{k}" for k in range(draw(st.integers(min_value=1, max_value=3)))])
+        for v, x in zip(rows[-1], draw(st.lists(coarse_x, min_size=len(rows[-1]), max_size=3, unique=True))):
+            heights[v], xs[v] = Fraction(h), x
+    edges = []
+    for below, above in itertools.pairwise(rows):
+        strip = [(a, b) for a in below for b in above]
+        edges += draw(st.lists(st.sampled_from(strip), max_size=3, unique=True))
+    bends = [() for _ in edges]
+    for i in range(draw(st.integers(min_value=1, max_value=3))):
+        h_lo = draw(st.integers(min_value=-1, max_value=top))
+        ends = []
+        for side, h in zip("lu", (h_lo, draw(st.integers(min_value=h_lo + 1, max_value=top + 1)))):
+            if 0 <= h <= top and draw(st.booleans()):
+                ends.append(draw(st.sampled_from(rows[h])))
+            else:
+                v = f"{side}{i}"
+                heights[v], xs[v] = Fraction(h), draw(coarse_x)
+                ends.append(v)
+        lo, hi = ends
+        inner = [Fraction(k, 4) for k in range(int(4 * heights[lo]) + 1, int(4 * heights[hi]))]
+        ys = sorted(draw(st.lists(st.sampled_from(inner), max_size=3, unique=True))) if inner else []
+        vertical = draw(st.booleans())
+        if vertical and not hi.startswith("h"):
+            xs[hi] = xs[lo]
+        edges.append((lo, hi))
+        bends.append(tuple((xs[lo] if vertical else draw(coarse_x), y) for y in ys))
+    used = {v for e in edges for v in e}
+    try:
+        graph = ReebGraph({v: h for v, h in heights.items() if v in used}, tuple(edges))
+        return Drawing(graph=graph, x={v: xs[v] for v in graph.vertices}, bends=tuple(bends))
+    except ReebError:
+        assume(False)
+
+
 class TestGeometricCounterOracle:
     @settings(max_examples=400, deadline=None)
     @given(coarse_drawings())
@@ -326,6 +370,11 @@ class TestGeometricCounterOracle:
     @settings(max_examples=300, deadline=None)
     @given(grids_with_bent_edges())
     def test_matches_reference_counter_on_grids_with_bent_edges(self, d):
+        assert _outcome(count_crossings_geometric, d) == _outcome(reference_count_crossings_geometric, d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(level_strips_with_free_edges())
+    def test_strip_lookup_matches_reference_counter(self, d):
         assert _outcome(count_crossings_geometric, d) == _outcome(reference_count_crossings_geometric, d)
 
     def test_matches_reference_on_realized_orderings(self):

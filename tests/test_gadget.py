@@ -103,6 +103,15 @@ class TestTriHexGrid:
             grid = tri_hex_grid(rows)
             assert calls == [grid.drawing]
 
+    def test_refuses_a_patch_of_the_wrong_size(self, monkeypatch):
+        import reebdraw.gadget
+
+        patch = reebdraw.gadget._patch
+        monkeypatch.setattr(reebdraw.gadget, "_patch", lambda rows: patch(rows + 1))
+        with pytest.raises(InternalInvariantError,
+                           match=r"^grid size mismatch: 22 vertices / 27 edges, expected 13 / 15$"):
+            tri_hex_grid(2)
+
     def test_refuses_a_drawing_that_fails_its_count(self, monkeypatch):
         import reebdraw.gadget
 

@@ -171,6 +171,14 @@ class TestLayoutCaterpillar:
             assert count_crossings_geometric(d).count == 0
             assert list(d.x.items()) == list(reference_layout_caterpillar(g).x.items())
 
+    def test_refuses_a_drawing_that_fails_its_count(self, monkeypatch):
+        import reebdraw.layout
+
+        g = ReebGraph.build({"s1": 0, "s2": 2, "s3": 1, "u1": 3}, [("s1", "s2"), ("s2", "s3"), ("s2", "u1")])
+        monkeypatch.setattr(reebdraw.layout, "count_crossings_geometric", lambda d: CrossingCertificate(1, ()))
+        with pytest.raises(InternalInvariantError, match=r"^caterpillar drawing is not crossing-free$"):
+            layout_caterpillar(g)
+
     def test_overloaded_spine_vertex_drawn_crossing_free(self):
         g = ReebGraph.build(
             {"s1": 0, "s2": 1, "s3": 0, "l1": 2, "l2": 3},
@@ -341,6 +349,15 @@ class TestLayoutBowtie:
         ]
         assert len(vertical) == 2  # the turn edge and the closing edge
 
+    def test_refuses_a_drawing_that_fails_its_count(self, monkeypatch):
+        import reebdraw.layout
+
+        count = reebdraw.layout.count_crossings_geometric
+        monkeypatch.setattr(reebdraw.layout, "count_crossings_geometric",
+                            lambda d: CrossingCertificate(count(d).count + 1, ()))
+        with pytest.raises(InternalInvariantError, match=r"^bowtie emitted 3 crossings, expected 2$"):
+            layout_bowtie(alternating_cycle(6))
+
     def test_three_level_cycle_rejected(self):
         g = ReebGraph.build({"a": 0, "b": 1, "c": 2, "d": 1},
                             [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
@@ -381,6 +398,15 @@ class TestLayoutCycle:
             calls.clear()
             layout_cycle(random_cycle_graph(rng.randint(2, 12), rng, max_level=rng.randint(2, 6)))
             assert len(calls) == 1
+
+    def test_refuses_an_ordering_that_fails_its_count(self, monkeypatch):
+        import reebdraw.layout
+
+        cost = reebdraw.layout._layered_cost
+        monkeypatch.setattr(reebdraw.layout, "_layered_cost", lambda strips, orders: cost(strips, orders) + 1)
+        with pytest.raises(InternalInvariantError,
+                           match=r"^cycle corridor ordering produced 2 crossings, expected 1$"):
+            layout_cycle(alternating_cycle(4))
 
     def test_oracle_never_beats_promise_by_much(self):
         rng = random.Random(78)

@@ -9,8 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reebdraw import (
+    CrossingCertificate,
     Drawing,
     GraphStructureError,
+    InternalInvariantError,
     LayoutError,
     ReebError,
     ReebGraph,
@@ -123,6 +125,22 @@ class TestStretch:
     def test_empty_drawing(self):
         d = Drawing(graph=ReebGraph.build({}, []), x={})
         assert stretch(d) == d
+
+    def test_refuses_an_output_that_changes_a_row(self, monkeypatch):
+        rng = random.Random(7)
+        d = curved_copy(layout_caterpillar(random_caterpillar_graph(8, rng)), rng)
+        monkeypatch.setattr(stretch_module, "_rows", lambda dd: _rows(dd) if dd is d else _rows(dd) + [[]])
+        with pytest.raises(InternalInvariantError, match=r"^stretching changed a row$"):
+            stretch(d)
+
+    def test_refuses_an_output_that_fails_its_count(self, monkeypatch):
+        rng = random.Random(7)
+        d = curved_copy(layout_caterpillar(random_caterpillar_graph(8, rng)), rng)
+        count = stretch_module.count_crossings_geometric
+        monkeypatch.setattr(stretch_module, "count_crossings_geometric",
+                            lambda dd: count(dd) if dd is d else CrossingCertificate(1, ()))
+        with pytest.raises(InternalInvariantError, match=r"^stretched drawing has crossings$"):
+            stretch(d)
 
 
 def pocket_path():
