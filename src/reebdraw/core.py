@@ -15,9 +15,8 @@ pure function, so everything in this module is safe to share across threads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import GraphStructureError, LayoutError
 
@@ -70,8 +69,46 @@ def as_height(value: HeightLike) -> Fraction:
     raise GraphStructureError(f"height must be int, string, or Fraction, got {type(value).__name__}", code="bad-height")
 
 
-@dataclass(frozen=True)
-class ReebGraph:
+class _Value:
+    """Base of the value types that validate what they are built from.
+
+    A subclass declares its fields, in order after those it inherits, as
+    class annotations, and its ``__init__`` stores them (and any derived
+    private state) straight into the instance ``__dict__``.  The base gives
+    it a frozen dataclass's value semantics over those fields: equality only
+    with an instance of the same class, a hash of the field values,
+    ``Name(field=value, ...)`` as repr, and no assignment or deletion once
+    built.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ReebGraph(_Value):
     """Vertices with heights plus an edge multiset (unordered vertex-id pairs).
 
     Edge pairs are stored in canonical (lexicographically sorted) order but the
@@ -82,14 +119,14 @@ class ReebGraph:
     vertices: dict[str, Fraction]
     edges: tuple[tuple[str, str], ...]
 
-    def __post_init__(self):
-        verts = dict(self.vertices)
+    def __init__(self, vertices: dict[str, Fraction], edges: tuple[tuple[str, str], ...]):
+        verts = dict(vertices)
         # Each height's exact ratio, read once: faster to compare than
         # Fraction.__eq__, and kept (``_ratios``) for a drawing's integer frame.
         ratios = {v: h.as_integer_ratio() for v, h in verts.items()}
         get = ratios.get
         canon = []
-        for a, b in self.edges:
+        for a, b in edges:
             # A self-loop joins two equal ratios too, so one test passes every good edge.
             if (ra := get(a)) is None or (rb := get(b)) is None or ra == rb:
                 rb = get(b)
@@ -103,9 +140,7 @@ class ReebGraph:
                     code="horizontal-edge",
                 )
             canon.append((a, b) if a <= b else (b, a))
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", tuple(canon))
-        object.__setattr__(self, "_ratios", ratios)
+        self.__dict__.update(vertices=verts, edges=tuple(canon), _ratios=ratios)
 
     @classmethod
     def build(cls, heights: Mapping[str, HeightLike], edges: Iterable[tuple[str, str]]) -> "ReebGraph":
@@ -142,8 +177,7 @@ class ReebGraph:
         return (a, b) if self.vertices[a] < self.vertices[b] else (b, a)
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """Total, downward, and upward degree per vertex (parallel edges counted)."""
 
     total: dict[str, int]
@@ -151,8 +185,7 @@ class DegreeProfile:
     up: dict[str, int]
 
 
-@dataclass(frozen=True)
-class LevelAssignment:
+class LevelAssignment(NamedTuple):
     """Dense integer ranks of the distinct height values, lowest = 0."""
 
     level: dict[str, int]
@@ -167,8 +200,7 @@ class LevelAssignment:
         return groups
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken rule, naming the vertex or edge that breaks it."""
 
     rule: str
@@ -176,8 +208,7 @@ class Violation:
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     is_generic: bool
     is_subdivided: bool
     is_connected: bool

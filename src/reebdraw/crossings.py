@@ -28,15 +28,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, islice, pairwise
 from math import comb, inf, lcm
 from operator import itemgetter, not_, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import geometry
-from .core import ReebGraph, is_connected, levels
+from .core import ReebGraph, _Value, is_connected, levels
 from .errors import (
     BudgetExhaustedError,
     DegeneracyError,
@@ -73,8 +72,7 @@ def _exact_bends(bends) -> tuple[tuple[Point, ...], ...]:
     return tuple(tuple((_exact(px), _exact(py)) for px, py in eb) if eb else () for eb in bends)
 
 
-@dataclass(frozen=True)
-class Drawing:
+class Drawing(_Value):
     """A concrete drawing: per-vertex x coordinates plus per-edge bend points.
 
     The y coordinate of every vertex is forced to its height.  ``bends[i]``
@@ -91,20 +89,20 @@ class Drawing:
 
     graph: ReebGraph
     x: dict[str, Fraction]
-    bends: tuple[tuple[Point, ...], ...] = ()
+    bends: tuple[tuple[Point, ...], ...]
 
-    def __post_init__(self):
-        heights, edges = self.graph.vertices, self.graph.edges
-        xs = dict(self.x.items())
+    def __init__(self, graph: ReebGraph, x: dict[str, Fraction], bends: tuple[tuple[Point, ...], ...] = ()):
+        heights, edges = graph.vertices, graph.edges
+        xs = dict(x.items())
         if not _all_of_type(xs.values(), Fraction):
-            xs = {v: _exact(x) for v, x in self.x.items()}
+            xs = {v: _exact(c) for v, c in x.items()}
         if xs.keys() != heights.keys():
             missing = [v for v in heights if v not in xs]
             if missing:
                 raise GraphStructureError(f"missing x coordinate for vertex {missing[0]!r}", code="missing-x")
             extra = [v for v in xs if v not in heights]
             raise GraphStructureError(f"x coordinate for unknown vertex {extra[0]!r}", code="unknown-vertex")
-        bends = _exact_bends(self.bends) or ((),) * len(edges)
+        bends = _exact_bends(bends) or ((),) * len(edges)
         if len(bends) != len(edges):
             raise GraphStructureError(
                 f"bend list length {len(bends)} does not match edge count {len(edges)}",
@@ -118,7 +116,7 @@ class Drawing:
         # Every geometric consumer (the crossing counter, ``stretch``'s rows,
         # ``subdivide_drawing`` and the SVG renderer) reads this one frame, so
         # none may change it.  The heights' ratios are the graph's own.
-        y_ratios = self.graph._ratios
+        y_ratios = graph._ratios
         x_ratios = [xs[v].as_integer_ratio() for v in y_ratios]
         bend_ratios = [(px.as_integer_ratio(), py.as_integer_ratio())
                        for px, py in chain.from_iterable(compress(bends, bends))]
@@ -158,9 +156,7 @@ class Drawing:
                 if p in points:
                     raise DegeneracyError(f"vertices {points[p]!r} and {v!r} coincide at {(xs[v], heights[v])}")
                 points[p] = v
-        object.__setattr__(self, "x", xs)
-        object.__setattr__(self, "bends", bends)
-        object.__setattr__(self, "_scaled_polylines", (tuple(polys), vertex_pt, sx, sy))
+        self.__dict__.update(graph=graph, x=xs, bends=bends, _scaled_polylines=(tuple(polys), vertex_pt, sx, sy))
 
 
 def per_level_order(d: Drawing) -> tuple[tuple[str, ...], ...]:
@@ -168,8 +164,7 @@ def per_level_order(d: Drawing) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(sorted(vs, key=lambda v: (d.x[v], v))) for vs in levels(d.graph).by_level())
 
 
-@dataclass(frozen=True)
-class LevelOrdering:
+class LevelOrdering(NamedTuple):
     """Left-to-right vertex sequences, one per level (level 0 first)."""
 
     orders: tuple[tuple[str, ...], ...]
@@ -189,18 +184,19 @@ class LevelOrdering:
         return LevelOrdering(tuple(tuple(reversed(order)) for order in self.orders))
 
 
-@dataclass(frozen=True)
-class CrossingPair:
+class CrossingPair(NamedTuple):
     """One transversal crossing between two edges, with its witness point."""
 
     edges: tuple[int, int]
     point: Point
 
 
-@dataclass(frozen=True)
-class CrossingCertificate:
+class CrossingCertificate(_Value):
     count: int
     pairs: tuple[CrossingPair, ...]
+
+    def __init__(self, count: int, pairs: tuple[CrossingPair, ...]):
+        self.__dict__.update(count=count, pairs=pairs)
 
 
 def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
@@ -659,8 +655,7 @@ def _warm_start(view: LeveledView) -> tuple[int, LevelOrdering]:
     return best_cost, LevelOrdering.from_lists(best_orders)
 
 
-@dataclass(frozen=True)
-class ExactResult:
+class ExactResult(NamedTuple):
     """Outcome of the exact search: minimum count plus a witnessing ordering.
 
     The ordering is over the subdivided graph (``graph``); ``mapping`` links it

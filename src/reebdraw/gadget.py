@@ -31,11 +31,10 @@ grid interiors or foreign chains.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .core import ReebGraph, _components
+from .core import ReebGraph, _components, _Value
 from .crossings import CrossingCertificate, Drawing, count_crossings_geometric
 from .errors import (
     BudgetExhaustedError,
@@ -52,27 +51,25 @@ DEFAULT_OLA_BUDGET = 50_000
 # Plain (height-free) graphs for the arrangement problem
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OlaGraph:
+class OlaGraph(_Value):
     """A plain undirected graph used as a linear-arrangement instance."""
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
 
-    def __post_init__(self):
-        seen = set(self.vertices)
-        if len(seen) != len(self.vertices):
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[tuple[str, str], ...]):
+        seen = set(vertices)
+        if len(seen) != len(vertices):
             raise GraphStructureError("duplicate vertex id", code="duplicate-vertex")
         canon = []
-        for a, b in self.edges:
+        for a, b in edges:
             if a not in seen or b not in seen:
                 raise GraphStructureError(f"edge endpoint {a if a not in seen else b!r} undeclared",
                                           code="unknown-vertex")
             if a == b:
                 raise GraphStructureError(f"self-loop at {a!r}", code="self-loop")
             canon.append((a, b) if a <= b else (b, a))
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(canon))
+        self.__dict__.update(vertices=tuple(vertices), edges=tuple(canon))
 
     def degree(self) -> dict[str, int]:
         deg = {v: 0 for v in self.vertices}
@@ -85,8 +82,7 @@ class OlaGraph:
         return len(_components(self.vertices, self.edges)) <= 1
 
 
-@dataclass(frozen=True)
-class LinearArrangement:
+class LinearArrangement(NamedTuple):
     """A bijection from vertices onto 1..n together with its total edge length."""
 
     ranks: dict[str, int]
@@ -161,8 +157,7 @@ def _patch(rows: int) -> tuple[list[Cell], list[tuple[Cell, Cell]], Cell, list[C
     return list(cells), list(edges), apex, bottoms
 
 
-@dataclass(frozen=True)
-class TriHexGrid:
+class TriHexGrid(NamedTuple):
     """A triangular stack of hexagons with its canonical planar drawing.
 
     ``rows`` rows hold 1..rows hexagons; the graph has rows^2 + 4*rows + 1
@@ -214,8 +209,7 @@ def tri_hex_grid(rows: int) -> TriHexGrid:
 # The reduction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class E1Route:
+class E1Route(NamedTuple):
     """Routing data for one source edge inside the gadget."""
 
     edge_index: int
@@ -224,8 +218,7 @@ class E1Route:
     lane_offset: Fraction
 
 
-@dataclass(frozen=True)
-class GadgetPlan:
+class GadgetPlan(NamedTuple):
     """Column-local geometry shared by all witness drawings of one instance."""
 
     strands: int          # |E| of the source graph
@@ -243,8 +236,7 @@ class GadgetPlan:
     strand_edges: tuple[tuple[int, str, int, int], ...]  # (edge index, source, slot, copy)
 
 
-@dataclass(frozen=True)
-class GadgetInstance:
+class GadgetInstance(NamedTuple):
     """The reduction output: graph H with part labels and the crossing budget."""
 
     graph: ReebGraph

@@ -18,8 +18,8 @@ offsets, and tie-breaks are all fixed functions of the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import (
     LevelAssignment,
@@ -131,8 +131,7 @@ def _layout_caterpillar(g: ReebGraph) -> Drawing:
 # Cycle decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CycleDecomposition:
+class CycleDecomposition(NamedTuple):
     """A cycle's alternation structure between its top and bottom level.
 
     ``keys`` lists the alternating key vertices (first of each run of

@@ -15,17 +15,15 @@ at equal heights land on one level.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
+# Import cycle: crossings imports this module for the subdivision, the leveled
+# view and ``unsubdivide_drawing``, so ``Drawing`` is read from the module
+# when a drawing is built.  The package imports crossings first.
+from . import crossings
 from .core import GENERATED_ID_PREFIX, LevelAssignment, ReebGraph, is_connected, levels
 from .errors import GraphStructureError, LayoutError
-
-# Import cycle: crossings imports subdivide for the subdivision, the leveled
-# view and ``unsubdivide_drawing``.
-if TYPE_CHECKING:
-    from .crossings import Drawing
 
 
 class LeveledView(NamedTuple):
@@ -67,8 +65,7 @@ def _leveled(g2: ReebGraph, lev: LevelAssignment) -> LeveledView:
     return LeveledView(lev, strips, down, up, level_vertices, index)
 
 
-@dataclass(frozen=True)
-class SubdivisionMap:
+class SubdivisionMap(NamedTuple):
     """Bidirectional record linking original edges to their replacement paths.
 
     ``paths[i]`` lists the vertices of edge i's path from the lower original
@@ -142,7 +139,7 @@ def subdivide(g: ReebGraph) -> Subdivision:
     return Subdivision(g2, SubdivisionMap(g, g2, tuple(paths), tuple(sub_edges), owner, view, lev.level_heights))
 
 
-def unsubdivide_drawing(d2: "Drawing", mapping: SubdivisionMap) -> "Drawing":
+def unsubdivide_drawing(d2: crossings.Drawing, mapping: SubdivisionMap) -> crossings.Drawing:
     """Merge subdivision paths back into single edges with bends; counts are preserved.
 
     Generated vertices become bend points, surviving vertices keep their x
@@ -150,8 +147,6 @@ def unsubdivide_drawing(d2: "Drawing", mapping: SubdivisionMap) -> "Drawing":
     heights (strictly monotone piecewise-affine, so the geometric crossing
     count cannot change).
     """
-    from .crossings import Drawing
-
     if d2.graph != mapping.subdivided:
         raise GraphStructureError("drawing does not match the subdivision's output graph", code="map-mismatch")
     heights = mapping.level_heights
@@ -175,10 +170,10 @@ def unsubdivide_drawing(d2: "Drawing", mapping: SubdivisionMap) -> "Drawing":
                 mid = path[j + 1]
                 pts.append((d2.x[mid], back(d2.graph.vertices[mid])))
         bends.append(tuple(pts))
-    return Drawing(graph=g, x=xs, bends=tuple(bends))
+    return crossings.Drawing(graph=g, x=xs, bends=tuple(bends))
 
 
-def _level_passes(d: "Drawing") -> tuple[list[int], tuple[tuple[tuple[int, int, int], ...], ...]]:
+def _level_passes(d: crossings.Drawing) -> tuple[list[int], tuple[tuple[tuple[int, int, int], ...], ...]]:
     """Where a drawing's edges pass the vertex heights on its integer frame:
     (heights, passes).  ``heights`` lists the distinct vertex heights bottom
     up; ``passes[i]`` holds, bottom up, a triple (r, num, den) for each
@@ -204,7 +199,7 @@ def _level_passes(d: "Drawing") -> tuple[list[int], tuple[tuple[tuple[int, int, 
     return heights, tuple(passes)
 
 
-def subdivide_drawing(d: "Drawing", g: ReebGraph, mapping: SubdivisionMap) -> "Drawing":
+def subdivide_drawing(d: crossings.Drawing, g: ReebGraph, mapping: SubdivisionMap) -> crossings.Drawing:
     """Cut a drawing's polylines at every level height; cut points become vertices.
 
     The cut points are where its edges pass the vertex heights
@@ -213,8 +208,6 @@ def subdivide_drawing(d: "Drawing", g: ReebGraph, mapping: SubdivisionMap) -> "D
     bit-exactly.  A bend at a level height is the cut point there; every
     other bend stays a bend of the piece holding it.
     """
-    from .crossings import Drawing
-
     if g != mapping.original or d.graph != g:
         raise GraphStructureError("drawing does not match the subdivision's input graph", code="map-mismatch")
     polys, _, sx, _ = d._scaled_polylines
@@ -236,4 +229,4 @@ def subdivide_drawing(d: "Drawing", g: ReebGraph, mapping: SubdivisionMap) -> "D
             k = bisect_right(heights, y) - 1
             if heights[k] != y:
                 bends2[subs[k - r_lo]].append((px, k + Fraction(y - heights[k], heights[k + 1] - heights[k])))
-    return Drawing(graph=mapping.subdivided, x=xs, bends=tuple(map(tuple, bends2)))
+    return crossings.Drawing(graph=mapping.subdivided, x=xs, bends=tuple(map(tuple, bends2)))

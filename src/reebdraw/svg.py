@@ -15,9 +15,10 @@ bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import isfinite
 from typing import Sequence
 
+from .core import _Value
 from .crossings import Drawing
 from .errors import GraphStructureError
 
@@ -30,23 +31,33 @@ PART_STYLES = {
 }
 
 
-@dataclass(frozen=True)
-class RenderOptions:
-    width: int = 800
-    height: int = 600
-    margin: int = 40
-    vertex_radius: float = 3.0
-    stroke_width: float = 1.5
-    show_level_lines: bool = False
-    color_by_part: bool = False
+class RenderOptions(_Value):
+    """Canvas size, margin and stroke sizes in pixels, and the two styling
+    switches.  The five sizes must be positive finite ints or floats; a bool,
+    NaN or an infinity would otherwise be written into the SVG text as is."""
 
-    def __post_init__(self):
-        for name in ("width", "height", "margin", "vertex_radius", "stroke_width"):
-            if getattr(self, name) <= 0:
+    width: int
+    height: int
+    margin: int
+    vertex_radius: float
+    stroke_width: float
+    show_level_lines: bool
+    color_by_part: bool
+
+    def __init__(self, width: int = 800, height: int = 600, margin: int = 40, vertex_radius: float = 3.0,
+                 stroke_width: float = 1.5, show_level_lines: bool = False, color_by_part: bool = False):
+        sizes = {"width": width, "height": height, "margin": margin,
+                 "vertex_radius": vertex_radius, "stroke_width": stroke_width}
+        for name, value in sizes.items():
+            if not (type(value) is int or type(value) is float and isfinite(value)):
+                raise GraphStructureError(f"render option {name} must be a finite int or float, "
+                                          f"got {value!r}", code="bad-options")
+            if value <= 0:
                 raise GraphStructureError(f"render option {name} must be positive", code="bad-options")
-        if 2 * self.margin >= min(self.width, self.height):  # it would mirror or collapse the picture
-            raise GraphStructureError(f"render margin {self.margin} leaves no drawing area in a "
-                                      f"{self.width}x{self.height} canvas", code="bad-options")
+        if 2 * margin >= min(width, height):  # it would mirror or collapse the picture
+            raise GraphStructureError(f"render margin {margin} leaves no drawing area in a "
+                                      f"{width}x{height} canvas", code="bad-options")
+        self.__dict__.update(sizes, show_level_lines=show_level_lines, color_by_part=color_by_part)
 
 
 def _fmt(value: float) -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import random
 import time
 from fractions import Fraction
@@ -9,9 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reebdraw import (
+    CrossingCertificate,
+    Drawing,
     GraphStructureError,
     LayoutError,
+    LevelAssignment,
+    OlaGraph,
     ReebGraph,
+    RenderOptions,
     ShapeClass,
     classify_shape,
     degree_profile,
@@ -19,6 +25,7 @@ from reebdraw import (
     validate,
 )
 from reebdraw.core import spine_and_legs
+from reebdraw.crossings import CrossingPair
 
 from helpers import random_connected_graph
 
@@ -221,3 +228,91 @@ class TestClassifyShape:
         for _ in range(20):
             g = random_connected_graph(rng.randint(1, 8), rng)
             assert classify_shape(g) == classify_shape(g)
+
+
+class TestValueTypes:
+    """The five validating types are immutable values with a frozen
+    dataclass's repr, equality, hash and constructor."""
+
+    @staticmethod
+    def values():
+        g = ReebGraph.build({"b": 1, "a": 0}, [("b", "a")])
+        return {
+            "graph": (g, "ReebGraph(vertices={'b': Fraction(1, 1), 'a': Fraction(0, 1)}, edges=(('a', 'b'),))"),
+            "drawing": (Drawing(g, {"a": 0, "b": Fraction(1, 2)}),
+                        "Drawing(graph=ReebGraph(vertices={'b': Fraction(1, 1), 'a': Fraction(0, 1)}, "
+                        "edges=(('a', 'b'),)), x={'a': Fraction(0, 1), 'b': Fraction(1, 2)}, bends=((),))"),
+            "ola": (OlaGraph(["x", "y"], [("y", "x")]), "OlaGraph(vertices=('x', 'y'), edges=(('x', 'y'),))"),
+            "options": (RenderOptions(width=300, stroke_width=0.5),
+                        "RenderOptions(width=300, height=600, margin=40, vertex_radius=3.0, stroke_width=0.5, "
+                        "show_level_lines=False, color_by_part=False)"),
+            "certificate": (CrossingCertificate(1, (CrossingPair((0, 1), (Fraction(1), Fraction(1, 2))),)),
+                            "CrossingCertificate(count=1, pairs=(CrossingPair(edges=(0, 1), "
+                            "point=(Fraction(1, 1), Fraction(1, 2))),))"),
+        }
+
+    def test_repr(self):
+        for value, text in self.values().values():
+            assert repr(value) == text
+
+    def test_equality_holds_only_within_one_class(self):
+        first, second = self.values(), self.values()
+        for name, (value, _) in first.items():
+            assert value == second[name][0] and not value != second[name][0]
+            assert all(value != other for other_name, (other, _) in first.items() if other_name != name)
+
+            class Sub(type(value)):
+                pass
+
+            copy = Sub.__new__(Sub)
+            vars(copy).update(vars(value))
+            assert value != copy and copy != value
+            assert repr(copy) == Sub.__qualname__ + repr(value)[len(type(value).__name__):]
+        assert CrossingCertificate(0, ()) != (0, ())
+        assert OlaGraph(["x"], []) != OlaGraph(["y"], [])
+        assert RenderOptions() != RenderOptions(margin=41)
+
+    def test_assignment_and_deletion_refused(self):
+        for value, _ in self.values().values():
+            for name in (next(iter(vars(value))), "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(value, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(value, name)
+        assert vars(self.values()["drawing"][0]).keys() >= {"graph", "x", "bends"}
+
+    def test_hash(self):
+        first, second = self.values(), self.values()
+        for name in ("certificate", "ola", "options"):
+            assert hash(first[name][0]) == hash(second[name][0])
+        assert len({RenderOptions(), RenderOptions(), RenderOptions(height=500)}) == 2
+        for name in ("graph", "drawing"):
+            with pytest.raises(TypeError):
+                hash(first[name][0])
+
+    def test_construction_by_position_and_keyword(self):
+        signatures = {
+            ReebGraph: [("vertices", inspect.Parameter.empty), ("edges", inspect.Parameter.empty)],
+            Drawing: [("graph", inspect.Parameter.empty), ("x", inspect.Parameter.empty), ("bends", ())],
+            OlaGraph: [("vertices", inspect.Parameter.empty), ("edges", inspect.Parameter.empty)],
+            RenderOptions: [("width", 800), ("height", 600), ("margin", 40), ("vertex_radius", 3.0),
+                            ("stroke_width", 1.5), ("show_level_lines", False), ("color_by_part", False)],
+            CrossingCertificate: [("count", inspect.Parameter.empty), ("pairs", inspect.Parameter.empty)],
+        }
+        for cls, params in signatures.items():
+            assert [(p.name, p.default) for p in inspect.signature(cls).parameters.values()] == params
+        g = ReebGraph({"a": Fraction(0), "b": Fraction(1)}, (("b", "a"),))
+        assert g == ReebGraph(vertices={"a": Fraction(0), "b": Fraction(1)}, edges=[("a", "b")])
+        assert Drawing(g, {"a": 0, "b": 1}, ((),)) == Drawing(graph=g, x={"a": 0, "b": 1})
+        assert OlaGraph(("p", "q"), ()) == OlaGraph(vertices=["p", "q"], edges=[])
+        assert RenderOptions(800, 600, 40, 3.0, 1.5, True) == RenderOptions(show_level_lines=True)
+        assert CrossingCertificate(0, ()) == CrossingCertificate(count=0, pairs=())
+        with pytest.raises(TypeError):
+            Drawing(g)
+        with pytest.raises(TypeError):
+            RenderOptions(colour_by_part=True)
+
+    def test_named_tuple_records_replace_a_field(self):
+        lev = levels(ReebGraph.build({"a": 0, "b": 2}, [("a", "b")]))
+        moved = lev._replace(count=3)
+        assert moved == LevelAssignment(lev.level, 3, lev.level_heights) and lev.count == 2

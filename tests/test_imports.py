@@ -21,6 +21,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
@@ -166,3 +167,15 @@ def test_the_check_sees_a_moved_or_missing_function(monkeypatch):
     names = ["crossings.count_crossings_geometric", "crossings.levels", "geometry.classify_segments",
              "geometry.on_segment", "crossings.Drawing"]
     assert misplaced(names) == names[:3] + names[4:]
+
+
+def test_cli_start_up_loads_no_introspection_modules():
+    # In a fresh interpreter: this process has imported ``inspect`` and ``ast``
+    # itself.  ``dataclasses`` pulls in ``inspect``, which pulls in ``ast``,
+    # ``dis`` and ``tokenize``, a cost every CLI process would pay at start-up.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import reebdraw.cli; reebdraw.cli.build_parser(); "
+            "print(' '.join(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & (set(sys.modules) - before))))")
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(SRC.parent)],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.split() == []

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -274,8 +273,8 @@ class TestSubdivideDrawingOracle:
         m = subdivide(g).mapping
         other = ReebGraph.build({"x": 0, "y": 1}, [("x", "y")])
         d_other = Drawing(graph=other, x={"x": Fraction(0), "y": Fraction(1)})
-        short = dataclasses.replace(m, paths=(m.paths[0], ("a", "c")), sub_edges=(m.sub_edges[0], (1,)))
-        long = dataclasses.replace(m, sub_edges=(m.sub_edges[0] * 2, m.sub_edges[1]))
+        short = m._replace(paths=(m.paths[0], ("a", "c")), sub_edges=(m.sub_edges[0], (1,)))
+        long = m._replace(sub_edges=(m.sub_edges[0] * 2, m.sub_edges[1]))
         cases = [
             ((d_other, other, m), "drawing does not match the subdivision's input graph"),
             ((d, other, m), "drawing does not match the subdivision's input graph"),

@@ -110,6 +110,33 @@ def test_bad_options_rejected():
         RenderOptions(width=0)
 
 
+@pytest.mark.parametrize("options, field", [
+    ({"width": True, "margin": 0.25}, "width"),
+    ({"width": float("inf")}, "width"),
+    ({"height": float("-inf")}, "height"),
+    ({"vertex_radius": float("nan")}, "vertex_radius"),
+    ({"stroke_width": float("inf")}, "stroke_width"),
+    ({"margin": "40"}, "margin"),
+    ({"width": Fraction(800)}, "width"),
+    ({"height": None, "stroke_width": float("nan")}, "height"),
+    ({"margin": -1, "vertex_radius": False}, "margin"),
+], ids=["bool", "inf", "minus-inf", "nan", "inf-stroke", "string", "fraction", "first-of-two",
+        "negative-before-bool"])
+def test_size_options_must_be_finite_numbers(options, field):
+    # Unchecked, a bool, NaN or infinity would reach the SVG text as it is
+    # (width="True", points="nan,...", stroke-width="inf") and a string would
+    # raise a bare TypeError.  The first bad size in field order is named.
+    with pytest.raises(GraphStructureError) as exc:
+        RenderOptions(**options)
+    assert exc.value.code == "bad-options"
+    assert str(exc.value).startswith(f"render option {field} must be ")
+
+
+def test_float_and_large_int_sizes_accepted():
+    opts = RenderOptions(width=10**30, height=600.0, margin=1, vertex_radius=0.5, stroke_width=2)
+    assert (opts.width, opts.height) == (10**30, 600.0)
+
+
 @pytest.mark.parametrize("size", [
     {"width": 50, "height": 50}, {"width": 80}, {"height": 80},
 ], ids=["mirrored", "width-collapsed", "height-collapsed"])
