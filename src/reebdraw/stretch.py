@@ -13,12 +13,17 @@ The order comes from a peel.  The *star* of a vertex z is z plus its edges to
 vertices still present; z is *exposed* when, in every row, nothing outside
 its star lies right of a star object.  The peel repeatedly removes an exposed
 vertex together with its star, the greatest by (x, id) first, and the
-insertion order is the peel order reversed.  One scan of each row finds what
-blocks each star there, before the peel starts.  Removing a star never blocks
-another vertex, so the peel gets stuck only if every peel order does; such a
-drawing is refused with code ``not-straightenable``.  That can happen on a
-crossing-free drawing: a straight drawing with the same rows may still exist,
-but not one built by placing each vertex right of all earlier ones.
+insertion order is the peel order reversed.  Removing an exposed star takes
+a suffix of every row it touches, so z is blocked in a row until the first
+object outside its star right of a star object is gone, and any such object
+further right is gone by then.  So, before the peel starts, z is set to wait
+on each object b of a row's adjacent pair (a, b) with a in its star and b
+outside it, and each removed object releases the vertices waiting on it.
+Removing a star never blocks another vertex, so the peel gets stuck only if
+every peel order does; such a drawing is refused with code
+``not-straightenable``.  That can happen on a crossing-free drawing: a
+straight drawing with the same rows may still exist, but not one built by
+placing each vertex right of all earlier ones.
 
 At its turn, a vertex v was exposed among exactly the vertices placed so far,
 so everything drawn that shares a height with v's star lies left of that star
@@ -73,56 +78,39 @@ def _insertion_order(d: Drawing, rows: list[list[int]]) -> tuple[str, ...]:
     """The peel order reversed (see the module docstring), from the
     drawing's ``_rows``, as vertex ids.
 
-    A peel removes a suffix of every row it touches, so each row is kept as
-    its full list and a current length, and positions never change.  Let m be
-    the first position of z's star in a row, and q the first position after m
-    that holds an object outside the star.  z is exposed in that row exactly
-    while the row is no longer than q, even as z's star loses edges (each is
-    the tail of its rows when it goes).  So z waits on one blocker (row, q)
-    per row that blocks it and becomes exposed when the last one is removed.
-
-    One left-to-right scan per row finds every m and q, with every vertex
-    present.  A star is *running* from its m until its q; at each position
-    only the owners of the object before it (the vertex, or the edge's two
-    ends) can be running.  An edge to a peeled neighbour lies at or past its
-    row's current length, so at z's peel a row whose m is at or past its
-    length holds no object of z's star, and in every other row m is still
-    the star's first position.
+    z waits on every object b outside its star that lies right next to a
+    star object a in some row: for each distinct adjacent pair (a, b), each
+    owner of a (the vertex, or the edge's two ends) that does not own b.  A
+    peel removes a suffix of every row it touches, so in each row the first
+    such b blocks z until it is gone, and every other such b lies right of
+    it and goes no later; z is exposed once none is left, even as its star
+    loses edges.  Peeling z removes z and its edges to vertices not yet
+    peeled, and each removed object releases its waiters.
     """
     g = d.graph
     names = list(g.vertices)
     n = len(names)
     index = {v: k for k, v in enumerate(names)}
-    owners = [(k,) for k in range(n)] + [(index[a], index[b]) for a, b in g.edges]
-    length = [len(row) for row in rows]
-    firsts: list[dict[int, int]] = [{} for _ in names]  # z -> per row, the first position of its star
-    waiting: dict[tuple[int, int], list[int]] = {}
+    owners = [{k} for k in range(n)] + [{index[a], index[b]} for a, b in g.edges]
+    # adjacency() keeps the order of graph.vertices, so its k-th entry is vertex k's.
+    stars = [[k] + [n + i for _, i in ends] for k, ends in enumerate(g.adjacency().values())]
+    waiting: dict[int, list[int]] = {}  # object -> the vertices waiting on it
     blockers = [0] * n
-    for r, row in enumerate(rows):
-        run: list[int] = []
-        for p, obj in enumerate(row):
-            own = owners[obj]
-            for z in run:
-                if z not in own:
-                    waiting.setdefault((r, p), []).append(z)
-                    blockers[z] += 1
-            # The owners still running, and those whose star starts here.
-            run = [z for z in own if z in run or firsts[z].setdefault(r, p) == p]
+    for a, b in {pair for row in rows for pair in zip(row, row[1:])}:
+        for z in owners[a] - owners[b]:
+            waiting.setdefault(b, []).append(z)
+            blockers[z] += 1
 
     rank = {k: r for r, k in enumerate(sorted(range(n), key=lambda k: (d.x[names[k]], names[k])))}
     exposed = sorted((-rank[z], z) for z in range(n) if not blockers[z])  # a heap, greatest rank first
     peeled: list[int] = []
     while exposed:
         z = heappop(exposed)[1]
-        for r, m in firsts[z].items():
-            if m >= length[r]:
-                continue  # the row holds only edges to peeled neighbours
-            for p in range(m, length[r]):
-                for w in waiting.pop((r, p), ()):
-                    blockers[w] -= 1
-                    if not blockers[w]:
-                        heappush(exposed, (-rank[w], w))
-            length[r] = m
+        for obj in stars[z]:
+            for w in waiting.pop(obj, ()):  # an edge to a peeled neighbour released its waiters then
+                blockers[w] -= 1
+                if not blockers[w]:
+                    heappush(exposed, (-rank[w], w))
         peeled.append(z)
     if len(peeled) != n:
         raise LayoutError(

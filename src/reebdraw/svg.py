@@ -117,9 +117,10 @@ def render_svg(
         )
 
     for v, (px, py) in vertex_pt.items():
+        title = str(v).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         lines.append(
             f'<circle cx="{sx[px]}" cy="{sy[py]}" r="{opts.vertex_radius}" fill="#1050a0">'
-            f"<title>{v}</title></circle>"
+            f"<title>{title}</title></circle>"
         )
 
     lines.append("</svg>")

@@ -15,9 +15,11 @@ from collections import Counter
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd, inf, lcm
 from operator import sub
 from typing import Sequence
+from xml.sax.saxutils import escape
 
 from reebdraw import (
     BudgetExhaustedError,
@@ -550,7 +552,7 @@ def reference_render_svg(
         px, py = point(d, v)
         lines.append(
             f'<circle cx="{_reference_fmt(sx(px))}" cy="{_reference_fmt(sy(py))}" r="{opts.vertex_radius}" fill="#1050a0">'
-            f"<title>{v}</title></circle>"
+            f"<title>{escape(str(v))}</title></circle>"
         )
 
     lines.append("</svg>")
@@ -831,6 +833,73 @@ def reference_rows(d: Drawing) -> tuple[tuple[str | int, ...], ...]:
         assert len(set(xs)) == len(xs), f"two objects share x at height {h}"
         rows.append(tuple(obj for _, obj in row))
     return tuple(rows)
+
+
+def reference_peel_order(d: Drawing, rows: list[list[int]]) -> tuple[str, ...]:
+    """Oracle: the peel order reversed that ``stretch`` used before its peel
+    waited on objects, kept verbatim: each vertex waits on one (row,
+    position) per row that blocks it, found by one left-to-right scan per
+    row, and each peel walks the suffix it removes from every row.
+    ``stretch._insertion_order`` must give the same order, or the same refusal.
+
+    A peel removes a suffix of every row it touches, so each row is kept as
+    its full list and a current length, and positions never change.  Let m be
+    the first position of z's star in a row, and q the first position after m
+    that holds an object outside the star.  z is exposed in that row exactly
+    while the row is no longer than q, even as z's star loses edges (each is
+    the tail of its rows when it goes).  So z waits on one blocker (row, q)
+    per row that blocks it and becomes exposed when the last one is removed.
+
+    One left-to-right scan per row finds every m and q, with every vertex
+    present.  A star is *running* from its m until its q; at each position
+    only the owners of the object before it (the vertex, or the edge's two
+    ends) can be running.  An edge to a peeled neighbour lies at or past its
+    row's current length, so at z's peel a row whose m is at or past its
+    length holds no object of z's star, and in every other row m is still
+    the star's first position.
+    """
+    g = d.graph
+    names = list(g.vertices)
+    n = len(names)
+    index = {v: k for k, v in enumerate(names)}
+    owners = [(k,) for k in range(n)] + [(index[a], index[b]) for a, b in g.edges]
+    length = [len(row) for row in rows]
+    firsts: list[dict[int, int]] = [{} for _ in names]  # z -> per row, the first position of its star
+    waiting: dict[tuple[int, int], list[int]] = {}
+    blockers = [0] * n
+    for r, row in enumerate(rows):
+        run: list[int] = []
+        for p, obj in enumerate(row):
+            own = owners[obj]
+            for z in run:
+                if z not in own:
+                    waiting.setdefault((r, p), []).append(z)
+                    blockers[z] += 1
+            # The owners still running, and those whose star starts here.
+            run = [z for z in own if z in run or firsts[z].setdefault(r, p) == p]
+
+    rank = {k: r for r, k in enumerate(sorted(range(n), key=lambda k: (d.x[names[k]], names[k])))}
+    exposed = sorted((-rank[z], z) for z in range(n) if not blockers[z])  # a heap, greatest rank first
+    peeled: list[int] = []
+    while exposed:
+        z = heappop(exposed)[1]
+        for r, m in firsts[z].items():
+            if m >= length[r]:
+                continue  # the row holds only edges to peeled neighbours
+            for p in range(m, length[r]):
+                for w in waiting.pop((r, p), ()):
+                    blockers[w] -= 1
+                    if not blockers[w]:
+                        heappush(exposed, (-rank[w], w))
+            length[r] = m
+        peeled.append(z)
+    if len(peeled) != n:
+        raise LayoutError(
+            f"placing each vertex right of the earlier ones cannot keep the order at every "
+            f"height ({n - len(peeled)} vertices stay blocked)",
+            code="not-straightenable",
+        )
+    return tuple(names[z] for z in reversed(peeled))
 
 
 def reference_stretch(d: Drawing) -> Drawing:

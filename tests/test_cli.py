@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -224,6 +225,20 @@ def test_render_cli(graph_file, tmp_path, capsys):
     assert code == 0
     assert out.startswith("<svg")
 
+
+def test_render_cli_escapes_ids(tmp_path, capsys):
+    ids = ["a<b&c", "</title><script>x()</script>"]
+    drawing_path = tmp_path / "d.json"
+    drawing_path.write_text(json.dumps({
+        "graph": {"vertices": [{"id": ids[0], "height": "0"}, {"id": ids[1], "height": "1"}],
+                  "edges": [ids]},
+        "x": {ids[0]: "0", ids[1]: "1"},
+        "edges": [{"endpoints": ids, "bends": []}],
+    }))
+    code, out, _ = run(capsys, "render", drawing_path)
+    assert code == 0
+    root = ElementTree.fromstring(out)
+    assert [title.text for title in root.iter("{http://www.w3.org/2000/svg}title")] == ids
 
 def test_render_margin_leaving_no_area_is_refused(graph_file, tmp_path, capsys):
     drawing_path = tmp_path / "d.json"

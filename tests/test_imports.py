@@ -172,10 +172,12 @@ def test_the_check_sees_a_moved_or_missing_function(monkeypatch):
 def test_cli_start_up_loads_no_introspection_modules():
     # In a fresh interpreter: this process has imported ``inspect`` and ``ast``
     # itself.  ``dataclasses`` pulls in ``inspect``, which pulls in ``ast``,
-    # ``dis`` and ``tokenize``, a cost every CLI process would pay at start-up.
+    # ``dis`` and ``tokenize``, a cost every CLI process would pay at start-up;
+    # an XML escape from ``xml.sax.saxutils`` pulls in ``urllib.request``.
     code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
             "import reebdraw.cli; reebdraw.cli.build_parser(); "
-            "print(' '.join(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & (set(sys.modules) - before))))")
+            "print(' '.join(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'xml', 'html', 'urllib'} "
+            "& (set(sys.modules) - before))))")
     out = subprocess.run([sys.executable, "-I", "-c", code, str(SRC.parent)],
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.split() == []

@@ -18,6 +18,7 @@ from reebdraw import (
     ReebGraph,
     count_crossings_geometric,
     count_crossings_layered,
+    layout_auto,
     layout_caterpillar,
     per_level_order,
     stretch,
@@ -29,6 +30,8 @@ from reebdraw.stretch import _insertion_order, _rows
 
 from helpers import (
     curved_copy,
+    distinct_height_caterpillar,
+    distinct_height_path,
     found_deadlock,
     found_doubling,
     random_caterpillar_graph,
@@ -36,6 +39,7 @@ from helpers import (
     random_ordering,
     random_path_graph,
     reference_edge_partial_order,
+    reference_peel_order,
     reference_rows,
     reference_stretch,
     reference_vertex_insertion_order,
@@ -232,6 +236,45 @@ class TestIntegerIds:
     def test_int_ids_are_refused_like_their_names(self):
         renamed, _ = _with_int_ids(pocket_path())
         assert _outcome(stretch, renamed) == _outcome(stretch, pocket_path())
+
+
+def _peel_outcomes(d: Drawing) -> tuple:
+    """The peel's order or refusal, and the reference peel's, on one drawing."""
+    rows = _rows(d)
+    return _outcome(_insertion_order, d, rows), _outcome(reference_peel_order, d, rows)
+
+
+class TestPeelOrder:
+    # The peel waits on objects from each row's adjacent pairs; the oracle
+    # waits on (row, position) blockers and walks every removed suffix.
+
+    def test_layouts_peel_like_the_reference(self):
+        rng = random.Random(2026)
+        trees = (random_path_graph, random_caterpillar_graph,
+                 lambda n, r: random_connected_graph(n, r, extra=0))
+        refused = 0
+        for i in range(240):
+            d = layout_auto(trees[i % 3](rng.randint(2, 24), rng))
+            for dd in (d, curved_copy(d, rng)):
+                if count_crossings_geometric(dd).count:
+                    continue
+                out, ref = _peel_outcomes(dd)
+                assert out == ref
+                refused += isinstance(out[0], type)
+        assert refused > 0
+
+    def test_pocket_path_is_refused_like_the_reference(self):
+        out, ref = _peel_outcomes(pocket_path())
+        assert out == ref
+        assert out[:2] == (LayoutError, "not-straightenable")
+
+    @pytest.mark.parametrize("make", [distinct_height_path, distinct_height_caterpillar])
+    def test_distinct_heights_peel_like_the_reference(self, make):
+        # One vertex per height: long edges pass many rows, so one adjacent
+        # pair recurs across many rows.
+        out, ref = _peel_outcomes(layout_auto(make(300, random.Random(300))))
+        assert out == ref
+        assert len(out) == 300
 
 
 _T = tuple(Fraction(k, 12) for k in (3, 4, 6, 8, 9))

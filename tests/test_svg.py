@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from xml.etree import ElementTree
 
 import pytest
 
@@ -48,6 +49,17 @@ def test_single_edge_renders_one_polyline():
     assert len(points) == 1
     assert len(points[0].split()) == 2
 
+
+def test_ids_holding_markup_render_as_text():
+    ids = ["a<b&c", "</title><script>x()</script>", "x>y"]
+    g = ReebGraph.build({v: k for k, v in enumerate(ids)}, [(ids[0], ids[1]), (ids[1], ids[2])])
+    d = Drawing(graph=g, x={v: Fraction(k) for k, v in enumerate(ids)})
+    svg = render_svg(d)
+    assert svg == reference_render_svg(d)
+    root = ElementTree.fromstring(svg)
+    ns = "{http://www.w3.org/2000/svg}"
+    assert [title.text for title in root.iter(f"{ns}title")] == ids
+    assert not list(root.iter(f"{ns}script"))
 
 def test_y_axis_flipped():
     g = ReebGraph.build({"lo": 0, "hi": 10}, [("lo", "hi")])
