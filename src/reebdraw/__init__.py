@@ -1,32 +1,32 @@
 """Crossing-minimal drawings of Reeb graphs.
 
-Data model and validation live in :mod:`reebdraw.core`; exact crossing
-counting and the exact minimum search in :mod:`reebdraw.crossings`; edge
-subdivision in :mod:`reebdraw.subdivide`; constructive layouts in
+Data model, drawings and validation live in :mod:`reebdraw.core`; exact
+crossing counting and the exact minimum search in :mod:`reebdraw.crossings`;
+edge subdivision in :mod:`reebdraw.subdivide`; constructive layouts in
 :mod:`reebdraw.layout`; drawing straightening in :mod:`reebdraw.stretch`; the
 hardness gadget machinery in :mod:`reebdraw.gadget`.
 """
 
 from .core import (
     DegreeProfile,
+    Drawing,
     LevelAssignment,
+    LevelOrdering,
     ReebGraph,
     ShapeClass,
     ValidationReport,
     classify_shape,
     degree_profile,
     levels,
+    per_level_order,
     validate,
 )
 from .crossings import (
     CrossingCertificate,
-    Drawing,
     ExactResult,
-    LevelOrdering,
     count_crossings_geometric,
     count_crossings_layered,
     exact_rgcn,
-    per_level_order,
     realize_layered,
 )
 from .errors import (

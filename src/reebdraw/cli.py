@@ -227,8 +227,8 @@ def _cmd_gadget_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _add_io(sub, *, input_name: str = "input") -> None:
-    sub.add_argument(input_name, help="input JSON file, or - for stdin")
+def _add_io(sub) -> None:
+    sub.add_argument("input", help="input JSON file, or - for stdin")
     sub.add_argument("-o", "--output", help="output file (default stdout)")
 
 

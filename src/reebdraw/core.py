@@ -8,6 +8,12 @@ positive genus need them); self-loops and edges between equal-height vertices
 are rejected at construction because they cannot be drawn as strictly
 y-monotone curves.
 
+A :class:`Drawing` places each vertex at y equal to its height and a rational
+x, and each edge on a strictly y-monotone polyline; it builds the exact
+integer frame that the crossing counter, ``stretch``, ``subdivide_drawing``
+and the SVG renderer read.  A :class:`LevelOrdering` is the left-to-right
+vertex order on each level, what :func:`per_level_order` reads off a drawing.
+
 All types are immutable values after construction and every operation is a
 pure function, so everything in this module is safe to share across threads.
 """
@@ -16,9 +22,12 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from itertools import chain, compress, islice
+from math import lcm
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import GraphStructureError, LayoutError
+from .errors import DegeneracyError, GraphStructureError, LayoutError
 
 HeightLike = Fraction | int | str
 
@@ -302,7 +311,7 @@ def validate(g: ReebGraph) -> ValidationReport:
     height_clashes = {h: vs for h, vs in by_height.items() if len(vs) > 1}
     for h, vs in sorted(height_clashes.items()):
         violations.append(
-            Violation("unique-heights", ",".join(sorted(vs)), f"vertices {sorted(vs)} share height {h}")
+            Violation("unique-heights", ",".join(map(str, sorted(vs))), f"vertices {sorted(vs)} share height {h}")
         )
 
     generic = not height_clashes
@@ -335,7 +344,7 @@ def validate(g: ReebGraph) -> ValidationReport:
     connected = len(comps) <= 1
     if not connected:
         violations.append(
-            Violation("connected", ";".join(sorted(min(c) for c in comps)),
+            Violation("connected", ";".join(map(str, sorted(min(c) for c in comps))),
                       f"graph has {len(comps)} connected components")
         )
 
@@ -407,3 +416,140 @@ def _spine_and_legs(g: ReebGraph) -> tuple[list[str], dict[str, list[str]]]:
     spine_set = {v for v, a in adj.items() if len(a) >= 2} or set(adj)
     order = _walk(spine_set, adj)
     return order, {v: sorted(w for w, _ in adj[v] if w not in spine_set) for v in order}
+
+
+Point = tuple[Fraction, Fraction]
+IntPoint = tuple[int, int]
+
+
+def _exact(c) -> Fraction:
+    """``c`` as a Fraction, without re-wrapping one that already is."""
+    return c if type(c) is Fraction else Fraction(c)
+
+
+def _all_of_type(items: Iterable, cls: type) -> bool:
+    """Whether every item is exactly a ``cls``, not a subclass (a C-speed scan)."""
+    return set(map(type, items)) <= {cls}
+
+
+def _exact_bends(bends) -> tuple[tuple[Point, ...], ...]:
+    """``bends`` as a tuple of per-edge tuples of (Fraction, Fraction) points
+    (``()`` for a straight edge).  Bends already in that form are kept; the
+    scan only reads types, and only the bent edges' points."""
+    if (type(bends) is tuple and _all_of_type(bends, tuple)
+            and _all_of_type(points := list(chain.from_iterable(compress(bends, bends))), tuple)
+            and set(map(len, points)) <= {2} and _all_of_type(chain.from_iterable(points), Fraction)):
+        return bends
+    return tuple(tuple((_exact(px), _exact(py)) for px, py in eb) if eb else () for eb in bends)
+
+
+class Drawing(_Value):
+    """A concrete drawing: per-vertex x coordinates plus per-edge bend points.
+
+    The y coordinate of every vertex is forced to its height.  ``bends[i]``
+    lists edge i's interior bend points ordered by strictly increasing y,
+    strictly between the endpoint heights; an empty tuple means a straight
+    segment.  A drawing is a value: the constructor builds its exact integer
+    frame (``_scaled_polylines``) from the graph's height ratios and one
+    ``as_integer_ratio`` read of each x and bend coordinate, scaling each
+    axis by the lcm of its distinct denominators, and checks bend
+    monotonicity and vertex coincidences on that frame; incidence
+    degeneracies are caught when counting.  The frame is all a drawing holds
+    beyond its fields: it keeps no lazy state.
+    """
+
+    graph: ReebGraph
+    x: dict[str, Fraction]
+    bends: tuple[tuple[Point, ...], ...]
+
+    def __init__(self, graph: ReebGraph, x: dict[str, Fraction], bends: tuple[tuple[Point, ...], ...] = ()):
+        heights, edges = graph.vertices, graph.edges
+        xs = dict(x.items())
+        if not _all_of_type(xs.values(), Fraction):
+            xs = {v: _exact(c) for v, c in x.items()}
+        if xs.keys() != heights.keys():
+            missing = [v for v in heights if v not in xs]
+            if missing:
+                raise GraphStructureError(f"missing x coordinate for vertex {missing[0]!r}", code="missing-x")
+            extra = [v for v in xs if v not in heights]
+            raise GraphStructureError(f"x coordinate for unknown vertex {extra[0]!r}", code="unknown-vertex")
+        bends = _exact_bends(bends) or ((),) * len(edges)
+        if len(bends) != len(edges):
+            raise GraphStructureError(
+                f"bend list length {len(bends)} does not match edge count {len(edges)}",
+                code="edge-mismatch",
+            )
+
+        # The integer frame: (edge polylines from the lower end up, vertex
+        # points, sx, sy), each coordinate multiplied by its axis scale sx or
+        # sy.  The scales cover every vertex, isolated ones included, so each
+        # scaled coordinate is exact, and scaling keeps order and equality.
+        # Every geometric consumer (the crossing counter, ``stretch``'s rows,
+        # ``subdivide_drawing`` and the SVG renderer) reads this one frame, so
+        # none may change it.  The heights' ratios are the graph's own.
+        y_ratios = graph._ratios
+        x_ratios = [xs[v].as_integer_ratio() for v in y_ratios]
+        bend_ratios = [(px.as_integer_ratio(), py.as_integer_ratio())
+                       for px, py in chain.from_iterable(compress(bends, bends))]
+        x_dens = set(map(itemgetter(1), x_ratios)) | {xd for (_, xd), _ in bend_ratios}
+        y_dens = set(map(itemgetter(1), y_ratios.values())) | {yd for _, (_, yd) in bend_ratios}
+        sx, sy = lcm(*x_dens), lcm(*y_dens)
+        fx = {d: sx // d for d in x_dens}  # each denominator's factor into its scale
+        fy = {d: sy // d for d in y_dens}
+
+        def scaled(ratio: tuple[tuple[int, int], tuple[int, int]]) -> IntPoint:
+            (xn, xd), (yn, yd) = ratio
+            return xn * fx[xd], yn * fy[yd]
+
+        vertex_pt = {v: (xn * fx[xd], yn * fy[yd])
+                     for v, (xn, xd), (yn, yd) in zip(y_ratios, x_ratios, y_ratios.values())}
+        bend_pts = map(scaled, bend_ratios)
+        polys = []
+        for i, ((a, b), eb) in enumerate(zip(edges, bends)):
+            lo, hi = vertex_pt[a], vertex_pt[b]
+            if hi[1] < lo[1]:
+                lo, hi = hi, lo
+            if not eb:
+                polys.append((lo, hi))
+                continue
+            pts = tuple(islice(bend_pts, len(eb)))
+            y_prev = lo[1]
+            for (_, y), (_, py) in zip(pts, eb):
+                if not (y_prev < y < hi[1]):
+                    raise GraphStructureError(
+                        f"bend of edge {i} at y={py} breaks strict y-monotonicity", code="bad-bend"
+                    )
+                y_prev = y
+            polys.append((lo, *pts, hi))
+        if len(set(vertex_pt.values())) < len(vertex_pt):
+            points = {}
+            for v, p in vertex_pt.items():
+                if p in points:
+                    raise DegeneracyError(f"vertices {points[p]!r} and {v!r} coincide at {(xs[v], heights[v])}")
+                points[p] = v
+        self.__dict__.update(graph=graph, x=xs, bends=bends, _scaled_polylines=(tuple(polys), vertex_pt, sx, sy))
+
+
+def per_level_order(d: Drawing) -> tuple[tuple[str, ...], ...]:
+    """Left-to-right vertex order on each level of a drawing."""
+    return tuple(tuple(sorted(vs, key=lambda v: (d.x[v], v))) for vs in levels(d.graph).by_level())
+
+
+class LevelOrdering(NamedTuple):
+    """Left-to-right vertex sequences, one per level (level 0 first)."""
+
+    orders: tuple[tuple[str, ...], ...]
+
+    @classmethod
+    def from_lists(cls, lists: Iterable[Sequence[str]]) -> "LevelOrdering":
+        return cls(tuple(tuple(lst) for lst in lists))
+
+    def positions(self) -> dict[str, int]:
+        pos: dict[str, int] = {}
+        for order in self.orders:
+            for i, v in enumerate(order):
+                pos[v] = i
+        return pos
+
+    def mirrored(self) -> "LevelOrdering":
+        return LevelOrdering(tuple(tuple(reversed(order)) for order in self.orders))

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # import cycle: crossings and subdivide raise these errors
-    from .crossings import LevelOrdering
+if TYPE_CHECKING:  # import cycle: core and subdivide raise these errors
+    from .core import LevelOrdering
     from .subdivide import SubdivisionMap
 
 

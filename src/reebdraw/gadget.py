@@ -34,8 +34,8 @@ import itertools
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .core import ReebGraph, _components, _Value
-from .crossings import CrossingCertificate, Drawing, count_crossings_geometric
+from .core import Drawing, ReebGraph, _components, _Value
+from .crossings import CrossingCertificate, count_crossings_geometric
 from .errors import (
     BudgetExhaustedError,
     DegeneracyError,

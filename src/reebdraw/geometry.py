@@ -6,7 +6,7 @@ tolerances anywhere.  Callers that need speed can scale their coordinates to
 integers first -- the predicates only use ring operations, so results are
 identical.  ``crossings.count_crossings_geometric``, ``stretch``'s rows,
 ``subdivide_drawing`` and ``svg.render_svg`` read one integer frame per
-drawing (``crossings.Drawing._scaled_polylines``).  The counter tests here
+drawing (``core.Drawing._scaled_polylines``).  The counter tests here
 only the pairs that its strip orders, its half-open y-window and shared ends
 leave open: two level segments only where their strip orders invert or
 repeat, a level segment only against the non-level segments that run inside

@@ -54,8 +54,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable
 
-from .core import ReebGraph, _parse_fraction
-from .crossings import CrossingCertificate, Drawing, LevelOrdering
+from .core import Drawing, LevelOrdering, ReebGraph, _parse_fraction
+from .crossings import CrossingCertificate
 from .errors import GraphStructureError, ReebError
 from .gadget import GadgetInstance, OlaGraph
 

@@ -22,7 +22,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import (
+    Drawing,
     LevelAssignment,
+    LevelOrdering,
     ReebGraph,
     ShapeClass,
     _spine_and_legs,
@@ -32,8 +34,6 @@ from .core import (
 )
 from .crossings import (
     DEFAULT_SEARCH_BUDGET,
-    Drawing,
-    LevelOrdering,
     _layered_cost,
     _realize_unsubdivided,
     _warm_start,

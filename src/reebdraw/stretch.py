@@ -44,7 +44,8 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from operator import itemgetter
 
-from .crossings import Drawing, IntPoint, count_crossings_geometric
+from .core import Drawing, IntPoint
+from .crossings import count_crossings_geometric
 from .errors import GraphStructureError, InternalInvariantError, LayoutError
 from .subdivide import _level_passes
 

@@ -18,11 +18,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
-# Import cycle: crossings imports this module for the subdivision, the leveled
-# view and ``unsubdivide_drawing``, so ``Drawing`` is read from the module
-# when a drawing is built.  The package imports crossings first.
-from . import crossings
-from .core import GENERATED_ID_PREFIX, LevelAssignment, ReebGraph, is_connected, levels
+from .core import GENERATED_ID_PREFIX, Drawing, LevelAssignment, ReebGraph, is_connected, levels
 from .errors import GraphStructureError, LayoutError
 
 
@@ -139,7 +135,7 @@ def subdivide(g: ReebGraph) -> Subdivision:
     return Subdivision(g2, SubdivisionMap(g, g2, tuple(paths), tuple(sub_edges), owner, view, lev.level_heights))
 
 
-def unsubdivide_drawing(d2: crossings.Drawing, mapping: SubdivisionMap) -> crossings.Drawing:
+def unsubdivide_drawing(d2: Drawing, mapping: SubdivisionMap) -> Drawing:
     """Merge subdivision paths back into single edges with bends; counts are preserved.
 
     Generated vertices become bend points, surviving vertices keep their x
@@ -170,10 +166,10 @@ def unsubdivide_drawing(d2: crossings.Drawing, mapping: SubdivisionMap) -> cross
                 mid = path[j + 1]
                 pts.append((d2.x[mid], back(d2.graph.vertices[mid])))
         bends.append(tuple(pts))
-    return crossings.Drawing(graph=g, x=xs, bends=tuple(bends))
+    return Drawing(graph=g, x=xs, bends=tuple(bends))
 
 
-def _level_passes(d: crossings.Drawing) -> tuple[list[int], tuple[tuple[tuple[int, int, int], ...], ...]]:
+def _level_passes(d: Drawing) -> tuple[list[int], tuple[tuple[tuple[int, int, int], ...], ...]]:
     """Where a drawing's edges pass the vertex heights on its integer frame:
     (heights, passes).  ``heights`` lists the distinct vertex heights bottom
     up; ``passes[i]`` holds, bottom up, a triple (r, num, den) for each
@@ -199,7 +195,7 @@ def _level_passes(d: crossings.Drawing) -> tuple[list[int], tuple[tuple[tuple[in
     return heights, tuple(passes)
 
 
-def subdivide_drawing(d: crossings.Drawing, g: ReebGraph, mapping: SubdivisionMap) -> crossings.Drawing:
+def subdivide_drawing(d: Drawing, g: ReebGraph, mapping: SubdivisionMap) -> Drawing:
     """Cut a drawing's polylines at every level height; cut points become vertices.
 
     The cut points are where its edges pass the vertex heights
@@ -229,4 +225,4 @@ def subdivide_drawing(d: crossings.Drawing, g: ReebGraph, mapping: SubdivisionMa
             k = bisect_right(heights, y) - 1
             if heights[k] != y:
                 bends2[subs[k - r_lo]].append((px, k + Fraction(y - heights[k], heights[k + 1] - heights[k])))
-    return crossings.Drawing(graph=mapping.subdivided, x=xs, bends=tuple(map(tuple, bends2)))
+    return Drawing(graph=mapping.subdivided, x=xs, bends=tuple(map(tuple, bends2)))

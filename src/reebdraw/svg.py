@@ -18,8 +18,7 @@ from __future__ import annotations
 from math import isfinite
 from typing import Sequence
 
-from .core import _Value
-from .crossings import Drawing
+from .core import Drawing, _Value
 from .errors import GraphStructureError
 
 #: Stroke styles per gadget edge part.

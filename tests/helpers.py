@@ -47,13 +47,12 @@ from reebdraw import (
     subdivide,
 )
 from reebdraw import geometry
-from reebdraw.core import is_connected, spine_and_legs
+from reebdraw.core import Point, is_connected, spine_and_legs
 from reebdraw.svg import PART_STYLES
 from reebdraw.crossings import (
     DEFAULT_SEARCH_BUDGET,
     CrossingPair,
     ExactResult,
-    Point,
     _find,
     _orient,
     _pair_crossings,

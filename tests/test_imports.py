@@ -1,5 +1,6 @@
 """Every name a library module or test file imports is used in that file,
-and every private helper is used somewhere in the library.
+every private helper is used somewhere in the library, and the library's
+modules import each other without a cycle as they load.
 
 No linter ships with the project, so this walks each file's syntax tree:
 an imported name must appear as an ``ast.Name`` somewhere in the file.
@@ -18,6 +19,7 @@ each name it needs must be a function defined in the module it is named after.
 from __future__ import annotations
 
 import ast
+import graphlib
 import importlib
 import importlib.util
 import inspect
@@ -135,6 +137,42 @@ def test_the_check_sees_an_unused_method():
     assert unreferenced_helpers(sources) == ["a.Shape._frame"]
 
 
+def import_cycle(sources: dict[str, str]) -> list[str]:
+    """A cycle among the relative imports that ``sources`` (module name to
+    source) run as they load, as ``graphlib`` reports it, or ``[]``.  Imports
+    in function bodies and under ``if TYPE_CHECKING:`` do not run then."""
+    graph = {}
+    for module, source in sources.items():
+        graph[module] = deps = set()
+        stack: list[ast.AST] = [ast.parse(source)]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                deps |= {node.module} if node.module else {alias.name for alias in node.names}
+            elif not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      or isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"):
+                stack.extend(ast.iter_child_nodes(node))
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        return exc.args[1]
+    return []
+
+
+def test_the_library_imports_form_no_cycle():
+    assert import_cycle({p.stem: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def test_the_check_sees_an_import_cycle():
+    # b imports c only under TYPE_CHECKING and in a call, so only a and b form a cycle.
+    sources = {"a": "from .b import f\n",
+               "b": "if TYPE_CHECKING:\n    from .c import g\nfrom . import a\ndef f():\n    from .c import g\n",
+               "c": "from .b import f\n"}
+    assert import_cycle(sources) == ["a", "b", "a"]
+    del sources["a"]
+    assert import_cycle(sources) == []
+
+
 def misplaced(names, package: str = "reebdraw") -> list[str]:
     """Each ``module.function`` in ``names`` that is not a function defined
     in ``package.module``."""
@@ -153,7 +191,7 @@ def test_every_traced_name_is_a_library_function(monkeypatch):
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     names = [*spans.REQUIRED, *spans.PRIVATE]
-    assert "crossings.count_crossings_geometric" in names
+    assert "crossings.count_crossings_geometric" in names and "geometry.classify_segments" in spans.REQUIRED
     assert misplaced(names, spans.PACKAGE) == []
 
 
