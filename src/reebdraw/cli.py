@@ -71,7 +71,7 @@ def _emit_json(obj, path: str | None) -> None:
 
 
 def _maybe_svg(drawing, args, edge_parts=None) -> None:
-    if getattr(args, "svg", None):
+    if args.svg:
         opts = RenderOptions(color_by_part=edge_parts is not None)
         _write(render_svg(drawing, opts, edge_parts), args.svg)
 

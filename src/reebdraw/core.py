@@ -318,13 +318,13 @@ def validate(g: ReebGraph) -> ValidationReport:
     for v in sorted(g.vertices):
         if prof.total[v] not in (1, 3):
             generic = False
-            violations.append(Violation("degree-1-or-3", v, f"deg({v}) = {prof.total[v]}"))
+            violations.append(Violation("degree-1-or-3", str(v), f"deg({v}) = {prof.total[v]}"))
         if prof.down[v] > 2:
             generic = False
-            violations.append(Violation("down-degree", v, f"deg_down({v}) = {prof.down[v]} > 2"))
+            violations.append(Violation("down-degree", str(v), f"deg_down({v}) = {prof.down[v]} > 2"))
         if prof.up[v] > 2:
             generic = False
-            violations.append(Violation("up-degree", v, f"deg_up({v}) = {prof.up[v]} > 2"))
+            violations.append(Violation("up-degree", str(v), f"deg_up({v}) = {prof.up[v]} > 2"))
 
     subdivided = True
     for i, (a, b) in enumerate(g.edges):
@@ -338,7 +338,7 @@ def validate(g: ReebGraph) -> ValidationReport:
         if prof.total[v] > 3 or prof.down[v] > 2 or prof.up[v] > 2:
             subdivided = False
             if prof.total[v] > 3:
-                violations.append(Violation("degree-at-most-3", v, f"deg({v}) = {prof.total[v]} > 3"))
+                violations.append(Violation("degree-at-most-3", str(v), f"deg({v}) = {prof.total[v]} > 3"))
 
     comps = connected_components(g)
     connected = len(comps) <= 1

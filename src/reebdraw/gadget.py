@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .core import Drawing, ReebGraph, _components, _Value
 from .crossings import CrossingCertificate, count_crossings_geometric
@@ -284,8 +284,8 @@ def ola_reduce(g: OlaGraph, k: int) -> GadgetInstance:
     edge_parts: list[str] = []
     top_connector: dict[str, str] = {}
     bottom_connector: dict[str, str] = {}
-    top_chain: dict[str, list[str]] = {}
-    bottom_chain: dict[str, list[str]] = {}
+    top_ends: dict[str, Iterator[str]] = {}     # each chain's E1 ends: every second copy
+    bottom_ends: dict[str, Iterator[str]] = {}
     strand_edges: list[tuple[int, str, int, int]] = []
 
     def add_vertex(name: str, level: int, lx: int, source: str, part: str) -> None:
@@ -306,23 +306,17 @@ def ola_reduce(g: OlaGraph, k: int) -> GadgetInstance:
             for a, b in patch_edges:
                 edges.append((name[a], name[b]))
                 edge_parts.append("E4")
-        top_connector[u] = names["T"][apex]
-        bottom_connector[u] = names["B"][apex]
+        top, bottom = [names["T"][apex]], [names["B"][apex]]
+        top_connector[u], bottom_connector[u] = top[0], bottom[0]
 
-        # Connector chains off both apexes, one copy per level.
-        top_chain[u] = []
-        bottom_chain[u] = []
+        # Connector chains off both apexes, one copy per level, top then bottom.
         for j in range(1, deg[u] * n + 1):
-            tname = f"{u}:tc{j}"
-            add_vertex(tname, tg_top + j, m, u, "V2")
-            edges.append((top_chain[u][-1] if top_chain[u] else top_connector[u], tname))
-            edge_parts.append("E3")
-            top_chain[u].append(tname)
-            bname = f"{u}:bc{j}"
-            add_vertex(bname, bg0 - j, m, u, "V2")
-            edges.append((bottom_chain[u][-1] if bottom_chain[u] else bottom_connector[u], bname))
-            edge_parts.append("E3")
-            bottom_chain[u].append(bname)
+            for chain, name, level in ((top, f"{u}:tc{j}", tg_top + j), (bottom, f"{u}:bc{j}", bg0 - j)):
+                add_vertex(name, level, m, u, "V2")
+                edges.append((chain[-1], name))
+                edge_parts.append("E3")
+                chain.append(name)
+        top_ends[u], bottom_ends[u] = iter(top[2::2]), iter(bottom[2::2])
 
         # Strand bundle: m copies between each of the m facing bottom-row pairs.
         for slot, cell in enumerate(bottoms):
@@ -334,24 +328,18 @@ def ola_reduce(g: OlaGraph, k: int) -> GadgetInstance:
 
     # One long edge per source edge: higher-labeled vertex's top chain down to
     # the lower-labeled vertex's bottom chain.
-    top_slots = {u: 0 for u in ids}
-    bottom_slots = {u: 0 for u in ids}
     e1_routes: list[E1Route] = []
     source_edges = sorted(g.edges, key=lambda e: (min(index[e[0]], index[e[1]]),
                                                   max(index[e[0]], index[e[1]])))
     for rank, (a, b) in enumerate(source_edges):
         hi, lo = (a, b) if index[a] > index[b] else (b, a)
-        ts = top_slots[hi]
-        bs = bottom_slots[lo]
-        top_slots[hi] += 1
-        bottom_slots[lo] += 1
         e1_routes.append(E1Route(
             edge_index=len(edges),
             top_source=hi,
             bottom_source=lo,
-            lane_offset=Fraction(1) + Fraction(4 * rank, max(len(g.edges), 1) + 1),
+            lane_offset=Fraction(1) + Fraction(4 * rank, m + 1),
         ))
-        edges.append((top_chain[hi][2 * ts + 1], bottom_chain[lo][2 * bs + 1]))
+        edges.append((next(top_ends[hi]), next(bottom_ends[lo])))
         edge_parts.append("E1")
 
     graph = ReebGraph(heights, tuple(edges))

@@ -7,13 +7,14 @@ toward the open side of each spine vertex; the offset is chosen outside the
 finite set at which a leg would lie along a spine edge, so the drawing is in
 general position by construction.  Cycles are decomposed by their
 alternation between the top and bottom level: the alternation count k fixes
-key columns drawn like a bowtie, corridors between them carry the connecting
-paths, and the construction emits exactly k-1 crossings.  The bowtie layout
+integer key columns drawn like a bowtie, corridors between them carry the
+connecting paths, each level is ordered by integer (column, step) keys, and
+the construction emits exactly k-1 crossings.  The bowtie layout
 is the fully alternating case, drawn straight in the key columns with the
 provably minimal (N-2)/2 crossings.  Each layout certifies its count once.
 
 Everything is deterministic: start vertices, traversal directions, corridor
-offsets, and tie-breaks are all fixed functions of the input.
+keys, and tie-breaks are all fixed functions of the input.
 """
 
 from __future__ import annotations
@@ -198,10 +199,10 @@ def _decompose(g: ReebGraph, lev: LevelAssignment) -> CycleDecomposition:
 # Cycle layouts
 # ---------------------------------------------------------------------------
 
-def _key_columns(dec: CycleDecomposition) -> dict[str, Fraction]:
+def _key_columns(dec: CycleDecomposition) -> dict[str, int]:
     """Key j (counted from 1) in column j, or its mirror 2k+1-j in the second half."""
     k = dec.iteration_count
-    return {key: Fraction(j if j <= k else 2 * k + 1 - j) for j, key in enumerate(dec.keys, start=1)}
+    return {key: j if j <= k else 2 * k + 1 - j for j, key in enumerate(dec.keys, start=1)}
 
 
 def layout_bowtie(g: ReebGraph) -> Drawing:
@@ -210,7 +211,9 @@ def layout_bowtie(g: ReebGraph) -> Drawing:
     Every vertex is a key of the cycle's decomposition, and each is drawn in
     its key column: the first half goes in columns 1..n, the second half
     comes back over the same columns mirrored, which closes the cycle with a
-    vertical segment.  Certified once: n-1 crossings.
+    vertical segment.  Only the two-vertex cycle has parallel edges; its
+    second edge bows out through half a column to the right.  Certified once:
+    n-1 crossings.
     """
     if classify_shape(g) != ShapeClass.SINGLE_CYCLE:
         raise LayoutError("bowtie layout requires a single cycle", code="not-single-cycle")
@@ -220,18 +223,11 @@ def layout_bowtie(g: ReebGraph) -> Drawing:
                           code="not-alternating")
     n = dec.iteration_count
     xs = _key_columns(dec)
-
-    bends: list[tuple[tuple[Fraction, Fraction], ...]] = [() for _ in g.edges]
-    groups: dict[tuple[str, str], list[int]] = {}
-    for idx, pair in enumerate(g.edges):
-        groups.setdefault(pair, []).append(idx)
-    for pair, members in groups.items():
-        # Parallel edges only occur in the two-vertex cycle; bow extra copies out.
-        mid_y = (g.vertices[pair[0]] + g.vertices[pair[1]]) / 2
-        for c, idx in enumerate(members[1:], start=1):
-            bends[idx] = ((xs[pair[0]] + Fraction(c, 2), mid_y),)
-
-    d = Drawing(graph=g, x=xs, bends=tuple(bends))
+    bends = ()
+    if g.vertex_count == 2:
+        (a, b), _ = g.edges
+        bends = ((), ((xs[a] + Fraction(1, 2), (g.vertices[a] + g.vertices[b]) / 2),))
+    d = Drawing(graph=g, x=xs, bends=bends)
     cert = count_crossings_geometric(d)
     if cert.count != n - 1:
         raise InternalInvariantError(f"bowtie emitted {cert.count} crossings, expected {n - 1}")
@@ -245,15 +241,22 @@ def _cycle_level_ordering(level_vertices: list[list[str]], dec: CycleDecompositi
     left-to-right through the left half of the corridor right of their start
     column; second-half paths run right-to-left through the right half.
     Exactly the k-1 designated pairs invert.
+
+    The i-th inner vertex of a path starting in column c stands for
+    x = c + i / (2(len(path) - 1)) on a first-half path and c - i / (...) on
+    a second-half one; every offset is below 1/2, exactly one path leaves
+    each side of a key column, and its offset grows with i.  So each level
+    sorts by the integer key (c, i) or (c, -i), keys at (c, 0), in the same
+    order and with the same id tie-breaks as those x.
     """
     k = dec.iteration_count
-    vx = _key_columns(dec)
+    cols = _key_columns(dec)
+    key = {v: (c, 0, v) for v, c in cols.items()}
     for j, path in enumerate(dec.paths, start=1):
-        step = Fraction(1 if j <= k else -1, 2 * (len(path) - 1))
+        step = 1 if j <= k else -1
         for i, v in enumerate(path[1:-1], start=1):
-            vx[v] = vx[path[0]] + i * step
-    orders = [tuple(sorted(vs, key=lambda v: (vx[v], v))) for vs in level_vertices]
-    return LevelOrdering(tuple(orders))
+            key[v] = (cols[path[0]], step * i, v)
+    return LevelOrdering(tuple(tuple(sorted(vs, key=key.__getitem__)) for vs in level_vertices))
 
 
 def layout_cycle(g: ReebGraph) -> Drawing:

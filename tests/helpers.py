@@ -148,6 +148,12 @@ def distinct_height_caterpillar(n: int, rng: random.Random) -> ReebGraph:
 
 
 def random_cycle_graph(n: int, rng: random.Random, max_level: int = 4) -> ReebGraph:
+    """Cycle v0 - v1 - ... - v0 of n vertices with heights in 0..max_level, no
+    two neighbors at one height and at least two heights.  Raises ValueError
+    where no such heights exist: fewer than two vertices, a max_level below 1,
+    or an odd cycle on the two heights 0 and 1, which cannot alternate."""
+    if n < 2 or max_level < 1 or (max_level == 1 and n % 2):
+        raise ValueError(f"no {n}-vertex cycle alternates within heights 0..{max_level}")
     ids = [f"v{i}" for i in range(n)]
     while True:
         hs = [rng.randint(0, max_level) for _ in range(n)]
@@ -156,6 +162,13 @@ def random_cycle_graph(n: int, rng: random.Random, max_level: int = 4) -> ReebGr
                 dict(zip(ids, hs)),
                 [(ids[i], ids[(i + 1) % n]) for i in range(n)],
             )
+
+
+def distinct_height_cycle(n: int, rng: random.Random) -> ReebGraph:
+    """Cycle c0 - c1 - ... - c0 of n vertices, one per height: a sample of range(10 n)."""
+    ids = [f"c{i}" for i in range(n)]
+    return ReebGraph.build(dict(zip(ids, rng.sample(range(10 * n), n))),
+                           [(ids[i], ids[(i + 1) % n]) for i in range(n)])
 
 
 def alternating_cycle(total: int) -> ReebGraph:
@@ -1609,6 +1622,24 @@ def reference_top_down_iteration_number(g: ReebGraph) -> CycleDecomposition:
         iteration_count=k,
         paths=tuple(paths),
     )
+
+
+def reference_cycle_level_ordering(level_vertices: list[list[str]], dec: CycleDecomposition) -> LevelOrdering:
+    """Oracle: the corridor order on rational x coordinates, kept verbatim.
+
+    Key j (counted from 1) sits at x = j, or 2k+1-j in the second half; the
+    i-th inner vertex of connecting path j sits at its start column plus
+    i / (2(len(path) - 1)) on a first-half path, minus it on a second-half
+    one.  Each level is sorted by (x, id).
+    """
+    k = dec.iteration_count
+    vx = {key: Fraction(j if j <= k else 2 * k + 1 - j) for j, key in enumerate(dec.keys, start=1)}
+    for j, path in enumerate(dec.paths, start=1):
+        step = Fraction(1 if j <= k else -1, 2 * (len(path) - 1))
+        for i, v in enumerate(path[1:-1], start=1):
+            vx[v] = vx[path[0]] + i * step
+    orders = [tuple(sorted(vs, key=lambda v: (vx[v], v))) for vs in level_vertices]
+    return LevelOrdering(tuple(orders))
 
 
 def reference_realize_layered(g2: ReebGraph, ordering: LevelOrdering) -> Drawing:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -44,6 +45,16 @@ K4_PENDANT_ORDERS = (
 )
 HOUSE = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4))
 FIVE_CYCLE_TWO_CHORDS = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (0, 3))
+
+#: The benchmark's gadget source shapes: the 4-vertex path, cycle and K4, the
+#: house, and the 5-cycle with both chords from one vertex.
+BENCH_SHAPES = (
+    ((0, 1), (1, 2), (2, 3)),
+    ((0, 1), (1, 2), (2, 3), (0, 3)),
+    ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)),
+    HOUSE,
+    FIVE_CYCLE_TWO_CHORDS,
+)
 
 
 def named(pairs, rank) -> OlaGraph:
@@ -200,6 +211,18 @@ class TestOlaReduce:
         assert parts["E4"] == 2 * n * (3 * (m * m + 3 * m) // 2)
         assert parts["E3"] == chain_v
         assert set(inst.vertex_parts.values()) == {"V1", "V2"}
+
+    def test_bytes_are_pinned(self):
+        # Digest taken before the connector chains were built in one loop
+        # over both sides: heights, edges and parts of H in their insertion
+        # order, and the plan, for every naming of each bench shape.
+        h = hashlib.sha256()
+        for pairs in BENCH_SHAPES:
+            for rank in itertools.permutations(range(1 + max(map(max, pairs)))):
+                inst = ola_reduce(named(pairs, rank), 10)
+                h.update(repr((inst.graph.vertices, inst.graph.edges, inst.vertex_parts,
+                               inst.edge_parts, inst.plan)).encode())
+        assert h.hexdigest() == "862c1f85737f5ca282753a5cc7acf09f46d28692346f8cee189e731309f43107"
 
     def test_h_is_connected(self):
         inst = ola_reduce(P3, 2)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -29,17 +30,21 @@ from reebdraw import (
     top_down_iteration_number,
 )
 from reebdraw.jsonio import parse_graph, serialize_drawing
+from reebdraw.layout import _cycle_level_ordering, _decompose
+from reebdraw.subdivide import subdivide
 
 from helpers import (
     alternating_cycle,
     counted_geometric_calls,
     counted_warm_starts,
+    distinct_height_cycle,
     enumerate_min_crossings,
     random_caterpillar_graph,
     random_connected_graph,
     random_cycle_graph,
     random_path_graph,
     random_wide_caterpillar_graph,
+    reference_cycle_level_ordering,
     reference_layout_caterpillar,
     reference_top_down_iteration_number,
 )
@@ -414,6 +419,55 @@ class TestLayoutCycle:
             g = random_cycle_graph(rng.randint(3, 9), rng)
             k = top_down_iteration_number(g).iteration_count
             assert exact_rgcn(g).count <= k - 1
+
+
+def pinned_random_cycles() -> list[ReebGraph]:
+    """300 random cycles of 2-14 vertices with top levels 2-6, from ``Random(5)``."""
+    rng = random.Random(5)
+    return [random_cycle_graph(rng.randint(2, 14), rng, rng.randint(2, 6)) for _ in range(300)]
+
+
+@pytest.mark.parametrize("n,max_level", [(4, 0), (4, -1), (3, 1), (7, 1), (1, 4), (0, 4)])
+def test_random_cycle_graph_refuses_heights_no_cycle_can_take(n, max_level):
+    with pytest.raises(ValueError):
+        random_cycle_graph(n, random.Random(0), max_level)
+
+
+def test_random_cycle_graph_alternates_an_even_cycle_on_two_heights():
+    g = random_cycle_graph(6, random.Random(0), max_level=1)
+    assert [g.vertices[f"v{i}"] for i in range(6)] in ([0, 1] * 3, [1, 0] * 3)
+
+
+def layout_digest(layout, graphs) -> str:
+    """sha256 of the serialized drawings of ``graphs``, one after another."""
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update(serialize_drawing(layout(g)).encode())
+    return h.hexdigest()
+
+
+class TestCycleConstructionBytes:
+    # Digests taken before the corridor order moved from rational x
+    # coordinates to integer keys; any change to a drawing shows here.
+    def test_random_cycles(self):
+        assert layout_digest(layout_cycle, pinned_random_cycles()) == (
+            "ead3c364cfaa247081f83aa7438953193fd882e8da41be48d8f1a41619c7896a")
+
+    def test_distinct_height_cycle(self):
+        assert layout_digest(layout_cycle, [distinct_height_cycle(200, random.Random(0))]) == (
+            "0e9a10463f2b9b4a3e7c5015e6246de682da0288df036e39be970e0cf6e404d5")
+
+    def test_bowties(self):
+        assert layout_digest(layout_bowtie, map(alternating_cycle, range(2, 41, 2))) == (
+            "24d1d7081ac8013e596eeb51232457eb836fa22bb43e03dc1e660fb164bf73b1")
+
+    def test_corridor_order_matches_the_rational_reference(self):
+        for g in pinned_random_cycles() + [distinct_height_cycle(200, random.Random(0))]:
+            g2, smap = subdivide(g)
+            view = smap.view
+            dec = _decompose(g2, view.lev)
+            assert _cycle_level_ordering(view.level_vertices, dec) == (
+                reference_cycle_level_ordering(view.level_vertices, dec))
 
 
 class TestUniqueExtrema:
