@@ -25,13 +25,13 @@ from . import jsonio
 from .core import validate
 from .crossings import (
     DEFAULT_SEARCH_BUDGET,
-    _realize_unsubdivided,
     count_crossings_geometric,
     exact_rgcn,
+    realize_layered,
 )
 from .errors import BudgetExhaustedError, GraphStructureError, ReebError
 from .gadget import (
-    _certified_drawing,
+    arrangement_to_drawing,
     ola_brute,
     ola_reduce,
     tri_hex_grid,
@@ -45,7 +45,7 @@ from .layout import (
     layout_path,
 )
 from .stretch import stretch
-from .subdivide import subdivide
+from .subdivide import subdivide, unsubdivide_drawing
 from .svg import RenderOptions, render_svg
 
 
@@ -72,8 +72,7 @@ def _emit_json(obj, path: str | None) -> None:
 
 def _maybe_svg(drawing, args, edge_parts=None) -> None:
     if args.svg:
-        opts = RenderOptions(color_by_part=edge_parts is not None)
-        _write(render_svg(drawing, opts, edge_parts), args.svg)
+        _write(render_svg(drawing, edge_parts=edge_parts), args.svg)
 
 
 def _cmd_validate(args) -> int:
@@ -125,7 +124,7 @@ _ALGORITHMS = {
 
 def _layout_exact(g, budget):
     res = exact_rgcn(g, budget)
-    return _realize_unsubdivided(res.mapping, res.ordering, res.count)
+    return unsubdivide_drawing(realize_layered(res.graph, res.ordering, res.count), res.mapping)
 
 
 def _cmd_layout(args) -> int:
@@ -212,7 +211,7 @@ def _cmd_gadget_verify(args) -> int:
     g = jsonio.parse_ola_graph(_read(args.graph))
     best = ola_brute(g)
     inst = ola_reduce(g, best.cost)
-    drawing, cert = _certified_drawing(inst, best)
+    drawing, cert = arrangement_to_drawing(inst, best)
     ok = cert.count <= inst.budget
     _emit_json(
         {

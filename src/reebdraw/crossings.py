@@ -43,7 +43,7 @@ from .errors import (
     InternalInvariantError,
     LayoutError,
 )
-from .subdivide import LeveledView, SubdivisionMap, _leveled, subdivide, unsubdivide_drawing
+from .subdivide import LeveledView, SubdivisionMap, _leveled, subdivide
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -348,12 +348,6 @@ def realize_layered(g2: ReebGraph, ordering: LevelOrdering, count: int | None = 
     if count_crossings_geometric(d).count != count:
         raise InternalInvariantError("layered ordering realized with a different crossing count")
     return d
-
-
-def _realize_unsubdivided(mapping: SubdivisionMap, ordering: LevelOrdering, count: int) -> Drawing:
-    """Realize an ordering of ``mapping.subdivided`` with layered count ``count``
-    (:func:`realize_layered`) and merge it back into a drawing of ``mapping.original``."""
-    return unsubdivide_drawing(realize_layered(mapping.subdivided, ordering, count), mapping)
 
 
 def _pair_crossings(a: list[int], b: list[int]) -> tuple[int, int]:

@@ -373,16 +373,16 @@ def ola_reduce(g: OlaGraph, k: int) -> GadgetInstance:
 # Witness drawings and their inverse
 # ---------------------------------------------------------------------------
 
-def _certified_drawing(inst: GadgetInstance, f: LinearArrangement) -> tuple[Drawing, CrossingCertificate]:
-    """Draw H with columns in arrangement order.
+def arrangement_to_drawing(inst: GadgetInstance, f: LinearArrangement) -> tuple[Drawing, CrossingCertificate]:
+    """Draw H with columns in arrangement order; returns the drawing and its
+    crossing certificate (:func:`count_crossings_geometric` of that drawing).
 
     Grid pairs face each other, strands run straight across the gap (extra
     copies fan out slightly at mid-gap), and each source edge travels through
     the lanes between column boxes: down from its top chain, across the gap
     diagonally (crossing exactly the skipped columns' strand bundles), and up
     to its bottom chain.  The geometric crossing count is at most the budget
-    whenever the arrangement cost is within its own budget.  Returns the
-    drawing with its crossing certificate.
+    whenever the arrangement cost is within its own budget.
 
     The canonical lane offsets come first.  They can make two lanes coincide
     or three gap pieces meet; pieces from one chain to one side's lanes are
@@ -449,11 +449,6 @@ def _certified_drawing(inst: GadgetInstance, f: LinearArrangement) -> tuple[Draw
     h = Fraction(1, 10 * (m + 1))
     d = drawing(h * h / (8 * m ** 4 * (len(f.ranks) + 1) * pitch))
     return d, count_crossings_geometric(d)
-
-
-def arrangement_to_drawing(inst: GadgetInstance, f: LinearArrangement) -> Drawing:
-    """Draw H with columns in arrangement order (see :func:`_certified_drawing`)."""
-    return _certified_drawing(inst, f)[0]
 
 
 def extract_arrangement(d: Drawing, inst: GadgetInstance) -> tuple[LinearArrangement, LinearArrangement]:

@@ -36,17 +36,17 @@ from .core import (
 from .crossings import (
     DEFAULT_SEARCH_BUDGET,
     _layered_cost,
-    _realize_unsubdivided,
     _warm_start,
     count_crossings_geometric,
     exact_rgcn,
+    realize_layered,
 )
 from .errors import (
     BudgetExhaustedError,
     InternalInvariantError,
     LayoutError,
 )
-from .subdivide import subdivide
+from .subdivide import subdivide, unsubdivide_drawing
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +286,7 @@ def _layout_cycle(g: ReebGraph) -> Drawing:
         raise InternalInvariantError(
             f"cycle corridor ordering produced {layered} crossings, expected {dec.iteration_count - 1}"
         )
-    return _realize_unsubdivided(smap, ordering, layered)
+    return unsubdivide_drawing(realize_layered(g2, ordering, layered), smap)
 
 
 def layout_cycle_unique_extrema(g: ReebGraph) -> Drawing:
@@ -320,9 +320,9 @@ def layout_heuristic(g: ReebGraph) -> Drawing:
     (see :func:`_warm_start`), which is also what the exact search reports
     when its budget runs out.  Emits exactly that ordering's crossings.
     """
-    _, smap = subdivide(g)
+    g2, smap = subdivide(g)
     cost, ordering = _warm_start(smap.view)
-    return _realize_unsubdivided(smap, ordering, cost)
+    return unsubdivide_drawing(realize_layered(g2, ordering, cost), smap)
 
 
 def layout_auto(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Drawing:
@@ -341,5 +341,5 @@ def layout_auto(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Dra
     try:
         res = exact_rgcn(g, budget)
     except BudgetExhaustedError as exc:
-        return _realize_unsubdivided(exc.mapping, exc.ordering, exc.best)
-    return _realize_unsubdivided(res.mapping, res.ordering, res.count)
+        return unsubdivide_drawing(realize_layered(exc.mapping.subdivided, exc.ordering, exc.best), exc.mapping)
+    return unsubdivide_drawing(realize_layered(res.graph, res.ordering, res.count), res.mapping)

@@ -31,8 +31,8 @@ PART_STYLES = {
 
 
 class RenderOptions(_Value):
-    """Canvas size, margin and stroke sizes in pixels, and the two styling
-    switches.  The five sizes must be positive finite ints or floats; a bool,
+    """Canvas size, margin and stroke sizes in pixels, and whether to draw
+    level lines.  The five sizes must be positive finite ints or floats; a bool,
     NaN or an infinity would otherwise be written into the SVG text as is."""
 
     width: int
@@ -41,10 +41,9 @@ class RenderOptions(_Value):
     vertex_radius: float
     stroke_width: float
     show_level_lines: bool
-    color_by_part: bool
 
     def __init__(self, width: int = 800, height: int = 600, margin: int = 40, vertex_radius: float = 3.0,
-                 stroke_width: float = 1.5, show_level_lines: bool = False, color_by_part: bool = False):
+                 stroke_width: float = 1.5, show_level_lines: bool = False):
         sizes = {"width": width, "height": height, "margin": margin,
                  "vertex_radius": vertex_radius, "stroke_width": stroke_width}
         for name, value in sizes.items():
@@ -56,7 +55,7 @@ class RenderOptions(_Value):
         if 2 * margin >= min(width, height):  # it would mirror or collapse the picture
             raise GraphStructureError(f"render margin {margin} leaves no drawing area in a "
                                       f"{width}x{height} canvas", code="bad-options")
-        self.__dict__.update(sizes, show_level_lines=show_level_lines, color_by_part=color_by_part)
+        self.__dict__.update(sizes, show_level_lines=show_level_lines)
 
 
 def _fmt(value: float) -> str:
@@ -81,7 +80,8 @@ def render_svg(
     opts: RenderOptions = RenderOptions(),
     edge_parts: Sequence[str] | None = None,
 ) -> str:
-    """Render a drawing to SVG text; ``edge_parts`` enables per-part styling."""
+    """Render a drawing to SVG text; given ``edge_parts`` (one gadget part per
+    edge, as ``GadgetInstance.edge_parts``), edges are styled by part."""
     polys, vertex_pt, _, _ = d._scaled_polylines
     pts = [*vertex_pt.values(), *(p for poly in polys for p in poly[1:-1])]
     sx = _axis({p[0] for p in pts}, opts.margin, opts.width - 2 * opts.margin, flip=False)
@@ -107,7 +107,7 @@ def render_svg(
     for i, poly in enumerate(polys):
         points = " ".join(f"{sx[px]},{sy[py]}" for px, py in poly)
         color, dash = "#303030", None
-        if opts.color_by_part and edge_parts is not None and i < len(edge_parts):
+        if edge_parts is not None and i < len(edge_parts):
             color, dash = PART_STYLES.get(edge_parts[i], (color, None))
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         lines.append(

@@ -552,7 +552,7 @@ def reference_render_svg(
         poly = polyline(d, i)
         points = " ".join(f"{_reference_fmt(sx(px))},{_reference_fmt(sy(py))}" for px, py in poly)
         color, dash = "#303030", None
-        if opts.color_by_part and edge_parts is not None and i < len(edge_parts):
+        if edge_parts is not None and i < len(edge_parts):
             color, dash = PART_STYLES.get(edge_parts[i], (color, None))
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         lines.append(
@@ -1722,7 +1722,7 @@ def reference_certified_drawing(inst: GadgetInstance, f: LinearArrangement) -> t
     """Oracle: the gadget drawing with its 24 lane-offset wobbles, kept verbatim.
 
     Wherever its first wobble (the canonical offsets) is non-degenerate,
-    ``_certified_drawing`` must return the same drawing and certificate.
+    ``arrangement_to_drawing`` must return the same drawing and certificate.
 
     Draw H with columns in arrangement order.
 

@@ -173,7 +173,7 @@ def test_criterion_7_reduction_bound_holds_constructively():
     for name, g in instances.items():
         best = ola_brute(g)
         inst = ola_reduce(g, best.cost)
-        drawing = arrangement_to_drawing(inst, best)
+        drawing, _ = arrangement_to_drawing(inst, best)
         crossings = count_crossings_geometric(drawing).count
         assert crossings <= inst.budget, (name, crossings, inst.budget)
         results.append(f"{name}:{crossings}<={inst.budget}")

@@ -298,13 +298,13 @@ def test_gadget_verify_over_budget_exits_1_with_ok_false(ola_file, tmp_path, cap
     # SVG is still written.
     import reebdraw.cli
 
-    certified = reebdraw.cli._certified_drawing
+    certified = reebdraw.cli.arrangement_to_drawing
 
     def over_budget(inst, best):
         d, cert = certified(inst, best)
         return d, reebdraw.CrossingCertificate(inst.budget + 1, cert.pairs)
 
-    monkeypatch.setattr(reebdraw.cli, "_certified_drawing", over_budget)
+    monkeypatch.setattr(reebdraw.cli, "arrangement_to_drawing", over_budget)
     svg_path = tmp_path / "h.svg"
     code, out, err = run(capsys, "gadget", "verify", "--graph", ola_file, "--svg", svg_path)
     result = json.loads(out)

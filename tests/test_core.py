@@ -251,7 +251,7 @@ class TestValueTypes:
             "ola": (OlaGraph(["x", "y"], [("y", "x")]), "OlaGraph(vertices=('x', 'y'), edges=(('x', 'y'),))"),
             "options": (RenderOptions(width=300, stroke_width=0.5),
                         "RenderOptions(width=300, height=600, margin=40, vertex_radius=3.0, stroke_width=0.5, "
-                        "show_level_lines=False, color_by_part=False)"),
+                        "show_level_lines=False)"),
             "certificate": (CrossingCertificate(1, (CrossingPair((0, 1), (Fraction(1), Fraction(1, 2))),)),
                             "CrossingCertificate(count=1, pairs=(CrossingPair(edges=(0, 1), "
                             "point=(Fraction(1, 1), Fraction(1, 2))),))"),
@@ -302,7 +302,7 @@ class TestValueTypes:
             Drawing: [("graph", inspect.Parameter.empty), ("x", inspect.Parameter.empty), ("bends", ())],
             OlaGraph: [("vertices", inspect.Parameter.empty), ("edges", inspect.Parameter.empty)],
             RenderOptions: [("width", 800), ("height", 600), ("margin", 40), ("vertex_radius", 3.0),
-                            ("stroke_width", 1.5), ("show_level_lines", False), ("color_by_part", False)],
+                            ("stroke_width", 1.5), ("show_level_lines", False)],
             CrossingCertificate: [("count", inspect.Parameter.empty), ("pairs", inspect.Parameter.empty)],
         }
         for cls, params in signatures.items():

@@ -47,7 +47,7 @@ from reebdraw.crossings import (
     _warm_start,
     barycenter_ordering,
 )
-from reebdraw.gadget import _certified_drawing
+from reebdraw.gadget import arrangement_to_drawing
 from reebdraw.jsonio import parse_graph
 from reebdraw.subdivide import LeveledView, _level_passes, _leveled
 
@@ -195,7 +195,7 @@ class TestGeometricCounter:
 
         source = OlaGraph(tuple(FIVE_CHORDS_SOURCE["vertices"]), tuple(map(tuple, FIVE_CHORDS_SOURCE["edges"])))
         best = ola_brute(source)
-        d, cert = _certified_drawing(ola_reduce(source, best.cost), best)
+        d, cert = arrangement_to_drawing(ola_reduce(source, best.cost), best)
         calls = []
         for name in ("orient", "contact"):
             fn = getattr(geometry, name)
@@ -433,7 +433,7 @@ class TestCounterOracleAtScale:
     @staticmethod
     def gadget_drawing(source):
         best = ola_brute(source)
-        return _certified_drawing(ola_reduce(source, best.cost), best)
+        return arrangement_to_drawing(ola_reduce(source, best.cost), best)
 
     @pytest.mark.parametrize("source", [P3, TRIANGLE, K4_PENDANT], ids=["P3", "triangle", "K4-pendant"])
     def test_gadget_drawings(self, source):
@@ -972,7 +972,7 @@ class TestForeignVertexIndex:
         rng = random.Random(31)
         source = OlaGraph(tuple(FIVE_CHORDS_SOURCE["vertices"]), tuple(map(tuple, FIVE_CHORDS_SOURCE["edges"])))
         best = ola_brute(source)
-        gadget, cert = _certified_drawing(ola_reduce(source, best.cost), best)
+        gadget, cert = arrangement_to_drawing(ola_reduce(source, best.cost), best)
         curved = [curved_copy(layout_caterpillar(random_caterpillar_graph(n, rng)), rng) for n in (40, 90, 150)]
         path = layout_auto(distinct_height_path(2400, random.Random(2400)))
         for module in map(importlib.import_module, ("reebdraw.subdivide", "reebdraw.stretch")):

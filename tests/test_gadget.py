@@ -27,7 +27,6 @@ from reebdraw import (
     tri_hex_grid,
     validate,
 )
-from reebdraw.gadget import _certified_drawing
 
 from helpers import counted_geometric_calls, reference_certified_drawing, reference_render_svg
 
@@ -242,33 +241,33 @@ class TestArrangementDrawings:
     def test_single_edge_optimal_is_planar(self):
         best = ola_brute(K2)
         inst = ola_reduce(K2, best.cost)
-        d = arrangement_to_drawing(inst, best)
+        d, _ = arrangement_to_drawing(inst, best)
         assert count_crossings_geometric(d).count == 0 == inst.budget
 
     def test_path_identity_within_bound(self):
         ranks = {"a": 1, "b": 2, "c": 3}
         arr = LinearArrangement.for_graph(P3, ranks)
         inst = ola_reduce(P3, arr.cost)
-        d = arrangement_to_drawing(inst, arr)
+        d, _ = arrangement_to_drawing(inst, arr)
         assert count_crossings_geometric(d).count <= inst.budget == 3
 
     def test_triangle_any_arrangement_within_bound(self):
         ranks = {"a": 2, "b": 1, "c": 3}
         arr = LinearArrangement.for_graph(TRIANGLE, ranks)
         inst = ola_reduce(TRIANGLE, arr.cost)
-        assert count_crossings_geometric(arrangement_to_drawing(inst, arr)).count <= inst.budget
+        assert count_crossings_geometric(arrangement_to_drawing(inst, arr)[0]).count <= inst.budget
 
     def test_extract_is_inverse(self):
         best = ola_brute(P3)
         inst = ola_reduce(P3, best.cost)
-        d = arrangement_to_drawing(inst, best)
+        d, _ = arrangement_to_drawing(inst, best)
         f1, f2 = extract_arrangement(d, inst)
         assert f1.ranks == best.ranks == f2.ranks
 
     def test_extract_of_mirrored_drawing_reverses(self):
         best = ola_brute(P3)
         inst = ola_reduce(P3, best.cost)
-        d = arrangement_to_drawing(inst, best)
+        d, _ = arrangement_to_drawing(inst, best)
         mirrored = Drawing(
             graph=d.graph,
             x={v: -x for v, x in d.x.items()},
@@ -282,7 +281,7 @@ class TestArrangementDrawings:
     def test_swapped_bottom_grids_detected(self):
         best = ola_brute(P3)
         inst = ola_reduce(P3, best.cost)
-        d = arrangement_to_drawing(inst, best)
+        d, _ = arrangement_to_drawing(inst, best)
         a, b = inst.plan.bottom_connector["a"], inst.plan.bottom_connector["b"]
         xs = dict(d.x)
         xs[a], xs[b] = xs[b], xs[a]
@@ -292,7 +291,7 @@ class TestArrangementDrawings:
     def test_ambiguous_connector_positions_rejected(self):
         best = ola_brute(P3)
         inst = ola_reduce(P3, best.cost)
-        d = arrangement_to_drawing(inst, best)
+        d, _ = arrangement_to_drawing(inst, best)
         xs = dict(d.x)
         xs[inst.plan.top_connector["a"]] = xs[inst.plan.top_connector["b"]]
         # Top connectors share one height, so equal x makes them coincide.
@@ -303,8 +302,8 @@ class TestArrangementDrawings:
     def test_certified_drawing_carries_its_certificate(self):
         best = ola_brute(TRIANGLE)
         inst = ola_reduce(TRIANGLE, best.cost)
-        d, cert = _certified_drawing(inst, best)
-        assert d == arrangement_to_drawing(inst, best)
+        d, cert = arrangement_to_drawing(inst, best)
+        assert (d, cert) == arrangement_to_drawing(inst, best)
         assert cert == count_crossings_geometric(d)
 
     def test_arrangement_mismatch_rejected(self):
@@ -314,7 +313,7 @@ class TestArrangementDrawings:
             arrangement_to_drawing(inst, LinearArrangement({"x": 1, "y": 2}, 0))
         other = ola_reduce(TRIANGLE, ola_brute(TRIANGLE).cost)
         with pytest.raises(GraphStructureError) as exc:
-            extract_arrangement(arrangement_to_drawing(other, ola_brute(TRIANGLE)), inst)
+            extract_arrangement(arrangement_to_drawing(other, ola_brute(TRIANGLE))[0], inst)
         assert exc.value.code == "map-mismatch"
 
     def test_builds_on_the_integer_grid(self, monkeypatch):
@@ -337,7 +336,7 @@ class TestArrangementDrawings:
         inst = ola_reduce(g, best.cost)
         assert (inst.graph.vertex_count, len(made)) == (920, 86)
         made.clear()
-        _certified_drawing(inst, best)
+        arrangement_to_drawing(inst, best)
         assert len(made) == 305
 
 
@@ -350,7 +349,7 @@ class TestGenericLaneOffsets:
         best = ola_brute(g)
         inst = ola_reduce(g, best.cost)
         calls = counted_geometric_calls(monkeypatch, reebdraw.gadget)
-        d, cert = _certified_drawing(inst, best)
+        d, cert = arrangement_to_drawing(inst, best)
         assert len(calls) == 2
         assert cert.count <= inst.budget
         assert extract_arrangement(d, inst) == (best, best)
@@ -362,9 +361,9 @@ class TestGenericLaneOffsets:
         best = ola_brute(g)
         inst = ola_reduce(g, best.cost)
         calls = counted_geometric_calls(monkeypatch, reebdraw.gadget)
-        d, _ = _certified_drawing(inst, best)
+        d, _ = arrangement_to_drawing(inst, best)
         assert len(calls) == 2  # the canonical offsets were degenerate; this is the kappa drawing
-        for opts in (RenderOptions(color_by_part=True), RenderOptions(show_level_lines=True)):
+        for opts in (RenderOptions(), RenderOptions(show_level_lines=True)):
             assert render_svg(d, opts, inst.edge_parts) == reference_render_svg(d, opts, inst.edge_parts)
 
     @pytest.mark.parametrize("pairs,rank", [
@@ -384,7 +383,7 @@ class TestGenericLaneOffsets:
         reference_calls = counted_geometric_calls(monkeypatch, helpers)
         calls = counted_geometric_calls(monkeypatch, reebdraw.gadget)
         expected, expected_cert = reference_certified_drawing(inst, best)
-        d, cert = _certified_drawing(inst, best)
+        d, cert = arrangement_to_drawing(inst, best)
         assert len(calls) == min(len(reference_calls), 2)
         assert cert.count == expected_cert.count <= inst.budget
         if len(reference_calls) == 1:

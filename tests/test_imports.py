@@ -11,9 +11,11 @@ module-level class whose name does, must be named (as a name, an attribute
 or an import) somewhere in the library outside its own definition, so that
 no helper survives only for the tests.
 
-The benchmark's tracer (``bench/spans.py``) wraps a library function only
-where it is defined, and names one it cannot find only during a traced run;
-each name it needs must be a function defined in the module it is named after.
+The command-line front end imports no private name from the library, so
+each step it runs is one of the public functions that the benchmark's tracer
+(``bench/spans.py``) wraps.  The tracer wraps a library function only where
+it is defined, and names one it cannot find only during a traced run; each
+name it needs must be a function defined in the module it is named after.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import graphlib
 import importlib
 import importlib.util
 import inspect
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -173,6 +176,24 @@ def test_the_check_sees_an_import_cycle():
     assert import_cycle(sources) == []
 
 
+def private_relative_imports(source: str) -> list[str]:
+    """Each private name that ``source`` imports from its own package
+    (``from .x import _y``), as ``line n: _y``."""
+    return [f"line {node.lineno}: {alias.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names if _private(alias.name)]
+
+
+def test_the_cli_imports_no_private_library_name():
+    assert private_relative_imports((SRC / "cli.py").read_text()) == []
+
+
+def test_the_check_sees_a_private_relative_import():
+    source = ("from os import _exit\nfrom .a import _b, c, __version__\n"
+              "def f():\n    from ..d import (\n        e,\n        _g,\n    )\n")
+    assert private_relative_imports(source) == ["line 2: _b", "line 4: _g"]
+
+
 def misplaced(names, package: str = "reebdraw") -> list[str]:
     """Each ``module.function`` in ``names`` that is not a function defined
     in ``package.module``."""
@@ -185,11 +206,17 @@ def misplaced(names, package: str = "reebdraw") -> list[str]:
     return wrong
 
 
-def test_every_traced_name_is_a_library_function(monkeypatch):
+def load_spans(monkeypatch):
+    """``bench/spans.py`` as a module, loaded without writing bytecode under ``bench/``."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_name_is_a_library_function(monkeypatch):
+    spans = load_spans(monkeypatch)
     names = [*spans.REQUIRED, *spans.PRIVATE]
     assert "crossings.count_crossings_geometric" in names and "geometry.classify_segments" in spans.REQUIRED
     assert misplaced(names, spans.PACKAGE) == []
@@ -205,6 +232,26 @@ def test_the_check_sees_a_moved_or_missing_function(monkeypatch):
     names = ["crossings.count_crossings_geometric", "crossings.levels", "geometry.classify_segments",
              "geometry.on_segment", "crossings.Drawing"]
     assert misplaced(names) == names[:3] + names[4:]
+
+
+def test_gadget_verify_counts_its_drawing_under_a_traced_call(monkeypatch, tmp_path, capsys):
+    # The tracer times ``gadget.drawing_s`` and ``gadget.drawing_attempts``
+    # from the spans under ``arrangement_to_drawing``; a count the CLI reached
+    # through a private helper would have no parent and land in the CLI's own time.
+    import reebdraw.cli
+
+    tracer = load_spans(monkeypatch).Tracer()
+    graph = tmp_path / "triangle.json"
+    graph.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", "c"]]}))
+    tracer.install()
+    try:
+        code = reebdraw.cli.main(["gadget", "verify", "--graph", str(graph), "-o", str(tmp_path / "out.json")])
+    finally:
+        tracer.uninstall()
+    counts = [s for s in tracer.spans if s.name == "crossings.count_crossings_geometric"]
+    assert (code, capsys.readouterr().err, tracer.absent) == (0, "", [])
+    assert counts and all(s.parent is not None and s.parent.name == "gadget.arrangement_to_drawing"
+                          for s in counts)
 
 
 def test_cli_start_up_loads_no_introspection_modules():

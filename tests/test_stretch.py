@@ -21,10 +21,11 @@ from reebdraw import (
     layout_auto,
     layout_caterpillar,
     per_level_order,
+    realize_layered,
     stretch,
     subdivide,
+    unsubdivide_drawing,
 )
-from reebdraw.crossings import _realize_unsubdivided
 from reebdraw.jsonio import serialize_drawing
 from reebdraw.stretch import _insertion_order, _rows
 
@@ -198,7 +199,7 @@ class TestStretchRegressions:
                     break
             else:
                 continue
-            d = _realize_unsubdivided(mapping, ordering, 0)
+            d = unsubdivide_drawing(realize_layered(g2, ordering, 0), mapping)
             for dd in (d, curved_copy(d, rng)):
                 drawn += 1
                 out, ref = _outcome(stretch, dd), _outcome(reference_stretch, dd)

@@ -21,7 +21,7 @@ from reebdraw import (
     subdivide,
     tri_hex_grid,
 )
-from reebdraw.gadget import OlaGraph, _certified_drawing
+from reebdraw.gadget import OlaGraph
 
 from helpers import (
     alternating_cycle,
@@ -110,8 +110,8 @@ def test_color_by_part_styles_gadget_edges():
     g = OlaGraph(("a", "b"), (("a", "b"),))
     best = ola_brute(g)
     inst = ola_reduce(g, best.cost)
-    d = arrangement_to_drawing(inst, best)
-    svg = render_svg(d, RenderOptions(color_by_part=True), inst.edge_parts)
+    d, _ = arrangement_to_drawing(inst, best)
+    svg = render_svg(d, edge_parts=inst.edge_parts)
     assert 'stroke="#e07000"' in svg       # source edges in orange
     assert "stroke-dasharray" in svg       # strands dotted
     assert 'stroke="#c00000"' in svg       # chains red
@@ -181,7 +181,7 @@ class TestRendererOracle:
     def assert_same(self, d, edge_parts=None):
         for opts in self.OPTIONS:
             assert render_svg(d, opts) == reference_render_svg(d, opts)
-        opts = RenderOptions(color_by_part=True, show_level_lines=True)
+        opts = RenderOptions(show_level_lines=True)
         assert render_svg(d, opts, edge_parts) == reference_render_svg(d, opts, edge_parts)
 
     @pytest.mark.parametrize("source", [
@@ -192,7 +192,7 @@ class TestRendererOracle:
     def test_gadget_drawings(self, source):
         best = ola_brute(source)
         inst = ola_reduce(source, best.cost)
-        d, _ = _certified_drawing(inst, best)
+        d, _ = arrangement_to_drawing(inst, best)
         self.assert_same(d, inst.edge_parts)
 
     def test_curved_copies_and_realized_orderings(self):
