@@ -55,7 +55,6 @@ from .layout import (
     layout_bowtie,
     layout_caterpillar,
     layout_cycle,
-    layout_cycle_unique_extrema,
     layout_heuristic,
     layout_path,
     top_down_iteration_number,
@@ -98,7 +97,6 @@ __all__ = [
     "layout_bowtie",
     "layout_caterpillar",
     "layout_cycle",
-    "layout_cycle_unique_extrema",
     "layout_heuristic",
     "layout_path",
     "levels",

@@ -31,8 +31,10 @@ from .errors import DegeneracyError, GraphStructureError, LayoutError
 
 HeightLike = Fraction | int | str
 
-#: Prefix used for vertex ids generated by edge subdivision.  User graphs
-#: should avoid it; generated ids are made collision-free regardless.
+#: Prefix of the vertex ids that edge subdivision generates for a graph with
+#: an id that is not an int; a graph whose ids are all ints gets the next
+#: integers after its largest id instead.  User graphs should avoid the
+#: prefix; generated ids are made collision-free regardless.
 GENERATED_ID_PREFIX = "__sub_"
 
 _MAX_DIGITS = 4300  # Python's default limit on the digits of an int read from or written to a string
@@ -76,6 +78,13 @@ def as_height(value: HeightLike) -> Fraction:
     if isinstance(value, str):
         return _parse_fraction(value, "height", "bad-height")
     raise GraphStructureError(f"height must be int, string, or Fraction, got {type(value).__name__}", code="bad-height")
+
+
+def _unordered(a, b) -> GraphStructureError:
+    """The refusal of an edge whose two ends' ids do not compare, so that the
+    edge has no canonical (least id first) order."""
+    return GraphStructureError(f"edge ({a!r}, {b!r}) joins ids of types {type(a).__name__} and "
+                               f"{type(b).__name__}, which do not compare", code="unordered-ids")
 
 
 class _Value:
@@ -148,7 +157,10 @@ class ReebGraph(_Value):
                     f"edge ({a!r}, {b!r}) joins two vertices of equal height {verts[a]}",
                     code="horizontal-edge",
                 )
-            canon.append((a, b) if a <= b else (b, a))
+            try:
+                canon.append((a, b) if a <= b else (b, a))
+            except TypeError:
+                raise _unordered(a, b) from None
         self.__dict__.update(vertices=verts, edges=tuple(canon), _ratios=ratios)
 
     @classmethod
@@ -163,14 +175,6 @@ class ReebGraph(_Value):
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def incident_edges(self) -> dict[str, list[int]]:
-        """Map each vertex to the indices of its incident edges (with multiplicity)."""
-        out: dict[str, list[int]] = {v: [] for v in self.vertices}
-        for i, (a, b) in enumerate(self.edges):
-            out[a].append(i)
-            out[b].append(i)
-        return out
 
     def adjacency(self) -> dict[str, list[tuple[str, int]]]:
         """Map each vertex to (neighbor, edge index) pairs, with multiplicity."""
@@ -396,21 +400,13 @@ def _walk(nodes: set[str], adj: Mapping[str, list[tuple[str, int]]]) -> list[str
     return order
 
 
-def spine_and_legs(g: ReebGraph) -> tuple[list[str], dict[str, list[str]]]:
-    """Ordered spine vertices of a caterpillar plus the legs per spine vertex.
+def _spine_and_legs(g: ReebGraph) -> tuple[list[str], dict[str, list[str]]]:
+    """Ordered spine vertices of a graph already classified as a path or
+    caterpillar, plus the legs per spine vertex.
 
     The spine is the path induced by non-leaf vertices, oriented to start at
-    its lexicographically smaller end.  Raises if the graph is not a
-    path/caterpillar.
+    its least end.
     """
-    shape = classify_shape(g)
-    if shape not in (ShapeClass.PATH, ShapeClass.CATERPILLAR):
-        raise LayoutError(f"expected a caterpillar, got {shape.value}", code="not-caterpillar")
-    return _spine_and_legs(g)
-
-
-def _spine_and_legs(g: ReebGraph) -> tuple[list[str], dict[str, list[str]]]:
-    """:func:`spine_and_legs` of a graph already classified as a path or caterpillar."""
     adj = g.adjacency()
     # A single vertex or single edge has no non-leaf vertex: all are spine.
     spine_set = {v for v, a in adj.items() if len(a) >= 2} or set(adj)
@@ -550,6 +546,3 @@ class LevelOrdering(NamedTuple):
             for i, v in enumerate(order):
                 pos[v] = i
         return pos
-
-    def mirrored(self) -> "LevelOrdering":
-        return LevelOrdering(tuple(tuple(reversed(order)) for order in self.orders))

@@ -34,7 +34,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple
 
-from .core import Drawing, ReebGraph, _components, _Value
+from .core import Drawing, ReebGraph, _components, _unordered, _Value
 from .crossings import CrossingCertificate, count_crossings_geometric
 from .errors import (
     BudgetExhaustedError,
@@ -68,7 +68,10 @@ class OlaGraph(_Value):
                                           code="unknown-vertex")
             if a == b:
                 raise GraphStructureError(f"self-loop at {a!r}", code="self-loop")
-            canon.append((a, b) if a <= b else (b, a))
+            try:
+                canon.append((a, b) if a <= b else (b, a))
+            except TypeError:
+                raise _unordered(a, b) from None
         self.__dict__.update(vertices=tuple(vertices), edges=tuple(canon))
 
     def degree(self) -> dict[str, int]:

@@ -24,13 +24,12 @@ coincident vertices, named by the first clash in vertex order.
 builds its integer frame from those and one read of each x and bend
 coordinate.  All serializers are byte-deterministic for identical inputs.
 
-Graphs and drawings are written by template from the fixed schema, byte for
-byte as ``json.dumps(graph_to_obj(g), indent=2)`` and
-``json.dumps(drawing_to_obj(d), indent=2)`` write them (each followed by a
+Drawings are written by template from the fixed schema, byte for byte as
+``json.dumps(drawing_to_obj(d), indent=2)`` writes them (followed by a
 newline): json's indent encoder is pure Python, and this is the last stage of
 every ``layout`` and ``stretch``.  Vertex ids are strings or ints, each
-encoded once.  The ``*_to_obj`` forms stay for the envelopes, which json
-writes.
+encoded once.  The ``*_to_obj`` forms stay for graphs and the envelopes,
+which json writes.
 
 Graph schema::
 
@@ -183,11 +182,6 @@ def _graph_text(g: ReebGraph, ids: dict, heights: list[str], pad: str) -> str:
     edges = [f"[\n{p}  {ids[a]},\n{p}  {ids[b]}\n{p}]" for a, b in g.edges]
     return (f'{{\n{pad}  "vertices": {_block(vertices, pad + "  ")},'
             f'\n{pad}  "edges": {_block(edges, pad + "  ")}\n{pad}}}')
-
-
-def serialize_graph(g: ReebGraph) -> str:
-    heights = [format_rational(h) for h in g.vertices.values()]
-    return _graph_text(g, _id_texts(g.vertices)[0], heights, "") + "\n"
 
 
 def parse_graph(text: str) -> ReebGraph:

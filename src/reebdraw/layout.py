@@ -135,14 +135,13 @@ def _layout_caterpillar(g: ReebGraph) -> Drawing:
 class CycleDecomposition(NamedTuple):
     """A cycle's alternation structure between its top and bottom level.
 
-    ``keys`` lists the alternating key vertices (first of each run of
+    ``top`` is the top level's rank; the bottom level is level 0.  ``keys`` lists the alternating key vertices (first of each run of
     top-level visits, first of each bottom run) in cycle order, starting at
     the top; ``paths[j]`` is the cycle segment from ``keys[j]`` to the next
     key, endpoints included.  ``iteration_count`` is the number of top runs.
     """
 
     top: int
-    bottom: int
     keys: tuple[str, ...]
     iteration_count: int
     paths: tuple[tuple[str, ...], ...]
@@ -188,7 +187,6 @@ def _decompose(g: ReebGraph, lev: LevelAssignment) -> CycleDecomposition:
     bounds = key_pos + [len(order)]
     return CycleDecomposition(
         top=top,
-        bottom=0,
         keys=tuple(order[p] for p in key_pos),
         iteration_count=len(key_pos) // 2,
         paths=tuple(tuple(closed[a:b + 1]) for a, b in zip(bounds, bounds[1:])),
@@ -287,25 +285,6 @@ def _layout_cycle(g: ReebGraph) -> Drawing:
             f"cycle corridor ordering produced {layered} crossings, expected {dec.iteration_count - 1}"
         )
     return unsubdivide_drawing(realize_layered(g2, ordering, layered), smap)
-
-
-def layout_cycle_unique_extrema(g: ReebGraph) -> Drawing:
-    """Draw a cycle with a unique topmost and bottommost vertex without crossings.
-
-    The two extrema split the cycle into two paths which are laid out on
-    opposite sides of a shared column.  This is :func:`layout_cycle` with
-    k = 1, which certifies its 0 crossings once.
-    """
-    if classify_shape(g) != ShapeClass.SINGLE_CYCLE:
-        raise LayoutError("unique-extrema layout requires a single cycle", code="not-single-cycle")
-    heights = list(g.vertices.values())
-    tops, bottoms = heights.count(max(heights)), heights.count(min(heights))
-    if tops != 1 or bottoms != 1:
-        raise LayoutError(
-            f"extrema are not unique ({tops} topmost, {bottoms} bottommost)",
-            code="extrema-not-unique",
-        )
-    return _layout_cycle(g)
 
 
 # ---------------------------------------------------------------------------

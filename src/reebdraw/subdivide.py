@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import count
 from typing import NamedTuple
 
 from .core import GENERATED_ID_PREFIX, Drawing, LevelAssignment, ReebGraph, is_connected, levels
@@ -81,7 +82,7 @@ class SubdivisionMap(NamedTuple):
     level_heights: tuple[Fraction, ...]
 
     @property
-    def generated(self) -> tuple[str, ...]:
+    def generated(self) -> tuple[str | int, ...]:
         return tuple(self.owner)
 
 
@@ -96,7 +97,8 @@ def subdivide(g: ReebGraph) -> Subdivision:
     Every vertex of the output sits at its level rank, every output edge spans
     consecutive levels, and un-subdividing reproduces the input up to the
     height renaming.  Idempotent on already-leveled graphs (no generated
-    vertices).
+    vertices).  Generated ids continue a graph's ids after the largest when
+    all of them are ints, and carry ``GENERATED_ID_PREFIX`` otherwise.
     """
     if not is_connected(g):
         raise LayoutError("subdivision requires a connected graph", code="disconnected")
@@ -106,6 +108,11 @@ def subdivide(g: ReebGraph) -> Subdivision:
     paths: list[tuple[str, ...]] = []
     sub_edges: list[tuple[int, ...]] = []
     owner: dict[str, tuple[int, int]] = {}
+
+    # Integer ids go on past the largest one (bools are not ids of that kind);
+    # any other graph gets prefixed names, made fresh against every id.
+    ints = all(isinstance(v, int) and not isinstance(v, bool) for v in level2)
+    next_int = count(max(level2, default=-1) + 1) if ints else None
 
     def fresh_id(base: str) -> str:
         name = base
@@ -118,7 +125,7 @@ def subdivide(g: ReebGraph) -> Subdivision:
         r_lo, r_hi = lev.level[lo], lev.level[hi]
         path = [lo]
         for k in range(r_lo + 1, r_hi):
-            name = fresh_id(f"{GENERATED_ID_PREFIX}{i}_{k}")
+            name = fresh_id(f"{GENERATED_ID_PREFIX}{i}_{k}") if next_int is None else next(next_int)
             level2[name] = k
             owner[name] = (i, len(path))
             path.append(name)

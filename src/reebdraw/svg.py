@@ -31,21 +31,18 @@ PART_STYLES = {
 
 
 class RenderOptions(_Value):
-    """Canvas size, margin and stroke sizes in pixels, and whether to draw
-    level lines.  The five sizes must be positive finite ints or floats; a bool,
-    NaN or an infinity would otherwise be written into the SVG text as is."""
+    """Canvas size and margin in pixels, and whether to draw level lines.
+    The three sizes must be positive finite ints or floats; a bool, NaN or
+    an infinity would otherwise be written into the SVG text as is.  Vertices
+    are drawn with radius 3.0 and edges with stroke width 1.5."""
 
     width: int
     height: int
     margin: int
-    vertex_radius: float
-    stroke_width: float
     show_level_lines: bool
 
-    def __init__(self, width: int = 800, height: int = 600, margin: int = 40, vertex_radius: float = 3.0,
-                 stroke_width: float = 1.5, show_level_lines: bool = False):
-        sizes = {"width": width, "height": height, "margin": margin,
-                 "vertex_radius": vertex_radius, "stroke_width": stroke_width}
+    def __init__(self, width: int = 800, height: int = 600, margin: int = 40, show_level_lines: bool = False):
+        sizes = {"width": width, "height": height, "margin": margin}
         for name, value in sizes.items():
             if not (type(value) is int or type(value) is float and isfinite(value)):
                 raise GraphStructureError(f"render option {name} must be a finite int or float, "
@@ -112,13 +109,13 @@ def render_svg(
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         lines.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" '
-            f'stroke-width="{opts.stroke_width}"{dash_attr}/>'
+            f'stroke-width="1.5"{dash_attr}/>'
         )
 
     for v, (px, py) in vertex_pt.items():
         title = str(v).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         lines.append(
-            f'<circle cx="{sx[px]}" cy="{sy[py]}" r="{opts.vertex_radius}" fill="#1050a0">'
+            f'<circle cx="{sx[px]}" cy="{sy[py]}" r="3.0" fill="#1050a0">'
             f"<title>{title}</title></circle>"
         )
 

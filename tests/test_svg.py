@@ -126,17 +126,16 @@ def test_bad_options_rejected():
     ({"width": True, "margin": 0.25}, "width"),
     ({"width": float("inf")}, "width"),
     ({"height": float("-inf")}, "height"),
-    ({"vertex_radius": float("nan")}, "vertex_radius"),
-    ({"stroke_width": float("inf")}, "stroke_width"),
+    ({"margin": float("nan")}, "margin"),
     ({"margin": "40"}, "margin"),
     ({"width": Fraction(800)}, "width"),
-    ({"height": None, "stroke_width": float("nan")}, "height"),
-    ({"margin": -1, "vertex_radius": False}, "margin"),
-], ids=["bool", "inf", "minus-inf", "nan", "inf-stroke", "string", "fraction", "first-of-two",
+    ({"height": None, "margin": float("nan")}, "height"),
+    ({"height": -1, "margin": False}, "height"),
+], ids=["bool", "inf", "minus-inf", "nan", "string", "fraction", "first-of-two",
         "negative-before-bool"])
 def test_size_options_must_be_finite_numbers(options, field):
     # Unchecked, a bool, NaN or infinity would reach the SVG text as it is
-    # (width="True", points="nan,...", stroke-width="inf") and a string would
+    # (width="True", points="nan,...", height="inf") and a string would
     # raise a bare TypeError.  The first bad size in field order is named.
     with pytest.raises(GraphStructureError) as exc:
         RenderOptions(**options)
@@ -145,7 +144,7 @@ def test_size_options_must_be_finite_numbers(options, field):
 
 
 def test_float_and_large_int_sizes_accepted():
-    opts = RenderOptions(width=10**30, height=600.0, margin=1, vertex_radius=0.5, stroke_width=2)
+    opts = RenderOptions(width=10**30, height=600.0, margin=1)
     assert (opts.width, opts.height) == (10**30, 600.0)
 
 
@@ -174,8 +173,7 @@ class TestRendererOracle:
     OPTIONS = (
         RenderOptions(),
         RenderOptions(show_level_lines=True),
-        RenderOptions(width=333, height=127, margin=7, vertex_radius=1.25, stroke_width=0.3,
-                      show_level_lines=True),
+        RenderOptions(width=333, height=127, margin=7, show_level_lines=True),
     )
 
     def assert_same(self, d, edge_parts=None):
