@@ -87,6 +87,17 @@ def _unordered(a, b) -> GraphStructureError:
                                f"{type(b).__name__}, which do not compare", code="unordered-ids")
 
 
+def _sorted_ids(ids: Iterable) -> list:
+    """The vertex ids ``ids`` (a collection), sorted.  No edge joins ids of
+    two kinds that do not compare (see :func:`_unordered`), but a graph may
+    hold both: then they sort by the key (type name, id), so ``int`` ids
+    come before ``str`` ids, and each kind keeps its own order."""
+    try:
+        return sorted(ids)
+    except TypeError:
+        return sorted(ids, key=lambda v: (type(v).__name__, v))
+
+
 class _Value:
     """Base of the value types that validate what they are built from.
 
@@ -208,7 +219,7 @@ class LevelAssignment(NamedTuple):
     def by_level(self) -> list[list[str]]:
         """Vertices grouped by level, ids sorted within each level."""
         groups: list[list[str]] = [[] for _ in range(self.count)]
-        for v in sorted(self.level):
+        for v in _sorted_ids(self.level):
             groups[self.level[v]].append(v)
         return groups
 
@@ -289,8 +300,9 @@ def _components(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> li
 
 
 def connected_components(g: ReebGraph) -> list[set[str]]:
-    """Connected components as vertex-id sets, in order of their smallest id."""
-    return _components(sorted(g.vertices), g.edges)
+    """Connected components as vertex-id sets, in order of their smallest id
+    (by :func:`_sorted_ids`)."""
+    return _components(_sorted_ids(g.vertices), g.edges)
 
 
 def is_connected(g: ReebGraph) -> bool:
@@ -314,12 +326,12 @@ def validate(g: ReebGraph) -> ValidationReport:
         by_height.setdefault(h, []).append(v)
     height_clashes = {h: vs for h, vs in by_height.items() if len(vs) > 1}
     for h, vs in sorted(height_clashes.items()):
-        violations.append(
-            Violation("unique-heights", ",".join(map(str, sorted(vs))), f"vertices {sorted(vs)} share height {h}")
-        )
+        vs = _sorted_ids(vs)
+        violations.append(Violation("unique-heights", ",".join(map(str, vs)), f"vertices {vs} share height {h}"))
 
     generic = not height_clashes
-    for v in sorted(g.vertices):
+    ids = _sorted_ids(g.vertices)
+    for v in ids:
         if prof.total[v] not in (1, 3):
             generic = False
             violations.append(Violation("degree-1-or-3", str(v), f"deg({v}) = {prof.total[v]}"))
@@ -338,7 +350,7 @@ def validate(g: ReebGraph) -> ValidationReport:
                 Violation("consecutive-levels", f"{a}-{b}",
                           f"edge {i} ({a}, {b}) spans levels {lev.level[a]} and {lev.level[b]}")
             )
-    for v in sorted(g.vertices):
+    for v in ids:
         if prof.total[v] > 3 or prof.down[v] > 2 or prof.up[v] > 2:
             subdivided = False
             if prof.total[v] > 3:
@@ -348,7 +360,7 @@ def validate(g: ReebGraph) -> ValidationReport:
     connected = len(comps) <= 1
     if not connected:
         violations.append(
-            Violation("connected", ";".join(map(str, sorted(min(c) for c in comps))),
+            Violation("connected", ";".join(str(min(c)) for c in comps),
                       f"graph has {len(comps)} connected components")
         )
 

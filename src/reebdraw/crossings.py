@@ -27,7 +27,6 @@ instead of guessing a count.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from fractions import Fraction
 from itertools import chain, compress, pairwise
 from math import comb, inf, lcm
@@ -517,7 +516,8 @@ class ExactResult(NamedTuple):
     """Outcome of the exact search: minimum count plus a witnessing ordering.
 
     The ordering is over the subdivided graph (``graph``); ``mapping`` links it
-    back to the input.  ``states`` counts the candidates tried, as the budget does.
+    back to the input.  ``states`` counts the candidates tried, as the budget does,
+    and ``rounds`` splits them by deepening round, as (target, states) pairs.
     """
 
     count: int
@@ -525,6 +525,7 @@ class ExactResult(NamedTuple):
     graph: ReebGraph
     mapping: SubdivisionMap
     states: int
+    rounds: tuple[tuple[int, int], ...] = ()
 
 
 def _strip_lower_bound(strip: list[tuple[str, str]], w_lo: int, w_hi: int) -> int:
@@ -563,59 +564,94 @@ def _parity_tables(view: LeveledView) -> tuple[list[int], list[list[list[tuple[i
     other holds an odd cycle: some strip edge pair in it crosses under every
     ordering.
 
-    A level's *entries* are, per vertex index i, the triples (j, root, side)
-    for the pairs (i, j) in a component without an odd cycle: placing i left
-    of j forces the variable at the root of their component to ``side``.
-    Once strip L is added the system holds the strips >= L and no other, and
-    the pass reads level L's number of components with an odd cycle and its
-    entries, kept only for components that hold two or more of its pairs
-    (one pair alone cannot be oriented both ways).  Returns those two lists,
-    and then, per level, the entries of the system of all strips, or None
-    when that system is contradictory: then no ordering is crossing-free.
+    A level's *entries* are, per vertex index i, the triples (j, c, side)
+    for the pairs (i, j) in a component c without an odd cycle: placing i
+    left of j forces the variable at the root of c to ``side``.  Components
+    are numbered from 0 in order of first appearance, so a level of width w
+    names fewer than w * w of them.  Once strip L is added the system holds
+    the strips >= L and no other, and the pass reads level L's number of
+    components with an odd cycle and its entries, kept only for components
+    that hold two or more of its pairs (one pair alone cannot be oriented
+    both ways), each level numbered afresh.  Returns those two lists, and
+    then, per level, the entries of the system of all strips, numbered once
+    over all levels, or None when that system is contradictory: then no
+    ordering is crossing-free.
     """
     level_vertices, strips, index = view.level_vertices, view.strips, view.index
-    node: list[dict[tuple[int, int], int]] = [{} for _ in level_vertices]  # (i, j), i < j
+    widths = list(map(len, level_vertices))
+    node: list[dict[int, int]] = [{} for _ in level_vertices]  # i * width + j, i < j -> node
     pairs: list[list[tuple[int, int, int]]] = [[] for _ in level_vertices]  # (node, i, j)
     parent: list[int] = []
     flip: list[int] = []  # parity to the parent
     odd: list[bool] = []  # at a root: its component holds an odd cycle
     odd_count = 0
 
-    def variable(l: int, i: int, j: int) -> tuple[int, int]:
-        """x_ij on level l as (node, parity relative to the node)."""
-        key, parity = ((i, j), 0) if i < j else ((j, i), 1)
-        k = node[l].get(key)
-        if k is None:
-            k = node[l][key] = len(parent)
-            parent.append(k)
-            flip.append(0)
-            odd.append(False)
-            pairs[l].append((k, *key))
-        return k, parity
-
-    def entries(l: int) -> list[list[tuple[int, int, int]]]:
-        row: list[list[tuple[int, int, int]]] = [[] for _ in level_vertices[l]]
+    def entries(l: int, names: dict[int, int], held: list[int]) -> list[list[tuple[int, int, int]]]:
+        """Level l's entries, naming each new root c = len(held); held[c]
+        counts the pairs read in component c."""
+        row: list[list[tuple[int, int, int]]] = [[] for _ in range(widths[l])]
         for k, i, j in pairs[l]:
-            root, parity = _find(parent, flip, k)
+            root = parent[k]
+            if root == k:
+                parity = 0
+            elif parent[root] == root:
+                parity = flip[k]
+            else:
+                root, parity = _find(parent, flip, k)
             if odd[root]:
                 continue
+            c = names.get(root)
+            if c is None:
+                c = names[root] = len(held)
+                held.append(0)
+            held[c] += 1
             # x_ij = x_root ^ parity, so "i left of j" forces x_root = 1 ^ parity.
-            row[i].append((j, root, 1 ^ parity))
-            row[j].append((i, root, parity))
+            row[i].append((j, c, 1 ^ parity))
+            row[j].append((i, c, parity))
         return row
 
     suffix_odd = [0] * len(level_vertices)
     suffix_sides: list[list[list[tuple[int, int, int]]]] = [[] for _ in level_vertices]
     for l in range(len(level_vertices) - 1, -1, -1):
         edges = list(dict.fromkeys((index[a], index[b]) for a, b in strips[l])) if l < len(strips) else []
+        if edges:
+            w_lo, w_hi, lo_node, hi_node = widths[l], widths[l + 1], node[l], node[l + 1]
         for k, (a, b) in enumerate(edges):
             for c, d in edges[k + 1:]:
                 if a == c or b == d:
                     continue
-                ka, pa = variable(l, a, c)
-                kb, pb = variable(l + 1, b, d)
-                ra, qa = _find(parent, flip, ka)
-                rb, qb = _find(parent, flip, kb)
+                # x_ac on level l and x_bd on level l + 1, each as (node, parity to it).
+                key, pa = (a * w_lo + c, 0) if a < c else (c * w_lo + a, 1)
+                ka = lo_node.get(key)
+                if ka is None:
+                    ka = lo_node[key] = len(parent)
+                    parent.append(ka)
+                    flip.append(0)
+                    odd.append(False)
+                    pairs[l].append((ka, *divmod(key, w_lo)))
+                key, pb = (b * w_hi + d, 0) if b < d else (d * w_hi + b, 1)
+                kb = hi_node.get(key)
+                if kb is None:
+                    kb = hi_node[key] = len(parent)
+                    parent.append(kb)
+                    flip.append(0)
+                    odd.append(False)
+                    pairs[l + 1].append((kb, *divmod(key, w_hi)))
+                # The roots, read directly for a node at depth 0 or 1.
+                ra = parent[ka]
+                if ra == ka:
+                    qa = 0
+                elif parent[ra] == ra:
+                    qa = flip[ka]
+                else:
+                    ra, qa = _find(parent, flip, ka)
+                rb = parent[kb]
+                if rb == kb:
+                    qb = 0
+                elif parent[rb] == rb:
+                    qb = flip[kb]
+                else:
+                    rb, qb = _find(parent, flip, kb)
                 if ra != rb:
                     parent[ra], flip[ra] = rb, qa ^ pa ^ qb ^ pb
                     if odd[ra]:
@@ -626,45 +662,14 @@ def _parity_tables(view: LeveledView) -> tuple[list[int], list[list[list[tuple[i
                     odd[ra] = True
                     odd_count += 1
         suffix_odd[l] = odd_count
-        row = entries(l)
-        count = Counter(c for triples in row for _, c, _ in triples)
-        suffix_sides[l] = [[e for e in triples if count[e[1]] > 2] for triples in row]
-    full = None if odd_count else [entries(l) for l in range(len(level_vertices))]
-    return suffix_odd, suffix_sides, full
-
-
-def _orient(entries: list[tuple[int, int, int]], placed: list[bool],
-            orient: dict[int, int], trail: list[int]) -> int:
-    """Orient the components that placing a vertex left of every unplaced
-    vertex of its level fixes, from its parity entries; returns how many
-    components this orients both ways for the first time.
-
-    ``orient`` maps a component to the side it was first given, plus 2 once
-    it has been given both; ``trail`` lists each change, for :func:`_unwind`.
-    """
-    clashes = 0
-    for j, c, side in entries:
-        if placed[j]:
-            continue
-        fixed = orient.get(c)
-        if fixed is None:
-            orient[c] = side
-            trail.append(c)
-        elif fixed ^ side == 1:
-            orient[c] = fixed + 2
-            trail.append(c)
-            clashes += 1
-    return clashes
-
-
-def _unwind(orient: dict[int, int], trail: list[int], mark: int) -> None:
-    """Undo the changes made to ``orient`` since the trail was ``mark`` long."""
-    while len(trail) > mark:
-        c = trail.pop()
-        if orient[c] > 1:
-            orient[c] -= 2
-        else:
-            del orient[c]
+        held: list[int] = []
+        row = entries(l, {}, held)
+        suffix_sides[l] = [[e for e in triples if held[e[1]] > 1] for triples in row]
+    if odd_count:
+        return suffix_odd, suffix_sides, None
+    names: dict[int, int] = {}
+    held = []
+    return suffix_odd, suffix_sides, [entries(l, names, held) for l in range(len(level_vertices))]
 
 
 def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> ExactResult:
@@ -680,20 +685,32 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
 
     Pruning follows the two-layer bound of Jünger & Mutzel (JGAA 1(1), 1997).
     On entering a level, the crossing matrix ``c[u][w]`` counts the crossings
-    in the strip below when u is left of w (the regret rows read it from
-    :func:`_pair_costs`, as sifting does), and the *floor* is the cost so
-    far plus, over every pair of the level, the cheaper of ``c[u][w]`` and
-    ``c[w][u]``, plus the unavoidable crossings of the strips above.  A pair
-    of vertices with one lower edge each never adds to it, so those pairs are
-    filled in only once the floor is within the target.  Placing u next fixes
-    it left of every unplaced w, which raises the floor by exactly u's
-    *regret*, the sum of ``max(0, c[u][w] - c[w][u])``; a candidate is
-    pruned when its raised floor exceeds the target, and once the level is
-    full the floor less the strips above is the cost paid.  A memo keeps, per
-    round, the least cost at which each (level, order of the level below) was
-    entered and passed the floor, and skips re-entries at no lower cost.
+    in the strip below when u is left of w (as :func:`_pair_costs` gives it
+    to sifting), and the *floor* is the cost so far plus, over every pair of
+    the level, the cheaper of ``c[u][w]`` and ``c[w][u]``, plus the
+    unavoidable crossings of the strips above.  A pair of vertices with one
+    lower edge each never adds to it, so those pairs are filled in only once
+    the floor is within the target, from their neighbors' ranks; the floor
+    stops at the first vertex that takes it past the target.  Placing u
+    next fixes it left of every unplaced w, which raises the floor by
+    exactly u's *regret*, the sum of ``max(0, c[u][w] - c[w][u])``; a
+    candidate is pruned when its raised floor exceeds the target, and once
+    the level is full the floor less the strips above is the cost paid.  A
+    memo keeps, per round, the least cost at which each (level, order of
+    the level below) was entered and passed the floor, and skips re-entries
+    at no lower cost.
     Mirroring every level keeps the count, so on the first level with two or
     more vertices the first vertex must precede the last in id order.
+
+    The *exchange cut* skips candidate i right after q, the vertex placed
+    last, when i precedes q in id order, ``drop[q][i]`` is 0 and
+    ``drop[i][q]`` is at least up(q) * up(i), their numbers of upper edges.
+    Swapping the two changes only the crossings between their edges: it
+    saves ``drop[i][q]`` in the strip below and costs at most up(q) * up(i)
+    in the strip above, so the swapped ordering is lex-smaller and costs no
+    more.  The cut reads only the level and the order below, so the memo
+    stays sound, and a swap at either end keeps the first vertex of the
+    mirror level before its last.
 
     Every round also consults the level-planarity parity system (see
     :func:`_parity_tables`, built once before the first round): one equality
@@ -713,7 +730,7 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
 
     Rounds of target 1 or more bound the crossings in the strips at or
     above the level being filled, from the system of those strips alone.
-    On entering level L the orientation map starts empty and ``bad`` holds
+    On entering level L the orientation starts unset and ``bad`` holds
     the components with an odd cycle; a component that the placements orient
     both ways joins ``bad``.  Every component in ``bad`` forces a crossing
     in strips >= L, and no two force the same one, since distinct
@@ -725,12 +742,18 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     the placements on level L.  In every round the subtree's outcome is a
     function of (L, order of level L - 1, cost) as before.
 
+    The orientation is an int list indexed by the component numbers of
+    :func:`_parity_tables`: -1 while unset, then the side a component was
+    first given, plus 2 once it has been given both.  A trail lists each
+    change, so that taking a placement back resets exactly what it set.
+
     Each round is one loop over an explicit stack, so no input is too deep:
-    a frame per level entry (its ``drop`` rows, parity entries, orientation
-    map, trail, placed flags and order so far) holds a choice point per
-    vertex placed (next candidate, floor, regret row, ``bad`` and the trail
-    mark to unwind to when the placement is taken back).  A level's order is
-    held only in its frame, and the frame above reads it once, on entry.
+    a frame per level entry (its ``drop`` rows, upper-edge counts, parity
+    entries, orientation, trail, placed flags and order so far) holds a
+    choice point per vertex placed (next candidate, floor, regret row,
+    ``bad`` and the trail mark to unwind to when the placement is taken
+    back).  A level's order is held only in its frame, and the frame above
+    reads it once, on entry.
 
     Candidates are tried in id order and the first completion within the
     target ends the round, so the witness is the lexicographically least
@@ -761,29 +784,31 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
         future_lb[s] = future_lb[s + 1] + strip_lb[s]
 
     # Round 0 runs only if the system of all strips is consistent, and then
-    # prunes on it, with one orientation map and trail (see ``_orient``) over
-    # all levels.  Rounds >= 1 read level L's suffix tables, the system of
-    # the strips >= L alone, and orient afresh on each level entry.
+    # prunes on it, with one orientation and trail over all levels.  Rounds
+    # >= 1 read level L's suffix tables, the system of the strips >= L alone,
+    # and orient afresh on each level entry.
     suffix_odd, suffix_sides, sides = _parity_tables(view)
     first_target = future_lb[0] if future_lb[0] > 0 or sides is not None else 1
-    round_zero_orient: dict[int, int] = {}
+    round_zero_orient = [-1] * sum(len(vs) ** 2 for vs in level_vertices)
     round_zero_trail: list[int] = []
 
     # Per level, the vertices with several lower edges (by index in the
     # level, with their lower neighbors' indices in the level below), and the
-    # indices and lower neighbors of those with exactly one.
+    # indices and lower neighbors of those with exactly one; and each
+    # vertex's number of upper edges, for the exchange cut.
     multi = [[(i, [index[x] for x in down_ends[v]]) for i, v in enumerate(vs) if len(down_ends[v]) > 1]
              for vs in level_vertices]
     one_index = [[i for i, v in enumerate(vs) if len(down_ends[v]) == 1] for vs in level_vertices]
     one_below = [[index[down_ends[v][0]] for v in vs if len(down_ends[v]) == 1] for vs in level_vertices]
+    ups = [[len(view.up[v]) for v in vs] for vs in level_vertices]
     mirror_level = next((l for l, vs in enumerate(level_vertices) if len(vs) > 1), None)
     states = 0
     limit = inf if budget is None else budget
 
     def enter(level: int, below: list[int], cost: int, target: int, memo: list[dict[int, int]]) -> tuple | None:
-        """The frame (width, mirror, above, drop, entries, orient, trail, placed, perm,
-        points) of ``level``, entered at ``cost`` on the finished order ``below`` of
-        the level under it, or None if the memo or floor cuts it."""
+        """The frame (width, mirror, above, drop, ups, entries, orient, trail, placed,
+        perm, points) of ``level``, entered at ``cost`` on the finished order
+        ``below`` of the level under it, or None if the memo or floor cuts it."""
         # The memo key reads ``below``'s indices as digits in base its width.
         key = 0
         for i in below:
@@ -792,49 +817,66 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
         if seen is not None and seen <= cost:
             return None
         # pos[i]: the position of vertex i of the level below in ``below``.
-        pos = [0] * len(below)
-        for p, i in enumerate(below):
-            pos[i] = p
+        pos = sorted(range(len(below)), key=below.__getitem__)
         # The floor counts only pairs with a vertex of several lower edges.
+        # ``costs`` keeps (i, j, c[i][j], c[j][i]) for the pairs of two such,
+        # for the regret rows.
         floor = cost + future_lb[level]
         ones = list(map(pos.__getitem__, one_below[level]))
+        ranked = sorted(ones)
         lows: list[tuple[int, list[int]]] = []
+        costs: list[tuple[int, int, int, int]] = []
         if multi[level]:
-            ranked = sorted(ones)
             for i, xs in multi[level]:
                 a = sorted(map(pos.__getitem__, xs))
-                for _, b in lows:
-                    floor += min(_pair_crossings(a, b))
+                for j, b in lows:
+                    ij, ji = _pair_crossings(a, b)
+                    floor += ij if ij < ji else ji
+                    costs.append((i, j, ij, ji))
                 # A one-edge vertex crosses a's edges in both orders only
                 # when its neighbor lies strictly inside a's span.  Counted
                 # inline: this runs on every level entry.
                 n = len(a)
                 for p in ranked[bisect_right(ranked, a[0]):bisect_left(ranked, a[-1])]:
                     floor += min(bisect_left(a, p), n - bisect_right(a, p))
+                if floor > target:
+                    return None
                 lows.append((i, a))
-            if floor > target:
-                return None
         memo[level][key] = cost
         # regret[u] sums max(0, c[u][w] - c[w][u]) over the unplaced w; drop[u]
         # is what placing u takes off every other vertex's regret.
         width = len(level_vertices[level])
         regret = [0] * width
         drop = [[0] * width for _ in range(width)]
-        for i, j, ij, ji in _pair_costs(lows, list(zip(one_index[level], ones))):
+        singles = list(zip(one_index[level], ones))
+        for i, a in lows:
+            n = len(a)
+            costs += [(i, j, n - bisect_right(a, p), bisect_left(a, p)) for j, p in singles]
+        for i, j, ij, ji in costs:
             if ij > ji:
                 regret[i] += ij - ji
                 drop[j][i] = ij - ji
             elif ji > ij:
                 regret[j] += ji - ij
                 drop[i][j] = ji - ij
+        # Two one-edge vertices cross iff the one whose neighbor lies further
+        # right goes left, so a one-edge vertex j regrets each one whose
+        # neighbor lies left of its own, and placing it takes 1 off the
+        # regret of each whose neighbor lies right.
+        by_position = [i for _, i in sorted(zip(ones, one_index[level]))]
+        for j, q in singles:
+            regret[j] += bisect_left(ranked, q)
+            row = drop[j]
+            for i in by_position[bisect_right(ranked, q):]:
+                row[i] = 1
         # ``bad`` counts the components of the parity system in use that
         # force a crossing in the strips >= level.
         if target == 0:
             entries, orient, trail, bad = sides[level], round_zero_orient, round_zero_trail, 0
         else:
-            entries, orient, trail, bad = suffix_sides[level], {}, [], suffix_odd[level]
-        return (width, level == mirror_level, future_lb[level],
-                drop, entries, orient, trail, [False] * width, [], [[0, floor, regret, bad, 0]])
+            entries, orient, trail, bad = suffix_sides[level], [-1] * (width * width), [], suffix_odd[level]
+        return (width, level == mirror_level, future_lb[level], drop, ups[level],
+                entries, orient, trail, [False] * width, [], [[0, floor, regret, bad, len(trail)]])
 
     def run_round(target: int) -> list[list[str]] | None:
         """One deepening round: the orders of the first completion within ``target``, or None."""
@@ -843,13 +885,19 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
         frame = enter(0, [], 0, target, memo)
         frames = [] if frame is None else [frame]
         while frames:
-            width, mirror, above, drop, entries, orient, trail, placed, perm, points = frames[-1]
-            start, floor, regret, bad, mark = point = points[-1]
-            if len(perm) == width:
-                # No completion above this level's last placement: take it back.
-                placed[perm.pop()] = False
-                _unwind(orient, trail, mark)
+            width, mirror, above, drop, up, entries, orient, trail, placed, perm, points = frames[-1]
             while True:
+                start, floor, regret, bad, mark = point = points[-1]
+                if start:
+                    # A point past its first candidate holds a placement, and
+                    # nothing completed after it: take it back.
+                    placed[perm.pop()] = False
+                    if len(trail) > mark:
+                        for c in trail[mark:]:
+                            orient[c] = orient[c] - 2 if orient[c] > 1 else -1
+                        del trail[mark:]
+                q = perm[-1] if perm else -1  # the vertex placed last
+                room = target - floor  # the regret a candidate may add
                 for i in range(start, width):
                     if placed[i]:
                         continue
@@ -858,7 +906,7 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
                         best, ordering = _warm_start(view)
                         raise BudgetExhaustedError(f"exact search exceeded budget of {budget} states",
                                                    best=best, ordering=ordering, mapping=smap)
-                    if floor + regret[i] > target:
+                    if regret[i] > room:
                         continue
                     if mirror and len(perm) + 1 < width:
                         # Mirror cut: a vertex after the first in id order must
@@ -866,33 +914,49 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
                         first = perm[0] if perm else i
                         if placed[first + 1:].count(False) == (i > first):
                             continue
-                    mark = len(trail)
-                    bad_i = bad + _orient(entries[i], placed, orient, trail) if entries[i] else bad
+                    if i < q and not drop[q][i] and drop[i][q] >= up[q] * up[i]:
+                        continue  # the exchange cut
                     # The floor counts ``above`` for the strips >= level, and
-                    # ``bad_i`` bounds them too.
-                    if bad_i > above and floor + regret[i] + bad_i - above > target:
+                    # ``bad`` bounds them too, so i is pruned once ``bad``
+                    # passes ``cap``.  Orient the components that fixing i
+                    # left of every unplaced vertex fixes; each oriented
+                    # both ways for the first time joins ``bad``.
+                    cap = above + room - regret[i]
+                    if bad > cap:
+                        continue
+                    bad_i = bad
+                    for j, c, side in entries[i]:
+                        if placed[j]:
+                            continue
+                        fixed = orient[c]
+                        if fixed < 0:
+                            orient[c] = side
+                            trail.append(c)
+                        elif fixed ^ side == 1:
+                            orient[c] = fixed + 2
+                            trail.append(c)
+                            bad_i += 1
+                            if bad_i > cap:
+                                break
+                    if bad_i > cap:
                         if len(trail) > mark:
-                            _unwind(orient, trail, mark)
+                            for c in trail[mark:]:
+                                orient[c] = orient[c] - 2 if orient[c] > 1 else -1
+                            del trail[mark:]
                         continue
                     break
                 else:
+                    # Back up to the choice point below, which takes its placement back.
                     points.pop()
                     if not points:
                         frames.pop()
                         break
-                    # Back up to the choice point below and take its placement back.
-                    start, floor, regret, bad, mark = point = points[-1]
-                    placed[perm.pop()] = False
-                    if len(trail) > mark:
-                        _unwind(orient, trail, mark)
                     continue
-                point[0], point[4] = i + 1, mark
+                point[0] = i + 1
                 perm.append(i)
                 placed[i] = True
                 if len(perm) < width:
-                    point = [0, floor + regret[i], list(map(sub, regret, drop[i])), bad_i, 0]
-                    points.append(point)
-                    start, floor, regret, bad, mark = point
+                    points.append([0, floor + regret[i], list(map(sub, regret, drop[i])), bad_i, len(trail)])
                     continue
                 if len(frames) == lev.count:
                     # Each level's frame is on the stack, its order complete.
@@ -903,8 +967,11 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
                 break
         return None
 
+    rounds = []
     for target in range(first_target, sum(comb(len(s), 2) for s in strips) + 1):
+        before = states
         witness = run_round(target)
+        rounds.append((target, states - before))
         if witness is not None:
             break
     else:
@@ -916,4 +983,5 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
         graph=g2,
         mapping=smap,
         states=states,
+        rounds=tuple(rounds),
     )

@@ -54,10 +54,8 @@ from reebdraw.crossings import (
     CrossingPair,
     ExactResult,
     _find,
-    _orient,
     _pair_crossings,
     _strip_lower_bound,
-    _unwind,
     _warm_start,
 )
 from reebdraw.subdivide import SubdivisionMap, _leveled
@@ -1270,6 +1268,41 @@ def _suffix_tables(level_vertices: list[list[str]],
     return odd, sides
 
 
+def _orient(entries: list[tuple[int, int, int]], placed: list[bool],
+            orient: dict[int, int], trail: list[int]) -> int:
+    """Orient the components that placing a vertex left of every unplaced
+    vertex of its level fixes, from its parity entries; returns how many
+    components this orients both ways for the first time.
+
+    ``orient`` maps a component to the side it was first given, plus 2 once
+    it has been given both; ``trail`` lists each change, for :func:`_unwind`.
+    ``exact_rgcn`` runs the same steps inline, on an int list.
+    """
+    clashes = 0
+    for j, c, side in entries:
+        if placed[j]:
+            continue
+        fixed = orient.get(c)
+        if fixed is None:
+            orient[c] = side
+            trail.append(c)
+        elif fixed ^ side == 1:
+            orient[c] = fixed + 2
+            trail.append(c)
+            clashes += 1
+    return clashes
+
+
+def _unwind(orient: dict[int, int], trail: list[int], mark: int) -> None:
+    """Undo the changes made to ``orient`` since the trail was ``mark`` long."""
+    while len(trail) > mark:
+        c = trail.pop()
+        if orient[c] > 1:
+            orient[c] -= 2
+        else:
+            del orient[c]
+
+
 def recursive_exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> ExactResult:
     """Oracle: ``exact_rgcn``'s search written as two self-recursive
     closures, ``fill_level`` and ``place``, kept verbatim.
@@ -1291,7 +1324,7 @@ def recursive_exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGE
     if lev.count == 0:
         return ExactResult(0, LevelOrdering(()), g2, smap, 0)
 
-    down_ends, _ = _neighbors(g2)
+    down_ends, up_ends = _neighbors(g2)
 
     # future_lb[l]: crossings unavoidable in strips at or above level l.
     strip_lb = [
@@ -1385,6 +1418,7 @@ def recursive_exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGE
                 regret[j] += ji - ij
                 drop[i][j] = ji - ij
         base = number[level_vertices[level][0]]
+        ups = [len(up_ends[v]) for v in level_vertices[level]]
         mirror = level == mirror_level
         # ``bad`` counts the components of the parity system in use that
         # force a crossing in the strips >= level.
@@ -1416,6 +1450,9 @@ def recursive_exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGE
                     first = perm[0] if perm else i
                     if placed[first + 1:].count(False) == (i > first):
                         continue
+                q = perm[-1] if perm else -1
+                if i < q and not drop[q][i] and drop[i][q] >= ups[q] * ups[i]:
+                    continue  # the exchange cut
                 mark = len(trail)
                 bad_i = bad_here + _orient(entries[i], placed, orient, trail) if entries[i] else bad_here
                 # The floor counts ``above`` for the strips >= level, and

@@ -191,6 +191,20 @@ class TestValidate:
         assert [(v.rule, v.subject) for v in validate(g).violations] == [
             (v.rule, v.subject) for v in validate(named).violations]
 
+    def test_mixed_id_kinds_are_reported_and_refused(self):
+        # No edge joins an int id to a str id, so the graph is legal and
+        # disconnected; each kind sorts on its own, ints first.
+        from reebdraw import layout_auto, subdivide
+
+        g = ReebGraph({0: Fraction(0), 1: Fraction(1), "a": Fraction(0), "b": Fraction(1)}, ((0, 1), ("a", "b")))
+        assert [(v.rule, v.subject) for v in validate(g).violations] == [
+            ("unique-heights", "0,a"), ("unique-heights", "1,b"), ("connected", "0;a")]
+        assert levels(g).by_level() == [[0, "a"], [1, "b"]]
+        for refuse in (classify_shape, subdivide, layout_auto):
+            with pytest.raises(LayoutError) as exc:
+                refuse(g)
+            assert exc.value.code == "disconnected"
+
 
 class TestClassifyShape:
     def test_path(self):

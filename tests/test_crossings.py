@@ -41,7 +41,6 @@ from reebdraw import (
 )
 from reebdraw.crossings import (
     ExactResult,
-    _orient,
     _parity_tables,
     _strip_inversions,
     _warm_start,
@@ -52,6 +51,7 @@ from reebdraw.jsonio import parse_graph
 from reebdraw.subdivide import LeveledView, _level_passes, _leveled
 
 from helpers import (
+    _orient,
     _parity_system,
     _reference_barycenter_ordering,
     _reference_scaled_polylines,
@@ -1510,6 +1510,32 @@ class TestExactSearch:
             "v1 v2 v3",
         ]
 
+    def test_work_on_an_exhausted_bench_graph_with_the_exchange_cut(self):
+        # Case 27 of the benchmark's ``layout_cases(Random(7), 8, 24)``.
+        # Unbounded, the search took 3,739,753 states before the exchange
+        # cut; the cut must need at most 0.45 of them.
+        g = parse_graph((FIXTURES / "exhausted_bench_graph_27.json").read_text())
+        res = exact_rgcn(g, budget=None)
+        assert res.states <= 1_682_888
+        assert res.count == 3
+        assert res.rounds == ((1, 61_529), (2, 602_592), (3, 852_342))
+        # The witness of the search without the cut.
+        assert [" ".join(order) for order in res.ordering.orders] == [
+            "v10 v1 v2 v7 v3 v8",
+            "__sub_12_1 __sub_9_1 __sub_0_1 __sub_13_1 __sub_1_1 v4 __sub_11_1 __sub_2_1 __sub_7_1 v5 __sub_8_1",
+            "__sub_12_2 __sub_9_2 __sub_0_2 __sub_13_2 __sub_1_2 __sub_11_2 __sub_2_2 __sub_7_2 __sub_14_2 v11 __sub_8_2",
+            "__sub_12_3 v0 __sub_11_3 __sub_14_3 __sub_8_3",
+            "v6 v9",
+        ]
+
+    @pytest.mark.parametrize("name,rounds", [("min_one_bench_graph.json", ((1, 293),)),
+                                             ("level_planar_bench_graph.json", ((0, 63),)),
+                                             ("tree_requiring_crossings.json", ((1, 23),))])
+    def test_rounds_split_the_states_by_target(self, name, rounds):
+        res = exact_rgcn(parse_graph((FIXTURES / name).read_text()))
+        assert res.rounds == rounds
+        assert sum(states for _, states in res.rounds) == res.states
+
     def test_deterministic_witness(self):
         rng = random.Random(17)
         for _ in range(5):
@@ -1675,9 +1701,38 @@ class TestExactSearchOracle:
         finally:
             sys.settrace(previous)
         assert len(hits) == 8
-        assert (res.count, res.states) == (1, 1077)
+        assert (res.count, res.states) == (1, 1061)
         ref = recursive_exact_rgcn(g)
         assert (res.count, res.ordering, res.states) == (ref.count, ref.ordering, ref.states)
+
+
+class TestExchangeCut:
+    @settings(max_examples=200, deadline=None)
+    @given(search_graphs())
+    def test_no_witness_level_holds_a_pair_the_cut_skips(self, g):
+        # The cut skips i right after q when i precedes q in id order and
+        # putting q left of i costs at least up(q) * up(i) more in the strip
+        # below.  Swapping such a pair gives a lex-smaller ordering that
+        # costs no more, so the lex-least witness never holds one.
+        try:
+            res = exact_rgcn(g, budget=20_000)
+        except BudgetExhaustedError:
+            return
+        view = _leveled(res.graph, levels(res.graph))
+        for l, order in enumerate(res.ordering.orders):
+            below = {v: p for p, v in enumerate(res.ordering.orders[l - 1])} if l else {}
+            for q, i in zip(order, order[1:]):
+                if view.index[i] > view.index[q]:
+                    continue
+                q_ends = [below[x] for x in view.down[q]]
+                i_ends = [below[x] for x in view.down[i]]
+                q_left = sum(x > y for x in q_ends for y in i_ends)
+                i_left = sum(y > x for x in q_ends for y in i_ends)
+                assert q_left - i_left < len(view.up[q]) * len(view.up[i]), (l, q, i)
+        # The rounds run from the first target up to the count, and split the states.
+        targets = [target for target, _ in res.rounds]
+        assert targets == list(range(targets[0], res.count + 1))
+        assert sum(states for _, states in res.rounds) == res.states
 
 
 def normalized(sides):
