@@ -492,7 +492,7 @@ class Drawing(_Value):
         # points, sx, sy), each coordinate multiplied by its axis scale sx or
         # sy.  The scales cover every vertex, isolated ones included, so each
         # scaled coordinate is exact, and scaling keeps order and equality.
-        # Every geometric consumer (the crossing counter, ``stretch``'s rows,
+        # Every geometric consumer (the crossing counter, ``stretch``'s sweep,
         # ``subdivide_drawing`` and the SVG renderer) reads this one frame, so
         # none may change it.  The heights' ratios are the graph's own.
         y_ratios = graph._ratios

@@ -8,6 +8,11 @@ included, is taken for an edge.  ``stretch`` redraws every
 edge as one straight segment at the same heights and keeps every row, so the
 output has no crossings and the same per-level vertex order.
 
+The rows are never built.  In a crossing-free drawing the x order of the
+edges crossing a horizontal sweep line changes only at vertices, so one sweep
+(``_sweep``) finds the rows' distinct adjacent pairs, which the peel reads,
+and a log that fixes the rows, which the output must repeat.
+
 Vertices are placed one at a time, each right of everything placed before.
 The order comes from a peel.  The *star* of a vertex z is z plus its edges to
 vertices still present; z is *exposed* when, in every row, nothing outside
@@ -41,68 +46,126 @@ the contract.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from heapq import heappop, heappush
+from itertools import groupby
 from operator import itemgetter
 
 from .core import Drawing, IntPoint
 from .crossings import count_crossings_geometric
 from .errors import GraphStructureError, InternalInvariantError, LayoutError
-from .subdivide import _level_passes
 
 
-def _rows(d: Drawing) -> list[list[int]]:
-    """The drawing's rows, bottom up, holding numbered objects: vertex k of
-    ``graph.vertices`` is k and edge i is n + i, for n vertices.
+def _sweep(d: Drawing, find_pairs: bool = True) -> tuple[set[tuple[int, int]], list[tuple[int, int]]]:
+    """One bottom-up sweep of a crossing-free drawing's integer frame:
+    (pairs, log).  ``pairs`` holds the rows' distinct adjacent pairs, if
+    asked for; ``log`` holds (slot, k) for each vertex k by (height, x), the
+    slot being where k's run starts in the line.
 
-    Vertices and their integer x come from the integer frame, and each
-    edge's x at a row from where the edges pass the vertex heights
-    (``subdivide._level_passes``, built here once per drawing), as a
-    fraction num / den with den at most D, the largest den there.  Two such
-    fractions that differ, differ by at least 1 / D^2, so floor(x * D^2)
-    orders them exactly.  On a drawing that passed the crossing check no two
-    objects in a row share an x.
+    The *line* holds the edges crossing the sweep line, by x.  At each
+    height a binary search of integer cross products finds each vertex's
+    slot, each edge reading its segment there from a pointer that only moves
+    up.  No edge passes through a foreign vertex, so the slot is the run of
+    the vertex's lower edges, empty if it has none.  The row is the line
+    with each run replaced by its vertex, which adds its neighbours there to
+    ``pairs``; the next line has each run replaced by the vertex's upper
+    edges, by the slope of their first segments.  Two edges adjacent in a
+    row were so in the row below or were made adjacent by its splices, so
+    only those are checked: neither may end at the height, nor a vertex be
+    slotted between them.
+
+    The log fixes the rows of a drawing without parallel edges.  The first
+    line is empty, and equal slots splice equal runs at equal positions, so
+    two sweeps with equal logs move every line position alike.  Had some
+    vertex's upper edges come in two orders, take the first of the moved
+    ones to end: its end vertex's run holds its position in both sweeps, so
+    in one of them another of those upper edges ends there too, and the two
+    would share both ends.  So equal logs give equal lines and rows, and,
+    the rows fixing every order within the line, equal rows equal logs.
     """
-    _, vertex_pt, _, _ = d._scaled_polylines
-    heights, passes = _level_passes(d)
-    level = {h: r for r, h in enumerate(heights)}
-    scale = max((den for cuts in passes for _, _, den in cuts), default=1) ** 2
-    keyed: list[list[tuple[int, int]]] = [[] for _ in heights]
-    for k, (x, y) in enumerate(vertex_pt.values()):
-        keyed[level[y]].append((x * scale, k))
-    for i, cuts in enumerate(passes, len(vertex_pt)):
-        for r, num, den in cuts:
-            keyed[r].append((num * scale // den, i))
-    return [[obj for _, obj in sorted(row, key=itemgetter(0))] for row in keyed]
+    polys, vertex_pt, _, _ = d._scaled_polylines
+    n = len(vertex_pt)
+    at = {p: k for k, p in enumerate(vertex_pt.values())}
+    paths = [()] * n + list(polys)  # by object number
+    low: list[list[int]] = [[] for _ in at]
+    ups: list[list[int]] = [[] for _ in at]
+    for e, poly in enumerate(polys, n):
+        ups[at[poly[0]]].append(e)
+        low[at[poly[-1]]].append(e)
+    # Distinct slopes dx / dy differ by at least 1 / D^2, so floor(dx * D^2 / dy) orders them.
+    scale = max((poly[1][1] - poly[0][1] for poly in polys), default=1) ** 2
+    for (x, y), up in zip(at, ups):
+        if len(up) > 1:
+            up.sort(key=lambda e: (paths[e][1][0] - x) * scale // (paths[e][1][1] - y))
+    top = [0] * n + [poly[-1][1] for poly in polys]
+    seg = [1] * len(paths)  # edge e crosses the sweep line on its segment ending at paths[e][seg[e]]
+
+    def side(e: int) -> int:  # negative iff edge e passes left of (x, y)
+        path, s = paths[e], seg[e]
+        while path[s][1] < y:
+            s += 1
+        seg[e] = s
+        (ax, ay), (bx, by) = path[s - 1], path[s]
+        return (ax - x) * (by - ay) + (bx - ax) * (y - ay)
+
+    line: list[int] = []
+    made: list[tuple[int, int]] = []  # the edges the last splices made adjacent
+    pairs: set[tuple[int, int]] = set()
+    log: list[tuple[int, ...]] = []
+    for y, group in groupby(sorted((y, x, k) for (x, y), k in at.items()), key=itemgetter(0)):
+        slots = []
+        for _, x, k in group:  # side() reads this x and y
+            slots.append((bisect_left(line, 0, key=side), k))
+        log += slots
+        if find_pairs:
+            split = {line[p - 1] for p, k in slots if p and not low[k]}
+            pairs.update(ab for ab in made if top[ab[0]] > y < top[ab[1]] and ab[0] not in split)
+            end = -1
+            for j, (p, k) in enumerate(slots):
+                q = p + len(low[k])
+                if end == p:
+                    pairs.add((slots[j - 1][1], k))
+                elif p:
+                    pairs.add((line[p - 1], k))
+                if q < len(line) and (j + 1 == len(slots) or slots[j + 1][0] != q):
+                    pairs.add((k, line[q]))
+                end = q
+        made, shift, starts = [], 0, []
+        for p, k in slots:
+            starts.append(p + shift)
+            line[p + shift:p + shift + len(low[k])] = ups[k]
+            shift += len(ups[k]) - len(low[k])
+        for p, (_, k) in zip(starts, slots) if find_pairs else ():  # after every splice of the height
+            window = line[max(p - 1, 0):p + len(ups[k]) + 1]
+            made += zip(window, window[1:])
+    return pairs, log
 
 
-def _insertion_order(d: Drawing, rows: list[list[int]]) -> tuple[str, ...]:
-    """The peel order reversed (see the module docstring), from the
-    drawing's ``_rows``, as vertex ids.
+def _insertion_order(d: Drawing, pairs: set[tuple[int, int]]) -> tuple[str, ...]:
+    """The peel order reversed (see the module docstring), as vertex ids,
+    from the rows' distinct adjacent pairs (``_sweep``).
 
-    z waits on every object b outside its star that lies right next to a
-    star object a in some row: for each distinct adjacent pair (a, b), each
-    owner of a (the vertex, or the edge's two ends) that does not own b.  A
-    peel removes a suffix of every row it touches, so in each row the first
-    such b blocks z until it is gone, and every other such b lies right of
-    it and goes no later; z is exposed once none is left, even as its star
-    loses edges.  Peeling z removes z and its edges to vertices not yet
-    peeled, and each removed object releases its waiters.
+    For each pair (a, b), each owner of a (the vertex, or the edge's two ends)
+    that does not own b waits on b.  Peeling z removes z and its edges to
+    vertices not yet peeled, and each removed object releases its waiters.
     """
     g = d.graph
     names = list(g.vertices)
     n = len(names)
     index = {v: k for k, v in enumerate(names)}
-    owners = [{k} for k in range(n)] + [{index[a], index[b]} for a, b in g.edges]
+    owners = [(k,) for k in range(n)] + [(index[a], index[b]) for a, b in g.edges]
     # adjacency() keeps the order of graph.vertices, so its k-th entry is vertex k's.
     stars = [[k] + [n + i for _, i in ends] for k, ends in enumerate(g.adjacency().values())]
     waiting: dict[int, list[int]] = {}  # object -> the vertices waiting on it
     blockers = [0] * n
-    for a, b in {pair for row in rows for pair in zip(row, row[1:])}:
-        for z in owners[a] - owners[b]:
-            waiting.setdefault(b, []).append(z)
-            blockers[z] += 1
+    for a, b in pairs:
+        for z in owners[a]:
+            if z not in owners[b]:
+                waiting.setdefault(b, []).append(z)
+                blockers[z] += 1
 
-    rank = {k: r for r, k in enumerate(sorted(range(n), key=lambda k: (d.x[names[k]], names[k])))}
+    xs = [x for x, _ in d._scaled_polylines[1].values()]  # x, scaled up on the integer frame
+    rank = {k: r for r, k in enumerate(sorted(range(n), key=lambda k: (xs[k], names[k])))}
     exposed = sorted((-rank[z], z) for z in range(n) if not blockers[z])  # a heap, greatest rank first
     peeled: list[int] = []
     while exposed:
@@ -167,12 +230,12 @@ def stretch(d: Drawing) -> Drawing:
         raise GraphStructureError("parallel edges cannot be drawn as straight segments",
                                   code="parallel-edges")
     _, vertex_pt, _, _ = d._scaled_polylines
-    rows = _rows(d)
+    pairs, log = _sweep(d)
     adjacency = g.adjacency()
     placed: list[IntPoint] = []  # in insertion order, so x increases
     turn: dict[str, int] = {}  # v -> its index in placed
 
-    for v in _insertion_order(d, rows):
+    for v in _insertion_order(d, pairs):
         yv = vertex_pt[v][1]
         x = 0
         if placed:
@@ -186,8 +249,9 @@ def stretch(d: Drawing) -> Drawing:
         placed.append((x, yv))
 
     out = Drawing(graph=g, x={v: placed[i][0] for v, i in turn.items()})
-    if _rows(out) != rows:
-        raise InternalInvariantError("stretching changed a row")
+    # The sweep holds on crossing-free drawings only, so the count goes first.
     if count_crossings_geometric(out).count != 0:
         raise InternalInvariantError("stretched drawing has crossings")
+    if _sweep(out, find_pairs=False)[1] != log:
+        raise InternalInvariantError("stretching changed a row")
     return out

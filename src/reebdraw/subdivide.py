@@ -183,8 +183,8 @@ def _level_passes(d: Drawing) -> tuple[list[int], tuple[tuple[tuple[int, int, in
     ``heights[r]`` strictly between edge i's ends, where the edge's x is
     num / den and den is the height of the segment holding the point (a bend
     there is the top of the segment below it).  It has one entry per (edge,
-    height it passes), so each caller builds it once per drawing, on demand:
-    ``subdivide_drawing`` for its cut points and ``stretch``'s rows."""
+    height it passes), so its one caller, ``subdivide_drawing``, builds it
+    once per drawing, for its cut points, whose count is the same."""
     polys, vertex_pt, _, _ = d._scaled_polylines
     heights = sorted({y for _, y in vertex_pt.values()})
     level = {h: r for r, h in enumerate(heights)}

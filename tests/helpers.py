@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, inf, lcm
-from operator import sub
+from operator import itemgetter, sub
 from typing import Sequence
 from xml.sax.saxutils import escape
 
@@ -58,7 +58,7 @@ from reebdraw.crossings import (
     _strip_lower_bound,
     _warm_start,
 )
-from reebdraw.subdivide import SubdivisionMap, _leveled
+from reebdraw.subdivide import SubdivisionMap, _level_passes, _leveled
 
 
 def rand_height(rng: random.Random, lo: int = -10, hi: int = 10) -> Fraction:
@@ -843,6 +843,35 @@ def reference_rows(d: Drawing) -> tuple[tuple[str | int, ...], ...]:
         assert len(set(xs)) == len(xs), f"two objects share x at height {h}"
         rows.append(tuple(obj for _, obj in row))
     return tuple(rows)
+
+
+def _rows(d: Drawing) -> list[list[int]]:
+    """The drawing's rows, bottom up, holding numbered objects: vertex k of
+    ``graph.vertices`` is k and edge i is n + i, for n vertices.
+
+    Vertices and their integer x come from the integer frame, and each
+    edge's x at a row from where the edges pass the vertex heights
+    (``subdivide._level_passes``, built here once per drawing), as a
+    fraction num / den with den at most D, the largest den there.  Two such
+    fractions that differ, differ by at least 1 / D^2, so floor(x * D^2)
+    orders them exactly.  On a drawing that passed the crossing check no two
+    objects in a row share an x.
+
+    Oracle: ``stretch`` built these rows, one entry per (object, height it
+    passes), until one sweep (``stretch._sweep``) gave their adjacent pairs
+    and a log that fixes them; kept verbatim.
+    """
+    _, vertex_pt, _, _ = d._scaled_polylines
+    heights, passes = _level_passes(d)
+    level = {h: r for r, h in enumerate(heights)}
+    scale = max((den for cuts in passes for _, _, den in cuts), default=1) ** 2
+    keyed: list[list[tuple[int, int]]] = [[] for _ in heights]
+    for k, (x, y) in enumerate(vertex_pt.values()):
+        keyed[level[y]].append((x * scale, k))
+    for i, cuts in enumerate(passes, len(vertex_pt)):
+        for r, num, den in cuts:
+            keyed[r].append((num * scale // den, i))
+    return [[obj for _, obj in sorted(row, key=itemgetter(0))] for row in keyed]
 
 
 def reference_peel_order(d: Drawing, rows: list[list[int]]) -> tuple[str, ...]:

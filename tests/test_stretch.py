@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -27,9 +28,10 @@ from reebdraw import (
     unsubdivide_drawing,
 )
 from reebdraw.jsonio import serialize_drawing
-from reebdraw.stretch import _insertion_order, _rows
+from reebdraw.stretch import _insertion_order, _sweep
 
 from helpers import (
+    _rows,
     curved_copy,
     distinct_height_caterpillar,
     distinct_height_path,
@@ -134,7 +136,8 @@ class TestStretch:
     def test_refuses_an_output_that_changes_a_row(self, monkeypatch):
         rng = random.Random(7)
         d = curved_copy(layout_caterpillar(random_caterpillar_graph(8, rng)), rng)
-        monkeypatch.setattr(stretch_module, "_rows", lambda dd: _rows(dd) if dd is d else _rows(dd) + [[]])
+        monkeypatch.setattr(stretch_module, "_sweep", lambda dd, find_pairs=True: _sweep(dd, find_pairs)
+                            if dd is d else (set(), _sweep(dd, find_pairs)[1] + [()]))
         with pytest.raises(InternalInvariantError, match=r"^stretching changed a row$"):
             stretch(d)
 
@@ -240,9 +243,9 @@ class TestIntegerIds:
 
 
 def _peel_outcomes(d: Drawing) -> tuple:
-    """The peel's order or refusal, and the reference peel's, on one drawing."""
-    rows = _rows(d)
-    return _outcome(_insertion_order, d, rows), _outcome(reference_peel_order, d, rows)
+    """The peel's order or refusal, and the reference peel's, on one drawing:
+    the peel reads the sweep's pairs, the reference the oracle rows."""
+    return _outcome(_insertion_order, d, _sweep(d)[0]), _outcome(reference_peel_order, d, _rows(d))
 
 
 class TestPeelOrder:
@@ -276,6 +279,101 @@ class TestPeelOrder:
         out, ref = _peel_outcomes(layout_auto(make(300, random.Random(300))))
         assert out == ref
         assert len(out) == 300
+
+
+def _mirrored(d: Drawing) -> Drawing:
+    """The drawing reflected in the y axis: every row reversed."""
+    return Drawing(graph=d.graph, x={v: -x for v, x in d.x.items()},
+                   bends=tuple(tuple((-x, y) for x, y in b) for b in d.bends))
+
+
+def _swaps(d: Drawing, limit: int = 3) -> list[Drawing]:
+    """Up to ``limit`` copies of the drawing with the x of two vertices of
+    one height swapped, each still crossing-free; every such swap changes a
+    row.  At most 40 pairs are tried."""
+    g, out = d.graph, []
+    same = [(u, w) for u, w in itertools.combinations(g.vertices, 2) if g.vertices[u] == g.vertices[w]]
+    for u, w in same[:40]:
+        try:
+            swapped = Drawing(graph=g, x={**d.x, u: d.x[w], w: d.x[u]}, bends=d.bends)
+            if count_crossings_geometric(swapped).count == 0:
+                out.append(swapped)
+        except ReebError:
+            continue
+        if len(out) == limit:
+            break
+    return out
+
+
+def _crossing_free(d: Drawing) -> bool:
+    try:
+        return count_crossings_geometric(d).count == 0
+    except ReebError:
+        return False
+
+
+_TREES = {"path": random_path_graph, "caterpillar": random_caterpillar_graph,
+          "tree": lambda n, r: random_connected_graph(n, r, extra=0)}
+
+
+@st.composite
+def swept_drawings(draw):
+    """Crossing-free layouts of paths, caterpillars and trees of up to 24
+    vertices, and of distinct-height ladders of up to 200; half of them
+    curved."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    kind = draw(st.sampled_from(sorted(_TREES) + ["ladder path", "ladder caterpillar"]))
+    if kind.startswith("ladder"):
+        make = distinct_height_path if kind == "ladder path" else distinct_height_caterpillar
+        d = layout_auto(make(draw(st.integers(min_value=2, max_value=200)), rng))
+    else:
+        d = layout_auto(_TREES[kind](draw(st.integers(min_value=2, max_value=24)), rng))
+    if draw(st.booleans()):
+        d = curved_copy(d, rng)
+    assume(_crossing_free(d))
+    return d
+
+
+class TestSweep:
+    # The sweep against the rows it replaced (helpers._rows): the same
+    # distinct adjacent pairs, and logs that are equal exactly when the rows are.
+
+    @settings(max_examples=150, deadline=None)
+    @given(swept_drawings())
+    def test_pairs_are_the_rows_adjacent_pairs(self, d):
+        pairs, log = _sweep(d)
+        assert pairs == {pair for row in _rows(d) for pair in zip(row, row[1:])}
+        assert _sweep(d, find_pairs=False) == (set(), log)
+
+    @settings(max_examples=150, deadline=None)
+    @given(swept_drawings())
+    def test_logs_are_equal_exactly_when_rows_are(self, d):
+        others = [_mirrored(d), *_swaps(d)]
+        out = _outcome(stretch, d)
+        if isinstance(out, Drawing):
+            assert _sweep(out)[1] == _sweep(d)[1]
+            others.append(out)
+        for a, b in itertools.combinations([d, *others], 2):
+            assert (_sweep(a)[1] == _sweep(b)[1]) == (_rows(a) == _rows(b))
+
+    def test_refuses_an_output_with_two_vertices_of_one_height_swapped(self):
+        rng = random.Random(43)
+        refused = 0
+        for i in range(400):
+            d = layout_auto(_TREES[sorted(_TREES)[i % 3]](rng.randint(3, 16), rng))
+            if i % 2:
+                d = curved_copy(d, rng)
+            out = _outcome(stretch, d)
+            if not isinstance(out, Drawing):
+                continue
+            for swapped in _swaps(out, limit=1):
+                assert _rows(swapped) != _rows(out)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(stretch_module, "Drawing", lambda graph, x: swapped)
+                    with pytest.raises(InternalInvariantError, match=r"^stretching changed a row$"):
+                        stretch(d)
+                refused += 1
+        assert refused > 20
 
 
 _T = tuple(Fraction(k, 12) for k in (3, 4, 6, 8, 9))
@@ -330,7 +428,7 @@ class TestStretchOracle:
             assert reference_rows(out) == rows
             if (isinstance(ref, Drawing) and reference_rows(ref) == rows
                     and reference_vertex_insertion_order(d, reference_edge_partial_order(d)).sequence
-                    == _insertion_order(d, _rows(d))):
+                    == _insertion_order(d, _sweep(d)[0])):
                 assert serialize_drawing(out) == serialize_drawing(ref)
         else:
             assert not isinstance(ref, Drawing)
@@ -395,27 +493,19 @@ class TestStretchWork:
         assert sum(read) < self.ALL_PLACED // 10
 
     def test_walks_each_drawing_once(self, monkeypatch):
-        # Each drawing's integer frame is set when it is built.  The rows read
-        # where the edges pass the vertex heights, built once for the input
-        # and once for the output; the counter, run on both, builds it never.
+        # Each drawing's integer frame is set when it is built.  One sweep
+        # reads the input's frame and one the output's; neither they nor the
+        # counter build the Θ(n·L) table of where edges pass the heights.
         rng = random.Random(5)
         bent = curved_copy(layout_caterpillar(random_caterpillar_graph(30, rng)), rng)
         d = Drawing(graph=bent.graph, x=bent.x, bends=bent.bends)
         assert "_scaled_polylines" not in vars(Drawing)
         assert "_scaled_polylines" in vars(d)
-        walked, counts = [], []
-        build, count = stretch_module._level_passes, stretch_module.count_crossings_geometric
-
-        def counted(dd):
-            before = len(walked)
-            cert = count(dd)
-            counts.append(len(walked) - before)
-            return cert
-
-        for module in (stretch_module, importlib.import_module("reebdraw.subdivide")):
-            monkeypatch.setattr(module, "_level_passes", lambda dd: walked.append(dd) or build(dd))
-        monkeypatch.setattr(stretch_module, "count_crossings_geometric", counted)
+        monkeypatch.setattr(importlib.import_module("reebdraw.subdivide"), "_level_passes",
+                            lambda dd: pytest.fail("stretch built the pass table"))
+        swept = []
+        monkeypatch.setattr(stretch_module, "_sweep", lambda dd, find_pairs=True: swept.append(dd)
+                            or _sweep(dd, find_pairs))
         out = stretch(d)
         assert "_scaled_polylines" in vars(out)
-        assert [id(dd) for dd in walked] == [id(d), id(out)]
-        assert counts == [0, 0]
+        assert [id(dd) for dd in swept] == [id(d), id(out)]
