@@ -94,9 +94,9 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
     over the whole y-window, so the first degeneracy is the same.  Both
     segments run upward, so a shared lower or upper end is an overlap iff
     they are collinear and a touch otherwise; other pairs take
-    :func:`geometry.contact`.  A proper crossing's point is one integer
-    triple (:func:`geometry.crossing_point`), which keys the concurrency
-    check.
+    :func:`geometry.classify_segments`.  A proper crossing's point is one
+    integer triple (:func:`geometry.crossing_point`), which keys the
+    concurrency check.
     """
     polys, vertex_pt, sx, sy = d._scaled_polylines
     # Segments with their x-extent and owning edge; polylines run upward, so a lies below b.
@@ -137,7 +137,7 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
                  for j in slabs[m][bisect_right(slabs[m], i):bisect_left(slab_starts[m], y_hi_i)]}
         if later:
             pairs[i] = sorted(later.union(pairs.get(i, ())))
-    orient, contact = geometry.orient, geometry.contact
+    orient, classify = geometry.orient, geometry.classify_segments
     hits: list[CrossingPair] = []
     seen_points: dict[tuple[int, int, int], set[int]] = {}
     for i in sorted(pairs):
@@ -150,7 +150,7 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
                 kind = geometry.OVERLAP if orient(a, b, dd if a == c else c) == 0 else geometry.TOUCH
                 pt = a if a == c else b
             else:
-                kind, pt = contact(a, b, c, dd)
+                kind, pt = classify(a, b, c, dd)
                 if kind == geometry.NONE:
                     continue
             if kind == geometry.OVERLAP:

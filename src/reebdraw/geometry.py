@@ -4,17 +4,9 @@ Everything here works on pairs of exact numbers (``Fraction`` or ``int``),
 except :func:`crossing_point`, which takes integers; there are no epsilon
 tolerances anywhere.  Callers that need speed can scale their coordinates to
 integers first -- the predicates only use ring operations, so results are
-identical.  ``crossings.count_crossings_geometric``, ``stretch``'s rows,
+identical.  ``crossings.count_crossings_geometric``, ``stretch``,
 ``subdivide_drawing`` and ``svg.render_svg`` read one integer frame per
-drawing (``core.Drawing._scaled_polylines``).  The counter tests here
-only the pairs that its strip orders, its half-open y-window and shared ends
-leave open: two level segments only where their strip orders invert or
-repeat, a level segment only against the non-level segments that run inside
-its strip, and no pair that could meet only where one starts and the other
-ends.  It calls :func:`contact`, and for a proper crossing
-:func:`crossing_point`, so it makes no ``Fraction`` until it writes the
-certificate; a vertex on a segment it finds with one cross product of its
-own, not with these predicates.
+drawing (``core.Drawing._scaled_polylines``).
 """
 
 from __future__ import annotations
@@ -47,15 +39,6 @@ def on_segment(p, a, b) -> bool:
     )
 
 
-def line_intersection(a, b, c, d) -> Point:
-    """Intersection point of lines ab and cd.  Caller guarantees non-parallel."""
-    r = (b[0] - a[0], b[1] - a[1])
-    s = (d[0] - c[0], d[1] - c[1])
-    denom = r[0] * s[1] - r[1] * s[0]
-    t = Fraction((c[0] - a[0]) * s[1] - (c[1] - a[1]) * s[0], denom)
-    return (a[0] + t * r[0], a[1] + t * r[1])
-
-
 def crossing_point(a, b, c, d) -> tuple[int, int, int]:
     """Where integer segments ab and cd cross properly, as (xn, yn, den) with
     den > 0 and gcd(xn, yn, den) = 1: the point (xn / den, yn / den).  Each
@@ -71,9 +54,17 @@ def crossing_point(a, b, c, d) -> tuple[int, int, int]:
     return xn // g, yn // g, den // g
 
 
-def contact(a, b, c, d) -> tuple[str, Point | None]:
-    """:func:`classify_segments` without computing a proper crossing's point:
-    returns (PROPER, None) there, and otherwise what it returns."""
+def classify_segments(a, b, c, d) -> tuple[str, Point | None]:
+    """Classify how closed segments ab and cd intersect.
+
+    Returns one of:
+      (PROPER, None)  -- transversal crossing interior to both segments; its
+                         point is :func:`crossing_point`'s
+      (TOUCH, p)      -- they meet at exactly one point p which is an endpoint
+                         of at least one segment
+      (OVERLAP, None) -- collinear with a shared sub-segment of positive length
+      (NONE, None)    -- disjoint
+    """
     o1 = orient(a, b, c)
     o2 = orient(a, b, d)
     o3 = orient(c, d, a)
@@ -106,17 +97,3 @@ def contact(a, b, c, d) -> tuple[str, Point | None]:
     if o4 == 0 and on_segment(b, c, d):
         return (TOUCH, b)
     return (NONE, None)
-
-
-def classify_segments(a, b, c, d) -> tuple[str, Point | None]:
-    """Classify how closed segments ab and cd intersect.
-
-    Returns one of:
-      (PROPER, p)  -- transversal crossing at p, interior to both segments
-      (TOUCH, p)   -- they meet at exactly one point p which is an endpoint
-                      of at least one segment
-      (OVERLAP, None) -- collinear with a shared sub-segment of positive length
-      (NONE, None) -- disjoint
-    """
-    kind, p = contact(a, b, c, d)
-    return kind, (line_intersection(a, b, c, d) if kind == PROPER else p)

@@ -81,10 +81,6 @@ class SubdivisionMap(NamedTuple):
     view: LeveledView
     level_heights: tuple[Fraction, ...]
 
-    @property
-    def generated(self) -> tuple[str | int, ...]:
-        return tuple(self.owner)
-
 
 class Subdivision(NamedTuple):
     graph: ReebGraph

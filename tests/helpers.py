@@ -346,6 +346,15 @@ def _reference_scaled_polylines(d: Drawing) -> tuple[list[list[tuple[int, int]]]
     return scaled, sx, sy
 
 
+def _reference_line_intersection(a, b, c, d) -> tuple[Fraction, Fraction]:
+    """Intersection point of lines ab and cd, as ``Fraction``s.  Caller guarantees non-parallel."""
+    r = (b[0] - a[0], b[1] - a[1])
+    s = (d[0] - c[0], d[1] - c[1])
+    denom = r[0] * s[1] - r[1] * s[0]
+    t = Fraction((c[0] - a[0]) * s[1] - (c[1] - a[1]) * s[0], denom)
+    return (a[0] + t * r[0], a[1] + t * r[1])
+
+
 def reference_count_crossings_geometric(d: Drawing) -> CrossingCertificate:
     """Oracle: the original all-pairs geometric counter, kept verbatim.
 
@@ -411,6 +420,7 @@ def reference_count_crossings_geometric(d: Drawing) -> CrossingCertificate:
                 )
             # Proper crossing.  Track concurrency: three distinct segments
             # through one interior point is degenerate.
+            pt = _reference_line_intersection(a, b, c, dd)
             witnesses = seen_points.setdefault(pt, set())
             witnesses.add(i)
             witnesses.add(j)

@@ -54,6 +54,7 @@ from helpers import (
     _orient,
     _parity_system,
     _reference_barycenter_ordering,
+    _reference_line_intersection,
     _reference_scaled_polylines,
     _strip_edges,
     alternating_cycle,
@@ -176,7 +177,7 @@ class TestGeometricCounter:
         d = tri_hex_grid(30).drawing
         bent = _bent(tri_hex_grid(3).drawing, random.Random(5), Fraction(1, 1000))
         calls = []
-        for name in ("orient", "contact", "classify_segments", "crossing_point"):
+        for name in ("orient", "on_segment", "classify_segments", "crossing_point"):
             fn = getattr(geometry, name)
             monkeypatch.setattr(geometry, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
         assert count_crossings_geometric(d).count == 0
@@ -188,16 +189,16 @@ class TestGeometricCounter:
         # Work guard on the five-chords gadget drawing: 1,680 segments, 1,225
         # of them level, 152 crossings.  The sweep visits the keys of its
         # candidate map, the 46 level and 406 non-level segments with a later
-        # partner, and tests 322 pairs with ``contact``.  Visiting every
-        # segment with a closed y-window took 1,392 ``contact`` and 7,086
-        # ``orient`` calls.
+        # partner, and tests 322 pairs with ``classify_segments``.  Visiting
+        # every segment with a closed y-window took 1,392 classifier and
+        # 7,086 ``orient`` calls.
         import reebdraw.crossings
 
         source = OlaGraph(tuple(FIVE_CHORDS_SOURCE["vertices"]), tuple(map(tuple, FIVE_CHORDS_SOURCE["edges"])))
         best = ola_brute(source)
         d, cert = arrangement_to_drawing(ola_reduce(source, best.cost), best)
         calls = []
-        for name in ("orient", "contact"):
+        for name in ("orient", "classify_segments"):
             fn = getattr(geometry, name)
             monkeypatch.setattr(geometry, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
         # The map starts as the dict ``_strip_pairs`` returns; the sweep adds
@@ -214,7 +215,7 @@ class TestGeometricCounter:
         (pairs, level), = maps
         visited_level = sum(level[i] for i in pairs)
         assert (cert.count, _segments(d), len(pairs), visited_level) == (152, 1680, 452, 46)
-        assert (calls.count("contact"), calls.count("orient")) == (322, 2804)
+        assert (calls.count("classify_segments"), calls.count("orient")) == (322, 2804)
 
     def test_crossing_point_is_the_intersection_in_lowest_terms(self):
         rng = random.Random(83)
@@ -225,15 +226,15 @@ class TestGeometricCounter:
             if kind != geometry.PROPER:
                 continue
             seen += 1
+            assert p is None
             xn, yn, den = geometry.crossing_point(a, b, c, e)
             assert den > 0 and math.gcd(xn, yn, den) == 1
-            assert (Fraction(xn, den), Fraction(yn, den)) == p == geometry.line_intersection(a, b, c, e)
-            assert geometry.contact(a, b, c, e) == (geometry.PROPER, None)
+            assert (Fraction(xn, den), Fraction(yn, den)) == _reference_line_intersection(a, b, c, e)
 
     def test_contact_without_a_crossing(self):
         # Collinear but disjoint; and an end of the first segment inside the second.
-        assert geometry.contact((0, 0), (1, 1), (2, 2), (3, 3)) == (geometry.NONE, None)
-        assert geometry.contact((1, 1), (2, 0), (0, 0), (2, 2)) == (geometry.TOUCH, (1, 1))
+        assert geometry.classify_segments((0, 0), (1, 1), (2, 2), (3, 3)) == (geometry.NONE, None)
+        assert geometry.classify_segments((1, 1), (2, 0), (0, 0), (2, 2)) == (geometry.TOUCH, (1, 1))
 
     def test_certificate_count_matches_pairs(self):
         rng = random.Random(2)

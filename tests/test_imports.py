@@ -35,6 +35,8 @@ from pathlib import Path
 
 import pytest
 
+from test_cli import FIVE_CHORDS_SOURCE
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "reebdraw"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -291,6 +293,29 @@ def test_gadget_verify_counts_its_drawing_under_a_traced_call(monkeypatch, tmp_p
     assert (code, capsys.readouterr().err, tracer.absent) == (0, "", [])
     assert counts and all(s.parent is not None and s.parent.name == "gadget.arrangement_to_drawing"
                           for s in counts)
+
+
+def test_the_tracer_counts_the_counters_pair_tests(monkeypatch):
+    # ``crossings.pair_tests`` and ``hit_ratio`` read the tracer's count of
+    # ``geometry.classify_segments`` under ``count_crossings_geometric``; the
+    # five-chords drawing takes 322 pair tests, and the counter makes no
+    # ``on_segment`` call of its own.
+    import reebdraw.crossings
+    from reebdraw import OlaGraph, arrangement_to_drawing, ola_brute, ola_reduce
+
+    source = OlaGraph(tuple(FIVE_CHORDS_SOURCE["vertices"]), tuple(map(tuple, FIVE_CHORDS_SOURCE["edges"])))
+    best = ola_brute(source)
+    d, cert = arrangement_to_drawing(ola_reduce(source, best.cost), best)
+    tracer = load_spans(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        assert reebdraw.crossings.count_crossings_geometric(d) == cert
+    finally:
+        tracer.uninstall()
+    on_segment = sum(n for (name, _), n in tracer.counts.items() if name == "geometry.on_segment")
+    assert tracer.absent == []
+    assert tracer.counts[("geometry.classify_segments", "crossings.count_crossings_geometric")] == 322
+    assert on_segment == 0
 
 
 def test_cli_start_up_loads_no_introspection_modules():

@@ -52,7 +52,7 @@ def test_long_edge_becomes_path_with_one_vertex_per_skipped_level():
 def test_consecutive_edge_untouched():
     g = ReebGraph.build({"a": 0, "b": 1}, [("a", "b")])
     g2, m = subdivide(g)
-    assert g2.vertex_count == 2 and m.generated == ()
+    assert g2.vertex_count == 2 and tuple(m.owner) == ()
 
 
 def test_generated_count_matches_strip_recount():
@@ -65,7 +65,7 @@ def test_generated_count_matches_strip_recount():
         )
         g2, m = subdivide(g)
         assert g2.vertex_count == g.vertex_count + expected_extra
-        assert len(m.generated) == expected_extra
+        assert len(m.owner) == expected_extra
         assert validate(g2).is_connected
         # every output edge spans consecutive levels
         lev2 = levels(g2)
@@ -82,7 +82,7 @@ def test_idempotent_on_leveled_graphs():
     g = ReebGraph.build({"a": 0, "b": 1, "c": 2}, [("a", "b"), ("b", "c")])
     g2, m = subdivide(g)
     g3, m3 = subdivide(g2)
-    assert m3.generated == ()
+    assert tuple(m3.owner) == ()
     assert g3.vertices == g2.vertices and g3.edges == g2.edges
 
 
@@ -134,12 +134,12 @@ class TestIntegerIds:
         heights = {3: 0, 7: 3, 5: 1, 2: 2}
         edges = [(3, 7), (3, 5), (7, 5), (2, 3)]
         _, m = subdivide(ReebGraph.build(heights, edges))
-        assert (m.generated, m.paths) == ((8, 9, 10, 11), ((3, 8, 9, 7), (3, 5), (5, 10, 7), (3, 11, 2)))
+        assert (tuple(m.owner), m.paths) == ((8, 9, 10, 11), ((3, 8, 9, 7), (3, 5), (5, 10, 7), (3, 11, 2)))
         # The same generation order as the prefixed names of string ids.
         _, named = subdivide(ReebGraph.build({str(v): h for v, h in heights.items()},
                                              [(str(a), str(b)) for a, b in edges]))
-        assert [m.owner[v] for v in m.generated] == [named.owner[v] for v in named.generated]
-        assert named.generated == ("__sub_0_1", "__sub_0_2", "__sub_2_2", "__sub_3_1")
+        assert list(m.owner.values()) == list(named.owner.values())
+        assert tuple(named.owner) == ("__sub_0_1", "__sub_0_2", "__sub_2_2", "__sub_3_1")
 
     def test_int_ids_lay_out_like_their_names(self):
         from reebdraw import layout_auto, layout_cycle
