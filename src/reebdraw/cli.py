@@ -124,7 +124,7 @@ _ALGORITHMS = {
 
 def _layout_exact(g, budget):
     res = exact_rgcn(g, budget)
-    return unsubdivide_drawing(realize_layered(res.graph, res.ordering, res.count), res.mapping)
+    return unsubdivide_drawing(realize_layered(res.mapping.subdivided, res.ordering, res.count), res.mapping)
 
 
 def _cmd_layout(args) -> int:
@@ -149,7 +149,7 @@ def _cmd_exact(args) -> int:
         {
             "count": res.count,
             "ordering": jsonio.ordering_to_obj(res.ordering),
-            "subdivided": jsonio.graph_to_obj(res.graph),
+            "subdivided": jsonio.graph_to_obj(res.mapping.subdivided),
             "states": res.states,
         },
         args.output,

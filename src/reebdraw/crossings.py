@@ -515,14 +515,13 @@ def _warm_start(view: LeveledView) -> tuple[int, LevelOrdering]:
 class ExactResult(NamedTuple):
     """Outcome of the exact search: minimum count plus a witnessing ordering.
 
-    The ordering is over the subdivided graph (``graph``); ``mapping`` links it
-    back to the input.  ``states`` counts the candidates tried, as the budget does,
-    and ``rounds`` splits them by deepening round, as (target, states) pairs.
+    The ordering is over the subdivided graph (``mapping.subdivided``); ``mapping``
+    links it back to the input.  ``states`` counts the candidates tried, as the budget
+    does, and ``rounds`` splits them by deepening round, as (target, states) pairs.
     """
 
     count: int
     ordering: LevelOrdering
-    graph: ReebGraph
     mapping: SubdivisionMap
     states: int
     rounds: tuple[tuple[int, int], ...] = ()
@@ -672,6 +671,122 @@ def _parity_tables(view: LeveledView) -> tuple[list[int], list[list[list[tuple[i
     return suffix_odd, suffix_sides, [entries(l, names, held) for l in range(len(level_vertices))]
 
 
+class _SearchTables(NamedTuple):
+    """The exact search's start-time tables of a leveled graph's view, built by
+    :func:`_search_tables` and read per level by :func:`_level_entry` and the
+    candidate loop; each table but ``mirror_level`` is indexed by level.
+
+    ``future_lb[l]`` is the crossings unavoidable in the strips at or above
+    level l (:func:`_strip_lower_bound`).  ``multi`` lists the vertices with
+    several lower edges, as (index in the level, their lower neighbors'
+    indices in the level below); ``one_index`` and ``one_below`` list the
+    indices of those with exactly one and that neighbor's index.
+    ``caps[l][q][i]`` is up(q) * up(i), the product of two vertices' numbers
+    of upper edges, for the exchange cut; the row of a vertex with one upper
+    edge is the level's row of up(i) itself, so the rows are read-only.
+    ``mirror_level`` is the first level with two or more vertices, or None.
+    """
+
+    future_lb: list[int]
+    multi: list[list[tuple[int, list[int]]]]
+    one_index: list[list[int]]
+    one_below: list[list[int]]
+    caps: list[list[list[int]]]
+    mirror_level: int | None
+
+
+def _search_tables(view: LeveledView) -> _SearchTables:
+    """The exact search's start-time tables (see :class:`_SearchTables`)."""
+    level_vertices, strips, down, up, index = view.level_vertices, view.strips, view.down, view.up, view.index
+    future_lb = [0] * (len(level_vertices) + 1)
+    for s in range(len(strips) - 1, -1, -1):
+        future_lb[s] = future_lb[s + 1] + _strip_lower_bound(strips[s], *map(len, level_vertices[s:s + 2]))
+    return _SearchTables(
+        future_lb,
+        [[(i, [index[x] for x in down[v]]) for i, v in enumerate(vs) if len(down[v]) > 1] for vs in level_vertices],
+        [[i for i, v in enumerate(vs) if len(down[v]) == 1] for vs in level_vertices],
+        [[index[down[v][0]] for v in vs if len(down[v]) == 1] for vs in level_vertices],
+        [[ups if p == 1 else [p * q for q in ups] for p in ups] for ups in ([len(up[v]) for v in vs] for vs in level_vertices)],
+        next((l for l, vs in enumerate(level_vertices) if len(vs) > 1), None),
+    )
+
+
+def _level_entry(tables: _SearchTables, level: int, below: list[int], cost: int, target: int,
+                 memo: dict[int, int]) -> tuple[int, list[int], list[list[int]]] | None:
+    """Enter ``level`` at ``cost``, in the round of ``target``, on ``below``,
+    the finished order of the level under it as its vertices' indices left to
+    right: the floor, regret row and drop rows, or None if the memo or the
+    floor cuts the entry.  Callers enter only where ``cost`` plus
+    ``tables.future_lb[level]`` is within the target.
+
+    ``memo`` maps each order below at which the round entered this level and
+    passed the floor to the least such cost; an entry at no lower cost is
+    cut, and one that passes is stored.  With ``c[u][w]`` the crossings in
+    the strip below when u is left of w (:func:`_pair_crossings`), the floor
+    is ``cost`` plus ``future_lb[level]`` plus, over every pair of the level,
+    the cheaper of ``c[u][w]`` and ``c[w][u]``; it stops at the first vertex
+    that takes it past the target.  ``regret[u]`` sums ``max(0, c[u][w] -
+    c[w][u])`` over the level, and ``drop[w][u]``, that term for w, is what
+    placing w takes off u's regret.
+    """
+    # The memo key reads ``below``'s indices as digits in base its width.
+    key = 0
+    for i in below:
+        key = key * len(below) + i
+    seen = memo.get(key)
+    if seen is not None and seen <= cost:
+        return None
+    # pos[i]: the position of vertex i of the level below in ``below``.
+    pos = sorted(range(len(below)), key=below.__getitem__)
+    # The floor counts only pairs with a vertex of several lower edges.
+    # ``costs`` keeps (i, j, c[i][j], c[j][i]) for the pairs of two such,
+    # for the regret rows.
+    floor = cost + tables.future_lb[level]
+    ones = list(map(pos.__getitem__, tables.one_below[level]))
+    ranked = sorted(ones)
+    lows: list[tuple[int, list[int]]] = []
+    costs: list[tuple[int, int, int, int]] = []
+    for i, xs in tables.multi[level]:
+        a = sorted(map(pos.__getitem__, xs))
+        for j, b in lows:
+            ij, ji = _pair_crossings(a, b)
+            floor += ij if ij < ji else ji
+            costs.append((i, j, ij, ji))
+        # A one-edge vertex crosses a's edges in both orders only when its
+        # neighbor lies strictly inside a's span.
+        n = len(a)
+        for p in ranked[bisect_right(ranked, a[0]):bisect_left(ranked, a[-1])]:
+            floor += min(bisect_left(a, p), n - bisect_right(a, p))
+        if floor > target:
+            return None
+        lows.append((i, a))
+    memo[key] = cost
+    width = len(tables.caps[level])
+    regret = [0] * width
+    drop = [[0] * width for _ in range(width)]
+    singles = list(zip(tables.one_index[level], ones))
+    for i, a in lows:
+        n = len(a)
+        costs += [(i, j, n - bisect_right(a, p), bisect_left(a, p)) for j, p in singles]
+    for i, j, ij, ji in costs:
+        if ij > ji:
+            regret[i] += ij - ji
+            drop[j][i] = ij - ji
+        elif ji > ij:
+            regret[j] += ji - ij
+            drop[i][j] = ji - ij
+    # Two one-edge vertices cross iff the one whose neighbor lies further
+    # right goes left, so a one-edge vertex j regrets each one whose
+    # neighbor lies left of its own, and placing it takes 1 off the
+    # regret of each whose neighbor lies right.
+    by_position = [i for _, i in sorted(zip(ones, tables.one_index[level]))]
+    for j, q in singles:
+        regret[j] += bisect_left(ranked, q)
+        for i in by_position[bisect_right(ranked, q):]:
+            drop[j][i] = 1
+    return floor, regret, drop
+
+
 def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> ExactResult:
     """Exact minimum crossing number over all drawings, with a witness ordering.
 
@@ -683,31 +798,43 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     It keeps no incumbent: the round at the optimum completes, and no ordering
     costs more than the ceiling, C(m, 2) summed over the strips' edge counts m.
 
+    The bounds that run once per search or once per level entry are
+    functions, which the tests' recursive form of this search also calls.
+    :func:`_search_tables` builds the start-time tables: the strips' lower
+    bounds above each level (``future_lb``, from :func:`_strip_lower_bound`),
+    per level the vertices with several lower edges and those with one, the
+    exchange caps and the mirror level.  :func:`_level_entry` does the
+    level-entry work below.  The per-candidate cuts stay inline in the
+    candidate loop, one line each, because a call per candidate slows the
+    search by several percent.
+
     Pruning follows the two-layer bound of Jünger & Mutzel (JGAA 1(1), 1997).
-    On entering a level, the crossing matrix ``c[u][w]`` counts the crossings
-    in the strip below when u is left of w (as :func:`_pair_costs` gives it
-    to sifting), and the *floor* is the cost so far plus, over every pair of
-    the level, the cheaper of ``c[u][w]`` and ``c[w][u]``, plus the
-    unavoidable crossings of the strips above.  A pair of vertices with one
-    lower edge each never adds to it, so those pairs are filled in only once
-    the floor is within the target, from their neighbors' ranks; the floor
-    stops at the first vertex that takes it past the target.  Placing u
-    next fixes it left of every unplaced w, which raises the floor by
-    exactly u's *regret*, the sum of ``max(0, c[u][w] - c[w][u])``; a
-    candidate is pruned when its raised floor exceeds the target, and once
-    the level is full the floor less the strips above is the cost paid.  A
-    memo keeps, per round, the least cost at which each (level, order of
-    the level below) was entered and passed the floor, and skips re-entries
-    at no lower cost.
-    Mirroring every level keeps the count, so on the first level with two or
-    more vertices the first vertex must precede the last in id order.
+    On entering a level, :func:`_level_entry` reads the crossing matrix
+    ``c[u][w]``, the crossings in the strip below when u is left of w (as
+    :func:`_pair_costs` gives it to sifting).  The *floor* is the cost so far
+    plus, over every pair of the level, the cheaper of ``c[u][w]`` and
+    ``c[w][u]``, plus the unavoidable crossings of the strips above.  A pair
+    of vertices with one lower edge each never adds to it, so those pairs
+    are filled in only once the floor is within the target, from their
+    neighbors' ranks; the floor stops at the first vertex that takes it past
+    the target.  Placing u next fixes it left of every unplaced w, which
+    raises the floor by exactly u's *regret*, the sum of ``max(0, c[u][w] -
+    c[w][u])``; a candidate is pruned when its raised floor exceeds the
+    target, and once the level is full the floor less the strips above is
+    the cost paid.  The same function keeps the memo: per round, the least
+    cost at which each (level, order of the level below) was entered and
+    passed the floor, and it refuses re-entries at no lower cost.
+    Mirroring every level keeps the count, so on the mirror level, the first
+    with two or more vertices, the first vertex must precede the last in id
+    order.
 
     The *exchange cut* skips candidate i right after q, the vertex placed
     last, when i precedes q in id order, ``drop[q][i]`` is 0 and
-    ``drop[i][q]`` is at least up(q) * up(i), their numbers of upper edges.
-    Swapping the two changes only the crossings between their edges: it
-    saves ``drop[i][q]`` in the strip below and costs at most up(q) * up(i)
-    in the strip above, so the swapped ordering is lex-smaller and costs no
+    ``drop[i][q]`` is at least ``caps[q][i]`` = up(q) * up(i), their numbers
+    of upper edges; the loop reads the level's caps table.  Swapping the
+    two changes only the crossings between their edges: it saves
+    ``drop[i][q]`` in the strip below and costs at most up(q) * up(i) in
+    the strip above, so the swapped ordering is lex-smaller and costs no
     more.  The cut reads only the level and the order below, so the memo
     stays sound, and a swap at either end keeps the first vertex of the
     mirror level before its last.
@@ -748,7 +875,7 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     change, so that taking a placement back resets exactly what it set.
 
     Each round is one loop over an explicit stack, so no input is too deep:
-    a frame per level entry (its ``drop`` rows, upper-edge counts, parity
+    a frame per level entry (its ``drop`` rows, caps table, parity
     entries, orientation, trail, placed flags and order so far) holds a
     choice point per vertex placed (next candidate, floor, regret row,
     ``bad`` and the trail mark to unwind to when the placement is taken
@@ -767,115 +894,42 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     """
     if not is_connected(g):
         raise LayoutError("exact search requires a connected graph", code="disconnected")
-    g2, smap = subdivide(g)
+    smap = subdivide(g).mapping
     view = smap.view
-    lev, strips, down_ends, level_vertices, index = view.lev, view.strips, view.down, view.level_vertices, view.index
+    lev, strips, level_vertices = view.lev, view.strips, view.level_vertices
 
     if lev.count == 0:
-        return ExactResult(0, LevelOrdering(()), g2, smap, 0)
+        return ExactResult(0, LevelOrdering(()), smap, 0)
 
-    # future_lb[l]: crossings unavoidable in strips at or above level l.
-    strip_lb = [
-        _strip_lower_bound(strips[s], len(level_vertices[s]), len(level_vertices[s + 1]))
-        for s in range(lev.count - 1)
-    ]
-    future_lb = [0] * (lev.count + 1)
-    for s in range(lev.count - 2, -1, -1):
-        future_lb[s] = future_lb[s + 1] + strip_lb[s]
+    tables = _search_tables(view)
 
     # Round 0 runs only if the system of all strips is consistent, and then
     # prunes on it, with one orientation and trail over all levels.  Rounds
     # >= 1 read level L's suffix tables, the system of the strips >= L alone,
     # and orient afresh on each level entry.
     suffix_odd, suffix_sides, sides = _parity_tables(view)
-    first_target = future_lb[0] if future_lb[0] > 0 or sides is not None else 1
+    first_target = tables.future_lb[0] if tables.future_lb[0] > 0 or sides is not None else 1
     round_zero_orient = [-1] * sum(len(vs) ** 2 for vs in level_vertices)
     round_zero_trail: list[int] = []
-
-    # Per level, the vertices with several lower edges (by index in the
-    # level, with their lower neighbors' indices in the level below), and the
-    # indices and lower neighbors of those with exactly one; and each
-    # vertex's number of upper edges, for the exchange cut.
-    multi = [[(i, [index[x] for x in down_ends[v]]) for i, v in enumerate(vs) if len(down_ends[v]) > 1]
-             for vs in level_vertices]
-    one_index = [[i for i, v in enumerate(vs) if len(down_ends[v]) == 1] for vs in level_vertices]
-    one_below = [[index[down_ends[v][0]] for v in vs if len(down_ends[v]) == 1] for vs in level_vertices]
-    ups = [[len(view.up[v]) for v in vs] for vs in level_vertices]
-    mirror_level = next((l for l, vs in enumerate(level_vertices) if len(vs) > 1), None)
     states = 0
     limit = inf if budget is None else budget
 
     def enter(level: int, below: list[int], cost: int, target: int, memo: list[dict[int, int]]) -> tuple | None:
-        """The frame (width, mirror, above, drop, ups, entries, orient, trail, placed,
+        """The frame (width, mirror, above, drop, caps, entries, orient, trail, placed,
         perm, points) of ``level``, entered at ``cost`` on the finished order
         ``below`` of the level under it, or None if the memo or floor cuts it."""
-        # The memo key reads ``below``'s indices as digits in base its width.
-        key = 0
-        for i in below:
-            key = key * len(below) + i
-        seen = memo[level].get(key)
-        if seen is not None and seen <= cost:
+        entry = _level_entry(tables, level, below, cost, target, memo[level])
+        if entry is None:
             return None
-        # pos[i]: the position of vertex i of the level below in ``below``.
-        pos = sorted(range(len(below)), key=below.__getitem__)
-        # The floor counts only pairs with a vertex of several lower edges.
-        # ``costs`` keeps (i, j, c[i][j], c[j][i]) for the pairs of two such,
-        # for the regret rows.
-        floor = cost + future_lb[level]
-        ones = list(map(pos.__getitem__, one_below[level]))
-        ranked = sorted(ones)
-        lows: list[tuple[int, list[int]]] = []
-        costs: list[tuple[int, int, int, int]] = []
-        if multi[level]:
-            for i, xs in multi[level]:
-                a = sorted(map(pos.__getitem__, xs))
-                for j, b in lows:
-                    ij, ji = _pair_crossings(a, b)
-                    floor += ij if ij < ji else ji
-                    costs.append((i, j, ij, ji))
-                # A one-edge vertex crosses a's edges in both orders only
-                # when its neighbor lies strictly inside a's span.  Counted
-                # inline: this runs on every level entry.
-                n = len(a)
-                for p in ranked[bisect_right(ranked, a[0]):bisect_left(ranked, a[-1])]:
-                    floor += min(bisect_left(a, p), n - bisect_right(a, p))
-                if floor > target:
-                    return None
-                lows.append((i, a))
-        memo[level][key] = cost
-        # regret[u] sums max(0, c[u][w] - c[w][u]) over the unplaced w; drop[u]
-        # is what placing u takes off every other vertex's regret.
-        width = len(level_vertices[level])
-        regret = [0] * width
-        drop = [[0] * width for _ in range(width)]
-        singles = list(zip(one_index[level], ones))
-        for i, a in lows:
-            n = len(a)
-            costs += [(i, j, n - bisect_right(a, p), bisect_left(a, p)) for j, p in singles]
-        for i, j, ij, ji in costs:
-            if ij > ji:
-                regret[i] += ij - ji
-                drop[j][i] = ij - ji
-            elif ji > ij:
-                regret[j] += ji - ij
-                drop[i][j] = ji - ij
-        # Two one-edge vertices cross iff the one whose neighbor lies further
-        # right goes left, so a one-edge vertex j regrets each one whose
-        # neighbor lies left of its own, and placing it takes 1 off the
-        # regret of each whose neighbor lies right.
-        by_position = [i for _, i in sorted(zip(ones, one_index[level]))]
-        for j, q in singles:
-            regret[j] += bisect_left(ranked, q)
-            row = drop[j]
-            for i in by_position[bisect_right(ranked, q):]:
-                row[i] = 1
+        floor, regret, drop = entry
+        width = len(regret)
         # ``bad`` counts the components of the parity system in use that
         # force a crossing in the strips >= level.
         if target == 0:
             entries, orient, trail, bad = sides[level], round_zero_orient, round_zero_trail, 0
         else:
             entries, orient, trail, bad = suffix_sides[level], [-1] * (width * width), [], suffix_odd[level]
-        return (width, level == mirror_level, future_lb[level], drop, ups[level],
+        return (width, level == tables.mirror_level, tables.future_lb[level], drop, tables.caps[level],
                 entries, orient, trail, [False] * width, [], [[0, floor, regret, bad, len(trail)]])
 
     def run_round(target: int) -> list[list[str]] | None:
@@ -885,7 +939,7 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
         frame = enter(0, [], 0, target, memo)
         frames = [] if frame is None else [frame]
         while frames:
-            width, mirror, above, drop, up, entries, orient, trail, placed, perm, points = frames[-1]
+            width, mirror, above, drop, caps, entries, orient, trail, placed, perm, points = frames[-1]
             while True:
                 start, floor, regret, bad, mark = point = points[-1]
                 if start:
@@ -914,7 +968,7 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
                         first = perm[0] if perm else i
                         if placed[first + 1:].count(False) == (i > first):
                             continue
-                    if i < q and not drop[q][i] and drop[i][q] >= up[q] * up[i]:
+                    if i < q and not drop[q][i] and drop[i][q] >= caps[q][i]:
                         continue  # the exchange cut
                     # The floor counts ``above`` for the strips >= level, and
                     # ``bad`` bounds them too, so i is pruned once ``bad``
@@ -980,7 +1034,6 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     return ExactResult(
         count=target,
         ordering=LevelOrdering.from_lists(witness),
-        graph=g2,
         mapping=smap,
         states=states,
         rounds=tuple(rounds),

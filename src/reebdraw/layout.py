@@ -321,4 +321,4 @@ def layout_auto(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Dra
         res = exact_rgcn(g, budget)
     except BudgetExhaustedError as exc:
         return unsubdivide_drawing(realize_layered(exc.mapping.subdivided, exc.ordering, exc.best), exc.mapping)
-    return unsubdivide_drawing(realize_layered(res.graph, res.ordering, res.count), res.mapping)
+    return unsubdivide_drawing(realize_layered(res.mapping.subdivided, res.ordering, res.count), res.mapping)

@@ -12,7 +12,7 @@ import itertools
 import random
 import sys
 from collections import Counter
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -54,7 +54,9 @@ from reebdraw.crossings import (
     CrossingPair,
     ExactResult,
     _find,
+    _level_entry,
     _pair_crossings,
+    _search_tables,
     _strip_lower_bound,
     _warm_start,
 )
@@ -1065,7 +1067,7 @@ def reference_exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGE
     strips = _strip_edges(g2, lev)
 
     if lev.count == 0:
-        return ExactResult(0, LevelOrdering(()), g2, smap, 0)
+        return ExactResult(0, LevelOrdering(()), smap, 0)
 
     down_ends, _ = _neighbors(g2)
 
@@ -1183,7 +1185,6 @@ def reference_exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGE
     return ExactResult(
         count=minimum,
         ordering=LevelOrdering(best_orders[0]),
-        graph=g2,
         mapping=smap,
         states=states[0],
     )
@@ -1344,14 +1345,22 @@ def _unwind(orient: dict[int, int], trail: list[int], mark: int) -> None:
 
 def recursive_exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> ExactResult:
     """Oracle: ``exact_rgcn``'s search written as two self-recursive
-    closures, ``fill_level`` and ``place``, kept verbatim.
+    closures, ``fill_level`` and ``place``.
 
-    ``exact_rgcn`` runs the same search as a loop over an explicit stack, on
-    parity tables from one pass, so it must reproduce this one's ``count``,
-    witness, ``states`` and budget payload exactly.  This one builds its
-    tables with the reference builders ``_parity_system`` and
-    ``_suffix_tables``, and recurses once per placed vertex, so it needs a
-    small graph.
+    It shares the search's bounds with ``exact_rgcn``: the start-time tables
+    (``crossings._search_tables``: ``future_lb``, the lower-edge tables, the
+    exchange caps and the mirror level) and the level entry
+    (``crossings._level_entry``: the memo, the floor, the regret and drop
+    rows), and the candidate loop writes each cut as the same one line.  So
+    it checks what the two searches do not share, through its ``count``,
+    witness, ``states``, ``rounds`` and budget payload, which ``exact_rgcn``
+    must reproduce exactly: the traversal on an explicit stack against this
+    recursion, the int-list orientation against ``_orient`` and ``_unwind``,
+    and ``crossings._parity_tables`` against the reference builders
+    ``_parity_system`` and ``_suffix_tables``, which this one runs on.  The
+    bounds' soundness is checked by ``reference_exact_rgcn``, which shares
+    none of them, and by one property per cut.  It recurses once per placed
+    vertex, so it needs a small graph.
     """
     if not is_connected(g):
         raise LayoutError("exact search requires a connected graph", code="disconnected")
@@ -1361,50 +1370,26 @@ def recursive_exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGE
     strips = _strip_edges(g2, lev)
 
     if lev.count == 0:
-        return ExactResult(0, LevelOrdering(()), g2, smap, 0)
+        return ExactResult(0, LevelOrdering(()), smap, 0)
 
-    down_ends, up_ends = _neighbors(g2)
-
-    # future_lb[l]: crossings unavoidable in strips at or above level l.
-    strip_lb = [
-        _strip_lower_bound(strips[s], len(level_vertices[s]), len(level_vertices[s + 1]))
-        for s in range(lev.count - 1)
-    ]
-    future_lb = [0] * (lev.count + 1)
-    for s in range(lev.count - 2, -1, -1):
-        future_lb[s] = future_lb[s + 1] + strip_lb[s]
-
-    warm, warm_ordering = _warm_start(_leveled(g2, lev))
+    view = _leveled(g2, lev)
+    tables = _search_tables(view)
+    warm, warm_ordering = _warm_start(view)
 
     # Round 0 runs only if the parity system is consistent, and then prunes
     # on it, with one orientation map and trail (see ``_orient``) over all
     # levels.  Rounds >= 1 build the suffix tables when the first of them
     # starts, and orient afresh on each level entry.
-    sides = _parity_system(level_vertices, strips) if future_lb[0] == 0 else None
-    first_target = future_lb[0] if future_lb[0] > 0 or sides is not None else 1
+    sides = _parity_system(level_vertices, strips) if tables.future_lb[0] == 0 else None
+    first_target = tables.future_lb[0] if tables.future_lb[0] > 0 or sides is not None else 1
     round_zero_orient: dict[int, int] = {}
     round_zero_trail: list[int] = []
     suffix_odd: list[int] = []
     suffix_sides: list[list[list[tuple[int, int, int]]]] = []
 
-    # Vertices are numbered level by level; ``pos[k]`` is vertex k's position
-    # in its level's current order, written as it is placed.  Per level, the
-    # vertices with several lower edges (by index in the level, with their
-    # lower neighbors' numbers), and the indices and lower neighbors of those
-    # with exactly one.
-    number = {v: k for k, v in enumerate(v for vs in level_vertices for v in vs)}
-    pos = [0] * len(number)
-    multi = [[(i, [number[x] for x in down_ends[v]]) for i, v in enumerate(vs) if len(down_ends[v]) > 1]
-             for vs in level_vertices]
-    one_index = [[i for i, v in enumerate(vs) if len(down_ends[v]) == 1] for vs in level_vertices]
-    one_below = [[number[down_ends[v][0]] for v in vs if len(down_ends[v]) == 1] for vs in level_vertices]
-    mirror_level = next((l for l, vs in enumerate(level_vertices) if len(vs) > 1), None)
-
-    # A level's order is coded as one int, its indices read as digits in base
-    # the level's width: ``chosen`` holds the codes of the levels placed so
-    # far, and a level's memo is keyed by the code of the level below.
-    best_orders: list[tuple[int, ...] | None] = [None]
-    chosen: list[int] = []
+    # ``chosen`` holds the orders, as indices, of the levels placed so far.
+    best_orders: list[tuple[list[int], ...] | None] = [None]
+    chosen: list[list[int]] = []
     states = [0]
     limit = inf if budget is None else budget
     found = [False]
@@ -1415,61 +1400,24 @@ def recursive_exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGE
             best_orders[0] = tuple(chosen)
             found[0] = True
             return
-        below = chosen[level - 1] if level > 0 else 0
-        seen = memo[level].get(below)
-        if seen is not None and seen <= cost:
+        entry = _level_entry(tables, level, chosen[level - 1] if level > 0 else [], cost, target, memo[level])
+        if entry is None:
             return
-        # The floor counts only pairs with a vertex of several lower edges.
-        floor = cost + future_lb[level]
-        ones = list(map(pos.__getitem__, one_below[level]))
-        lows: list[tuple[int, list[int]]] = []
-        if multi[level]:
-            ranked = sorted(ones)
-            for i, xs in multi[level]:
-                a = sorted(map(pos.__getitem__, xs))
-                for _, b in lows:
-                    floor += min(_pair_crossings(a, b))
-                # A one-edge vertex crosses a's edges in both orders only
-                # when its neighbor lies strictly inside a's span.  Counted
-                # inline: this runs on every level entry.
-                n = len(a)
-                for p in ranked[bisect_right(ranked, a[0]):bisect_left(ranked, a[-1])]:
-                    floor += min(bisect_left(a, p), n - bisect_right(a, p))
-                lows.append((i, a))
-            if floor > target:
-                return
-        memo[level][below] = cost
-        # regret[u] sums max(0, c[u][w] - c[w][u]) over the unplaced w; drop[u]
-        # is what placing u takes off every other vertex's regret.
-        width = len(level_vertices[level])
-        regret = [0] * width
-        drop = [[0] * width for _ in range(width)]
-        singles = list(zip(one_index[level], ones))
-        # (i, j, c[i][j], c[j][i]) for each pair of vertices with lower edges.
-        pairs = [(i, j, *_pair_crossings(a, b)) for k, (i, a) in enumerate(lows) for j, b in lows[k + 1:]]
-        pairs += [(i, j, *_pair_crossings(a, [p])) for i, a in lows for j, p in singles]
-        pairs += [(i, j, p > q, q > p) for k, (i, p) in enumerate(singles) for j, q in singles[k + 1:]]
-        for i, j, ij, ji in pairs:
-            if ij > ji:
-                regret[i] += ij - ji
-                drop[j][i] = ij - ji
-            elif ji > ij:
-                regret[j] += ji - ij
-                drop[i][j] = ji - ij
-        base = number[level_vertices[level][0]]
-        ups = [len(up_ends[v]) for v in level_vertices[level]]
-        mirror = level == mirror_level
+        floor, regret, drop = entry
+        width = len(regret)
+        caps = tables.caps[level]
+        mirror = level == tables.mirror_level
         # ``bad`` counts the components of the parity system in use that
         # force a crossing in the strips >= level.
         if target == 0:
             entries, orient, trail, bad = sides[level], round_zero_orient, round_zero_trail, 0
         else:
             entries, orient, trail, bad = suffix_sides[level], {}, [], suffix_odd[level]
-        above = future_lb[level]
+        above = tables.future_lb[level]
         perm: list[int] = []
         placed = [False] * width
 
-        def place(floor_here: int, regret_here: list[int], code: int, bad_here: int) -> None:
+        def place(floor_here: int, regret_here: list[int], bad_here: int) -> None:
             for i in range(width):
                 if placed[i]:
                     continue
@@ -1490,7 +1438,7 @@ def recursive_exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGE
                     if placed[first + 1:].count(False) == (i > first):
                         continue
                 q = perm[-1] if perm else -1
-                if i < q and not drop[q][i] and drop[i][q] >= ups[q] * ups[i]:
+                if i < q and not drop[q][i] and drop[i][q] >= caps[q][i]:
                     continue  # the exchange cut
                 mark = len(trail)
                 bad_i = bad_here + _orient(entries[i], placed, orient, trail) if entries[i] else bad_here
@@ -1500,18 +1448,16 @@ def recursive_exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGE
                     if len(trail) > mark:
                         _unwind(orient, trail, mark)
                     continue
-                pos[base + i] = len(perm)
                 perm.append(i)
                 if len(perm) == width:
-                    chosen.append(code * width + i)
+                    chosen.append(perm)
                     fill_level(level + 1, floor_here + regret_here[i] - above, target, memo)
                     if found[0]:
                         return
                     chosen.pop()
                 else:
                     placed[i] = True
-                    place(floor_here + regret_here[i], list(map(sub, regret_here, drop[i])),
-                          code * width + i, bad_i)
+                    place(floor_here + regret_here[i], list(map(sub, regret_here, drop[i])), bad_i)
                     if found[0]:
                         return
                     placed[i] = False
@@ -1522,37 +1468,31 @@ def recursive_exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGE
         # ``place`` and ``fill_level`` refer to themselves: emptying their cells
         # breaks the cycle, which would hold ``memo`` until the collector runs.
         try:
-            place(floor, regret, 0, bad)
+            place(floor, regret, bad)
         finally:
             del place
 
-    minimum = None
+    rounds = []
     try:
         for target in range(first_target, warm + 1):
             if target and not suffix_sides:
                 suffix_odd, suffix_sides = _suffix_tables(level_vertices, strips)
+            before = states[0]
             fill_level(0, 0, target, [{} for _ in range(lev.count)])
+            rounds.append((target, states[0] - before))
             if found[0]:
-                minimum = target
                 break
     finally:
         del fill_level
-    if minimum is None or best_orders[0] is None:
+    if best_orders[0] is None:
         # Unreachable: the warm-start cost itself is always attainable.
         raise InternalInvariantError("exact search finished without a witness")
-    orders = []
-    for vs, code in zip(level_vertices, best_orders[0]):
-        order = []
-        for _ in vs:
-            code, i = divmod(code, len(vs))
-            order.append(vs[i])
-        orders.append(tuple(reversed(order)))
     return ExactResult(
-        count=minimum,
-        ordering=LevelOrdering(tuple(orders)),
-        graph=g2,
+        count=target,
+        ordering=LevelOrdering(tuple(tuple(vs[i] for i in perm) for vs, perm in zip(level_vertices, best_orders[0]))),
         mapping=smap,
         states=states[0],
+        rounds=tuple(rounds),
     )
 
 

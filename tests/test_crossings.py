@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import bisect
+import contextlib
 import gc
 import importlib
 import inspect
@@ -41,7 +42,10 @@ from reebdraw import (
 )
 from reebdraw.crossings import (
     ExactResult,
+    _level_entry,
+    _pair_crossings,
     _parity_tables,
+    _search_tables,
     _strip_inversions,
     _warm_start,
     barycenter_ordering,
@@ -1298,7 +1302,7 @@ class TestExactSearch:
         for _ in range(15):
             g = random_connected_graph(rng.randint(2, 7), rng)
             res = exact_rgcn(g)
-            assert count_crossings_layered(res.graph, res.ordering) == res.count
+            assert count_crossings_layered(res.mapping.subdivided, res.ordering) == res.count
 
     def test_oracle_floor_under_layouts(self):
         from reebdraw import layout_auto
@@ -1574,13 +1578,13 @@ def search_graphs(draw):
 
 
 def search_outcome(search, g, budget):
-    """(count, witness, states) of a search, or (best, ordering, None) if it
-    runs out of budget."""
+    """(count, witness, states, rounds) of a search, or (best, ordering, None,
+    None) if it runs out of budget."""
     try:
         res = search(g, budget=budget)
     except BudgetExhaustedError as exc:
-        return exc.best, exc.ordering, None
-    return res.count, res.ordering, res.states
+        return exc.best, exc.ordering, None, None
+    return res.count, res.ordering, res.states, res.rounds
 
 
 @st.composite
@@ -1638,18 +1642,18 @@ def parity_system(g2):
 
 def assert_search_matches_reference(g, small) -> None:
     # The recursive form of the same search must agree on everything: count,
-    # witness and states, or the budget payload.
+    # witness, states and rounds, or the budget payload.
     for budget in (20_000, small):
         assert search_outcome(exact_rgcn, g, budget) == search_outcome(recursive_exact_rgcn, g, budget)
-    count, witness, states = search_outcome(exact_rgcn, g, 20_000)
-    ref_count, ref_witness, ref_states = search_outcome(reference_exact_rgcn, g, 20_000)
+    count, witness, states, _ = search_outcome(exact_rgcn, g, 20_000)
+    ref_count, ref_witness, ref_states, _ = search_outcome(reference_exact_rgcn, g, 20_000)
     if states is not None and ref_states is not None:
         assert (count, witness) == (ref_count, ref_witness)
     elif states is not None:
         assert count <= ref_count
     # Out of budget, both carry the warm start whatever the budget; a
     # budget of 0 always runs out.
-    best, ordering, states = search_outcome(exact_rgcn, g, small)
+    best, ordering, states, _ = search_outcome(exact_rgcn, g, small)
     if states is None:
         assert (best, ordering) == search_outcome(reference_exact_rgcn, g, 0)[:2]
 
@@ -1682,11 +1686,12 @@ class TestExactSearchOracle:
         assert res.states <= 40 < ref.states
 
     def test_memo_skips_an_order_entered_before_at_no_greater_cost(self):
-        # On this graph ``enter`` meets the order of a level below that the
-        # memo holds at a cost no greater than the current one 8 times, and
-        # returns at once; a line tracer on ``enter`` counts those returns.
+        # On this graph the search's level entry (``_level_entry``) meets the
+        # order of a level below that the memo holds at a cost no greater
+        # than the current one 8 times, and returns at once; a line tracer on
+        # ``_level_entry`` counts those returns.
         g = random_connected_graph(10, random.Random(71))
-        source, start = inspect.getsourcelines(exact_rgcn)
+        source, start = inspect.getsourcelines(_level_entry)
         skip = start + next(k for k, line in enumerate(source) if "seen <= cost" in line) + 1
         hits = []
 
@@ -1696,7 +1701,7 @@ class TestExactSearchOracle:
             return lines
 
         previous = sys.gettrace()
-        sys.settrace(lambda frame, event, arg: lines if frame.f_code.co_name == "enter" else None)
+        sys.settrace(lambda frame, event, arg: lines if frame.f_code.co_name == "_level_entry" else None)
         try:
             res = exact_rgcn(g)
         finally:
@@ -1719,7 +1724,7 @@ class TestExchangeCut:
             res = exact_rgcn(g, budget=20_000)
         except BudgetExhaustedError:
             return
-        view = _leveled(res.graph, levels(res.graph))
+        view = _leveled(res.mapping.subdivided, levels(res.mapping.subdivided))
         for l, order in enumerate(res.ordering.orders):
             below = {v: p for p, v in enumerate(res.ordering.orders[l - 1])} if l else {}
             for q, i in zip(order, order[1:]):
@@ -1734,6 +1739,106 @@ class TestExchangeCut:
         targets = [target for target, _ in res.rounds]
         assert targets == list(range(targets[0], res.count + 1))
         assert sum(states for _, states in res.rounds) == res.states
+
+
+@st.composite
+def level_entries(draw):
+    """A level entry's inputs: the view of a graph of two levels, 1-6
+    vertices each, where each upper vertex has 0-4 lower edges (parallel
+    ones allowed), an order of the lower level, and a cost, a bound above
+    and a slack for the target."""
+    lower, upper = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    edges = [(f"a{draw(st.integers(0, lower - 1))}", f"b{i}")
+             for i in range(upper) for _ in range(draw(st.integers(0, 4)))]
+    g2 = ReebGraph.build({**{f"a{i}": 0 for i in range(lower)}, **{f"b{i}": 1 for i in range(upper)}}, edges)
+    below = list(draw(st.permutations(range(lower))))
+    return _leveled(g2, levels(g2)), below, draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 12))
+
+
+class TestLevelEntry:
+    @settings(max_examples=300, deadline=None)
+    @given(level_entries())
+    def test_matches_its_definition(self, case):
+        # Every pair of the upper level against its definition, with
+        # c[u][w] the crossings below when u is left of w: the floor, the
+        # regret row, the drop rows, and a refusal exactly when the floor
+        # passes the target.
+        view, below, cost, above, slack = case
+        tables = _search_tables(view)._replace(future_lb=[0, above, 0])
+        target = cost + above + slack
+        pos = {v: below.index(view.index[v]) for v in view.level_vertices[0]}
+        ends = [sorted(pos[x] for x in view.down[v]) for v in view.level_vertices[1]]
+        w = len(ends)
+        c = [[0] * w for _ in range(w)]
+        for u, v in itertools.combinations(range(w), 2):
+            c[u][v], c[v][u] = _pair_crossings(ends[u], ends[v])
+        floor = cost + above + sum(min(c[u][v], c[v][u]) for u, v in itertools.combinations(range(w), 2))
+        regret = [sum(max(0, c[u][v] - c[v][u]) for v in range(w)) for u in range(w)]
+        drop = [[max(0, c[u][v] - c[v][u]) for u in range(w)] for v in range(w)]
+        memo: dict[int, int] = {}
+        entry = _level_entry(tables, 1, below, cost, target, memo)
+        if floor > target:
+            assert entry is None
+            assert memo == {}
+            return
+        assert entry == (floor, regret, drop)
+        # The memo holds the order below at that cost now: an entry at no
+        # lower cost is refused, and a cheaper one passes.
+        assert _level_entry(tables, 1, below, cost, target, memo) is None
+        if cost:
+            assert _level_entry(tables, 1, below, cost - 1, target, memo) == (floor - 1, regret, drop)
+
+
+OPTIONAL_CUTS = ("memo", "mirror", "exchange", "round zero parity", "suffix parity")
+
+
+@contextlib.contextmanager
+def only_cut(on):
+    """Switch off every optional cut of ``exact_rgcn`` but ``on``, each by
+    patching the table or function it reads: a memo that keeps nothing, no
+    mirror level, caps that no drop reaches, and neutral parity tables (no
+    entries, no odd cycles).  The floor and the regret test stay."""
+    import reebdraw.crossings as crossings
+
+    search_tables, level_entry, parity_tables = crossings._search_tables, crossings._level_entry, crossings._parity_tables
+
+    def patched_tables(view):
+        t = search_tables(view)
+        if on != "mirror":
+            t = t._replace(mirror_level=None)
+        if on != "exchange":
+            t = t._replace(caps=[[[math.inf] * len(row) for row in caps] for caps in t.caps])
+        return t
+
+    def patched_entry(tables, level, below, cost, target, memo):
+        return level_entry(tables, level, below, cost, target, memo if on == "memo" else {})
+
+    def patched_parity(view):
+        suffix_odd, suffix_sides, sides = parity_tables(view)
+        neutral = [[[] for _ in vs] for vs in view.level_vertices]
+        if on != "suffix parity":
+            suffix_odd, suffix_sides = [0] * len(suffix_odd), neutral
+        return suffix_odd, suffix_sides, sides if on == "round zero parity" else neutral
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crossings, "_search_tables", patched_tables)
+        mp.setattr(crossings, "_level_entry", patched_entry)
+        mp.setattr(crossings, "_parity_tables", patched_parity)
+        yield
+
+
+class TestCutSoundness:
+    @pytest.mark.parametrize("cut", OPTIONAL_CUTS)
+    @settings(max_examples=200, deadline=None)
+    @given(g=search_graphs())
+    def test_one_cut_alone_keeps_count_and_witness(self, cut, g):
+        # With one optional cut on and the others off, the search must still
+        # find the reference search's count and lex-least witness.
+        with only_cut(cut):
+            count, witness, states, _ = search_outcome(exact_rgcn, g, 20_000)
+        ref_count, ref_witness, ref_states, _ = search_outcome(reference_exact_rgcn, g, 20_000)
+        if states is not None and ref_states is not None:
+            assert (count, witness) == (ref_count, ref_witness)
 
 
 def normalized(sides):
