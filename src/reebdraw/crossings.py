@@ -6,12 +6,14 @@ y-monotone polyline (optional bend points between the endpoint heights).  Two
 edges of one strip (between consecutive levels) cross iff the orders of their
 ends on the two levels disagree; :func:`_strip_inversions` walks a strip by
 this rule.  The layered counter sums its inversions.  The geometric counter
-gathers the pairs that can meet in one candidate map, its level edges' pairs
-from those inversions and the rest from the level strips and the x-slabs of
-the other segments, each segment with later ones that start strictly below
-its top (a pair that meets only where one ends and the other starts is
-settled elsewhere), and then tests the map in sweep order.  The x-slabs also
-find the vertices that lie on another edge.
+reads its level edges straight from the integer frame into their strips and
+makes sweep records only for the other segments.  It gathers the pairs that
+can meet in one candidate map, the level edges' pairs from those inversions
+and the rest from the level strips and the x-slabs of the other segments,
+each segment with later ones that start strictly below its top (a pair that
+meets only where one ends and the other starts is settled elsewhere), and
+then tests the map in sweep order.  The x-slabs also find the vertices that
+lie on another edge.
 
 The two counters agree on realized layered drawings, which is what makes the
 enumeration in :func:`exact_rgcn` an exact oracle for the minimum crossing
@@ -28,9 +30,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import chain, compress, pairwise
+from itertools import chain, pairwise
 from math import comb, inf, lcm
-from operator import itemgetter, not_, sub
+from operator import itemgetter, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import geometry
@@ -85,13 +87,20 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
     in the sweep, and refuse.  A *level* edge has no bend and passes no vertex
     height, so its one segment spans one strip between consecutive heights.
 
+    A level edge goes straight from the frame to its strip, keyed by the
+    strip's lower y, as (lower x, upper x, edge).  Only the other segments
+    become sweep records (the form of :func:`_record`), which are sorted, x-slabbed and
+    checked against foreign vertices.  A record starts with its place in the
+    sweep, (lower y, upper y, edge), so records compare in sweep order; a
+    level edge gets its record only for a pair it joins.
+
     The pairs come in two phases.  First one candidate map {i: [j, ...]},
-    for sweep indices i < j, each list ascending: :func:`_strip_pairs` gives
-    the pairs with a level segment, strip by strip, and each non-level
-    segment adds the later members of its x-slabs (:func:`_x_slabs`, which
-    hold only the non-level segments) that start below its top.  Then one
-    loop tests the map's pairs in sweep order, which is the order of a scan
-    over the whole y-window, so the first degeneracy is the same.  Both
+    for records i < j, each list ascending: :func:`_strip_pairs` gives the
+    pairs with a level segment, strip by strip, and each non-level segment
+    adds the later members of its x-slabs that start below its top, one
+    slab's slice when it lies in one slab.  Then one loop tests the map's
+    pairs in sweep order, which is the order of a scan over the whole
+    y-window, so the first degeneracy is the same.  Both
     segments run upward, so a shared lower or upper end is an overlap iff
     they are collinear and a touch otherwise; other pairs take
     :func:`geometry.classify_segments`.  A proper crossing's point is one
@@ -99,51 +108,49 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
     concurrency check.
     """
     polys, vertex_pt, sx, sy = d._scaled_polylines
-    # Segments with their x-extent and owning edge; polylines run upward, so a lies below b.
+    above = dict(pairwise(sorted({y for _, y in vertex_pt.values()})))  # each vertex height's next one
+    strips: dict[int, list[tuple[int, int, int]]] = {}
     segs = []
     for ei, poly in enumerate(polys):
-        for a, b in pairwise(poly):
-            x_lo, x_hi = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
-            segs.append((a[1], b[1], x_lo, x_hi, a, b, ei))
-    segs.sort(key=itemgetter(0, 1))
-    rank = {y: r for r, y in enumerate(sorted({y for _, y in vertex_pt.values()}))}
-    level_edge = [len(poly) == 2 and rank[poly[1][1]] == rank[poly[0][1]] + 1 for poly in polys]
-    level = list(map(level_edge.__getitem__, map(itemgetter(6), segs)))
-
-    free = list(compress(range(len(segs)), map(not_, level)))
-    slabs, slab_starts, slab_range, x0, width = _x_slabs(segs, free) if free else ((), (), (), 0, 1)
-    # Vertex points are distinct, so a point that is an end of both edges is
-    # a vertex they share.
-    ends = [(poly[0], poly[-1]) for poly in polys]
+        if len(poly) == 2 and above[poly[0][1]] == poly[1][1]:
+            strips.setdefault(poly[0][1], []).append((poly[0][0], poly[1][0], ei))
+        else:
+            # :func:`_record` written out: a call per segment costs about 4% of
+            # the count on drawings whose edges are straight and non-level.
+            for a, b in pairwise(poly):
+                segs.append((a[1], b[1], ei, a[0], b[0], a, b) if a[0] <= b[0] else (a[1], b[1], ei, b[0], a[0], a, b))
+    segs.sort()
+    slabs, slab_starts, slab_range, x0, width = _x_slabs(segs) if segs else ((), (), (), 0, 1)
 
     # A polyline must not pass through a vertex other than its ends: report
     # the lowest such edge, then its first such vertex in ``graph.vertices`` order.
     through = []
-    for k, p in enumerate(vertex_pt.values()) if free else ():
+    for k, p in enumerate(vertex_pt.values()) if segs else ():
         px, py = p
         m = (px - x0) // width
-        for j in slabs[m][:bisect_right(slab_starts[m], py)] if 0 <= m < len(slabs) else ():
-            _, y_hi, _, _, (ax, ay), (bx, by), ei = segs[j]
-            if py <= y_hi and (bx - ax) * (py - ay) == (by - ay) * (px - ax) and p not in ends[ei]:
+        for _, y_hi, ei, _, _, (ax, ay), (bx, by) in slabs[m][:bisect_right(slab_starts[m], py)] if 0 <= m < len(slabs) else ():
+            if py <= y_hi and (bx - ax) * (py - ay) == (by - ay) * (px - ax) and p not in (polys[ei][0], polys[ei][-1]):
                 through.append((ei, k))
     if through:
         ei, k = min(through)
         raise DegeneracyError(f"edge {ei} passes through vertex {list(vertex_pt)[k]!r}")
 
-    pairs = _strip_pairs(segs, level, free)  # the candidate map; the non-level pairs join it here
-    for i, (first, last) in zip(free, slab_range):
-        y_hi_i = segs[i][1]
-        later = {j for m in range(first, last + 1)
-                 for j in slabs[m][bisect_right(slabs[m], i):bisect_left(slab_starts[m], y_hi_i)]}
+    pairs = _strip_pairs(strips, segs, polys)  # the candidate map; the non-level pairs join it here
+    for i, (first, last) in zip(segs, slab_range):
+        if first == last:  # most segments lie in one slab, whose slice is in sweep order
+            later = slabs[first][bisect_right(slabs[first], i):bisect_left(slab_starts[first], i[1])]
+        else:
+            later = sorted({j for m in range(first, last + 1)
+                            for j in slabs[m][bisect_right(slabs[m], i):bisect_left(slab_starts[m], i[1])]})
         if later:
-            pairs[i] = sorted(later.union(pairs.get(i, ())))
+            pairs[i] = sorted(later + pairs[i]) if i in pairs else later
     orient, classify = geometry.orient, geometry.classify_segments
     hits: list[CrossingPair] = []
-    seen_points: dict[tuple[int, int, int], set[int]] = {}
+    seen_points: dict[tuple[int, int, int], set[tuple]] = {}
     for i in sorted(pairs):
-        _, _, x_lo_i, x_hi_i, a, b, ei = segs[i]
+        _, _, ei, x_lo_i, x_hi_i, a, b = i
         for j in pairs[i]:
-            _, _, x_lo_j, x_hi_j, c, dd, ej = segs[j]
+            _, _, ej, x_lo_j, x_hi_j, c, dd = j
             if x_hi_i < x_lo_j or x_hi_j < x_lo_i:
                 continue
             if a == c or b == dd:
@@ -156,7 +163,9 @@ def count_crossings_geometric(d: Drawing) -> CrossingCertificate:
             if kind == geometry.OVERLAP:
                 raise DegeneracyError(f"edges {ei} and {ej} contain overlapping collinear segments")
             if kind == geometry.TOUCH:
-                if pt in ends[ei] and pt in ends[ej]:
+                # Vertex points are distinct, so a point that is an end of
+                # both edges is a vertex they share.
+                if pt in (polys[ei][0], polys[ei][-1]) and pt in (polys[ej][0], polys[ej][-1]):
                     continue
                 raise DegeneracyError(f"edges {ei} and {ej} touch at {pt} without crossing transversally")
             # Proper crossing.  Track concurrency: three distinct segments
@@ -191,23 +200,34 @@ def _strip_inversions(edges: Iterable[tuple[int, int, int]]) -> Iterator[tuple[t
         owners.insert(pos, tag)
 
 
-def _strip_pairs(segs: list[tuple], level: list[bool], free: list[int]) -> dict[int, list[int]]:
-    """The pairs of sweep-sorted ``segs`` with a level segment that can meet,
-    as {i: [j, ...]} for sweep indices i < j, ascending; ``free`` lists the
-    non-level segments.  A strip's level segments cross where
-    :func:`_strip_inversions` over their (lower x, upper x) says, overlap iff
-    both xs are equal, and meet otherwise only at shared vertices.  The
-    strips are disjoint and ascending, so a non-level segment bisects their
-    bottoms and tops for those its open y-range crosses.  In each whose
-    x-range meets its own, it bisects the spans sorted by lower x for those
-    whose x-extents overlap its own, from its own lower x less the strip's
-    widest span (``reach``).  That index is built only when both kinds of
-    segment exist."""
-    strips: dict[int, list[tuple[int, int, int]]] = {}
-    for k in compress(range(len(segs)), level):
-        y_lo, _, _, _, a, b, _ = segs[k]
-        strips.setdefault(y_lo, []).append((a[0], b[0], k))
-    pairs: dict[int, list[int]] = {}
+def _record(a: tuple[int, int], b: tuple[int, int], ei: int) -> tuple:
+    """The sweep record of edge ``ei``'s segment from ``a`` up to ``b``:
+    (lower y, upper y, edge, lower x, upper x, a, b).  Its first three fields
+    are its place in the sweep, so records sort and compare in sweep order.
+    The counter builds the non-level segments' records inline, in this form;
+    :func:`_strip_pairs` builds a level segment's for each pair it joins."""
+    return (a[1], b[1], ei, a[0], b[0], a, b) if a[0] <= b[0] else (a[1], b[1], ei, b[0], a[0], a, b)
+
+
+def _strip_pairs(strips: dict[int, list[tuple[int, int, int]]], segs: list[tuple],
+                 polys: Sequence[tuple[tuple[int, int], ...]]) -> dict[tuple, list[tuple]]:
+    """The pairs with a level segment that can meet, as {i: [j, ...]} for
+    sweep records i < j, each list ascending.  ``strips`` holds each strip's
+    level edges as (lower x, upper x, edge), keyed by its lower y; ``segs``
+    holds the records of the other segments, in sweep order.  A level edge's
+    record is built (from ``polys``) only for the pairs it joins.  A strip's
+    level segments cross where :func:`_strip_inversions` over their (lower x,
+    upper x) says, overlap iff both xs are equal, and meet otherwise only at
+    shared vertices.  The strips are disjoint, so sorted by lower y a
+    non-level segment bisects their bottoms and tops for those its open
+    y-range crosses.  In each whose x-range meets its own, it bisects the
+    spans sorted by lower x for those whose x-extents overlap its own, from
+    its own lower x less the strip's widest span (``reach``).  That index is
+    built only when both kinds of segment exist."""
+    def level(e: int) -> tuple:
+        return _record(*polys[e], e)
+
+    pairs: dict[tuple, list[tuple]] = {}
     for strip in strips.values():
         last_lo = last_hi = None
         same = 0  # the segments walked just before this one with its ends: owners[pos - same:pos]
@@ -216,48 +236,47 @@ def _strip_pairs(segs: list[tuple], level: list[bool], free: list[int]) -> dict[
             last_lo, last_hi = lo, hi
             if pos - same < len(owners):  # most segments cross and overlap nothing
                 for j in owners[pos - same:]:
-                    pairs.setdefault(min(j, k), []).append(max(j, k))
-    if free and strips:
-        bottoms, tops, index = list(strips), [], []
-        for strip in strips.values():
-            spans = sorted((segs[k][2], segs[k][3], k) for _, _, k in strip)
+                    pairs.setdefault(level(min(j, k)), []).append(level(max(j, k)))
+    if segs and strips:
+        bottoms, tops, index = sorted(strips), [], []
+        for y in bottoms:
+            spans = sorted((lo, hi, k) if lo <= hi else (hi, lo, k) for lo, hi, k in strips[y])
             starts, x_his = list(map(itemgetter(0), spans)), list(map(itemgetter(1), spans))
-            tops.append(segs[strip[0][2]][1])
+            tops.append(polys[spans[0][2]][1][1])
             index.append((spans, starts, max(map(sub, x_his, starts)), max(x_his)))
-        for n in free:
-            y_lo_n, y_hi_n, x_lo_n, x_hi_n, _, _, _ = segs[n]
+        for n in segs:
+            y_lo_n, y_hi_n, _, x_lo_n, x_hi_n, _, _ = n
             for spans, starts, reach, x_max in index[bisect_right(tops, y_lo_n):bisect_left(bottoms, y_hi_n)]:
                 if starts[0] <= x_hi_n and x_lo_n <= x_max:
                     for _, x_hi, k in spans[bisect_left(starts, x_lo_n - reach):bisect_right(starts, x_hi_n)]:
                         if x_hi >= x_lo_n:
+                            k = level(k)
                             pairs.setdefault(min(n, k), []).append(max(n, k))
     for js in pairs.values():
         js.sort()
     return pairs
 
 
-def _x_slabs(segs: list[tuple], members: list[int]
-             ) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]], int, int]:
-    """Cover the x-range of the segments ``members`` (sweep indices, ascending)
-    with equal slabs; returns each slab's members in sweep order and their
-    lower ys, each member's first and last slab, and the left end x0 and the
-    width, so that x lies in slab (x - x0) // width.  The counter gives it the
+def _x_slabs(segs: list[tuple]) -> tuple[list[list[tuple]], list[list[int]], list[tuple[int, int]], int, int]:
+    """Cover the x-range of the sweep records ``segs`` (in sweep order) with
+    equal slabs; returns each slab's members in sweep order and their lower
+    ys, each record's first and last slab, and the left end x0 and the width,
+    so that x lies in slab (x - x0) // width.  The counter gives it the
     non-level segments only: two x-overlapping ones share a slab, so a
     non-level segment's candidates among them, which the counter adds to its
     candidate map, are the later members of its slabs that start strictly
     below its upper y.  The slab width is the mean x-extent, but at least the
-    range over the member count: at most about one slab per member."""
-    chosen = list(map(segs.__getitem__, members))
-    x_los, x_his = list(map(itemgetter(2), chosen)), list(map(itemgetter(3), chosen))
-    x0, n = min(x_los), len(members)
+    range over the segment count: at most about one slab per segment."""
+    x_los, x_his = list(map(itemgetter(3), segs)), list(map(itemgetter(4), segs))
+    x0, n = min(x_los), len(segs)
     span = max(x_his) - x0
     width = max((sum(x_his) - sum(x_los)) // n, span // n, 1)
-    slabs: list[list[int]] = [[] for _ in range(span // width + 1)]
+    slabs: list[list[tuple]] = [[] for _ in range(span // width + 1)]
     slab_starts: list[list[int]] = [[] for _ in slabs]
     slab_range = [((x_lo - x0) // width, (x_hi - x0) // width) for x_lo, x_hi in zip(x_los, x_his)]
-    for k, (first, last), seg in zip(members, slab_range, chosen):
+    for seg, (first, last) in zip(segs, slab_range):
         for m in range(first, last + 1):
-            slabs[m].append(k)
+            slabs[m].append(seg)
             slab_starts[m].append(seg[0])
     return slabs, slab_starts, slab_range, x0, width
 

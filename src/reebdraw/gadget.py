@@ -398,7 +398,9 @@ def arrangement_to_drawing(inst: GadgetInstance, f: LinearArrangement) -> tuple[
     a determinant with a nonzero kappa^2 term.  Coordinates lie on a grid of
     step h = 1/(10 (m + 1)) within (n + 1) * pitch, so kappa =
     h^2 / (8 m^4 (n + 1) pitch) is below every other root and keeps lanes
-    apart, in order and off the strand bends.  The count runs at most twice.
+    apart, in order and off the strand bends.  The count runs at most twice,
+    and once when two routes share a canonical lane: their bends there
+    coincide, which the count always refuses.
     """
     plan = inst.plan
     if set(f.ranks) != set(inst.source.vertices):
@@ -429,14 +431,17 @@ def arrangement_to_drawing(inst: GadgetInstance, f: LinearArrangement) -> tuple[
             a, _ = inst.graph.edges[edge_index]
             bends[edge_index] = ((Fraction(grid_x[a] * fan + copy, fan), mid_gap),)
 
+    lanes = []  # each E1 route's edge, top lane and bottom lane at kappa = 0
+    for route in plan.e1_routes:
+        top_u, bot_u, sub = route.top_source, route.bottom_source, route.lane_offset
+        going_right = f.ranks[bot_u] > f.ranks[top_u]
+        lanes.append((route.edge_index, origin(top_u) + width + sub if going_right else origin(top_u) - sub,
+                      origin(bot_u) - sub if going_right else origin(bot_u) + width + sub))
+
     def drawing(kappa: Fraction) -> Drawing:
-        for r, route in enumerate(plan.e1_routes, start=1):
-            top_u, bot_u = route.top_source, route.bottom_source
-            sub = route.lane_offset
-            going_right = f.ranks[bot_u] > f.ranks[top_u]
-            lane_top = (origin(top_u) + width + sub if going_right else origin(top_u) - sub) + kappa * r * r
-            lane_bot = (origin(bot_u) - sub if going_right else origin(bot_u) + width + sub) + kappa * r
-            bends[route.edge_index] = (
+        for r, (edge_index, lane_top, lane_bot) in enumerate(lanes, start=1):
+            lane_top, lane_bot = lane_top + kappa * r * r, lane_bot + kappa * r
+            bends[edge_index] = (
                 (lane_bot, band_lo),
                 (lane_bot, gap_lo),
                 (lane_top, gap_hi),
@@ -444,11 +449,13 @@ def arrangement_to_drawing(inst: GadgetInstance, f: LinearArrangement) -> tuple[
             )
         return Drawing(graph=inst.graph, x=xs, bends=tuple(bends))
 
-    d = drawing(Fraction(0))
-    try:
-        return d, count_crossings_geometric(d)
-    except DegeneracyError:
-        pass
+    # A shared canonical lane means coinciding bends: skip that count.
+    if len({top for _, top, _ in lanes}) == len({bot for _, _, bot in lanes}) == len(lanes):
+        d = drawing(Fraction(0))
+        try:
+            return d, count_crossings_geometric(d)
+        except DegeneracyError:
+            pass
     h = Fraction(1, 10 * (m + 1))
     d = drawing(h * h / (8 * m ** 4 * (len(f.ranks) + 1) * pitch))
     return d, count_crossings_geometric(d)

@@ -206,20 +206,37 @@ class TestGeometricCounter:
             fn = getattr(geometry, name)
             monkeypatch.setattr(geometry, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
         # The map starts as the dict ``_strip_pairs`` returns; the sweep adds
-        # the non-level pairs to it and then visits its keys.
+        # the non-level pairs to it and then visits its keys, sweep records
+        # whose third field is the edge.
         maps = []
         strip_pairs = reebdraw.crossings._strip_pairs
 
-        def kept_map(segs, level, free):
-            maps.append((strip_pairs(segs, level, free), level))
+        def kept_map(strips, segs, polys):
+            maps.append((strip_pairs(strips, segs, polys), {e for strip in strips.values() for _, _, e in strip}))
             return maps[-1][0]
 
         monkeypatch.setattr(reebdraw.crossings, "_strip_pairs", kept_map)
         assert count_crossings_geometric(d) == cert
         (pairs, level), = maps
-        visited_level = sum(level[i] for i in pairs)
-        assert (cert.count, _segments(d), len(pairs), visited_level) == (152, 1680, 452, 46)
+        visited_level = sum(i[2] in level for i in pairs)
+        assert (cert.count, _segments(d), len(level), len(pairs), visited_level) == (152, 1680, 1225, 452, 46)
         assert (calls.count("classify_segments"), calls.count("orient")) == (322, 2804)
+
+    def test_level_edges_build_no_sweep_record(self, monkeypatch):
+        # Every edge of the rows-30 hexagon grid is level: all 1,485 go to
+        # their strips as (lower x, upper x, edge), none becomes a sweep
+        # record, and with no pair to test no level record is built either.
+        import reebdraw.crossings
+
+        d = tri_hex_grid(30).drawing
+        records, seen = [], []
+        record, strip_pairs = reebdraw.crossings._record, reebdraw.crossings._strip_pairs
+        monkeypatch.setattr(reebdraw.crossings, "_record", lambda *args: records.append(args) or record(*args))
+        monkeypatch.setattr(reebdraw.crossings, "_strip_pairs",
+                            lambda strips, segs, polys: seen.append((strips, list(segs))) or strip_pairs(strips, segs, polys))
+        assert count_crossings_geometric(d).count == 0
+        (strips, segs), = seen
+        assert (len(d.graph.edges), sum(map(len, strips.values())), len(segs), len(records)) == (1485, 1485, 0, 0)
 
     def test_crossing_point_is_the_intersection_in_lowest_terms(self):
         rng = random.Random(83)
@@ -366,6 +383,59 @@ def level_strips_with_free_edges(draw):
         assume(False)
 
 
+@st.composite
+def strips_with_bends_at_vertex_heights(draw):
+    """Level edges between integer heights 0..top, parallel copies allowed,
+    plus 2-4 bent edges whose first bend sits at the next vertex height, so
+    that their first segments share a strip's lower and upper y with its
+    level segments; the edges come in a drawn order.  A bent edge starts at a
+    level vertex.  Its first bend is drawn, or planted on an earlier bent
+    edge's first bend (an overlap from one vertex, a touch otherwise); its
+    later bends, at quarter heights, are drawn or planted on a level edge (a
+    touch, an overlap when two land on one).  So one strip often holds
+    several refusals among both kinds, and the sweep order picks the first."""
+    top = draw(st.integers(min_value=2, max_value=4))
+    coarse_x = st.integers(min_value=-2, max_value=10).map(lambda k: Fraction(k, 2))
+    heights, xs, rows = {}, {}, []
+    for h in range(top + 1):
+        rows.append([f"h{h}_{k}" for k in range(draw(st.integers(min_value=1, max_value=3)))])
+        for v, x in zip(rows[-1], draw(st.lists(coarse_x, min_size=len(rows[-1]), max_size=3, unique=True))):
+            heights[v], xs[v] = Fraction(h), x
+    level = []
+    for below, above in itertools.pairwise(rows):
+        level += draw(st.lists(st.sampled_from([(a, b) for a in below for b in above]), max_size=4))
+    edges, bends, firsts = list(level), [() for _ in level], []
+    for i in range(draw(st.integers(min_value=2, max_value=4))):
+        h = draw(st.integers(min_value=0, max_value=top - 1))
+        h_hi = draw(st.integers(min_value=h + 2, max_value=top + 1))
+        lo = draw(st.sampled_from(rows[h]))
+        if h_hi <= top and draw(st.booleans()):
+            hi = draw(st.sampled_from(rows[h_hi]))
+        else:
+            hi = f"u{i}"
+            heights[hi], xs[hi] = Fraction(h_hi), draw(coarse_x)
+        same = [(x, y) for x, y in firsts if y == h + 1]
+        firsts.append(draw(st.sampled_from(same)) if same and draw(st.booleans()) else (draw(coarse_x), Fraction(h + 1)))
+        later = []
+        for y in sorted(draw(st.lists(st.sampled_from([Fraction(k, 4) for k in range(4 * h + 5, 4 * h_hi) if k % 4]),
+                                      max_size=2, unique=True))):
+            on = [(a, b) for a, b in level if heights[a] < y < heights[b]]
+            if on and draw(st.booleans()):
+                a, b = draw(st.sampled_from(on))
+                later.append((xs[a] + (y - heights[a]) * (xs[b] - xs[a]), y))
+            else:
+                later.append((draw(coarse_x), y))
+        edges.append((lo, hi))
+        bends.append((firsts[-1], *later))
+    order = draw(st.permutations(range(len(edges))))
+    used = {v for e in edges for v in e}
+    try:
+        graph = ReebGraph({v: h for v, h in heights.items() if v in used}, tuple(edges[k] for k in order))
+        return Drawing(graph=graph, x={v: xs[v] for v in graph.vertices}, bends=tuple(bends[k] for k in order))
+    except ReebError:
+        assume(False)
+
+
 class TestGeometricCounterOracle:
     @settings(max_examples=400, deadline=None)
     @given(coarse_drawings())
@@ -380,6 +450,11 @@ class TestGeometricCounterOracle:
     @settings(max_examples=300, deadline=None)
     @given(level_strips_with_free_edges())
     def test_strip_lookup_matches_reference_counter(self, d):
+        assert _outcome(count_crossings_geometric, d) == _outcome(reference_count_crossings_geometric, d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(strips_with_bends_at_vertex_heights())
+    def test_first_refusal_among_level_and_bent_segments_of_one_strip(self, d):
         assert _outcome(count_crossings_geometric, d) == _outcome(reference_count_crossings_geometric, d)
 
     def test_matches_reference_on_realized_orderings(self):
@@ -987,8 +1062,7 @@ class TestForeignVertexIndex:
         assert [count_crossings_geometric(d).count for d in curved] == [0, 0, 0]
 
         x_slabs, index = reebdraw.crossings._x_slabs, []
-        monkeypatch.setattr(reebdraw.crossings, "_x_slabs", lambda segs, members: index.append(x_slabs(segs, members))
-                            or index[-1])
+        monkeypatch.setattr(reebdraw.crossings, "_x_slabs", lambda segs: index.append(x_slabs(segs)) or index[-1])
         assert count_crossings_geometric(path).count == 0
         (slabs, slab_starts, _, x0, width), = index
         scanned = 0
