@@ -584,16 +584,20 @@ def _parity_tables(view: LeveledView) -> tuple[list[int], list[list[list[tuple[i
 
     A level's *entries* are, per vertex index i, the triples (j, c, side)
     for the pairs (i, j) in a component c without an odd cycle: placing i
-    left of j forces the variable at the root of c to ``side``.  Components
-    are numbered from 0 in order of first appearance, so a level of width w
-    names fewer than w * w of them.  Once strip L is added the system holds
-    the strips >= L and no other, and the pass reads level L's number of
-    components with an odd cycle and its entries, kept only for components
-    that hold two or more of its pairs (one pair alone cannot be oriented
-    both ways), each level numbered afresh.  Returns those two lists, and
-    then, per level, the entries of the system of all strips, numbered once
-    over all levels, or None when that system is contradictory: then no
-    ordering is crossing-free.
+    left of j forces the variable at the root of c to ``side``.  Once strip
+    L is added the system holds the strips >= L and no other, and the pass
+    reads level L's number of components with an odd cycle and its entries,
+    kept only for components that hold two or more of its pairs (one pair
+    alone cannot be oriented both ways).  Returns those two lists, and then,
+    per level, the entries of the system of all strips, or None when that
+    system is contradictory: then no ordering is crossing-free.
+
+    Each of the two tables numbers its components once over all levels,
+    from 0 in order of first appearance, the suffix tables from the top
+    level down.  A level of width w holds fewer than w * w / 2 pairs, so
+    every number is below the sum of the levels' w * w, and no suffix
+    component is named on two levels: one orientation list of that size
+    serves every level of a search round.
     """
     level_vertices, strips, index = view.level_vertices, view.strips, view.index
     widths = list(map(len, level_vertices))
@@ -630,6 +634,7 @@ def _parity_tables(view: LeveledView) -> tuple[list[int], list[list[list[tuple[i
 
     suffix_odd = [0] * len(level_vertices)
     suffix_sides: list[list[list[tuple[int, int, int]]]] = [[] for _ in level_vertices]
+    held: list[int] = []
     for l in range(len(level_vertices) - 1, -1, -1):
         edges = list(dict.fromkeys((index[a], index[b]) for a, b in strips[l])) if l < len(strips) else []
         if edges:
@@ -680,7 +685,6 @@ def _parity_tables(view: LeveledView) -> tuple[list[int], list[list[list[tuple[i
                     odd[ra] = True
                     odd_count += 1
         suffix_odd[l] = odd_count
-        held: list[int] = []
         row = entries(l, {}, held)
         suffix_sides[l] = [[e for e in triples if held[e[1]] > 1] for triples in row]
     if odd_count:
@@ -876,30 +880,37 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
 
     Rounds of target 1 or more bound the crossings in the strips at or
     above the level being filled, from the system of those strips alone.
-    On entering level L the orientation starts unset and ``bad`` holds
-    the components with an odd cycle; a component that the placements orient
+    On entering level L no component of that system is oriented and ``bad``
+    holds those with an odd cycle; a component that the placements orient
     both ways joins ``bad``.  Every component in ``bad`` forces a crossing
     in strips >= L, and no two force the same one, since distinct
     components share no equality.  The floor counts ``future_lb[L]`` for
     those strips, which the rest of the floor never counts, so a candidate
     is pruned when its raised floor, with ``max(future_lb[L], bad)`` in
     place of ``future_lb[L]``, exceeds the target.  The memo stays sound
-    because the orientation starts afresh at each level entry and sees only
-    the placements on level L.  In every round the subtree's outcome is a
-    function of (L, order of level L - 1, cost) as before.
+    because that orientation sees only the placements on level L.  In every
+    round the subtree's outcome is a function of (L, order of level L - 1,
+    cost) as before.
 
-    The orientation is an int list indexed by the component numbers of
-    :func:`_parity_tables`: -1 while unset, then the side a component was
-    first given, plus 2 once it has been given both.  A trail lists each
-    change, so that taking a placement back resets exactly what it set.
+    Each round holds one orientation, an int list indexed by the component
+    numbers of :func:`_parity_tables`, which numbers each system's
+    components once over all levels: -1 while unset, then the side a
+    component was first given, plus 2 once it has been given both.  One
+    trail lists each change.  A choice point keeps the trail's length when
+    it is pushed, and a candidate cuts the trail back to that mark just
+    before it orients, which resets whatever was set since: by the point's
+    earlier candidates, and on the levels entered and left after it.  So in
+    rounds of target 1 or more a level's components are unset on entry: a
+    suffix entry names only components of its own level, and a path that
+    leaves level L and comes back to it must first place a vertex below,
+    which cuts the trail back past every placement on L.
 
     Each round is one loop over an explicit stack, so no input is too deep:
     a frame per level entry (its ``drop`` rows, caps table, parity
-    entries, orientation, trail, placed flags and order so far) holds a
-    choice point per vertex placed (next candidate, floor, regret row,
-    ``bad`` and the trail mark to unwind to when the placement is taken
-    back).  A level's order is held only in its frame, and the frame above
-    reads it once, on entry.
+    entries, placed flags and order so far) holds a choice point per vertex
+    placed (next candidate, floor, regret row, ``bad`` and the trail mark).
+    A level's order is held only in its frame, and the frame above reads it
+    once, on entry.
 
     Candidates are tried in id order and the first completion within the
     target ends the round, so the witness is the lexicographically least
@@ -923,52 +934,51 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
     tables = _search_tables(view)
 
     # Round 0 runs only if the system of all strips is consistent, and then
-    # prunes on it, with one orientation and trail over all levels.  Rounds
-    # >= 1 read level L's suffix tables, the system of the strips >= L alone,
-    # and orient afresh on each level entry.
+    # prunes on it.  Rounds >= 1 read level L's suffix tables, the system of
+    # the strips >= L alone.  Each numbers its components once over all
+    # levels, below ``size``: the length of every round's one orientation.
     suffix_odd, suffix_sides, sides = _parity_tables(view)
     first_target = tables.future_lb[0] if tables.future_lb[0] > 0 or sides is not None else 1
-    round_zero_orient = [-1] * sum(len(vs) ** 2 for vs in level_vertices)
-    round_zero_trail: list[int] = []
+    size = sum(len(vs) ** 2 for vs in level_vertices)
     states = 0
     limit = inf if budget is None else budget
 
-    def enter(level: int, below: list[int], cost: int, target: int, memo: list[dict[int, int]]) -> tuple | None:
-        """The frame (width, mirror, above, drop, caps, entries, orient, trail, placed,
-        perm, points) of ``level``, entered at ``cost`` on the finished order
-        ``below`` of the level under it, or None if the memo or floor cuts it."""
+    def enter(level: int, below: list[int], cost: int, target: int, memo: list[dict[int, int]],
+              mark: int) -> tuple | None:
+        """The frame (width, mirror, above, drop, caps, entries, placed, perm,
+        points) of ``level``, entered at ``cost`` on the finished order
+        ``below`` of the level under it with the trail ``mark`` long, or None
+        if the memo or floor cuts it.  Round 0 reads the entries of the system
+        of all strips, the others the suffix tables."""
         entry = _level_entry(tables, level, below, cost, target, memo[level])
         if entry is None:
             return None
         floor, regret, drop = entry
         width = len(regret)
-        # ``bad`` counts the components of the parity system in use that
-        # force a crossing in the strips >= level.
-        if target == 0:
-            entries, orient, trail, bad = sides[level], round_zero_orient, round_zero_trail, 0
-        else:
-            entries, orient, trail, bad = suffix_sides[level], [-1] * (width * width), [], suffix_odd[level]
+        # ``bad`` counts the components of the suffix system that force a
+        # crossing in the strips >= level: none when round 0 runs.
         return (width, level == tables.mirror_level, tables.future_lb[level], drop, tables.caps[level],
-                entries, orient, trail, [False] * width, [], [[0, floor, regret, bad, len(trail)]])
+                sides[level] if target == 0 else suffix_sides[level], [False] * width, [],
+                [[0, floor, regret, suffix_odd[level], mark]])
 
     def run_round(target: int) -> list[list[str]] | None:
         """One deepening round: the orders of the first completion within ``target``, or None."""
         nonlocal states
         memo: list[dict[int, int]] = [{} for _ in range(lev.count)]
-        frame = enter(0, [], 0, target, memo)
+        orient = [-1] * size
+        trail: list[int] = []
+        frame = enter(0, [], 0, target, memo, 0)
         frames = [] if frame is None else [frame]
         while frames:
-            width, mirror, above, drop, caps, entries, orient, trail, placed, perm, points = frames[-1]
+            width, mirror, above, drop, caps, entries, placed, perm, points = frames[-1]
             while True:
                 start, floor, regret, bad, mark = point = points[-1]
                 if start:
                     # A point past its first candidate holds a placement, and
-                    # nothing completed after it: take it back.
+                    # nothing completed after it: take it back.  Its
+                    # orientation stays on the trail until the next candidate
+                    # orients.
                     placed[perm.pop()] = False
-                    if len(trail) > mark:
-                        for c in trail[mark:]:
-                            orient[c] = orient[c] - 2 if orient[c] > 1 else -1
-                        del trail[mark:]
                 q = perm[-1] if perm else -1  # the vertex placed last
                 room = target - floor  # the regret a candidate may add
                 for i in range(start, width):
@@ -991,12 +1001,17 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
                         continue  # the exchange cut
                     # The floor counts ``above`` for the strips >= level, and
                     # ``bad`` bounds them too, so i is pruned once ``bad``
-                    # passes ``cap``.  Orient the components that fixing i
-                    # left of every unplaced vertex fixes; each oriented
-                    # both ways for the first time joins ``bad``.
+                    # passes ``cap``.  Cut the trail back to this point, then
+                    # orient the components that fixing i left of every
+                    # unplaced vertex fixes; each oriented both ways for the
+                    # first time joins ``bad``.
                     cap = above + room - regret[i]
                     if bad > cap:
                         continue
+                    if len(trail) > mark:
+                        for c in trail[mark:]:
+                            orient[c] = orient[c] - 2 if orient[c] > 1 else -1
+                        del trail[mark:]
                     bad_i = bad
                     for j, c, side in entries[i]:
                         if placed[j]:
@@ -1011,13 +1026,8 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
                             bad_i += 1
                             if bad_i > cap:
                                 break
-                    if bad_i > cap:
-                        if len(trail) > mark:
-                            for c in trail[mark:]:
-                                orient[c] = orient[c] - 2 if orient[c] > 1 else -1
-                            del trail[mark:]
-                        continue
-                    break
+                    if bad_i <= cap:
+                        break
                 else:
                     # Back up to the choice point below, which takes its placement back.
                     points.pop()
@@ -1034,7 +1044,7 @@ def exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGET) -> Exac
                 if len(frames) == lev.count:
                     # Each level's frame is on the stack, its order complete.
                     return [[vs[k] for k in frame[-2]] for vs, frame in zip(level_vertices, frames)]
-                frame = enter(len(frames), perm, floor + regret[i] - above, target, memo)
+                frame = enter(len(frames), perm, floor + regret[i] - above, target, memo, len(trail))
                 if frame is not None:
                     frames.append(frame)
                 break

@@ -1355,12 +1355,16 @@ def recursive_exact_rgcn(g: ReebGraph, budget: int | None = DEFAULT_SEARCH_BUDGE
     it checks what the two searches do not share, through its ``count``,
     witness, ``states``, ``rounds`` and budget payload, which ``exact_rgcn``
     must reproduce exactly: the traversal on an explicit stack against this
-    recursion, the int-list orientation against ``_orient`` and ``_unwind``,
-    and ``crossings._parity_tables`` against the reference builders
-    ``_parity_system`` and ``_suffix_tables``, which this one runs on.  The
-    bounds' soundness is checked by ``reference_exact_rgcn``, which shares
-    none of them, and by one property per cut.  It recurses once per placed
-    vertex, so it needs a small graph.
+    recursion; ``exact_rgcn``'s one int-list orientation per round, cut back
+    on one trail before each candidate orients, against dict orientations
+    (one over all levels in round 0, one per level entry in later rounds)
+    that ``_orient`` and ``_unwind`` take back placement by placement; and
+    ``crossings._parity_tables``, with its one component numbering over all
+    levels, against the reference builders ``_parity_system`` and
+    ``_suffix_tables``, which this one runs on.  The bounds' soundness is
+    checked by ``reference_exact_rgcn``, which shares none of them, and by
+    one property per cut.  It recurses once per placed vertex, so it needs
+    a small graph.
     """
     if not is_connected(g):
         raise LayoutError("exact search requires a connected graph", code="disconnected")

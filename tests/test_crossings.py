@@ -2040,6 +2040,26 @@ class TestSuffixTables:
             assert odd[l:] == top_odd
             assert canonical(sides[l]) == canonical(top_sides[0])
 
+    @settings(max_examples=200, deadline=None)
+    @given(leveled_graphs())
+    def test_components_are_numbered_once_over_all_levels(self, g2):
+        # The search keeps one orientation per round, of sum(W^2) entries,
+        # for every level: a suffix component named on two levels would be
+        # oriented already when the second level is entered.
+        lev = levels(g2)
+        level_vertices = lev.by_level()
+        _, suffix_sides, sides = parity_tables(level_vertices, _strip_edges(g2, lev))
+        size = sum(len(vs) ** 2 for vs in level_vertices)
+        level_of: dict[int, int] = {}
+        for l, rows in enumerate(suffix_sides):
+            for row in rows:
+                for _, c, _ in row:
+                    assert level_of.setdefault(c, l) == l, (c, level_of[c], l)
+                    assert 0 <= c < size
+        for rows in sides or []:
+            for row in rows:
+                assert all(0 <= c < size for _, c, _ in row)
+
     @settings(max_examples=300, deadline=None)
     @given(leveled_graphs(max_width=4))
     def test_bound_never_exceeds_the_crossings_above(self, g2):
